@@ -1,0 +1,8 @@
+"""Lets `python3 -m pytest perfbench` import taskmon from the checkout's src/."""
+
+import sys
+from pathlib import Path
+
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+if _SRC not in sys.path:
+    sys.path.insert(0, _SRC)
