@@ -22,12 +22,12 @@ import numpy as np
 from .geometry import Box, Scene, SceneObject, Vec
 from .language import Atom, Vocabulary
 from .perception import (
+    DEFAULT_RULES,
     Detection,
     Mode,
     Percept,
     RelationRule,
     Thresholds,
-    default_rules,
     ground_relation,
 )
 from .planning import GroundAction
@@ -211,7 +211,7 @@ class SimActuator(Actuator):
         self.vocab = vocab
         self.fail_prob = fail_prob
         self.thresholds = thresholds or Thresholds()
-        self.rules = rules or default_rules()
+        self.rules = rules or DEFAULT_RULES
         self.disturbances = tuple(disturbances)
         self._rng = np.random.default_rng([seed, 0xAC70])
         self._drng = np.random.default_rng([seed, 0xD157])

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Optional
 
 import yaml
@@ -144,16 +145,19 @@ class Camera:
         if self.max_depth <= 0.0:
             raise ValueError("max depth must be positive")
 
-    @property
+    # The basis and the half-FOV tangents are computed once per camera. The
+    # dataclass is frozen and replace() builds a fresh instance, so a cached
+    # value always belongs to the pose it was computed from.
+    @cached_property
     def forward(self) -> Vec:
         cp, sp = math.cos(self.pitch), math.sin(self.pitch)
         return (cp * math.cos(self.yaw), cp * math.sin(self.yaw), sp)
 
-    @property
+    @cached_property
     def right(self) -> Vec:
         return (math.sin(self.yaw), -math.cos(self.yaw), 0.0)
 
-    @property
+    @cached_property
     def up(self) -> Vec:
         f, r = self.forward, self.right
         return (
@@ -161,6 +165,14 @@ class Camera:
             r[2] * f[0] - r[0] * f[2],
             r[0] * f[1] - r[1] * f[0],
         )
+
+    @cached_property
+    def tan_half_hfov(self) -> float:
+        return math.tan(self.hfov / 2.0)
+
+    @cached_property
+    def tan_half_vfov(self) -> float:
+        return math.tan(self.vfov / 2.0)
 
     def depth_of(self, p: Vec) -> float:
         return _dot(_sub(p, self.position), self.forward)
@@ -173,14 +185,14 @@ class Camera:
             return None
         x = _dot(d, self.right)
         y = _dot(d, self.up)
-        u = self.width / 2.0 * (1.0 + x / (z * math.tan(self.hfov / 2.0)))
-        v = self.height / 2.0 * (1.0 - y / (z * math.tan(self.vfov / 2.0)))
+        u = self.width / 2.0 * (1.0 + x / (z * self.tan_half_hfov))
+        v = self.height / 2.0 * (1.0 - y / (z * self.tan_half_vfov))
         return (u, v, z)
 
     def unproject(self, u: float, v: float, depth: float) -> Vec:
         """Inverse of project at the given forward depth."""
-        x = (2.0 * u / self.width - 1.0) * math.tan(self.hfov / 2.0) * depth
-        y = (1.0 - 2.0 * v / self.height) * math.tan(self.vfov / 2.0) * depth
+        x = (2.0 * u / self.width - 1.0) * self.tan_half_hfov * depth
+        y = (1.0 - 2.0 * v / self.height) * self.tan_half_vfov * depth
         p = _add(self.position, _scale(self.forward, depth))
         p = _add(p, _scale(self.right, x))
         return _add(p, _scale(self.up, y))
@@ -195,7 +207,7 @@ class Camera:
             return False
         x = _dot(d, self.right)
         y = _dot(d, self.up)
-        return abs(x / z) <= math.tan(self.hfov / 2.0) and abs(y / z) <= math.tan(self.vfov / 2.0)
+        return abs(x / z) <= self.tan_half_hfov and abs(y / z) <= self.tan_half_vfov
 
     def project_box(self, box: Box) -> Optional[tuple[float, float, float, float]]:
         """Pixel AABB over the box corners; None if any corner is behind."""

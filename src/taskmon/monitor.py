@@ -208,7 +208,7 @@ class LiveVision(VisionSystem):
 
     def query(self, s: State) -> tuple[bool, bool]:
         cfg = self.cfg
-        ok, _, depths = query_vision(
+        r = query_vision(
             s,
             self.scene,
             self.scene.camera,
@@ -221,7 +221,7 @@ class LiveVision(VisionSystem):
             self.thresholds,
             self.rules,
         )
-        return ok, (not ok) and isinstance(depths, int)
+        return r.ok, r.timed_out
 
     def scan(self, atoms: Iterable[Atom]) -> State:
         cfg = self.cfg

@@ -1,9 +1,12 @@
 """Simulated perception over ground-truth scenes.
 
 Detection draws a batch of noisy frames and majority-votes the class per
-object; depth comes from ray-cast foreground masking inside the detected
-box; the 13 spatial/functional predicates are grounded by geometric rules
-over the perceived (reconstructed) geometry, never the ground truth.
+object; reconstruction places each detected object at the detector's noisy
+centroid depth; the 13 spatial/functional predicates are grounded by
+geometric rules over the perceived (reconstructed) geometry, never the
+ground truth. `estimate_depth`, a ray-cast foreground mask inside a
+detected box, is a separate on-demand measurement that neither
+reconstruction nor the vision query runs.
 
 Three ablation modes control what the reconstruction may use: FULL keeps
 estimated centroids plus true class extents, NO_SHAPE replaces extents with
@@ -16,7 +19,8 @@ import enum
 import math
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from types import MappingProxyType
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -104,29 +108,33 @@ class RelationRule:
     sign: float = 1.0
 
 
-def default_rules() -> dict[str, RelationRule]:
-    """The predicate -> geometric-procedure table. Alternative spellings used
-    by task corpora (Detected, Holding) share the base procedures."""
-    rules = [
-        RelationRule("On", "on"),
-        RelationRule("Under", "under"),
-        RelationRule("Inside", "inside"),
-        RelationRule("CloseTo", "close"),
-        RelationRule("At", "at"),
-        RelationRule("Left", "lateral", -1.0),
-        RelationRule("Right", "lateral", 1.0),
-        RelationRule("InFront", "depthwise", -1.0),
-        RelationRule("Behind", "depthwise", 1.0),
-        RelationRule("Hold", "hold"),
-        RelationRule("Holding", "hold"),
-        RelationRule("Free", "free"),
-        RelationRule("Empty", "empty"),
-        RelationRule("Clear", "clear"),
-        RelationRule("Found", "found"),
-        RelationRule("Detected", "found"),
-        RelationRule("VisionOn", "vision-on"),
-    ]
-    return {r.pred: r for r in rules}
+# The predicate -> geometric-procedure table, built once and shared read-only
+# by every caller that passes no table of its own. Alternative spellings used
+# by task corpora (Detected, Holding) share the base procedures.
+DEFAULT_RULES: Mapping[str, RelationRule] = MappingProxyType(
+    {
+        r.pred: r
+        for r in (
+            RelationRule("On", "on"),
+            RelationRule("Under", "under"),
+            RelationRule("Inside", "inside"),
+            RelationRule("CloseTo", "close"),
+            RelationRule("At", "at"),
+            RelationRule("Left", "lateral", -1.0),
+            RelationRule("Right", "lateral", 1.0),
+            RelationRule("InFront", "depthwise", -1.0),
+            RelationRule("Behind", "depthwise", 1.0),
+            RelationRule("Hold", "hold"),
+            RelationRule("Holding", "hold"),
+            RelationRule("Free", "free"),
+            RelationRule("Empty", "empty"),
+            RelationRule("Clear", "clear"),
+            RelationRule("Found", "found"),
+            RelationRule("Detected", "found"),
+            RelationRule("VisionOn", "vision-on"),
+        )
+    }
+)
 
 
 @dataclass
@@ -310,10 +318,10 @@ def ground_relation(
     args: tuple[str, ...],
     percept: Percept,
     thresholds: Optional[Thresholds] = None,
-    rules: Optional[dict[str, RelationRule]] = None,
+    rules: Optional[Mapping[str, RelationRule]] = None,
 ) -> bool:
     th = thresholds or Thresholds()
-    table = rules or default_rules()
+    table = rules or DEFAULT_RULES
     rule = table.get(pred)
     if rule is None:
         raise UnknownPredicate(pred)
@@ -463,6 +471,21 @@ def _eval(rule: RelationRule, args: tuple[str, ...], p: Percept, th: Thresholds)
 # --- the full query --------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class VisionResult:
+    """What one query_vision call saw. `boxes` holds each term's detected
+    pixel box when every term was seen, and is empty on a timeout.
+    `percept` is the last frame perceived, the one the atoms were grounded
+    in; it is None only for the empty conjunction, which needs no frame. A
+    caller that wants a term's depth measures it on demand:
+    `estimate_depth(r.percept.detections[t], scene, r.percept.camera, model)`."""
+
+    ok: bool
+    timed_out: bool
+    boxes: dict[str, tuple[float, float, float, float]]
+    percept: Optional[Percept]
+
+
 def query_vision(
     s: State,
     scene: Scene,
@@ -474,21 +497,22 @@ def query_vision(
     mode: Mode = Mode.FULL,
     n: int = 10,
     thresholds: Optional[Thresholds] = None,
-    rules: Optional[dict[str, RelationRule]] = None,
-) -> tuple[bool, dict, object]:
+    rules: Optional[Mapping[str, RelationRule]] = None,
+) -> VisionResult:
     """Verify a conjunction of atoms against the scene. Detect every term in
     s; while any term is missing or under-confident, re-aim at the centroid
     of the terms' scene positions for at most tau steps, so a conjunction
     verifies only when every term fits one view. Terms absent from the scene
-    fall back to a blind yaw sweep. On timeout: (False, {}, -1). Otherwise
-    ground every atom and report (all-hold, boxes, depths). An empty
-    conjunction is vacuously true."""
+    fall back to a blind yaw sweep. On timeout the result is not ok, has
+    `timed_out` set and no boxes. Otherwise every atom is grounded in the
+    final frame and `ok` says whether all hold. An empty conjunction is
+    vacuously true."""
     th = thresholds or Thresholds()
     if rng is None:
         rng = model.rng()
     terms = sorted({arg for atom in s.atoms for arg in atom.args})
     if not terms:
-        return (True, {}, {})
+        return VisionResult(True, False, {}, None)
 
     known = [o for o in scene.objects if o.id in terms]
     aim: Optional[Camera] = None
@@ -511,7 +535,7 @@ def query_vision(
         if not missing:
             break
         if steps >= tau:
-            return (False, {}, -1)
+            return VisionResult(False, True, {}, percept)
         steps += 1
         if aim is not None:
             current = aim
@@ -527,11 +551,4 @@ def query_vision(
 
     ok = all(ground_relation(a.pred, a.args, percept, th, rules) for a in s.drop_times().canonical())
     boxes = {t: percept.detections[t].bbox for t in terms}
-    depths: dict[str, float] = {}
-    for t in terms:
-        det = percept.detections[t]
-        try:
-            depths[t] = estimate_depth(det, scene, current, model, rng)
-        except NoForeground:
-            depths[t] = det.center_depth
-    return (ok, boxes, depths)
+    return VisionResult(ok, False, boxes, percept)

@@ -331,6 +331,19 @@ def test_live_scan_reaches_off_camera_objects(lib, tiny_vocab):
     assert Atom("CloseTo", ("hand", "brush")) in init
 
 
+def test_live_vision_casts_no_rays(lib, tiny_vocab, monkeypatch):
+    def no_rays(*args):
+        raise AssertionError("depth ray casting on the live vision path")
+
+    monkeypatch.setattr(taskmon.perception, "ray_box", no_rays)
+    scene = desk_scene()
+    vision = LiveVision(scene, quiet_cfg())
+    assert vision.query(State.parse(["On(brush,table)", "Found(cup)"])) == (True, False)
+    objs = lib.entry("e-pick").problem.objects
+    init = vision.scan(candidate_atoms(objs, lib.entry("e-pick").domain.predicates.values(), tiny_vocab))
+    assert Atom("On", ("brush", "table")) in init
+
+
 def test_belief_vision_snapshot_goes_stale(lib, tiny_vocab):
     scene = desk_scene()
     objs = lib.entry("e-pick").problem.objects
@@ -666,36 +679,55 @@ def packaged_lib():
     return load_library(os.path.join(DATA, "library.yaml"), vocab)
 
 
-@pytest.mark.parametrize(
-    "task_id,chain_idx,scene_name",
-    [
-        ("bring_object", 0, "bring_dynamic"),
-        ("bring_object", 1, "bring_eq1"),  # the ladder chain
-        ("remove_panel", 0, "remove_panel"),
-        ("support_panel", 0, "support_panel"),
-        ("clean_diverter", 0, "clean_diverter"),
-        ("find_object", 0, "find_object"),
-    ],
-)
-def test_packaged_chain_succeeds_on_its_scene(packaged_lib, task_id, chain_idx, scene_name):
-    chain = [c for c in packaged_lib.chains if c.task_id == task_id][chain_idx]
-    goals = [packaged_lib.entry(n).goal_state for n in chain.goals]
+PACKAGED_RUNS = [
+    ("bring_object", 0, "bring_dynamic"),
+    ("bring_object", 1, "bring_eq1"),  # the ladder chain
+    ("remove_panel", 0, "remove_panel"),
+    ("support_panel", 0, "support_panel"),
+    ("clean_diverter", 0, "clean_diverter"),
+    ("find_object", 0, "find_object"),
+]
+
+
+def run_packaged_chain(lib, task_id, chain_idx, scene_name, cfg):
+    chain = [c for c in lib.chains if c.task_id == task_id][chain_idx]
+    goals = [lib.entry(n).goal_state for n in chain.goals]
     scene = load_scene(os.path.join(DATA, "scenes", f"{scene_name}.yaml"))
-    cfg = MonitorConfig(seed=0)
     trace = run_task(
         task_id,
         scene,
-        packaged_lib,
+        lib,
         None,
-        SimActuator(scene, packaged_lib.vocab, seed=cfg.seed),
+        SimActuator(scene, lib.vocab, seed=cfg.seed),
         cfg,
         terminal=goals[-1],
         vision=LiveVision(scene, cfg),
         goal_source=ScriptedGoalSource(goals),
     )
+    return trace, goals
+
+
+@pytest.mark.parametrize("task_id,chain_idx,scene_name", PACKAGED_RUNS)
+def test_packaged_chain_succeeds_on_its_scene(packaged_lib, task_id, chain_idx, scene_name):
+    trace, goals = run_packaged_chain(packaged_lib, task_id, chain_idx, scene_name, MonitorConfig(seed=0))
     assert trace.outcome == Outcome("success", ""), trace.outcome
     audit(trace)
     assert len(trace.of_kind("goal_reached")) == len(goals)
+
+
+@pytest.mark.parametrize("task_id,chain_idx,scene_name", PACKAGED_RUNS)
+def test_packaged_chain_trace_is_seed_deterministic_under_noise(
+    packaged_lib, task_id, chain_idx, scene_name
+):
+    noisy = DetectorModel(
+        tp_rate=0.95, confusion=0.05, px_jitter=1.0, depth_sigma=0.02, mask_flip=0.05, seed=11
+    )
+    cfg = MonitorConfig(seed=3, detector=noisy)
+    first, _ = run_packaged_chain(packaged_lib, task_id, chain_idx, scene_name, cfg)
+    second, _ = run_packaged_chain(packaged_lib, task_id, chain_idx, scene_name, cfg)
+    audit(first)
+    assert not first.outcome.reason.startswith("internal:"), first.outcome
+    assert trace_lines(first) == trace_lines(second)
 
 
 # --- halting fuzz ---------------------------------------------------------------------

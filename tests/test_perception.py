@@ -4,6 +4,7 @@ search-then-verify vision query."""
 
 import math
 import random
+from dataclasses import replace
 from itertools import permutations
 from math import comb
 
@@ -15,13 +16,14 @@ from hypothesis import strategies as st
 from taskmon.geometry import Box, Camera, Scene, SceneObject, load_scene, ray_box, save_scene
 from taskmon.language import State, parse_atom
 from taskmon.perception import (
+    DEFAULT_RULES,
     DetectorModel,
     Detection,
     Mode,
     NoForeground,
+    RelationRule,
     Thresholds,
     UnknownPredicate,
-    default_rules,
     detect_batch,
     estimate_depth,
     ground_relation,
@@ -106,6 +108,26 @@ def test_camera_axes_orthonormal():
     assert sum(a * b for a, b in zip(f, r)) == pytest.approx(0.0, abs=1e-12)
     assert sum(a * b for a, b in zip(f, u)) == pytest.approx(0.0, abs=1e-12)
     assert sum(a * b for a, b in zip(r, u)) == pytest.approx(0.0, abs=1e-12)
+
+
+def _fresh_basis(yaw, pitch):
+    cp, sp = math.cos(pitch), math.sin(pitch)
+    f = (cp * math.cos(yaw), cp * math.sin(yaw), sp)
+    r = (math.sin(yaw), -math.cos(yaw), 0.0)
+    u = (r[1] * f[2] - r[2] * f[1], r[2] * f[0] - r[0] * f[2], r[0] * f[1] - r[1] * f[0])
+    return f, r, u
+
+
+def test_camera_basis_follows_replace():
+    cam = Camera(yaw=0.7, pitch=-0.3)
+    assert (cam.forward, cam.right, cam.up) == _fresh_basis(0.7, -0.3)  # fills the cache
+    turned = replace(cam, yaw=-2.1)
+    assert (turned.forward, turned.right, turned.up) == _fresh_basis(-2.1, -0.3)
+    assert turned.tan_half_hfov == math.tan(turned.hfov / 2.0)
+    narrow = replace(turned, vfov=0.4)
+    assert narrow.tan_half_vfov == math.tan(0.2)
+    # the source camera keeps its own basis
+    assert cam.forward == _fresh_basis(0.7, -0.3)[0]
 
 
 def test_in_view_gates_depth_and_cone():
@@ -613,42 +635,45 @@ def test_ablation_modes_degrade_in_order():
 
 def test_query_empty_conjunction_is_vacuous():
     scene = desk_scene()
-    ok, boxes, depths = query_vision(State(), scene, scene.camera, DetectorModel())
-    assert ok is True and boxes == {} and depths == {}
+    r = query_vision(State(), scene, scene.camera, DetectorModel())
+    assert r.ok is True and r.timed_out is False and r.boxes == {}
+    assert r.percept is None  # nothing to see, so no frame was taken
 
 
 def test_query_conforming_state():
     scene = desk_scene()
     s = State.parse(["On(brush, table)", "Found(cup)", "CloseTo(brush, cup)"])
-    ok, boxes, depths = query_vision(s, scene, scene.camera, DetectorModel(seed=2))
-    assert ok is True
-    assert set(boxes) == {"brush", "table", "cup"}
-    assert set(depths) == {"brush", "table", "cup"}
-    for d in depths.values():
+    model = DetectorModel(seed=2)
+    r = query_vision(s, scene, scene.camera, model)
+    assert r.ok is True and r.timed_out is False
+    assert set(r.boxes) == {"brush", "table", "cup"}
+    for t in r.boxes:
+        d = estimate_depth(r.percept.detections[t], scene, r.percept.camera, model)
         assert 0.0 < d < 2.5
 
 
 def test_query_false_relation_reports_evidence():
     scene = desk_scene()
     s = State.parse(["On(table, brush)"])
-    ok, boxes, depths = query_vision(s, scene, scene.camera, DetectorModel(seed=2))
-    assert ok is False
-    assert set(boxes) == {"brush", "table"}  # terms were all found, claim just fails
-    assert depths != -1
+    r = query_vision(s, scene, scene.camera, DetectorModel(seed=2))
+    assert r.ok is False
+    assert set(r.boxes) == {"brush", "table"}  # terms were all found, claim just fails
+    assert r.timed_out is False
 
 
 def test_query_unknown_term_times_out():
     scene = desk_scene()
     s = State.parse(["Found(ghost)"])
-    ok, boxes, depths = query_vision(s, scene, scene.camera, DetectorModel(seed=4), tau=3)
-    assert (ok, boxes, depths) == (False, {}, -1)
+    r = query_vision(s, scene, scene.camera, DetectorModel(seed=4), tau=3)
+    assert (r.ok, r.timed_out, r.boxes) == (False, True, {})
 
 
 def test_query_zero_budget_times_out_when_term_unseen():
     scene = desk_scene()
     s = State.parse(["Found(hind_block)"])
-    ok, boxes, depths = query_vision(s, scene, scene.camera, DetectorModel(seed=4), tau=0)
-    assert (ok, boxes, depths) == (False, {}, -1)
+    r = query_vision(s, scene, scene.camera, DetectorModel(seed=4), tau=0)
+    assert (r.ok, r.timed_out, r.boxes) == (False, True, {})
+    assert r.percept.camera == scene.camera  # the one frame it was allowed
 
 
 def test_query_sweep_finds_object_behind_camera():
@@ -659,9 +684,12 @@ def test_query_sweep_finds_object_behind_camera():
     scene = Scene([target, front], cam)
     s = State.parse(["Found(valve)"])
     for seed in range(5):
-        ok, boxes, depths = query_vision(s, scene, cam, DetectorModel(seed=seed), tau=8)
-        assert ok is True, f"sweep missed the target with seed {seed}"
-        assert "valve" in boxes and depths["valve"] > 0.0
+        model = DetectorModel(seed=seed)
+        r = query_vision(s, scene, cam, model, tau=8)
+        assert r.ok is True, f"sweep missed the target with seed {seed}"
+        assert "valve" in r.boxes
+        d = estimate_depth(r.percept.detections["valve"], scene, r.percept.camera, model)
+        assert d > 0.0
 
 
 def test_query_determinism():
@@ -674,7 +702,7 @@ def test_query_determinism():
 
 
 def test_default_rules_cover_exactly_the_shared_vocabulary():
-    rules = default_rules()
+    rules = DEFAULT_RULES
     spatial = {
         "On",
         "Under",
@@ -694,3 +722,15 @@ def test_default_rules_cover_exactly_the_shared_vocabulary():
     # alias spellings resolve to the same procedures
     assert rules["Holding"].kind == rules["Hold"].kind
     assert rules["Detected"].kind == rules["Found"].kind
+
+
+def test_caller_rule_table_replaces_the_shared_one():
+    scene = desk_scene()
+    p = perceive(scene, scene.camera, DetectorModel(), n=1)
+    table = {"Atop": RelationRule("Atop", "on")}
+    assert ground_relation("Atop", ("brush", "table"), p, rules=table)
+    assert ground_relation("On", ("brush", "table"), p)
+    with pytest.raises(UnknownPredicate):
+        ground_relation("On", ("brush", "table"), p, rules=table)
+    with pytest.raises(TypeError):
+        DEFAULT_RULES["Atop"] = table["Atop"]  # the shared table is read-only
