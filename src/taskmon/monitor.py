@@ -7,7 +7,9 @@ step's precondition before dispatching the action and verifies the add
 effects afterwards; when a verified state satisfies the task's terminal
 goal it runs one final vision check and succeeds. Any verification failure
 triggers recovery: the failed goal is retired for the rest of the run and
-the next-ranked matchable proposal takes over.
+the next-ranked matchable proposal takes over. A goal that cannot be planned
+is retired the same way, without a recovery event, and a proposal is never
+selected when the library goal it matches has been retired.
 
 `step` performs exactly one such transition on an immutable LoopState, so
 every run is a fold; `run_task` drives it to termination and never raises,
@@ -41,8 +43,16 @@ from .perception import (
     perceive,
     query_vision,
 )
-from .planning import EmptyLibrary, GroundAction, NoMatch, match_plan, solve
-from .planning import BudgetExceeded, NoPlan
+from .planning import (
+    BudgetExceeded,
+    EmptyLibrary,
+    GroundAction,
+    MatchScore,
+    NoMatch,
+    NoPlan,
+    match_plan,
+    solve,
+)
 from .predictor import GoalNetParams, GoalProposal, NoValidProposal, infer_topk
 
 
@@ -315,24 +325,26 @@ class ScriptedGoalSource(GoalSource):
 
 
 def recover(
-    failed: State,
-    remaining: Sequence[GoalProposal],
+    proposals: Sequence[GoalProposal],
     lib: PlanLibrary,
-    already_failed: Iterable[State] = (),
-) -> Optional[tuple]:
-    """Next-ranked proposal that match_plan resolves with positive overlap,
-    never re-selecting a goal state that already failed this run. Returns
-    (entry, proposal) or None when the list is exhausted."""
-    bad = {_goal_key(failed)} | {_goal_key(s) for s in already_failed}
-    for prop in sorted(remaining, key=lambda p: p.rank):
-        if _goal_key(prop.goal) in bad:
+    failed: Iterable[State] = (),
+    start: int = 0,
+) -> Optional[tuple[int, MatchScore]]:
+    """The SELECT rule: the first proposal from index `start` on that
+    match_plan resolves to a library goal not among the goals that failed
+    this run. Returns (index, match), or None when the list is exhausted.
+    A proposal whose own goal already failed is skipped without matching:
+    a library goal matches to itself."""
+    bad = {_goal_key(s) for s in failed}
+    for i in range(start, len(proposals)):
+        if _goal_key(proposals[i].goal) in bad:
             continue
         try:
-            ms = match_plan(lib, prop.goal)
+            ms = match_plan(lib, proposals[i].goal)
         except (NoMatch, EmptyLibrary):
             continue
-        if ms.overlap > 0:
-            return ms.entry, prop
+        if _goal_key(ms.matched_goal) not in bad:
+            return i, ms
     return None
 
 
@@ -370,7 +382,7 @@ class LoopState:
     step_idx: int = 0
     replans_left: int = 0
     goals_done: int = 0
-    failed_goals: tuple[frozenset, ...] = ()
+    failed_goals: tuple[State, ...] = ()
     attempted: tuple[tuple[str, int], ...] = ()
     last_timeout: bool = False
     outcome: Optional[Outcome] = None
@@ -435,7 +447,7 @@ def _to_recovery(
         ev,
         phase=Phase.SELECT,
         proposal_idx=state.proposal_idx + 1,
-        failed_goals=state.failed_goals + (_goal_key(state.goal),),
+        failed_goals=state.failed_goals + (state.goal,),
         last_timeout=timeout,
         goal=None,
         plan=(),
@@ -471,37 +483,31 @@ def step(state: LoopState, ctx: MonitorContext) -> tuple[LoopState, tuple]:
     if state.phase is Phase.SELECT:
         if state.goals_done >= ctx.cfg.max_goals:
             return _finish(state, ev, "failure", "goal_budget_exhausted")
-        failed = set(state.failed_goals)
-        for i in range(state.proposal_idx, len(state.proposals)):
-            prop = state.proposals[i]
-            if _goal_key(prop.goal) in failed:
-                continue
-            try:
-                ms = match_plan(ctx.lib, prop.goal)
-            except (NoMatch, EmptyLibrary):
-                continue
-            ev(
-                "proposal_selected",
-                rank=prop.rank,
-                goal=_atom_strs(ms.matched_goal),
-                entry=ms.entry.name,
-                overlap=ms.overlap,
-            )
-            return _advance(
-                state,
-                ev,
-                phase=Phase.PLAN,
-                proposal_idx=i,
-                goal=ms.matched_goal,
-                entry_name=ms.entry.name,
-                substitution=tuple(sorted(ms.substitution.items())),
-                replans_left=ctx.cfg.replans,
-                goals_done=state.goals_done + 1,
-                attempted=state.attempted
-                + ((" ".join(_atom_strs(ms.matched_goal)), prop.rank),),
-            )
-        reason = "vision_timeout" if state.last_timeout else "proposals_exhausted"
-        return _finish(state, ev, "failure", reason)
+        found = recover(state.proposals, ctx.lib, state.failed_goals, state.proposal_idx)
+        if found is None:
+            reason = "vision_timeout" if state.last_timeout else "proposals_exhausted"
+            return _finish(state, ev, "failure", reason)
+        i, ms = found
+        rank = state.proposals[i].rank
+        ev(
+            "proposal_selected",
+            rank=rank,
+            goal=_atom_strs(ms.matched_goal),
+            entry=ms.entry.name,
+            overlap=ms.overlap,
+        )
+        return _advance(
+            state,
+            ev,
+            phase=Phase.PLAN,
+            proposal_idx=i,
+            goal=ms.matched_goal,
+            entry_name=ms.entry.name,
+            substitution=tuple(sorted(ms.substitution.items())),
+            replans_left=ctx.cfg.replans,
+            goals_done=state.goals_done + 1,
+            attempted=state.attempted + ((" ".join(_atom_strs(ms.matched_goal)), rank),),
+        )
 
     if state.phase is Phase.PLAN:
         entry = ctx.lib.entry(state.entry_name)
@@ -523,9 +529,15 @@ def step(state: LoopState, ctx: MonitorContext) -> tuple[LoopState, tuple]:
         except (NoPlan, BudgetExceeded):
             steps = None
         if steps is None or len(steps) > ctx.cfg.max_plan_len:
-            # not a perception failure: quietly try the next ranked proposal
+            # not a perception failure: retire the goal and quietly try the
+            # next ranked proposal
             return _advance(
-                state, ev, phase=Phase.SELECT, proposal_idx=state.proposal_idx + 1
+                state,
+                ev,
+                phase=Phase.SELECT,
+                proposal_idx=state.proposal_idx + 1,
+                failed_goals=state.failed_goals + (state.goal,),
+                goal=None,
             )
         return _advance(
             state,

@@ -10,7 +10,9 @@ and (not atom) deletes. Everything else raises UnsupportedFeature.
 from __future__ import annotations
 
 import os
+from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import yaml
@@ -122,6 +124,23 @@ class PlanProblem:
     goal: State
 
 
+@dataclass(frozen=True)
+class GoalPattern:
+    """An entry goal laid out for library matching. `atoms` is the goal in
+    canonical order and `objects` the objects it names, sorted; `sorts`
+    holds each object's declared sort (None when the problem leaves it
+    undeclared). `closes[i]` lists the atoms whose last argument, in
+    `objects` order, is object i, so a renaming that has bound objects
+    0..i decides exactly those atoms (every predicate has arity 1 or 2).
+    `pred_counts` counts the goal atoms per predicate."""
+
+    atoms: tuple[Atom, ...]
+    objects: tuple[str, ...]
+    sorts: tuple[Optional[str], ...]
+    closes: tuple[tuple[int, ...], ...]
+    pred_counts: dict[str, int]
+
+
 @dataclass
 class PlanEntry:
     name: str
@@ -131,6 +150,24 @@ class PlanEntry:
     @property
     def goal_state(self) -> State:
         return self.problem.goal
+
+    @cached_property
+    def goal_pattern(self) -> GoalPattern:
+        """Built on the first match against this entry, then reused; an
+        entry's goal is not edited once it has been matched."""
+        atoms = tuple(Atom(a.pred, a.args) for a in self.goal_state.canonical())
+        objects = tuple(sorted({x for a in atoms for x in a.args}))
+        pos = {o: i for i, o in enumerate(objects)}
+        closes: list[list[int]] = [[] for _ in objects]
+        for j, a in enumerate(atoms):
+            closes[max(pos[x] for x in a.args)].append(j)
+        return GoalPattern(
+            atoms,
+            objects,
+            tuple(self.problem.objects.get(o) for o in objects),
+            tuple(tuple(c) for c in closes),
+            dict(Counter(a.pred for a in atoms)),
+        )
 
 
 @dataclass(frozen=True)

@@ -3,15 +3,24 @@
 The search is greedy best-first on a goal-count heuristic by default; with the
 heuristic disabled it degrades to uniform-cost search, which is optimal in
 step count. Both are deterministic: ground actions are enumerated in sorted
-order and the frontier breaks ties by insertion sequence.
+order and the frontier breaks ties by insertion sequence. A dead-end goal is
+rejected before any search: if the goal is unreachable even when actions
+never delete (the delete relaxation behind h_max and FF), no plan exists.
+
+Matching bounds before it searches. Each entry's overlap is capped by its
+per-predicate atom counts against the goal's, so entries that cannot beat
+the best so far are skipped, and the renaming search inside an entry cuts
+branches that cannot beat its best renaming. Both cuts drop only work that
+could not change the result.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from collections import Counter
+from dataclasses import dataclass
+from typing import Optional
 
 from .language import Atom, State, Vocabulary
 from .pddl import ActionSchema, PlanDomain, PlanEntry, PlanLibrary
@@ -62,13 +71,6 @@ class GroundAction:
 class SolvedPlan:
     entry: Optional[PlanEntry]
     steps: list[GroundAction]
-
-    def step_preconditions(self) -> list[State]:
-        return [State(ga.pre) for ga in self.steps]
-
-    def step_effects(self) -> list[tuple[State, State]]:
-        """(adds, deletes) per step."""
-        return [(State(ga.add), State(ga.delete)) for ga in self.steps]
 
     def simulate(self, init: State) -> State:
         s = init
@@ -159,10 +161,18 @@ def solve(
     heuristic: bool = True,
     actions: Optional[list[GroundAction]] = None,
 ) -> list[GroundAction]:
+    """Plan from init to a state that contains goal, or raise NoPlan when none
+    exists and BudgetExceeded after `budget` expansions. Before searching,
+    a delete-relaxed reachability fixpoint over the ground actions rejects
+    goals that no sequence reaches even with every delete ignored; the
+    relaxation over-approximates reachability, so it rejects only goals the
+    search would also exhaust on, and plans are unchanged."""
     if actions is None:
         actions = ground_actions(domain, objects)
     goal_atoms = goal.atoms
     start = init.atoms
+    if not _relaxed_reachable(start, goal_atoms, actions):
+        raise NoPlan(f"goal {goal} unreachable even with deletes ignored")
 
     def h(atoms: frozenset[Atom]) -> int:
         return len(goal_atoms - atoms)
@@ -192,6 +202,41 @@ def solve(
     raise NoPlan(f"goal {goal} unreachable")
 
 
+def _relaxed_reachable(
+    start: frozenset[Atom], goal_atoms: frozenset[Atom], actions: list[GroundAction]
+) -> bool:
+    """Whether goal_atoms can all be added when actions never delete: the
+    h_max fixpoint of Bonet & Geffner 2001, run as one pass that fires each
+    action once its last missing precondition has been added."""
+    reached = set(start)
+    missing = set(goal_atoms - reached)
+    if not missing:
+        return True
+    waiting: dict[Atom, list[int]] = {}  # atom -> actions still needing it
+    unmet: list[int] = []
+    ready: list[int] = []
+    for i, ga in enumerate(actions):
+        need = ga.pre - reached
+        unmet.append(len(need))
+        if not need:
+            ready.append(i)
+        for a in need:
+            waiting.setdefault(a, []).append(i)
+    while ready:
+        for a in actions[ready.pop()].add:
+            if a in reached:
+                continue
+            reached.add(a)
+            missing.discard(a)
+            if not missing:
+                return True
+            for j in waiting.pop(a, ()):
+                unmet[j] -= 1
+                if unmet[j] == 0:
+                    ready.append(j)
+    return False
+
+
 def plan_entry(
     entry: PlanEntry, budget: int = 200_000, heuristic: bool = True
 ) -> SolvedPlan:
@@ -209,67 +254,93 @@ def match_plan(lib: PlanLibrary, g: State) -> MatchScore:
     and the entry goal under an injective, sort-compatible renaming of the
     entry's goal objects. Equal overlap prefers the entry with fewer
     unmatched goal atoms (a pattern whose extras g never asked for is the
-    weaker match); remaining ties keep library order."""
+    weaker match); remaining ties keep library order.
+
+    An entry's overlap can never exceed the sum, over predicates, of the
+    smaller of its goal's atom count and g's, so an entry whose bound cannot
+    beat the best so far under that order is skipped unsearched. Skipping
+    it, and pruning inside the renaming search, changes no result."""
     if not lib.entries:
         raise EmptyLibrary("cannot match against an empty library")
     g_atoms = g.drop_times().atoms
+    g_keys = {a.key() for a in g_atoms}
+    g_counts = Counter(a.pred for a in g_atoms)
+    vocab = lib.vocab
+    g_terms = [
+        (t, vocab.terms[t].sort)
+        for t in sorted({x for a in g_atoms for x in a.args})
+        if t in vocab.terms
+    ]
     best: Optional[MatchScore] = None
+    best_rank = (0, 0)  # an entry must overlap at least one atom to win
     for entry in lib.entries:
-        score = _best_substitution(entry, g_atoms, lib.vocab)
-        if best is None or (score.overlap, -len(entry.goal_state.atoms)) > (
-            best.overlap,
-            -len(best.entry.goal_state.atoms),
-        ):
-            best = score
-    assert best is not None
-    if best.overlap == 0:
+        pat = entry.goal_pattern
+        bound = sum(min(n, g_counts[p]) for p, n in pat.pred_counts.items())
+        if (bound, -len(pat.atoms)) <= best_rank:
+            continue
+        score = _best_substitution(entry, g_keys, g_counts, g_terms, vocab)
+        if (score.overlap, -len(pat.atoms)) > best_rank:
+            best, best_rank = score, (score.overlap, -len(pat.atoms))
+    if best is None:
         raise NoMatch(f"no entry shares a goal atom with {g}")
     return best
 
 
-def _best_substitution(entry: PlanEntry, g_atoms: frozenset[Atom], vocab: Vocabulary) -> MatchScore:
-    goal_atoms = entry.goal_state.canonical()
-    goal_objs = sorted({a for atom in goal_atoms for a in atom.args})
-    g_terms = sorted({a for atom in g_atoms for a in atom.args})
+def _best_substitution(
+    entry: PlanEntry,
+    g_keys: set[tuple],
+    g_counts: Counter,
+    g_terms: list[tuple[str, str]],
+    vocab: Vocabulary,
+) -> MatchScore:
+    """Depth-first search over injective renamings of the goal objects, in
+    sorted object order, each object trying itself first and then the
+    sort-compatible terms of g. The first renaming to reach the maximum
+    overlap wins. A branch is cut once the atoms it has matched plus the
+    atoms it could still match cannot beat the best so far."""
+    pat = entry.goal_pattern
+    objs, atoms, closes = pat.objects, pat.atoms, pat.closes
+    cand: list[list[str]] = []
+    for o, declared in zip(objs, pat.sorts):
+        if declared is None and o in vocab.terms:
+            declared = vocab.terms[o].sort
+        cand.append(
+            [o]
+            + [t for t, s in g_terms if t != o and declared and vocab.is_subsort(s, declared)]
+        )
+    # matchable[i]: atoms decided at depth i or later whose predicate g has
+    matchable = [0] * (len(objs) + 1)
+    for i in range(len(objs) - 1, -1, -1):
+        matchable[i] = matchable[i + 1] + sum(1 for j in closes[i] if atoms[j].pred in g_counts)
 
-    # candidate renamings per object: itself first, then sort-compatible g terms
-    cand: dict[str, list[str]] = {}
-    for o in goal_objs:
-        declared = entry.problem.objects.get(o, vocab.terms[o].sort if o in vocab.terms else None)
-        opts = [o]
-        for t in g_terms:
-            if t != o and t in vocab.terms and declared and vocab.is_subsort(vocab.terms[t].sort, declared):
-                opts.append(t)
-        cand[o] = opts
+    best_sub: dict[str, str] = {o: o for o in objs}
+    best_overlap = sum(1 for a in atoms if a.key() in g_keys)
+    sub: dict[str, str] = {}
+    used: set[str] = set()
 
-    def overlap_of(sub: dict[str, str]) -> int:
-        n = 0
-        for atom in goal_atoms:
-            if Atom(atom.pred, tuple(sub.get(x, x) for x in atom.args)) in g_atoms:
-                n += 1
-        return n
-
-    best_sub: dict[str, str] = {o: o for o in goal_objs}
-    best_overlap = overlap_of(best_sub)
-
-    def rec(i: int, sub: dict[str, str], used: set[str]):
+    def rec(i: int, matched: int):
         nonlocal best_sub, best_overlap
-        if i == len(goal_objs):
-            n = overlap_of(sub)
-            if n > best_overlap:
-                best_overlap, best_sub = n, dict(sub)
+        if matched + matchable[i] <= best_overlap:
             return
-        o = goal_objs[i]
-        for c in cand[o]:
+        if i == len(objs):
+            best_overlap, best_sub = matched, dict(sub)
+            return
+        o = objs[i]
+        for c in cand[i]:
             if c in used:
                 continue
             sub[o] = c
             used.add(c)
-            rec(i + 1, sub, used)
+            n = matched
+            for j in closes[i]:
+                a = atoms[j]
+                if (a.pred, tuple(sub[x] for x in a.args)) in g_keys:
+                    n += 1
+            rec(i + 1, n)
             used.discard(c)
             del sub[o]
 
-    rec(0, {}, set())
+    rec(0, 0)
     matched = State(frozenset(
         Atom(a.pred, tuple(best_sub.get(x, x) for x in a.args)) for a in entry.goal_state.atoms
     ))

@@ -1,6 +1,12 @@
+import os
+
 import pytest
 
+import taskmon
 from taskmon.language import Predicate, Sort, TaskSentence, Term, Vocabulary
+from taskmon.pddl import load_library
+
+DATA = os.path.join(os.path.dirname(taskmon.__file__), "data")
 
 
 def make_tiny_vocab(max_atoms: int = 17) -> Vocabulary:
@@ -38,3 +44,9 @@ def make_tiny_vocab(max_atoms: int = 17) -> Vocabulary:
 @pytest.fixture(scope="session")
 def tiny_vocab() -> Vocabulary:
     return make_tiny_vocab()
+
+
+@pytest.fixture(scope="session")
+def packaged_lib():
+    vocab = Vocabulary.from_yaml(os.path.join(DATA, "vocabulary.yaml"))
+    return load_library(os.path.join(DATA, "library.yaml"), vocab)

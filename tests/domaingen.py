@@ -1,12 +1,14 @@
-"""Random solvable planning cases for oracle-equivalence checks.
+"""Random planning cases for oracle-equivalence checks.
 
 Two families: blocks stacking with an explicit gripper (deep search trees)
 and dependency-chained switch banks (wide boolean spaces). Goals are sampled
-from reachable arrangements so every case is solvable.
+from reachable arrangements so every `random_case` is solvable;
+`unreachable_case` adds goal atoms that no plan can reach.
 """
 
 import random
 from collections import deque
+from dataclasses import replace
 
 from taskmon.language import Atom, State
 from taskmon.pddl import PlanDomain, PlanProblem, parse_domain
@@ -109,6 +111,26 @@ def random_case(seed: int) -> tuple[PlanDomain, PlanProblem]:
     if seed % 2 == 0:
         return blocks_case(rng, rng.randint(3, 5))
     return switches_case(rng, rng.randint(5, 11))
+
+
+def unreachable_case(seed: int) -> tuple[PlanDomain, PlanProblem]:
+    """random_case(seed) with goal atoms that no plan reaches together. A
+    block on itself is unreachable even when deletes are ignored (stack
+    needs two distinct blocks); a hand both holding and free, or a lamp
+    both lit and dark, is reachable atom by atom, so only search rules it
+    out."""
+    dom, prob = random_case(seed)
+    rng = random.Random(~seed)
+    if seed % 2 == 0:
+        b = rng.choice(sorted(o for o, s in prob.objects.items() if s == "block"))
+        if rng.random() < 0.5:
+            extra = [Atom("On", (b, b))]
+        else:
+            extra = [Atom("Hold", ("hand", b)), Atom("Free", ("hand",))]
+    else:
+        lamp = rng.choice(sorted(prob.objects))
+        extra = [Atom("Lit", (lamp,)), Atom("Dark", (lamp,))]
+    return dom, replace(prob, goal=State.of(prob.goal.atoms | set(extra)))
 
 
 def bfs_optimal_length(domain: PlanDomain, prob: PlanProblem) -> int | None:

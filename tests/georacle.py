@@ -68,7 +68,8 @@ def truth(pred: str, args: tuple, scene: Scene, cam: Camera, th: Thresholds = No
         hb = ho.box.dilated(th.hold_dilate)
         return hb.contains(_center(oo.box))
 
-    vis_labels = sorted(o.label for o in scene.objects if visible(scene, cam, o.label))
+    def vis_labels() -> list[str]:
+        return sorted(o.label for o in scene.objects if visible(scene, cam, o.label))
 
     if pred in ("Found", "Detected"):
         return visible(scene, cam, args[0])
@@ -83,7 +84,7 @@ def truth(pred: str, args: tuple, scene: Scene, cam: Camera, th: Thresholds = No
             return False
         if not visible(scene, cam, h):
             return True
-        return not any(o != h and holds_direct(h, o) for o in vis_labels)
+        return not any(o != h and holds_direct(h, o) for o in vis_labels())
     if pred == "Empty":
         c = args[0]
         if not visible(scene, cam, c):
@@ -91,13 +92,13 @@ def truth(pred: str, args: tuple, scene: Scene, cam: Camera, th: Thresholds = No
         cb = box(c)
         return not any(
             o != c and _inter_vol(box(o), cb) / max(box(o).volume, 1e-12) >= th.inside_ratio
-            for o in vis_labels
+            for o in vis_labels()
         )
     if pred == "Clear":
         x = args[0]
         if not visible(scene, cam, x):
             return False
-        return not any(o != x and _resting_on(box(o), box(x), th) for o in vis_labels)
+        return not any(o != x and _resting_on(box(o), box(x), th) for o in vis_labels())
 
     a, b = args
     if not (visible(scene, cam, a) and visible(scene, cam, b)):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import taskmon
-from conftest import make_tiny_vocab
+from conftest import DATA, make_tiny_vocab
 from taskmon.actuator import (
     ActionResult,
     Actuator,
@@ -22,7 +22,7 @@ from taskmon.actuator import (
     truth_percept,
 )
 from taskmon.geometry import Box, Camera, Scene, SceneObject, dist, load_scene
-from taskmon.language import Atom, State, TokenSeq, Vocabulary
+from taskmon.language import Atom, State, TokenSeq
 from taskmon.monitor import (
     BeliefVision,
     LiveVision,
@@ -38,12 +38,11 @@ from taskmon.pddl import (
     PlanEntry,
     PlanLibrary,
     TaskChain,
-    load_library,
     parse_domain,
     parse_problem,
 )
 from taskmon.perception import DetectorModel, Mode, ground_relation
-from taskmon.planning import ground_actions
+from taskmon.planning import ground_actions, match_plan
 from taskmon.predictor import GoalProposal
 
 DOMAIN = """
@@ -379,16 +378,34 @@ def test_recover_picks_next_matching_unfailed(lib):
         State.parse(["Hold(rover,table)"]),  # rank 2: type-invalid, never matches
         goal_of(lib, "e-pick"),  # rank 3: the one to pick
     )
-    entry, prop = recover(failed, props, lib)
-    assert entry.name == "e-pick" and prop.rank == 3
-    assert recover(failed, props[:2], lib) is None
+    i, ms = recover(props, lib, [failed])
+    assert ms.entry.name == "e-pick" and props[i].rank == 3
+    assert recover(props[:2], lib, [failed]) is None
     # goals failed earlier in the run are skipped too
-    assert recover(failed, props, lib, already_failed=[goal_of(lib, "e-pick")]) is None
+    assert recover(props, lib, [failed, goal_of(lib, "e-pick")]) is None
+    # selection resumes from the given index
+    assert recover(props, lib, [], start=1)[0] == 2
 
 
 def test_recover_exhausted_returns_none(lib):
     failed = goal_of(lib, "e-pick")
-    assert recover(failed, proposals_of(goal_of(lib, "e-pick")), lib) is None
+    assert recover(proposals_of(goal_of(lib, "e-pick")), lib, [failed]) is None
+
+
+# three different proposals that all match e-pick's goal, Hold(hand,brush)
+PICK_ALIASES = (
+    State.parse(["Hold(hand,brush)"]),
+    State.parse(["Hold(hand,brush)", "Free(rover)"]),
+    State.parse(["Hold(hand,brush)", "Found(hand)"]),
+)
+
+
+def test_recover_skips_proposals_that_match_a_failed_goal(lib):
+    failed = goal_of(lib, "e-pick")
+    props = proposals_of(*PICK_ALIASES[1:])
+    assert all(match_plan(lib, p.goal).matched_goal == failed for p in props)
+    assert recover(props, lib, [failed]) is None
+    assert recover(props, lib, [])[0] == 0
 
 
 # --- the loop: benign run ------------------------------------------------------------
@@ -628,6 +645,29 @@ def test_goal_budget_halts_a_cycling_source(lib, tiny_vocab):
     assert len(trace.of_kind("proposal_selected")) == 3
 
 
+def test_unplannable_goal_is_selected_once(lib, tiny_vocab):
+    # without the brush nothing can make On(brush,?s) hold, so e-pick has
+    # no plan; the two later proposals match the same goal and are skipped
+    scene = desk_scene()
+    remove_from_workspace(scene, "brush")
+    trace = run_task(
+        "t-fetch",
+        scene,
+        lib,
+        None,
+        SimActuator(scene, tiny_vocab, seed=7),
+        quiet_cfg(),
+        terminal=goal_of(lib, "e-pick"),
+        start=State.parse(["Free(hand)"]),
+        goal_source=FixedGoalSource(proposals_of(*PICK_ALIASES)),
+    )
+    assert trace.outcome == Outcome("failure", "proposals_exhausted")
+    audit(trace)
+    selected = trace.of_kind("proposal_selected")
+    assert [(e.payload["rank"], e.payload["entry"]) for e in selected] == [(1, "e-pick")]
+    assert trace.of_kind("action_dispatch") == []
+
+
 def test_empty_script_fails_with_no_proposals(lib, tiny_vocab):
     scene = desk_scene()
     trace = run_scripted(lib, scene, [], State.parse(["On(brush,shelf)"]))
@@ -669,15 +709,6 @@ def test_failed_goal_is_never_reselected(lib, tiny_vocab):
 
 
 # --- packaged data ------------------------------------------------------------------
-
-DATA = os.path.join(os.path.dirname(taskmon.__file__), "data")
-
-
-@pytest.fixture(scope="module")
-def packaged_lib():
-    vocab = Vocabulary.from_yaml(os.path.join(DATA, "vocabulary.yaml"))
-    return load_library(os.path.join(DATA, "library.yaml"), vocab)
-
 
 PACKAGED_RUNS = [
     ("bring_object", 0, "bring_dynamic"),

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -20,7 +21,13 @@ from taskmon.planning import (
     solve,
 )
 from conftest import make_tiny_vocab
-from domaingen import BLOCKS_DOMAIN, bfs_optimal_length, blocks_case, random_case
+from domaingen import (
+    BLOCKS_DOMAIN,
+    bfs_optimal_length,
+    blocks_case,
+    random_case,
+    unreachable_case,
+)
 from test_pddl import TINY_DOMAIN
 
 
@@ -198,6 +205,42 @@ def test_plan_unreachable_goal():
         plan_entry(entry)
 
 
+def test_dead_end_goal_raises_noplan_before_any_expansion():
+    entry = make_entry(
+        """
+(define (problem p) (:domain tiny)
+  (:objects brush - item table - surface hand - gripper)
+  (:init (Free hand))
+  (:goal (and (On brush table))))
+"""
+    )
+    # unreachable even with deletes ignored: no search budget is spent
+    with pytest.raises(NoPlan):
+        solve(entry.domain, entry.problem.objects, entry.problem.init, entry.goal_state, budget=0)
+
+
+def test_noplan_exactly_when_the_bfs_oracle_finds_none():
+    kinds = Counter()
+    for seed in range(30):
+        for dom, prob in (random_case(seed), unreachable_case(seed)):
+            want = bfs_optimal_length(dom, prob)
+            if want is not None:
+                steps = solve(dom, prob.objects, prob.init, prob.goal, heuristic=False)
+                assert len(steps) == want, f"seed {seed}"
+                continue
+            for heuristic in (True, False):
+                with pytest.raises(NoPlan):
+                    solve(dom, prob.objects, prob.init, prob.goal, heuristic=heuristic)
+            # budget 0 separates dead ends caught before search from the rest
+            try:
+                solve(dom, prob.objects, prob.init, prob.goal, budget=0)
+            except NoPlan:
+                kinds["relaxed"] += 1
+            except BudgetExceeded:
+                kinds["search"] += 1
+    assert kinds["relaxed"] > 0 and kinds["search"] > 0, kinds
+
+
 def test_plan_budget_exceeded():
     rng = random.Random(7)
     dom, prob = blocks_case(rng, 5)
@@ -242,13 +285,19 @@ def test_plan_determinism():
 
 
 def brute_force_match(lib: PlanLibrary, g: State):
-    """Exhaustive reference: best (entry index, overlap) over all injective
-    sort-compatible renamings, ties to the earliest entry."""
+    """Exhaustive reference for match_plan: every injective sort-compatible
+    renaming of each entry's goal objects, enumerated in the matcher's order
+    (objects sorted, each trying itself and then the terms of g, sorted), the
+    first renaming with the highest overlap kept. Entries rank by (overlap,
+    fewer goal atoms), ties to the earliest. Returns (entry index, overlap,
+    substitution, matched goal)."""
     vocab = lib.vocab
-    g_terms = sorted({a for atom in g.atoms for a in atom.args})
+    g = g.drop_times()
+    g_terms = sorted({a for atom in g.atoms for a in atom.args if a in vocab.terms})
     best = None
     for idx, entry in enumerate(lib.entries):
-        objs = sorted({a for atom in entry.goal_state.atoms for a in atom.args})
+        atoms = entry.goal_state.atoms
+        objs = sorted({a for atom in atoms for a in atom.args})
         options = []
         for o in objs:
             declared = entry.problem.objects[o]
@@ -256,20 +305,36 @@ def brute_force_match(lib: PlanLibrary, g: State):
                 t for t in g_terms if t != o and vocab.is_subsort(vocab.terms[t].sort, declared)
             ]
             options.append(opts)
-        top = 0
+        top, top_sub = -1, None
         for combo in itertools.product(*options):
             if len(set(combo)) != len(combo):
                 continue
             sub = dict(zip(objs, combo))
             n = sum(
                 1
-                for atom in entry.goal_state.atoms
+                for atom in atoms
                 if Atom(atom.pred, tuple(sub.get(x, x) for x in atom.args)) in g.atoms
             )
-            top = max(top, n)
-        if best is None or top > best[1]:
-            best = (idx, top)
+            if n > top:
+                top, top_sub = n, sub
+        if best is None or (top, -len(atoms)) > (best[1], -len(lib.entries[best[0]].goal_state.atoms)):
+            matched = State.of(
+                Atom(a.pred, tuple(top_sub.get(x, x) for x in a.args)) for a in atoms
+            )
+            best = (idx, top, top_sub, matched)
     return best
+
+
+def assert_matches_brute_force(lib: PlanLibrary, g: State):
+    want_idx, want_overlap, want_sub, want_goal = brute_force_match(lib, g)
+    if want_overlap == 0:
+        with pytest.raises(NoMatch):
+            match_plan(lib, g)
+        return
+    m = match_plan(lib, g)
+    assert (lib.entries.index(m.entry), m.overlap) == (want_idx, want_overlap), g
+    assert m.substitution == want_sub, g
+    assert m.matched_goal == want_goal, g
 
 
 @pytest.fixture()
@@ -367,17 +432,7 @@ def test_match_agrees_with_brute_force(small_library):
     ]
     rng = random.Random(0)
     for trial in range(60):
-        g = State.of(rng.sample(pool, rng.randint(1, 4)))
-        want = brute_force_match(small_library, g)
-        assert want is not None
-        want_idx, want_overlap = want
-        if want_overlap == 0:
-            with pytest.raises(NoMatch):
-                match_plan(small_library, g)
-            continue
-        m = match_plan(small_library, g)
-        assert m.overlap == want_overlap, f"trial {trial}: {g}"
-        assert small_library.entries.index(m.entry) == want_idx, f"trial {trial}: {g}"
+        assert_matches_brute_force(small_library, State.of(rng.sample(pool, rng.randint(1, 4))))
 
 
 def test_match_determinism(small_library):
@@ -385,3 +440,46 @@ def test_match_determinism(small_library):
     a = match_plan(small_library, g)
     b = match_plan(small_library, g)
     assert (a.entry.name, a.overlap, a.substitution) == (b.entry.name, b.overlap, b.substitution)
+
+
+def perturbed_goals(lib: PlanLibrary, n: int, seed: int) -> list[State]:
+    """Library goals edited at random: atoms of other entry goals mixed in,
+    objects renamed to vocabulary terms of the same sort or of any sort, or
+    to a term the vocabulary lacks, and atoms dropped."""
+    rng = random.Random(seed)
+    vocab = lib.vocab
+    terms = sorted(vocab.terms)
+    goals = [e.goal_state.canonical() for e in lib.entries]
+    out = []
+    for _ in range(n):
+        atoms = list(rng.choice(goals))
+        for _ in range(rng.randint(0, 2)):
+            atoms.append(rng.choice(rng.choice(goals)))
+        ren = {}
+        for o in sorted({x for a in atoms for x in a.args}):
+            r = rng.random()
+            if r < 0.3:
+                ren[o] = rng.choice([t for t in terms if vocab.terms[t].sort == vocab.terms[o].sort])
+            elif r < 0.4:
+                ren[o] = rng.choice(terms)
+            elif r < 0.43:
+                ren[o] = "ghost"
+        atoms = [Atom(a.pred, tuple(ren.get(x, x) for x in a.args)) for a in atoms]
+        out.append(State.of([a for a in atoms if rng.random() < 0.8] or atoms[:1]))
+    return out
+
+
+def test_match_agrees_with_brute_force_on_packaged_library(packaged_lib):
+    goals = [e.goal_state for e in packaged_lib.entries] + perturbed_goals(packaged_lib, 520, seed=5)
+    for g in goals:
+        assert_matches_brute_force(packaged_lib, g)
+    # the perturbations reach renamed matches, identity matches and misses
+    outcomes = Counter()
+    for g in goals[len(packaged_lib.entries):]:
+        try:
+            m = match_plan(packaged_lib, g)
+        except NoMatch:
+            outcomes["none"] += 1
+            continue
+        outcomes["renamed" if any(k != v for k, v in m.substitution.items()) else "identity"] += 1
+    assert min(outcomes["renamed"], outcomes["identity"]) > 50 and outcomes["none"] > 0, outcomes
