@@ -152,15 +152,6 @@ def tanh(x: Tensor) -> Tensor:
     return _node(y, (x,), back)
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    y = 1.0 / (1.0 + np.exp(-x.data))
-
-    def back(g):
-        _acc(x, g * y * (1.0 - y))
-
-    return _node(y, (x,), back)
-
-
 def concat(parts: list[Tensor], axis: int = 1) -> Tensor:
     out_data = np.concatenate([p.data for p in parts], axis=axis)
     sizes = [p.data.shape[axis] for p in parts]

@@ -2,11 +2,12 @@
 
 Base pairs map (task, goal_i) to goal_{i+1} along each chain. Augmentation:
 sort-respecting term substitution applied consistently to input and target,
-random atom-order permutation at the token level (the canonical encoders sort
-atoms, so order variety must be injected after encoding), distractor atoms
-padded into the input only, and occasional input-atom drops. Padding and
-drops mimic perceived states that carry more or less than the relevant atoms
-and give the corpus coverage across input atom counts.
+random atom-order permutation (the canonical encoders sort atoms, so grown
+pairs go through the shared grammar writer `language.encode_atoms` in a
+permuted order), distractor atoms padded into the input only, and occasional
+input-atom drops. Padding and drops mimic perceived states that carry more or
+less than the relevant atoms and give the corpus coverage across input atom
+counts.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .language import (
     Vocabulary,
     decode_goal,
     decode_state,
+    encode_atoms,
 )
 from .pddl import LibraryError, PlanLibrary
 from .predictor import TrainingPair
@@ -115,27 +117,6 @@ def _random_atom(
     return None
 
 
-def _atom_groups(st: State, vocab: Vocabulary) -> list[list[int]]:
-    return [
-        [vocab.token_to_id[a.pred], *(vocab.token_to_id[x] for x in a.args)]
-        for a in st.canonical()
-    ]
-
-
-def _assemble(
-    groups: list[list[int]], order, vocab: Vocabulary, task: TaskSentence | None
-) -> tuple[int, ...]:
-    ids: list[int] = []
-    if task is not None:
-        ids.extend(vocab.token_to_id[w] for w in task.words)
-        ids.append(vocab.ets_id)
-    for i in order:
-        ids.extend(groups[int(i)])
-        ids.append(vocab.eoa_id)
-    ids.append(vocab.eos_id)
-    return tuple(ids)
-
-
 def grow_dataset(
     lib: PlanLibrary,
     target: int = 20000,
@@ -189,9 +170,9 @@ def grow_dataset(
                     break
                 extra = extra | {atom}
             s = State(frozenset(extra))
-        gi, gt = _atom_groups(s, vocab), _atom_groups(t, vocab)
-        input_ids = _assemble(gi, rng.permutation(len(gi)), vocab, task)
-        target_ids = _assemble(gt, rng.permutation(len(gt)), vocab, None)
+        ai, at = s.canonical(), t.canonical()
+        input_ids = encode_atoms([ai[i] for i in rng.permutation(len(ai))], vocab, task).ids
+        target_ids = encode_atoms([at[i] for i in rng.permutation(len(at))], vocab).ids
         key = (input_ids, target_ids)
         if key in seen:
             misses += 1

@@ -3,6 +3,14 @@
 Everything here is an immutable value; the vocabulary owns the token index
 space shared by task words, predicate names, term names, and the three
 separators.
+
+This module owns the two formats the rest of the package shares. The sort
+tree is a `sort -> parent` map walked only by `is_subsort`,
+`check_sort_forest` and `branch_kind`; both the vocabulary and PDDL domains
+use them. The token grammar `task <ets> (pred args <eoa>)* <eos>` (the task
+prefix is absent in goals) is written only by `encode_atoms`, read only by
+the atom-group loop behind `decode_state` and `decode_goal`, and split into
+atom spans only by `atom_spans`.
 """
 
 from __future__ import annotations
@@ -10,7 +18,7 @@ from __future__ import annotations
 import hashlib
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 import yaml
 
@@ -175,6 +183,45 @@ class TokenSeq:
         return TokenSeq(tuple(vocab.token_to_id[w] for w in text.split()))
 
 
+# --- sort tree: a sort -> parent map, None at a root ---------------------------
+
+
+def is_subsort(parents: Mapping[str, Optional[str]], child: str, ancestor: str) -> bool:
+    """True when `ancestor` is `child` or on its parent chain. A sort the map
+    does not name ends the chain."""
+    cur: Optional[str] = child
+    while cur is not None:
+        if cur == ancestor:
+            return True
+        cur = parents.get(cur)
+    return False
+
+
+def check_sort_forest(parents: Mapping[str, Optional[str]]) -> None:
+    """Raise LanguageError unless every parent is a named sort and no parent
+    chain loops."""
+    for sort, parent in parents.items():
+        if parent is not None and parent not in parents:
+            raise LanguageError(f"sort {sort}: unknown parent {parent}")
+        seen, cur = {sort}, parent
+        while cur is not None:
+            if cur in seen:
+                raise LanguageError(f"sort cycle through {cur}")
+            seen.add(cur)
+            cur = parents.get(cur)
+
+
+def branch_kind(parents: Mapping[str, Optional[str]], sort: str) -> str:
+    """WORLD or ROBOT by which top-level branch under the root the sort
+    descends from."""
+    cur = sort
+    while parents[cur] is not None and parents[parents[cur]] is not None:
+        cur = parents[cur]
+    if parents[cur] is None:
+        raise LanguageError(f"sort {sort} is the root; it has no branch kind")
+    return ROBOT if cur.startswith("robot") else WORLD
+
+
 class Vocabulary:
     """The extended robot language: sorts, terms, predicates, task sentences,
     separators, and the bijective token index over all of them.
@@ -196,6 +243,7 @@ class Vocabulary:
         max_atoms: int = DEFAULT_MAX_ATOMS,
     ):
         self.sorts = {s.name: s for s in sorts}
+        self.parents = {s.name: s.parent for s in sorts}
         self.terms = {t.name: t for t in terms}
         self.predicates = {p.name: p for p in predicates}
         self.tasks = {t.id: t for t in tasks}
@@ -219,15 +267,7 @@ class Vocabulary:
         roots = [s for s in self.sorts.values() if s.parent is None]
         if len(roots) != 1:
             raise LanguageError(f"expected exactly one root sort, got {len(roots)}")
-        for s in self.sorts.values():
-            if s.parent is not None and s.parent not in self.sorts:
-                raise LanguageError(f"sort {s.name}: unknown parent {s.parent}")
-            seen, cur = {s.name}, s.parent
-            while cur is not None:
-                if cur in seen:
-                    raise LanguageError(f"sort cycle through {cur}")
-                seen.add(cur)
-                cur = self.sorts[cur].parent
+        check_sort_forest(self.parents)
         for t in self.terms.values():
             if t.sort not in self.sorts:
                 raise LanguageError(f"term {t.name}: unknown sort {t.sort}")
@@ -238,32 +278,8 @@ class Vocabulary:
                 if s not in self.sorts:
                     raise LanguageError(f"predicate {p.name}: unknown sort {s}")
 
-    # --- sort tree -------------------------------------------------------
-
     def is_subsort(self, child: str, ancestor: str) -> bool:
-        cur: Optional[str] = child
-        while cur is not None:
-            if cur == ancestor:
-                return True
-            cur = self.sorts[cur].parent
-        return False
-
-    def sort_of(self, term_name: str) -> str:
-        return self.terms[term_name].sort
-
-    @property
-    def root_sort(self) -> str:
-        return next(s.name for s in self.sorts.values() if s.parent is None)
-
-    def kind_of_sort(self, sort_name: str) -> str:
-        """WORLD or ROBOT by which top-level branch the sort descends from."""
-        root = self.root_sort
-        cur = sort_name
-        while self.sorts[cur].parent not in (None, root):
-            cur = self.sorts[cur].parent
-        if self.sorts[cur].parent is None:
-            raise LanguageError(f"sort {sort_name} is the root; it has no branch kind")
-        return ROBOT if cur.startswith("robot") else WORLD
+        return is_subsort(self.parents, child, ancestor)
 
     def atom_type_ok(self, atom: Atom) -> bool:
         pred = self.predicates.get(atom.pred)
@@ -274,11 +290,6 @@ class Vocabulary:
             if term is None or not self.is_subsort(term.sort, need):
                 return False
         return True
-
-    def check_state(self, s: State) -> None:
-        for a in s.atoms:
-            if not self.atom_type_ok(a):
-                raise LanguageError(f"atom {a} is not type-valid")
 
     @property
     def size(self) -> int:
@@ -311,22 +322,12 @@ class Vocabulary:
     @staticmethod
     def from_dict(doc: dict) -> "Vocabulary":
         sorts = [Sort(s["name"], s.get("parent")) for s in doc["sorts"]]
-        sort_map = {s.name: s for s in sorts}
-        root = next(s.name for s in sorts if s.parent is None)
-
-        def branch(sort_name: str) -> str:
-            # kind = which top-level branch under the root the sort descends from
-            cur = sort_name
-            while sort_map[cur].parent not in (None, root):
-                cur = sort_map[cur].parent
-            if cur == root:
-                raise LanguageError(f"term sort {sort_name} sits at the root; cannot infer kind")
-            return cur
-
-        terms = []
-        for t in doc["terms"]:
-            kind = t.get("kind") or (ROBOT if branch(t["sort"]).startswith("robot") else WORLD)
-            terms.append(Term(t["name"], t["sort"], kind))
+        parents = {s.name: s.parent for s in sorts}
+        check_sort_forest(parents)
+        terms = [
+            Term(t["name"], t["sort"], t.get("kind") or branch_kind(parents, t["sort"]))
+            for t in doc["terms"]
+        ]
         preds = [
             Predicate(p["name"], tuple(p["args"]), bool(p.get("epistemic", False)))
             for p in doc["predicates"]
@@ -371,23 +372,40 @@ def filter_by_types(atoms: Iterable[Atom], vocab: Vocabulary) -> set[Atom]:
     return {a for a in atoms if vocab.atom_type_ok(a)}
 
 
-def encode_state(
-    task: TaskSentence, s: State, vocab: Vocabulary, max_atoms: Optional[int] = None
+def encode_atoms(
+    atoms: Sequence[Atom], vocab: Vocabulary, task: Optional[TaskSentence] = None
 ) -> TokenSeq:
-    """Tokenize (task, state): task words, ETS, then each atom as predicate
-    followed by arguments followed by EOA (atoms in canonical order), then EOS.
-    Time indices are dropped."""
-    limit = vocab.max_atoms if max_atoms is None else max_atoms
-    if len(s) > limit:
-        raise StateTooLong(len(s), limit)
-    ids = [vocab.token_to_id[w] for w in task.words]
-    ids.append(vocab.ets_id)
-    for atom in s.drop_times().canonical():
-        ids.append(vocab.token_to_id[atom.pred])
-        ids.extend(vocab.token_to_id[a] for a in atom.args)
+    """The one writer of the token grammar: the task words and ETS when a task
+    is given, then each atom in the given order as predicate, arguments and
+    EOA, then EOS. Time indices are not written."""
+    tok = vocab.token_to_id
+    ids = [] if task is None else [tok[w] for w in task.words] + [vocab.ets_id]
+    for atom in atoms:
+        ids.append(tok[atom.pred])
+        ids.extend(tok[a] for a in atom.args)
         ids.append(vocab.eoa_id)
     ids.append(vocab.eos_id)
     return TokenSeq(tuple(ids))
+
+
+def _canonical_atoms(s: State, vocab: Vocabulary, max_atoms: Optional[int]) -> list[Atom]:
+    limit = vocab.max_atoms if max_atoms is None else max_atoms
+    if len(s) > limit:
+        raise StateTooLong(len(s), limit)
+    return s.drop_times().canonical()
+
+
+def encode_state(
+    task: TaskSentence, s: State, vocab: Vocabulary, max_atoms: Optional[int] = None
+) -> TokenSeq:
+    """Tokenize (task, state) with the atoms in canonical order."""
+    return encode_atoms(_canonical_atoms(s, vocab, max_atoms), vocab, task)
+
+
+def encode_goal(s: State, vocab: Vocabulary, max_atoms: Optional[int] = None) -> TokenSeq:
+    """Tokenize a bare state (the predictor's output grammar): canonical atom
+    order and no task prefix."""
+    return encode_atoms(_canonical_atoms(s, vocab, max_atoms), vocab)
 
 
 def decode_state(seq: TokenSeq, vocab: Vocabulary) -> tuple[TaskSentence, State]:
@@ -398,76 +416,64 @@ def decode_state(seq: TokenSeq, vocab: Vocabulary) -> tuple[TaskSentence, State]
     pos = 0
     words: list[str] = []
     while pos < len(ids) and ids[pos] not in seps:
-        words.append(vocab.id_to_token[ids[pos]])
+        words.append(_token(ids[pos], vocab, pos))
         pos += 1
     if pos >= len(ids) or ids[pos] != vocab.ets_id:
         raise MalformedSequence(pos, "expected <ets> after task words")
     if not words:
         raise MalformedSequence(0, "empty task segment")
-    pos += 1
+    atoms = _decode_atoms(ids, pos + 1, vocab)
+    return _match_task(words, vocab, at=0), State(frozenset(atoms))
 
+
+def decode_goal(seq: TokenSeq, vocab: Vocabulary) -> State:
+    """Exact inverse of encode_goal on its image; MalformedSequence otherwise.
+    The empty goal (just EOS) is rejected: a proposal must assert something."""
+    atoms = _decode_atoms(seq.ids, 0, vocab)
+    if not atoms:
+        raise MalformedSequence(len(seq.ids) - 1, "empty goal")
+    return State(frozenset(atoms))
+
+
+def _decode_atoms(ids: Sequence[int], start: int, vocab: Vocabulary) -> list[Atom]:
+    """The atom groups of ids[start:], which must end with the only EOS."""
     atoms: list[Atom] = []
     group: list[str] = []
-    while pos < len(ids):
+    for pos in range(start, len(ids)):
         tid = ids[pos]
         if tid == vocab.eos_id:
             if group:
                 raise MalformedSequence(pos, "atom group not closed by <eoa> before <eos>")
             if pos != len(ids) - 1:
                 raise MalformedSequence(pos + 1, "tokens after <eos>")
-            task = _match_task(words, vocab, at=0)
-            return task, State(frozenset(atoms))
+            return atoms
         if tid == vocab.ets_id:
             raise MalformedSequence(pos, "unexpected <ets>")
         if tid == vocab.eoa_id:
             atoms.append(_group_to_atom(group, vocab, pos))
             group = []
         else:
-            group.append(vocab.id_to_token[tid])
-        pos += 1
+            group.append(_token(tid, vocab, pos))
     raise MalformedSequence(len(ids), "missing <eos>")
 
 
-def encode_goal(s: State, vocab: Vocabulary, max_atoms: Optional[int] = None) -> TokenSeq:
-    """Tokenize a bare state (the predictor's output grammar): atoms in
-    canonical order, each closed by EOA, then EOS. No task prefix."""
-    limit = vocab.max_atoms if max_atoms is None else max_atoms
-    if len(s) > limit:
-        raise StateTooLong(len(s), limit)
-    ids: list[int] = []
-    for atom in s.drop_times().canonical():
-        ids.append(vocab.token_to_id[atom.pred])
-        ids.extend(vocab.token_to_id[a] for a in atom.args)
-        ids.append(vocab.eoa_id)
-    ids.append(vocab.eos_id)
-    return TokenSeq(tuple(ids))
+def _token(tid: int, vocab: Vocabulary, pos: int) -> str:
+    if not 0 <= tid < vocab.size:
+        raise MalformedSequence(pos, f"unknown token id {tid}")
+    return vocab.id_to_token[tid]
 
 
-def decode_goal(seq: TokenSeq, vocab: Vocabulary) -> State:
-    """Exact inverse of encode_goal on its image; MalformedSequence otherwise.
-    The empty goal (just EOS) is rejected: a proposal must assert something."""
-    ids = seq.ids
-    atoms: list[Atom] = []
-    group: list[str] = []
-    for pos, tid in enumerate(ids):
-        if tid == vocab.eos_id:
-            if group:
-                raise MalformedSequence(pos, "atom group not closed by <eoa> before <eos>")
-            if pos != len(ids) - 1:
-                raise MalformedSequence(pos + 1, "tokens after <eos>")
-            if not atoms:
-                raise MalformedSequence(pos, "empty goal")
-            return State(frozenset(atoms))
-        if tid == vocab.ets_id:
-            raise MalformedSequence(pos, "unexpected <ets>")
-        if tid == vocab.eoa_id:
-            atoms.append(_group_to_atom(group, vocab, pos))
-            group = []
-        else:
-            if not 0 <= tid < len(vocab.id_to_token):
-                raise MalformedSequence(pos, f"unknown token id {tid}")
-            group.append(vocab.id_to_token[tid])
-    raise MalformedSequence(len(ids), "missing <eos>")
+def atom_spans(ids: Sequence[int], start: int, eoa_id: int, eos_id: int) -> list[tuple[int, int]]:
+    """The (lo, hi) content span of each atom group from ids[start:] up to the
+    first EOS: each EOA closes a span, separators excluded."""
+    spans = []
+    for pos in range(start, len(ids)):
+        if ids[pos] == eoa_id:
+            spans.append((start, pos))
+            start = pos + 1
+        elif ids[pos] == eos_id:
+            break
+    return spans
 
 
 def _match_task(words: list[str], vocab: Vocabulary, at: int) -> TaskSentence:

@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import yaml
 
-from .language import Atom, Predicate, State, Vocabulary
+from .language import Atom, Predicate, State, Vocabulary, branch_kind, check_sort_forest, is_subsort
 
 WORLD_ACTION = "world"
 ECOLOGICAL_ACTION = "ecological"
@@ -101,12 +101,7 @@ class PlanDomain:
     schemas: tuple[ActionSchema, ...]
 
     def is_subsort(self, child: str, ancestor: str) -> bool:
-        cur: Optional[str] = child
-        while cur is not None:
-            if cur == ancestor:
-                return True
-            cur = self.sorts.get(cur)
-        return False
+        return is_subsort(self.sorts, child, ancestor)
 
     def schema(self, name: str) -> ActionSchema:
         for s in self.schemas:
@@ -436,22 +431,11 @@ def parse_domain(text: str) -> PlanDomain:
     # parents referenced but never declared are implicit roots
     for parent in [p for p in sorts.values() if p is not None]:
         sorts.setdefault(parent, None)
-    _check_sort_forest(sorts)
+    check_sort_forest(sorts)
 
     dom = PlanDomain(name, sorts, predicates, tuple(schemas))
     _check_domain(dom)
     return dom
-
-
-def _check_sort_forest(sorts: dict[str, Optional[str]]) -> None:
-    for s in sorts:
-        seen = {s}
-        cur = sorts[s]
-        while cur is not None:
-            if cur in seen:
-                raise UnsupportedFeature(f"sort cycle through {cur}")
-            seen.add(cur)
-            cur = sorts[cur]
 
 
 def _parse_action(lst: SList) -> ActionSchema:
@@ -752,10 +736,6 @@ def _check_problem_against_vocab(prob: PlanProblem, vocab: Vocabulary) -> None:
             raise LibraryError(f"problem {prob.name}: object {obj} declared {sort}, vocabulary sort {term.sort}")
 
 
-def goals_of(lib: PlanLibrary) -> list[State]:
-    return [e.goal_state for e in lib.entries]
-
-
 def validate_library(lib: PlanLibrary, solve: Optional[Callable] = None) -> list[Violation]:
     """Static and solution-level checks. `solve` maps a PlanEntry to an object
     with a `steps` list of ground actions (defaults to the internal planner)."""
@@ -805,7 +785,7 @@ def _touches_world(atom: SchemaAtom, sch: ActionSchema, vocab: Vocabulary) -> bo
     sorts_of = {p.name: p.sort for p in sch.parameters}
     for arg in atom.args:
         if arg.startswith("?"):
-            kind = vocab.kind_of_sort(sorts_of[arg])
+            kind = branch_kind(vocab.parents, sorts_of[arg])
         else:
             kind = vocab.terms[arg].kind
         if kind == "robot":

@@ -27,6 +27,7 @@ from .language import (
     TaskSentence,
     TokenSeq,
     Vocabulary,
+    atom_spans,
     decode_goal,
     encode_goal,
     encode_state,
@@ -195,68 +196,17 @@ class GoalNetParams:
         )
 
 
-# --- encoded input -------------------------------------------------------------------
-
-
-@dataclass
-class EncodedState:
-    """Embedded input tokens plus the atom-segment structure the attention
-    attends over. boundaries[0] is the task-word span; each later span covers
-    one atom's content tokens (separators excluded)."""
-
-    ids: tuple[int, ...]
-    vectors: np.ndarray
-    boundaries: tuple[tuple[int, int], ...]
+# --- input segments -----------------------------------------------------------------
 
 
 def segment_spans(ids, ets_id: int, eoa_id: int, eos_id: int) -> tuple[tuple[int, int], ...]:
+    """The spans the attention attends over: the task words, then each atom's
+    content tokens (separators excluded)."""
     ids = list(ids)
     if ets_id not in ids:
         raise MalformedSequence(0, "missing <ets>")
     cut = ids.index(ets_id)
-    spans = [(0, cut)]
-    start = cut + 1
-    for pos in range(cut + 1, len(ids)):
-        if ids[pos] == eoa_id:
-            spans.append((start, pos))
-            start = pos + 1
-        elif ids[pos] == eos_id:
-            break
-    return tuple(spans)
-
-
-def embed(seq: TokenSeq, params: GoalNetParams) -> EncodedState:
-    """Rows of the embedding matrix per token, plus segment boundaries."""
-    for pos, t in enumerate(seq.ids):
-        if not 0 <= t < params.vocab_size:
-            raise IndexOutOfVocab(f"token id {t} at position {pos}")
-    eos, ets, eoa = params.seps
-    return EncodedState(
-        ids=tuple(seq.ids),
-        vectors=params.emb.data[list(seq.ids)].copy(),
-        boundaries=segment_spans(seq.ids, ets, eoa, eos),
-    )
-
-
-def attend(
-    segments: np.ndarray,
-    prev_segment: np.ndarray,
-    dec_hidden: np.ndarray,
-    params: GoalNetParams,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Additive attention over segment vectors (task segment first): score
-    per segment is Wᵀ tanh(W¹ τ_i + W² τ_y) with τ_y the concatenation of the
-    previously predicted segment, the task segment, and the previous decoder
-    hidden state. Returns (softmax weights, context = weighted segment sum)."""
-    if segments.ndim != 2 or segments.shape[0] < 1:
-        raise ValueError("need at least one segment vector")
-    tau_y = np.concatenate([prev_segment, segments[0], dec_hidden])
-    pre = np.tanh(segments @ params.att_W1.data + tau_y @ params.att_W2.data)
-    scores = (pre @ params.att_W.data).reshape(-1)
-    z = scores - scores.max()
-    e = np.exp(z)
-    weights = e / e.sum()
-    return weights, weights @ segments
+    return ((0, cut), *atom_spans(ids, cut + 1, eoa_id, eos_id))
 
 
 # --- batched graph construction -------------------------------------------------------
@@ -369,19 +319,14 @@ def _dec_step(
     return logits, hc_new, p
 
 
-def _prev_segment_weights(tgt: np.ndarray, tgt_len: list[int], params: GoalNetParams) -> np.ndarray:
+def _prev_segment_weights(tgt: np.ndarray, params: GoalNetParams) -> np.ndarray:
     """P[b, t, :] weights target-token embeddings into the mean of the last
     atom completed strictly before decode step t (zeros before the first)."""
     eos, ets, eoa = params.seps
     B, L = tgt.shape
     P = np.zeros((B, L, L))
     for b in range(B):
-        spans = []
-        start = 0
-        for pos in range(tgt_len[b]):
-            if tgt[b, pos] == eoa:
-                spans.append((start, pos))
-                start = pos + 1
+        spans = atom_spans(tgt[b].tolist(), 0, eoa, eos)
         for t in range(L):
             done = [sp for sp in spans if sp[1] < t and sp[1] > sp[0]]
             if done:
@@ -407,7 +352,7 @@ def _teacher_forced_loss(
         tgt_mask[b, : len(t)] = 1.0
     dec_in = np.full((B, L), ets, dtype=np.int64)
     dec_in[:, 1:] = tgt[:, :-1]
-    P = _prev_segment_weights(tgt, [len(t) for t in targets], params)
+    P = _prev_segment_weights(tgt, params)
     Y3 = ad.embedding(params.emb, tgt)  # (B, L, De) for prev-segment means
 
     hc = _dec_init(params, env["summary"])
@@ -459,16 +404,20 @@ class _Beam:
 
 
 def beam_decode(
-    enc: EncodedState, params: GoalNetParams, width: int = 3, max_len: int = 24
+    ids: tuple[int, ...], params: GoalNetParams, width: int = 3, max_len: int = 24
 ) -> list[DecodeResult]:
-    """Whole-sequence beam search; returns up to `width` results sorted by
-    total log-probability, finished (EOS) or flagged truncated at max_len."""
+    """Whole-sequence beam search over the encoded input `ids`; returns up to
+    `width` results sorted by total log-probability, finished (EOS) or
+    flagged truncated at max_len."""
+    for pos, t in enumerate(ids):
+        if not 0 <= t < params.vocab_size:
+            raise IndexOutOfVocab(f"token id {t} at position {pos}")
     if width < 1:
         raise ValueError("beam width must be >= 1")
     eos, ets, eoa = params.seps
     De = params.emb_dim
     with ad.no_grad():
-        env = _encode_graph(params, _make_enc_batch([enc.ids], params))
+        env = _encode_graph(params, _make_enc_batch([ids], params))
         hc0 = _dec_init(params, env["summary"]).data
         live = [_Beam(hc=hc0[0].copy(), prev_seg=np.zeros(De))]
         done: list[DecodeResult] = []
@@ -531,9 +480,9 @@ def beam_decode(
     return done[:width]
 
 
-def decode(enc: EncodedState, params: GoalNetParams, max_len: int = 24) -> DecodeResult:
+def decode(ids: tuple[int, ...], params: GoalNetParams, max_len: int = 24) -> DecodeResult:
     """Greedy decoding (beam of width 1)."""
-    return beam_decode(enc, params, width=1, max_len=max_len)[0]
+    return beam_decode(ids, params, width=1, max_len=max_len)[0]
 
 
 def infer_topk_ids(
@@ -545,7 +494,7 @@ def infer_topk_ids(
 ) -> list[GoalProposal]:
     """Top-k distinct well-formed goal states for an already-encoded input."""
     width = max(2 * k, 6)
-    results = beam_decode(embed(TokenSeq(tuple(input_ids)), params), params, width, max_len)
+    results = beam_decode(tuple(input_ids), params, width, max_len)
     proposals: list[GoalProposal] = []
     seen: set[frozenset] = set()
     for r in results:

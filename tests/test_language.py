@@ -24,6 +24,7 @@ from taskmon.language import (
     herbrand_universe,
     parse_atom,
 )
+from taskmon.pddl import parse_domain
 from conftest import make_tiny_vocab
 
 
@@ -202,12 +203,27 @@ def test_decode_rejects_bad_atom_groups(tiny_vocab):
     with pytest.raises(MalformedSequence, match="empty atom group"):
         decode_state(TokenSeq(tuple(empty_group)), v)
 
+    # an id outside the token space must not alias another token
+    free = v.token_to_id["Free"]
+    for bad in (free - v.size, v.size):
+        out_of_range = base + [bad, v.token_to_id["hand"], v.eoa_id, v.eos_id]
+        with pytest.raises(MalformedSequence, match="unknown token id") as e:
+            decode_state(TokenSeq(tuple(out_of_range)), v)
+        assert e.value.position == len(base)
+
 
 def test_decode_rejects_unknown_task(tiny_vocab):
     v = tiny_vocab
     ids = [v.token_to_id["clear"], v.token_to_id["the"], v.token_to_id["shelf"], v.ets_id, v.eos_id]
     with pytest.raises(MalformedSequence, match="not in vocabulary"):
         decode_state(TokenSeq(tuple(ids)), v)
+
+    # an out-of-range task word is rejected, not aliased to a real task
+    ids = list(encode_state(v.tasks["t-clear"], State(), v).ids)
+    for bad in (ids[0] - v.size, v.size):
+        with pytest.raises(MalformedSequence, match="unknown token id") as e:
+            decode_state(TokenSeq((bad, *ids[1:])), v)
+        assert e.value.position == 0
 
 
 def test_token_space_is_shared_and_bijective(tiny_vocab):
@@ -240,6 +256,17 @@ def test_sort_tree_validation():
         Vocabulary([Sort("a"), Sort("b", "zzz")], [], [], [])
     with pytest.raises(LanguageError, match="cycle"):
         Vocabulary([Sort("r"), Sort("a", "b"), Sort("b", "a")], [], [], [])
+    # a term kind is read off the sort tree only after the tree is checked
+    doc = {
+        "sorts": [{"name": "r"}, {"name": "a", "parent": "b"}, {"name": "b", "parent": "a"}],
+        "terms": [{"name": "x", "sort": "a"}],
+        "predicates": [],
+    }
+    with pytest.raises(LanguageError, match="cycle"):
+        Vocabulary.from_dict(doc)
+    # PDDL domains share the forest check
+    with pytest.raises(LanguageError, match="cycle"):
+        parse_domain("(define (domain d) (:types a - b b - a))")
 
 
 def test_predicate_arity_bounds():

@@ -36,10 +36,9 @@ from taskmon.predictor import (
     NonFiniteLoss,
     NoValidProposal,
     TrainingPair,
-    attend,
+    _dec_step,
     beam_decode,
     decode,
-    embed,
     grad_check,
     infer_topk,
     load_params,
@@ -150,26 +149,12 @@ def test_goal_codec_rejections(tiny_vocab):
 # --- embedding and segments -----------------------------------------------------------
 
 
-def test_embed_rows_and_boundaries(tiny_vocab):
-    params = GoalNetParams.init(tiny_vocab, seed=1)
-    task = tiny_vocab.tasks["t-fetch"]  # bring the brush to the shelf
-    st = State.parse(["On(brush,table)", "Free(hand)"])
-    seq = encode_state(task, st, tiny_vocab)
-    enc = embed(seq, params)
-    assert enc.vectors.shape == (len(seq), params.emb_dim)
-    assert np.array_equal(enc.vectors, params.emb.data[list(seq.ids)])
-    assert seq.ids[1] == seq.ids[4]  # "the" twice -> one embedding row
-    assert np.array_equal(enc.vectors[1], enc.vectors[4])
-    # spans: 6 task words, then Free(hand), then On(brush,table)
-    assert enc.boundaries == ((0, 6), (7, 9), (10, 13))
-
-
 def test_embed_rejects_bad_input(tiny_vocab):
     params = GoalNetParams.init(tiny_vocab, seed=1)
     with pytest.raises(IndexOutOfVocab, match="position 1"):
-        embed(TokenSeq((0, tiny_vocab.size)), params)
+        beam_decode((0, tiny_vocab.size), params)
     with pytest.raises(MalformedSequence, match="missing <ets>"):
-        embed(TokenSeq((tiny_vocab.token_to_id["Free"], tiny_vocab.eos_id)), params)
+        beam_decode((tiny_vocab.token_to_id["Free"], tiny_vocab.eos_id), params)
 
 
 def test_segment_spans_stop_at_eos(tiny_vocab):
@@ -181,6 +166,10 @@ def test_segment_spans_stop_at_eos(tiny_vocab):
         v.token_to_id["cup"], v.eoa_id,  # garbage after eos is not a segment
     )
     assert segment_spans(ids, v.ets_id, v.eoa_id, v.eos_id) == ((0, 1), (2, 4))
+    # an encoded state: 6 task words, then Free(hand), then On(brush,table)
+    task = v.tasks["t-fetch"]  # bring the brush to the shelf
+    seq = encode_state(task, State.parse(["On(brush,table)", "Free(hand)"]), v)
+    assert segment_spans(seq.ids, v.ets_id, v.eoa_id, v.eos_id) == ((0, 6), (7, 9), (10, 13))
 
 
 # --- attention closed forms -----------------------------------------------------------
@@ -194,6 +183,27 @@ def _plain_attention_params(vocab) -> GoalNetParams:
     return params
 
 
+def dec_step_attention(segments, prev_segment, dec_hidden, params):
+    """One `_dec_step` over the segment vectors `segments` (task segment
+    first); returns its attention weights and the context they weight."""
+    K = segments.shape[0]
+    S = ad.const(segments[None])
+    env = {
+        "B": 1,
+        "K": K,
+        "S": S,
+        "U": ad.matmul(ad.const(segments), params.att_W1),
+        "task_seg": ad.const(segments[:1]),
+        "seg_mask": np.ones((1, K)),
+    }
+    hc = ad.const(np.concatenate([dec_hidden, np.zeros(params.dec_hidden)])[None])
+    with ad.no_grad():
+        prev_emb = ad.const(np.zeros((1, params.emb_dim)))
+        _, _, p = _dec_step(params, env, prev_emb, ad.const(prev_segment[None]), hc, np.ones((1, 1)))
+        ctx = ad.weighted_ctx(p, S)
+    return p.data[0], ctx.data[0]
+
+
 def test_attend_known_scores(tiny_vocab):
     params = _plain_attention_params(tiny_vocab)
     # scores [2, 0]: first segment flags channel 0, scorer reads it through tanh
@@ -201,7 +211,7 @@ def test_attend_known_scores(tiny_vocab):
     params.att_W.data[0, 0] = 2.0 / np.tanh(1.0)
     segments = np.zeros((2, 32))
     segments[0, 0] = 1.0
-    w, ctx = attend(segments, np.zeros(20), np.zeros(32), params)
+    w, ctx = dec_step_attention(segments, np.zeros(20), np.zeros(32), params)
     assert np.allclose(w, [0.8808, 0.1192], atol=1e-4)
     assert np.allclose(ctx, w[0] * segments[0] + w[1] * segments[1])
 
@@ -209,7 +219,7 @@ def test_attend_known_scores(tiny_vocab):
 def test_attend_uniform_on_equal_scores(tiny_vocab):
     params = _plain_attention_params(tiny_vocab)
     segments = np.tile(np.linspace(-1, 1, 32), (7, 1))
-    w, _ = attend(segments, np.zeros(20), np.zeros(32), params)
+    w, _ = dec_step_attention(segments, np.zeros(20), np.zeros(32), params)
     assert np.allclose(w, np.full(7, 1 / 7))
 
 
@@ -218,7 +228,8 @@ def test_attend_is_a_distribution(tiny_vocab):
     for seed in range(1000):
         rng = np.random.default_rng(seed)
         k = int(rng.integers(1, 8))
-        w, _ = attend(rng.normal(size=(k, 32)), rng.normal(size=20), rng.normal(size=32), params)
+        segments = rng.normal(size=(k, 32))
+        w, _ = dec_step_attention(segments, rng.normal(size=20), rng.normal(size=32), params)
         assert np.all(w >= 0)
         assert abs(w.sum() - 1.0) <= 1e-6
 
@@ -228,9 +239,8 @@ def test_attend_is_a_distribution(tiny_vocab):
 
 def test_greedy_is_width_one_beam(tiny_vocab, fetch_pair):
     params = GoalNetParams.init(tiny_vocab, seed=5)
-    enc = embed(TokenSeq(fetch_pair.input_ids), params)
-    g = decode(enc, params)
-    b = beam_decode(enc, params, width=1)[0]
+    g = decode(fetch_pair.input_ids, params)
+    b = beam_decode(fetch_pair.input_ids, params, width=1)[0]
     assert g.tokens == b.tokens and g.step_logps == b.step_logps
     assert g.log_prob == sum(g.step_logps)  # additivity is exact
     assert all(lp <= 0.0 for lp in g.step_logps)
@@ -238,8 +248,7 @@ def test_greedy_is_width_one_beam(tiny_vocab, fetch_pair):
 
 def test_beam_results_sorted_and_distinct(tiny_vocab, fetch_pair):
     params = GoalNetParams.init(tiny_vocab, seed=5)
-    enc = embed(TokenSeq(fetch_pair.input_ids), params)
-    results = beam_decode(enc, params, width=4, max_len=10)
+    results = beam_decode(fetch_pair.input_ids, params, width=4, max_len=10)
     assert 1 <= len(results) <= 4
     assert [r.log_prob for r in results] == sorted((r.log_prob for r in results), reverse=True)
     assert len({r.tokens.ids for r in results}) == len(results)
@@ -247,12 +256,12 @@ def test_beam_results_sorted_and_distinct(tiny_vocab, fetch_pair):
 
 def test_truncation_flag(tiny_vocab, fetch_pair):
     params = GoalNetParams.init(tiny_vocab, seed=5)
-    enc = embed(TokenSeq(fetch_pair.input_ids), params)
+    ids = fetch_pair.input_ids
     params.out_b.data[tiny_vocab.eos_id] = -1e9  # EOS never competes
-    for r in beam_decode(enc, params, width=3, max_len=6):
+    for r in beam_decode(ids, params, width=3, max_len=6):
         assert r.truncated and len(r.tokens.ids) == 6
     params.out_b.data[tiny_vocab.eos_id] = 1e9  # EOS always wins
-    r = decode(enc, params)
+    r = decode(ids, params)
     assert not r.truncated and r.tokens.ids == (tiny_vocab.eos_id,)
 
 
@@ -270,8 +279,7 @@ def test_single_pair_overfit_and_exact_recall(tiny_vocab, fetch_pair, overfit):
     params, history = overfit
     assert len(history) == 100
     assert history[-1] < 1e-2
-    enc = embed(TokenSeq(fetch_pair.input_ids), params)
-    assert decode(enc, params).tokens.ids == fetch_pair.target_ids
+    assert decode(fetch_pair.input_ids, params).tokens.ids == fetch_pair.target_ids
     proposals = infer_topk(fetch_pair.task, fetch_pair.state, params, tiny_vocab, k=3)
     assert proposals[0].rank == 1
     assert proposals[0].goal == fetch_pair.target
@@ -457,17 +465,19 @@ def test_grow_dataset_substitutes_consistently(tiny_vocab):
     assert items == {"brush", "cup"}
 
 
-def test_pairs_file_roundtrip(tiny_vocab, tiny_lib, tmp_path):
-    pairs = grow_dataset(tiny_lib, target=50, seed=8)
+@pytest.mark.parametrize("lib_fixture", ["tiny_lib", "packaged_lib"], ids=["tiny", "packaged"])
+def test_pairs_file_roundtrip(lib_fixture, request, tmp_path):
+    lib = request.getfixturevalue(lib_fixture)
+    pairs = grow_dataset(lib, target=50, seed=8)
     path = tmp_path / "pairs.tsv"
-    save_pairs(pairs, str(path), tiny_vocab)
-    loaded = load_pairs(str(path), tiny_vocab)
+    save_pairs(pairs, str(path), lib.vocab)
+    loaded = load_pairs(str(path), lib.vocab)
     assert len(loaded) == len(pairs)
     for a, b in zip(pairs, loaded):
         assert a.input_ids == b.input_ids
         assert a.target_ids == b.target_ids
         assert a.task == b.task and a.state == b.state and a.target == b.target
-    save_pairs(loaded, str(tmp_path / "again.tsv"), tiny_vocab)
+    save_pairs(loaded, str(tmp_path / "again.tsv"), lib.vocab)
     assert (tmp_path / "again.tsv").read_bytes() == path.read_bytes()
 
 

@@ -16,7 +16,6 @@ from taskmon.pddl import (
     SchemaAtom,
     TypingError,
     UnsupportedFeature,
-    goals_of,
     load_library,
     parse_domain,
     parse_problem,
@@ -328,8 +327,6 @@ def test_load_library(tmp_path):
     assert lib.entries[0].domain is lib.entries[1].domain  # shared parse
     assert len(lib.chains) == 2
     assert lib.chains[0].weight == 4.0
-    assert goals_of(lib) == [e.goal_state for e in lib.entries]
-    assert goals_of(lib) == goals_of(lib)
 
 
 def test_load_library_rejects_duplicates_and_bad_refs(tmp_path):
