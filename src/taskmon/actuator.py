@@ -23,6 +23,7 @@ from .geometry import Box, Scene, SceneObject, Vec
 from .language import Atom, Vocabulary
 from .perception import (
     DEFAULT_RULES,
+    DEFAULT_THRESHOLDS,
     Detection,
     Mode,
     Percept,
@@ -210,7 +211,7 @@ class SimActuator(Actuator):
         self.scene = scene
         self.vocab = vocab
         self.fail_prob = fail_prob
-        self.thresholds = thresholds or Thresholds()
+        self.thresholds = thresholds or DEFAULT_THRESHOLDS
         self.rules = rules or DEFAULT_RULES
         self.disturbances = tuple(disturbances)
         self._rng = np.random.default_rng([seed, 0xAC70])

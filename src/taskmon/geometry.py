@@ -14,6 +14,8 @@ from typing import Optional
 
 import yaml
 
+from .language import load_yaml
+
 Vec = tuple[float, float, float]
 
 
@@ -59,11 +61,13 @@ class Box:
         if not all(h > l for l, h in zip(self.lo, self.hi)):
             raise ValueError(f"box extents must be positive: {self.lo} .. {self.hi}")
 
-    @property
+    # Center and size are computed once per box, as Camera caches its basis:
+    # the dataclass is frozen and replace() builds a fresh instance.
+    @cached_property
     def center(self) -> Vec:
         return tuple((l + h) / 2.0 for l, h in zip(self.lo, self.hi))
 
-    @property
+    @cached_property
     def size(self) -> Vec:
         return tuple(h - l for l, h in zip(self.lo, self.hi))
 
@@ -97,10 +101,6 @@ class Box:
         if w <= 0.0 or d <= 0.0:
             return 0.0
         return (w * d) / ((self.hi[0] - self.lo[0]) * (self.hi[1] - self.lo[1]))
-
-    def corners(self) -> list[Vec]:
-        (x0, y0, z0), (x1, y1, z1) = self.lo, self.hi
-        return [(x, y, z) for x in (x0, x1) for y in (y0, y1) for z in (z0, z1)]
 
     @staticmethod
     def from_center(center: Vec, size: Vec) -> "Box":
@@ -210,14 +210,30 @@ class Camera:
         return abs(x / z) <= self.tan_half_hfov and abs(y / z) <= self.tan_half_vfov
 
     def project_box(self, box: Box) -> Optional[tuple[float, float, float, float]]:
-        """Pixel AABB over the box corners; None if any corner is behind."""
+        """Pixel AABB over the box corners; None if any corner is behind.
+
+        Separable form of `project` on each of the 8 corners: a corner's
+        offset from the camera has one of two values per axis, so each basis
+        product is formed once per axis value and the dot products are summed
+        in `project`'s order, (dx*b0 + dy*b1) + dz*b2. Every corner projects
+        to exactly the floats `project` gives it."""
+        f, r, w = self.forward, self.right, self.up
+        px, py, pz = self.position
+        xs = [(d * f[0], d * r[0], d * w[0]) for d in (box.lo[0] - px, box.hi[0] - px)]
+        ys = [(d * f[1], d * r[1], d * w[1]) for d in (box.lo[1] - py, box.hi[1] - py)]
+        zs = [(d * f[2], d * r[2], d * w[2]) for d in (box.lo[2] - pz, box.hi[2] - pz)]
+        half_w, half_h = self.width / 2.0, self.height / 2.0
+        th, tv = self.tan_half_hfov, self.tan_half_vfov
         us, vs = [], []
-        for c in box.corners():
-            pr = self.project(c)
-            if pr is None:
-                return None
-            us.append(pr[0])
-            vs.append(pr[1])
+        for xf, xr, xu in xs:
+            for yf, yr, yu in ys:
+                zf0, zr0, zu0 = xf + yf, xr + yr, xu + yu
+                for zf, zr, zu in zs:
+                    z = zf0 + zf
+                    if z <= 1e-9:
+                        return None
+                    us.append(half_w * (1.0 + (zr0 + zr) / (z * th)))
+                    vs.append(half_h * (1.0 - (zu0 + zu) / (z * tv)))
         return (min(us), min(vs), max(us), max(vs))
 
     def aimed_at(self, p: Vec) -> "Camera":
@@ -337,7 +353,7 @@ class Scene:
 
 def load_scene(path: str) -> Scene:
     with open(path) as f:
-        return Scene.from_dict(yaml.safe_load(f))
+        return Scene.from_dict(load_yaml(f))
 
 
 def save_scene(scene: Scene, path: str) -> None:

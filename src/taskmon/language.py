@@ -10,7 +10,9 @@ tree is a `sort -> parent` map walked only by `is_subsort`,
 use them. The token grammar `task <ets> (pred args <eoa>)* <eos>` (the task
 prefix is absent in goals) is written only by `encode_atoms`, read only by
 the atom-group loop behind `decode_state` and `decode_goal`, and split into
-atom spans only by `atom_spans`.
+atom spans only by `atom_spans`. It also owns how the packaged YAML files
+are parsed: `load_yaml` is the one reader behind scenes, the vocabulary and
+the plan library.
 """
 
 from __future__ import annotations
@@ -26,6 +28,15 @@ WORLD = "world"
 ROBOT = "robot"
 
 DEFAULT_MAX_ATOMS = 17
+
+# libyaml's C parser when PyYAML was built with it, the pure-Python one
+# otherwise; both build the same plain values through the safe constructor.
+YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
+def load_yaml(stream):
+    """Parse one YAML document with the safe constructor."""
+    return yaml.load(stream, Loader=YAML_LOADER)
 
 
 class LanguageError(Exception):
@@ -316,7 +327,7 @@ class Vocabulary:
     @staticmethod
     def from_yaml(path: str) -> "Vocabulary":
         with open(path) as f:
-            doc = yaml.safe_load(f)
+            doc = load_yaml(f)
         return Vocabulary.from_dict(doc)
 
     @staticmethod

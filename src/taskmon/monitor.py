@@ -241,16 +241,19 @@ class LiveVision(VisionSystem):
             replace(cam, yaw=cam.yaw + i * cam.hfov * 0.85, pitch=-0.2)
             for i in range(1, steps + 1)
         ]
-        remaining = set(atoms)
-        held: set[Atom] = set()
+        remaining = sorted(set(atoms), key=lambda x: x.key())
+        held: list[Atom] = []
         for pose in poses:
             if not remaining:
                 break
             percept = perceive(self.scene, pose, cfg.detector, cfg.frames, self._rng, cfg.mode, self.thresholds)
-            for a in sorted(remaining, key=lambda x: x.key()):
+            unheld = []
+            for a in remaining:
                 if ground_relation(a.pred, a.args, percept, self.thresholds, self.rules):
-                    held.add(a)
-                    remaining.discard(a)
+                    held.append(a)
+                else:
+                    unheld.append(a)
+            remaining = unheld
         return State.of(held)
 
 

@@ -15,9 +15,16 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, NamedTuple, Optional, Sequence, Union
 
-import yaml
-
-from .language import Atom, Predicate, State, Vocabulary, branch_kind, check_sort_forest, is_subsort
+from .language import (
+    Atom,
+    Predicate,
+    State,
+    Vocabulary,
+    branch_kind,
+    check_sort_forest,
+    is_subsort,
+    load_yaml,
+)
 
 WORLD_ACTION = "world"
 ECOLOGICAL_ACTION = "ecological"
@@ -671,7 +678,7 @@ def load_library(manifest_path: str, vocab: Vocabulary) -> PlanLibrary:
     """Read a manifest listing plan entries (domain and problem files) and
     task chains, parse and cross-check everything against the vocabulary."""
     with open(manifest_path) as f:
-        doc = yaml.safe_load(f)
+        doc = load_yaml(f)
     base = os.path.dirname(os.path.abspath(manifest_path))
 
     domains: dict[str, PlanDomain] = {}

@@ -1,7 +1,11 @@
 """Simulated perception over ground-truth scenes.
 
 Detection draws a batch of noisy frames and majority-votes the class per
-object; reconstruction places each detected object at the detector's noisy
+object. Each visible object takes its frames' random numbers as blocks from
+the query's generator: n hit draws, n confusion draws (when the scene has
+another label), the confused frames' wrong labels, the pixel jitter, then
+the depth noise; a noise-free detector draws only the first two blocks.
+Reconstruction places each detected object at the detector's noisy
 centroid depth; the 13 spatial/functional predicates are grounded by
 geometric rules over the perceived (reconstructed) geometry, never the
 ground truth. `estimate_depth`, a ray-cast foreground mask inside a
@@ -101,6 +105,11 @@ class Thresholds:
     px_area_front: float = 1.2
 
 
+# The thresholds every caller that passes none of its own shares: one frozen
+# instance built at import, as DEFAULT_RULES is.
+DEFAULT_THRESHOLDS = Thresholds()
+
+
 @dataclass(frozen=True)
 class RelationRule:
     pred: str
@@ -163,7 +172,15 @@ def detect_batch(
     """Majority vote over n noisy frames per visible object. An object whose
     modal vote is a miss (or a tie) is omitted; confidence is the modal
     frequency. Proprioceptive objects (the robot's own parts) are always
-    reported exactly."""
+    reported exactly.
+
+    Each visible object draws its n frames as blocks, in this order:
+    `rng.random(n)` for hits; `rng.random(n)` for confusion, when the scene
+    has another label; one integer per confused frame picking the wrong
+    label; an (n, 2) block of pixel jitter, when `px_jitter` > 0; one depth
+    noise sample, when `depth_sigma` > 0. A noise-free detector thus takes
+    exactly 2n doubles per object (n with a single label), as the per-frame
+    draws did, so its stream is unchanged."""
     if n < 1:
         raise ValueError("batch size must be >= 1")
     if rng is None:
@@ -171,36 +188,35 @@ def detect_batch(
     labels = sorted({o.label for o in scene.objects})
     out: list[Detection] = []
     for obj in scene.objects:
+        center = obj.box.center
         if obj.proprio:
-            pr = cam.project(obj.box.center)
+            pr = cam.project(center)
             bbox = cam.project_box(obj.box) or (0.0, 0.0, 0.0, 0.0)
-            center = (pr[0], pr[1]) if pr else (0.0, 0.0)
-            depth = cam.depth_of(obj.box.center)
-            out.append(Detection(obj.label, obj.id, bbox, center, depth, 1.0))
+            px = (pr[0], pr[1]) if pr else (0.0, 0.0)
+            out.append(Detection(obj.label, obj.id, bbox, px, cam.depth_of(center), 1.0))
             continue
-        if not scene.vision_on or not cam.in_view(obj.box.center):
+        if not scene.vision_on or not cam.in_view(center):
             continue
         true_bbox = cam.project_box(obj.box)
-        pr = cam.project(obj.box.center)
+        pr = cam.project(center)
         if true_bbox is None or pr is None:
             continue
 
         tp = model.tp_for(obj.label)
-        others = [l for l in labels if l != obj.label]
-        votes: list[str] = []
-        jitters: list[tuple[float, float]] = []
-        for _ in range(n):
-            r = rng.random()
-            if r >= tp:
-                votes.append("")  # miss
-            elif others and rng.random() < model.confusion:
-                votes.append(others[int(rng.integers(len(others)))])
-            else:
-                votes.append(obj.label)
-            if model.px_jitter > 0.0:
-                jitters.append((rng.normal(0.0, model.px_jitter), rng.normal(0.0, model.px_jitter)))
-            else:
-                jitters.append((0.0, 0.0))
+        hit = [r < tp for r in rng.random(n).tolist()]
+        swap = [False] * n
+        if len(labels) > 1:
+            swap = [h and r < model.confusion for h, r in zip(hit, rng.random(n).tolist())]
+        votes = [obj.label if h else "" for h in hit]  # "" is a miss
+        n_swapped = sum(swap)
+        if n_swapped:
+            others = [l for l in labels if l != obj.label]
+            picks = iter(rng.integers(len(others), size=n_swapped).tolist())
+            votes = [others[next(picks)] if s else v for v, s in zip(votes, swap)]
+        if model.px_jitter > 0.0:
+            jitters = rng.normal(0.0, model.px_jitter, size=(n, 2)).tolist()
+        else:
+            jitters = [(0.0, 0.0)] * n
 
         counts = Counter(votes)
         ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
@@ -210,7 +226,7 @@ def detect_batch(
         keep = [j for v, j in zip(votes, jitters) if v == winner]
         du = sum(j[0] for j in keep) / len(keep)
         dv = sum(j[1] for j in keep) / len(keep)
-        depth = cam.depth_of(obj.box.center)
+        depth = pr[2]  # the centroid's forward depth, as depth_of gives it
         if model.depth_sigma > 0.0:
             depth += rng.normal(0.0, model.depth_sigma)
         out.append(
@@ -282,7 +298,7 @@ def perceive(
     thresholds: Optional[Thresholds] = None,
 ) -> Percept:
     """One detection pass plus geometry reconstruction under `mode`."""
-    th = thresholds or Thresholds()
+    th = thresholds or DEFAULT_THRESHOLDS
     dets = detect_batch(scene, cam, model, n, rng)
     by_label: dict[str, Detection] = {}
     for d in dets:
@@ -320,7 +336,7 @@ def ground_relation(
     thresholds: Optional[Thresholds] = None,
     rules: Optional[Mapping[str, RelationRule]] = None,
 ) -> bool:
-    th = thresholds or Thresholds()
+    th = thresholds or DEFAULT_THRESHOLDS
     table = rules or DEFAULT_RULES
     rule = table.get(pred)
     if rule is None:
@@ -507,7 +523,7 @@ def query_vision(
     `timed_out` set and no boxes. Otherwise every atom is grounded in the
     final frame and `ok` says whether all hold. An empty conjunction is
     vacuously true."""
-    th = thresholds or Thresholds()
+    th = thresholds or DEFAULT_THRESHOLDS
     if rng is None:
         rng = model.rng()
     terms = sorted({arg for atom in s.atoms for arg in atom.args})

@@ -1,3 +1,4 @@
+import os
 import random
 
 import pytest
@@ -24,8 +25,9 @@ from taskmon.language import (
     herbrand_universe,
     parse_atom,
 )
-from taskmon.pddl import parse_domain
-from conftest import make_tiny_vocab
+from taskmon.geometry import load_scene
+from taskmon.pddl import load_library, parse_domain
+from conftest import DATA, make_tiny_vocab
 
 
 def random_vocab(rng: random.Random) -> Vocabulary:
@@ -322,3 +324,23 @@ max_atoms: 9
     assert v.max_atoms == 9
     assert v.atom_type_ok(Atom("Hold", ("claw", "mug")))
     assert not v.atom_type_ok(Atom("Hold", ("mug", "claw")))
+
+
+def test_libyaml_and_python_loaders_agree_on_packaged_files(monkeypatch):
+    import yaml
+
+    if not getattr(yaml, "__with_libyaml__", False):
+        pytest.skip("PyYAML built without libyaml")
+    assert lang.YAML_LOADER is yaml.CSafeLoader
+
+    def load_all():
+        vocab = Vocabulary.from_yaml(os.path.join(DATA, "vocabulary.yaml"))
+        lib = load_library(os.path.join(DATA, "library.yaml"), vocab)
+        scene_dir = os.path.join(DATA, "scenes")
+        scenes = [load_scene(os.path.join(scene_dir, f)) for f in sorted(os.listdir(scene_dir))]
+        return vars(vocab), lib.entries, lib.chains, scenes
+
+    with_c = load_all()
+    assert [len(x) for x in with_c[1:]] == [26, 13, 6]
+    monkeypatch.setattr(lang, "YAML_LOADER", yaml.SafeLoader)
+    assert load_all() == with_c

@@ -4,7 +4,7 @@ search-then-verify vision query."""
 
 import math
 import random
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from itertools import permutations
 from math import comb
 
@@ -17,6 +17,7 @@ from taskmon.geometry import Box, Camera, Scene, SceneObject, load_scene, ray_bo
 from taskmon.language import State, parse_atom
 from taskmon.perception import (
     DEFAULT_RULES,
+    DEFAULT_THRESHOLDS,
     DetectorModel,
     Detection,
     Mode,
@@ -53,6 +54,24 @@ def test_box_accessors():
     assert not b.contains((2.0001, 1.0, 0.5))
     d = b.dilated(0.5)
     assert d.lo == (-0.5, -0.5, -0.5) and d.hi == (2.5, 4.5, 1.5)
+
+
+def _fresh_center_size(box):
+    return (
+        tuple((l + h) / 2.0 for l, h in zip(box.lo, box.hi)),
+        tuple(h - l for l, h in zip(box.lo, box.hi)),
+    )
+
+
+def test_box_geometry_follows_replace():
+    b = Box((0.1, -0.3, 0.0), (0.7, 0.2, 0.9))
+    assert (b.center, b.size) == _fresh_center_size(b)  # fills the cache
+    moved = replace(b, lo=(-1.3, 0.05, 0.2))
+    assert (moved.center, moved.size) == _fresh_center_size(moved)
+    grown = replace(moved, hi=(2.0, 2.5, 3.25))
+    assert (grown.center, grown.size) == _fresh_center_size(grown)
+    # the source box keeps its own geometry
+    assert (b.center, b.size) == _fresh_center_size(Box(b.lo, b.hi))
 
 
 def test_footprint_overlap_and_intersection():
@@ -146,6 +165,31 @@ def test_project_box_requires_all_corners_in_front():
     assert cam.project_box(Box((1, -0.2, -0.2), (2, 0.2, 0.2))) is not None
     # straddles the image plane
     assert cam.project_box(Box((-0.5, -0.2, -0.2), (0.5, 0.2, 0.2))) is None
+
+
+def test_project_box_is_exactly_project_over_the_corners():
+    rng = random.Random(20)
+    in_front = straddling = 0
+    for _ in range(400):
+        cam = Camera(
+            position=tuple(rng.uniform(-2.0, 2.0) for _ in range(3)),
+            yaw=rng.uniform(-math.pi, math.pi),
+            pitch=rng.uniform(-1.2, 1.2),
+        )
+        lo = tuple(rng.uniform(-3.0, 3.0) for _ in range(3))
+        box = Box(lo, tuple(l + rng.uniform(0.01, 2.5) for l in lo))
+        (x0, y0, z0), (x1, y1, z1) = box.lo, box.hi
+        corners = [(x, y, z) for x in (x0, x1) for y in (y0, y1) for z in (z0, z1)]
+        projected = [cam.project(c) for c in corners]
+        if all(pr is not None for pr in projected):
+            us, vs = [pr[0] for pr in projected], [pr[1] for pr in projected]
+            expected = (min(us), min(vs), max(us), max(vs))
+            in_front += 1
+        else:
+            expected = None
+            straddling += any(pr is not None for pr in projected)
+        assert cam.project_box(box) == expected
+    assert in_front >= 50 and straddling >= 50
 
 
 def test_aimed_at_centers_target():
@@ -360,6 +404,19 @@ def test_detection_determinism_per_seed():
     assert a == b
     c = detect_batch(scene, scene.camera, DetectorModel(tp_rate=0.8, confusion=0.2, seed=43), n=10)
     assert c != a or [d.label for d in c] != [d.label for d in a]
+
+
+@pytest.mark.parametrize("yaw,m", [(0.0, 3), (1.0, 0), (math.pi, 1)])
+def test_noise_free_detection_takes_two_doubles_per_frame_per_visible_object(yaw, m):
+    scene = desk_scene()
+    cam = replace(scene.camera, yaw=yaw)
+    assert sum(1 for o in scene.objects if not o.proprio and cam.in_view(o.box.center)) == m
+    model = DetectorModel()
+    rng, twin = model.rng(), model.rng()
+    n = 7
+    detect_batch(scene, cam, model, n=n, rng=rng)
+    twin.random(2 * n * m)
+    assert rng.bit_generator.state == twin.bit_generator.state
 
 
 def test_jitter_shifts_bbox_and_center_together():
@@ -734,3 +791,22 @@ def test_caller_rule_table_replaces_the_shared_one():
         ground_relation("On", ("brush", "table"), p, rules=table)
     with pytest.raises(TypeError):
         DEFAULT_RULES["Atop"] = table["Atop"]  # the shared table is read-only
+
+
+def test_caller_thresholds_replace_the_shared_default():
+    assert DEFAULT_THRESHOLDS == Thresholds()
+    scene = desk_scene()
+    strict = replace(DEFAULT_THRESHOLDS, close_dist=0.1, nominal_extent=0.02)
+    p = perceive(scene, scene.camera, DetectorModel(), n=1)
+    # brush and cup centres are about 0.31 m apart
+    assert ground_relation("CloseTo", ("brush", "cup"), p)
+    assert not ground_relation("CloseTo", ("brush", "cup"), p, strict)
+    q = State.of([parse_atom("CloseTo(brush,cup)")])
+    assert query_vision(q, scene, scene.camera, DetectorModel()).ok
+    assert not query_vision(q, scene, scene.camera, DetectorModel(), thresholds=strict).ok
+    nominal = perceive(scene, scene.camera, DetectorModel(), n=1, mode=Mode.NO_SHAPE)
+    assert nominal.boxes3d["cup"].size == pytest.approx((0.06,) * 3)
+    own = perceive(scene, scene.camera, DetectorModel(), n=1, mode=Mode.NO_SHAPE, thresholds=strict)
+    assert own.boxes3d["cup"].size == pytest.approx((0.02,) * 3)
+    with pytest.raises(FrozenInstanceError):
+        DEFAULT_THRESHOLDS.close_dist = 0.1  # the shared default is read-only
