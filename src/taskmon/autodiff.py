@@ -4,7 +4,9 @@ A Tensor records its parents and a backward closure; backward() replays the
 tape in reverse topological order. Everything is float64. The op set is
 exactly what the goal predictor needs: a few dense primitives plus fused
 steps (gated recurrent cell, masked softmax, cross-entropy) that keep the
-tape short, since graph length dominates runtime in pure Python.
+tape short, since graph length dominates runtime in pure Python. The
+forwards of the fused steps are plain-array kernels that inference calls
+directly, without building Tensors.
 """
 
 from __future__ import annotations
@@ -275,13 +277,7 @@ def weighted_ctx(p: Tensor, S: Tensor) -> Tensor:
 def masked_softmax(scores: Tensor, mask: np.ndarray) -> Tensor:
     """Softmax over axis 1 restricted to mask==1 entries; masked entries get
     probability exactly 0. Every row must have at least one valid entry."""
-    m = np.asarray(mask, dtype=bool)
-    if not m.any(axis=1).all():
-        raise ValueError("softmax over a fully masked row")
-    z = np.where(m, scores.data, -np.inf)
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    p = e / e.sum(axis=1, keepdims=True)
+    p = masked_softmax_np(scores.data, mask)
 
     def back(g):
         inner = (g * p).sum(axis=1, keepdims=True)
@@ -301,15 +297,7 @@ def lstm_step(x: Tensor, hc: Tensor, Wx: Tensor, Wh: Tensor, b: Tensor, mask: np
     h, c = hc.data[:, :H], hc.data[:, H:]
     m = np.asarray(mask, dtype=np.float64).reshape(B, 1)
 
-    z = x.data @ Wx.data + h @ Wh.data + b.data
-    zi, zf, zg, zo = z[:, :H], z[:, H : 2 * H], z[:, 2 * H : 3 * H], z[:, 3 * H :]
-    i = 1.0 / (1.0 + np.exp(-zi))
-    f = 1.0 / (1.0 + np.exp(-zf))
-    g_ = np.tanh(zg)
-    o = 1.0 / (1.0 + np.exp(-zo))
-    c_new = f * c + i * g_
-    tc = np.tanh(c_new)
-    h_new = o * tc
+    h_new, c_new, (i, f, g_, o, tc) = lstm_cell_np(x.data @ Wx.data + h @ Wh.data + b.data, c)
     out_data = np.concatenate([m * h_new + (1.0 - m) * h, m * c_new + (1.0 - m) * c], axis=1)
 
     def back(grad):
@@ -355,6 +343,36 @@ def ce_sum(logits: Tensor, targets: np.ndarray, mask: np.ndarray) -> tuple[Tenso
         _acc(logits, float(g) * p)
 
     return _node(out_data, (logits,), back), n
+
+
+# --- array kernels -------------------------------------------------------------------
+# The forward formulas on plain arrays: the fused ops above call them, and so
+# does inference, which builds no tape.
+
+
+def masked_softmax_np(scores: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Forward of `masked_softmax` on plain arrays."""
+    m = np.asarray(mask, dtype=bool)
+    if not m.any(axis=1).all():
+        raise ValueError("softmax over a fully masked row")
+    z = np.where(m, scores, -np.inf)
+    z = z - z.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def lstm_cell_np(z: np.ndarray, c: np.ndarray):
+    """Forward of the gated cell on plain arrays, from the pre-activations z
+    (B, 4H), gate order i,f,g,o, and the cell state c (B, H). Returns
+    (h_new, c_new, (i, f, g, o, tanh(c_new))); the gate values are what
+    `lstm_step`'s backward reads."""
+    H = c.shape[1]
+    s = 1.0 / (1.0 + np.exp(-z))  # elementwise, so the g columns go unused
+    i, f, o = s[:, :H], s[:, H : 2 * H], s[:, 3 * H :]
+    g = np.tanh(z[:, 2 * H : 3 * H])
+    c_new = f * c + i * g
+    tc = np.tanh(c_new)
+    return o * tc, c_new, (i, f, g, o, tc)
 
 
 def log_softmax_np(logits: np.ndarray) -> np.ndarray:

@@ -5,9 +5,11 @@ unidirectional layer folds the encoder outputs into a size-10 summary that
 initializes the decoder. At every decoder step an additive two-layer network
 scores each input atom segment, scores pass through a softmax, and the
 context is the weight-averaged segment vector. A no-attention ablation
-replaces the context with the mean of the encoder states. All gradients run
-through the reverse-mode tape in autodiff; inference runs the same ops under
-no_grad.
+replaces the context with the mean of the encoder states. Training and the
+gradient check build the reverse-mode tape in autodiff. Inference builds no
+tape: it runs the same arithmetic on plain arrays, through the gated-cell and
+masked-softmax kernels the taped steps share, and its results are bit-equal
+to the taped forward.
 """
 
 from __future__ import annotations
@@ -114,18 +116,19 @@ class GoalNetParams:
     def dec_hidden(self) -> int:
         return self.dec_Wh.data.shape[0]
 
+    GROUPS = (
+        "emb",
+        "ef_Wx", "ef_Wh", "ef_b",
+        "eb_Wx", "eb_Wh", "eb_b",
+        "sum_Wx", "sum_Wh", "sum_b",
+        "h0_W", "h0_b", "c0_W", "c0_b",
+        "att_W1", "att_W2", "att_W",
+        "dec_Wx", "dec_Wh", "dec_b",
+        "out_W", "out_b",
+    )
+
     def groups(self) -> dict[str, ad.Tensor]:
-        names = (
-            "emb",
-            "ef_Wx", "ef_Wh", "ef_b",
-            "eb_Wx", "eb_Wh", "eb_b",
-            "sum_Wx", "sum_Wh", "sum_b",
-            "h0_W", "h0_b", "c0_W", "c0_b",
-            "att_W1", "att_W2", "att_W",
-            "dec_Wx", "dec_Wh", "dec_b",
-            "out_W", "out_b",
-        )
-        return {n: getattr(self, n) for n in names}
+        return {n: getattr(self, n) for n in self.GROUPS}
 
     def validate(self):
         for name, t in self.groups().items():
@@ -390,17 +393,79 @@ class GoalProposal:
     tokens: TokenSeq
 
 
+def _lstm_run_np(X: np.ndarray, Wx: ad.Tensor, Wh: ad.Tensor, b: ad.Tensor, reverse: bool = False):
+    """One gated layer over the rows of X (T, D) from a zero state; returns the
+    hidden states (T, H) in input order. The input projection is one stacked
+    matmul of (1, D) rows, which gives the bits of the taped per-step
+    `(1, D) @ Wx`; a flat (T, D) gemm rounds differently on OpenBLAS."""
+    T, H = X.shape[0], Wh.data.shape[0]
+    XW = X[:, None, :] @ Wx.data  # (T, 1, 4H)
+    h, c = np.zeros((1, H)), np.zeros((1, H))
+    out = np.empty((T, H))
+    for t in reversed(range(T)) if reverse else range(T):
+        h, c, _ = ad.lstm_cell_np(XW[t] + h @ Wh.data + b.data, c)
+        out[t] = h[0]
+    return out
+
+
+def _encode_np(params: GoalNetParams, ids: tuple[int, ...], rows: int) -> dict:
+    """`_encode_graph` and `_dec_init` for one input, untaped. Every position
+    of a single input is valid, so the mask blend drops out. The per-input
+    tensors come repeated to `rows` rows, so a decoder step over B <= rows
+    beams slices them instead of tiling them again."""
+    eb = _make_enc_batch([ids], params)
+    T, K = len(ids), eb.M.shape[1]
+    X = params.emb.data[eb.ids[0]]  # (T, De)
+    fwd = _lstm_run_np(X, params.ef_Wx, params.ef_Wh, params.ef_b)
+    bwd = _lstm_run_np(X, params.eb_Wx, params.eb_Wh, params.eb_b, reverse=True)
+    E3 = np.concatenate([fwd, bwd], axis=1)[None]  # (1, T, 2H)
+    summary = _lstm_run_np(E3[0], params.sum_Wx, params.sum_Wh, params.sum_b)[-1:]
+    S = np.einsum("bkt,btd->bkd", eb.M, E3)  # (1, K, 2H)
+    ctx_mean = np.einsum("bt,btd->bd", np.full((1, T), 1.0 / T), E3)
+    h0 = np.tanh(summary @ params.h0_W.data + params.h0_b.data)
+    c0 = np.tanh(summary @ params.c0_W.data + params.c0_b.data)
+    U = S[0] @ params.att_W1.data if params.use_attention else None
+    return {
+        "K": K,
+        "S": np.repeat(S, rows, axis=0),
+        "U": None if U is None else np.tile(U, (rows, 1)),
+        "task_seg": np.repeat(S[:, 0, :], rows, axis=0),
+        "seg_mask": np.repeat(eb.seg_mask, rows, axis=0),
+        "ctx_mean": np.repeat(ctx_mean, rows, axis=0),
+        "hc0": np.concatenate([h0, c0], axis=1),
+    }
+
+
+def _dec_step_np(
+    params: GoalNetParams, env: dict, prev_emb: np.ndarray, prev_seg: np.ndarray, hc: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """`_dec_step` for B = len(hc) rows, untaped, over an `_encode_np` env of
+    at least B rows; returns (logits, new [h|c])."""
+    B, Hd = hc.shape[0], params.dec_hidden
+    h_prev = hc[:, :Hd]
+    if params.use_attention:
+        K = env["K"]
+        tau_y = np.concatenate([prev_seg, env["task_seg"][:B], h_prev], axis=1)
+        V = tau_y @ params.att_W2.data
+        pre = np.tanh(env["U"][: B * K] + np.repeat(V, K, axis=0))
+        p = ad.masked_softmax_np((pre @ params.att_W.data).reshape(B, K), env["seg_mask"][:B])
+        ctx = np.einsum("bk,bkd->bd", p, env["S"][:B])
+    else:
+        ctx = env["ctx_mean"][:B]
+    x = np.concatenate([prev_emb, ctx], axis=1)
+    z = x @ params.dec_Wx.data + h_prev @ params.dec_Wh.data + params.dec_b.data
+    h, c, _ = ad.lstm_cell_np(z, hc[:, Hd:])
+    logits = np.concatenate([h, ctx], axis=1) @ params.out_W.data + params.out_b.data
+    return logits, np.concatenate([h, c], axis=1)
+
+
 @dataclass
 class _Beam:
     tokens: list[int] = field(default_factory=list)
     logps: list[float] = field(default_factory=list)
-    hc: np.ndarray = None
+    total: float = 0.0  # running sum of logps, added left to right
     prev_seg: np.ndarray = None
     group: list[int] = field(default_factory=list)
-
-    @property
-    def total(self) -> float:
-        return float(sum(self.logps))
 
 
 def beam_decode(
@@ -415,67 +480,63 @@ def beam_decode(
     if width < 1:
         raise ValueError("beam width must be >= 1")
     eos, ets, eoa = params.seps
-    De = params.emb_dim
-    with ad.no_grad():
-        env = _encode_graph(params, _make_enc_batch([ids], params))
-        hc0 = _dec_init(params, env["summary"]).data
-        live = [_Beam(hc=hc0[0].copy(), prev_seg=np.zeros(De))]
-        done: list[DecodeResult] = []
-        for _ in range(max_len):
-            if not live:
-                break
-            B = len(live)
-            benv = {
-                "B": B,
-                "K": env["K"],
-                "S": ad.const(np.repeat(env["S"].data, B, axis=0)),
-                "U": ad.const(np.tile(env["U"].data, (B, 1))) if params.use_attention else None,
-                "task_seg": ad.const(np.repeat(env["task_seg"].data, B, axis=0)),
-                "seg_mask": np.repeat(env["seg_mask"], B, axis=0),
-                "ctx_mean": ad.const(np.repeat(env["ctx_mean"].data, B, axis=0)),
-            }
-            prev_ids = [b.tokens[-1] if b.tokens else ets for b in live]
-            prev_emb = ad.const(params.emb.data[prev_ids])
-            prev_seg = ad.const(np.stack([b.prev_seg for b in live]))
-            hc = ad.const(np.stack([b.hc for b in live]))
-            logits, hc_new, _ = _dec_step(params, benv, prev_emb, prev_seg, hc, np.ones((B, 1)))
-            logp = ad.log_softmax_np(logits.data)  # (B, V)
+    env = _encode_np(params, ids, rows=width)
+    emb = params.emb.data
+    live = [_Beam(prev_seg=np.zeros(params.emb_dim))]
+    hc = env["hc0"]  # row i is live[i]'s [h|c]
+    done: list[DecodeResult] = []
+    V = params.vocab_size
+    for _ in range(max_len):
+        if not live:
+            break
+        prev_emb = emb[[b.tokens[-1] if b.tokens else ets for b in live]]
+        prev_seg = np.array([b.prev_seg for b in live])
+        logits, hc_new = _dec_step_np(params, env, prev_emb, prev_seg, hc)
+        logp = ad.log_softmax_np(logits)  # (B, V)
 
-            candidates = []
-            for i, b in enumerate(live):
-                order = np.argsort(-logp[i], kind="stable")[: width + 1]
-                for tok in order:
-                    candidates.append((b.total + logp[i, int(tok)], i, int(tok)))
-            candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
+        # each beam's best width + 1 tokens (ties to the lower id), then all
+        # of them ranked by (-score, beam, token); beam * V + token orders
+        # the last two in one key
+        top = np.argsort(-logp, axis=1, kind="stable")[:, : width + 1]
+        beam = np.arange(len(live))[:, None]
+        step = logp[beam, top]
+        score = np.array([b.total for b in live])[:, None] + step
+        key = (beam * V + top).ravel()
+        picked = np.lexsort((key, -score.ravel()))[:width]
 
-            # top `width` extensions overall; EOS extensions retire to done
-            next_live: list[_Beam] = []
-            for total, i, tok in candidates[:width]:
-                src = live[i]
-                nb = _Beam(
-                    tokens=src.tokens + [tok],
-                    logps=src.logps + [float(logp[i, tok])],
-                    hc=hc_new.data[i].copy(),
-                    prev_seg=src.prev_seg.copy(),
-                    group=list(src.group),
+        # top `width` extensions overall; EOS extensions retire to done
+        next_live: list[_Beam] = []
+        rows: list[int] = []
+        for bt, lp, total in zip(
+            key[picked].tolist(), step.ravel()[picked].tolist(), score.ravel()[picked].tolist()
+        ):
+            i, tok = divmod(bt, V)
+            src = live[i]
+            nb = _Beam(
+                tokens=src.tokens + [tok],
+                logps=src.logps + [lp],
+                total=total,
+                prev_seg=src.prev_seg,
+                group=list(src.group),
+            )
+            if tok == eos:
+                done.append(
+                    DecodeResult(TokenSeq(tuple(nb.tokens)), tuple(nb.logps), truncated=False)
                 )
-                if tok == eos:
-                    done.append(
-                        DecodeResult(TokenSeq(tuple(nb.tokens)), tuple(nb.logps), truncated=False)
-                    )
-                    continue
-                if tok == eoa:
-                    if nb.group:
-                        nb.prev_seg = params.emb.data[nb.group].mean(axis=0)
-                        nb.group = []
-                elif tok != ets:
-                    nb.group.append(tok)
-                next_live.append(nb)
-            live = next_live
-            if len(done) >= width:
-                break
-        for b in live:
-            done.append(DecodeResult(TokenSeq(tuple(b.tokens)), tuple(b.logps), truncated=True))
+                continue
+            if tok == eoa:
+                if nb.group:
+                    nb.prev_seg = emb[nb.group].mean(axis=0)
+                    nb.group = []
+            elif tok != ets:
+                nb.group.append(tok)
+            next_live.append(nb)
+            rows.append(i)
+        live, hc = next_live, hc_new[rows]
+        if len(done) >= width:
+            break
+    for b in live:
+        done.append(DecodeResult(TokenSeq(tuple(b.tokens)), tuple(b.logps), truncated=True))
     done.sort(key=lambda r: (-r.log_prob, r.tokens.ids))
     return done[:width]
 
@@ -493,6 +554,8 @@ def infer_topk_ids(
     max_len: int = 24,
 ) -> list[GoalProposal]:
     """Top-k distinct well-formed goal states for an already-encoded input."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
     width = max(2 * k, 6)
     results = beam_decode(tuple(input_ids), params, width, max_len)
     proposals: list[GoalProposal] = []
@@ -677,13 +740,24 @@ def save_params(params: GoalNetParams, path: str) -> None:
 
 
 def load_params(path: str, vocab: Vocabulary) -> GoalNetParams:
-    """Refuses checkpoints written against a different vocabulary."""
+    """Refuses checkpoints written against a different vocabulary, ones whose
+    meta.json lacks a field, and ones whose stored parameter groups are not
+    exactly GoalNetParams.GROUPS."""
     with zipfile.ZipFile(path) as z:
         meta = json.loads(z.read("meta.json"))
         if meta.get("version") != CHECKPOINT_VERSION:
             raise CheckpointMismatch(f"checkpoint version {meta.get('version')}")
+        lacking = sorted({"vocab_hash", "seps", "use_attention", "groups"} - set(meta))
+        if lacking:
+            raise CheckpointMismatch(f"meta.json lacks {lacking}")
         if meta["vocab_hash"] != vocab.hash():
             raise CheckpointMismatch("checkpoint was written against a different vocabulary")
+        stored = {n[: -len(".npy")] for n in z.namelist() if n.endswith(".npy")}
+        for what, names in (("meta.json", set(meta["groups"])), ("the archive", stored)):
+            if names != set(GoalNetParams.GROUPS):
+                missing = sorted(set(GoalNetParams.GROUPS) - names)
+                extra = sorted(names - set(GoalNetParams.GROUPS))
+                raise CheckpointMismatch(f"groups in {what}: missing {missing}, unexpected {extra}")
         arrays = {}
         for name, shape in meta["groups"].items():
             arr = np.lib.format.read_array(io.BytesIO(z.read(f"{name}.npy")), allow_pickle=False)

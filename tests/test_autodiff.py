@@ -164,6 +164,26 @@ def test_lstm_step_mask_freezes_state():
     np.testing.assert_array_equal(out.data[1], hc.data[1])
 
 
+def test_lstm_cell_kernel_is_bit_equal_to_per_gate_formula():
+    """The kernel takes one sigmoid over all pre-activations and slices the
+    gates from it; that must give the bits of a sigmoid per gate slice, for
+    contiguous single rows and strided multi-row slices alike."""
+    rng = np.random.default_rng(3)
+    for B in range(1, 7):
+        for H in (10, 16, 32):
+            z = rng.normal(0, 3, size=(B, 4 * H))
+            c = rng.normal(size=(B, H))
+            i = 1.0 / (1.0 + np.exp(-z[:, :H]))
+            f = 1.0 / (1.0 + np.exp(-z[:, H : 2 * H]))
+            g = np.tanh(z[:, 2 * H : 3 * H])
+            o = 1.0 / (1.0 + np.exp(-z[:, 3 * H :]))
+            c_new = f * c + i * g
+            h_new, got_c, gates = ad.lstm_cell_np(z, c)
+            assert np.array_equal(got_c, c_new) and np.array_equal(h_new, o * np.tanh(c_new))
+            for got, want in zip(gates, (i, f, g, o, np.tanh(c_new))):
+                assert np.array_equal(got, want), (B, H)
+
+
 def test_ce_sum_value_and_grad():
     logits = leaf(4, 6)
     targets = np.array([2, 0, 5, 1])

@@ -1,6 +1,9 @@
 """Next-goal predictor: goal grammar, embedding/segments, attention closed
 forms, decoding, training, gradient checks, checkpoints, and dataset growth."""
 
+import json
+import zipfile
+
 import numpy as np
 import pytest
 
@@ -26,6 +29,7 @@ from taskmon.language import (
     encode_goal,
     encode_state,
     filter_by_types,
+    herbrand_universe,
 )
 from taskmon.pddl import PlanEntry, PlanLibrary, TaskChain, parse_domain, parse_problem
 from taskmon.predictor import (
@@ -35,12 +39,19 @@ from taskmon.predictor import (
     IndexOutOfVocab,
     NonFiniteLoss,
     NoValidProposal,
+    DecodeResult,
     TrainingPair,
+    _dec_init,
     _dec_step,
+    _dec_step_np,
+    _encode_graph,
+    _encode_np,
+    _make_enc_batch,
     beam_decode,
     decode,
     grad_check,
     infer_topk,
+    infer_topk_ids,
     load_params,
     save_params,
     segment_spans,
@@ -272,6 +283,157 @@ def test_infer_topk_no_valid_proposal(tiny_vocab, fetch_pair):
         infer_topk(fetch_pair.task, fetch_pair.state, params, tiny_vocab, k=3)
 
 
+def test_infer_topk_rejects_k_below_one(tiny_vocab, fetch_pair):
+    params = GoalNetParams.init(tiny_vocab, seed=5)
+    for k in (0, -1):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            infer_topk_ids(fetch_pair.input_ids, params, tiny_vocab, k=k)
+
+
+def test_decode_without_attention(tiny_vocab, fetch_pair):
+    params, history = train([fetch_pair], tiny_vocab, seed=3, use_attention=False)
+    assert history[-1] < 1e-2
+    assert decode(fetch_pair.input_ids, params).tokens.ids == fetch_pair.target_ids
+    results = beam_decode(fetch_pair.input_ids, params, width=4, max_len=10)
+    assert results == _taped_beam_decode(fetch_pair.input_ids, params, width=4, max_len=10)
+    proposals = infer_topk(fetch_pair.task, fetch_pair.state, params, tiny_vocab, k=3)
+    assert proposals[0].goal == fetch_pair.target
+    assert [p.rank for p in proposals] == list(range(1, len(proposals) + 1))
+
+
+# --- untaped inference versus the taped forward ----------------------------------------
+
+
+def _random_input(vocab, n_atoms: int, rng) -> tuple[int, ...]:
+    atoms = sorted(herbrand_universe(vocab), key=lambda a: a.key())
+    picks = rng.choice(len(atoms), size=n_atoms, replace=False)
+    task = list(vocab.tasks.values())[int(rng.integers(len(vocab.tasks)))]
+    return encode_state(task, State(frozenset(atoms[i] for i in picks)), vocab).ids
+
+
+def _taped_env(params, ids, rows: int) -> tuple[dict, np.ndarray]:
+    """The taped encoder's env repeated to `rows` beams, and the decoder's
+    initial [h|c]."""
+    with ad.no_grad():
+        env = _encode_graph(params, _make_enc_batch([ids], params))
+        hc0 = _dec_init(params, env["summary"]).data
+    benv = {
+        "B": rows,
+        "K": env["K"],
+        "S": ad.const(np.repeat(env["S"].data, rows, axis=0)),
+        "U": ad.const(np.tile(env["U"].data, (rows, 1))) if params.use_attention else None,
+        "task_seg": ad.const(np.repeat(env["task_seg"].data, rows, axis=0)),
+        "seg_mask": np.repeat(env["seg_mask"], rows, axis=0),
+        "ctx_mean": ad.const(np.repeat(env["ctx_mean"].data, rows, axis=0)),
+    }
+    return benv, hc0
+
+
+def _taped_beam_decode(ids, params, width: int, max_len: int) -> list[DecodeResult]:
+    """Beam search over the taped forward, candidates ranked by a plain sort
+    on (-score, beam, token): the reference `beam_decode` must reproduce."""
+    eos, ets, eoa = params.seps
+    emb = params.emb.data
+    live = [((), (), np.zeros(params.emb_dim), (), None)]  # tokens, logps, prev_seg, group, hc row
+    done = []
+    for _ in range(max_len):
+        if not live:
+            break
+        B = len(live)
+        env, hc0 = _taped_env(params, ids, B)
+        hc = np.stack([hc0[0] if b[4] is None else b[4] for b in live])
+        prev_emb = emb[[b[0][-1] if b[0] else ets for b in live]]
+        prev_seg = np.stack([b[2] for b in live])
+        with ad.no_grad():
+            logits, hc_new, _ = _dec_step(
+                params, env, ad.const(prev_emb), ad.const(prev_seg), ad.const(hc), np.ones((B, 1))
+            )
+        logp = ad.log_softmax_np(logits.data)
+        cands = []
+        for i, b in enumerate(live):
+            for tok in np.argsort(-logp[i], kind="stable")[: width + 1]:
+                cands.append((sum(b[1]) + logp[i, tok], i, int(tok)))
+        cands.sort(key=lambda c: (-c[0], c[1], c[2]))
+        next_live = []
+        for _, i, tok in cands[:width]:
+            tokens, logps, seg, group, _ = live[i]
+            tokens, logps = tokens + (tok,), logps + (float(logp[i, tok]),)
+            if tok == eos:
+                done.append(DecodeResult(TokenSeq(tokens), logps, truncated=False))
+                continue
+            if tok == eoa and group:
+                seg, group = emb[list(group)].mean(axis=0), ()
+            elif tok not in (eoa, ets):
+                group = group + (tok,)
+            next_live.append((tokens, logps, seg, group, hc_new.data[i]))
+        live = next_live
+        if len(done) >= width:
+            break
+    done += [DecodeResult(TokenSeq(b[0]), b[1], truncated=True) for b in live]
+    done.sort(key=lambda r: (-r.log_prob, r.tokens.ids))
+    return done[:width]
+
+
+@pytest.mark.parametrize("use_attention", [True, False])
+def test_untaped_encoder_is_bit_equal_to_taped(tiny_vocab, use_attention):
+    for seed in (0, 1, 2):
+        params = GoalNetParams.init(tiny_vocab, seed=seed, use_attention=use_attention)
+        rng = np.random.default_rng(seed)
+        for n_atoms in range(1, tiny_vocab.max_atoms + 1):
+            ids = _random_input(tiny_vocab, n_atoms, rng)
+            taped, hc0 = _taped_env(params, ids, 1)
+            env = _encode_np(params, ids, rows=1)
+            assert np.array_equal(env["hc0"], hc0)
+            assert env["K"] == taped["K"] == n_atoms + 1
+            assert np.array_equal(env["seg_mask"], taped["seg_mask"])
+            for key in ("S", "task_seg", "ctx_mean") + (("U",) if use_attention else ()):
+                assert np.array_equal(env[key], taped[key].data), (seed, n_atoms, key)
+
+
+@pytest.mark.parametrize("use_attention", [True, False])
+def test_untaped_decoder_step_is_bit_equal_to_taped(tiny_vocab, use_attention):
+    width = 6
+    for seed in (0, 1, 2):
+        params = GoalNetParams.init(tiny_vocab, seed=seed, use_attention=use_attention)
+        rng = np.random.default_rng(100 + seed)
+        for n_atoms in (1, 5, tiny_vocab.max_atoms):
+            ids = _random_input(tiny_vocab, n_atoms, rng)
+            env = _encode_np(params, ids, rows=width)
+            for B in range(1, width + 1):
+                taped, _ = _taped_env(params, ids, B)
+                prev_emb = params.emb.data[rng.integers(tiny_vocab.size, size=B)]
+                prev_seg = rng.normal(size=(B, params.emb_dim))
+                hc = rng.normal(size=(B, 2 * params.dec_hidden))
+                with ad.no_grad():
+                    logits, hc_new, _ = _dec_step(
+                        params, taped, ad.const(prev_emb), ad.const(prev_seg), ad.const(hc),
+                        np.ones((B, 1)),
+                    )
+                got_logits, got_hc = _dec_step_np(params, env, prev_emb, prev_seg, hc)
+                assert np.array_equal(got_logits, logits.data), (seed, n_atoms, B)
+                assert np.array_equal(got_hc, hc_new.data), (seed, n_atoms, B)
+
+
+@pytest.mark.parametrize("use_attention", [True, False])
+def test_beam_decode_equals_taped_reference(tiny_vocab, fetch_pair, overfit, use_attention):
+    nets = [GoalNetParams.init(tiny_vocab, seed=s, use_attention=use_attention) for s in range(4, 8)]
+    rng = np.random.default_rng(7)
+    # the last two read nothing but the output bias, so scores tie exactly:
+    # across all tokens, and across tokens and beams in three bias levels
+    biases = (np.zeros(tiny_vocab.size), rng.integers(0, 3, tiny_vocab.size))
+    for tied, bias in zip(nets[2:], biases):
+        tied.out_W.data[:] = 0.0
+        tied.out_b.data[:] = bias
+    if use_attention:
+        nets.append(overfit[0])
+    inputs = [fetch_pair.input_ids] + [_random_input(tiny_vocab, n, rng) for n in (1, 9)]
+    for params in nets:
+        for ids in inputs:
+            for width in range(1, 7):
+                got = beam_decode(ids, params, width=width, max_len=8)
+                assert got == _taped_beam_decode(ids, params, width=width, max_len=8), width
+
+
 # --- training -------------------------------------------------------------------------
 
 
@@ -395,6 +557,40 @@ def test_checkpoint_refuses_other_vocab(tiny_vocab, tmp_path):
     )
     with pytest.raises(CheckpointMismatch, match="vocabulary"):
         load_params(str(path), other)
+
+
+def _rewrite_checkpoint(src, dst, drop_entry="", drop_meta_group="", drop_meta=""):
+    """Copy checkpoint src to dst without one archive entry, one group of
+    meta.json's groups, or one meta.json field."""
+    with zipfile.ZipFile(src) as z:
+        entries = {n: z.read(n) for n in z.namelist()}
+    meta = json.loads(entries["meta.json"])
+    meta["groups"].pop(drop_meta_group, None)
+    meta.pop(drop_meta, None)
+    entries["meta.json"] = json.dumps(meta).encode()
+    entries.pop(drop_entry, None)
+    with zipfile.ZipFile(dst, "w") as z:
+        for name, data in entries.items():
+            z.writestr(name, data)
+
+
+def test_checkpoint_refuses_incomplete_archives(tiny_vocab, tmp_path):
+    params = GoalNetParams.init(tiny_vocab, seed=13)
+    path = tmp_path / "p.gnp"
+    save_params(params, str(path))
+    no_meta_group = tmp_path / "a.gnp"  # meta.json and the archive both lack att_W
+    _rewrite_checkpoint(path, no_meta_group, drop_entry="att_W.npy", drop_meta_group="att_W")
+    with pytest.raises(CheckpointMismatch, match=r"meta.json: missing \['att_W'\]"):
+        load_params(str(no_meta_group), tiny_vocab)
+    no_array = tmp_path / "b.gnp"  # meta.json lists out_b, the archive lacks it
+    _rewrite_checkpoint(path, no_array, drop_entry="out_b.npy")
+    with pytest.raises(CheckpointMismatch, match=r"archive: missing \['out_b'\]"):
+        load_params(str(no_array), tiny_vocab)
+    for field in ("vocab_hash", "seps", "use_attention", "groups"):
+        no_field = tmp_path / f"{field}.gnp"
+        _rewrite_checkpoint(path, no_field, drop_meta=field)
+        with pytest.raises(CheckpointMismatch, match=f"lacks \\['{field}'\\]"):
+            load_params(str(no_field), tiny_vocab)
 
 
 # --- dataset growth -------------------------------------------------------------------
