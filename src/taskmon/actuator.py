@@ -27,8 +27,6 @@ from .perception import (
     Detection,
     Mode,
     Percept,
-    RelationRule,
-    Thresholds,
     ground_relation,
 )
 from .planning import GroundAction
@@ -203,16 +201,12 @@ class SimActuator(Actuator):
         fail_prob: float = 0.0,
         seed: int = 0,
         disturbances: Iterable[Disturbance] = (),
-        thresholds: Optional[Thresholds] = None,
-        rules: Optional[dict[str, RelationRule]] = None,
     ):
         if not 0.0 <= fail_prob <= 1.0:
             raise ValueError("fail_prob outside [0, 1]")
         self.scene = scene
         self.vocab = vocab
         self.fail_prob = fail_prob
-        self.thresholds = thresholds or DEFAULT_THRESHOLDS
-        self.rules = rules or DEFAULT_RULES
         self.disturbances = tuple(disturbances)
         self._rng = np.random.default_rng([seed, 0xAC70])
         self._drng = np.random.default_rng([seed, 0xD157])
@@ -264,13 +258,13 @@ class SimActuator(Actuator):
             pred = self.vocab.predicates.get(a.pred)
             if pred is not None and pred.epistemic:
                 continue
-            if not ground_relation(a.pred, a.args, percept, self.thresholds, self.rules):
+            if not ground_relation(a.pred, a.args, percept):
                 return str(a.drop_time())
         return None
 
     def _apply(self, action: GroundAction) -> None:
         for a in sorted(action.delete, key=lambda x: x.key()):
-            rule = self.rules.get(a.pred)
+            rule = DEFAULT_RULES.get(a.pred)
             if rule is not None and rule.kind == "hold":
                 holder, held = (_require(self.scene, t) for t in a.args)
                 if self.scene.attachments.get(holder.id) == held.id:
@@ -279,7 +273,7 @@ class SimActuator(Actuator):
             self._apply_add(a)
 
     def _apply_add(self, a: Atom) -> None:
-        rule = self.rules.get(a.pred)
+        rule = DEFAULT_RULES.get(a.pred)
         if rule is None:
             return  # no geometric interpretation; a purely symbolic effect
         kind = rule.kind
@@ -298,7 +292,7 @@ class SimActuator(Actuator):
             move_center_to(self.scene, obj.id, dest.box.center)
         elif kind in ("close", "at"):
             mover, target = (_require(self.scene, t) for t in a.args)
-            limit = self.thresholds.close_dist if kind == "close" else self.thresholds.at_dist
+            limit = DEFAULT_THRESHOLDS.close_dist if kind == "close" else DEFAULT_THRESHOLDS.at_dist
             approach(self.scene, mover.id, target.id, 0.6 * limit)
         elif kind == "found":
             obj = _require(self.scene, a.args[0])

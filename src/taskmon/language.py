@@ -100,9 +100,6 @@ class Atom:
     def drop_time(self) -> "Atom":
         return self if self.time is None else Atom(self.pred, self.args)
 
-    def at(self, t: int) -> "Atom":
-        return Atom(self.pred, self.args, t)
-
     def key(self) -> tuple:
         return (self.pred, self.args)
 

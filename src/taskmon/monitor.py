@@ -37,8 +37,6 @@ from .pddl import PlanLibrary
 from .perception import (
     DetectorModel,
     Mode,
-    RelationRule,
-    Thresholds,
     ground_relation,
     perceive,
     query_vision,
@@ -96,7 +94,7 @@ class MonitorConfig:
     def __post_init__(self):
         if not 0.0 < self.mu < 1.0:
             raise ValueError("mu outside (0, 1)")
-        for name in ("tau", "k", "max_goals", "frames", "max_plan_len"):
+        for name in ("tau", "k", "max_goals", "frames", "plan_budget", "max_plan_len"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         if self.replans < 0:
@@ -203,17 +201,9 @@ class LiveVision(VisionSystem):
     mu/tau discipline; scans ground each candidate atom from a ring of
     camera poses and keep whatever holds in any pose."""
 
-    def __init__(
-        self,
-        scene: Scene,
-        cfg: MonitorConfig,
-        thresholds: Optional[Thresholds] = None,
-        rules: Optional[dict[str, RelationRule]] = None,
-    ):
+    def __init__(self, scene: Scene, cfg: MonitorConfig):
         self.scene = scene
         self.cfg = cfg
-        self.thresholds = thresholds
-        self.rules = rules
         self._rng = np.random.default_rng([cfg.seed, 0x515C])
 
     def query(self, s: State) -> tuple[bool, bool]:
@@ -228,8 +218,6 @@ class LiveVision(VisionSystem):
             self._rng,
             cfg.mode,
             cfg.frames,
-            self.thresholds,
-            self.rules,
         )
         return r.ok, r.timed_out
 
@@ -246,10 +234,10 @@ class LiveVision(VisionSystem):
         for pose in poses:
             if not remaining:
                 break
-            percept = perceive(self.scene, pose, cfg.detector, cfg.frames, self._rng, cfg.mode, self.thresholds)
+            percept = perceive(self.scene, pose, cfg.detector, cfg.frames, self._rng, cfg.mode)
             unheld = []
             for a in remaining:
-                if ground_relation(a.pred, a.args, percept, self.thresholds, self.rules):
+                if ground_relation(a.pred, a.args, percept):
                     held.append(a)
                 else:
                     unheld.append(a)
@@ -262,18 +250,10 @@ class BeliefVision(VisionSystem):
     and scans answer from the snapshot, and only the robot's own believed
     action effects ever change it."""
 
-    def __init__(
-        self,
-        scene: Scene,
-        candidates: Iterable[Atom],
-        thresholds: Optional[Thresholds] = None,
-        rules: Optional[dict[str, RelationRule]] = None,
-    ):
+    def __init__(self, scene: Scene, candidates: Iterable[Atom]):
         percept = truth_percept(scene)
         self.belief: set[Atom] = {
-            a
-            for a in candidates
-            if ground_relation(a.pred, a.args, percept, thresholds, rules)
+            a for a in candidates if ground_relation(a.pred, a.args, percept)
         }
 
     def query(self, s: State) -> tuple[bool, bool]:
@@ -619,8 +599,6 @@ def run_task(
     start: Optional[State] = None,
     vision: Optional[VisionSystem] = None,
     goal_source: Optional[GoalSource] = None,
-    thresholds: Optional[Thresholds] = None,
-    rules: Optional[dict[str, RelationRule]] = None,
 ) -> ExecutionTrace:
     """Drive the loop to termination. Never raises once configured: every
     failure, including seam exceptions, lands in the trace outcome, and the
@@ -635,7 +613,7 @@ def run_task(
             raise MonitorSetupError("need a trained net or an explicit goal source")
         goal_source = NetGoalSource(net, vocab)
     if vision is None:
-        vision = LiveVision(scene, cfg, thresholds, rules)
+        vision = LiveVision(scene, cfg)
     ctx = MonitorContext(
         cfg, lib, vision, goal_source, act, task, terminal, start or State(frozenset())
     )

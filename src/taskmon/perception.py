@@ -8,7 +8,10 @@ the depth noise; a noise-free detector draws only the first two blocks.
 Reconstruction places each detected object at the detector's noisy
 centroid depth; the 13 spatial/functional predicates are grounded by
 geometric rules over the perceived (reconstructed) geometry, never the
-ground truth. `estimate_depth`, a ray-cast foreground mask inside a
+ground truth. The detection thresholds (`DEFAULT_THRESHOLDS`) and the
+predicate -> procedure table (`DEFAULT_RULES`) are fixed module constants:
+every query is judged by the same rule set, and no caller replaces it.
+`estimate_depth`, a ray-cast foreground mask inside a
 detected box, is a separate on-demand measurement that neither
 reconstruction nor the vision query runs.
 
@@ -22,7 +25,7 @@ from __future__ import annotations
 import enum
 import math
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from types import MappingProxyType
 from typing import Mapping, Optional
 
@@ -57,15 +60,14 @@ class DetectorModel:
     depth_sigma: float = 0.0
     mask_flip: float = 0.0
     seed: int = 0
-    tp_overrides: dict = field(default_factory=dict)  # label -> rate
 
     def __post_init__(self):
         for r in (self.tp_rate, self.confusion, self.mask_flip):
             if not 0.0 <= r <= 1.0:
                 raise ValueError(f"rate {r} outside [0, 1]")
-
-    def tp_for(self, label: str) -> float:
-        return self.tp_overrides.get(label, self.tp_rate)
+        for name in ("px_jitter", "depth_sigma"):
+            if getattr(self, name) < 0.0:
+                raise ValueError(f"{name} must be >= 0")
 
     def rng(self, stream: int = 0) -> np.random.Generator:
         return np.random.default_rng([self.seed, stream])
@@ -105,8 +107,8 @@ class Thresholds:
     px_area_front: float = 1.2
 
 
-# The thresholds every caller that passes none of its own shares: one frozen
-# instance built at import, as DEFAULT_RULES is.
+# The one set of thresholds every query is judged by: a frozen instance
+# built at import, as DEFAULT_RULES is.
 DEFAULT_THRESHOLDS = Thresholds()
 
 
@@ -118,7 +120,7 @@ class RelationRule:
 
 
 # The predicate -> geometric-procedure table, built once and shared read-only
-# by every caller that passes no table of its own. Alternative spellings used
+# by perception and the actuator's effect dispatch. Alternative spellings used
 # by task corpora (Detected, Holding) share the base procedures.
 DEFAULT_RULES: Mapping[str, RelationRule] = MappingProxyType(
     {
@@ -202,8 +204,7 @@ def detect_batch(
         if true_bbox is None or pr is None:
             continue
 
-        tp = model.tp_for(obj.label)
-        hit = [r < tp for r in rng.random(n).tolist()]
+        hit = [r < model.tp_rate for r in rng.random(n).tolist()]
         swap = [False] * n
         if len(labels) > 1:
             swap = [h and r < model.confusion for h, r in zip(hit, rng.random(n).tolist())]
@@ -295,10 +296,8 @@ def perceive(
     n: int = 10,
     rng: Optional[np.random.Generator] = None,
     mode: Mode = Mode.FULL,
-    thresholds: Optional[Thresholds] = None,
 ) -> Percept:
     """One detection pass plus geometry reconstruction under `mode`."""
-    th = thresholds or DEFAULT_THRESHOLDS
     dets = detect_batch(scene, cam, model, n, rng)
     by_label: dict[str, Detection] = {}
     for d in dets:
@@ -316,7 +315,7 @@ def perceive(
             if mode is Mode.FULL:
                 size = obj.box.size  # class shape model: true extents
             else:
-                size = (th.nominal_extent,) * 3
+                size = (DEFAULT_THRESHOLDS.nominal_extent,) * 3
             boxes3d[label] = Box.from_center(center, size)
 
     attachments = {
@@ -329,19 +328,11 @@ def perceive(
 # --- relation grounding ----------------------------------------------------------
 
 
-def ground_relation(
-    pred: str,
-    args: tuple[str, ...],
-    percept: Percept,
-    thresholds: Optional[Thresholds] = None,
-    rules: Optional[Mapping[str, RelationRule]] = None,
-) -> bool:
-    th = thresholds or DEFAULT_THRESHOLDS
-    table = rules or DEFAULT_RULES
-    rule = table.get(pred)
+def ground_relation(pred: str, args: tuple[str, ...], percept: Percept) -> bool:
+    rule = DEFAULT_RULES.get(pred)
     if rule is None:
         raise UnknownPredicate(pred)
-    return _eval(rule, args, percept, th)
+    return _eval(rule, args, percept)
 
 
 def _pixel_center(det: Detection) -> tuple[float, float]:
@@ -353,11 +344,13 @@ def _pixel_area(det: Detection) -> float:
     return max(0.0, u1 - u0) * max(0.0, v1 - v0)
 
 
-def _on_3d(a: Box, b: Box, th: Thresholds) -> bool:
+def _on_3d(a: Box, b: Box) -> bool:
+    th = DEFAULT_THRESHOLDS
     return abs(a.lo[2] - b.hi[2]) <= th.on_gap and a.footprint_overlap(b) >= th.on_overlap
 
 
-def _on_px(a: Detection, b: Detection, th: Thresholds) -> bool:
+def _on_px(a: Detection, b: Detection) -> bool:
+    th = DEFAULT_THRESHOLDS
     au0, _, au1, av1 = a.bbox
     bu0, bv0, bu1, bv1 = b.bbox
     w = min(au1, bu1) - max(au0, bu0)
@@ -369,7 +362,8 @@ def _on_px(a: Detection, b: Detection, th: Thresholds) -> bool:
     return bv0 - th.px_on_gap <= av1 <= upper_band
 
 
-def _eval(rule: RelationRule, args: tuple[str, ...], p: Percept, th: Thresholds) -> bool:
+def _eval(rule: RelationRule, args: tuple[str, ...], p: Percept) -> bool:
+    th = DEFAULT_THRESHOLDS
     kind = rule.kind
     det = p.detections
     pixel_mode = p.mode is Mode.NO_DEPTH
@@ -404,25 +398,19 @@ def _eval(rule: RelationRule, args: tuple[str, ...], p: Percept, th: Thresholds)
             return False
         if h not in det:
             return True
-        return not any(
-            o != h and _eval(RelationRule("Hold", "hold"), (h, o), p, th) for o in sorted(det)
-        )
+        return not any(o != h and _eval(DEFAULT_RULES["Hold"], (h, o), p) for o in sorted(det))
 
     if kind == "empty":
         (c,) = args
         if c not in det:
             return False
-        return not any(
-            o != c and _eval(RelationRule("Inside", "inside"), (o, c), p, th) for o in sorted(det)
-        )
+        return not any(o != c and _eval(DEFAULT_RULES["Inside"], (o, c), p) for o in sorted(det))
 
     if kind == "clear":
         (x,) = args
         if x not in det:
             return False
-        return not any(
-            o != x and _eval(RelationRule("On", "on"), (o, x), p, th) for o in sorted(det)
-        )
+        return not any(o != x and _eval(DEFAULT_RULES["On"], (o, x), p) for o in sorted(det))
 
     # the remaining kinds are binary geometric relations
     a, b = args
@@ -431,14 +419,14 @@ def _eval(rule: RelationRule, args: tuple[str, ...], p: Percept, th: Thresholds)
 
     if kind == "on":
         if pixel_mode:
-            return _on_px(det[a], det[b], th)
-        return _on_3d(p.boxes3d[a], p.boxes3d[b], th)
+            return _on_px(det[a], det[b])
+        return _on_3d(p.boxes3d[a], p.boxes3d[b])
 
     if kind == "under":
         # a under b: b rests on a
         if pixel_mode:
-            return _on_px(det[b], det[a], th)
-        return _on_3d(p.boxes3d[b], p.boxes3d[a], th)
+            return _on_px(det[b], det[a])
+        return _on_3d(p.boxes3d[b], p.boxes3d[a])
 
     if kind == "inside":
         if pixel_mode:
@@ -512,8 +500,6 @@ def query_vision(
     rng: Optional[np.random.Generator] = None,
     mode: Mode = Mode.FULL,
     n: int = 10,
-    thresholds: Optional[Thresholds] = None,
-    rules: Optional[Mapping[str, RelationRule]] = None,
 ) -> VisionResult:
     """Verify a conjunction of atoms against the scene. Detect every term in
     s; while any term is missing or under-confident, re-aim at the centroid
@@ -523,14 +509,13 @@ def query_vision(
     `timed_out` set and no boxes. Otherwise every atom is grounded in the
     final frame and `ok` says whether all hold. An empty conjunction is
     vacuously true."""
-    th = thresholds or DEFAULT_THRESHOLDS
     if rng is None:
         rng = model.rng()
     terms = sorted({arg for atom in s.atoms for arg in atom.args})
     if not terms:
         return VisionResult(True, False, {}, None)
 
-    known = [o for o in scene.objects if o.id in terms]
+    known = [o for o in scene.objects if o.label in terms]
     aim: Optional[Camera] = None
     if known:
         centroid = tuple(
@@ -539,7 +524,7 @@ def query_vision(
         aim = cam.aimed_at(centroid)
 
     current = cam
-    percept = perceive(scene, current, model, n, rng, mode, th)
+    percept = perceive(scene, current, model, n, rng, mode)
     steps = 0
     phase: Optional[float] = None
     while True:
@@ -563,8 +548,8 @@ def query_vision(
             yaw = phase + (steps - 1) * cam.hfov * 0.85
             pitch = float(rng.uniform(-0.35, -0.05))
             current = replace(cam, yaw=yaw, pitch=pitch)
-        percept = perceive(scene, current, model, n, rng, mode, th)
+        percept = perceive(scene, current, model, n, rng, mode)
 
-    ok = all(ground_relation(a.pred, a.args, percept, th, rules) for a in s.drop_times().canonical())
+    ok = all(ground_relation(a.pred, a.args, percept) for a in s.drop_times().canonical())
     boxes = {t: percept.detections[t].bbox for t in terms}
     return VisionResult(ok, False, boxes, percept)

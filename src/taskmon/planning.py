@@ -159,7 +159,6 @@ def solve(
     goal: State,
     budget: int = 200_000,
     heuristic: bool = True,
-    actions: Optional[list[GroundAction]] = None,
 ) -> list[GroundAction]:
     """Plan from init to a state that contains goal, or raise NoPlan when none
     exists and BudgetExceeded after `budget` expansions. Before searching,
@@ -167,8 +166,7 @@ def solve(
     goals that no sequence reaches even with every delete ignored; the
     relaxation over-approximates reachability, so it rejects only goals the
     search would also exhaust on, and plans are unchanged."""
-    if actions is None:
-        actions = ground_actions(domain, objects)
+    actions = ground_actions(domain, objects)
     goal_atoms = goal.atoms
     start = init.atoms
     if not _relaxed_reachable(start, goal_atoms, actions):

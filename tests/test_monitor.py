@@ -131,6 +131,31 @@ def quiet_cfg(**over) -> MonitorConfig:
     return MonitorConfig(**base)
 
 
+@pytest.mark.parametrize(
+    "over",
+    [
+        {"mu": 0.0},
+        {"mu": 1.0},
+        {"tau": 0},
+        {"k": 0},
+        {"max_goals": 0},
+        {"frames": 0},
+        {"plan_budget": -5},
+        {"plan_budget": 0},
+        {"max_plan_len": 0},
+        {"replans": -1},
+    ],
+)
+def test_monitor_config_rejects_out_of_range_settings(over):
+    with pytest.raises(ValueError):
+        MonitorConfig(**over)
+
+
+def test_monitor_config_accepts_its_bounds():
+    cfg = MonitorConfig(tau=1, k=1, max_goals=1, frames=1, plan_budget=1, max_plan_len=1, replans=0)
+    assert cfg.plan_budget == 1 and cfg.replans == 0
+
+
 def goal_of(lib, name: str) -> State:
     return lib.entry(name).goal_state
 
