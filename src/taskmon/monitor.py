@@ -658,8 +658,3 @@ def trace_lines(trace: ExecutionTrace) -> list[str]:
         )
     )
     return lines
-
-
-def write_trace(trace: ExecutionTrace, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(trace_lines(trace)) + "\n")

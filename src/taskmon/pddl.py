@@ -5,6 +5,8 @@ Supported surface: :requirements (:typing :equality), :types, :predicates,
 annotation (world or ecological). Preconditions are conjunctions of positive
 atoms and (possibly negated) equalities; effects are conjunctions of atoms
 and (not atom) deletes. Everything else raises UnsupportedFeature.
+`validate_library` checks every entry with the monitor's planner,
+`planning.solve`.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import os
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, NamedTuple, Optional, Sequence, Union
+from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
 from .language import (
     Atom,
@@ -109,12 +111,6 @@ class PlanDomain:
 
     def is_subsort(self, child: str, ancestor: str) -> bool:
         return is_subsort(self.sorts, child, ancestor)
-
-    def schema(self, name: str) -> ActionSchema:
-        for s in self.schemas:
-            if s.name == name:
-                return s
-        raise KeyError(name)
 
 
 @dataclass
@@ -294,6 +290,25 @@ def _pos(node: Node) -> tuple[int, int]:
     return (node.line, node.col)
 
 
+def _head(node: Node, expected: str, expected_head: str) -> tuple[SList, str]:
+    """A non-empty list and the symbol at its head."""
+    lst = _list(node, expected)
+    if not lst.items:
+        raise ParseError(lst.line, lst.col, expected_head)
+    return lst, _sym(lst.items[0], expected_head)
+
+
+def _define(text: str, kind: str) -> tuple[SList, str]:
+    """Read `(define (<kind> <name>) section...)`: the define list and the name."""
+    top = _list(_parse_sexpr(text), "(define ...)")
+    if not top.items or _sym(top.items[0], "define") != "define":
+        raise ParseError(top.line, top.col, "define")
+    header = _list(top.items[1], f"({kind} <name>)") if len(top.items) > 1 else None
+    if header is None or len(header.items) != 2 or _sym(header.items[0], kind) != kind:
+        raise ParseError(top.line, top.col, f"({kind} <name>)")
+    return top, _sym(header.items[1], f"a {kind} name")
+
+
 def _typed_names(items: Sequence[Node], require_sort: bool, what: str) -> list[tuple[str, Optional[str]]]:
     """Parse PDDL typed lists: n1 n2 - sort n3 - sort2 [trailing bare names]."""
     out: list[tuple[str, Optional[str]]] = []
@@ -334,62 +349,48 @@ _REJECTED_HEADS = {"or", "forall", "exists", "when", "imply", "oneof", "increase
 
 
 def _parse_plain_atom(node: Node) -> SchemaAtom:
-    lst = _list(node, "an atom")
-    if not lst.items:
-        raise ParseError(lst.line, lst.col, "a predicate name")
-    head = _sym(lst.items[0], "a predicate name")
+    lst, head = _head(node, "an atom", "a predicate name")
     if head in _REJECTED_HEADS:
         raise UnsupportedFeature(head)
     args = tuple(_sym(a, "an argument") for a in lst.items[1:])
+    if head == "=" and len(args) != 2:
+        raise ParseError(lst.line, lst.col, "two arguments to =")
     return SchemaAtom(head, args)
+
+
+def _literals(node: Node) -> Iterator[tuple[bool, SchemaAtom]]:
+    """(negated, atom) for each conjunct of a formula; a literal is an atom
+    or (not atom)."""
+    for item in _conjuncts(node):
+        lst = _list(item, "an atom")
+        if lst.items and isinstance(lst.items[0], Tok) and lst.items[0].text == "not":
+            if len(lst.items) != 2:
+                raise ParseError(lst.line, lst.col, "exactly one atom under not")
+            yield True, _parse_plain_atom(lst.items[1])
+        else:
+            yield False, _parse_plain_atom(lst)
 
 
 def _parse_precondition(node: Node) -> tuple[tuple[SchemaAtom, ...], tuple[EqCond, ...]]:
     atoms: list[SchemaAtom] = []
     eqs: list[EqCond] = []
-    for item in _conjuncts(node):
-        lst = _list(item, "an atom")
-        if not lst.items:
-            raise ParseError(lst.line, lst.col, "a predicate name")
-        head = _sym(lst.items[0], "a predicate name")
-        if head == "not":
-            if len(lst.items) != 2:
-                raise ParseError(lst.line, lst.col, "exactly one formula under not")
-            inner = _parse_plain_atom(lst.items[1])
-            if inner.pred != "=":
-                raise UnsupportedFeature("negative precondition on a non-equality atom")
-            eqs.append(EqCond(inner.args[0], inner.args[1], negated=True))
+    for negated, atom in _literals(node):
+        if atom.pred == "=":
+            eqs.append(EqCond(atom.args[0], atom.args[1], negated))
+        elif negated:
+            raise UnsupportedFeature("negative precondition on a non-equality atom")
         else:
-            atom = _parse_plain_atom(item)
-            if atom.pred == "=":
-                if len(atom.args) != 2:
-                    raise ParseError(lst.line, lst.col, "two arguments to =")
-                eqs.append(EqCond(atom.args[0], atom.args[1], negated=False))
-            else:
-                atoms.append(atom)
+            atoms.append(atom)
     return tuple(atoms), tuple(eqs)
 
 
 def _parse_effect(node: Node) -> tuple[tuple[SchemaAtom, ...], tuple[SchemaAtom, ...]]:
     add: list[SchemaAtom] = []
     delete: list[SchemaAtom] = []
-    for item in _conjuncts(node):
-        lst = _list(item, "an atom")
-        if not lst.items:
-            raise ParseError(lst.line, lst.col, "a predicate name")
-        head = _sym(lst.items[0], "a predicate name")
-        if head == "not":
-            if len(lst.items) != 2:
-                raise ParseError(lst.line, lst.col, "exactly one atom under not")
-            inner = _parse_plain_atom(lst.items[1])
-            if inner.pred == "=":
-                raise UnsupportedFeature("equality in effects")
-            delete.append(inner)
-        else:
-            atom = _parse_plain_atom(item)
-            if atom.pred == "=":
-                raise UnsupportedFeature("equality in effects")
-            add.append(atom)
+    for negated, atom in _literals(node):
+        if atom.pred == "=":
+            raise UnsupportedFeature("equality in effects")
+        (delete if negated else add).append(atom)
     return tuple(add), tuple(delete)
 
 
@@ -397,23 +398,14 @@ def _parse_effect(node: Node) -> tuple[tuple[SchemaAtom, ...], tuple[SchemaAtom,
 
 
 def parse_domain(text: str) -> PlanDomain:
-    top = _list(_parse_sexpr(text), "(define ...)")
-    if not top.items or _sym(top.items[0], "define") != "define":
-        raise ParseError(top.line, top.col, "define")
-    header = _list(top.items[1], "(domain <name>)") if len(top.items) > 1 else None
-    if header is None or len(header.items) != 2 or _sym(header.items[0], "domain") != "domain":
-        raise ParseError(top.line, top.col, "(domain <name>)")
-    name = _sym(header.items[1], "a domain name")
+    top, name = _define(text, "domain")
 
     sorts: dict[str, Optional[str]] = {}
     predicates: dict[str, Predicate] = {}
     schemas: list[ActionSchema] = []
 
     for section in top.items[2:]:
-        lst = _list(section, "a domain section")
-        if not lst.items:
-            raise ParseError(lst.line, lst.col, "a section keyword")
-        key = _sym(lst.items[0], "a section keyword")
+        lst, key = _head(section, "a domain section", "a section keyword")
         if key == ":requirements":
             for req in lst.items[1:]:
                 r = _sym(req, "a requirement flag")
@@ -424,8 +416,7 @@ def parse_domain(text: str) -> PlanDomain:
                 sorts[sort] = parent
         elif key == ":predicates":
             for p in lst.items[1:]:
-                plst = _list(p, "a predicate declaration")
-                pname = _sym(plst.items[0], "a predicate name")
+                plst, pname = _head(p, "a predicate declaration", "a predicate name")
                 params = _typed_names(plst.items[1:], require_sort=True, what="variable")
                 predicates[pname] = Predicate(pname, tuple(s for _, s in params))
         elif key == ":action":
@@ -509,29 +500,28 @@ def _check_domain(dom: PlanDomain) -> None:
             if p.sort not in dom.sorts:
                 raise TypingError(sch.name, f"parameter {p.name}: undeclared sort {p.sort}")
         for atom in sch.pre + sch.add + sch.delete:
-            pred = dom.predicates.get(atom.pred)
-            if pred is None:
-                raise TypingError(atom, "undeclared predicate")
-            if len(atom.args) != pred.arity:
-                raise TypingError(atom, f"{pred.name} expects {pred.arity} args")
-            for arg, slot in zip(atom.args, pred.arg_sorts):
+            for arg, slot in zip(atom.args, _declared(atom, dom).arg_sorts):
                 if arg.startswith("?") and not dom.is_subsort(sorts_of[arg], slot):
                     # over-general parameters are legal; grounding filters them
                     if not dom.is_subsort(slot, sorts_of[arg]):
                         raise TypingError(atom, f"{arg}: sort {sorts_of[arg]} incompatible with {slot}")
 
 
+def _declared(atom: SchemaAtom | Atom, dom: PlanDomain) -> Predicate:
+    """The domain's predicate for atom, which must be declared and get its arity."""
+    pred = dom.predicates.get(atom.pred)
+    if pred is None:
+        raise TypingError(atom, "undeclared predicate")
+    if len(atom.args) != pred.arity:
+        raise TypingError(atom, f"{pred.name} expects {pred.arity} args")
+    return pred
+
+
 # --- problem -----------------------------------------------------------------
 
 
 def parse_problem(text: str, domain: PlanDomain) -> PlanProblem:
-    top = _list(_parse_sexpr(text), "(define ...)")
-    if not top.items or _sym(top.items[0], "define") != "define":
-        raise ParseError(top.line, top.col, "define")
-    header = _list(top.items[1], "(problem <name>)") if len(top.items) > 1 else None
-    if header is None or len(header.items) != 2 or _sym(header.items[0], "problem") != "problem":
-        raise ParseError(top.line, top.col, "(problem <name>)")
-    name = _sym(header.items[1], "a problem name")
+    top, name = _define(text, "problem")
 
     domain_ref = ""
     objects: dict[str, str] = {}
@@ -540,10 +530,7 @@ def parse_problem(text: str, domain: PlanDomain) -> PlanProblem:
     saw_goal = False
 
     for section in top.items[2:]:
-        lst = _list(section, "a problem section")
-        if not lst.items:
-            raise ParseError(lst.line, lst.col, "a section keyword")
-        key = _sym(lst.items[0], "a section keyword")
+        lst, key = _head(section, "a problem section", "a section keyword")
         if key == ":domain":
             if len(lst.items) != 2:
                 raise ParseError(lst.line, lst.col, "a single domain name")
@@ -589,12 +576,7 @@ def _check_problem(prob: PlanProblem, domain: PlanDomain) -> None:
         if sort not in domain.sorts:
             raise TypingError(obj, f"undeclared sort {sort}")
     for atom in list(prob.init.atoms) + list(prob.goal.atoms):
-        pred = domain.predicates.get(atom.pred)
-        if pred is None:
-            raise TypingError(atom, "undeclared predicate")
-        if len(atom.args) != pred.arity:
-            raise TypingError(atom, f"{pred.name} expects {pred.arity} args")
-        for arg, slot in zip(atom.args, pred.arg_sorts):
+        for arg, slot in zip(atom.args, _declared(atom, domain).arg_sorts):
             if arg not in prob.objects:
                 raise TypingError(atom, f"undeclared object {arg}")
             if not domain.is_subsort(prob.objects[arg], slot):
@@ -626,8 +608,7 @@ def _print_typed(pairs: list[tuple[str, Optional[str]]]) -> str:
 
 
 def _print_atom(atom: SchemaAtom | Atom) -> str:
-    pred = atom.pred
-    return "(" + " ".join([pred, *atom.args]) + ")"
+    return "(" + " ".join([atom.pred, *atom.args]) + ")"
 
 
 def print_domain(dom: PlanDomain) -> str:
@@ -684,35 +665,41 @@ def load_library(manifest_path: str, vocab: Vocabulary) -> PlanLibrary:
     domains: dict[str, PlanDomain] = {}
     entries: list[PlanEntry] = []
     names: set[str] = set()
-    for item in doc.get("entries", []):
-        name = item["name"]
+    for i, item in enumerate(doc.get("entries", [])):
+        name = _field(item, "name", f"entry {i}")
         if name in names:
             raise LibraryError(f"duplicate entry name {name}")
         names.add(name)
-        dpath = os.path.join(base, item["domain"])
+        dpath = os.path.join(base, _field(item, "domain", f"entry {name}"))
         if dpath not in domains:
             with open(dpath) as f:
                 domains[dpath] = parse_domain(f.read())
             _check_against_vocab(domains[dpath], vocab)
         dom = domains[dpath]
-        with open(os.path.join(base, item["problem"])) as f:
+        with open(os.path.join(base, _field(item, "problem", f"entry {name}"))) as f:
             prob = parse_problem(f.read(), dom)
         _check_problem_against_vocab(prob, vocab)
         entries.append(PlanEntry(name, dom, prob))
 
     chains: list[TaskChain] = []
-    for item in doc.get("tasks", []):
-        tid = item["id"]
+    for i, item in enumerate(doc.get("tasks", [])):
+        tid = _field(item, "id", f"task {i}")
         if tid not in vocab.tasks:
             raise LibraryError(f"task {tid} is not in the vocabulary")
-        for ch in item.get("chains", []):
-            goals = tuple(ch["goals"])
+        for j, ch in enumerate(item.get("chains", [])):
+            goals = tuple(_field(ch, "goals", f"task {tid}: chain {j}"))
             for g in goals:
                 if g not in names:
                     raise LibraryError(f"task {tid}: chain references unknown entry {g}")
             chains.append(TaskChain(tid, goals, float(ch.get("weight", 1.0))))
 
     return PlanLibrary(entries, vocab, chains)
+
+
+def _field(item: dict, key: str, where: str):
+    if key not in item:
+        raise LibraryError(f"{where}: missing field {key!r}")
+    return item[key]
 
 
 def _check_against_vocab(dom: PlanDomain, vocab: Vocabulary) -> None:
@@ -743,41 +730,29 @@ def _check_problem_against_vocab(prob: PlanProblem, vocab: Vocabulary) -> None:
             raise LibraryError(f"problem {prob.name}: object {obj} declared {sort}, vocabulary sort {term.sort}")
 
 
-def validate_library(lib: PlanLibrary, solve: Optional[Callable] = None) -> list[Violation]:
-    """Static and solution-level checks. `solve` maps a PlanEntry to an object
-    with a `steps` list of ground actions (defaults to the internal planner)."""
+def validate_library(lib: PlanLibrary) -> list[Violation]:
+    """Static and solution-level checks: no ecological action may change the
+    world, and `planning.solve` must reach each entry's goal with at most one
+    world action."""
+    from .planning import BudgetExceeded, NoPlan, solve
+
     out: list[Violation] = []
-    seen_domains: set[int] = set()
-    for entry in lib.entries:
-        if id(entry.domain) not in seen_domains:
-            seen_domains.add(id(entry.domain))
-            for sch in entry.domain.schemas:
-                if sch.action_class != ECOLOGICAL_ACTION:
-                    continue
-                for atom in sch.add + sch.delete:
-                    if _touches_world(atom, sch, lib.vocab):
-                        out.append(
-                            Violation(sch.name, "ecological-touches-world", f"effect {_print_atom(atom)}")
-                        )
-                        break
-
-    if solve is None:
-        from .planning import BudgetExceeded, NoPlan, plan_entry
-
-        def solve(entry):
-            return plan_entry(entry)
-
-        solve_errors = (NoPlan, BudgetExceeded)
-    else:
-        solve_errors = (Exception,)
+    for dom in {id(e.domain): e.domain for e in lib.entries}.values():
+        for sch in dom.schemas:
+            if sch.action_class != ECOLOGICAL_ACTION:
+                continue
+            for atom in sch.add + sch.delete:
+                if _touches_world(atom, sch, lib.vocab):
+                    out.append(Violation(sch.name, "ecological-touches-world", f"effect {_print_atom(atom)}"))
+                    break
 
     for entry in lib.entries:
         try:
-            solved = solve(entry)
-        except solve_errors as e:
+            steps = solve(entry.domain, entry.problem.objects, entry.problem.init, entry.goal_state)
+        except (NoPlan, BudgetExceeded) as e:
             out.append(Violation(entry.name, "no-solution", str(e)))
             continue
-        n_world = sum(1 for ga in solved.steps if ga.schema.action_class == WORLD_ACTION)
+        n_world = sum(1 for ga in steps if ga.schema.action_class == WORLD_ACTION)
         if n_world > 1:
             out.append(Violation(entry.name, "two-world-actions", f"solution uses {n_world} world actions"))
     return out

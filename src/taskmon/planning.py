@@ -1,11 +1,12 @@
 """Forward state-space search over ground actions, and library goal matching.
 
-The search is greedy best-first on a goal-count heuristic by default; with the
-heuristic disabled it degrades to uniform-cost search, which is optimal in
-step count. Both are deterministic: ground actions are enumerated in sorted
-order and the frontier breaks ties by insertion sequence. A dead-end goal is
-rejected before any search: if the goal is unreachable even when actions
-never delete (the delete relaxation behind h_max and FF), no plan exists.
+`solve` is the one planner: the monitor's PLAN phase and
+`pddl.validate_library` both run it. It is greedy best-first search on the
+goal count, the number of goal atoms a state still lacks, and it is
+deterministic: ground actions are enumerated in sorted order and the
+frontier breaks ties by insertion sequence. A dead-end goal is rejected
+before any search: if the goal is unreachable even when actions never
+delete (the delete relaxation behind h_max and FF), no plan exists.
 
 Matching bounds before it searches. Each entry's overlap is capped by its
 per-predicate atom counts against the goal's, so entries that cannot beat
@@ -27,10 +28,6 @@ from .pddl import ActionSchema, PlanDomain, PlanEntry, PlanLibrary
 
 
 class NoPlan(Exception):
-    pass
-
-
-class NotApplicable(Exception):
     pass
 
 
@@ -65,18 +62,6 @@ class GroundAction:
 
     def __str__(self) -> str:
         return self.name
-
-
-@dataclass
-class SolvedPlan:
-    entry: Optional[PlanEntry]
-    steps: list[GroundAction]
-
-    def simulate(self, init: State) -> State:
-        s = init
-        for ga in self.steps:
-            s = apply(s, ga)
-        return s
 
 
 @dataclass
@@ -136,19 +121,6 @@ def _bind(
     return GroundAction(sch, combo, pre, add, delete)
 
 
-# --- state transitions --------------------------------------------------------
-
-
-def applicable(s: State, a: GroundAction) -> bool:
-    return a.pre <= s.atoms
-
-
-def apply(s: State, a: GroundAction) -> State:
-    if not applicable(s, a):
-        raise NotApplicable(f"{a.name} in {s}")
-    return State((s.atoms - a.delete) | a.add)
-
-
 # --- search --------------------------------------------------------------------
 
 
@@ -158,7 +130,6 @@ def solve(
     init: State,
     goal: State,
     budget: int = 200_000,
-    heuristic: bool = True,
 ) -> list[GroundAction]:
     """Plan from init to a state that contains goal, or raise NoPlan when none
     exists and BudgetExceeded after `budget` expansions. Before searching,
@@ -177,7 +148,7 @@ def solve(
 
     seq = itertools.count()
     frontier: list[tuple[int, int, frozenset[Atom], list[GroundAction]]] = []
-    heapq.heappush(frontier, (h(start) if heuristic else 0, next(seq), start, []))
+    heapq.heappush(frontier, (h(start), next(seq), start, []))
     closed: set[frozenset[Atom]] = set()
     expansions = 0
 
@@ -195,8 +166,7 @@ def solve(
             if ga.pre <= atoms:
                 nxt = (atoms - ga.delete) | ga.add
                 if nxt not in closed:
-                    prio = h(nxt) if heuristic else len(path) + 1
-                    heapq.heappush(frontier, (prio, next(seq), nxt, path + [ga]))
+                    heapq.heappush(frontier, (h(nxt), next(seq), nxt, path + [ga]))
     raise NoPlan(f"goal {goal} unreachable")
 
 
@@ -233,15 +203,6 @@ def _relaxed_reachable(
                 if unmet[j] == 0:
                     ready.append(j)
     return False
-
-
-def plan_entry(
-    entry: PlanEntry, budget: int = 200_000, heuristic: bool = True
-) -> SolvedPlan:
-    steps = solve(
-        entry.domain, entry.problem.objects, entry.problem.init, entry.goal_state, budget, heuristic
-    )
-    return SolvedPlan(entry, steps)
 
 
 # --- library matching -----------------------------------------------------------

@@ -133,6 +133,16 @@ def unreachable_case(seed: int) -> tuple[PlanDomain, PlanProblem]:
     return dom, replace(prob, goal=State.of(prob.goal.atoms | set(extra)))
 
 
+def replay(init: State, steps) -> State:
+    """The state that ground actions reach from init, each applied as
+    (s - delete) | add after asserting that its precondition holds."""
+    atoms = init.atoms
+    for i, ga in enumerate(steps):
+        assert ga.pre <= atoms, f"step {i} {ga.name}: missing {set(ga.pre - atoms)}"
+        atoms = (atoms - ga.delete) | ga.add
+    return State(atoms)
+
+
 def bfs_optimal_length(domain: PlanDomain, prob: PlanProblem) -> int | None:
     """Independent breadth-first oracle for optimal plan length."""
     actions = ground_actions(domain, prob.objects)

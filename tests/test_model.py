@@ -18,7 +18,6 @@ from taskmon.dataset import (
     save_pairs,
 )
 from taskmon.language import (
-    Atom,
     MalformedSequence,
     State,
     StateTooLong,

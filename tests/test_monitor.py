@@ -2,14 +2,13 @@
 transition semantics, recovery ranking, trace invariants, and halting."""
 
 import json
-import math
 import os
 
 import numpy as np
 import pytest
 
 import taskmon
-from conftest import DATA, make_tiny_vocab
+from conftest import DATA
 from taskmon.actuator import (
     ActionResult,
     Actuator,

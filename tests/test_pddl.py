@@ -10,8 +10,6 @@ from taskmon.pddl import (
     Parameter,
     ParseError,
     PlanDomain,
-    PlanEntry,
-    PlanLibrary,
     PlanProblem,
     SchemaAtom,
     TypingError,
@@ -101,12 +99,12 @@ def test_parse_domain_structure(tiny_domain):
     assert d.sorts["item"] == "world-ent"
     assert d.sorts["entity"] is None  # implicit root
     assert d.predicates["On"] == Predicate("On", ("item", "surface"))
-    grasp = d.schema("grasp")
+    schemas = {s.name: s for s in d.schemas}
+    grasp = schemas["grasp"]
     assert grasp.action_class == "world"
     assert SchemaAtom("On", ("?o", "?s")) in grasp.pre
     assert SchemaAtom("On", ("?o", "?s")) in grasp.delete
-    place = d.schema("place")
-    assert EqCond("?o", "?s", negated=True) in place.eqs
+    assert EqCond("?o", "?s", negated=True) in schemas["place"].eqs
 
 
 def test_unsupported_features():
@@ -144,6 +142,17 @@ def test_parse_error_positions():
     with pytest.raises(ParseError) as e:
         parse_domain(")")
     assert (e.value.line, e.value.column) == (1, 1)
+
+    with pytest.raises(ParseError) as e:
+        parse_domain("(define (domain d) (:predicates ()))")
+    assert (e.value.line, e.value.column) == (1, 33) and e.value.expected == "a predicate name"
+
+    with pytest.raises(ParseError) as e:
+        parse_domain(
+            "(define (domain d) (:types t) (:predicates (P ?x - t))\n"
+            " (:action a :parameters (?x - t) :precondition (not (= ?x)) :effect (and)))"
+        )
+    assert (e.value.line, e.value.column) == (2, 53) and e.value.expected == "two arguments to ="
 
     with pytest.raises(ParseError, match="world or ecological"):
         parse_domain(
@@ -220,9 +229,13 @@ def test_problem_missing_goal(tiny_domain):
         parse_problem("(define (problem p) (:domain tiny) (:init))", tiny_domain)
 
 
-def test_print_parse_round_trip_fixture(tiny_domain, tiny_problem):
-    assert parse_domain(print_domain(tiny_domain)) == tiny_domain
-    assert parse_problem(print_problem(tiny_problem), tiny_domain) == tiny_problem
+def test_print_parse_round_trip_fixture(tiny_domain, tiny_problem, packaged_lib):
+    domains = [tiny_domain] + list({id(e.domain): e.domain for e in packaged_lib.entries}.values())
+    problems = [(tiny_domain, tiny_problem)] + [(e.domain, e.problem) for e in packaged_lib.entries]
+    for dom in domains:
+        assert parse_domain(print_domain(dom)) == dom, dom.name
+    for dom, prob in problems:
+        assert parse_problem(print_problem(prob), dom) == prob, prob.name
 
 
 def random_trip_domain(rng: random.Random) -> PlanDomain:
@@ -349,6 +362,17 @@ def test_load_library_rejects_duplicates_and_bad_refs(tmp_path):
             write_library(tmp_path, chains=[{"id": "t-unknown", "chains": [{"goals": ["fetch-brush"]}]}]),
             vocab,
         )
+    # a manifest missing a required field names where and which
+    for kwargs, message in [
+        ({"extra_entries": [{"domain": "tiny.pddl", "problem": "fetch.pddl"}]}, "entry 2: missing field 'name'"),
+        ({"extra_entries": [{"name": "x", "problem": "fetch.pddl"}]}, "entry x: missing field 'domain'"),
+        ({"extra_entries": [{"name": "x", "domain": "tiny.pddl"}]}, "entry x: missing field 'problem'"),
+        ({"chains": [{"chains": [{"goals": ["fetch-brush"]}]}]}, "task 0: missing field 'id'"),
+        ({"chains": [{"id": "t-fetch", "chains": [{"weight": 2}]}]}, "task t-fetch: chain 0: missing field 'goals'"),
+    ]:
+        with pytest.raises(LibraryError) as e:
+            load_library(write_library(tmp_path, **kwargs), vocab)
+        assert str(e.value) == message
 
 
 def test_load_library_cross_checks_vocabulary(tmp_path):
@@ -375,20 +399,20 @@ def test_validate_library_static_checks(tmp_path):
     :effect (and (On ?o ?s)))""",
     )
     lib = load_library(write_library(tmp_path, domain_text=bad), vocab)
+    violations = validate_library(lib)
+    # without approach nothing grants CloseTo, so grasp never applies
+    assert [(v.kind, v.entry) for v in violations] == [
+        ("ecological-touches-world", "shove"),
+        ("no-solution", "fetch-brush"),
+    ]
 
-    class FakePlan:
-        steps = []
 
-    violations = validate_library(lib, solve=lambda e: FakePlan())
-    assert [v.kind for v in violations] == ["ecological-touches-world"]
-    assert violations[0].entry == "shove"
-
-
-def test_validate_library_clean(tmp_path):
+def test_validate_library_flags_two_world_actions(tmp_path):
     vocab = make_tiny_vocab()
     lib = load_library(write_library(tmp_path), vocab)
+    # stock-shelf moves the cup by grasp then place
+    assert [(v.kind, v.entry) for v in validate_library(lib)] == [("two-world-actions", "stock-shelf")]
 
-    class FakePlan:
-        steps = []
 
-    assert validate_library(lib, solve=lambda e: FakePlan()) == []
+def test_validate_packaged_library(packaged_lib):
+    assert validate_library(packaged_lib) == []

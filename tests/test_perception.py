@@ -6,9 +6,7 @@ import math
 import random
 from dataclasses import FrozenInstanceError, replace
 from itertools import permutations
-from math import comb
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st

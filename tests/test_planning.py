@@ -9,15 +9,10 @@ from taskmon.pddl import PlanEntry, PlanLibrary, parse_domain, parse_problem
 from taskmon.planning import (
     BudgetExceeded,
     EmptyLibrary,
-    GroundAction,
     NoMatch,
     NoPlan,
-    NotApplicable,
-    applicable,
-    apply,
     ground_actions,
     match_plan,
-    plan_entry,
     solve,
 )
 from conftest import make_tiny_vocab
@@ -26,6 +21,7 @@ from domaingen import (
     bfs_optimal_length,
     blocks_case,
     random_case,
+    replay,
     unreachable_case,
 )
 from test_pddl import TINY_DOMAIN
@@ -45,33 +41,11 @@ FETCH = """
 """
 
 
-def blocks_actions(prob):
-    return {ga.name: ga for ga in ground_actions(BLOCKS_DOMAIN, prob.objects)}
+def plan(entry: PlanEntry, **kw):
+    return solve(entry.domain, entry.problem.objects, entry.problem.init, entry.goal_state, **kw)
 
 
-# --- applicable / apply -------------------------------------------------------
-
-
-def test_applicable_empty_precondition():
-    ga = GroundAction(BLOCKS_DOMAIN.schema("pickup"), ("b0", "hand"), frozenset(), frozenset(), frozenset())
-    assert applicable(State(), ga)
-    assert applicable(State.of([Atom("Clear", ("b0",))]), ga)
-
-
-def test_applicable_checks_subset():
-    rng = random.Random(0)
-    _, prob = blocks_case(rng, 3)
-    acts = blocks_actions(prob)
-    ga = acts["pickup(b0,hand)"]
-    full = State.of([Atom("Clear", ("b0",)), Atom("OnTable", ("b0",)), Atom("Free", ("hand",))])
-    assert applicable(full, ga)
-    assert not applicable(State.of([Atom("Clear", ("b0",)), Atom("OnTable", ("b0",))]), ga)
-
-
-def test_apply_empty_effect_is_identity():
-    ga = GroundAction(BLOCKS_DOMAIN.schema("pickup"), ("b0", "hand"), frozenset(), frozenset(), frozenset())
-    s = State.of([Atom("Clear", ("b0",))])
-    assert apply(s, ga) == s
+# --- transitions ----------------------------------------------------------------
 
 
 def test_apply_grasp_transition():
@@ -79,26 +53,13 @@ def test_apply_grasp_transition():
     objects = {"brush": "item", "table": "surface", "hand": "gripper", "rover": "base"}
     acts = {ga.name: ga for ga in ground_actions(dom, objects)}
     grasp = acts["grasp(brush,table)"]
-    s = State.of(
-        [
-            Atom("On", ("brush", "table")),
-            Atom("Free", ("hand",)),
-            Atom("CloseTo", ("rover", "table")),
-        ]
-    )
-    s2 = apply(s, grasp)
-    assert Atom("Hold", ("hand", "brush")) in s2
-    assert Atom("On", ("brush", "table")) not in s2
-    assert Atom("Free", ("hand",)) not in s2
-    assert Atom("CloseTo", ("rover", "table")) in s2
-
-
-def test_apply_requires_applicability():
-    rng = random.Random(1)
-    _, prob = blocks_case(rng, 3)
-    ga = blocks_actions(prob)["pickup(b0,hand)"]
-    with pytest.raises(NotApplicable):
-        apply(State(), ga)
+    assert grasp.pre == {
+        Atom("On", ("brush", "table")),
+        Atom("Free", ("hand",)),
+        Atom("CloseTo", ("rover", "table")),
+    }
+    assert grasp.add == {Atom("Hold", ("hand", "brush"))}
+    assert grasp.delete == {Atom("On", ("brush", "table")), Atom("Free", ("hand",))}
 
 
 def test_apply_inverse_pairs_restore_state():
@@ -110,15 +71,15 @@ def test_apply_inverse_pairs_restore_state():
         actions = ground_actions(BLOCKS_DOMAIN, prob.objects)
         s = prob.init
         for _ in range(6):
-            usable = [ga for ga in actions if applicable(s, ga)]
+            usable = [ga for ga in actions if ga.pre <= s.atoms]
             if not usable:
                 break
             ga = rng.choice(usable)
-            mid = apply(s, ga)
+            mid = replay(s, [ga])
             inv_name = inverses[ga.schema.name]
             inv_args = ga.args if ga.schema.name in ("pickup", "putdown") else (ga.args[0], ga.args[1], ga.args[2])
             inv = next(a for a in actions if a.schema.name == inv_name and a.args == inv_args)
-            assert apply(mid, inv) == s
+            assert replay(mid, [inv]) == s
             s = mid
 
 
@@ -172,7 +133,7 @@ def test_plan_goal_already_satisfied():
   (:goal (and (Free hand))))
 """
     )
-    assert plan_entry(entry).steps == []
+    assert plan(entry) == []
 
 
 def test_plan_two_step_fetch():
@@ -184,11 +145,10 @@ def test_plan_two_step_fetch():
   (:goal (and (Hold hand brush))))
 """
     )
-    solved = plan_entry(entry)
-    assert [ga.schema.name for ga in solved.steps] == ["approach", "grasp"]
-    assert len(solved.steps) == bfs_optimal_length(entry.domain, entry.problem)
-    final = solved.simulate(entry.problem.init)
-    assert entry.goal_state.issubset(final)
+    steps = plan(entry)
+    assert [ga.schema.name for ga in steps] == ["approach", "grasp"]
+    assert len(steps) == bfs_optimal_length(entry.domain, entry.problem)
+    assert entry.goal_state.atoms <= replay(entry.problem.init, steps).atoms
 
 
 def test_plan_unreachable_goal():
@@ -202,7 +162,7 @@ def test_plan_unreachable_goal():
     )
     # nothing adds On without Hold, and nothing grants Hold without On
     with pytest.raises(NoPlan):
-        plan_entry(entry)
+        plan(entry)
 
 
 def test_dead_end_goal_raises_noplan_before_any_expansion():
@@ -216,21 +176,19 @@ def test_dead_end_goal_raises_noplan_before_any_expansion():
     )
     # unreachable even with deletes ignored: no search budget is spent
     with pytest.raises(NoPlan):
-        solve(entry.domain, entry.problem.objects, entry.problem.init, entry.goal_state, budget=0)
+        plan(entry, budget=0)
 
 
 def test_noplan_exactly_when_the_bfs_oracle_finds_none():
     kinds = Counter()
     for seed in range(30):
         for dom, prob in (random_case(seed), unreachable_case(seed)):
-            want = bfs_optimal_length(dom, prob)
-            if want is not None:
-                steps = solve(dom, prob.objects, prob.init, prob.goal, heuristic=False)
-                assert len(steps) == want, f"seed {seed}"
+            if bfs_optimal_length(dom, prob) is not None:
+                steps = solve(dom, prob.objects, prob.init, prob.goal)
+                assert prob.goal.atoms <= replay(prob.init, steps).atoms, f"seed {seed}"
                 continue
-            for heuristic in (True, False):
-                with pytest.raises(NoPlan):
-                    solve(dom, prob.objects, prob.init, prob.goal, heuristic=heuristic)
+            with pytest.raises(NoPlan):
+                solve(dom, prob.objects, prob.init, prob.goal)
             # budget 0 separates dead ends caught before search from the rest
             try:
                 solve(dom, prob.objects, prob.init, prob.goal, budget=0)
@@ -244,33 +202,15 @@ def test_noplan_exactly_when_the_bfs_oracle_finds_none():
 def test_plan_budget_exceeded():
     rng = random.Random(7)
     dom, prob = blocks_case(rng, 5)
-    entry = PlanEntry("big", dom, prob)
     with pytest.raises(BudgetExceeded):
-        plan_entry(entry, budget=1)
-
-
-def test_uniform_cost_matches_bfs_oracle():
-    for seed in range(30):
-        dom, prob = random_case(seed)
-        want = bfs_optimal_length(dom, prob)
-        assert want is not None, f"seed {seed} generated an unsolvable case"
-        steps = solve(dom, prob.objects, prob.init, prob.goal, heuristic=False)
-        assert len(steps) == want, f"seed {seed}: {len(steps)} != {want}"
-        # soundness
-        s = prob.init
-        for ga in steps:
-            s = apply(s, ga)
-        assert prob.goal.issubset(s)
+        solve(dom, prob.objects, prob.init, prob.goal, budget=1)
 
 
 def test_greedy_is_sound_and_terminates():
     for seed in range(30):
         dom, prob = random_case(seed)
-        steps = solve(dom, prob.objects, prob.init, prob.goal, heuristic=True)
-        s = prob.init
-        for ga in steps:
-            s = apply(s, ga)
-        assert prob.goal.issubset(s), f"seed {seed}"
+        steps = solve(dom, prob.objects, prob.init, prob.goal)
+        assert prob.goal.atoms <= replay(prob.init, steps).atoms, f"seed {seed}"
 
 
 def test_plan_determinism():
