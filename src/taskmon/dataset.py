@@ -12,31 +12,14 @@ counts.
 
 from __future__ import annotations
 
-from pathlib import Path
-
 import numpy as np
 
-from .language import (
-    Atom,
-    LanguageError,
-    MalformedSequence,
-    State,
-    TaskSentence,
-    TokenSeq,
-    Vocabulary,
-    decode_goal,
-    decode_state,
-    encode_atoms,
-)
+from .language import Atom, State, TaskSentence, Vocabulary, encode_atoms
 from .pddl import LibraryError, PlanLibrary
 from .predictor import TrainingPair
 
 
 class InsufficientBase(Exception):
-    pass
-
-
-class DatasetFormatError(Exception):
     pass
 
 
@@ -182,44 +165,3 @@ def grow_dataset(
         out.append(TrainingPair(task, s, t, input_ids, target_ids))
     return out
 
-
-# --- persistence: one (task, input, target) triple per line, tab-separated ------------
-
-
-def save_pairs(pairs: list[TrainingPair], path: str, vocab: Vocabulary) -> None:
-    lines = [
-        "\t".join(
-            (
-                " ".join(p.task.words),
-                TokenSeq(p.input_ids).to_text(vocab),
-                TokenSeq(p.target_ids).to_text(vocab),
-            )
-        )
-        for p in pairs
-    ]
-    Path(path).write_text("".join(ln + "\n" for ln in lines), encoding="utf-8")
-
-
-def load_pairs(path: str, vocab: Vocabulary) -> list[TrainingPair]:
-    out: list[TrainingPair] = []
-    for n, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip():
-            continue
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise DatasetFormatError(f"line {n}: expected 3 tab-separated fields, got {len(parts)}")
-        task_text, in_text, tgt_text = parts
-        try:
-            in_seq = TokenSeq.from_text(vocab, in_text)
-            tgt_seq = TokenSeq.from_text(vocab, tgt_text)
-        except KeyError as e:
-            raise DatasetFormatError(f"line {n}: unknown token {e.args[0]!r}") from e
-        try:
-            task, state = decode_state(in_seq, vocab)
-            target = decode_goal(tgt_seq, vocab)
-        except (MalformedSequence, LanguageError) as e:
-            raise DatasetFormatError(f"line {n}: {e}") from e
-        if " ".join(task.words) != task_text:
-            raise DatasetFormatError(f"line {n}: task field does not match the encoded input")
-        out.append(TrainingPair(task, state, target, in_seq.ids, tgt_seq.ids))
-    return out

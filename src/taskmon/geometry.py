@@ -12,8 +12,6 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Optional
 
-import yaml
-
 from .language import load_yaml
 
 Vec = tuple[float, float, float]
@@ -295,32 +293,6 @@ class Scene:
             self.frame,
         )
 
-    def to_dict(self) -> dict:
-        cam = self.camera
-        return {
-            "camera": {
-                "position": list(cam.position),
-                "yaw": cam.yaw,
-                "pitch": cam.pitch,
-                "hfov": cam.hfov,
-                "vfov": cam.vfov,
-                "max_depth": cam.max_depth,
-            },
-            "objects": [
-                {
-                    "id": o.id,
-                    "label": o.label,
-                    "box": [list(o.box.lo), list(o.box.hi)],
-                    **({"supported_by": o.supported_by} if o.supported_by else {}),
-                    **({"proprio": True} if o.proprio else {}),
-                }
-                for o in self.objects
-            ],
-            "attachments": dict(self.attachments),
-            "vision_on": self.vision_on,
-            "frame": self.frame,
-        }
-
     @staticmethod
     def from_dict(doc: dict) -> "Scene":
         c = doc.get("camera", {})
@@ -355,7 +327,3 @@ def load_scene(path: str) -> Scene:
     with open(path) as f:
         return Scene.from_dict(load_yaml(f))
 
-
-def save_scene(scene: Scene, path: str) -> None:
-    with open(path, "w") as f:
-        yaml.safe_dump(scene.to_dict(), f, sort_keys=True)

@@ -151,9 +151,6 @@ class State:
     def __or__(self, other: "State") -> "State":
         return State(self.atoms | other.atoms)
 
-    def issubset(self, other: "State") -> bool:
-        return self.atoms <= other.atoms
-
     def __str__(self) -> str:
         return " & ".join(str(a) for a in self.canonical()) or "(empty)"
 
@@ -182,13 +179,6 @@ class TokenSeq:
 
     def __len__(self) -> int:
         return len(self.ids)
-
-    def to_text(self, vocab: "Vocabulary") -> str:
-        return " ".join(vocab.id_to_token[i] for i in self.ids)
-
-    @staticmethod
-    def from_text(vocab: "Vocabulary", text: str) -> "TokenSeq":
-        return TokenSeq(tuple(vocab.token_to_id[w] for w in text.split()))
 
 
 # --- sort tree: a sort -> parent map, None at a root ---------------------------
@@ -357,24 +347,6 @@ class Vocabulary:
 # --- operations ------------------------------------------------------------
 
 
-def herbrand_universe(vocab: Vocabulary) -> set[Atom]:
-    """Every predicate applied to every arity-matching tuple of terms,
-    before any type filtering. Count is sum over predicates of |terms|^arity."""
-    names = sorted(vocab.terms)
-    out: set[Atom] = set()
-    for p in vocab.predicates.values():
-        if p.arity == 1:
-            out.update(Atom(p.name, (a,)) for a in names)
-        else:
-            out.update(Atom(p.name, (a, b)) for a in names for b in names)
-    return out
-
-
-def herbrand_count(vocab: Vocabulary) -> int:
-    n = len(vocab.terms)
-    return sum(n ** p.arity for p in vocab.predicates.values())
-
-
 def filter_by_types(atoms: Iterable[Atom], vocab: Vocabulary) -> set[Atom]:
     """Keep exactly the atoms whose arguments satisfy their predicate's sorts."""
     return {a for a in atoms if vocab.atom_type_ok(a)}
@@ -396,24 +368,21 @@ def encode_atoms(
     return TokenSeq(tuple(ids))
 
 
-def _canonical_atoms(s: State, vocab: Vocabulary, max_atoms: Optional[int]) -> list[Atom]:
-    limit = vocab.max_atoms if max_atoms is None else max_atoms
-    if len(s) > limit:
-        raise StateTooLong(len(s), limit)
+def _canonical_atoms(s: State, vocab: Vocabulary) -> list[Atom]:
+    if len(s) > vocab.max_atoms:
+        raise StateTooLong(len(s), vocab.max_atoms)
     return s.drop_times().canonical()
 
 
-def encode_state(
-    task: TaskSentence, s: State, vocab: Vocabulary, max_atoms: Optional[int] = None
-) -> TokenSeq:
+def encode_state(task: TaskSentence, s: State, vocab: Vocabulary) -> TokenSeq:
     """Tokenize (task, state) with the atoms in canonical order."""
-    return encode_atoms(_canonical_atoms(s, vocab, max_atoms), vocab, task)
+    return encode_atoms(_canonical_atoms(s, vocab), vocab, task)
 
 
-def encode_goal(s: State, vocab: Vocabulary, max_atoms: Optional[int] = None) -> TokenSeq:
+def encode_goal(s: State, vocab: Vocabulary) -> TokenSeq:
     """Tokenize a bare state (the predictor's output grammar): canonical atom
     order and no task prefix."""
-    return encode_atoms(_canonical_atoms(s, vocab, max_atoms), vocab)
+    return encode_atoms(_canonical_atoms(s, vocab), vocab)
 
 
 def decode_state(seq: TokenSeq, vocab: Vocabulary) -> tuple[TaskSentence, State]:

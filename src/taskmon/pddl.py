@@ -583,73 +583,8 @@ def _check_problem(prob: PlanProblem, domain: PlanDomain) -> None:
                 raise TypingError(atom, f"{arg}: sort {prob.objects[arg]} incompatible with {slot}")
 
 
-# --- pretty printer -----------------------------------------------------------
-
-
-def _print_typed(pairs: list[tuple[str, Optional[str]]]) -> str:
-    # untyped names must trail: a bare name before "x - sort" would be
-    # swallowed into that sort by the typed-list grammar
-    typed = [(n, s) for n, s in pairs if s is not None]
-    bare = [n for n, s in pairs if s is None]
-    parts: list[str] = []
-    group: list[str] = []
-    cur: Optional[str] = None
-    for name, sort in typed:
-        if group and sort != cur:
-            parts.append(f"{' '.join(group)} - {cur}")
-            group = []
-        group.append(name)
-        cur = sort
-    if group:
-        parts.append(f"{' '.join(group)} - {cur}")
-    if bare:
-        parts.append(" ".join(bare))
-    return " ".join(parts)
-
-
 def _print_atom(atom: SchemaAtom | Atom) -> str:
     return "(" + " ".join([atom.pred, *atom.args]) + ")"
-
-
-def print_domain(dom: PlanDomain) -> str:
-    lines = [f"(define (domain {dom.name})", "  (:requirements :typing :equality)"]
-    typed = [(s, p) for s, p in dom.sorts.items()]
-    if typed:
-        lines.append(f"  (:types {_print_typed(typed)})")
-    if dom.predicates:
-        decls = []
-        for p in dom.predicates.values():
-            args = " ".join(f"?x{i} - {s}" for i, s in enumerate(p.arg_sorts))
-            decls.append(f"({p.name} {args})")
-        lines.append("  (:predicates " + " ".join(decls) + ")")
-    for sch in dom.schemas:
-        params = _print_typed([(p.name, p.sort) for p in sch.parameters])
-        pre_parts = [_print_atom(a) for a in sch.pre]
-        pre_parts += [
-            f"(not (= {e.a} {e.b}))" if e.negated else f"(= {e.a} {e.b})" for e in sch.eqs
-        ]
-        eff_parts = [_print_atom(a) for a in sch.add]
-        eff_parts += [f"(not {_print_atom(a)})" for a in sch.delete]
-        lines.append(f"  (:action {sch.name}")
-        lines.append(f"    :class {sch.action_class}")
-        lines.append(f"    :parameters ({params})")
-        lines.append(f"    :precondition (and {' '.join(pre_parts)})")
-        lines.append(f"    :effect (and {' '.join(eff_parts)}))")
-    return "\n".join(lines) + ")\n"
-
-
-def print_problem(prob: PlanProblem) -> str:
-    lines = [
-        f"(define (problem {prob.name})",
-        f"  (:domain {prob.domain_ref})",
-    ]
-    if prob.objects:
-        lines.append(f"  (:objects {_print_typed(list(prob.objects.items()))})")
-    init = " ".join(_print_atom(a) for a in prob.init.canonical())
-    lines.append(f"  (:init {init})".rstrip() if init else "  (:init)")
-    goal = " ".join(_print_atom(a) for a in prob.goal.canonical())
-    lines.append(f"  (:goal (and {goal}))" if goal else "  (:goal (and))")
-    return "\n".join(lines) + ")\n"
 
 
 # --- library ------------------------------------------------------------------
@@ -659,13 +594,13 @@ def load_library(manifest_path: str, vocab: Vocabulary) -> PlanLibrary:
     """Read a manifest listing plan entries (domain and problem files) and
     task chains, parse and cross-check everything against the vocabulary."""
     with open(manifest_path) as f:
-        doc = load_yaml(f)
+        doc = _shaped(load_yaml(f), dict, "manifest")
     base = os.path.dirname(os.path.abspath(manifest_path))
 
     domains: dict[str, PlanDomain] = {}
     entries: list[PlanEntry] = []
     names: set[str] = set()
-    for i, item in enumerate(doc.get("entries", [])):
+    for i, item in enumerate(_shaped(doc.get("entries", []), list, "manifest: field 'entries'")):
         name = _field(item, "name", f"entry {i}")
         if name in names:
             raise LibraryError(f"duplicate entry name {name}")
@@ -682,24 +617,36 @@ def load_library(manifest_path: str, vocab: Vocabulary) -> PlanLibrary:
         entries.append(PlanEntry(name, dom, prob))
 
     chains: list[TaskChain] = []
-    for i, item in enumerate(doc.get("tasks", [])):
+    for i, item in enumerate(_shaped(doc.get("tasks", []), list, "manifest: field 'tasks'")):
         tid = _field(item, "id", f"task {i}")
         if tid not in vocab.tasks:
             raise LibraryError(f"task {tid} is not in the vocabulary")
-        for j, ch in enumerate(item.get("chains", [])):
-            goals = tuple(_field(ch, "goals", f"task {tid}: chain {j}"))
+        for j, ch in enumerate(_shaped(item.get("chains", []), list, f"task {tid}: field 'chains'")):
+            where = f"task {tid}: chain {j}"
+            goals = tuple(_field(ch, "goals", where, list))
             for g in goals:
-                if g not in names:
+                if _shaped(g, str, f"{where}: goal") not in names:
                     raise LibraryError(f"task {tid}: chain references unknown entry {g}")
-            chains.append(TaskChain(tid, goals, float(ch.get("weight", 1.0))))
+            weight = _shaped(ch.get("weight", 1.0), (int, float), f"{where}: field 'weight'")
+            chains.append(TaskChain(tid, goals, float(weight)))
 
     return PlanLibrary(entries, vocab, chains)
 
 
-def _field(item: dict, key: str, where: str):
-    if key not in item:
+def _field(item: dict, key: str, where: str, kind: type = str):
+    if key not in _shaped(item, dict, where):
         raise LibraryError(f"{where}: missing field {key!r}")
-    return item[key]
+    return _shaped(item[key], kind, f"{where}: field {key!r}")
+
+
+_SHAPES = {dict: "mapping", list: "list", str: "string", (int, float): "number"}
+
+
+def _shaped(value, kind, where: str):
+    # YAML gives any shape; reject the wrong one before it is iterated, indexed or joined
+    if not isinstance(value, kind):
+        raise LibraryError(f"{where} must be a {_SHAPES[kind]}, got {type(value).__name__}")
+    return value
 
 
 def _check_against_vocab(dom: PlanDomain, vocab: Vocabulary) -> None:

@@ -541,11 +541,6 @@ def beam_decode(
     return done[:width]
 
 
-def decode(ids: tuple[int, ...], params: GoalNetParams, max_len: int = 24) -> DecodeResult:
-    """Greedy decoding (beam of width 1)."""
-    return beam_decode(ids, params, width=1, max_len=max_len)[0]
-
-
 def infer_topk_ids(
     input_ids: tuple[int, ...],
     params: GoalNetParams,

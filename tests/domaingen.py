@@ -1,17 +1,22 @@
-"""Random planning cases for oracle-equivalence checks.
+"""Random planning cases for oracle-equivalence checks, and test oracles.
 
 Two families: blocks stacking with an explicit gripper (deep search trees)
 and dependency-chained switch banks (wide boolean spaces). Goals are sampled
 from reachable arrangements so every `random_case` is solvable;
 `unreachable_case` adds goal atoms that no plan can reach.
+
+The oracles: `herbrand_universe` enumerates every untyped atom of a
+vocabulary, and `print_domain`/`print_problem` write PDDL that the parser
+must read back to the same structure.
 """
 
 import random
 from collections import deque
 from dataclasses import replace
+from typing import Optional
 
-from taskmon.language import Atom, State
-from taskmon.pddl import PlanDomain, PlanProblem, parse_domain
+from taskmon.language import Atom, State, Vocabulary
+from taskmon.pddl import PlanDomain, PlanProblem, _print_atom, parse_domain
 from taskmon.planning import ground_actions
 
 BLOCKS_DOMAIN = parse_domain(
@@ -163,3 +168,86 @@ def bfs_optimal_length(domain: PlanDomain, prob: PlanProblem) -> int | None:
                 seen.add(nxt)
                 q.append((nxt, d + 1))
     return None
+
+
+# --- oracles -----------------------------------------------------------------
+
+
+def herbrand_universe(vocab: Vocabulary) -> set[Atom]:
+    """Every predicate applied to every arity-matching tuple of terms,
+    before any type filtering. Count is sum over predicates of |terms|^arity."""
+    names = sorted(vocab.terms)
+    out: set[Atom] = set()
+    for p in vocab.predicates.values():
+        if p.arity == 1:
+            out.update(Atom(p.name, (a,)) for a in names)
+        else:
+            out.update(Atom(p.name, (a, b)) for a in names for b in names)
+    return out
+
+
+def herbrand_count(vocab: Vocabulary) -> int:
+    n = len(vocab.terms)
+    return sum(n ** p.arity for p in vocab.predicates.values())
+
+
+def _print_typed(pairs: list[tuple[str, Optional[str]]]) -> str:
+    # untyped names must trail: a bare name before "x - sort" would be
+    # swallowed into that sort by the typed-list grammar
+    typed = [(n, s) for n, s in pairs if s is not None]
+    bare = [n for n, s in pairs if s is None]
+    parts: list[str] = []
+    group: list[str] = []
+    cur: Optional[str] = None
+    for name, sort in typed:
+        if group and sort != cur:
+            parts.append(f"{' '.join(group)} - {cur}")
+            group = []
+        group.append(name)
+        cur = sort
+    if group:
+        parts.append(f"{' '.join(group)} - {cur}")
+    if bare:
+        parts.append(" ".join(bare))
+    return " ".join(parts)
+
+
+def print_domain(dom: PlanDomain) -> str:
+    lines = [f"(define (domain {dom.name})", "  (:requirements :typing :equality)"]
+    typed = [(s, p) for s, p in dom.sorts.items()]
+    if typed:
+        lines.append(f"  (:types {_print_typed(typed)})")
+    if dom.predicates:
+        decls = []
+        for p in dom.predicates.values():
+            args = " ".join(f"?x{i} - {s}" for i, s in enumerate(p.arg_sorts))
+            decls.append(f"({p.name} {args})")
+        lines.append("  (:predicates " + " ".join(decls) + ")")
+    for sch in dom.schemas:
+        params = _print_typed([(p.name, p.sort) for p in sch.parameters])
+        pre_parts = [_print_atom(a) for a in sch.pre]
+        pre_parts += [
+            f"(not (= {e.a} {e.b}))" if e.negated else f"(= {e.a} {e.b})" for e in sch.eqs
+        ]
+        eff_parts = [_print_atom(a) for a in sch.add]
+        eff_parts += [f"(not {_print_atom(a)})" for a in sch.delete]
+        lines.append(f"  (:action {sch.name}")
+        lines.append(f"    :class {sch.action_class}")
+        lines.append(f"    :parameters ({params})")
+        lines.append(f"    :precondition (and {' '.join(pre_parts)})")
+        lines.append(f"    :effect (and {' '.join(eff_parts)}))")
+    return "\n".join(lines) + ")\n"
+
+
+def print_problem(prob: PlanProblem) -> str:
+    lines = [
+        f"(define (problem {prob.name})",
+        f"  (:domain {prob.domain_ref})",
+    ]
+    if prob.objects:
+        lines.append(f"  (:objects {_print_typed(list(prob.objects.items()))})")
+    init = " ".join(_print_atom(a) for a in prob.init.canonical())
+    lines.append(f"  (:init {init})".rstrip() if init else "  (:init)")
+    goal = " ".join(_print_atom(a) for a in prob.goal.canonical())
+    lines.append(f"  (:goal (and {goal}))" if goal else "  (:goal (and))")
+    return "\n".join(lines) + ")\n"

@@ -8,14 +8,12 @@ import numpy as np
 import pytest
 
 from conftest import make_tiny_vocab
+from domaingen import herbrand_universe
 from taskmon import autodiff as ad
 from taskmon.dataset import (
-    DatasetFormatError,
     InsufficientBase,
     base_pairs,
     grow_dataset,
-    load_pairs,
-    save_pairs,
 )
 from taskmon.language import (
     MalformedSequence,
@@ -28,7 +26,6 @@ from taskmon.language import (
     encode_goal,
     encode_state,
     filter_by_types,
-    herbrand_universe,
 )
 from taskmon.pddl import PlanEntry, PlanLibrary, TaskChain, parse_domain, parse_problem
 from taskmon.predictor import (
@@ -47,7 +44,6 @@ from taskmon.predictor import (
     _encode_np,
     _make_enc_batch,
     beam_decode,
-    decode,
     grad_check,
     infer_topk,
     infer_topk_ids,
@@ -133,7 +129,7 @@ def test_goal_roundtrip(tiny_vocab):
     assert tiny_vocab.ets_id not in seq.ids
     assert decode_goal(seq, tiny_vocab) == st.drop_times()
     # canonical atom order: Free < Hold < On
-    names = seq.to_text(tiny_vocab).split()
+    names = [tiny_vocab.id_to_token[i] for i in seq.ids]
     assert names[0] == "Free" and names[3] == "Hold" and names[7] == "On"
 
 
@@ -153,7 +149,7 @@ def test_goal_codec_rejections(tiny_vocab):
     with pytest.raises(MalformedSequence, match="unknown token id"):
         decode_goal(TokenSeq((999, v.eoa_id, v.eos_id)), v)
     with pytest.raises(StateTooLong):
-        encode_goal(State.parse(["Free(hand)", "Found(cup)"]), v, max_atoms=1)
+        encode_goal(State.parse(["Free(hand)", "Found(cup)"]), make_tiny_vocab(max_atoms=1))
 
 
 # --- embedding and segments -----------------------------------------------------------
@@ -249,11 +245,9 @@ def test_attend_is_a_distribution(tiny_vocab):
 
 def test_greedy_is_width_one_beam(tiny_vocab, fetch_pair):
     params = GoalNetParams.init(tiny_vocab, seed=5)
-    g = decode(fetch_pair.input_ids, params)
     b = beam_decode(fetch_pair.input_ids, params, width=1)[0]
-    assert g.tokens == b.tokens and g.step_logps == b.step_logps
-    assert g.log_prob == sum(g.step_logps)  # additivity is exact
-    assert all(lp <= 0.0 for lp in g.step_logps)
+    assert b.log_prob == sum(b.step_logps)  # additivity is exact
+    assert all(lp <= 0.0 for lp in b.step_logps)
 
 
 def test_beam_results_sorted_and_distinct(tiny_vocab, fetch_pair):
@@ -271,7 +265,7 @@ def test_truncation_flag(tiny_vocab, fetch_pair):
     for r in beam_decode(ids, params, width=3, max_len=6):
         assert r.truncated and len(r.tokens.ids) == 6
     params.out_b.data[tiny_vocab.eos_id] = 1e9  # EOS always wins
-    r = decode(ids, params)
+    r = beam_decode(ids, params, width=1)[0]
     assert not r.truncated and r.tokens.ids == (tiny_vocab.eos_id,)
 
 
@@ -292,7 +286,7 @@ def test_infer_topk_rejects_k_below_one(tiny_vocab, fetch_pair):
 def test_decode_without_attention(tiny_vocab, fetch_pair):
     params, history = train([fetch_pair], tiny_vocab, seed=3, use_attention=False)
     assert history[-1] < 1e-2
-    assert decode(fetch_pair.input_ids, params).tokens.ids == fetch_pair.target_ids
+    assert beam_decode(fetch_pair.input_ids, params, width=1)[0].tokens.ids == fetch_pair.target_ids
     results = beam_decode(fetch_pair.input_ids, params, width=4, max_len=10)
     assert results == _taped_beam_decode(fetch_pair.input_ids, params, width=4, max_len=10)
     proposals = infer_topk(fetch_pair.task, fetch_pair.state, params, tiny_vocab, k=3)
@@ -440,7 +434,7 @@ def test_single_pair_overfit_and_exact_recall(tiny_vocab, fetch_pair, overfit):
     params, history = overfit
     assert len(history) == 100
     assert history[-1] < 1e-2
-    assert decode(fetch_pair.input_ids, params).tokens.ids == fetch_pair.target_ids
+    assert beam_decode(fetch_pair.input_ids, params, width=1)[0].tokens.ids == fetch_pair.target_ids
     proposals = infer_topk(fetch_pair.task, fetch_pair.state, params, tiny_vocab, k=3)
     assert proposals[0].rank == 1
     assert proposals[0].goal == fetch_pair.target
@@ -659,40 +653,3 @@ def test_grow_dataset_substitutes_consistently(tiny_vocab):
     items = {next(a for a in p.state.atoms if a.pred == "On").args[0] for p in pairs}
     assert items == {"brush", "cup"}
 
-
-@pytest.mark.parametrize("lib_fixture", ["tiny_lib", "packaged_lib"], ids=["tiny", "packaged"])
-def test_pairs_file_roundtrip(lib_fixture, request, tmp_path):
-    lib = request.getfixturevalue(lib_fixture)
-    pairs = grow_dataset(lib, target=50, seed=8)
-    path = tmp_path / "pairs.tsv"
-    save_pairs(pairs, str(path), lib.vocab)
-    loaded = load_pairs(str(path), lib.vocab)
-    assert len(loaded) == len(pairs)
-    for a, b in zip(pairs, loaded):
-        assert a.input_ids == b.input_ids
-        assert a.target_ids == b.target_ids
-        assert a.task == b.task and a.state == b.state and a.target == b.target
-    save_pairs(loaded, str(tmp_path / "again.tsv"), lib.vocab)
-    assert (tmp_path / "again.tsv").read_bytes() == path.read_bytes()
-
-
-def test_pairs_file_rejects_malformed(tiny_vocab, tiny_lib, tmp_path):
-    pairs = grow_dataset(tiny_lib, target=3, seed=8)
-    path = tmp_path / "pairs.tsv"
-    save_pairs(pairs, str(path), tiny_vocab)
-    good = path.read_text().splitlines()
-
-    def check(line, match):
-        bad = tmp_path / "bad.tsv"
-        bad.write_text(line + "\n")
-        with pytest.raises(DatasetFormatError, match=match):
-            load_pairs(str(bad), tiny_vocab)
-
-    check("only\ttwo", "expected 3")
-    check(good[0].replace("brush", "xyzzy"), "unknown token")
-    first_field, rest = good[0].split("\t", 1)
-    other_task = "clear the table" if first_field != "clear the table" else "bring the brush to the shelf"
-    check(other_task + "\t" + rest, "does not match")
-    empty_ok = tmp_path / "gaps.tsv"
-    empty_ok.write_text("\n" + good[0] + "\n\n")
-    assert len(load_pairs(str(empty_ok), tiny_vocab)) == 1

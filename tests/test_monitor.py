@@ -251,12 +251,12 @@ def test_actuator_applies_grasp_geometry(lib, tiny_vocab):
 def test_actuator_refuses_unmet_precondition_and_leaves_scene_alone(lib, tiny_vocab):
     scene = desk_scene()
     place_on(scene, "brush", "shelf")  # grasp expects On(brush,table)
-    before = scene.to_dict()
+    before = scene.copy()
     act = SimActuator(scene, tiny_vocab)
     res = act.execute(grasp_action(lib))
     assert not res.ok
     assert res.reason == "precondition CloseTo(hand,brush)"  # first unmet in canonical order
-    assert scene.to_dict() == before
+    assert scene == before
     assert scene.frame == 0
 
 

@@ -17,11 +17,10 @@ from taskmon.pddl import (
     load_library,
     parse_domain,
     parse_problem,
-    print_domain,
-    print_problem,
     validate_library,
 )
 from conftest import make_tiny_vocab
+from domaingen import print_domain, print_problem
 
 TINY_DOMAIN = """
 (define (domain tiny)
@@ -373,6 +372,36 @@ def test_load_library_rejects_duplicates_and_bad_refs(tmp_path):
         with pytest.raises(LibraryError) as e:
             load_library(write_library(tmp_path, **kwargs), vocab)
         assert str(e.value) == message
+
+
+@pytest.mark.parametrize(
+    "manifest, message",
+    [
+        ("", "manifest must be a mapping, got NoneType"),
+        ("- entries\n", "manifest must be a mapping, got list"),
+        ("entries: 5\n", "manifest: field 'entries' must be a list, got int"),
+        (
+            "tasks:\n  - id: t-fetch\n    chains:\n      - goals: boot\n",
+            "task t-fetch: chain 0: field 'goals' must be a list, got str",
+        ),
+        ("entries:\n  - {name: 3}\n", "entry 0: field 'name' must be a string, got int"),
+        (
+            "tasks:\n  - id: t-fetch\n    chains:\n      - goals: [[boot]]\n",
+            "task t-fetch: chain 0: goal must be a string, got list",
+        ),
+        (
+            "tasks:\n  - id: t-fetch\n    chains:\n      - {goals: [], weight: heavy}\n",
+            "task t-fetch: chain 0: field 'weight' must be a number, got str",
+        ),
+    ],
+    ids=["empty", "top-level-list", "entries-int", "goals-string", "name-int", "goal-list", "weight-string"],
+)
+def test_load_library_rejects_misshapen_manifest(tmp_path, manifest, message):
+    path = tmp_path / "manifest.yaml"
+    path.write_text(manifest)
+    with pytest.raises(LibraryError) as e:
+        load_library(str(path), make_tiny_vocab())
+    assert str(e.value) == message
 
 
 def test_load_library_cross_checks_vocabulary(tmp_path):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from taskmon.geometry import Box, Camera, Scene, SceneObject, load_scene, ray_box, save_scene
+from taskmon.geometry import Box, Camera, Scene, SceneObject, load_scene, ray_box
 from taskmon.language import State, parse_atom
 from taskmon.perception import (
     DEFAULT_RULES,
@@ -217,6 +217,19 @@ def test_scene_validation():
 
 
 def test_scene_yaml_roundtrip(tmp_path):
+    path = tmp_path / "scene.yaml"
+    path.write_text(
+        """
+camera: {position: [0, 0, 1.3], yaw: 0.2, pitch: -0.1}
+objects:
+  - {id: hand, label: hand, box: [[0.2, 0, 0.9], [0.3, 0.1, 1.0]], proprio: true}
+  - {id: brush, label: brush, box: [[1, 0, 0.7], [1.1, 0.1, 0.8]], supported_by: table}
+  - {id: table, label: table, box: [[0.8, -0.5, 0], [1.6, 0.5, 0.7]]}
+attachments: {hand: brush}
+vision_on: false
+frame: 7
+"""
+    )
     scene = Scene(
         [
             SceneObject("hand", "hand", Box((0.2, 0, 0.9), (0.3, 0.1, 1.0)), proprio=True),
@@ -228,8 +241,6 @@ def test_scene_yaml_roundtrip(tmp_path):
         vision_on=False,
         frame=7,
     )
-    path = tmp_path / "scene.yaml"
-    save_scene(scene, str(path))
     back = load_scene(str(path))
     assert back.camera == scene.camera
     assert back.attachments == {"hand": "brush"}
