@@ -6,29 +6,21 @@ exactly what the goal predictor needs: a few dense primitives plus fused
 steps (gated recurrent cell, masked softmax, cross-entropy) that keep the
 tape short, since graph length dominates runtime in pure Python. The
 forwards of the fused steps are plain-array kernels that inference calls
-directly, without building Tensors.
+directly, without building Tensors. An op on a tensor that requires grad
+always records itself; a forward whose gradient is not wanted simply drops
+its tape. `param` draws every trainable leaf uniformly in
+[-INIT_SCALE, INIT_SCALE], and `Adam` uses the fixed moment constants
+ADAM_BETA1, ADAM_BETA2 and ADAM_EPS.
 """
 
 from __future__ import annotations
 
-import contextlib
 from typing import Optional
 
 import numpy as np
 
-_GRAD_ENABLED = True
-
-
-@contextlib.contextmanager
-def no_grad():
-    """Disable tape construction inside the block (inference mode)."""
-    global _GRAD_ENABLED
-    prev = _GRAD_ENABLED
-    _GRAD_ENABLED = False
-    try:
-        yield
-    finally:
-        _GRAD_ENABLED = prev
+INIT_SCALE = 0.08
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 class Tensor:
@@ -37,7 +29,7 @@ class Tensor:
     def __init__(self, data, requires_grad: bool = False, parents=(), backward=None):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: Optional[np.ndarray] = None
-        self.requires_grad = requires_grad and _GRAD_ENABLED
+        self.requires_grad = requires_grad
         self._parents = parents if self.requires_grad else ()
         self._backward = backward if self.requires_grad else None
 
@@ -72,13 +64,10 @@ class Tensor:
                 t._backward(t.grad)
 
 
-def param(data, rng: Optional[np.random.Generator] = None, scale: float = 0.08) -> Tensor:
-    """A trainable leaf. Pass an int/tuple shape with an rng to draw uniform
-    values in [-scale, scale], or a ready array."""
-    if rng is not None:
-        shape = (data,) if isinstance(data, int) else tuple(data)
-        data = rng.uniform(-scale, scale, size=shape)
-    return Tensor(np.array(data, dtype=np.float64), requires_grad=True)
+def param(shape, rng: np.random.Generator) -> Tensor:
+    """A trainable leaf of an int or tuple shape, drawn uniformly in
+    [-INIT_SCALE, INIT_SCALE]."""
+    return Tensor(rng.uniform(-INIT_SCALE, INIT_SCALE, size=shape), requires_grad=True)
 
 
 def const(data) -> Tensor:
@@ -101,7 +90,7 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def _node(data, parents, backward) -> Tensor:
-    req = _GRAD_ENABLED and any(p.requires_grad for p in parents)
+    req = any(p.requires_grad for p in parents)
     return Tensor(data, requires_grad=req, parents=tuple(parents), backward=backward)
 
 
@@ -380,10 +369,9 @@ def log_softmax_np(logits: np.ndarray) -> np.ndarray:
 class Adam:
     """Adaptive-moment gradient descent with bias correction."""
 
-    def __init__(self, params: list[Tensor], lr: float = 0.01, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: list[Tensor], lr: float):
         self.params = list(params)
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.lr = lr
         self.t = 0
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]
@@ -394,14 +382,14 @@ class Adam:
 
     def step(self):
         self.t += 1
-        b1t = 1.0 - self.beta1**self.t
-        b2t = 1.0 - self.beta2**self.t
+        b1t = 1.0 - ADAM_BETA1**self.t
+        b2t = 1.0 - ADAM_BETA2**self.t
         for p, m, v in zip(self.params, self._m, self._v):
             if p.grad is None:
                 continue
             g = p.grad
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p.data -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * g * g
+            p.data -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + ADAM_EPS)

@@ -7,7 +7,9 @@ pairs go through the shared grammar writer `language.encode_atoms` in a
 permuted order), distractor atoms padded into the input only, and occasional
 input-atom drops. Padding and drops mimic perceived states that carry more or
 less than the relevant atoms and give the corpus coverage across input atom
-counts.
+counts. Each drawn pair is substituted with probability P_SUBSTITUTE (0.7),
+loses one input atom with P_DROP (0.2) and is padded with P_PAD (0.45) by one
+to MAX_PAD (10) distractor atoms.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ import numpy as np
 from .language import Atom, State, TaskSentence, Vocabulary, encode_atoms
 from .pddl import LibraryError, PlanLibrary
 from .predictor import TrainingPair
+
+P_SUBSTITUTE, P_PAD, P_DROP, MAX_PAD = 0.7, 0.45, 0.2, 10
 
 
 class InsufficientBase(Exception):
@@ -100,15 +104,7 @@ def _random_atom(
     return None
 
 
-def grow_dataset(
-    lib: PlanLibrary,
-    target: int = 20000,
-    seed: int = 0,
-    p_substitute: float = 0.7,
-    p_pad: float = 0.45,
-    p_drop: float = 0.2,
-    max_pad: int = 10,
-) -> list[TrainingPair]:
+def grow_dataset(lib: PlanLibrary, target: int = 20000, seed: int = 0) -> list[TrainingPair]:
     """Deterministically grow up to `target` distinct training pairs. Stops
     short of target only after 200 consecutive duplicate draws (tiny bases)."""
     vocab = lib.vocab
@@ -137,17 +133,17 @@ def grow_dataset(
     misses = 0
     while len(out) < target and misses < 200:
         task, s, t, _ = base[int(rng.choice(len(base), p=weights))]
-        if rng.random() < p_substitute:
+        if rng.random() < P_SUBSTITUTE:
             mapping = _substitution(rng, vocab, protected=set(task.words))
             s, t = _substitute(s, mapping), _substitute(t, mapping)
-        if rng.random() < p_drop and len(s) > 1:
+        if rng.random() < P_DROP and len(s) > 1:
             atoms = s.canonical()
             atoms.pop(int(rng.integers(len(atoms))))
             s = State.of(atoms)
-        if rng.random() < p_pad:
+        if rng.random() < P_PAD:
             room = vocab.max_atoms - len(s)
             extra = s.atoms
-            for _ in range(min(int(rng.integers(1, max_pad + 1)), room)):
+            for _ in range(min(int(rng.integers(1, MAX_PAD + 1)), room)):
                 atom = _random_atom(rng, vocab, cands, avoid=extra)
                 if atom is None:
                     break

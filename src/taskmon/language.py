@@ -2,7 +2,8 @@
 
 Everything here is an immutable value; the vocabulary owns the token index
 space shared by task words, predicate names, term names, and the three
-separators.
+separator tokens. Those are fixed: `EOS`, `ETS` and `EOA` spell them and
+they always take the ids `EOS_ID`, `ETS_ID` and `EOA_ID` (0, 1, 2).
 
 This module owns the two formats the rest of the package shares. The sort
 tree is a `sort -> parent` map walked only by `is_subsort`,
@@ -12,7 +13,8 @@ prefix is absent in goals) is written only by `encode_atoms`, read only by
 the atom-group loop behind `decode_state` and `decode_goal`, and split into
 atom spans only by `atom_spans`. It also owns how the packaged YAML files
 are parsed: `load_yaml` is the one reader behind scenes, the vocabulary and
-the plan library.
+the plan library, and `shaped`/`shaped_field` are the one check of a
+document's shape that the vocabulary and plan-library loaders share.
 """
 
 from __future__ import annotations
@@ -29,6 +31,10 @@ ROBOT = "robot"
 
 DEFAULT_MAX_ATOMS = 17
 
+# The separator tokens lead the token index in this order, so their ids are fixed.
+EOS, ETS, EOA = "<eos>", "<ets>", "<eoa>"
+EOS_ID, ETS_ID, EOA_ID = 0, 1, 2
+
 # libyaml's C parser when PyYAML was built with it, the pure-Python one
 # otherwise; both build the same plain values through the safe constructor.
 YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
@@ -41,6 +47,26 @@ def load_yaml(stream):
 
 class LanguageError(Exception):
     """Base class for vocabulary and codec failures."""
+
+
+_SHAPES = {dict: "mapping", list: "list", str: "string", int: "whole number", (int, float): "number"}
+
+
+def shaped(value, kind, where: str, error: type[Exception] = LanguageError):
+    """`value` when it is a `kind`; otherwise raise `error` naming `where`.
+    YAML gives any shape, so a loader checks each value before it iterates,
+    indexes or joins it."""
+    if not isinstance(value, kind):
+        raise error(f"{where} must be a {_SHAPES[kind]}, got {type(value).__name__}")
+    return value
+
+
+def shaped_field(item, key: str, where: str, kind=str, error: type[Exception] = LanguageError):
+    """`item[key]`, checked to be a `kind`, where `item` must be a mapping
+    that has `key`."""
+    if key not in shaped(item, dict, where, error):
+        raise error(f"{where}: missing field {key!r}")
+    return shaped(item[key], kind, f"{where}: field {key!r}", error)
 
 
 class StateTooLong(LanguageError):
@@ -212,6 +238,8 @@ def check_sort_forest(parents: Mapping[str, Optional[str]]) -> None:
 def branch_kind(parents: Mapping[str, Optional[str]], sort: str) -> str:
     """WORLD or ROBOT by which top-level branch under the root the sort
     descends from."""
+    if sort not in parents:
+        raise LanguageError(f"unknown sort {sort}")
     cur = sort
     while parents[cur] is not None and parents[parents[cur]] is not None:
         cur = parents[cur]
@@ -222,9 +250,9 @@ def branch_kind(parents: Mapping[str, Optional[str]], sort: str) -> str:
 
 class Vocabulary:
     """The extended robot language: sorts, terms, predicates, task sentences,
-    separators, and the bijective token index over all of them.
+    and the bijective token index over them and the separator tokens.
 
-    Token index layout is deterministic: [eos, ets, eoa] followed by the
+    Token index layout is deterministic: [EOS, ETS, EOA] followed by the
     remaining distinct tokens in sorted order. Task words spelled like a term
     or predicate name share that token id.
     """
@@ -235,9 +263,6 @@ class Vocabulary:
         terms: Sequence[Term],
         predicates: Sequence[Predicate],
         tasks: Sequence[TaskSentence],
-        eoa: str = "<eoa>",
-        ets: str = "<ets>",
-        eos: str = "<eos>",
         max_atoms: int = DEFAULT_MAX_ATOMS,
     ):
         self.sorts = {s.name: s for s in sorts}
@@ -245,21 +270,16 @@ class Vocabulary:
         self.terms = {t.name: t for t in terms}
         self.predicates = {p.name: p for p in predicates}
         self.tasks = {t.id: t for t in tasks}
-        self.eoa, self.ets, self.eos = eoa, ets, eos
         self.max_atoms = max_atoms
         self._validate()
 
         others: set[str] = set(self.predicates) | set(self.terms)
         for t in self.tasks.values():
             others.update(t.words)
-        seps = [eos, ets, eoa]
-        if others & set(seps):
+        if others & {EOS, ETS, EOA}:
             raise LanguageError("separator spelling collides with a language token")
-        self.id_to_token: list[str] = seps + sorted(others)
+        self.id_to_token: list[str] = [EOS, ETS, EOA] + sorted(others)
         self.token_to_id: dict[str, int] = {w: i for i, w in enumerate(self.id_to_token)}
-        self.eos_id = self.token_to_id[eos]
-        self.ets_id = self.token_to_id[ets]
-        self.eoa_id = self.token_to_id[eoa]
 
     def _validate(self) -> None:
         roots = [s for s in self.sorts.values() if s.parent is None]
@@ -306,7 +326,7 @@ class Vocabulary:
             h.update(f"pred {p.name} {' '.join(p.arg_sorts)} {int(p.epistemic)}\n".encode())
         for tid in sorted(self.tasks):
             h.update(f"task {tid} {self.tasks[tid].sentence}\n".encode())
-        h.update(f"sep {self.eoa} {self.ets} {self.eos}\n".encode())
+        h.update(f"sep {EOA} {ETS} {EOS}\n".encode())
         return h.hexdigest()
 
     # --- files ------------------------------------------------------------
@@ -318,30 +338,31 @@ class Vocabulary:
         return Vocabulary.from_dict(doc)
 
     @staticmethod
-    def from_dict(doc: dict) -> "Vocabulary":
-        sorts = [Sort(s["name"], s.get("parent")) for s in doc["sorts"]]
+    def from_dict(doc) -> "Vocabulary":
+        doc = shaped(doc, dict, "vocabulary")
+        sorts = [
+            Sort(shaped_field(s, "name", f"sort {i}"), s.get("parent"))
+            for i, s in enumerate(shaped_field(doc, "sorts", "vocabulary", list))
+        ]
         parents = {s.name: s.parent for s in sorts}
         check_sort_forest(parents)
-        terms = [
-            Term(t["name"], t["sort"], t.get("kind") or branch_kind(parents, t["sort"]))
-            for t in doc["terms"]
-        ]
-        preds = [
-            Predicate(p["name"], tuple(p["args"]), bool(p.get("epistemic", False)))
-            for p in doc["predicates"]
-        ]
-        tasks = [TaskSentence.of(t["id"], t["sentence"]) for t in doc.get("tasks", [])]
-        seps = doc.get("separators", {})
-        return Vocabulary(
-            sorts,
-            terms,
-            preds,
-            tasks,
-            eoa=seps.get("eoa", "<eoa>"),
-            ets=seps.get("ets", "<ets>"),
-            eos=seps.get("eos", "<eos>"),
-            max_atoms=doc.get("max_atoms", DEFAULT_MAX_ATOMS),
-        )
+        terms = []
+        for i, t in enumerate(shaped_field(doc, "terms", "vocabulary", list)):
+            name = shaped_field(t, "name", f"term {i}")
+            sort = shaped_field(t, "sort", f"term {name}")
+            terms.append(Term(name, sort, t.get("kind") or branch_kind(parents, sort)))
+        preds = []
+        for i, p in enumerate(shaped_field(doc, "predicates", "vocabulary", list)):
+            name = shaped_field(p, "name", f"predicate {i}")
+            args = shaped_field(p, "args", f"predicate {name}", list)
+            args = tuple(shaped(a, str, f"predicate {name}: arg") for a in args)
+            preds.append(Predicate(name, args, bool(p.get("epistemic", False))))
+        tasks = []
+        for i, t in enumerate(shaped(doc.get("tasks", []), list, "vocabulary: field 'tasks'")):
+            tid = shaped_field(t, "id", f"task {i}")
+            tasks.append(TaskSentence.of(tid, shaped_field(t, "sentence", f"task {tid}")))
+        max_atoms = shaped(doc.get("max_atoms", DEFAULT_MAX_ATOMS), int, "vocabulary: field 'max_atoms'")
+        return Vocabulary(sorts, terms, preds, tasks, max_atoms=max_atoms)
 
 
 # --- operations ------------------------------------------------------------
@@ -359,12 +380,12 @@ def encode_atoms(
     is given, then each atom in the given order as predicate, arguments and
     EOA, then EOS. Time indices are not written."""
     tok = vocab.token_to_id
-    ids = [] if task is None else [tok[w] for w in task.words] + [vocab.ets_id]
+    ids = [] if task is None else [tok[w] for w in task.words] + [ETS_ID]
     for atom in atoms:
         ids.append(tok[atom.pred])
         ids.extend(tok[a] for a in atom.args)
-        ids.append(vocab.eoa_id)
-    ids.append(vocab.eos_id)
+        ids.append(EOA_ID)
+    ids.append(EOS_ID)
     return TokenSeq(tuple(ids))
 
 
@@ -389,13 +410,12 @@ def decode_state(seq: TokenSeq, vocab: Vocabulary) -> tuple[TaskSentence, State]
     """Exact inverse of encode_state on its image. Raises MalformedSequence
     with the offending position otherwise."""
     ids = seq.ids
-    seps = {vocab.eos_id, vocab.ets_id, vocab.eoa_id}
     pos = 0
     words: list[str] = []
-    while pos < len(ids) and ids[pos] not in seps:
+    while pos < len(ids) and ids[pos] not in (EOS_ID, ETS_ID, EOA_ID):
         words.append(_token(ids[pos], vocab, pos))
         pos += 1
-    if pos >= len(ids) or ids[pos] != vocab.ets_id:
+    if pos >= len(ids) or ids[pos] != ETS_ID:
         raise MalformedSequence(pos, "expected <ets> after task words")
     if not words:
         raise MalformedSequence(0, "empty task segment")
@@ -418,15 +438,15 @@ def _decode_atoms(ids: Sequence[int], start: int, vocab: Vocabulary) -> list[Ato
     group: list[str] = []
     for pos in range(start, len(ids)):
         tid = ids[pos]
-        if tid == vocab.eos_id:
+        if tid == EOS_ID:
             if group:
                 raise MalformedSequence(pos, "atom group not closed by <eoa> before <eos>")
             if pos != len(ids) - 1:
                 raise MalformedSequence(pos + 1, "tokens after <eos>")
             return atoms
-        if tid == vocab.ets_id:
+        if tid == ETS_ID:
             raise MalformedSequence(pos, "unexpected <ets>")
-        if tid == vocab.eoa_id:
+        if tid == EOA_ID:
             atoms.append(_group_to_atom(group, vocab, pos))
             group = []
         else:
@@ -440,15 +460,15 @@ def _token(tid: int, vocab: Vocabulary, pos: int) -> str:
     return vocab.id_to_token[tid]
 
 
-def atom_spans(ids: Sequence[int], start: int, eoa_id: int, eos_id: int) -> list[tuple[int, int]]:
+def atom_spans(ids: Sequence[int], start: int) -> list[tuple[int, int]]:
     """The (lo, hi) content span of each atom group from ids[start:] up to the
-    first EOS: each EOA closes a span, separators excluded."""
+    first EOS: each EOA closes a span, separator tokens excluded."""
     spans = []
     for pos in range(start, len(ids)):
-        if ids[pos] == eoa_id:
+        if ids[pos] == EOA_ID:
             spans.append((start, pos))
             start = pos + 1
-        elif ids[pos] == eos_id:
+        elif ids[pos] == EOS_ID:
             break
     return spans
 

@@ -26,6 +26,8 @@ from .language import (
     check_sort_forest,
     is_subsort,
     load_yaml,
+    shaped,
+    shaped_field,
 )
 
 WORLD_ACTION = "world"
@@ -594,59 +596,43 @@ def load_library(manifest_path: str, vocab: Vocabulary) -> PlanLibrary:
     """Read a manifest listing plan entries (domain and problem files) and
     task chains, parse and cross-check everything against the vocabulary."""
     with open(manifest_path) as f:
-        doc = _shaped(load_yaml(f), dict, "manifest")
+        doc = shaped(load_yaml(f), dict, "manifest", LibraryError)
     base = os.path.dirname(os.path.abspath(manifest_path))
 
     domains: dict[str, PlanDomain] = {}
     entries: list[PlanEntry] = []
     names: set[str] = set()
-    for i, item in enumerate(_shaped(doc.get("entries", []), list, "manifest: field 'entries'")):
-        name = _field(item, "name", f"entry {i}")
+    for i, item in enumerate(shaped(doc.get("entries", []), list, "manifest: field 'entries'", LibraryError)):
+        name = shaped_field(item, "name", f"entry {i}", error=LibraryError)
         if name in names:
             raise LibraryError(f"duplicate entry name {name}")
         names.add(name)
-        dpath = os.path.join(base, _field(item, "domain", f"entry {name}"))
+        dpath = os.path.join(base, shaped_field(item, "domain", f"entry {name}", error=LibraryError))
         if dpath not in domains:
             with open(dpath) as f:
                 domains[dpath] = parse_domain(f.read())
             _check_against_vocab(domains[dpath], vocab)
         dom = domains[dpath]
-        with open(os.path.join(base, _field(item, "problem", f"entry {name}"))) as f:
+        with open(os.path.join(base, shaped_field(item, "problem", f"entry {name}", error=LibraryError))) as f:
             prob = parse_problem(f.read(), dom)
         _check_problem_against_vocab(prob, vocab)
         entries.append(PlanEntry(name, dom, prob))
 
     chains: list[TaskChain] = []
-    for i, item in enumerate(_shaped(doc.get("tasks", []), list, "manifest: field 'tasks'")):
-        tid = _field(item, "id", f"task {i}")
+    for i, item in enumerate(shaped(doc.get("tasks", []), list, "manifest: field 'tasks'", LibraryError)):
+        tid = shaped_field(item, "id", f"task {i}", error=LibraryError)
         if tid not in vocab.tasks:
             raise LibraryError(f"task {tid} is not in the vocabulary")
-        for j, ch in enumerate(_shaped(item.get("chains", []), list, f"task {tid}: field 'chains'")):
+        for j, ch in enumerate(shaped(item.get("chains", []), list, f"task {tid}: field 'chains'", LibraryError)):
             where = f"task {tid}: chain {j}"
-            goals = tuple(_field(ch, "goals", where, list))
+            goals = tuple(shaped_field(ch, "goals", where, list, LibraryError))
             for g in goals:
-                if _shaped(g, str, f"{where}: goal") not in names:
+                if shaped(g, str, f"{where}: goal", LibraryError) not in names:
                     raise LibraryError(f"task {tid}: chain references unknown entry {g}")
-            weight = _shaped(ch.get("weight", 1.0), (int, float), f"{where}: field 'weight'")
+            weight = shaped(ch.get("weight", 1.0), (int, float), f"{where}: field 'weight'", LibraryError)
             chains.append(TaskChain(tid, goals, float(weight)))
 
     return PlanLibrary(entries, vocab, chains)
-
-
-def _field(item: dict, key: str, where: str, kind: type = str):
-    if key not in _shaped(item, dict, where):
-        raise LibraryError(f"{where}: missing field {key!r}")
-    return _shaped(item[key], kind, f"{where}: field {key!r}")
-
-
-_SHAPES = {dict: "mapping", list: "list", str: "string", (int, float): "number"}
-
-
-def _shaped(value, kind, where: str):
-    # YAML gives any shape; reject the wrong one before it is iterated, indexed or joined
-    if not isinstance(value, kind):
-        raise LibraryError(f"{where} must be a {_SHAPES[kind]}, got {type(value).__name__}")
-    return value
 
 
 def _check_against_vocab(dom: PlanDomain, vocab: Vocabulary) -> None:

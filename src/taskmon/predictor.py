@@ -1,21 +1,28 @@
 """Sequence-to-sequence next-goal predictor.
 
-Token embeddings (size 20) feed a bidirectional gated encoder; a second
-unidirectional layer folds the encoder outputs into a size-10 summary that
-initializes the decoder. At every decoder step an additive two-layer network
-scores each input atom segment, scores pass through a softmax, and the
-context is the weight-averaged segment vector. A no-attention ablation
-replaces the context with the mean of the encoder states. Training and the
-gradient check build the reverse-mode tape in autodiff. Inference builds no
-tape: it runs the same arithmetic on plain arrays, through the gated-cell and
-masked-softmax kernels the taped steps share, and its results are bit-equal
-to the taped forward.
+Token embeddings (EMB_DIM 20) feed a bidirectional gated encoder (ENC_HIDDEN
+16 per direction); a second unidirectional layer folds the encoder outputs
+into a SUMMARY 10 vector that initializes the decoder (DEC_HIDDEN 32). At
+every decoder step an additive two-layer network (ATT_HIDDEN 32) scores each
+input atom segment, scores pass through a softmax, and the context is the
+weight-averaged segment vector. A no-attention ablation replaces the context
+with the mean of the encoder states. Every net has these sizes, and its
+weights start uniform in +-autodiff.INIT_SCALE (0.08). Decoding stops at
+MAX_LEN 24 tokens.
+Training and the gradient check build the reverse-mode tape in autodiff; the
+check compares against central differences of step GRAD_CHECK_EPS on weights
+drawn with GRAD_CHECK_SEED, flooring the error's denominator at
+GRAD_CHECK_FLOOR. Inference builds no tape: it runs the same arithmetic on
+plain arrays, through the gated-cell and masked-softmax kernels the taped
+steps share, and its results are bit-equal to the taped forward.
 """
 
 from __future__ import annotations
 
 import io
 import json
+import math
+import numbers
 import zipfile
 from dataclasses import dataclass, field
 from typing import Optional
@@ -24,6 +31,9 @@ import numpy as np
 
 from . import autodiff as ad
 from .language import (
+    EOA_ID,
+    EOS_ID,
+    ETS_ID,
     MalformedSequence,
     State,
     TaskSentence,
@@ -37,6 +47,10 @@ from .language import (
 )
 
 CHECKPOINT_VERSION = 1
+
+EMB_DIM, ENC_HIDDEN, SUMMARY, DEC_HIDDEN, ATT_HIDDEN = 20, 16, 10, 32, 32
+MAX_LEN = 24
+GRAD_CHECK_EPS, GRAD_CHECK_FLOOR, GRAD_CHECK_SEED = 1e-5, 1e-6, 0
 
 
 class IndexOutOfVocab(Exception):
@@ -71,7 +85,6 @@ class GoalNetParams:
     canonical parameter order for the optimizer, checkpoints, and checks."""
 
     vocab_hash: str
-    seps: tuple[int, int, int]  # (eos, ets, eoa) token ids
     use_attention: bool
     emb: ad.Tensor
     ef_Wx: ad.Tensor
@@ -100,22 +113,6 @@ class GoalNetParams:
     def vocab_size(self) -> int:
         return self.emb.data.shape[0]
 
-    @property
-    def emb_dim(self) -> int:
-        return self.emb.data.shape[1]
-
-    @property
-    def enc_hidden(self) -> int:
-        return self.ef_Wh.data.shape[0]
-
-    @property
-    def summary_size(self) -> int:
-        return self.sum_Wh.data.shape[0]
-
-    @property
-    def dec_hidden(self) -> int:
-        return self.dec_Wh.data.shape[0]
-
     GROUPS = (
         "emb",
         "ef_Wx", "ef_Wh", "ef_b",
@@ -134,15 +131,14 @@ class GoalNetParams:
         for name, t in self.groups().items():
             if not np.all(np.isfinite(t.data)):
                 raise ValueError(f"parameter group {name} holds non-finite values")
-        De, H, S, Hd = self.emb_dim, self.enc_hidden, self.summary_size, self.dec_hidden
+        De, H, S, Hd, A = EMB_DIM, ENC_HIDDEN, SUMMARY, DEC_HIDDEN, ATT_HIDDEN
         expect = {
+            "emb": (self.vocab_size, De),
             "ef_Wx": (De, 4 * H), "ef_Wh": (H, 4 * H), "ef_b": (4 * H,),
             "eb_Wx": (De, 4 * H), "eb_Wh": (H, 4 * H), "eb_b": (4 * H,),
             "sum_Wx": (2 * H, 4 * S), "sum_Wh": (S, 4 * S), "sum_b": (4 * S,),
             "h0_W": (S, Hd), "h0_b": (Hd,), "c0_W": (S, Hd), "c0_b": (Hd,),
-            "att_W1": (2 * H, self.att_W1.data.shape[1]),
-            "att_W2": (De + 2 * H + Hd, self.att_W1.data.shape[1]),
-            "att_W": (self.att_W1.data.shape[1], 1),
+            "att_W1": (2 * H, A), "att_W2": (De + 2 * H + Hd, A), "att_W": (A, 1),
             "dec_Wx": (De + 2 * H, 4 * Hd), "dec_Wh": (Hd, 4 * Hd), "dec_b": (4 * Hd,),
             "out_W": (Hd + 2 * H, self.vocab_size), "out_b": (self.vocab_size,),
         }
@@ -152,49 +148,37 @@ class GoalNetParams:
                 raise ValueError(f"parameter group {name}: shape {got}, expected {shape}")
 
     @staticmethod
-    def init(
-        vocab: Vocabulary,
-        seed: int = 0,
-        use_attention: bool = True,
-        emb_dim: int = 20,
-        enc_hidden: int = 16,
-        summary: int = 10,
-        dec_hidden: int = 32,
-        att_hidden: int = 32,
-        scale: float = 0.08,
-    ) -> "GoalNetParams":
+    def init(vocab: Vocabulary, seed: int = 0, use_attention: bool = True) -> "GoalNetParams":
         rng = np.random.default_rng(seed)
-        V = vocab.size
-        D2 = 2 * enc_hidden
+        V, De, H, S, Hd, A = vocab.size, EMB_DIM, ENC_HIDDEN, SUMMARY, DEC_HIDDEN, ATT_HIDDEN
 
         def p(*shape):
-            return ad.param(shape, rng=rng, scale=scale)
+            return ad.param(shape, rng)
 
         return GoalNetParams(
             vocab_hash=vocab.hash(),
-            seps=(vocab.eos_id, vocab.ets_id, vocab.eoa_id),
             use_attention=use_attention,
-            emb=p(V, emb_dim),
-            ef_Wx=p(emb_dim, 4 * enc_hidden),
-            ef_Wh=p(enc_hidden, 4 * enc_hidden),
-            ef_b=p(4 * enc_hidden),
-            eb_Wx=p(emb_dim, 4 * enc_hidden),
-            eb_Wh=p(enc_hidden, 4 * enc_hidden),
-            eb_b=p(4 * enc_hidden),
-            sum_Wx=p(D2, 4 * summary),
-            sum_Wh=p(summary, 4 * summary),
-            sum_b=p(4 * summary),
-            h0_W=p(summary, dec_hidden),
-            h0_b=p(dec_hidden),
-            c0_W=p(summary, dec_hidden),
-            c0_b=p(dec_hidden),
-            att_W1=p(D2, att_hidden),
-            att_W2=p(emb_dim + D2 + dec_hidden, att_hidden),
-            att_W=p(att_hidden, 1),
-            dec_Wx=p(emb_dim + D2, 4 * dec_hidden),
-            dec_Wh=p(dec_hidden, 4 * dec_hidden),
-            dec_b=p(4 * dec_hidden),
-            out_W=p(dec_hidden + D2, V),
+            emb=p(V, De),
+            ef_Wx=p(De, 4 * H),
+            ef_Wh=p(H, 4 * H),
+            ef_b=p(4 * H),
+            eb_Wx=p(De, 4 * H),
+            eb_Wh=p(H, 4 * H),
+            eb_b=p(4 * H),
+            sum_Wx=p(2 * H, 4 * S),
+            sum_Wh=p(S, 4 * S),
+            sum_b=p(4 * S),
+            h0_W=p(S, Hd),
+            h0_b=p(Hd),
+            c0_W=p(S, Hd),
+            c0_b=p(Hd),
+            att_W1=p(2 * H, A),
+            att_W2=p(De + 2 * H + Hd, A),
+            att_W=p(A, 1),
+            dec_Wx=p(De + 2 * H, 4 * Hd),
+            dec_Wh=p(Hd, 4 * Hd),
+            dec_b=p(4 * Hd),
+            out_W=p(Hd + 2 * H, V),
             out_b=p(V),
         )
 
@@ -202,14 +186,14 @@ class GoalNetParams:
 # --- input segments -----------------------------------------------------------------
 
 
-def segment_spans(ids, ets_id: int, eoa_id: int, eos_id: int) -> tuple[tuple[int, int], ...]:
+def segment_spans(ids) -> tuple[tuple[int, int], ...]:
     """The spans the attention attends over: the task words, then each atom's
-    content tokens (separators excluded)."""
+    content tokens (separator tokens excluded)."""
     ids = list(ids)
-    if ets_id not in ids:
+    if ETS_ID not in ids:
         raise MalformedSequence(0, "missing <ets>")
-    cut = ids.index(ets_id)
-    return ((0, cut), *atom_spans(ids, cut + 1, eoa_id, eos_id))
+    cut = ids.index(ETS_ID)
+    return ((0, cut), *atom_spans(ids, cut + 1))
 
 
 # --- batched graph construction -------------------------------------------------------
@@ -223,13 +207,12 @@ class _EncBatch:
     seg_mask: np.ndarray  # (B, K)
 
 
-def _make_enc_batch(seqs: list[tuple[int, ...]], params: GoalNetParams) -> _EncBatch:
-    eos, ets, eoa = params.seps
+def _make_enc_batch(seqs: list[tuple[int, ...]]) -> _EncBatch:
     B = len(seqs)
     T = max(len(s) for s in seqs)
-    ids = np.full((B, T), eos, dtype=np.int64)
+    ids = np.full((B, T), EOS_ID, dtype=np.int64)
     tok_mask = np.zeros((B, T))
-    spans_all = [segment_spans(s, ets, eoa, eos) for s in seqs]
+    spans_all = [segment_spans(s) for s in seqs]
     K = max(len(sp) for sp in spans_all)
     M = np.zeros((B, K, T))
     seg_mask = np.zeros((B, K))
@@ -245,7 +228,7 @@ def _make_enc_batch(seqs: list[tuple[int, ...]], params: GoalNetParams) -> _EncB
 
 def _encode_graph(params: GoalNetParams, eb: _EncBatch) -> dict:
     B, T = eb.ids.shape
-    H = params.enc_hidden
+    H = ENC_HIDDEN
     K = eb.M.shape[1]
     xs = [ad.embedding(params.emb, eb.ids[:, t]) for t in range(T)]
 
@@ -261,7 +244,7 @@ def _encode_graph(params: GoalNetParams, eb: _EncBatch) -> dict:
         bwd[t] = ad.narrow(hc, 1, 0, H)
     enc = [ad.concat([fwd[t], bwd[t]], axis=1) for t in range(T)]
 
-    S_sz = params.summary_size
+    S_sz = SUMMARY
     hc2 = ad.const(np.zeros((B, 2 * S_sz)))
     for t in range(T):
         hc2 = ad.lstm_step(enc[t], hc2, params.sum_Wx, params.sum_Wh, params.sum_b, eb.tok_mask[:, t : t + 1])
@@ -303,7 +286,7 @@ def _dec_step(
     mask_col: np.ndarray,
 ) -> tuple[ad.Tensor, ad.Tensor, Optional[ad.Tensor]]:
     """One decoder step; returns (logits, new [h|c], attention weights)."""
-    Hd = params.dec_hidden
+    Hd = DEC_HIDDEN
     h_prev = ad.narrow(hc, 1, 0, Hd)
     if params.use_attention:
         tau_y = ad.concat([prev_seg, env["task_seg"], h_prev], axis=1)
@@ -322,14 +305,13 @@ def _dec_step(
     return logits, hc_new, p
 
 
-def _prev_segment_weights(tgt: np.ndarray, params: GoalNetParams) -> np.ndarray:
+def _prev_segment_weights(tgt: np.ndarray) -> np.ndarray:
     """P[b, t, :] weights target-token embeddings into the mean of the last
     atom completed strictly before decode step t (zeros before the first)."""
-    eos, ets, eoa = params.seps
     B, L = tgt.shape
     P = np.zeros((B, L, L))
     for b in range(B):
-        spans = atom_spans(tgt[b].tolist(), 0, eoa, eos)
+        spans = atom_spans(tgt[b].tolist(), 0)
         for t in range(L):
             done = [sp for sp in spans if sp[1] < t and sp[1] > sp[0]]
             if done:
@@ -343,19 +325,17 @@ def _teacher_forced_loss(
 ) -> tuple[ad.Tensor, int]:
     """Summed cross-entropy over all target tokens in the batch (teacher
     forcing), and the token count for averaging."""
-    eos, ets, eoa = params.seps
-    eb = _make_enc_batch(inputs, params)
-    env = _encode_graph(params, eb)
+    env = _encode_graph(params, _make_enc_batch(inputs))
     B = env["B"]
     L = max(len(t) for t in targets)
-    tgt = np.full((B, L), eos, dtype=np.int64)
+    tgt = np.full((B, L), EOS_ID, dtype=np.int64)
     tgt_mask = np.zeros((B, L))
     for b, t in enumerate(targets):
         tgt[b, : len(t)] = t
         tgt_mask[b, : len(t)] = 1.0
-    dec_in = np.full((B, L), ets, dtype=np.int64)
+    dec_in = np.full((B, L), ETS_ID, dtype=np.int64)
     dec_in[:, 1:] = tgt[:, :-1]
-    P = _prev_segment_weights(tgt, params)
+    P = _prev_segment_weights(tgt)
     Y3 = ad.embedding(params.emb, tgt)  # (B, L, De) for prev-segment means
 
     hc = _dec_init(params, env["summary"])
@@ -413,7 +393,7 @@ def _encode_np(params: GoalNetParams, ids: tuple[int, ...], rows: int) -> dict:
     of a single input is valid, so the mask blend drops out. The per-input
     tensors come repeated to `rows` rows, so a decoder step over B <= rows
     beams slices them instead of tiling them again."""
-    eb = _make_enc_batch([ids], params)
+    eb = _make_enc_batch([ids])
     T, K = len(ids), eb.M.shape[1]
     X = params.emb.data[eb.ids[0]]  # (T, De)
     fwd = _lstm_run_np(X, params.ef_Wx, params.ef_Wh, params.ef_b)
@@ -441,7 +421,7 @@ def _dec_step_np(
 ) -> tuple[np.ndarray, np.ndarray]:
     """`_dec_step` for B = len(hc) rows, untaped, over an `_encode_np` env of
     at least B rows; returns (logits, new [h|c])."""
-    B, Hd = hc.shape[0], params.dec_hidden
+    B, Hd = hc.shape[0], DEC_HIDDEN
     h_prev = hc[:, :Hd]
     if params.use_attention:
         K = env["K"]
@@ -468,28 +448,25 @@ class _Beam:
     group: list[int] = field(default_factory=list)
 
 
-def beam_decode(
-    ids: tuple[int, ...], params: GoalNetParams, width: int = 3, max_len: int = 24
-) -> list[DecodeResult]:
+def beam_decode(ids: tuple[int, ...], params: GoalNetParams, width: int = 3) -> list[DecodeResult]:
     """Whole-sequence beam search over the encoded input `ids`; returns up to
     `width` results sorted by total log-probability, finished (EOS) or
-    flagged truncated at max_len."""
+    flagged truncated at MAX_LEN."""
     for pos, t in enumerate(ids):
         if not 0 <= t < params.vocab_size:
             raise IndexOutOfVocab(f"token id {t} at position {pos}")
     if width < 1:
         raise ValueError("beam width must be >= 1")
-    eos, ets, eoa = params.seps
     env = _encode_np(params, ids, rows=width)
     emb = params.emb.data
-    live = [_Beam(prev_seg=np.zeros(params.emb_dim))]
+    live = [_Beam(prev_seg=np.zeros(EMB_DIM))]
     hc = env["hc0"]  # row i is live[i]'s [h|c]
     done: list[DecodeResult] = []
     V = params.vocab_size
-    for _ in range(max_len):
+    for _ in range(MAX_LEN):
         if not live:
             break
-        prev_emb = emb[[b.tokens[-1] if b.tokens else ets for b in live]]
+        prev_emb = emb[[b.tokens[-1] if b.tokens else ETS_ID for b in live]]
         prev_seg = np.array([b.prev_seg for b in live])
         logits, hc_new = _dec_step_np(params, env, prev_emb, prev_seg, hc)
         logp = ad.log_softmax_np(logits)  # (B, V)
@@ -519,16 +496,16 @@ def beam_decode(
                 prev_seg=src.prev_seg,
                 group=list(src.group),
             )
-            if tok == eos:
+            if tok == EOS_ID:
                 done.append(
                     DecodeResult(TokenSeq(tuple(nb.tokens)), tuple(nb.logps), truncated=False)
                 )
                 continue
-            if tok == eoa:
+            if tok == EOA_ID:
                 if nb.group:
                     nb.prev_seg = emb[nb.group].mean(axis=0)
                     nb.group = []
-            elif tok != ets:
+            elif tok != ETS_ID:
                 nb.group.append(tok)
             next_live.append(nb)
             rows.append(i)
@@ -542,17 +519,13 @@ def beam_decode(
 
 
 def infer_topk_ids(
-    input_ids: tuple[int, ...],
-    params: GoalNetParams,
-    vocab: Vocabulary,
-    k: int = 3,
-    max_len: int = 24,
+    input_ids: tuple[int, ...], params: GoalNetParams, vocab: Vocabulary, k: int = 3
 ) -> list[GoalProposal]:
     """Top-k distinct well-formed goal states for an already-encoded input."""
     if k < 1:
         raise ValueError("k must be >= 1")
     width = max(2 * k, 6)
-    results = beam_decode(tuple(input_ids), params, width, max_len)
+    results = beam_decode(tuple(input_ids), params, width)
     proposals: list[GoalProposal] = []
     seen: set[frozenset] = set()
     for r in results:
@@ -577,14 +550,9 @@ def infer_topk_ids(
 
 
 def infer_topk(
-    task: TaskSentence,
-    s: State,
-    params: GoalNetParams,
-    vocab: Vocabulary,
-    k: int = 3,
-    max_len: int = 24,
+    task: TaskSentence, s: State, params: GoalNetParams, vocab: Vocabulary, k: int = 3
 ) -> list[GoalProposal]:
-    return infer_topk_ids(encode_state(task, s, vocab).ids, params, vocab, k, max_len)
+    return infer_topk_ids(encode_state(task, s, vocab).ids, params, vocab, k)
 
 
 # --- training -------------------------------------------------------------------------
@@ -616,6 +584,23 @@ class TrainingPair:
 DEFAULT_HYPER = {"batch": 5, "epochs": 100, "lr": 0.02}
 
 
+def _checked_hyper(hyper: Optional[dict]) -> dict:
+    """DEFAULT_HYPER updated by `hyper`. A ValueError names a key that is not
+    in DEFAULT_HYPER, a batch or epoch count below 1 or an lr that is not a
+    positive finite number."""
+    h = dict(DEFAULT_HYPER)
+    for key, value in (hyper or {}).items():
+        if key not in DEFAULT_HYPER:
+            raise ValueError(f"unknown hyper-parameter {key!r}, expected one of {sorted(DEFAULT_HYPER)}")
+        h[key] = value
+    for key in ("batch", "epochs"):
+        if not isinstance(h[key], numbers.Integral) or h[key] < 1:
+            raise ValueError(f"hyper-parameter {key!r} must be an integer >= 1, got {h[key]!r}")
+    if not isinstance(h["lr"], numbers.Real) or not 0 < h["lr"] < math.inf:
+        raise ValueError(f"hyper-parameter 'lr' must be a positive finite number, got {h['lr']!r}")
+    return h
+
+
 def train(
     pairs: list[TrainingPair],
     vocab: Vocabulary,
@@ -628,8 +613,7 @@ def train(
     categorical cross-entropy. Returns (params, per-epoch mean token loss)."""
     if not pairs:
         raise EmptyDataset("no training pairs")
-    h = dict(DEFAULT_HYPER)
-    h.update(hyper or {})
+    h = _checked_hyper(hyper)
     if params is None:
         params = GoalNetParams.init(vocab, seed=seed, use_attention=use_attention)
     opt = ad.Adam(list(params.groups().values()), lr=h["lr"])
@@ -637,9 +621,9 @@ def train(
     inputs = [p.input_ids for p in pairs]
     targets = [p.target_ids for p in pairs]
     n = len(pairs)
-    bs = max(1, int(h["batch"]))
+    bs = h["batch"]
     history: list[float] = []
-    for epoch in range(int(h["epochs"])):
+    for epoch in range(h["epochs"]):
         order = rng.permutation(n)
         epoch_sum, epoch_tokens = 0.0, 0
         for bi, lo in enumerate(range(0, n, bs)):
@@ -658,23 +642,16 @@ def train(
     return params, history
 
 
-def grad_check(
-    params: GoalNetParams,
-    pair: TrainingPair,
-    eps: float = 1e-5,
-    min_samples: int = 200,
-    seed: int = 0,
-    floor: float = 1e-6,
-) -> dict[str, float]:
+def grad_check(params: GoalNetParams, pair: TrainingPair, min_samples: int = 200) -> dict[str, float]:
     """Analytic gradients versus central finite differences on sampled weights
     from every parameter group; returns the max relative error per group. The
-    denominator is floored at `floor`: loss evaluation roundoff (~1e-11) on a
-    near-zero gradient is measurement noise, not disagreement."""
+    denominator is floored at GRAD_CHECK_FLOOR: loss evaluation roundoff
+    (~1e-11) on a near-zero gradient is measurement noise, not disagreement."""
     inputs, targets = [pair.input_ids], [pair.target_ids]
+    eps = GRAD_CHECK_EPS
 
     def loss_mean() -> float:
-        with ad.no_grad():
-            loss, n = _teacher_forced_loss(params, inputs, targets)
+        loss, n = _teacher_forced_loss(params, inputs, targets)  # its tape is dropped
         return float(loss.data) / max(n, 1)
 
     for t in params.groups().values():
@@ -682,7 +659,7 @@ def grad_check(
     loss, n = _teacher_forced_loss(params, inputs, targets)
     ad.mul(loss, ad.const(1.0 / max(n, 1))).backward()
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(GRAD_CHECK_SEED)
     groups = params.groups()
     per_group = max(3, -(-min_samples // len(groups)))  # ceil division
     errors: dict[str, float] = {}
@@ -701,7 +678,7 @@ def grad_check(
             flat[i] = keep
             num = (hi - lo) / (2.0 * eps)
             ana = gflat[i]
-            err = abs(ana - num) / max(abs(ana) + abs(num), floor)
+            err = abs(ana - num) / max(abs(ana) + abs(num), GRAD_CHECK_FLOOR)
             worst = max(worst, err)
         errors[name] = worst
     return errors
@@ -715,7 +692,6 @@ def save_params(params: GoalNetParams, path: str) -> None:
     meta = {
         "version": CHECKPOINT_VERSION,
         "vocab_hash": params.vocab_hash,
-        "seps": list(params.seps),
         "use_attention": params.use_attention,
         "groups": {n: list(t.data.shape) for n, t in params.groups().items()},
     }
@@ -736,17 +712,22 @@ def save_params(params: GoalNetParams, path: str) -> None:
 
 def load_params(path: str, vocab: Vocabulary) -> GoalNetParams:
     """Refuses checkpoints written against a different vocabulary, ones whose
-    meta.json lacks a field, and ones whose stored parameter groups are not
-    exactly GoalNetParams.GROUPS."""
+    meta.json is not an object or lacks a field, and ones whose stored
+    parameter groups are not exactly GoalNetParams.GROUPS. Fields meta.json
+    holds beyond these are ignored."""
     with zipfile.ZipFile(path) as z:
         meta = json.loads(z.read("meta.json"))
+        if not isinstance(meta, dict):
+            raise CheckpointMismatch(f"meta.json must be an object, got {type(meta).__name__}")
         if meta.get("version") != CHECKPOINT_VERSION:
             raise CheckpointMismatch(f"checkpoint version {meta.get('version')}")
-        lacking = sorted({"vocab_hash", "seps", "use_attention", "groups"} - set(meta))
+        lacking = sorted({"vocab_hash", "use_attention", "groups"} - set(meta))
         if lacking:
             raise CheckpointMismatch(f"meta.json lacks {lacking}")
         if meta["vocab_hash"] != vocab.hash():
             raise CheckpointMismatch("checkpoint was written against a different vocabulary")
+        if not isinstance(meta["groups"], dict):
+            raise CheckpointMismatch(f"meta.json: groups must be an object, got {type(meta['groups']).__name__}")
         stored = {n[: -len(".npy")] for n in z.namelist() if n.endswith(".npy")}
         for what, names in (("meta.json", set(meta["groups"])), ("the archive", stored)):
             if names != set(GoalNetParams.GROUPS):
@@ -761,7 +742,6 @@ def load_params(path: str, vocab: Vocabulary) -> GoalNetParams:
             arrays[name] = ad.Tensor(arr, requires_grad=True)
     params = GoalNetParams(
         vocab_hash=meta["vocab_hash"],
-        seps=tuple(meta["seps"]),
         use_attention=bool(meta["use_attention"]),
         **arrays,
     )

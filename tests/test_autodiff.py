@@ -1,5 +1,5 @@
 """Finite-difference verification of every differentiation primitive, plus
-tape mechanics (accumulation, reuse, no-grad mode) and the optimizer."""
+tape mechanics (accumulation, reuse) and the optimizer."""
 
 import numpy as np
 import pytest
@@ -232,21 +232,11 @@ def test_backward_requires_scalar():
         ad.add(x, x).backward()
 
 
-def test_no_grad_blocks_tape():
-    x = leaf(2, 2)
-    with ad.no_grad():
-        y = ad.tanh(ad.matmul(x, x))
-        assert not y.requires_grad
-        assert y._parents == ()
-    z = ad.tanh(x)
-    assert z.requires_grad
-
-
 def test_const_and_param_constructors():
     rng = np.random.default_rng(0)
     p = ad.param((3, 4), rng=rng)
     assert p.requires_grad and p.data.shape == (3, 4)
-    assert np.all(np.abs(p.data) <= 0.08)
+    assert np.all(np.abs(p.data) <= ad.INIT_SCALE)
     c = ad.const([1.0, 2.0])
     assert not c.requires_grad
     s = ad.param(5, rng=rng)

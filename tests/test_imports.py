@@ -1,5 +1,6 @@
-"""Every name a module imports is used in it, and every public name of the
-package has a caller in the program, not only in the tests."""
+"""Every name a module imports is used in it, every public name of the
+package has a caller in the program, not only in the tests, and every
+defaulted parameter of a public function is set by some program call."""
 
 import ast
 import os
@@ -82,14 +83,32 @@ def _referenced(tree: ast.Module) -> dict[str, set[str]]:
     return out
 
 
-def unreferenced_public_names() -> list[str]:
+def _program_sources() -> tuple[list[str], list[str]]:
+    """The package's module sources, and perfbench's non-test ones."""
     src = os.path.join(ROOT, "src", "taskmon")
     bench = os.path.join(ROOT, "perfbench")
+    paths = (
+        [os.path.join(src, f) for f in sorted(os.listdir(src)) if f.endswith(".py")],
+        [
+            os.path.join(bench, f)
+            for f in sorted(os.listdir(bench))
+            if f.endswith(".py") and not f.startswith(("test_", "conftest"))
+        ],
+    )
+    out = ([], [])
+    for group, names in zip(out, paths):
+        for path in names:
+            with open(path) as f:
+                group.append(f.read())
+    return out
+
+
+def unreferenced_public_names() -> list[str]:
+    src, bench = _program_sources()
     defined: list[str] = []
     uses: dict[str, set[str]] = {}
-    for path in [os.path.join(src, f) for f in sorted(os.listdir(src)) if f.endswith(".py")]:
-        with open(path) as f:
-            tree = ast.parse(f.read())
+    for source in src:
+        tree = ast.parse(source)
         defined += [
             s.name
             for s in tree.body
@@ -97,13 +116,99 @@ def unreferenced_public_names() -> list[str]:
         ]
         for name, owners in _referenced(tree).items():
             uses.setdefault(name, set()).update(owners)
-    for f in sorted(os.listdir(bench)):
-        if f.endswith(".py") and not f.startswith(("test_", "conftest")):
-            with open(os.path.join(bench, f)) as fh:
-                for name in _referenced(ast.parse(fh.read())):
-                    uses.setdefault(name, set()).add("<perfbench>")
+    for source in bench:
+        for name in _referenced(ast.parse(source)):
+            uses.setdefault(name, set()).add("<perfbench>")
     return sorted(n for n in defined if not uses.get(n, set()) - {n} and n not in KEEP)
 
 
 def test_every_public_name_has_a_program_caller():
     assert unreferenced_public_names() == []
+
+
+# Defaulted parameters that no program call sets, each kept on purpose.
+KEEP_PARAMS = {
+    ("SimActuator.__init__", "fail_prob"): "injects actuator faults for robustness runs",
+    ("estimate_depth", "rng"): "stays with estimate_depth, which perfbench's tracer wraps",
+    ("estimate_depth", "grid"): "stays with estimate_depth, which perfbench's tracer wraps",
+    ("train", "params"): "the seam through which a test trains a poisoned net",
+    ("train", "use_attention"): "the paper's attention ablation, set by tests/decodesweep.py",
+}
+
+
+def _defaulted(tree: ast.Module):
+    """(qualified name, callee name, parameter, argument position or None) of
+    each defaulted parameter of a public function, public method or
+    `__init__`. A method's position does not count its self/cls."""
+    for stmt in tree.body:
+        if isinstance(stmt, ast.FunctionDef) and not stmt.name.startswith("_"):
+            defs = [(stmt.name, stmt.name, stmt, 0)]
+        elif isinstance(stmt, ast.ClassDef) and not stmt.name.startswith("_"):
+            defs = [
+                (f"{stmt.name}.{f.name}", stmt.name if f.name == "__init__" else f.name, f,
+                 0 if any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in f.decorator_list) else 1)
+                for f in stmt.body
+                if isinstance(f, ast.FunctionDef) and (f.name == "__init__" or not f.name.startswith("_"))
+            ]
+        else:
+            continue
+        for qual, callee, fn, skip in defs:
+            positional = fn.args.posonlyargs + fn.args.args
+            first = len(positional) - len(fn.args.defaults)
+            for i in range(first, len(positional)):
+                yield qual, callee, positional[i].arg, i - skip
+            for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+                if default is not None:
+                    yield qual, callee, arg.arg, None
+
+
+def unset_defaults(defining: list[str], calling: list[str]) -> list[str]:
+    """`qualified name: parameter` for each defaulted parameter defined in
+    the `defining` sources that no call in the `calling` sources sets. A
+    call sets it when it uses the same bare callee name (the class name for
+    `__init__`) and passes the parameter by keyword, reaches its position or
+    spreads `*`/`**`."""
+    calls: dict[str, list[ast.Call]] = {}
+    for source in calling:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else None
+                calls.setdefault(name, []).append(node)
+
+    def sets(call: ast.Call, param: str, pos) -> bool:
+        if any(k.arg in (None, param) for k in call.keywords):
+            return True
+        if any(isinstance(a, ast.Starred) for a in call.args):
+            return True
+        return pos is not None and len(call.args) > pos
+
+    out = []
+    for source in defining:
+        for qual, callee, param, pos in _defaulted(ast.parse(source)):
+            if not any(sets(c, param, pos) for c in calls.get(callee, [])):
+                out.append(f"{qual}: {param}")
+    return out
+
+
+def test_unset_default_detector():
+    defining = (
+        "def f(a, b=1, *, c=2):\n    pass\n"
+        "class K:\n    def __init__(self, x=0):\n        pass\n"
+        "    def m(self, y=0, z=0):\n        pass\n"
+        "    @staticmethod\n    def s(w=0):\n        pass\n"
+        "def _private(p=0):\n    pass\n"
+    )
+    calling = "f(1, c=3)\nK(1)\nk.m(*args)\ns(w=1)\n"
+    assert unset_defaults([defining], [calling]) == ["f: b"]
+    assert unset_defaults([defining], ["f(1, 2)\nK()\nk.m(z=1)\ns(0)\n"]) == [
+        "f: c", "K.__init__: x", "K.m: y",
+    ]
+
+
+def test_every_defaulted_parameter_is_set_by_the_program():
+    src, bench = _program_sources()
+    keep = {f"{qual}: {param}" for qual, param in KEEP_PARAMS}
+    assert sorted(set(unset_defaults(src, src + bench)) - keep) == []
+    # an entry whose parameter is gone or now set is stale
+    assert sorted(keep - set(unset_defaults(src, src + bench))) == []

@@ -110,11 +110,11 @@ def test_encode_segment_structure(tiny_vocab):
     seq = encode_state(t, s, tiny_vocab)
     toks = [tiny_vocab.id_to_token[i] for i in seq.ids]
     assert toks[: len(t.words)] == list(t.words)
-    assert toks[len(t.words)] == tiny_vocab.ets
-    assert toks[-1] == tiny_vocab.eos
-    assert toks.count(tiny_vocab.eoa) == 2
+    assert toks[len(t.words)] == lang.ETS
+    assert toks[-1] == lang.EOS
+    assert toks.count(lang.EOA) == 2
     # canonical order puts Free before On
-    i_ets = toks.index(tiny_vocab.ets)
+    i_ets = toks.index(lang.ETS)
     assert toks[i_ets + 1] == "Free"
 
 
@@ -157,7 +157,7 @@ def test_empty_state_encodes(tiny_vocab):
     t = tiny_vocab.tasks["t-clear"]
     seq = encode_state(t, State(), tiny_vocab)
     assert decode_state(seq, tiny_vocab) == (t, State())
-    assert seq.ids[-1] == tiny_vocab.eos_id
+    assert seq.ids[-1] == lang.EOS_ID
 
 
 @pytest.mark.parametrize(
@@ -175,13 +175,13 @@ def test_decode_malformed_positions(tiny_vocab, mangle, position_pred):
     s = State.of([Atom("Free", ("hand",))])
     ids = list(encode_state(t, s, v).ids)
     if mangle == "drop_ets":
-        ids.remove(v.ets_id)
+        ids.remove(lang.ETS_ID)
     elif mangle == "truncate_eos":
         ids = ids[:-1]
     elif mangle == "tokens_after_eos":
         ids.append(v.token_to_id["cup"])
     elif mangle == "open_group":
-        ids.remove(v.eoa_id)
+        ids.remove(lang.EOA_ID)
     with pytest.raises(MalformedSequence) as e:
         decode_state(TokenSeq(tuple(ids)), v)
     assert 0 <= e.value.position <= len(ids)
@@ -189,24 +189,24 @@ def test_decode_malformed_positions(tiny_vocab, mangle, position_pred):
 
 def test_decode_rejects_bad_atom_groups(tiny_vocab):
     v = tiny_vocab
-    base = [v.token_to_id[w] for w in v.tasks["t-clear"].words] + [v.ets_id]
+    base = [v.token_to_id[w] for w in v.tasks["t-clear"].words] + [lang.ETS_ID]
 
-    wrong_arity = base + [v.token_to_id["On"], v.token_to_id["brush"], v.eoa_id, v.eos_id]
+    wrong_arity = base + [v.token_to_id["On"], v.token_to_id["brush"], lang.EOA_ID, lang.EOS_ID]
     with pytest.raises(MalformedSequence, match="expects 2"):
         decode_state(TokenSeq(tuple(wrong_arity)), v)
 
-    not_a_pred = base + [v.token_to_id["brush"], v.eoa_id, v.eos_id]
+    not_a_pred = base + [v.token_to_id["brush"], lang.EOA_ID, lang.EOS_ID]
     with pytest.raises(MalformedSequence, match="not a predicate"):
         decode_state(TokenSeq(tuple(not_a_pred)), v)
 
-    empty_group = base + [v.eoa_id, v.eos_id]
+    empty_group = base + [lang.EOA_ID, lang.EOS_ID]
     with pytest.raises(MalformedSequence, match="empty atom group"):
         decode_state(TokenSeq(tuple(empty_group)), v)
 
     # an id outside the token space must not alias another token
     free = v.token_to_id["Free"]
     for bad in (free - v.size, v.size):
-        out_of_range = base + [bad, v.token_to_id["hand"], v.eoa_id, v.eos_id]
+        out_of_range = base + [bad, v.token_to_id["hand"], lang.EOA_ID, lang.EOS_ID]
         with pytest.raises(MalformedSequence, match="unknown token id") as e:
             decode_state(TokenSeq(tuple(out_of_range)), v)
         assert e.value.position == len(base)
@@ -214,7 +214,7 @@ def test_decode_rejects_bad_atom_groups(tiny_vocab):
 
 def test_decode_rejects_unknown_task(tiny_vocab):
     v = tiny_vocab
-    ids = [v.token_to_id["clear"], v.token_to_id["the"], v.token_to_id["shelf"], v.ets_id, v.eos_id]
+    ids = [v.token_to_id["clear"], v.token_to_id["the"], v.token_to_id["shelf"], lang.ETS_ID, lang.EOS_ID]
     with pytest.raises(MalformedSequence, match="not in vocabulary"):
         decode_state(TokenSeq(tuple(ids)), v)
 
@@ -236,7 +236,8 @@ def test_token_space_is_shared_and_bijective(tiny_vocab):
     assert len(v.id_to_token) == len(v.token_to_id) == v.size
     for i, w in enumerate(v.id_to_token):
         assert v.token_to_id[w] == i
-    assert v.id_to_token[0] == v.eos and v.id_to_token[1] == v.ets and v.id_to_token[2] == v.eoa
+    assert v.id_to_token[:3] == [lang.EOS, lang.ETS, lang.EOA]
+    assert [lang.EOS_ID, lang.ETS_ID, lang.EOA_ID] == [0, 1, 2]
 
 
 def test_separator_collision_rejected():
@@ -298,8 +299,7 @@ def test_vocab_hash_stable_and_sensitive():
     assert c.hash() != a.hash()
 
 
-def test_vocab_yaml_loader(tmp_path):
-    doc = """
+VOCAB_DOC = """
 sorts:
   - {name: entity}
   - {name: world-obj, parent: entity}
@@ -314,14 +314,48 @@ tasks:
   - {id: t1, sentence: fetch the mug}
 max_atoms: 9
 """
+
+
+def test_vocab_yaml_loader(tmp_path):
     p = tmp_path / "vocab.yaml"
-    p.write_text(doc)
+    p.write_text(VOCAB_DOC)
     v = Vocabulary.from_yaml(str(p))
     assert v.terms["mug"].kind == lang.WORLD
     assert v.terms["claw"].kind == lang.ROBOT
     assert v.max_atoms == 9
     assert v.atom_type_ok(Atom("Hold", ("claw", "mug")))
     assert not v.atom_type_ok(Atom("Hold", ("mug", "claw")))
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        (VOCAB_DOC, "", "vocabulary must be a mapping, got NoneType"),
+        (VOCAB_DOC, "- sorts\n", "vocabulary must be a mapping, got list"),
+        ("sorts:\n  - {name: entity}\n  - {name: world-obj, parent: entity}\n  - {name: robot-part, parent: entity}\n",
+         "sorts: 5\n", "vocabulary: field 'sorts' must be a list, got int"),
+        ("sentence: fetch the mug", "sentence: 5", "task t1: field 'sentence' must be a string, got int"),
+        ("{name: Found, args: [world-obj]}", "{name: Found, args: xy}",
+         "predicate Found: field 'args' must be a list, got str"),
+        ("{name: Found, args: [world-obj]}", "{name: Found}", "predicate Found: missing field 'args'"),
+        ("{name: mug, sort: world-obj}", "{name: mug, sort: shelf}", "unknown sort shelf"),
+        ("max_atoms: 9", "max_atoms: nine", "vocabulary: field 'max_atoms' must be a whole number, got str"),
+    ],
+)
+def test_vocab_loader_rejects_misshapen_files(tmp_path, old, new, message):
+    assert old in VOCAB_DOC
+    p = tmp_path / "vocab.yaml"
+    p.write_text(VOCAB_DOC.replace(old, new))
+    with pytest.raises(LanguageError) as e:
+        Vocabulary.from_yaml(str(p))
+    assert str(e.value) == message
+
+
+def test_packaged_vocabulary_binding_is_pinned():
+    # checkpoints bind to this digest; the separator tokens lead the index
+    v = Vocabulary.from_yaml(os.path.join(DATA, "vocabulary.yaml"))
+    assert v.hash() == "4757bc0f147457c492a7e475f61c62eef0144669c948c882de21871f245dd63d"
+    assert v.id_to_token[:3] == ["<eos>", "<ets>", "<eoa>"]
 
 
 def test_libyaml_and_python_loaders_agree_on_packaged_files(monkeypatch):

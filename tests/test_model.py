@@ -12,10 +12,15 @@ from domaingen import herbrand_universe
 from taskmon import autodiff as ad
 from taskmon.dataset import (
     InsufficientBase,
+    _substitute,
+    _substitution,
     base_pairs,
     grow_dataset,
 )
 from taskmon.language import (
+    EOA_ID,
+    EOS_ID,
+    ETS_ID,
     MalformedSequence,
     State,
     StateTooLong,
@@ -29,6 +34,9 @@ from taskmon.language import (
 )
 from taskmon.pddl import PlanEntry, PlanLibrary, TaskChain, parse_domain, parse_problem
 from taskmon.predictor import (
+    DEC_HIDDEN,
+    EMB_DIM,
+    MAX_LEN,
     CheckpointMismatch,
     EmptyDataset,
     GoalNetParams,
@@ -125,8 +133,8 @@ def overfit(tiny_vocab, fetch_pair):
 def test_goal_roundtrip(tiny_vocab):
     st = State.parse(["On(brush,shelf)", "Free(hand)", "Hold(hand,cup)@4"])
     seq = encode_goal(st, tiny_vocab)
-    assert seq.ids[-1] == tiny_vocab.eos_id
-    assert tiny_vocab.ets_id not in seq.ids
+    assert seq.ids[-1] == EOS_ID
+    assert ETS_ID not in seq.ids
     assert decode_goal(seq, tiny_vocab) == st.drop_times()
     # canonical atom order: Free < Hold < On
     names = [tiny_vocab.id_to_token[i] for i in seq.ids]
@@ -137,17 +145,17 @@ def test_goal_codec_rejections(tiny_vocab):
     v = tiny_vocab
     free = [v.token_to_id["Free"], v.token_to_id["hand"]]
     with pytest.raises(MalformedSequence, match="empty goal"):
-        decode_goal(TokenSeq((v.eos_id,)), v)
+        decode_goal(TokenSeq((EOS_ID,)), v)
     with pytest.raises(MalformedSequence, match="not closed"):
-        decode_goal(TokenSeq((*free, v.eos_id)), v)
+        decode_goal(TokenSeq((*free, EOS_ID)), v)
     with pytest.raises(MalformedSequence, match="missing <eos>"):
-        decode_goal(TokenSeq((*free, v.eoa_id)), v)
+        decode_goal(TokenSeq((*free, EOA_ID)), v)
     with pytest.raises(MalformedSequence, match="after <eos>"):
-        decode_goal(TokenSeq((*free, v.eoa_id, v.eos_id, v.eos_id)), v)
+        decode_goal(TokenSeq((*free, EOA_ID, EOS_ID, EOS_ID)), v)
     with pytest.raises(MalformedSequence, match="unexpected <ets>"):
-        decode_goal(TokenSeq((v.ets_id, v.eos_id)), v)
+        decode_goal(TokenSeq((ETS_ID, EOS_ID)), v)
     with pytest.raises(MalformedSequence, match="unknown token id"):
-        decode_goal(TokenSeq((999, v.eoa_id, v.eos_id)), v)
+        decode_goal(TokenSeq((999, EOA_ID, EOS_ID)), v)
     with pytest.raises(StateTooLong):
         encode_goal(State.parse(["Free(hand)", "Found(cup)"]), make_tiny_vocab(max_atoms=1))
 
@@ -160,22 +168,22 @@ def test_embed_rejects_bad_input(tiny_vocab):
     with pytest.raises(IndexOutOfVocab, match="position 1"):
         beam_decode((0, tiny_vocab.size), params)
     with pytest.raises(MalformedSequence, match="missing <ets>"):
-        beam_decode((tiny_vocab.token_to_id["Free"], tiny_vocab.eos_id), params)
+        beam_decode((tiny_vocab.token_to_id["Free"], EOS_ID), params)
 
 
 def test_segment_spans_stop_at_eos(tiny_vocab):
     v = tiny_vocab
     ids = (
-        v.token_to_id["clear"], v.ets_id,
-        v.token_to_id["Free"], v.token_to_id["hand"], v.eoa_id,
-        v.eos_id,
-        v.token_to_id["cup"], v.eoa_id,  # garbage after eos is not a segment
+        v.token_to_id["clear"], ETS_ID,
+        v.token_to_id["Free"], v.token_to_id["hand"], EOA_ID,
+        EOS_ID,
+        v.token_to_id["cup"], EOA_ID,  # garbage after eos is not a segment
     )
-    assert segment_spans(ids, v.ets_id, v.eoa_id, v.eos_id) == ((0, 1), (2, 4))
+    assert segment_spans(ids) == ((0, 1), (2, 4))
     # an encoded state: 6 task words, then Free(hand), then On(brush,table)
     task = v.tasks["t-fetch"]  # bring the brush to the shelf
     seq = encode_state(task, State.parse(["On(brush,table)", "Free(hand)"]), v)
-    assert segment_spans(seq.ids, v.ets_id, v.eoa_id, v.eos_id) == ((0, 6), (7, 9), (10, 13))
+    assert segment_spans(seq.ids) == ((0, 6), (7, 9), (10, 13))
 
 
 # --- attention closed forms -----------------------------------------------------------
@@ -202,11 +210,10 @@ def dec_step_attention(segments, prev_segment, dec_hidden, params):
         "task_seg": ad.const(segments[:1]),
         "seg_mask": np.ones((1, K)),
     }
-    hc = ad.const(np.concatenate([dec_hidden, np.zeros(params.dec_hidden)])[None])
-    with ad.no_grad():
-        prev_emb = ad.const(np.zeros((1, params.emb_dim)))
-        _, _, p = _dec_step(params, env, prev_emb, ad.const(prev_segment[None]), hc, np.ones((1, 1)))
-        ctx = ad.weighted_ctx(p, S)
+    hc = ad.const(np.concatenate([dec_hidden, np.zeros(DEC_HIDDEN)])[None])
+    prev_emb = ad.const(np.zeros((1, EMB_DIM)))
+    _, _, p = _dec_step(params, env, prev_emb, ad.const(prev_segment[None]), hc, np.ones((1, 1)))
+    ctx = ad.weighted_ctx(p, S)
     return p.data[0], ctx.data[0]
 
 
@@ -252,7 +259,7 @@ def test_greedy_is_width_one_beam(tiny_vocab, fetch_pair):
 
 def test_beam_results_sorted_and_distinct(tiny_vocab, fetch_pair):
     params = GoalNetParams.init(tiny_vocab, seed=5)
-    results = beam_decode(fetch_pair.input_ids, params, width=4, max_len=10)
+    results = beam_decode(fetch_pair.input_ids, params, width=4)
     assert 1 <= len(results) <= 4
     assert [r.log_prob for r in results] == sorted((r.log_prob for r in results), reverse=True)
     assert len({r.tokens.ids for r in results}) == len(results)
@@ -261,17 +268,17 @@ def test_beam_results_sorted_and_distinct(tiny_vocab, fetch_pair):
 def test_truncation_flag(tiny_vocab, fetch_pair):
     params = GoalNetParams.init(tiny_vocab, seed=5)
     ids = fetch_pair.input_ids
-    params.out_b.data[tiny_vocab.eos_id] = -1e9  # EOS never competes
-    for r in beam_decode(ids, params, width=3, max_len=6):
-        assert r.truncated and len(r.tokens.ids) == 6
-    params.out_b.data[tiny_vocab.eos_id] = 1e9  # EOS always wins
+    params.out_b.data[EOS_ID] = -1e9  # EOS never competes
+    for r in beam_decode(ids, params, width=3):
+        assert r.truncated and len(r.tokens.ids) == MAX_LEN
+    params.out_b.data[EOS_ID] = 1e9  # EOS always wins
     r = beam_decode(ids, params, width=1)[0]
-    assert not r.truncated and r.tokens.ids == (tiny_vocab.eos_id,)
+    assert not r.truncated and r.tokens.ids == (EOS_ID,)
 
 
 def test_infer_topk_no_valid_proposal(tiny_vocab, fetch_pair):
     params = GoalNetParams.init(tiny_vocab, seed=5)
-    params.out_b.data[tiny_vocab.eos_id] = 1e9  # only degenerate decodes
+    params.out_b.data[EOS_ID] = 1e9  # only degenerate decodes
     with pytest.raises(NoValidProposal):
         infer_topk(fetch_pair.task, fetch_pair.state, params, tiny_vocab, k=3)
 
@@ -287,8 +294,8 @@ def test_decode_without_attention(tiny_vocab, fetch_pair):
     params, history = train([fetch_pair], tiny_vocab, seed=3, use_attention=False)
     assert history[-1] < 1e-2
     assert beam_decode(fetch_pair.input_ids, params, width=1)[0].tokens.ids == fetch_pair.target_ids
-    results = beam_decode(fetch_pair.input_ids, params, width=4, max_len=10)
-    assert results == _taped_beam_decode(fetch_pair.input_ids, params, width=4, max_len=10)
+    results = beam_decode(fetch_pair.input_ids, params, width=4)
+    assert results == _taped_beam_decode(fetch_pair.input_ids, params, width=4)
     proposals = infer_topk(fetch_pair.task, fetch_pair.state, params, tiny_vocab, k=3)
     assert proposals[0].goal == fetch_pair.target
     assert [p.rank for p in proposals] == list(range(1, len(proposals) + 1))
@@ -307,9 +314,8 @@ def _random_input(vocab, n_atoms: int, rng) -> tuple[int, ...]:
 def _taped_env(params, ids, rows: int) -> tuple[dict, np.ndarray]:
     """The taped encoder's env repeated to `rows` beams, and the decoder's
     initial [h|c]."""
-    with ad.no_grad():
-        env = _encode_graph(params, _make_enc_batch([ids], params))
-        hc0 = _dec_init(params, env["summary"]).data
+    env = _encode_graph(params, _make_enc_batch([ids]))
+    hc0 = _dec_init(params, env["summary"]).data
     benv = {
         "B": rows,
         "K": env["K"],
@@ -322,25 +328,23 @@ def _taped_env(params, ids, rows: int) -> tuple[dict, np.ndarray]:
     return benv, hc0
 
 
-def _taped_beam_decode(ids, params, width: int, max_len: int) -> list[DecodeResult]:
+def _taped_beam_decode(ids, params, width: int) -> list[DecodeResult]:
     """Beam search over the taped forward, candidates ranked by a plain sort
     on (-score, beam, token): the reference `beam_decode` must reproduce."""
-    eos, ets, eoa = params.seps
     emb = params.emb.data
-    live = [((), (), np.zeros(params.emb_dim), (), None)]  # tokens, logps, prev_seg, group, hc row
+    live = [((), (), np.zeros(EMB_DIM), (), None)]  # tokens, logps, prev_seg, group, hc row
     done = []
-    for _ in range(max_len):
+    for _ in range(MAX_LEN):
         if not live:
             break
         B = len(live)
         env, hc0 = _taped_env(params, ids, B)
         hc = np.stack([hc0[0] if b[4] is None else b[4] for b in live])
-        prev_emb = emb[[b[0][-1] if b[0] else ets for b in live]]
+        prev_emb = emb[[b[0][-1] if b[0] else ETS_ID for b in live]]
         prev_seg = np.stack([b[2] for b in live])
-        with ad.no_grad():
-            logits, hc_new, _ = _dec_step(
-                params, env, ad.const(prev_emb), ad.const(prev_seg), ad.const(hc), np.ones((B, 1))
-            )
+        logits, hc_new, _ = _dec_step(
+            params, env, ad.const(prev_emb), ad.const(prev_seg), ad.const(hc), np.ones((B, 1))
+        )
         logp = ad.log_softmax_np(logits.data)
         cands = []
         for i, b in enumerate(live):
@@ -351,12 +355,12 @@ def _taped_beam_decode(ids, params, width: int, max_len: int) -> list[DecodeResu
         for _, i, tok in cands[:width]:
             tokens, logps, seg, group, _ = live[i]
             tokens, logps = tokens + (tok,), logps + (float(logp[i, tok]),)
-            if tok == eos:
+            if tok == EOS_ID:
                 done.append(DecodeResult(TokenSeq(tokens), logps, truncated=False))
                 continue
-            if tok == eoa and group:
+            if tok == EOA_ID and group:
                 seg, group = emb[list(group)].mean(axis=0), ()
-            elif tok not in (eoa, ets):
+            elif tok not in (EOA_ID, ETS_ID):
                 group = group + (tok,)
             next_live.append((tokens, logps, seg, group, hc_new.data[i]))
         live = next_live
@@ -395,13 +399,12 @@ def test_untaped_decoder_step_is_bit_equal_to_taped(tiny_vocab, use_attention):
             for B in range(1, width + 1):
                 taped, _ = _taped_env(params, ids, B)
                 prev_emb = params.emb.data[rng.integers(tiny_vocab.size, size=B)]
-                prev_seg = rng.normal(size=(B, params.emb_dim))
-                hc = rng.normal(size=(B, 2 * params.dec_hidden))
-                with ad.no_grad():
-                    logits, hc_new, _ = _dec_step(
-                        params, taped, ad.const(prev_emb), ad.const(prev_seg), ad.const(hc),
-                        np.ones((B, 1)),
-                    )
+                prev_seg = rng.normal(size=(B, EMB_DIM))
+                hc = rng.normal(size=(B, 2 * DEC_HIDDEN))
+                logits, hc_new, _ = _dec_step(
+                    params, taped, ad.const(prev_emb), ad.const(prev_seg), ad.const(hc),
+                    np.ones((B, 1)),
+                )
                 got_logits, got_hc = _dec_step_np(params, env, prev_emb, prev_seg, hc)
                 assert np.array_equal(got_logits, logits.data), (seed, n_atoms, B)
                 assert np.array_equal(got_hc, hc_new.data), (seed, n_atoms, B)
@@ -423,8 +426,8 @@ def test_beam_decode_equals_taped_reference(tiny_vocab, fetch_pair, overfit, use
     for params in nets:
         for ids in inputs:
             for width in range(1, 7):
-                got = beam_decode(ids, params, width=width, max_len=8)
-                assert got == _taped_beam_decode(ids, params, width=width, max_len=8), width
+                got = beam_decode(ids, params, width=width)
+                assert got == _taped_beam_decode(ids, params, width=width), width
 
 
 # --- training -------------------------------------------------------------------------
@@ -466,12 +469,31 @@ def test_train_rejects_empty_and_nonfinite(tiny_vocab, fetch_pair):
     assert e.value.epoch == 0 and e.value.batch == 0
 
 
+@pytest.mark.parametrize(
+    "hyper, key",
+    [
+        ({"epoch": 2}, "epoch"),
+        ({"batch": 0}, "batch"),
+        ({"batch": 2.5}, "batch"),
+        ({"epochs": 0}, "epochs"),
+        ({"lr": 0.0}, "lr"),
+        ({"lr": -0.02}, "lr"),
+        ({"lr": float("nan")}, "lr"),
+        ({"lr": float("inf")}, "lr"),
+        ({"lr": "0.02"}, "lr"),
+    ],
+)
+def test_train_rejects_bad_hyper(tiny_vocab, fetch_pair, hyper, key):
+    with pytest.raises(ValueError, match=f"hyper-parameter '{key}'"):
+        train([fetch_pair], tiny_vocab, hyper=hyper)
+
+
 # --- gradient checks ------------------------------------------------------------------
 
 
 def test_grad_check_all_groups(tiny_vocab, fetch_pair):
     params = GoalNetParams.init(tiny_vocab, seed=7)
-    errors = grad_check(params, fetch_pair, seed=7)
+    errors = grad_check(params, fetch_pair)
     assert set(errors) == set(params.groups())
     worst = max(errors.values())
     assert worst < 1e-4, f"worst group error {worst}"
@@ -488,7 +510,7 @@ def test_grad_check_detects_corrupted_attention_backward(tiny_vocab, fetch_pair,
 
     monkeypatch.setattr(ad, "tanh", crooked_tanh)
     params = GoalNetParams.init(tiny_vocab, seed=7)
-    errors = grad_check(params, fetch_pair, seed=7)
+    errors = grad_check(params, fetch_pair)
     assert max(errors.values()) > 1e-2
     assert errors["h0_W"] > 1e-2  # feeds a corrupted activation directly
     assert errors["out_b"] < 1e-4  # not behind any tanh: still clean
@@ -505,10 +527,10 @@ def test_zero_params_symmetric_input_symmetric_grads(tiny_vocab):
         task=v.tasks["t-fetch"],
         state=State(),
         target=State.parse(["Free(hand)"]),
-        input_ids=(brush, v.ets_id, brush),  # reads the same in both directions
-        target_ids=(v.token_to_id["Free"], v.token_to_id["hand"], v.eoa_id, v.eos_id),
+        input_ids=(brush, ETS_ID, brush),  # reads the same in both directions
+        target_ids=(v.token_to_id["Free"], v.token_to_id["hand"], EOA_ID, EOS_ID),
     )
-    errors = grad_check(params, pair, min_samples=22 * 3, seed=1)
+    errors = grad_check(params, pair, min_samples=22 * 3)
     assert max(errors.values()) < 1e-4
     for suffix in ("Wx", "Wh", "b"):
         gf = getattr(params, f"ef_{suffix}").grad
@@ -528,7 +550,6 @@ def test_checkpoint_roundtrip_and_byte_determinism(tiny_vocab, tmp_path):
     assert a.read_bytes() == b.read_bytes()
     loaded = load_params(str(a), tiny_vocab)
     assert loaded.use_attention is False
-    assert loaded.seps == params.seps
     for name, t in params.groups().items():
         assert np.array_equal(t.data, loaded.groups()[name].data)
         assert loaded.groups()[name].requires_grad
@@ -552,15 +573,16 @@ def test_checkpoint_refuses_other_vocab(tiny_vocab, tmp_path):
         load_params(str(path), other)
 
 
-def _rewrite_checkpoint(src, dst, drop_entry="", drop_meta_group="", drop_meta=""):
+def _rewrite_checkpoint(src, dst, drop_entry="", drop_meta_group="", drop_meta="", edit=None):
     """Copy checkpoint src to dst without one archive entry, one group of
-    meta.json's groups, or one meta.json field."""
+    meta.json's groups, or one meta.json field; `edit` maps the resulting
+    meta.json object to the one written."""
     with zipfile.ZipFile(src) as z:
         entries = {n: z.read(n) for n in z.namelist()}
     meta = json.loads(entries["meta.json"])
     meta["groups"].pop(drop_meta_group, None)
     meta.pop(drop_meta, None)
-    entries["meta.json"] = json.dumps(meta).encode()
+    entries["meta.json"] = json.dumps(meta if edit is None else edit(meta)).encode()
     entries.pop(drop_entry, None)
     with zipfile.ZipFile(dst, "w") as z:
         for name, data in entries.items():
@@ -579,11 +601,41 @@ def test_checkpoint_refuses_incomplete_archives(tiny_vocab, tmp_path):
     _rewrite_checkpoint(path, no_array, drop_entry="out_b.npy")
     with pytest.raises(CheckpointMismatch, match=r"archive: missing \['out_b'\]"):
         load_params(str(no_array), tiny_vocab)
-    for field in ("vocab_hash", "seps", "use_attention", "groups"):
+    for field in ("vocab_hash", "use_attention", "groups"):
         no_field = tmp_path / f"{field}.gnp"
         _rewrite_checkpoint(path, no_field, drop_meta=field)
         with pytest.raises(CheckpointMismatch, match=f"lacks \\['{field}'\\]"):
             load_params(str(no_field), tiny_vocab)
+
+
+def test_checkpoint_refuses_misshapen_meta(tiny_vocab, tmp_path):
+    params = GoalNetParams.init(tiny_vocab, seed=13)
+    path = tmp_path / "p.gnp"
+    save_params(params, str(path))
+    for name, edit, message in [
+        ("list", lambda meta: [1, 2], "meta.json must be an object, got list"),
+        ("groups", lambda meta: {**meta, "groups": list(meta["groups"])}, "groups must be an object, got list"),
+    ]:
+        bad = tmp_path / f"{name}.gnp"
+        _rewrite_checkpoint(path, bad, edit=edit)
+        with pytest.raises(CheckpointMismatch, match=message):
+            load_params(str(bad), tiny_vocab)
+
+
+def test_checkpoint_with_separator_ids_still_loads(tiny_vocab, fetch_pair, tmp_path):
+    # meta.json used to store the separator ids as "seps"; they are fixed
+    # now, so a stored list is ignored, whatever it says
+    params = GoalNetParams.init(tiny_vocab, seed=13)
+    path = tmp_path / "p.gnp"
+    save_params(params, str(path))
+    for seps in ([0, 1, 2], [2, 1, 0]):
+        old = tmp_path / f"old{seps[0]}.gnp"
+        _rewrite_checkpoint(path, old, edit=lambda meta: {**meta, "seps": seps})
+        loaded = load_params(str(old), tiny_vocab)
+        for name, t in params.groups().items():
+            assert np.array_equal(t.data, loaded.groups()[name].data)
+        ids = fetch_pair.input_ids
+        assert beam_decode(ids, loaded, width=3) == beam_decode(ids, params, width=3)
 
 
 # --- dataset growth -------------------------------------------------------------------
@@ -622,7 +674,7 @@ def test_grow_dataset_bulk_properties(tiny_vocab, tiny_lib):
     for p in pairs:
         assert filter_by_types(p.state.atoms, tiny_vocab) == set(p.state.atoms)
         assert filter_by_types(p.target.atoms, tiny_vocab) == set(p.target.atoms)
-        assert p.input_ids[-1] == tiny_vocab.eos_id
+        assert p.input_ids[-1] == EOS_ID
         assert len(p.state) <= tiny_vocab.max_atoms
     counts = [len(p.state) for p in pairs]
     assert min(counts) == 1  # drops reach the single-atom floor
@@ -639,10 +691,17 @@ def test_grow_dataset_bulk_properties(tiny_vocab, tiny_lib):
 
 def test_grow_dataset_substitutes_consistently(tiny_vocab):
     lib = make_lib(tiny_vocab, [TaskChain("t-clear", ("c1", "c2"), 1.0)])
-    pairs = grow_dataset(lib, target=60, seed=2, p_substitute=1.0, p_pad=0.0, p_drop=0.0)
-    # item pool is {brush, cup}; "table" is task-protected; 2 inputs x 2 input
-    # orders x 1 target order = 4 distinct pairs, then the duplicate cutoff
-    assert len(pairs) == 4
+    [(task, state, target, _)] = base_pairs(lib)
+    rng = np.random.default_rng(2)
+    pairs = []
+    for _ in range(60):
+        mapping = _substitution(rng, tiny_vocab, protected=set(task.words))
+        pair = TrainingPair.of(task, _substitute(state, mapping), _substitute(target, mapping), tiny_vocab)
+        if pair not in pairs:
+            pairs.append(pair)
+    # item pool is {brush, cup}; "table" is task-protected, and so are the
+    # only gripper and base: 2 distinct substituted pairs
+    assert len(pairs) == 2
     for p in pairs:
         on = next(a for a in p.state.atoms if a.pred == "On")
         hold = next(a for a in p.target.atoms if a.pred == "Hold")
