@@ -211,14 +211,11 @@ class SimActuator(Actuator):
         self._rng = np.random.default_rng([seed, 0xAC70])
         self._drng = np.random.default_rng([seed, 0xD157])
         self.calls = 0
-        self.log: list[tuple[str, ActionResult]] = []
 
     def execute(self, action: GroundAction) -> ActionResult:
         self.calls += 1
         self._fire_disturbances()
-        res = self._attempt(action)
-        self.log.append((action.name, res))
-        return res
+        return self._attempt(action)
 
     # world events
 

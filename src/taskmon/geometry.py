@@ -12,9 +12,12 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Optional
 
-from .language import load_yaml
+from .language import load_yaml, shaped, shaped_field
 
 Vec = tuple[float, float, float]
+
+# The Camera fields a scene file may set; the image size is fixed.
+_CAMERA_KEYS = ("position", "yaw", "pitch", "hfov", "vfov", "max_depth")
 
 
 def _add(a: Vec, b: Vec) -> Vec:
@@ -270,6 +273,8 @@ class Scene:
             seen = {o.id}
             cur = o.supported_by
             while cur is not None:
+                if cur not in self._index:
+                    raise ValueError(f"support {o.id}->{cur} references a missing object")
                 if cur in seen:
                     raise ValueError(f"support cycle through {cur}")
                 seen.add(cur)
@@ -294,33 +299,60 @@ class Scene:
         )
 
     @staticmethod
-    def from_dict(doc: dict) -> "Scene":
-        c = doc.get("camera", {})
-        cam = Camera(
-            position=tuple(c.get("position", (0.0, 0.0, 1.2))),
-            yaw=float(c.get("yaw", 0.0)),
-            pitch=float(c.get("pitch", 0.0)),
-            hfov=float(c.get("hfov", math.radians(60.0))),
-            vfov=float(c.get("vfov", math.radians(45.0))),
-            max_depth=float(c.get("max_depth", 2.5)),
-        )
-        objs = [
-            SceneObject(
-                o["id"],
-                o.get("label", o["id"]),
-                Box(tuple(o["box"][0]), tuple(o["box"][1])),
-                o.get("supported_by"),
-                bool(o.get("proprio", False)),
+    def from_dict(doc) -> "Scene":
+        """A scene from its YAML form. A misshapen document raises ValueError
+        naming the field."""
+        doc = shaped(doc, dict, "scene", ValueError)
+        objs = []
+        for i, o in enumerate(shaped(doc.get("objects", []), list, "scene: field 'objects'", ValueError)):
+            oid = shaped_field(o, "id", f"scene: object {i}", str, ValueError)
+            where = f"scene: object {oid}"
+            corners = shaped_field(o, "box", where, list, ValueError)
+            if len(corners) != 2:
+                raise ValueError(f"{where}: field 'box' must hold 2 corners, got {len(corners)}")
+            supported_by = o.get("supported_by")
+            if supported_by is not None:
+                shaped(supported_by, str, f"{where}: field 'supported_by'", ValueError)
+            objs.append(
+                SceneObject(
+                    oid,
+                    shaped(o.get("label", oid), str, f"{where}: field 'label'", ValueError),
+                    Box(*(_vec(c, f"{where}: field 'box'") for c in corners)),
+                    supported_by,
+                    shaped(o.get("proprio", False), bool, f"{where}: field 'proprio'", ValueError),
+                )
             )
-            for o in doc.get("objects", [])
-        ]
+        attachments = shaped(doc.get("attachments", {}), dict, "scene: field 'attachments'", ValueError)
+        for holder, held in attachments.items():
+            shaped(held, str, f"scene: attachment of {holder}", ValueError)
         return Scene(
             objs,
-            cam,
-            dict(doc.get("attachments", {})),
-            bool(doc.get("vision_on", True)),
-            int(doc.get("frame", 0)),
+            _camera(doc.get("camera", {})),
+            dict(attachments),
+            shaped(doc.get("vision_on", True), bool, "scene: field 'vision_on'", ValueError),
+            shaped(doc.get("frame", 0), int, "scene: field 'frame'", ValueError),
         )
+
+
+def _vec(value, where: str) -> Vec:
+    """A point given as a YAML list of three numbers (a bool is not one)."""
+    if not (isinstance(value, list) and len(value) == 3 and all(type(x) in (int, float) for x in value)):
+        raise ValueError(f"{where} must be a list of 3 numbers, got {value!r}")
+    return tuple(map(float, value))
+
+
+def _camera(doc) -> Camera:
+    """A camera from the keys a scene file gives; `Camera` owns the defaults
+    of the keys it leaves out."""
+    doc = shaped(doc, dict, "scene: field 'camera'", ValueError)
+    unknown = sorted(str(k) for k in doc if k not in _CAMERA_KEYS)
+    if unknown:
+        raise ValueError(f"scene: camera: unknown fields {unknown}, expected some of {list(_CAMERA_KEYS)}")
+    args = {}
+    for key, value in doc.items():
+        where = f"scene: camera: field {key!r}"
+        args[key] = _vec(value, where) if key == "position" else float(shaped(value, (int, float), where, ValueError))
+    return Camera(**args)
 
 
 def load_scene(path: str) -> Scene:

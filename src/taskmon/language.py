@@ -49,14 +49,15 @@ class LanguageError(Exception):
     """Base class for vocabulary and codec failures."""
 
 
-_SHAPES = {dict: "mapping", list: "list", str: "string", int: "whole number", (int, float): "number"}
+_SHAPES = {dict: "mapping", list: "list", str: "string", bool: "boolean", int: "whole number", (int, float): "number"}
 
 
 def shaped(value, kind, where: str, error: type[Exception] = LanguageError):
     """`value` when it is a `kind`; otherwise raise `error` naming `where`.
     YAML gives any shape, so a loader checks each value before it iterates,
-    indexes or joins it."""
-    if not isinstance(value, kind):
+    indexes or joins it. A boolean is not a number here, though Python's
+    bool is an int."""
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
         raise error(f"{where} must be a {_SHAPES[kind]}, got {type(value).__name__}")
     return value
 
@@ -91,9 +92,11 @@ class Sort:
 
 @dataclass(frozen=True)
 class Term:
+    """A named constant of a sort. Which side it is on, WORLD or ROBOT, is
+    not stored: `branch_kind` reads it off the sort tree."""
+
     name: str
     sort: str
-    kind: str  # WORLD or ROBOT
 
 
 @dataclass(frozen=True)
@@ -237,7 +240,8 @@ def check_sort_forest(parents: Mapping[str, Optional[str]]) -> None:
 
 def branch_kind(parents: Mapping[str, Optional[str]], sort: str) -> str:
     """WORLD or ROBOT by which top-level branch under the root the sort
-    descends from."""
+    descends from. This is the one rule for the side of a sort, and so of a
+    term or a typed variable; the root itself has no side."""
     if sort not in parents:
         raise LanguageError(f"unknown sort {sort}")
     cur = sort
@@ -282,15 +286,17 @@ class Vocabulary:
         self.token_to_id: dict[str, int] = {w: i for i, w in enumerate(self.id_to_token)}
 
     def _validate(self) -> None:
+        if self.max_atoms < 1:
+            raise LanguageError(f"max_atoms must be at least 1, got {self.max_atoms}")
         roots = [s for s in self.sorts.values() if s.parent is None]
         if len(roots) != 1:
             raise LanguageError(f"expected exactly one root sort, got {len(roots)}")
         check_sort_forest(self.parents)
         for t in self.terms.values():
             if t.sort not in self.sorts:
-                raise LanguageError(f"term {t.name}: unknown sort {t.sort}")
-            if t.kind not in (WORLD, ROBOT):
-                raise LanguageError(f"term {t.name}: bad kind {t.kind}")
+                raise LanguageError(f"unknown sort {t.sort}")
+            if self.parents[t.sort] is None:
+                raise LanguageError(f"term {t.name}: sort {t.sort} is the root, which has no side")
         for p in self.predicates.values():
             for s in p.arg_sorts:
                 if s not in self.sorts:
@@ -320,7 +326,7 @@ class Vocabulary:
             h.update(f"sort {s.name} {s.parent}\n".encode())
         for name in sorted(self.terms):
             t = self.terms[name]
-            h.update(f"term {t.name} {t.sort} {t.kind}\n".encode())
+            h.update(f"term {t.name} {t.sort} {branch_kind(self.parents, t.sort)}\n".encode())
         for name in sorted(self.predicates):
             p = self.predicates[name]
             h.update(f"pred {p.name} {' '.join(p.arg_sorts)} {int(p.epistemic)}\n".encode())
@@ -344,19 +350,19 @@ class Vocabulary:
             Sort(shaped_field(s, "name", f"sort {i}"), s.get("parent"))
             for i, s in enumerate(shaped_field(doc, "sorts", "vocabulary", list))
         ]
-        parents = {s.name: s.parent for s in sorts}
-        check_sort_forest(parents)
         terms = []
         for i, t in enumerate(shaped_field(doc, "terms", "vocabulary", list)):
             name = shaped_field(t, "name", f"term {i}")
-            sort = shaped_field(t, "sort", f"term {name}")
-            terms.append(Term(name, sort, t.get("kind") or branch_kind(parents, sort)))
+            if "kind" in t:
+                raise LanguageError(f"term {name}: field 'kind' is not allowed; a term's side follows its sort")
+            terms.append(Term(name, shaped_field(t, "sort", f"term {name}")))
         preds = []
         for i, p in enumerate(shaped_field(doc, "predicates", "vocabulary", list)):
             name = shaped_field(p, "name", f"predicate {i}")
             args = shaped_field(p, "args", f"predicate {name}", list)
             args = tuple(shaped(a, str, f"predicate {name}: arg") for a in args)
-            preds.append(Predicate(name, args, bool(p.get("epistemic", False))))
+            epistemic = shaped(p.get("epistemic", False), bool, f"predicate {name}: field 'epistemic'")
+            preds.append(Predicate(name, args, epistemic))
         tasks = []
         for i, t in enumerate(shaped(doc.get("tasks", []), list, "vocabulary: field 'tasks'")):
             tid = shaped_field(t, "id", f"task {i}")

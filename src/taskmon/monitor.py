@@ -208,7 +208,7 @@ class LiveVision(VisionSystem):
 
     def query(self, s: State) -> tuple[bool, bool]:
         cfg = self.cfg
-        r = query_vision(
+        return query_vision(
             s,
             self.scene,
             self.scene.camera,
@@ -219,7 +219,6 @@ class LiveVision(VisionSystem):
             cfg.mode,
             cfg.frames,
         )
-        return r.ok, r.timed_out
 
     def scan(self, atoms: Iterable[Atom]) -> State:
         cfg = self.cfg

@@ -18,6 +18,7 @@ from functools import cached_property
 from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
 from .language import (
+    ROBOT,
     Atom,
     Predicate,
     State,
@@ -118,7 +119,6 @@ class PlanDomain:
 @dataclass
 class PlanProblem:
     name: str
-    domain_ref: str
     objects: dict[str, str]  # object -> declared sort
     init: State
     goal: State
@@ -525,7 +525,7 @@ def _declared(atom: SchemaAtom | Atom, dom: PlanDomain) -> Predicate:
 def parse_problem(text: str, domain: PlanDomain) -> PlanProblem:
     top, name = _define(text, "problem")
 
-    domain_ref = ""
+    domain_name = ""
     objects: dict[str, str] = {}
     init_atoms: list[Atom] = []
     goal_atoms: list[Atom] = []
@@ -536,7 +536,7 @@ def parse_problem(text: str, domain: PlanDomain) -> PlanProblem:
         if key == ":domain":
             if len(lst.items) != 2:
                 raise ParseError(lst.line, lst.col, "a single domain name")
-            domain_ref = _sym(lst.items[1], "a domain name")
+            domain_name = _sym(lst.items[1], "a domain name")
         elif key == ":objects":
             for n, s in _typed_names(lst.items[1:], require_sort=True, what="object"):
                 objects[n] = s
@@ -553,12 +553,12 @@ def parse_problem(text: str, domain: PlanDomain) -> PlanProblem:
         else:
             raise ParseError(lst.line, lst.col, "one of :domain :objects :init :goal")
 
-    if domain_ref != domain.name:
-        raise TypingError(name, f"problem references domain {domain_ref!r}, expected {domain.name!r}")
+    if domain_name != domain.name:
+        raise TypingError(name, f"problem references domain {domain_name!r}, expected {domain.name!r}")
     if not saw_goal:
         raise ParseError(top.line, top.col, "a :goal section")
 
-    prob = PlanProblem(name, domain_ref, objects, State.of(init_atoms), State.of(goal_atoms))
+    prob = PlanProblem(name, objects, State.of(init_atoms), State.of(goal_atoms))
     _check_problem(prob, domain)
     return prob
 
@@ -699,10 +699,7 @@ def _touches_world(atom: SchemaAtom, sch: ActionSchema, vocab: Vocabulary) -> bo
         return False
     sorts_of = {p.name: p.sort for p in sch.parameters}
     for arg in atom.args:
-        if arg.startswith("?"):
-            kind = branch_kind(vocab.parents, sorts_of[arg])
-        else:
-            kind = vocab.terms[arg].kind
-        if kind == "robot":
+        sort = sorts_of[arg] if arg.startswith("?") else vocab.terms[arg].sort
+        if branch_kind(vocab.parents, sort) == ROBOT:
             return False
     return True

@@ -11,9 +11,11 @@ geometric rules over the perceived (reconstructed) geometry, never the
 ground truth. The detection thresholds (`DEFAULT_THRESHOLDS`) and the
 predicate -> procedure table (`DEFAULT_RULES`) are fixed module constants:
 every query is judged by the same rule set, and no caller replaces it.
-`estimate_depth`, a ray-cast foreground mask inside a
-detected box, is a separate on-demand measurement that neither
-reconstruction nor the vision query runs.
+The vision query `query_vision` answers (holds, timed_out), the same pair
+the monitor's `VisionSystem.query` gives; a caller that wants the frames
+or boxes behind an answer calls `perceive` itself. `estimate_depth`, a
+ray-cast foreground mask inside a detected box, is a separate on-demand
+measurement that neither reconstruction nor the vision query runs.
 
 Three ablation modes control what the reconstruction may use: FULL keeps
 estimated centroids plus true class extents, NO_SHAPE replaces extents with
@@ -475,21 +477,6 @@ def _eval(rule: RelationRule, args: tuple[str, ...], p: Percept) -> bool:
 # --- the full query --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class VisionResult:
-    """What one query_vision call saw. `boxes` holds each term's detected
-    pixel box when every term was seen, and is empty on a timeout.
-    `percept` is the last frame perceived, the one the atoms were grounded
-    in; it is None only for the empty conjunction, which needs no frame. A
-    caller that wants a term's depth measures it on demand:
-    `estimate_depth(r.percept.detections[t], scene, r.percept.camera, model)`."""
-
-    ok: bool
-    timed_out: bool
-    boxes: dict[str, tuple[float, float, float, float]]
-    percept: Optional[Percept]
-
-
 def query_vision(
     s: State,
     scene: Scene,
@@ -500,20 +487,20 @@ def query_vision(
     rng: Optional[np.random.Generator] = None,
     mode: Mode = Mode.FULL,
     n: int = 10,
-) -> VisionResult:
-    """Verify a conjunction of atoms against the scene. Detect every term in
-    s; while any term is missing or under-confident, re-aim at the centroid
-    of the terms' scene positions for at most tau steps, so a conjunction
-    verifies only when every term fits one view. Terms absent from the scene
-    fall back to a blind yaw sweep. On timeout the result is not ok, has
-    `timed_out` set and no boxes. Otherwise every atom is grounded in the
-    final frame and `ok` says whether all hold. An empty conjunction is
-    vacuously true."""
+) -> tuple[bool, bool]:
+    """Verify a conjunction of atoms against the scene; returns (holds,
+    timed_out), the answer `monitor.VisionSystem.query` gives. Detect every
+    term in s; while any term is missing or under-confident, re-aim at the
+    centroid of the terms' scene positions for at most tau steps, so a
+    conjunction verifies only when every term fits one view. Terms absent
+    from the scene fall back to a blind yaw sweep. On timeout the answer is
+    (False, True). Otherwise every atom is grounded in the final frame and
+    `holds` says whether all do. An empty conjunction is vacuously true."""
     if rng is None:
         rng = model.rng()
     terms = sorted({arg for atom in s.atoms for arg in atom.args})
     if not terms:
-        return VisionResult(True, False, {}, None)
+        return True, False
 
     known = [o for o in scene.objects if o.label in terms]
     aim: Optional[Camera] = None
@@ -536,7 +523,7 @@ def query_vision(
         if not missing:
             break
         if steps >= tau:
-            return VisionResult(False, True, {}, percept)
+            return False, True
         steps += 1
         if aim is not None:
             current = aim
@@ -550,6 +537,4 @@ def query_vision(
             current = replace(cam, yaw=yaw, pitch=pitch)
         percept = perceive(scene, current, model, n, rng, mode)
 
-    ok = all(ground_relation(a.pred, a.args, percept) for a in s.drop_times().canonical())
-    boxes = {t: percept.detections[t].bbox for t in terms}
-    return VisionResult(ok, False, boxes, percept)
+    return all(ground_relation(a.pred, a.args, percept) for a in s.drop_times().canonical()), False

@@ -79,10 +79,28 @@ class CheckpointMismatch(Exception):
 # --- parameters ---------------------------------------------------------------------
 
 
+def group_shapes(V: int) -> dict[str, tuple[int, ...]]:
+    """The shape of every trainable array of a net over a V-token vocabulary,
+    keyed by group name in the canonical group order: the order `init` draws
+    the groups in, and the optimizer, checkpoint and check order."""
+    De, H, S, Hd, A = EMB_DIM, ENC_HIDDEN, SUMMARY, DEC_HIDDEN, ATT_HIDDEN
+    return {
+        "emb": (V, De),
+        "ef_Wx": (De, 4 * H), "ef_Wh": (H, 4 * H), "ef_b": (4 * H,),
+        "eb_Wx": (De, 4 * H), "eb_Wh": (H, 4 * H), "eb_b": (4 * H,),
+        "sum_Wx": (2 * H, 4 * S), "sum_Wh": (S, 4 * S), "sum_b": (4 * S,),
+        "h0_W": (S, Hd), "h0_b": (Hd,), "c0_W": (S, Hd), "c0_b": (Hd,),
+        "att_W1": (2 * H, A), "att_W2": (De + 2 * H + Hd, A), "att_W": (A, 1),
+        "dec_Wx": (De + 2 * H, 4 * Hd), "dec_Wh": (Hd, 4 * Hd), "dec_b": (4 * Hd,),
+        "out_W": (Hd + 2 * H, V), "out_b": (V,),
+    }
+
+
 @dataclass
 class GoalNetParams:
-    """Every trainable array, plus the vocabulary binding. Group order is the
-    canonical parameter order for the optimizer, checkpoints, and checks."""
+    """Every trainable array, plus the vocabulary binding. `group_shapes`
+    owns the groups' names, shapes and order; the fields exist so that the
+    forward passes can read `params.emb` and the rest by name."""
 
     vocab_hash: str
     use_attention: bool
@@ -109,77 +127,30 @@ class GoalNetParams:
     out_W: ad.Tensor
     out_b: ad.Tensor
 
+    GROUPS = tuple(group_shapes(0))
+
     @property
     def vocab_size(self) -> int:
         return self.emb.data.shape[0]
-
-    GROUPS = (
-        "emb",
-        "ef_Wx", "ef_Wh", "ef_b",
-        "eb_Wx", "eb_Wh", "eb_b",
-        "sum_Wx", "sum_Wh", "sum_b",
-        "h0_W", "h0_b", "c0_W", "c0_b",
-        "att_W1", "att_W2", "att_W",
-        "dec_Wx", "dec_Wh", "dec_b",
-        "out_W", "out_b",
-    )
 
     def groups(self) -> dict[str, ad.Tensor]:
         return {n: getattr(self, n) for n in self.GROUPS}
 
     def validate(self):
-        for name, t in self.groups().items():
-            if not np.all(np.isfinite(t.data)):
+        for name, shape in group_shapes(self.vocab_size).items():
+            data = getattr(self, name).data
+            if not np.all(np.isfinite(data)):
                 raise ValueError(f"parameter group {name} holds non-finite values")
-        De, H, S, Hd, A = EMB_DIM, ENC_HIDDEN, SUMMARY, DEC_HIDDEN, ATT_HIDDEN
-        expect = {
-            "emb": (self.vocab_size, De),
-            "ef_Wx": (De, 4 * H), "ef_Wh": (H, 4 * H), "ef_b": (4 * H,),
-            "eb_Wx": (De, 4 * H), "eb_Wh": (H, 4 * H), "eb_b": (4 * H,),
-            "sum_Wx": (2 * H, 4 * S), "sum_Wh": (S, 4 * S), "sum_b": (4 * S,),
-            "h0_W": (S, Hd), "h0_b": (Hd,), "c0_W": (S, Hd), "c0_b": (Hd,),
-            "att_W1": (2 * H, A), "att_W2": (De + 2 * H + Hd, A), "att_W": (A, 1),
-            "dec_Wx": (De + 2 * H, 4 * Hd), "dec_Wh": (Hd, 4 * Hd), "dec_b": (4 * Hd,),
-            "out_W": (Hd + 2 * H, self.vocab_size), "out_b": (self.vocab_size,),
-        }
-        for name, shape in expect.items():
-            got = getattr(self, name).data.shape
-            if got != shape:
-                raise ValueError(f"parameter group {name}: shape {got}, expected {shape}")
+            if data.shape != shape:
+                raise ValueError(f"parameter group {name}: shape {data.shape}, expected {shape}")
 
     @staticmethod
     def init(vocab: Vocabulary, seed: int = 0, use_attention: bool = True) -> "GoalNetParams":
         rng = np.random.default_rng(seed)
-        V, De, H, S, Hd, A = vocab.size, EMB_DIM, ENC_HIDDEN, SUMMARY, DEC_HIDDEN, ATT_HIDDEN
-
-        def p(*shape):
-            return ad.param(shape, rng)
-
         return GoalNetParams(
             vocab_hash=vocab.hash(),
             use_attention=use_attention,
-            emb=p(V, De),
-            ef_Wx=p(De, 4 * H),
-            ef_Wh=p(H, 4 * H),
-            ef_b=p(4 * H),
-            eb_Wx=p(De, 4 * H),
-            eb_Wh=p(H, 4 * H),
-            eb_b=p(4 * H),
-            sum_Wx=p(2 * H, 4 * S),
-            sum_Wh=p(S, 4 * S),
-            sum_b=p(4 * S),
-            h0_W=p(S, Hd),
-            h0_b=p(Hd),
-            c0_W=p(S, Hd),
-            c0_b=p(Hd),
-            att_W1=p(2 * H, A),
-            att_W2=p(De + 2 * H + Hd, A),
-            att_W=p(A, 1),
-            dec_Wx=p(De + 2 * H, 4 * Hd),
-            dec_Wh=p(Hd, 4 * Hd),
-            dec_b=p(4 * Hd),
-            out_W=p(Hd + 2 * H, V),
-            out_b=p(V),
+            **{name: ad.param(shape, rng) for name, shape in group_shapes(vocab.size).items()},
         )
 
 
@@ -712,38 +683,43 @@ def save_params(params: GoalNetParams, path: str) -> None:
 
 def load_params(path: str, vocab: Vocabulary) -> GoalNetParams:
     """Refuses checkpoints written against a different vocabulary, ones whose
-    meta.json is not an object or lacks a field, and ones whose stored
-    parameter groups are not exactly GoalNetParams.GROUPS. Fields meta.json
-    holds beyond these are ignored."""
-    with zipfile.ZipFile(path) as z:
-        meta = json.loads(z.read("meta.json"))
-        if not isinstance(meta, dict):
-            raise CheckpointMismatch(f"meta.json must be an object, got {type(meta).__name__}")
-        if meta.get("version") != CHECKPOINT_VERSION:
-            raise CheckpointMismatch(f"checkpoint version {meta.get('version')}")
-        lacking = sorted({"vocab_hash", "use_attention", "groups"} - set(meta))
-        if lacking:
-            raise CheckpointMismatch(f"meta.json lacks {lacking}")
-        if meta["vocab_hash"] != vocab.hash():
-            raise CheckpointMismatch("checkpoint was written against a different vocabulary")
-        if not isinstance(meta["groups"], dict):
-            raise CheckpointMismatch(f"meta.json: groups must be an object, got {type(meta['groups']).__name__}")
-        stored = {n[: -len(".npy")] for n in z.namelist() if n.endswith(".npy")}
-        for what, names in (("meta.json", set(meta["groups"])), ("the archive", stored)):
-            if names != set(GoalNetParams.GROUPS):
-                missing = sorted(set(GoalNetParams.GROUPS) - names)
-                extra = sorted(names - set(GoalNetParams.GROUPS))
-                raise CheckpointMismatch(f"groups in {what}: missing {missing}, unexpected {extra}")
-        arrays = {}
-        for name, shape in meta["groups"].items():
-            arr = np.lib.format.read_array(io.BytesIO(z.read(f"{name}.npy")), allow_pickle=False)
-            if list(arr.shape) != shape:
-                raise CheckpointMismatch(f"group {name}: stored shape {arr.shape} != {shape}")
-            arrays[name] = ad.Tensor(arr, requires_grad=True)
-    params = GoalNetParams(
-        vocab_hash=meta["vocab_hash"],
-        use_attention=bool(meta["use_attention"]),
-        **arrays,
-    )
-    params.validate()
+    meta.json is not an object or lacks a field, ones whose stored parameter
+    groups are not exactly GoalNetParams.GROUPS, and ones that cannot be read
+    at all: not a zip, no meta.json, meta.json not JSON, an array that does
+    not parse or fails `validate`. Every refusal is a CheckpointMismatch.
+    Fields meta.json holds beyond these are ignored."""
+    try:
+        with zipfile.ZipFile(path) as z:
+            meta = json.loads(z.read("meta.json"))
+            if not isinstance(meta, dict):
+                raise CheckpointMismatch(f"meta.json must be an object, got {type(meta).__name__}")
+            if meta.get("version") != CHECKPOINT_VERSION:
+                raise CheckpointMismatch(f"checkpoint version {meta.get('version')}")
+            lacking = sorted({"vocab_hash", "use_attention", "groups"} - set(meta))
+            if lacking:
+                raise CheckpointMismatch(f"meta.json lacks {lacking}")
+            if meta["vocab_hash"] != vocab.hash():
+                raise CheckpointMismatch("checkpoint was written against a different vocabulary")
+            if not isinstance(meta["groups"], dict):
+                raise CheckpointMismatch(f"meta.json: groups must be an object, got {type(meta['groups']).__name__}")
+            stored = {n[: -len(".npy")] for n in z.namelist() if n.endswith(".npy")}
+            for what, names in (("meta.json", set(meta["groups"])), ("the archive", stored)):
+                if names != set(GoalNetParams.GROUPS):
+                    missing = sorted(set(GoalNetParams.GROUPS) - names)
+                    extra = sorted(names - set(GoalNetParams.GROUPS))
+                    raise CheckpointMismatch(f"groups in {what}: missing {missing}, unexpected {extra}")
+            arrays = {}
+            for name, shape in meta["groups"].items():
+                arr = np.lib.format.read_array(io.BytesIO(z.read(f"{name}.npy")), allow_pickle=False)
+                if list(arr.shape) != shape:
+                    raise CheckpointMismatch(f"group {name}: stored shape {arr.shape} != {shape}")
+                arrays[name] = ad.Tensor(arr, requires_grad=True)
+        params = GoalNetParams(
+            vocab_hash=meta["vocab_hash"],
+            use_attention=bool(meta["use_attention"]),
+            **arrays,
+        )
+        params.validate()
+    except (zipfile.BadZipFile, KeyError, IndexError, ValueError) as e:
+        raise CheckpointMismatch(f"unreadable checkpoint {path}: {e}") from e
     return params

@@ -20,12 +20,12 @@ def make_tiny_vocab(max_atoms: int = 17) -> Vocabulary:
         Sort("base", "robot-ent"),
     ]
     terms = [
-        Term("brush", "item", "world"),
-        Term("cup", "item", "world"),
-        Term("table", "surface", "world"),
-        Term("shelf", "surface", "world"),
-        Term("hand", "gripper", "robot"),
-        Term("rover", "base", "robot"),
+        Term("brush", "item"),
+        Term("cup", "item"),
+        Term("table", "surface"),
+        Term("shelf", "surface"),
+        Term("hand", "gripper"),
+        Term("rover", "base"),
     ]
     predicates = [
         Predicate("On", ("item", "surface")),

@@ -79,7 +79,7 @@ def blocks_case(rng: random.Random, n_blocks: int) -> tuple[PlanDomain, PlanProb
     target = _arrangement_atoms(_random_towers(rng, blocks))
     k = rng.randint(1, max(1, len(target) - 1))
     goal = rng.sample(target, k)
-    prob = PlanProblem("blocks-case", "blocks", objects, State.of(init), State.of(goal))
+    prob = PlanProblem("blocks-case", objects, State.of(init), State.of(goal))
     return BLOCKS_DOMAIN, prob
 
 
@@ -107,7 +107,7 @@ def switches_case(rng: random.Random, n: int) -> tuple[PlanDomain, PlanProblem]:
     init = [Atom("Dark", (f"l{i}",)) for i in range(n)]
     lit = sorted(rng.sample(range(n), rng.randint(1, n)))
     goal = [Atom("Lit", (f"l{i}",)) for i in lit]
-    prob = PlanProblem("switch-case", "switches", objects, State.of(init), State.of(goal))
+    prob = PlanProblem("switch-case", objects, State.of(init), State.of(goal))
     return dom, prob
 
 
@@ -239,10 +239,10 @@ def print_domain(dom: PlanDomain) -> str:
     return "\n".join(lines) + ")\n"
 
 
-def print_problem(prob: PlanProblem) -> str:
+def print_problem(prob: PlanProblem, domain_name: str) -> str:
     lines = [
         f"(define (problem {prob.name})",
-        f"  (:domain {prob.domain_ref})",
+        f"  (:domain {domain_name})",
     ]
     if prob.objects:
         lines.append(f"  (:objects {_print_typed(list(prob.objects.items()))})")

@@ -33,7 +33,7 @@ def random_vocab(rng: random.Random) -> Vocabulary:
     n_terms = rng.randint(1, 9)
     sorts = [Sort("root"), Sort("world-b", "root"), Sort("robot-b", "root")]
     terms = [
-        Term(f"o{i}", rng.choice(["world-b", "robot-b"]), rng.choice(["world", "robot"]))
+        Term(f"o{i}", rng.choice(["world-b", "robot-b"]))
         for i in range(n_terms)
     ]
     preds = [
@@ -244,7 +244,7 @@ def test_separator_collision_rejected():
     with pytest.raises(LanguageError, match="separator"):
         Vocabulary(
             [Sort("root"), Sort("w", "root")],
-            [Term("<eoa>", "w", "world")],
+            [Term("<eoa>", "w")],
             [Predicate("P", ("w",))],
             [TaskSentence.of("t", "go")],
         )
@@ -292,7 +292,7 @@ def test_vocab_hash_stable_and_sensitive():
     sorts = [Sort("entity"), Sort("world-ent", "entity"), Sort("robot-ent", "entity")]
     c = Vocabulary(
         sorts,
-        [Term("brush", "world-ent", "world")],
+        [Term("brush", "world-ent")],
         [Predicate("On", ("world-ent", "world-ent"))],
         [TaskSentence.of("t", "x")],
     )
@@ -320,8 +320,8 @@ def test_vocab_yaml_loader(tmp_path):
     p = tmp_path / "vocab.yaml"
     p.write_text(VOCAB_DOC)
     v = Vocabulary.from_yaml(str(p))
-    assert v.terms["mug"].kind == lang.WORLD
-    assert v.terms["claw"].kind == lang.ROBOT
+    assert lang.branch_kind(v.parents, v.terms["mug"].sort) == lang.WORLD
+    assert lang.branch_kind(v.parents, v.terms["claw"].sort) == lang.ROBOT
     assert v.max_atoms == 9
     assert v.atom_type_ok(Atom("Hold", ("claw", "mug")))
     assert not v.atom_type_ok(Atom("Hold", ("mug", "claw")))
@@ -340,6 +340,11 @@ def test_vocab_yaml_loader(tmp_path):
         ("{name: Found, args: [world-obj]}", "{name: Found}", "predicate Found: missing field 'args'"),
         ("{name: mug, sort: world-obj}", "{name: mug, sort: shelf}", "unknown sort shelf"),
         ("max_atoms: 9", "max_atoms: nine", "vocabulary: field 'max_atoms' must be a whole number, got str"),
+        ("max_atoms: 9", "max_atoms: true", "vocabulary: field 'max_atoms' must be a whole number, got bool"),
+        ("max_atoms: 9", "max_atoms: 0", "max_atoms must be at least 1, got 0"),
+        ("max_atoms: 9", "max_atoms: -3", "max_atoms must be at least 1, got -3"),
+        ("{name: Found, args: [world-obj]}", "{name: Found, args: [world-obj], epistemic: 'no'}",
+         "predicate Found: field 'epistemic' must be a boolean, got str"),
     ],
 )
 def test_vocab_loader_rejects_misshapen_files(tmp_path, old, new, message):
@@ -349,6 +354,19 @@ def test_vocab_loader_rejects_misshapen_files(tmp_path, old, new, message):
     with pytest.raises(LanguageError) as e:
         Vocabulary.from_yaml(str(p))
     assert str(e.value) == message
+
+
+def test_term_side_follows_the_sort_tree_only():
+    # a file may not state a side, least of all one its sort contradicts
+    doc = VOCAB_DOC.replace("{name: mug, sort: world-obj}", "{name: mug, sort: world-obj, kind: robot}")
+    with pytest.raises(LanguageError, match="term mug: field 'kind'"):
+        Vocabulary.from_dict(lang.load_yaml(doc))
+    # the root has no side, so no term may sit on it
+    rooted = VOCAB_DOC.replace("{name: mug, sort: world-obj}", "{name: mug, sort: entity}")
+    with pytest.raises(LanguageError, match="term mug: sort entity is the root"):
+        Vocabulary.from_dict(lang.load_yaml(rooted))
+    with pytest.raises(LanguageError, match="term x: sort r is the root"):
+        Vocabulary([Sort("r"), Sort("w", "r")], [Term("x", "r")], [], [])
 
 
 def test_packaged_vocabulary_binding_is_pinned():

@@ -1,6 +1,8 @@
 """Next-goal predictor: goal grammar, embedding/segments, attention closed
 forms, decoding, training, gradient checks, checkpoints, and dataset growth."""
 
+import hashlib
+import io
 import json
 import zipfile
 
@@ -558,6 +560,15 @@ def test_checkpoint_roundtrip_and_byte_determinism(tiny_vocab, tmp_path):
     assert c.read_bytes() == a.read_bytes()
 
 
+def test_init_checkpoint_bytes_are_pinned(tiny_vocab, tmp_path):
+    # guards the group order and every init draw: a change to either moves
+    # these bytes
+    path = tmp_path / "p.gnp"
+    save_params(GoalNetParams.init(tiny_vocab, seed=0), str(path))
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == "3badaf2a7bf1906d0ee53d482d2d28ae5b6401eefe70b4e7b969af7a4d86478a"
+
+
 def test_checkpoint_refuses_other_vocab(tiny_vocab, tmp_path):
     params = GoalNetParams.init(tiny_vocab, seed=13)
     path = tmp_path / "p.gnp"
@@ -565,7 +576,7 @@ def test_checkpoint_refuses_other_vocab(tiny_vocab, tmp_path):
     v = make_tiny_vocab()
     other = Vocabulary(
         list(v.sorts.values()),
-        list(v.terms.values()) + [Term("mug", "item", "world")],
+        list(v.terms.values()) + [Term("mug", "item")],
         list(v.predicates.values()),
         list(v.tasks.values()),
     )
@@ -573,20 +584,30 @@ def test_checkpoint_refuses_other_vocab(tiny_vocab, tmp_path):
         load_params(str(path), other)
 
 
+def _replace_entries(src, dst, edit):
+    """Copy checkpoint src to dst with its {name: bytes} entries passed
+    through `edit`."""
+    with zipfile.ZipFile(src) as z:
+        entries = edit({n: z.read(n) for n in z.namelist()})
+    with zipfile.ZipFile(dst, "w") as z:
+        for name, data in entries.items():
+            z.writestr(name, data)
+
+
 def _rewrite_checkpoint(src, dst, drop_entry="", drop_meta_group="", drop_meta="", edit=None):
     """Copy checkpoint src to dst without one archive entry, one group of
     meta.json's groups, or one meta.json field; `edit` maps the resulting
     meta.json object to the one written."""
-    with zipfile.ZipFile(src) as z:
-        entries = {n: z.read(n) for n in z.namelist()}
-    meta = json.loads(entries["meta.json"])
-    meta["groups"].pop(drop_meta_group, None)
-    meta.pop(drop_meta, None)
-    entries["meta.json"] = json.dumps(meta if edit is None else edit(meta)).encode()
-    entries.pop(drop_entry, None)
-    with zipfile.ZipFile(dst, "w") as z:
-        for name, data in entries.items():
-            z.writestr(name, data)
+
+    def rewrite(entries):
+        meta = json.loads(entries["meta.json"])
+        meta["groups"].pop(drop_meta_group, None)
+        meta.pop(drop_meta, None)
+        entries["meta.json"] = json.dumps(meta if edit is None else edit(meta)).encode()
+        entries.pop(drop_entry, None)
+        return entries
+
+    _replace_entries(src, dst, rewrite)
 
 
 def test_checkpoint_refuses_incomplete_archives(tiny_vocab, tmp_path):
@@ -620,6 +641,37 @@ def test_checkpoint_refuses_misshapen_meta(tiny_vocab, tmp_path):
         _rewrite_checkpoint(path, bad, edit=edit)
         with pytest.raises(CheckpointMismatch, match=message):
             load_params(str(bad), tiny_vocab)
+
+
+def _scalar_emb(entries):
+    """A checkpoint whose emb is a 0-d array, and whose meta.json agrees."""
+    meta = json.loads(entries["meta.json"])
+    meta["groups"]["emb"] = []
+    buf = io.BytesIO()
+    np.lib.format.write_array(buf, np.array(1.0))
+    return {**entries, "meta.json": json.dumps(meta).encode(), "emb.npy": buf.getvalue()}
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        pytest.param(lambda e: {**e, "meta.json": b"{not json"}, id="meta-not-json"),
+        pytest.param(lambda e: {n: b for n, b in e.items() if n != "meta.json"}, id="no-meta"),
+        pytest.param(lambda e: {**e, "emb.npy": b"\x93NUMPY garbage"}, id="corrupt-array"),
+        pytest.param(_scalar_emb, id="scalar-emb"),
+        pytest.param(None, id="not-a-zip"),
+    ],
+)
+def test_checkpoint_refuses_unreadable_archives(tiny_vocab, tmp_path, edit):
+    path = tmp_path / "p.gnp"
+    save_params(GoalNetParams.init(tiny_vocab, seed=13), str(path))
+    bad = tmp_path / "bad.gnp"
+    if edit is None:
+        bad.write_bytes(b"not a zip archive")
+    else:
+        _replace_entries(path, bad, edit)
+    with pytest.raises(CheckpointMismatch, match="unreadable checkpoint"):
+        load_params(str(bad), tiny_vocab)
 
 
 def test_checkpoint_with_separator_ids_still_loads(tiny_vocab, fetch_pair, tmp_path):

@@ -43,6 +43,7 @@ from taskmon.pddl import (
 from taskmon.perception import DetectorModel, Mode, ground_relation
 from taskmon.planning import ground_actions, match_plan
 from taskmon.predictor import GoalProposal
+from tracesweep import sweep as trace_sweep
 
 DOMAIN = """
 (define (domain desk)
@@ -783,6 +784,16 @@ def test_packaged_chain_trace_is_seed_deterministic_under_noise(
     audit(first)
     assert not first.outcome.reason.startswith("internal:"), first.outcome
     assert trace_lines(first) == trace_lines(second)
+
+
+def test_trace_sweep_matches_its_pinned_rows():
+    # tests/tracesweep.tsv is the sweep's output; a change that moves a trace
+    # or an outcome shows here row by row, and rewrites that file on purpose
+    with open(os.path.join(os.path.dirname(__file__), "tracesweep.tsv")) as f:
+        pinned = f.read().splitlines()
+    rows = ["\t".join(row) for row in trace_sweep()]
+    assert len(rows) == len(pinned)
+    assert [(want, got) for want, got in zip(pinned, rows) if want != got] == []
 
 
 # --- halting fuzz ---------------------------------------------------------------------

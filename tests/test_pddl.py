@@ -234,7 +234,7 @@ def test_print_parse_round_trip_fixture(tiny_domain, tiny_problem, packaged_lib)
     for dom in domains:
         assert parse_domain(print_domain(dom)) == dom, dom.name
     for dom, prob in problems:
-        assert parse_problem(print_problem(prob), dom) == prob, prob.name
+        assert parse_problem(print_problem(prob, dom.name), dom) == prob, prob.name
 
 
 def random_trip_domain(rng: random.Random) -> PlanDomain:
@@ -279,12 +279,11 @@ def test_print_parse_round_trip_corpus():
         pool = [ground(p) for p in dom.predicates.values()]
         prob = PlanProblem(
             "rndp",
-            "rnd",
             objects,
             State.of(rng.sample(pool, k=rng.randint(0, len(pool)))),
             State.of(rng.sample(pool, k=rng.randint(0, len(pool)))),
         )
-        assert parse_problem(print_problem(prob), dom) == prob, f"seed {seed}"
+        assert parse_problem(print_problem(prob, dom.name), dom) == prob, f"seed {seed}"
 
 
 def test_parser_output_is_type_valid(tiny_domain, tiny_problem):

@@ -206,6 +206,8 @@ def test_scene_validation():
         Scene([SceneObject("a", "a", b), SceneObject("a", "b", b)], Camera())
     with pytest.raises(ValueError, match="missing object"):
         Scene([SceneObject("a", "a", b)], Camera(), attachments={"a": "ghost"})
+    with pytest.raises(ValueError, match="support a->ghost references a missing object"):
+        Scene([SceneObject("a", "a", b, supported_by="ghost")], Camera())
     with pytest.raises(ValueError, match="cycle"):
         Scene(
             [
@@ -252,6 +254,26 @@ frame: 7
         assert got.supported_by == orig.supported_by
         assert got.box.lo == pytest.approx(orig.box.lo)
         assert got.box.hi == pytest.approx(orig.box.hi)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "scene must be a mapping, got NoneType"),
+        ("objects: 5", "scene: field 'objects' must be a list, got int"),
+        ("objects: [{box: [[0, 0, 0], [1, 1, 1]]}]", "scene: object 0: missing field 'id'"),
+        ("objects: [{id: cup, box: [[0, 0, 0]]}]", "scene: object cup: field 'box' must hold 2 corners, got 1"),
+        ("camera: 3", "scene: field 'camera' must be a mapping, got int"),
+        ("camera: {zoom: 2}", "scene: camera: unknown fields ['zoom'], expected some of "
+         "['position', 'yaw', 'pitch', 'hfov', 'vfov', 'max_depth']"),
+    ],
+)
+def test_scene_loader_names_the_misshapen_field(tmp_path, text, message):
+    path = tmp_path / "scene.yaml"
+    path.write_text(text)
+    with pytest.raises(ValueError) as e:
+        load_scene(str(path))
+    assert str(e.value) == message
 
 
 # --- detection ---------------------------------------------------------------------
@@ -704,45 +726,32 @@ def test_ablation_modes_degrade_in_order():
 
 def test_query_empty_conjunction_is_vacuous():
     scene = desk_scene()
-    r = query_vision(State(), scene, scene.camera, DetectorModel())
-    assert r.ok is True and r.timed_out is False and r.boxes == {}
-    assert r.percept is None  # nothing to see, so no frame was taken
+    assert query_vision(State(), scene, scene.camera, DetectorModel()) == (True, False)
 
 
 def test_query_conforming_state():
     scene = desk_scene()
     s = State.parse(["On(brush, table)", "Found(cup)", "CloseTo(brush, cup)"])
-    model = DetectorModel(seed=2)
-    r = query_vision(s, scene, scene.camera, model)
-    assert r.ok is True and r.timed_out is False
-    assert set(r.boxes) == {"brush", "table", "cup"}
-    for t in r.boxes:
-        d = estimate_depth(r.percept.detections[t], scene, r.percept.camera, model)
-        assert 0.0 < d < 2.5
+    assert query_vision(s, scene, scene.camera, DetectorModel(seed=2)) == (True, False)
 
 
 def test_query_false_relation_reports_evidence():
     scene = desk_scene()
     s = State.parse(["On(table, brush)"])
-    r = query_vision(s, scene, scene.camera, DetectorModel(seed=2))
-    assert r.ok is False
-    assert set(r.boxes) == {"brush", "table"}  # terms were all found, claim just fails
-    assert r.timed_out is False
+    # the terms are all found, so the claim fails without a timeout
+    assert query_vision(s, scene, scene.camera, DetectorModel(seed=2)) == (False, False)
 
 
 def test_query_unknown_term_times_out():
     scene = desk_scene()
     s = State.parse(["Found(ghost)"])
-    r = query_vision(s, scene, scene.camera, DetectorModel(seed=4), tau=3)
-    assert (r.ok, r.timed_out, r.boxes) == (False, True, {})
+    assert query_vision(s, scene, scene.camera, DetectorModel(seed=4), tau=3) == (False, True)
 
 
 def test_query_zero_budget_times_out_when_term_unseen():
     scene = desk_scene()
     s = State.parse(["Found(hind_block)"])
-    r = query_vision(s, scene, scene.camera, DetectorModel(seed=4), tau=0)
-    assert (r.ok, r.timed_out, r.boxes) == (False, True, {})
-    assert r.percept.camera == scene.camera  # the one frame it was allowed
+    assert query_vision(s, scene, scene.camera, DetectorModel(seed=4), tau=0) == (False, True)
 
 
 def test_query_sweep_finds_object_behind_camera():
@@ -753,12 +762,8 @@ def test_query_sweep_finds_object_behind_camera():
     scene = Scene([target, front], cam)
     s = State.parse(["Found(valve)"])
     for seed in range(5):
-        model = DetectorModel(seed=seed)
-        r = query_vision(s, scene, cam, model, tau=8)
-        assert r.ok is True, f"sweep missed the target with seed {seed}"
-        assert "valve" in r.boxes
-        d = estimate_depth(r.percept.detections["valve"], scene, r.percept.camera, model)
-        assert d > 0.0
+        answer = query_vision(s, scene, cam, DetectorModel(seed=seed), tau=8)
+        assert answer == (True, False), f"sweep missed the target with seed {seed}"
 
 
 def test_query_aims_at_a_term_by_label_not_object_id():
@@ -770,9 +775,8 @@ def test_query_aims_at_a_term_by_label_not_object_id():
     scene = Scene([target, front], cam)
     s = State.parse(["Found(valve)"])
     for seed in range(20):
-        r = query_vision(s, scene, cam, DetectorModel(seed=seed), tau=1)
-        assert r.ok is True, f"one aimed step missed the target with seed {seed}"
-        assert r.percept.detections["valve"].obj_id == "valve_1"
+        answer = query_vision(s, scene, cam, DetectorModel(seed=seed), tau=1)
+        assert answer == (True, False), f"one aimed step missed the target with seed {seed}"
 
 
 def test_query_determinism():
@@ -824,7 +828,7 @@ def test_shared_thresholds_are_the_frozen_default():
     # brush and cup centres are about 0.31 m apart
     assert ground_relation("CloseTo", ("brush", "cup"), p)
     q = State.of([parse_atom("CloseTo(brush,cup)")])
-    assert query_vision(q, scene, scene.camera, DetectorModel()).ok
+    assert query_vision(q, scene, scene.camera, DetectorModel()) == (True, False)
     nominal = perceive(scene, scene.camera, DetectorModel(), n=1, mode=Mode.NO_SHAPE)
     assert nominal.boxes3d["cup"].size == pytest.approx((0.06,) * 3)
     with pytest.raises(FrozenInstanceError):

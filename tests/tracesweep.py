@@ -11,6 +11,10 @@ moved:
     PYTHONPATH=src python3 tests/tracesweep.py > sweep.tsv
 
 This is a command, not a test module; pytest does not collect it.
+`tests/tracesweep.tsv` holds its output, and
+`test_monitor.test_trace_sweep_matches_its_pinned_rows` compares every row
+with that file. A change that moves a trace on purpose rewrites the file
+with the command above and names the rows it moved.
 """
 
 from __future__ import annotations
