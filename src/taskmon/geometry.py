@@ -12,11 +12,14 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Optional
 
-from .language import load_yaml, shaped, shaped_field
+from .language import known_fields, load_yaml, shaped, shaped_field
 
 Vec = tuple[float, float, float]
 
-# The Camera fields a scene file may set; the image size is fixed.
+# The keys a scene file may give: at the top, per object, and the Camera
+# fields it may set (the image size is fixed).
+_SCENE_KEYS = ("objects", "camera", "attachments", "vision_on", "frame")
+_OBJECT_KEYS = ("id", "label", "box", "supported_by", "proprio")
 _CAMERA_KEYS = ("position", "yaw", "pitch", "hfov", "vfov", "max_depth")
 
 
@@ -79,12 +82,6 @@ class Box:
 
     def contains(self, p: Vec) -> bool:
         return all(l <= c <= h for l, c, h in zip(self.lo, p, self.hi))
-
-    def dilated(self, margin: float) -> "Box":
-        return Box(
-            tuple(l - margin for l in self.lo),
-            tuple(h + margin for h in self.hi),
-        )
 
     def intersection_volume(self, other: "Box") -> float:
         v = 1.0
@@ -178,17 +175,35 @@ class Camera:
     def depth_of(self, p: Vec) -> float:
         return _dot(_sub(p, self.position), self.forward)
 
+    def _look(self, p: Vec, cone: bool) -> Optional[tuple[float, float, float]]:
+        """p's pixel (u, v) and forward depth z, or None when p is behind
+        the image plane or, with `cone`, outside the view cone or beyond
+        max_depth. The offset is formed once and the forward product is taken
+        first, so a point behind or beyond the camera costs one dot product."""
+        pos, f = self.position, self.forward
+        dx, dy, dz = p[0] - pos[0], p[1] - pos[1], p[2] - pos[2]
+        z = dx * f[0] + dy * f[1] + dz * f[2]
+        if z <= 1e-9 or (cone and z > self.max_depth):
+            return None
+        r, w = self.right, self.up
+        x = dx * r[0] + dy * r[1] + dz * r[2]
+        y = dx * w[0] + dy * w[1] + dz * w[2]
+        th, tv = self.tan_half_hfov, self.tan_half_vfov
+        if cone and not (abs(x / z) <= th and abs(y / z) <= tv):
+            return None
+        return (self.width / 2.0 * (1.0 + x / (z * th)), self.height / 2.0 * (1.0 - y / (z * tv)), z)
+
     def project(self, p: Vec) -> Optional[tuple[float, float, float]]:
         """(u, v, forward depth), or None behind the image plane."""
-        d = _sub(p, self.position)
-        z = _dot(d, self.forward)
-        if z <= 1e-9:
-            return None
-        x = _dot(d, self.right)
-        y = _dot(d, self.up)
-        u = self.width / 2.0 * (1.0 + x / (z * self.tan_half_hfov))
-        v = self.height / 2.0 * (1.0 - y / (z * self.tan_half_vfov))
-        return (u, v, z)
+        return self._look(p, False)
+
+    def view(self, p: Vec) -> Optional[tuple[float, float, float]]:
+        """`project(p)` for a point inside the view cone and no farther than
+        max_depth, else None."""
+        return self._look(p, True)
+
+    def in_view(self, p: Vec) -> bool:
+        return self._look(p, True) is not None
 
     def unproject(self, u: float, v: float, depth: float) -> Vec:
         """Inverse of project at the given forward depth."""
@@ -200,15 +215,6 @@ class Camera:
 
     def pixel_ray(self, u: float, v: float) -> Vec:
         return _unit(_sub(self.unproject(u, v, 1.0), self.position))
-
-    def in_view(self, p: Vec) -> bool:
-        d = _sub(p, self.position)
-        z = _dot(d, self.forward)
-        if z <= 0.0 or z > self.max_depth:
-            return False
-        x = _dot(d, self.right)
-        y = _dot(d, self.up)
-        return abs(x / z) <= self.tan_half_hfov and abs(y / z) <= self.tan_half_vfov
 
     def project_box(self, box: Box) -> Optional[tuple[float, float, float, float]]:
         """Pixel AABB over the box corners; None if any corner is behind.
@@ -303,10 +309,12 @@ class Scene:
         """A scene from its YAML form. A misshapen document raises ValueError
         naming the field."""
         doc = shaped(doc, dict, "scene", ValueError)
+        known_fields(doc, _SCENE_KEYS, "scene", ValueError)
         objs = []
         for i, o in enumerate(shaped(doc.get("objects", []), list, "scene: field 'objects'", ValueError)):
             oid = shaped_field(o, "id", f"scene: object {i}", str, ValueError)
             where = f"scene: object {oid}"
+            known_fields(o, _OBJECT_KEYS, where, ValueError)
             corners = shaped_field(o, "box", where, list, ValueError)
             if len(corners) != 2:
                 raise ValueError(f"{where}: field 'box' must hold 2 corners, got {len(corners)}")
@@ -345,9 +353,7 @@ def _camera(doc) -> Camera:
     """A camera from the keys a scene file gives; `Camera` owns the defaults
     of the keys it leaves out."""
     doc = shaped(doc, dict, "scene: field 'camera'", ValueError)
-    unknown = sorted(str(k) for k in doc if k not in _CAMERA_KEYS)
-    if unknown:
-        raise ValueError(f"scene: camera: unknown fields {unknown}, expected some of {list(_CAMERA_KEYS)}")
+    known_fields(doc, _CAMERA_KEYS, "scene: camera", ValueError)
     args = {}
     for key, value in doc.items():
         where = f"scene: camera: field {key!r}"

@@ -70,6 +70,14 @@ def shaped_field(item, key: str, where: str, kind=str, error: type[Exception] = 
     return shaped(item[key], kind, f"{where}: field {key!r}", error)
 
 
+def known_fields(item: dict, keys: tuple[str, ...], where: str, error: type[Exception] = LanguageError) -> None:
+    """Raise `error` naming every key of the mapping `item` outside `keys`:
+    a misspelt key is refused, not read as an absent one."""
+    unknown = [k for k in item if k not in keys]
+    if unknown:
+        raise error(f"{where}: unknown fields {sorted(map(str, unknown))}, expected some of {list(keys)}")
+
+
 class StateTooLong(LanguageError):
     def __init__(self, n_atoms: int, limit: int):
         super().__init__(f"state has {n_atoms} atoms, encoder limit is {limit}")
@@ -346,19 +354,23 @@ class Vocabulary:
     @staticmethod
     def from_dict(doc) -> "Vocabulary":
         doc = shaped(doc, dict, "vocabulary")
-        sorts = [
-            Sort(shaped_field(s, "name", f"sort {i}"), s.get("parent"))
-            for i, s in enumerate(shaped_field(doc, "sorts", "vocabulary", list))
-        ]
+        known_fields(doc, ("sorts", "terms", "predicates", "tasks", "max_atoms"), "vocabulary")
+        sorts = []
+        for i, s in enumerate(shaped_field(doc, "sorts", "vocabulary", list)):
+            name = shaped_field(s, "name", f"sort {i}")
+            known_fields(s, ("name", "parent"), f"sort {name}")
+            sorts.append(Sort(name, s.get("parent")))
         terms = []
         for i, t in enumerate(shaped_field(doc, "terms", "vocabulary", list)):
             name = shaped_field(t, "name", f"term {i}")
             if "kind" in t:
                 raise LanguageError(f"term {name}: field 'kind' is not allowed; a term's side follows its sort")
+            known_fields(t, ("name", "sort"), f"term {name}")
             terms.append(Term(name, shaped_field(t, "sort", f"term {name}")))
         preds = []
         for i, p in enumerate(shaped_field(doc, "predicates", "vocabulary", list)):
             name = shaped_field(p, "name", f"predicate {i}")
+            known_fields(p, ("name", "args", "epistemic"), f"predicate {name}")
             args = shaped_field(p, "args", f"predicate {name}", list)
             args = tuple(shaped(a, str, f"predicate {name}: arg") for a in args)
             epistemic = shaped(p.get("epistemic", False), bool, f"predicate {name}: field 'epistemic'")
@@ -366,6 +378,7 @@ class Vocabulary:
         tasks = []
         for i, t in enumerate(shaped(doc.get("tasks", []), list, "vocabulary: field 'tasks'")):
             tid = shaped_field(t, "id", f"task {i}")
+            known_fields(t, ("id", "sentence"), f"task {tid}")
             tasks.append(TaskSentence.of(tid, shaped_field(t, "sentence", f"task {tid}")))
         max_atoms = shaped(doc.get("max_atoms", DEFAULT_MAX_ATOMS), int, "vocabulary: field 'max_atoms'")
         return Vocabulary(sorts, terms, preds, tasks, max_atoms=max_atoms)

@@ -31,7 +31,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .actuator import Actuator, truth_percept
-from .geometry import Scene
+from .geometry import Camera, Scene
 from .language import Atom, Predicate, State, TaskSentence, TokenSeq, Vocabulary
 from .pddl import PlanLibrary
 from .perception import (
@@ -205,6 +205,7 @@ class LiveVision(VisionSystem):
         self.scene = scene
         self.cfg = cfg
         self._rng = np.random.default_rng([cfg.seed, 0x515C])
+        self._ring: list[Camera] = []  # scan poses around self._ring[0]
 
     def query(self, s: State) -> tuple[bool, bool]:
         cfg = self.cfg
@@ -223,14 +224,16 @@ class LiveVision(VisionSystem):
     def scan(self, atoms: Iterable[Atom]) -> State:
         cfg = self.cfg
         cam = self.scene.camera
-        steps = max(1, math.ceil(2.0 * math.pi / (cam.hfov * 0.85)))
-        poses = [cam] + [
-            replace(cam, yaw=cam.yaw + i * cam.hfov * 0.85, pitch=-0.2)
-            for i in range(1, steps + 1)
-        ]
+        if not self._ring or self._ring[0] is not cam:
+            # the ring follows the scene's camera, which a Found effect re-aims
+            steps = max(1, math.ceil(2.0 * math.pi / (cam.hfov * 0.85)))
+            self._ring = [cam] + [
+                replace(cam, yaw=cam.yaw + i * cam.hfov * 0.85, pitch=-0.2)
+                for i in range(1, steps + 1)
+            ]
         remaining = sorted(set(atoms), key=lambda x: x.key())
         held: list[Atom] = []
-        for pose in poses:
+        for pose in self._ring:
             if not remaining:
                 break
             percept = perceive(self.scene, pose, cfg.detector, cfg.frames, self._rng, cfg.mode)

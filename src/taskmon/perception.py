@@ -2,9 +2,11 @@
 
 Detection draws a batch of noisy frames and majority-votes the class per
 object. Each visible object takes its frames' random numbers as blocks from
-the query's generator: n hit draws, n confusion draws (when the scene has
-another label), the confused frames' wrong labels, the pixel jitter, then
-the depth noise; a noise-free detector draws only the first two blocks.
+the query's generator: one block of n hit and n confusion draws (only the
+hits when the scene has one label), the confused frames' wrong labels, the
+pixel jitter, then the depth noise; a noise-free detector draws only the
+first block. The per-label ranked vote runs only when some frame was
+confused; otherwise the label wins exactly on a strict majority of hits.
 Reconstruction places each detected object at the detector's noisy
 centroid depth; the 13 spatial/functional predicates are grounded by
 geometric rules over the perceived (reconstructed) geometry, never the
@@ -179,12 +181,18 @@ def detect_batch(
     reported exactly.
 
     Each visible object draws its n frames as blocks, in this order:
-    `rng.random(n)` for hits; `rng.random(n)` for confusion, when the scene
-    has another label; one integer per confused frame picking the wrong
-    label; an (n, 2) block of pixel jitter, when `px_jitter` > 0; one depth
-    noise sample, when `depth_sigma` > 0. A noise-free detector thus takes
-    exactly 2n doubles per object (n with a single label), as the per-frame
-    draws did, so its stream is unchanged."""
+    `rng.random(2 * n)`, the first n for hits and the last n for confusion
+    (`rng.random(n)`, hits only, when the scene has a single label); one
+    integer per confused frame picking the wrong label; an (n, 2) block of
+    pixel jitter, when `px_jitter` > 0; one depth noise sample, when
+    `depth_sigma` > 0. The 2n block gives the same doubles as two n blocks,
+    so the stream is the per-frame one. A noise-free detector thus takes
+    exactly 2n doubles per object (n with a single label).
+
+    The votes are ranked by count, then label, only when some frame was
+    confused. Otherwise each frame is a hit or a miss, and the label wins
+    exactly when hits > n/2; a tie or a modal miss gives no detection. The
+    jitter is averaged over the winning frames."""
     if n < 1:
         raise ValueError("batch size must be >= 1")
     if rng is None:
@@ -199,36 +207,48 @@ def detect_batch(
             px = (pr[0], pr[1]) if pr else (0.0, 0.0)
             out.append(Detection(obj.label, obj.id, bbox, px, cam.depth_of(center), 1.0))
             continue
-        if not scene.vision_on or not cam.in_view(center):
+        if not scene.vision_on:
+            continue
+        pr = cam.view(center)
+        if pr is None:
             continue
         true_bbox = cam.project_box(obj.box)
-        pr = cam.project(center)
-        if true_bbox is None or pr is None:
+        if true_bbox is None:
             continue
 
-        hit = [r < model.tp_rate for r in rng.random(n).tolist()]
-        swap = [False] * n
         if len(labels) > 1:
-            swap = [h and r < model.confusion for h, r in zip(hit, rng.random(n).tolist())]
-        votes = [obj.label if h else "" for h in hit]  # "" is a miss
-        n_swapped = sum(swap)
+            draws = rng.random(2 * n).tolist()
+            hit = [r < model.tp_rate for r in draws[:n]]
+            swap = [h and r < model.confusion for h, r in zip(hit, draws[n:])]
+            n_swapped = sum(swap)
+        else:
+            hit = [r < model.tp_rate for r in rng.random(n).tolist()]
+            n_swapped = 0
         if n_swapped:
             others = [l for l in labels if l != obj.label]
             picks = iter(rng.integers(len(others), size=n_swapped).tolist())
-            votes = [others[next(picks)] if s else v for v, s in zip(votes, swap)]
+            votes = [others[next(picks)] if s else (obj.label if h else "") for h, s in zip(hit, swap)]
         if model.px_jitter > 0.0:
             jitters = rng.normal(0.0, model.px_jitter, size=(n, 2)).tolist()
-        else:
-            jitters = [(0.0, 0.0)] * n
 
-        counts = Counter(votes)
-        ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-        winner, top = ranked[0]
-        if winner == "" or (len(ranked) > 1 and ranked[1][1] == top):
-            continue  # modal miss or a tie: no detection
-        keep = [j for v, j in zip(votes, jitters) if v == winner]
-        du = sum(j[0] for j in keep) / len(keep)
-        dv = sum(j[1] for j in keep) / len(keep)
+        if n_swapped:
+            # "" is a miss; rank labels by count, then name
+            counts = Counter(votes)
+            ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+            winner, top = ranked[0]
+            if winner == "" or (len(ranked) > 1 and ranked[1][1] == top):
+                continue  # modal miss or a tie: no detection
+            won = [v == winner for v in votes]
+        else:
+            # only hits and misses: the label wins exactly on a strict majority
+            winner, top, won = obj.label, sum(hit), hit
+            if 2 * top <= n:
+                continue
+        du = dv = 0.0
+        if model.px_jitter > 0.0:
+            keep = [j for w, j in zip(won, jitters) if w]
+            du = sum(j[0] for j in keep) / len(keep)
+            dv = sum(j[1] for j in keep) / len(keep)
         depth = pr[2]  # the centroid's forward depth, as depth_of gives it
         if model.depth_sigma > 0.0:
             depth += rng.normal(0.0, model.depth_sigma)
@@ -391,7 +411,10 @@ def _eval(rule: RelationRule, args: tuple[str, ...], p: Percept) -> bool:
             m = th.px_hold_dilate
             cu, cv = _pixel_center(det[o])
             return u0 - m <= cu <= u1 + m and v0 - m <= cv <= v1 + m
-        return p.boxes3d[h].dilated(th.hold_dilate).contains(p.boxes3d[o].center)
+        (x0, y0, z0), (x1, y1, z1) = p.boxes3d[h].lo, p.boxes3d[h].hi
+        m = th.hold_dilate
+        cx, cy, cz = p.boxes3d[o].center
+        return x0 - m <= cx <= x1 + m and y0 - m <= cy <= y1 + m and z0 - m <= cz <= z1 + m
 
     if kind == "free":
         (h,) = args

@@ -5,9 +5,10 @@ invisible argument cannot ground a relation)."""
 
 import math
 import random
+from collections import Counter
 
 from taskmon.geometry import Box, Camera, Scene, SceneObject
-from taskmon.perception import Thresholds
+from taskmon.perception import Detection, DetectorModel, Thresholds
 
 
 def visible(scene: Scene, cam: Camera, label: str) -> bool:
@@ -19,6 +20,11 @@ def visible(scene: Scene, cam: Camera, label: str) -> bool:
     if not scene.vision_on:
         return False
     return cam.in_view(o.box.center) and cam.project_box(o.box) is not None
+
+
+def dilated(box: Box, margin: float) -> Box:
+    """The box grown by margin on every face."""
+    return Box(tuple(l - margin for l in box.lo), tuple(h + margin for h in box.hi))
 
 
 def _xy_overlap_frac(a: Box, b: Box) -> float:
@@ -65,7 +71,7 @@ def truth(pred: str, args: tuple, scene: Scene, cam: Camera, th: Thresholds = No
             return True
         if not (visible(scene, cam, h) and visible(scene, cam, o)):
             return False
-        hb = ho.box.dilated(th.hold_dilate)
+        hb = dilated(ho.box, th.hold_dilate)
         return hb.contains(_center(oo.box))
 
     def vis_labels() -> list[str]:
@@ -126,6 +132,61 @@ def truth(pred: str, args: tuple, scene: Scene, cam: Camera, th: Thresholds = No
         db = sum((cb[k] - cam.position[k]) * f[k] for k in range(3))
         return (db - da) > th.deadband if pred == "InFront" else (da - db) > th.deadband
     raise KeyError(pred)
+
+
+# --- detection oracle -------------------------------------------------------------
+
+
+def vote_detect_batch(scene: Scene, cam: Camera, model: DetectorModel, n: int, rng) -> list[Detection]:
+    """`perception.detect_batch` written the plain way, as the detector's
+    contract states it: `in_view` then `project` per object, the hit and the
+    confusion draws as two n blocks, every frame's vote built and ranked by
+    a Counter, jitter averaged over the winning frames. It draws the same
+    random numbers in the same order, so it must give equal detections and
+    leave the generator in the same state."""
+    labels = sorted({o.label for o in scene.objects})
+    out = []
+    for obj in scene.objects:
+        center = obj.box.center
+        if obj.proprio:
+            pr = cam.project(center)
+            bbox = cam.project_box(obj.box) or (0.0, 0.0, 0.0, 0.0)
+            px = (pr[0], pr[1]) if pr else (0.0, 0.0)
+            out.append(Detection(obj.label, obj.id, bbox, px, cam.depth_of(center), 1.0))
+            continue
+        if not scene.vision_on or not cam.in_view(center):
+            continue
+        true_bbox = cam.project_box(obj.box)
+        pr = cam.project(center)
+        if true_bbox is None or pr is None:
+            continue
+        hit = [r < model.tp_rate for r in rng.random(n).tolist()]
+        swap = [False] * n
+        if len(labels) > 1:
+            swap = [h and r < model.confusion for h, r in zip(hit, rng.random(n).tolist())]
+        votes = [obj.label if h else "" for h in hit]  # "" is a miss
+        n_swapped = sum(swap)
+        if n_swapped:
+            others = [l for l in labels if l != obj.label]
+            picks = iter(rng.integers(len(others), size=n_swapped).tolist())
+            votes = [others[next(picks)] if s else v for v, s in zip(votes, swap)]
+        if model.px_jitter > 0.0:
+            jitters = rng.normal(0.0, model.px_jitter, size=(n, 2)).tolist()
+        else:
+            jitters = [(0.0, 0.0)] * n
+        ranked = sorted(Counter(votes).items(), key=lambda kv: (-kv[1], kv[0]))
+        winner, top = ranked[0]
+        if winner == "" or (len(ranked) > 1 and ranked[1][1] == top):
+            continue  # modal miss or a tie: no detection
+        keep = [j for v, j in zip(votes, jitters) if v == winner]
+        du = sum(j[0] for j in keep) / len(keep)
+        dv = sum(j[1] for j in keep) / len(keep)
+        depth = pr[2]
+        if model.depth_sigma > 0.0:
+            depth += rng.normal(0.0, model.depth_sigma)
+        bbox = (true_bbox[0] + du, true_bbox[1] + dv, true_bbox[2] + du, true_bbox[3] + dv)
+        out.append(Detection(winner, obj.id, bbox, (pr[0] + du, pr[1] + dv), depth, top / n))
+    return out
 
 
 # --- scene sampler ----------------------------------------------------------------

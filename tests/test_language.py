@@ -345,6 +345,16 @@ def test_vocab_yaml_loader(tmp_path):
         ("max_atoms: 9", "max_atoms: -3", "max_atoms must be at least 1, got -3"),
         ("{name: Found, args: [world-obj]}", "{name: Found, args: [world-obj], epistemic: 'no'}",
          "predicate Found: field 'epistemic' must be a boolean, got str"),
+        ("max_atoms: 9", "max_atom: 3", "vocabulary: unknown fields ['max_atom'], expected some of "
+         "['sorts', 'terms', 'predicates', 'tasks', 'max_atoms']"),
+        ("{name: world-obj, parent: entity}", "{name: world-obj, parnt: entity}",
+         "sort world-obj: unknown fields ['parnt'], expected some of ['name', 'parent']"),
+        ("{name: claw, sort: robot-part}", "{name: claw, sort: robot-part, colour: red}",
+         "term claw: unknown fields ['colour'], expected some of ['name', 'sort']"),
+        ("{name: Hold, args: [robot-part, world-obj]}", "{name: Hold, args: [robot-part, world-obj], epistemc: true}",
+         "predicate Hold: unknown fields ['epistemc'], expected some of ['name', 'args', 'epistemic']"),
+        ("{id: t1, sentence: fetch the mug}", "{id: t1, sentence: fetch the mug, words: 4}",
+         "task t1: unknown fields ['words'], expected some of ['id', 'sentence']"),
     ],
 )
 def test_vocab_loader_rejects_misshapen_files(tmp_path, old, new, message):

@@ -2,12 +2,15 @@
 transition semantics, recovery ranking, trace invariants, and halting."""
 
 import json
+import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import taskmon
+from taskmon import monitor
 from conftest import DATA
 from taskmon.actuator import (
     ActionResult,
@@ -299,6 +302,40 @@ def test_search_effect_aims_camera(lib, tiny_vocab):
     acts = {a.name: a for a in ground_actions(dom, objs)}
     SimActuator(scene, tiny_vocab).execute(acts["search(brush)"])
     assert scene.camera.in_view(scene.get("brush").box.center)
+
+
+def test_scan_ring_follows_the_camera_a_search_effect_re_aims(lib, tiny_vocab, monkeypatch):
+    scene = desk_scene(brush_center=(1.0, 0.0, 2.2))
+    vision = LiveVision(scene, quiet_cfg())
+    seen = []
+    perceive = monitor.perceive
+
+    def spy(scene_, cam, *rest):
+        seen.append(cam)
+        return perceive(scene_, cam, *rest)
+
+    monkeypatch.setattr(monitor, "perceive", spy)
+
+    def ring(cam):
+        steps = math.ceil(2.0 * math.pi / (cam.hfov * 0.85))
+        return [cam] + [replace(cam, yaw=cam.yaw + i * cam.hfov * 0.85, pitch=-0.2) for i in range(1, steps + 1)]
+
+    def scan_all():
+        # an atom that holds in no pose makes the scan visit the whole ring
+        seen.clear()
+        vision.scan([Atom("Found", ("ghost",))])
+        return list(seen)
+
+    start = scan_all()
+    assert start == ring(scene.camera) and start[0] is scene.camera
+    assert all(a is b for a, b in zip(scan_all(), start))  # the same camera keeps its ring
+    dom = lib.entry("e-search").domain
+    objs = lib.entry("e-search").problem.objects
+    acts = {a.name: a for a in ground_actions(dom, objs)}
+    SimActuator(scene, tiny_vocab).execute(acts["search(brush)"])
+    aimed = scan_all()
+    assert aimed[0] is scene.camera and aimed[0] is not start[0]
+    assert aimed == ring(scene.camera) and aimed != start
 
 
 def test_disturbance_fires_before_scheduled_call(lib, tiny_vocab):

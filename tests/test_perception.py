@@ -5,7 +5,7 @@ search-then-verify vision query."""
 import math
 import random
 from dataclasses import FrozenInstanceError, replace
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +20,7 @@ from taskmon.perception import (
     Detection,
     Mode,
     NoForeground,
+    Percept,
     RelationRule,
     Thresholds,
     UnknownPredicate,
@@ -50,7 +51,7 @@ def test_box_accessors():
     assert b.volume == pytest.approx(8.0)
     assert b.contains((2.0, 4.0, 1.0))  # faces inclusive
     assert not b.contains((2.0001, 1.0, 0.5))
-    d = b.dilated(0.5)
+    d = georacle.dilated(b, 0.5)
     assert d.lo == (-0.5, -0.5, -0.5) and d.hi == (2.5, 4.5, 1.5)
 
 
@@ -266,6 +267,10 @@ frame: 7
         ("camera: 3", "scene: field 'camera' must be a mapping, got int"),
         ("camera: {zoom: 2}", "scene: camera: unknown fields ['zoom'], expected some of "
          "['position', 'yaw', 'pitch', 'hfov', 'vfov', 'max_depth']"),
+        ("object: []", "scene: unknown fields ['object'], expected some of "
+         "['objects', 'camera', 'attachments', 'vision_on', 'frame']"),
+        ("objects: [{id: cup, box: [[0, 0, 0], [1, 1, 1]], lable: mug}]", "scene: object cup: unknown fields "
+         "['lable'], expected some of ['id', 'label', 'box', 'supported_by', 'proprio']"),
     ],
 )
 def test_scene_loader_names_the_misshapen_field(tmp_path, text, message):
@@ -453,6 +458,49 @@ def test_noise_free_detection_takes_two_doubles_per_frame_per_visible_object(yaw
     assert rng.bit_generator.state == twin.bit_generator.state
 
 
+def _turned_desk_scene() -> Scene:
+    # faces the block behind the start pose; the table is now behind
+    scene = desk_scene()
+    scene.camera = replace(scene.camera, yaw=math.pi)
+    return scene
+
+
+def _one_label_scene() -> Scene:
+    cam = Camera(position=(0, 0, 1.1), yaw=0.0, pitch=-0.15)
+    cup = lambda x, y: Box((x, y, 0.7), (x + 0.08, y + 0.08, 0.79))
+    return Scene(
+        [
+            SceneObject("cup1", "cup", cup(1.1, -0.1)),
+            SceneObject("cup2", "cup", cup(1.3, 0.15)),
+            SceneObject("cup3", "cup", cup(-1.4, 0.0)),  # behind the camera
+        ],
+        cam,
+    )
+
+
+VOTE_SCENES = {
+    "desk": desk_scene,
+    "desk-turned": _turned_desk_scene,
+    "one-label": _one_label_scene,
+    "vision-off": lambda: desk_scene(vision_on=False),
+}
+
+
+@pytest.mark.parametrize("scene_name", sorted(VOTE_SCENES))
+def test_detection_equals_the_per_frame_vote(scene_name):
+    # ties come from even n, the ranked vote from confusion; three batches
+    # share one generator, as a query's frames do
+    scene = VOTE_SCENES[scene_name]()
+    grid = product((0.0, 0.5, 0.95, 1.0), (0.0, 0.05, 0.5), (0.0, 1.0), (0.0, 0.02), (1, 2, 4, 10))
+    for seed, (tp, conf, jitter, sigma, n) in enumerate(grid):
+        model = DetectorModel(tp_rate=tp, confusion=conf, px_jitter=jitter, depth_sigma=sigma, seed=seed)
+        rng, twin = model.rng(), model.rng()
+        for _ in range(3):
+            got = detect_batch(scene, scene.camera, model, n, rng)
+            assert got == georacle.vote_detect_batch(scene, scene.camera, model, n, twin), (tp, conf, jitter, sigma, n)
+            assert rng.bit_generator.state == twin.bit_generator.state
+
+
 def test_jitter_shifts_bbox_and_center_together():
     scene = desk_scene()
     cam = scene.camera
@@ -610,6 +658,27 @@ def test_hold_via_attachment_and_containment():
     assert "brush" in p3.detections
     assert ground_relation("Hold", ("hand", "brush"), p3)
     assert not ground_relation("Free", ("hand",), p3)
+
+
+@pytest.mark.parametrize("axis", [0, 1, 2])
+@pytest.mark.parametrize("side", [-1, 1])
+def test_hold_edge_is_the_dilated_box_face(axis, side):
+    # the held centre exactly on the dilated face holds; the next float
+    # outward does not, just as the dilated box's `contains` decides
+    hand = Box((0.6, 0.6, 0.6), (0.65, 0.65, 0.65))
+    m = DEFAULT_THRESHOLDS.hold_dilate
+    face = hand.hi[axis] + m if side > 0 else hand.lo[axis] - m
+    for c, holds in ((face, True), (math.nextafter(face, side * math.inf), False)):
+        center = list(hand.center)
+        center[axis] = c
+        brush = Box(tuple(x - 1 / 64 for x in center), tuple(x + 1 / 64 for x in center))
+        assert brush.center[axis] == c  # exact: the faces stay in c's binade
+        det = lambda label: Detection(label, label, (0.0, 0.0, 1.0, 1.0), (0.5, 0.5), 1.0, 1.0)
+        p = Percept({"hand": det("hand"), "brush": det("brush")}, {"hand": hand, "brush": brush}, {},
+                    Camera(), Mode.FULL, True)
+        assert georacle.dilated(hand, m).contains(brush.center) is holds
+        assert ground_relation("Hold", ("hand", "brush"), p) is holds
+        assert ground_relation("Free", ("hand",), p) is not holds
 
 
 def test_free_empty_clear_quantifiers():

@@ -2,11 +2,13 @@
 
 Runs each chain of the packaged library, its goals scripted in order, on
 each packaged scene, under LiveVision and BeliefVision, with a zero-noise
-and a noisy detector: 13 chains x 6 scenes x 2 x 2 = 312 runs. Prints one
-tab-separated line per run: vision, detector, task#chain, scene, outcome,
-reason and the SHA-256 of the run's `trace_lines`. Comparing the output of
-two checkouts shows which traces a change shifted and whether any outcome
-moved:
+and a noisy detector: 13 chains x 6 scenes x 2 x 2 = 312 runs. Then the
+LiveVision runs again in the NO_SHAPE and NO_DEPTH ablation modes, which
+reconstruct and ground differently: 2 x 156 more runs, their vision named
+`live-no-shape` and `live-no-depth`. Prints one tab-separated line per run:
+vision, detector, task#chain, scene, outcome, reason and the SHA-256 of the
+run's `trace_lines`. Comparing the output of two checkouts shows which
+traces a change shifted and whether any outcome moved:
 
     PYTHONPATH=src python3 tests/tracesweep.py > sweep.tsv
 
@@ -36,7 +38,7 @@ from taskmon.monitor import (
     trace_lines,
 )
 from taskmon.pddl import load_library
-from taskmon.perception import DetectorModel
+from taskmon.perception import DetectorModel, Mode
 
 DATA = os.path.join(os.path.dirname(taskmon.__file__), "data")
 DETECTORS = {
@@ -47,8 +49,23 @@ DETECTORS = {
 }
 
 
+# (vision name, mode) groups in output order: the original 312 rows take
+# live and belief in turn per chain and scene; the ablation rows follow,
+# one mode after the other
+GROUPS = (
+    (("live", Mode.FULL), ("belief", Mode.FULL)),
+    (("live-no-shape", Mode.NO_SHAPE),),
+    (("live-no-depth", Mode.NO_DEPTH),),
+)
+
+
 def sweep():
     """Yield (vision, detector, run, scene, outcome, reason, sha256) per run."""
+    for visions in GROUPS:
+        yield from _sweep(visions)
+
+
+def _sweep(visions):
     vocab = Vocabulary.from_yaml(os.path.join(DATA, "vocabulary.yaml"))
     lib = load_library(os.path.join(DATA, "library.yaml"), vocab)
     predicates = {p.name: p for e in lib.entries for p in e.domain.predicates.values()}
@@ -59,11 +76,11 @@ def sweep():
         idx = seen[chain.task_id] = seen.get(chain.task_id, -1) + 1
         goals = [lib.entry(n).goal_state for n in chain.goals]
         for scene_name in scene_names:
-            for vision_name in ("live", "belief"):
+            for vision_name, mode in visions:
                 for det_name, detector in DETECTORS.items():
-                    cfg = MonitorConfig(seed=0, detector=detector)
+                    cfg = MonitorConfig(seed=0, mode=mode, detector=detector)
                     scene = load_scene(os.path.join(scene_dir, f"{scene_name}.yaml"))
-                    if vision_name == "live":
+                    if vision_name != "belief":
                         vision = LiveVision(scene, cfg)
                     else:
                         objects = {o.label: vocab.terms[o.label].sort for o in scene.objects}
