@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Real
 from typing import Iterable, Optional
 
 import numpy as np
@@ -33,7 +34,8 @@ from .planning import GroundAction
 
 
 class ActuationSetupError(Exception):
-    """An effect references a term with no scene object behind it."""
+    """An effect references a term, or a disturbance an object id, with no
+    scene object behind it."""
 
 
 @dataclass(frozen=True)
@@ -178,6 +180,10 @@ class Disturbance:
             raise ValueError(f"unknown disturbance kind {self.kind!r}")
         if self.kind == "relocate" and not self.dest:
             raise ValueError("relocate needs a destination")
+        if self.kind == "relocate" and self.dest == self.obj:
+            raise ValueError(f"cannot relocate {self.obj} onto itself")
+        if len(self.offset) != 3 or not all(isinstance(v, Real) for v in self.offset):
+            raise ValueError(f"offset {self.offset!r} is not 3 numbers")
         if not 0.0 <= self.prob <= 1.0:
             raise ValueError("prob outside [0, 1]")
 
@@ -204,10 +210,16 @@ class SimActuator(Actuator):
     ):
         if not 0.0 <= fail_prob <= 1.0:
             raise ValueError("fail_prob outside [0, 1]")
+        disturbances = tuple(disturbances)
+        ids = {o.id for o in scene.objects}
+        for d in disturbances:
+            for obj_id in (d.obj, d.dest) if d.kind == "relocate" else (d.obj,):
+                if obj_id not in ids:
+                    raise ActuationSetupError(f"{d.kind} disturbance names no scene object '{obj_id}'")
         self.scene = scene
         self.vocab = vocab
         self.fail_prob = fail_prob
-        self.disturbances = tuple(disturbances)
+        self.disturbances = disturbances
         self._rng = np.random.default_rng([seed, 0xAC70])
         self._drng = np.random.default_rng([seed, 0xD157])
         self.calls = 0

@@ -33,7 +33,7 @@ import numpy as np
 from .actuator import Actuator, truth_percept
 from .geometry import Camera, Scene
 from .language import Atom, Predicate, State, TaskSentence, TokenSeq, Vocabulary
-from .pddl import PlanLibrary
+from .pddl import PlanDomain, PlanLibrary
 from .perception import (
     DetectorModel,
     Mode,
@@ -48,6 +48,7 @@ from .planning import (
     MatchScore,
     NoMatch,
     NoPlan,
+    grounding,
     match_plan,
     solve,
 )
@@ -176,6 +177,18 @@ def candidate_atoms(
         else:
             out.extend(Atom(p.name, (x, y)) for x in pools[0] for y in pools[1] if x != y)
     return out
+
+
+def _scan_candidates(
+    domain: PlanDomain, objects: dict[str, str], vocab: Vocabulary
+) -> tuple[Atom, ...]:
+    """`candidate_atoms` over a library domain's predicates, memoised with
+    the domain's ground actions (`planning.grounding`). A library domain is
+    only ever scanned with its own library's vocabulary."""
+    g = grounding(domain, objects)
+    if g.candidates is None:
+        g.candidates = tuple(candidate_atoms(objects, domain.predicates.values(), vocab))
+    return g.candidates
 
 
 # --- perception seams -------------------------------------------------------------
@@ -504,9 +517,7 @@ def step(state: LoopState, ctx: MonitorContext) -> tuple[LoopState, tuple]:
         # actions never delete the CloseTo/At atoms they falsify, so a plan
         # can still lean on one its own earlier approach/reach/goto made
         # stale; the PRE gate re-checks it by vision before any dispatch.
-        init = ctx.vision.scan(
-            candidate_atoms(objects, entry.domain.predicates.values(), ctx.lib.vocab)
-        )
+        init = ctx.vision.scan(_scan_candidates(entry.domain, objects, ctx.lib.vocab))
         try:
             steps = solve(
                 entry.domain, objects, init, state.goal, ctx.cfg.plan_budget

@@ -107,10 +107,15 @@ class ActionSchema:
 
 @dataclass
 class PlanDomain:
+    """A parsed domain. `groundings` is planning's memo of what the domain
+    yields per object set (`planning.grounding`), filled on first use; a
+    domain is not edited after its first grounding."""
+
     name: str
     sorts: dict[str, Optional[str]]  # sort -> parent (None at a root)
     predicates: dict[str, Predicate]
     schemas: tuple[ActionSchema, ...]
+    groundings: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def is_subsort(self, child: str, ancestor: str) -> bool:
         return is_subsort(self.sorts, child, ancestor)

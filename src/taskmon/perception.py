@@ -390,9 +390,6 @@ def _eval(rule: RelationRule, args: tuple[str, ...], p: Percept) -> bool:
     det = p.detections
     pixel_mode = p.mode is Mode.NO_DEPTH
 
-    def have(*names: str) -> bool:
-        return all(n in det for n in names)
-
     if kind == "found":
         (x,) = args
         return x in det and det[x].confidence > th.found_conf
@@ -404,7 +401,7 @@ def _eval(rule: RelationRule, args: tuple[str, ...], p: Percept) -> bool:
         h, o = args
         if p.attachments.get(h) == o:
             return True
-        if not have(h, o):
+        if h not in det or o not in det:
             return False
         if pixel_mode:
             u0, v0, u1, v1 = det[h].bbox
@@ -439,7 +436,7 @@ def _eval(rule: RelationRule, args: tuple[str, ...], p: Percept) -> bool:
 
     # the remaining kinds are binary geometric relations
     a, b = args
-    if not have(a, b):
+    if a not in det or b not in det:
         return False
 
     if kind == "on":

@@ -8,6 +8,15 @@ frontier breaks ties by insertion sequence. A dead-end goal is rejected
 before any search: if the goal is unreachable even when actions never
 delete (the delete relaxation behind h_max and FF), no plan exists.
 
+Grounding is done once per domain and object set. `grounding` keys a
+domain's memo (`PlanDomain.groundings`) by the object set as a frozenset of
+(name, sort) pairs and holds a `Grounding` there: the sorted ground actions,
+as an immutable tuple, and the atoms the monitor's PLAN scan grounds. Each
+part is built on its first use, so loading a library grounds nothing, and
+the first plan of an entry costs what grounding costs. The memo holds no
+scene state: its size is bounded by the library's entries times the
+renamings `match_plan` maps them to, and it lives as long as the domain.
+
 Matching bounds before it searches. Each entry's overlap is capped by its
 per-predicate atom counts against the goal's, so entries that cannot beat
 the best so far are skipped, and the renaming search inside an entry cuts
@@ -75,10 +84,38 @@ class MatchScore:
 # --- grounding ---------------------------------------------------------------
 
 
-def ground_actions(domain: PlanDomain, objects: dict[str, str]) -> list[GroundAction]:
+@dataclass
+class Grounding:
+    """What a domain yields over one object set, each part filled on first
+    use: `actions` by `ground_actions`, `candidates` by the monitor's PLAN
+    scan."""
+
+    actions: Optional[tuple[GroundAction, ...]] = None
+    candidates: Optional[tuple[Atom, ...]] = None
+
+
+def grounding(domain: PlanDomain, objects: dict[str, str]) -> Grounding:
+    """The memo slot of `domain` for this object set, keyed by the set of its
+    (name, sort) pairs, so dicts equal in any insertion order share it."""
+    key = frozenset(objects.items())
+    g = domain.groundings.get(key)
+    if g is None:
+        g = domain.groundings[key] = Grounding()
+    return g
+
+
+def ground_actions(domain: PlanDomain, objects: dict[str, str]) -> tuple[GroundAction, ...]:
     """Enumerate sort-compatible bindings for every schema, resolve equality
     preconditions at grounding time, drop ill-typed instantiations. Sorted by
-    (schema name, args) for deterministic search."""
+    (schema name, args) for deterministic search.
+
+    Memoised in the domain by `grounding`, keyed by the object set's
+    (name, sort) pairs: the first call for a key grounds, and every later
+    call returns the same tuple. Keys are filled lazily, one per library
+    entry and renaming of it that gets planned."""
+    g = grounding(domain, objects)
+    if g.actions is not None:
+        return g.actions
     out: list[GroundAction] = []
     for sch in domain.schemas:
         candidates = []
@@ -93,7 +130,8 @@ def ground_actions(domain: PlanDomain, objects: dict[str, str]) -> list[GroundAc
             if ga is not None:
                 out.append(ga)
     out.sort(key=GroundAction.key)
-    return out
+    g.actions = tuple(out)
+    return g.actions
 
 
 def _bind(
@@ -171,7 +209,7 @@ def solve(
 
 
 def _relaxed_reachable(
-    start: frozenset[Atom], goal_atoms: frozenset[Atom], actions: list[GroundAction]
+    start: frozenset[Atom], goal_atoms: frozenset[Atom], actions: tuple[GroundAction, ...]
 ) -> bool:
     """Whether goal_atoms can all be added when actions never delete: the
     h_max fixpoint of Bonet & Geffner 2001, run as one pass that fires each

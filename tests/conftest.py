@@ -46,7 +46,12 @@ def tiny_vocab() -> Vocabulary:
     return make_tiny_vocab()
 
 
-@pytest.fixture(scope="session")
-def packaged_lib():
+def load_packaged_lib():
+    """A freshly loaded packaged library, sharing no state with any other."""
     vocab = Vocabulary.from_yaml(os.path.join(DATA, "vocabulary.yaml"))
     return load_library(os.path.join(DATA, "library.yaml"), vocab)
+
+
+@pytest.fixture(scope="session")
+def packaged_lib():
+    return load_packaged_lib()

@@ -11,9 +11,10 @@ import pytest
 
 import taskmon
 from taskmon import monitor
-from conftest import DATA
+from conftest import DATA, load_packaged_lib
 from taskmon.actuator import (
     ActionResult,
+    ActuationSetupError,
     Actuator,
     Disturbance,
     SimActuator,
@@ -42,6 +43,7 @@ from taskmon.pddl import (
     TaskChain,
     parse_domain,
     parse_problem,
+    validate_library,
 )
 from taskmon.perception import DetectorModel, Mode, ground_relation
 from taskmon.planning import ground_actions, match_plan
@@ -821,6 +823,51 @@ def test_packaged_chain_trace_is_seed_deterministic_under_noise(
     audit(first)
     assert not first.outcome.reason.startswith("internal:"), first.outcome
     assert trace_lines(first) == trace_lines(second)
+
+
+def test_grounding_memo_warmth_never_shows_in_a_trace():
+    # a library's domains memoise their groundings across tasks; a warm
+    # memo, a cold one and one warmed by validate_library give one trace
+    cfg = MonitorConfig(seed=0)
+    run = ("bring_object", 0, "bring_dynamic")
+    lib = load_packaged_lib()
+    traces = [run_packaged_chain(lib, *run, cfg)[0] for _ in range(2)]
+    assert all(e.domain.groundings for e in lib.entries)  # the memo is warm
+    traces.append(run_packaged_chain(load_packaged_lib(), *run, cfg)[0])
+    validated = load_packaged_lib()
+    assert validate_library(validated) == []
+    traces.append(run_packaged_chain(validated, *run, cfg)[0])
+    lines = [trace_lines(t) for t in traces]
+    assert traces[0].outcome == Outcome("success", "")
+    assert lines[1:] == [lines[0]] * 3
+
+
+def bring_dynamic_actuator(lib, *disturbances: Disturbance) -> SimActuator:
+    scene = load_scene(os.path.join(DATA, "scenes", "bring_dynamic.yaml"))
+    return SimActuator(scene, lib.vocab, disturbances=disturbances)
+
+
+def test_relocate_to_an_unknown_destination_is_refused_at_setup(packaged_lib):
+    with pytest.raises(ActuationSetupError, match="nowhere"):
+        bring_dynamic_actuator(packaged_lib, Disturbance(1, "relocate", "brush", dest="nowhere"))
+
+
+def test_removing_an_unknown_object_is_refused_at_setup(packaged_lib):
+    with pytest.raises(ActuationSetupError, match="ghost"):
+        bring_dynamic_actuator(packaged_lib, Disturbance(1, "remove", "ghost"))
+
+
+def test_nudge_offset_must_be_three_numbers(packaged_lib):
+    with pytest.raises(ValueError, match="3 numbers"):
+        Disturbance(1, "nudge", "brush", offset=(0.1, 0.2))
+    with pytest.raises(ValueError, match="3 numbers"):
+        Disturbance(1, "nudge", "brush", offset=(0.1, "up", 0.0))
+    bring_dynamic_actuator(packaged_lib, Disturbance(1, "nudge", "brush", offset=(0.1, 0.2, 0)))
+
+
+def test_relocate_onto_itself_is_refused():
+    with pytest.raises(ValueError, match="onto itself"):
+        Disturbance(1, "relocate", "brush", dest="brush")
 
 
 def test_trace_sweep_matches_its_pinned_rows():

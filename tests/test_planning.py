@@ -5,6 +5,7 @@ from collections import Counter
 import pytest
 
 from taskmon.language import Atom, State
+from taskmon.monitor import _scan_candidates, candidate_atoms
 from taskmon.pddl import PlanEntry, PlanLibrary, parse_domain, parse_problem
 from taskmon.planning import (
     BudgetExceeded,
@@ -15,7 +16,7 @@ from taskmon.planning import (
     match_plan,
     solve,
 )
-from conftest import make_tiny_vocab
+from conftest import load_packaged_lib, make_tiny_vocab
 from domaingen import (
     BLOCKS_DOMAIN,
     bfs_optimal_length,
@@ -119,6 +120,64 @@ def test_grounding_is_sorted():
     _, prob = blocks_case(rng, 4)
     acts = ground_actions(BLOCKS_DOMAIN, prob.objects)
     assert [a.key() for a in acts] == sorted(a.key() for a in acts)
+
+
+def plan_objects(entry: PlanEntry, sub: dict[str, str]) -> dict[str, str]:
+    """The object set the monitor's PLAN phase grounds an entry over."""
+    objects: dict[str, str] = {}
+    for name in sorted(entry.problem.objects):
+        objects.setdefault(sub.get(name, name), entry.problem.objects[name])
+    return objects
+
+
+def packaged_groundings(lib: PlanLibrary) -> list[tuple[PlanEntry, dict[str, str]]]:
+    """Every entry over its own objects, and over each renaming match_plan
+    gives it for another entry's goal."""
+    out = []
+    for entry in lib.entries:
+        out.append((entry, dict(entry.problem.objects)))
+        alone = PlanLibrary([entry], lib.vocab)
+        for other in lib.entries:
+            try:
+                m = match_plan(alone, other.goal_state)
+            except NoMatch:
+                continue
+            out.append((entry, plan_objects(entry, m.substitution)))
+    return out
+
+
+def test_memoised_grounding_equals_a_fresh_one_on_the_packaged_library(packaged_lib):
+    oracle = load_packaged_lib()
+    cases = packaged_groundings(packaged_lib)
+    assert sum(1 for e, o in cases if o != e.problem.objects) > len(packaged_lib.entries)
+    for entry, objects in cases:
+        dom = oracle.entry(entry.name).domain
+        dom.groundings.clear()  # the oracle grounds afresh every time
+        fresh = ground_actions(dom, objects)
+        memo = ground_actions(entry.domain, objects)
+        assert [(a.name, a.pre, a.add, a.delete) for a in memo] == [
+            (a.name, a.pre, a.add, a.delete) for a in fresh
+        ], entry.name
+        assert list(_scan_candidates(entry.domain, objects, packaged_lib.vocab)) == candidate_atoms(
+            objects, dom.predicates.values(), oracle.vocab
+        ), entry.name
+
+
+def test_grounding_memo_is_shared_across_insertion_orders_and_immutable():
+    dom = parse_domain(TINY_DOMAIN)
+    vocab = make_tiny_vocab()
+    objects = {"brush": "item", "table": "surface", "hand": "gripper", "rover": "base"}
+    reordered = dict(reversed(list(objects.items())))
+    acts = ground_actions(dom, objects)
+    assert ground_actions(dom, reordered) is acts
+    cands = _scan_candidates(dom, objects, vocab)
+    assert _scan_candidates(dom, reordered, vocab) is cands
+    assert isinstance(acts, tuple) and isinstance(cands, tuple)
+    # another object, or another sort for the same name, is another key
+    assert ground_actions(dom, {**objects, "cup": "item"}) is not acts
+    resorted = ground_actions(dom, {**objects, "table": "item"})
+    assert "grasp(brush,table)" not in {a.name for a in resorted}
+    assert len(dom.groundings) == 3
 
 
 # --- search -------------------------------------------------------------------
