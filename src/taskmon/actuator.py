@@ -188,6 +188,15 @@ class Disturbance:
             raise ValueError("prob outside [0, 1]")
 
 
+def _check_ids(scene: Scene, d: Disturbance) -> None:
+    """Raise ActuationSetupError when d names an object id, or a relocate a
+    destination id, that is not in the scene."""
+    ids = {o.id for o in scene.objects}
+    for obj_id in (d.obj, d.dest) if d.kind == "relocate" else (d.obj,):
+        if obj_id not in ids:
+            raise ActuationSetupError(f"{d.kind} disturbance names no scene object '{obj_id}'")
+
+
 # --- the simulated actuator ------------------------------------------------------
 
 
@@ -211,11 +220,8 @@ class SimActuator(Actuator):
         if not 0.0 <= fail_prob <= 1.0:
             raise ValueError("fail_prob outside [0, 1]")
         disturbances = tuple(disturbances)
-        ids = {o.id for o in scene.objects}
         for d in disturbances:
-            for obj_id in (d.obj, d.dest) if d.kind == "relocate" else (d.obj,):
-                if obj_id not in ids:
-                    raise ActuationSetupError(f"{d.kind} disturbance names no scene object '{obj_id}'")
+            _check_ids(scene, d)
         self.scene = scene
         self.vocab = vocab
         self.fail_prob = fail_prob
@@ -240,6 +246,7 @@ class SimActuator(Actuator):
             self.apply_disturbance(d)
 
     def apply_disturbance(self, d: Disturbance) -> None:
+        _check_ids(self.scene, d)
         if d.kind == "relocate":
             place_on(self.scene, d.obj, d.dest)
         elif d.kind == "remove":

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from typing import Optional
 
 from .language import known_fields, load_yaml, shaped, shaped_field
@@ -60,20 +59,17 @@ class Box:
 
     lo: Vec
     hi: Vec
+    # Center and size are derived once, when the box is built: the dataclass
+    # is frozen and replace() builds a fresh instance.
+    center: Vec = field(init=False, repr=False, compare=False)
+    size: Vec = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not all(h > l for l, h in zip(self.lo, self.hi)):
+        (x0, y0, z0), (x1, y1, z1) = self.lo, self.hi
+        if not (x1 > x0 and y1 > y0 and z1 > z0):
             raise ValueError(f"box extents must be positive: {self.lo} .. {self.hi}")
-
-    # Center and size are computed once per box, as Camera caches its basis:
-    # the dataclass is frozen and replace() builds a fresh instance.
-    @cached_property
-    def center(self) -> Vec:
-        return tuple((l + h) / 2.0 for l, h in zip(self.lo, self.hi))
-
-    @cached_property
-    def size(self) -> Vec:
-        return tuple(h - l for l, h in zip(self.lo, self.hi))
+        object.__setattr__(self, "center", ((x0 + x1) / 2.0, (y0 + y1) / 2.0, (z0 + z1) / 2.0))
+        object.__setattr__(self, "size", (x1 - x0, y1 - y0, z1 - z0))
 
     @property
     def volume(self) -> float:
@@ -102,10 +98,9 @@ class Box:
 
     @staticmethod
     def from_center(center: Vec, size: Vec) -> "Box":
-        return Box(
-            tuple(c - s / 2.0 for c, s in zip(center, size)),
-            tuple(c + s / 2.0 for c, s in zip(center, size)),
-        )
+        (cx, cy, cz), (sx, sy, sz) = center, size
+        hx, hy, hz = sx / 2.0, sy / 2.0, sz / 2.0
+        return Box((cx - hx, cy - hy, cz - hz), (cx + hx, cy + hy, cz + hz))
 
 
 def ray_box(origin: Vec, direction: Vec, box: Box) -> Optional[float]:
@@ -137,40 +132,31 @@ class Camera:
     width: float = 640.0
     height: float = 480.0
 
+    # The basis and the half-FOV tangents are derived once, when the camera is
+    # built: the dataclass is frozen and replace() builds a fresh instance, so
+    # they always belong to the pose they were computed from.
+    forward: Vec = field(init=False, repr=False, compare=False)
+    right: Vec = field(init=False, repr=False, compare=False)
+    up: Vec = field(init=False, repr=False, compare=False)
+    tan_half_hfov: float = field(init=False, repr=False, compare=False)
+    tan_half_vfov: float = field(init=False, repr=False, compare=False)
+
     def __post_init__(self):
         if not (0.0 < self.hfov < math.pi and 0.0 < self.vfov < math.pi):
             raise ValueError("field of view must be in (0, pi)")
         if self.max_depth <= 0.0:
             raise ValueError("max depth must be positive")
-
-    # The basis and the half-FOV tangents are computed once per camera. The
-    # dataclass is frozen and replace() builds a fresh instance, so a cached
-    # value always belongs to the pose it was computed from.
-    @cached_property
-    def forward(self) -> Vec:
         cp, sp = math.cos(self.pitch), math.sin(self.pitch)
-        return (cp * math.cos(self.yaw), cp * math.sin(self.yaw), sp)
-
-    @cached_property
-    def right(self) -> Vec:
-        return (math.sin(self.yaw), -math.cos(self.yaw), 0.0)
-
-    @cached_property
-    def up(self) -> Vec:
-        f, r = self.forward, self.right
-        return (
-            r[1] * f[2] - r[2] * f[1],
-            r[2] * f[0] - r[0] * f[2],
-            r[0] * f[1] - r[1] * f[0],
-        )
-
-    @cached_property
-    def tan_half_hfov(self) -> float:
-        return math.tan(self.hfov / 2.0)
-
-    @cached_property
-    def tan_half_vfov(self) -> float:
-        return math.tan(self.vfov / 2.0)
+        cy, sy = math.cos(self.yaw), math.sin(self.yaw)
+        f = (cp * cy, cp * sy, sp)
+        r = (sy, -cy, 0.0)
+        # up = right x forward
+        u = (r[1] * f[2] - r[2] * f[1], r[2] * f[0] - r[0] * f[2], r[0] * f[1] - r[1] * f[0])
+        object.__setattr__(self, "forward", f)
+        object.__setattr__(self, "right", r)
+        object.__setattr__(self, "up", u)
+        object.__setattr__(self, "tan_half_hfov", math.tan(self.hfov / 2.0))
+        object.__setattr__(self, "tan_half_vfov", math.tan(self.vfov / 2.0))
 
     def depth_of(self, p: Vec) -> float:
         return _dot(_sub(p, self.position), self.forward)
@@ -201,9 +187,6 @@ class Camera:
         """`project(p)` for a point inside the view cone and no farther than
         max_depth, else None."""
         return self._look(p, True)
-
-    def in_view(self, p: Vec) -> bool:
-        return self._look(p, True) is not None
 
     def unproject(self, u: float, v: float, depth: float) -> Vec:
         """Inverse of project at the given forward depth."""

@@ -8,9 +8,11 @@ pixel jitter, then the depth noise; a noise-free detector draws only the
 first block. The per-label ranked vote runs only when some frame was
 confused; otherwise the label wins exactly on a strict majority of hits.
 Reconstruction places each detected object at the detector's noisy
-centroid depth; the 13 spatial/functional predicates are grounded by
-geometric rules over the perceived (reconstructed) geometry, never the
-ground truth. The detection thresholds (`DEFAULT_THRESHOLDS`) and the
+centroid depth, and each robot part at its true box; a part's pixel
+fields are projected only in NO_DEPTH mode, the one whose rules read
+them. The 13 spatial/functional predicates are grounded by geometric
+rules over the perceived (reconstructed) geometry, never the ground
+truth. The detection thresholds (`DEFAULT_THRESHOLDS`) and the
 predicate -> procedure table (`DEFAULT_RULES`) are fixed module constants:
 every query is judged by the same rule set, and no caller replaces it.
 The vision query `query_vision` answers (holds, timed_out), the same pair
@@ -79,6 +81,11 @@ class DetectorModel:
 
 @dataclass
 class Detection:
+    """One object's voted detection. A robot part's pixel fields (bbox,
+    center_px, center_depth) are projected only in NO_DEPTH mode, the one
+    whose rules read them; in FULL and NO_SHAPE they hold zeros, and
+    reconstruction places the part by its true box."""
+
     label: str
     obj_id: str
     bbox: tuple[float, float, float, float]  # u0, v0, u1, v1 (pixels)
@@ -89,6 +96,12 @@ class Detection:
     def __post_init__(self):
         if not 0.0 <= self.confidence <= 1.0:
             raise ValueError("confidence outside [0, 1]")
+
+
+# A robot part's pixel fields when they are not projected, or when its box or
+# centre lies behind the camera.
+_NO_BBOX = (0.0, 0.0, 0.0, 0.0)
+_NO_PX = (0.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -174,11 +187,16 @@ def detect_batch(
     model: DetectorModel,
     n: int = 10,
     rng: Optional[np.random.Generator] = None,
+    mode: Mode = Mode.FULL,
 ) -> list[Detection]:
     """Majority vote over n noisy frames per visible object. An object whose
     modal vote is a miss (or a tie) is omitted; confidence is the modal
     frequency. Proprioceptive objects (the robot's own parts) are always
-    reported exactly.
+    reported, at confidence 1 and drawing no random numbers. Their pixel
+    fields are projected only when `mode` is NO_DEPTH, the one mode that
+    grounds in pixels. FULL and NO_SHAPE place a part by its true box and
+    read none of them, so there the fields hold zeros, placeholders as
+    `actuator.truth_percept`'s are.
 
     Each visible object draws its n frames as blocks, in this order:
     `rng.random(2 * n)`, the first n for hits and the last n for confusion
@@ -189,23 +207,28 @@ def detect_batch(
     so the stream is the per-frame one. A noise-free detector thus takes
     exactly 2n doubles per object (n with a single label).
 
-    The votes are ranked by count, then label, only when some frame was
-    confused. Otherwise each frame is a hit or a miss, and the label wins
-    exactly when hits > n/2; a tie or a modal miss gives no detection. The
-    jitter is averaged over the winning frames."""
+    Only when some frame was confused are the object's wrong labels sorted
+    for the picks and the votes ranked by count, then label. Otherwise each
+    frame is a hit or a miss, and the label wins exactly when hits > n/2; a
+    tie or a modal miss gives no detection. The jitter is averaged over the
+    winning frames."""
     if n < 1:
         raise ValueError("batch size must be >= 1")
     if rng is None:
         rng = model.rng()
-    labels = sorted({o.label for o in scene.objects})
+    label_set = {o.label for o in scene.objects}
+    pixels = mode is Mode.NO_DEPTH
     out: list[Detection] = []
     for obj in scene.objects:
         center = obj.box.center
         if obj.proprio:
-            pr = cam.project(center)
-            bbox = cam.project_box(obj.box) or (0.0, 0.0, 0.0, 0.0)
-            px = (pr[0], pr[1]) if pr else (0.0, 0.0)
-            out.append(Detection(obj.label, obj.id, bbox, px, cam.depth_of(center), 1.0))
+            if pixels:
+                pr = cam.project(center)
+                bbox = cam.project_box(obj.box) or _NO_BBOX
+                px = (pr[0], pr[1]) if pr else _NO_PX
+                out.append(Detection(obj.label, obj.id, bbox, px, cam.depth_of(center), 1.0))
+            else:
+                out.append(Detection(obj.label, obj.id, _NO_BBOX, _NO_PX, 0.0, 1.0))
             continue
         if not scene.vision_on:
             continue
@@ -216,7 +239,7 @@ def detect_batch(
         if true_bbox is None:
             continue
 
-        if len(labels) > 1:
+        if len(label_set) > 1:
             draws = rng.random(2 * n).tolist()
             hit = [r < model.tp_rate for r in draws[:n]]
             swap = [h and r < model.confusion for h, r in zip(hit, draws[n:])]
@@ -225,7 +248,7 @@ def detect_batch(
             hit = [r < model.tp_rate for r in rng.random(n).tolist()]
             n_swapped = 0
         if n_swapped:
-            others = [l for l in labels if l != obj.label]
+            others = sorted(label_set - {obj.label})
             picks = iter(rng.integers(len(others), size=n_swapped).tolist())
             votes = [others[next(picks)] if s else (obj.label if h else "") for h, s in zip(hit, swap)]
         if model.px_jitter > 0.0:
@@ -320,7 +343,7 @@ def perceive(
     mode: Mode = Mode.FULL,
 ) -> Percept:
     """One detection pass plus geometry reconstruction under `mode`."""
-    dets = detect_batch(scene, cam, model, n, rng)
+    dets = detect_batch(scene, cam, model, n, rng, mode)
     by_label: dict[str, Detection] = {}
     for d in dets:
         if d.label not in by_label or d.confidence > by_label[d.label].confidence:

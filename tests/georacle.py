@@ -8,7 +8,7 @@ import random
 from collections import Counter
 
 from taskmon.geometry import Box, Camera, Scene, SceneObject
-from taskmon.perception import Detection, DetectorModel, Thresholds
+from taskmon.perception import DEFAULT_THRESHOLDS, Detection, DetectorModel, Mode, Percept, Thresholds
 
 
 def visible(scene: Scene, cam: Camera, label: str) -> bool:
@@ -19,7 +19,21 @@ def visible(scene: Scene, cam: Camera, label: str) -> bool:
         return True
     if not scene.vision_on:
         return False
-    return cam.in_view(o.box.center) and cam.project_box(o.box) is not None
+    return in_view(cam, o.box.center) and cam.project_box(o.box) is not None
+
+
+def in_view(cam: Camera, p) -> bool:
+    """p is in front of the image plane, no farther than max_depth and inside
+    both half-angles of the view cone: the test `Camera.view` passes before
+    it gives p's pixel."""
+    d = [p[k] - cam.position[k] for k in range(3)]
+    f, r, u = cam.forward, cam.right, cam.up
+    z = d[0] * f[0] + d[1] * f[1] + d[2] * f[2]
+    if z <= 1e-9 or z > cam.max_depth:
+        return False
+    x = d[0] * r[0] + d[1] * r[1] + d[2] * r[2]
+    y = d[0] * u[0] + d[1] * u[1] + d[2] * u[2]
+    return abs(x / z) <= math.tan(cam.hfov / 2.0) and abs(y / z) <= math.tan(cam.vfov / 2.0)
 
 
 def dilated(box: Box, margin: float) -> Box:
@@ -154,7 +168,7 @@ def vote_detect_batch(scene: Scene, cam: Camera, model: DetectorModel, n: int, r
             px = (pr[0], pr[1]) if pr else (0.0, 0.0)
             out.append(Detection(obj.label, obj.id, bbox, px, cam.depth_of(center), 1.0))
             continue
-        if not scene.vision_on or not cam.in_view(center):
+        if not scene.vision_on or not in_view(cam, center):
             continue
         true_bbox = cam.project_box(obj.box)
         pr = cam.project(center)
@@ -187,6 +201,36 @@ def vote_detect_batch(scene: Scene, cam: Camera, model: DetectorModel, n: int, r
         bbox = (true_bbox[0] + du, true_bbox[1] + dv, true_bbox[2] + du, true_bbox[3] + dv)
         out.append(Detection(winner, obj.id, bbox, (pr[0] + du, pr[1] + dv), depth, top / n))
     return out
+
+
+def reference_perceive(scene: Scene, cam: Camera, model: DetectorModel, n: int, rng, mode: Mode) -> Percept:
+    """`perception.perceive` written the plain way: `vote_detect_batch`, which
+    projects every robot part whatever the mode, the most confident
+    detection per label, and each detected world object's box rebuilt
+    around its unprojected centroid from per-axis corner sums. Robot parts
+    keep their true boxes; NO_DEPTH rebuilds none."""
+    by_label = {}
+    for d in vote_detect_batch(scene, cam, model, n, rng):
+        if d.label not in by_label or d.confidence > by_label[d.label].confidence:
+            by_label[d.label] = d
+    boxes3d = {}
+    if mode is not Mode.NO_DEPTH:
+        for label, det in by_label.items():
+            obj = scene.get(det.obj_id)
+            if obj.proprio:
+                boxes3d[label] = obj.box
+                continue
+            center = cam.unproject(det.center_px[0], det.center_px[1], det.center_depth)
+            if mode is Mode.FULL:
+                size = tuple(h - l for l, h in zip(obj.box.lo, obj.box.hi))
+            else:
+                size = (DEFAULT_THRESHOLDS.nominal_extent,) * 3
+            boxes3d[label] = Box(
+                tuple(c - s / 2.0 for c, s in zip(center, size)),
+                tuple(c + s / 2.0 for c, s in zip(center, size)),
+            )
+    att = {scene.get(h).label: scene.get(o).label for h, o in scene.attachments.items()}
+    return Percept(by_label, boxes3d, att, cam, mode, scene.vision_on)
 
 
 # --- scene sampler ----------------------------------------------------------------

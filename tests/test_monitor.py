@@ -12,6 +12,7 @@ import pytest
 import taskmon
 from taskmon import monitor
 from conftest import DATA, load_packaged_lib
+from georacle import in_view
 from taskmon.actuator import (
     ActionResult,
     ActuationSetupError,
@@ -298,12 +299,12 @@ def test_place_and_approach_effects(lib, tiny_vocab):
 
 def test_search_effect_aims_camera(lib, tiny_vocab):
     scene = desk_scene(brush_center=(1.0, 0.0, 2.2))  # well above the start view
-    assert not scene.camera.in_view(scene.get("brush").box.center)
+    assert not in_view(scene.camera, scene.get("brush").box.center)
     dom = lib.entry("e-search").domain
     objs = lib.entry("e-search").problem.objects
     acts = {a.name: a for a in ground_actions(dom, objs)}
     SimActuator(scene, tiny_vocab).execute(acts["search(brush)"])
-    assert scene.camera.in_view(scene.get("brush").box.center)
+    assert in_view(scene.camera, scene.get("brush").box.center)
 
 
 def test_scan_ring_follows_the_camera_a_search_effect_re_aims(lib, tiny_vocab, monkeypatch):
@@ -358,7 +359,7 @@ def test_remove_hides_object_from_all_views(tiny_vocab):
     p = truth_percept(scene)
     assert not ground_relation("On", ("brush", "table"), p)
     cam = scene.camera
-    assert not cam.in_view(scene.get("brush").box.center)
+    assert not in_view(cam, scene.get("brush").box.center)
 
 
 def test_translate_cascades_to_held_objects(tiny_vocab):
@@ -855,6 +856,26 @@ def test_relocate_to_an_unknown_destination_is_refused_at_setup(packaged_lib):
 def test_removing_an_unknown_object_is_refused_at_setup(packaged_lib):
     with pytest.raises(ActuationSetupError, match="ghost"):
         bring_dynamic_actuator(packaged_lib, Disturbance(1, "remove", "ghost"))
+
+
+@pytest.mark.parametrize(
+    "disturbance,unknown",
+    [
+        (Disturbance(1, "relocate", "brush", dest="nowhere"), "nowhere"),
+        (Disturbance(1, "relocate", "ghost", dest="ladder"), "ghost"),
+        (Disturbance(1, "remove", "ghost"), "ghost"),
+        (Disturbance(1, "nudge", "ghost", offset=(0.1, 0.0, 0.0)), "ghost"),
+    ],
+    ids=["relocate-dest", "relocate-obj", "remove", "nudge"],
+)
+def test_applying_a_disturbance_with_an_unknown_id_is_refused(packaged_lib, disturbance, unknown):
+    # staged straight through apply_disturbance, as scenario set-up does:
+    # the same check as the constructor's, before any edit
+    act = bring_dynamic_actuator(packaged_lib)
+    before = [(o.id, o.box, o.supported_by) for o in act.scene.objects]
+    with pytest.raises(ActuationSetupError, match=f"{disturbance.kind} disturbance names no scene object '{unknown}'"):
+        act.apply_disturbance(disturbance)
+    assert [(o.id, o.box, o.supported_by) for o in act.scene.objects] == before
 
 
 def test_nudge_offset_must_be_three_numbers(packaged_lib):

@@ -3,6 +3,7 @@ grounding (cross-checked against the direct ground-truth oracle), and the
 search-then-verify vision query."""
 
 import math
+import os
 import random
 from dataclasses import FrozenInstanceError, replace
 from itertools import permutations, product
@@ -11,8 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import DATA
+from taskmon import monitor
 from taskmon.geometry import Box, Camera, Scene, SceneObject, load_scene, ray_box
 from taskmon.language import State, parse_atom
+from taskmon.monitor import LiveVision, MonitorConfig, candidate_atoms
 from taskmon.perception import (
     DEFAULT_RULES,
     DEFAULT_THRESHOLDS,
@@ -44,6 +48,20 @@ def test_box_rejects_flat_or_inverted_extents():
         Box((0, 0, 0), (-1, 1, 1))
 
 
+@pytest.mark.parametrize("axis", range(3))
+@pytest.mark.parametrize("side", ("lo", "hi"))
+def test_box_rejects_nan_extents(axis, side):
+    corners = {"lo": [0.0, 0.0, 0.0], "hi": [1.0, 1.0, 1.0]}
+    corners[side][axis] = math.nan
+    lo, hi = tuple(corners["lo"]), tuple(corners["hi"])
+    with pytest.raises(ValueError) as e:
+        Box(lo, hi)
+    assert str(e.value) == f"box extents must be positive: {lo} .. {hi}"
+    with pytest.raises(ValueError) as e:
+        Box.from_center((0.0, 0.0, 0.0), tuple(math.nan if k == axis else 1.0 for k in range(3)))
+    assert str(e.value).startswith("box extents must be positive: ")
+
+
 def test_box_accessors():
     b = Box((0.0, 0.0, 0.0), (2.0, 4.0, 1.0))
     assert b.center == (1.0, 2.0, 0.5)
@@ -64,7 +82,7 @@ def _fresh_center_size(box):
 
 def test_box_geometry_follows_replace():
     b = Box((0.1, -0.3, 0.0), (0.7, 0.2, 0.9))
-    assert (b.center, b.size) == _fresh_center_size(b)  # fills the cache
+    assert (b.center, b.size) == _fresh_center_size(b)
     moved = replace(b, lo=(-1.3, 0.05, 0.2))
     assert (moved.center, moved.size) == _fresh_center_size(moved)
     grown = replace(moved, hi=(2.0, 2.5, 3.25))
@@ -138,7 +156,7 @@ def _fresh_basis(yaw, pitch):
 
 def test_camera_basis_follows_replace():
     cam = Camera(yaw=0.7, pitch=-0.3)
-    assert (cam.forward, cam.right, cam.up) == _fresh_basis(0.7, -0.3)  # fills the cache
+    assert (cam.forward, cam.right, cam.up) == _fresh_basis(0.7, -0.3)
     turned = replace(cam, yaw=-2.1)
     assert (turned.forward, turned.right, turned.up) == _fresh_basis(-2.1, -0.3)
     assert turned.tan_half_hfov == math.tan(turned.hfov / 2.0)
@@ -150,13 +168,18 @@ def test_camera_basis_follows_replace():
 
 def test_in_view_gates_depth_and_cone():
     cam = Camera(position=(0, 0, 1.0), yaw=0.0, pitch=0.0, max_depth=2.5)
-    assert cam.in_view((1.0, 0.0, 1.0))
-    assert not cam.in_view((2.6, 0.0, 1.0))  # beyond range
-    assert not cam.in_view((-1.0, 0.0, 1.0))  # behind
     # just inside / outside the horizontal half-angle at depth 1
     t = math.tan(cam.hfov / 2.0)
-    assert cam.in_view((1.0, t - 1e-6, 1.0))
-    assert not cam.in_view((1.0, t + 1e-6, 1.0))
+    cases = [
+        ((1.0, 0.0, 1.0), True),
+        ((2.6, 0.0, 1.0), False),  # beyond range
+        ((-1.0, 0.0, 1.0), False),  # behind
+        ((1.0, t - 1e-6, 1.0), True),
+        ((1.0, t + 1e-6, 1.0), False),
+    ]
+    for p, seen in cases:
+        assert georacle.in_view(cam, p) is seen
+        assert (cam.view(p) is not None) is seen
 
 
 def test_project_box_requires_all_corners_in_front():
@@ -198,7 +221,7 @@ def test_aimed_at_centers_target():
     u, v, _ = aimed.project(p)
     assert u == pytest.approx(cam.width / 2.0)
     assert v == pytest.approx(cam.height / 2.0)
-    assert aimed.in_view(p)
+    assert georacle.in_view(aimed, p)
 
 
 def test_scene_validation():
@@ -449,7 +472,7 @@ def test_detection_determinism_per_seed():
 def test_noise_free_detection_takes_two_doubles_per_frame_per_visible_object(yaw, m):
     scene = desk_scene()
     cam = replace(scene.camera, yaw=yaw)
-    assert sum(1 for o in scene.objects if not o.proprio and cam.in_view(o.box.center)) == m
+    assert sum(1 for o in scene.objects if not o.proprio and georacle.in_view(cam, o.box.center)) == m
     model = DetectorModel()
     rng, twin = model.rng(), model.rng()
     n = 7
@@ -486,19 +509,34 @@ VOTE_SCENES = {
 }
 
 
+def _unprojected_parts(scene: Scene, dets: list[Detection]) -> list[Detection]:
+    """dets with each robot part's pixel fields zeroed, as a 3D mode leaves them."""
+    return [
+        replace(d, bbox=(0.0, 0.0, 0.0, 0.0), center_px=(0.0, 0.0), center_depth=0.0)
+        if scene.get(d.obj_id).proprio
+        else d
+        for d in dets
+    ]
+
+
 @pytest.mark.parametrize("scene_name", sorted(VOTE_SCENES))
 def test_detection_equals_the_per_frame_vote(scene_name):
     # ties come from even n, the ranked vote from confusion; three batches
-    # share one generator, as a query's frames do
+    # share one generator, as a query's frames do. The oracle projects every
+    # robot part; detect_batch does so only for NO_DEPTH
     scene = VOTE_SCENES[scene_name]()
-    grid = product((0.0, 0.5, 0.95, 1.0), (0.0, 0.05, 0.5), (0.0, 1.0), (0.0, 0.02), (1, 2, 4, 10))
-    for seed, (tp, conf, jitter, sigma, n) in enumerate(grid):
-        model = DetectorModel(tp_rate=tp, confusion=conf, px_jitter=jitter, depth_sigma=sigma, seed=seed)
-        rng, twin = model.rng(), model.rng()
-        for _ in range(3):
-            got = detect_batch(scene, scene.camera, model, n, rng)
-            assert got == georacle.vote_detect_batch(scene, scene.camera, model, n, twin), (tp, conf, jitter, sigma, n)
-            assert rng.bit_generator.state == twin.bit_generator.state
+    grid = list(product((0.0, 0.5, 0.95, 1.0), (0.0, 0.05, 0.5), (0.0, 1.0), (0.0, 0.02), (1, 2, 4, 10)))
+    for mode in Mode:
+        for seed, (tp, conf, jitter, sigma, n) in enumerate(grid):
+            model = DetectorModel(tp_rate=tp, confusion=conf, px_jitter=jitter, depth_sigma=sigma, seed=seed)
+            rng, twin = model.rng(), model.rng()
+            for _ in range(3):
+                got = detect_batch(scene, scene.camera, model, n, rng, mode)
+                want = georacle.vote_detect_batch(scene, scene.camera, model, n, twin)
+                if mode is not Mode.NO_DEPTH:
+                    want = _unprojected_parts(scene, want)
+                assert got == want, (mode, tp, conf, jitter, sigma, n)
+                assert rng.bit_generator.state == twin.bit_generator.state
 
 
 def test_jitter_shifts_bbox_and_center_together():
@@ -598,6 +636,96 @@ def test_percept_attachments_use_labels():
     scene.attachments["hand"] = "brush"
     p = perceive(scene, scene.camera, DetectorModel(), n=1)
     assert p.attachments == {"hand": "brush"}
+
+
+PACKAGED_SCENES = sorted(f[: -len(".yaml")] for f in os.listdir(os.path.join(DATA, "scenes")))
+
+
+def _packaged_scene(name: str) -> Scene:
+    return load_scene(os.path.join(DATA, "scenes", f"{name}.yaml"))
+
+
+def _scan_ring(scene: Scene) -> list[Camera]:
+    """The poses a LiveVision scan of the scene visits, in order: an atom that
+    holds in no pose makes the scan visit the whole ring."""
+    poses = []
+    real = monitor.perceive
+
+    def spy(scene_, cam, *rest):
+        poses.append(cam)
+        return real(scene_, cam, *rest)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(monitor, "perceive", spy)
+        LiveVision(scene, MonitorConfig()).scan([parse_atom("Found(ghost)")])
+    return poses
+
+
+@pytest.mark.parametrize("scene_name", PACKAGED_SCENES)
+def test_perceive_equals_the_plain_reference_on_packaged_scenes(packaged_lib, scene_name):
+    # per ring pose, mode and detector: the same boxes, the same detections
+    # but for the robot parts' unread pixel fields, the same answer for every
+    # candidate atom, and the same generator state
+    scene = _packaged_scene(scene_name)
+    vocab = packaged_lib.vocab
+    objects = {o.label: vocab.terms[o.label].sort for o in scene.objects}
+    grounded = [p for p in vocab.predicates.values() if p.name in DEFAULT_RULES]
+    atoms = candidate_atoms(objects, grounded, vocab)
+    noisy = DetectorModel(tp_rate=0.9, confusion=0.1, px_jitter=2.0, depth_sigma=0.02, seed=17)
+    held = 0
+    for model in (DetectorModel(), noisy):
+        for mode in Mode:
+            rng, twin = model.rng(), model.rng()
+            for cam in _scan_ring(scene):
+                got = perceive(scene, cam, model, 10, rng, mode)
+                want = georacle.reference_perceive(scene, cam, model, 10, twin, mode)
+                assert rng.bit_generator.state == twin.bit_generator.state
+                assert got.boxes3d == want.boxes3d
+                dets = list(want.detections.values())
+                if mode is not Mode.NO_DEPTH:
+                    dets = _unprojected_parts(scene, dets)
+                assert got.detections == {d.label: d for d in dets}
+                for a in atoms:
+                    answer = ground_relation(a.pred, a.args, got)
+                    assert answer == ground_relation(a.pred, a.args, want), (mode, model, cam, a)
+                    held += answer
+    assert held > 0
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_perceive_projects_robot_parts_only_for_pixel_grounding(mode, monkeypatch):
+    # a 3D mode projects the box of each visible world object and nothing
+    # of a robot part; NO_DEPTH also projects each part's box
+    scene = _packaged_scene("bring_dynamic")
+    ring = _scan_ring(scene)
+    assert any(o.proprio for o in scene.objects)
+    projected = []
+    project_box = Camera.project_box
+
+    def spy(cam, box):
+        projected.append(box)
+        return project_box(cam, box)
+
+    def unread(*args):
+        raise AssertionError("a robot part projected in a 3D mode")
+
+    monkeypatch.setattr(Camera, "project_box", spy)
+    pixels = mode is Mode.NO_DEPTH
+    if not pixels:
+        monkeypatch.setattr(Camera, "project", unread)
+        monkeypatch.setattr(Camera, "depth_of", unread)
+    seen = 0
+    for cam in ring:
+        projected.clear()
+        perceive(scene, cam, DetectorModel(), 10, None, mode)
+        want = [
+            o.box
+            for o in scene.objects
+            if (pixels if o.proprio else georacle.in_view(cam, o.box.center))
+        ]
+        assert projected == want
+        seen += len(want)
+    assert seen > 0
 
 
 # --- relation grounding ------------------------------------------------------------
