@@ -68,7 +68,7 @@ def truth_percept(scene: Scene) -> Percept:
         dets[o.label] = Detection(o.label, o.id, (0.0, 0.0, 1.0, 1.0), (0.0, 0.0), depth, 1.0)
         boxes[o.label] = o.box
     att = {scene.get(h).label: scene.get(d).label for h, d in scene.attachments.items()}
-    return Percept(dets, boxes, att, scene.camera, Mode.FULL, vision_on=True)
+    return Percept(dets, boxes, att, Mode.FULL, vision_on=True)
 
 
 # --- scene editing ---------------------------------------------------------------
@@ -113,15 +113,6 @@ def place_on(scene: Scene, obj_id: str, dest_id: str) -> None:
     cx, cy = dest.box.center[0], dest.box.center[1]
     move_center_to(scene, obj_id, (cx, cy, dest.box.hi[2] + sz[2] / 2.0))
     obj.supported_by = dest_id
-
-
-def place_under(scene: Scene, obj_id: str, dest_id: str) -> None:
-    detach(scene, obj_id)
-    obj, dest = scene.get(obj_id), scene.get(dest_id)
-    sz = obj.box.size
-    cx, cy = dest.box.center[0], dest.box.center[1]
-    move_center_to(scene, obj_id, (cx, cy, dest.box.lo[2] - sz[2] / 2.0))
-    obj.supported_by = None
 
 
 def grasp(scene: Scene, holder_id: str, obj_id: str) -> None:
@@ -184,6 +175,8 @@ class Disturbance:
             raise ValueError(f"cannot relocate {self.obj} onto itself")
         if len(self.offset) != 3 or not all(isinstance(v, Real) for v in self.offset):
             raise ValueError(f"offset {self.offset!r} is not 3 numbers")
+        if not all(math.isfinite(v) for v in self.offset):
+            raise ValueError(f"offset {self.offset!r} is not finite")
         if not 0.0 <= self.prob <= 1.0:
             raise ValueError("prob outside [0, 1]")
 
@@ -280,8 +273,7 @@ class SimActuator(Actuator):
 
     def _apply(self, action: GroundAction) -> None:
         for a in sorted(action.delete, key=lambda x: x.key()):
-            rule = DEFAULT_RULES.get(a.pred)
-            if rule is not None and rule.kind == "hold":
+            if DEFAULT_RULES.get(a.pred) == "hold":
                 holder, held = (_require(self.scene, t) for t in a.args)
                 if self.scene.attachments.get(holder.id) == held.id:
                     del self.scene.attachments[holder.id]
@@ -289,19 +281,13 @@ class SimActuator(Actuator):
             self._apply_add(a)
 
     def _apply_add(self, a: Atom) -> None:
-        rule = DEFAULT_RULES.get(a.pred)
-        if rule is None:
-            return  # no geometric interpretation; a purely symbolic effect
-        kind = rule.kind
+        kind = DEFAULT_RULES.get(a.pred)
         if kind == "hold":
             holder, held = (_require(self.scene, t) for t in a.args)
             grasp(self.scene, holder.id, held.id)
         elif kind == "on":
             obj, dest = (_require(self.scene, t) for t in a.args)
             place_on(self.scene, obj.id, dest.id)
-        elif kind == "under":
-            obj, dest = (_require(self.scene, t) for t in a.args)
-            place_under(self.scene, obj.id, dest.id)
         elif kind == "inside":
             obj, dest = (_require(self.scene, t) for t in a.args)
             detach(self.scene, obj.id)
@@ -315,5 +301,6 @@ class SimActuator(Actuator):
             self.scene.camera = self.scene.camera.aimed_at(obj.box.center)
         elif kind == "vision-on":
             self.scene.vision_on = True
-        # free/empty/clear and the view-relative relations need no edit: the
-        # paired hold/on effects above already produce the right geometry
+        # Free needs no edit: the paired hold/on effects above already produce
+        # the right geometry. A predicate with no rule is a purely symbolic
+        # effect with no geometric interpretation.

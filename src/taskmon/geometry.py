@@ -326,10 +326,23 @@ class Scene:
 
 
 def _vec(value, where: str) -> Vec:
-    """A point given as a YAML list of three numbers (a bool is not one)."""
+    """A point given as a YAML list of three finite numbers (a bool is not
+    one)."""
     if not (isinstance(value, list) and len(value) == 3 and all(type(x) in (int, float) for x in value)):
         raise ValueError(f"{where} must be a list of 3 numbers, got {value!r}")
-    return tuple(map(float, value))
+    return tuple(_finite(x, where, value) for x in value)
+
+
+def _finite(x, where: str, shown) -> float:
+    """x as a float; a ValueError naming `where` and showing `shown` unless x
+    is finite (an int too large for a float is not)."""
+    try:
+        f = float(x)
+    except OverflowError:
+        f = math.inf
+    if not math.isfinite(f):
+        raise ValueError(f"{where} must be finite, got {shown!r}")
+    return f
 
 
 def _camera(doc) -> Camera:
@@ -340,7 +353,10 @@ def _camera(doc) -> Camera:
     args = {}
     for key, value in doc.items():
         where = f"scene: camera: field {key!r}"
-        args[key] = _vec(value, where) if key == "position" else float(shaped(value, (int, float), where, ValueError))
+        if key == "position":
+            args[key] = _vec(value, where)
+        else:
+            args[key] = _finite(shaped(value, (int, float), where, ValueError), where, value)
     return Camera(**args)
 
 

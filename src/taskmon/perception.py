@@ -10,15 +10,16 @@ confused; otherwise the label wins exactly on a strict majority of hits.
 Reconstruction places each detected object at the detector's noisy
 centroid depth, and each robot part at its true box; a part's pixel
 fields are projected only in NO_DEPTH mode, the one whose rules read
-them. The 13 spatial/functional predicates are grounded by geometric
-rules over the perceived (reconstructed) geometry, never the ground
-truth. The detection thresholds (`DEFAULT_THRESHOLDS`) and the
-predicate -> procedure table (`DEFAULT_RULES`) are fixed module constants:
-every query is judged by the same rule set, and no caller replaces it.
-The vision query `query_vision` answers (holds, timed_out), the same pair
-the monitor's `VisionSystem.query` gives; a caller that wants the frames
-or boxes behind an answer calls `perceive` itself. `estimate_depth`, a
-ray-cast foreground mask inside a detected box, is a separate on-demand
+them. The 8 predicates the plan library's domains use, plus the alias
+spellings Found and Hold, are grounded by geometric rules over the
+perceived (reconstructed) geometry, never the ground truth. The detection
+thresholds (`DEFAULT_THRESHOLDS`) and the predicate -> procedure table
+(`DEFAULT_RULES`) are fixed module constants: every query is judged by
+the same rule set, and no caller replaces it. The vision query
+`query_vision` answers (holds, timed_out), the same pair the monitor's
+`VisionSystem.query` gives; a caller that wants the frames or boxes
+behind an answer calls `perceive` itself. `estimate_depth`, a ray-cast
+foreground mask inside a detected box, is a separate on-demand
 measurement that neither reconstruction nor the vision query runs.
 
 Three ablation modes control what the reconstruction may use: FULL keeps
@@ -112,16 +113,13 @@ class Thresholds:
     inside_ratio: float = 0.9
     close_dist: float = 0.8
     at_dist: float = 1.2
-    deadband: float = 0.05
     hold_dilate: float = 0.05
     nominal_extent: float = 0.06
     # pixel-space fallbacks for the NO_DEPTH ablation
     px_on_gap: float = 16.0
     px_close: float = 240.0
     px_at: float = 360.0
-    px_deadband: float = 14.0
     px_hold_dilate: float = 24.0
-    px_area_front: float = 1.2
 
 
 # The one set of thresholds every query is judged by: a frozen instance
@@ -129,38 +127,22 @@ class Thresholds:
 DEFAULT_THRESHOLDS = Thresholds()
 
 
-@dataclass(frozen=True)
-class RelationRule:
-    pred: str
-    kind: str
-    sign: float = 1.0
-
-
 # The predicate -> geometric-procedure table, built once and shared read-only
-# by perception and the actuator's effect dispatch. Alternative spellings used
-# by task corpora (Detected, Holding) share the base procedures.
-DEFAULT_RULES: Mapping[str, RelationRule] = MappingProxyType(
+# by perception and the actuator's effect dispatch. It holds the predicates
+# the library's domains use; Found and Hold are alias spellings of Detected
+# and Holding and share their procedures.
+DEFAULT_RULES: Mapping[str, str] = MappingProxyType(
     {
-        r.pred: r
-        for r in (
-            RelationRule("On", "on"),
-            RelationRule("Under", "under"),
-            RelationRule("Inside", "inside"),
-            RelationRule("CloseTo", "close"),
-            RelationRule("At", "at"),
-            RelationRule("Left", "lateral", -1.0),
-            RelationRule("Right", "lateral", 1.0),
-            RelationRule("InFront", "depthwise", -1.0),
-            RelationRule("Behind", "depthwise", 1.0),
-            RelationRule("Hold", "hold"),
-            RelationRule("Holding", "hold"),
-            RelationRule("Free", "free"),
-            RelationRule("Empty", "empty"),
-            RelationRule("Clear", "clear"),
-            RelationRule("Found", "found"),
-            RelationRule("Detected", "found"),
-            RelationRule("VisionOn", "vision-on"),
-        )
+        "On": "on",
+        "Inside": "inside",
+        "CloseTo": "close",
+        "At": "at",
+        "Holding": "hold",
+        "Hold": "hold",
+        "Free": "free",
+        "Detected": "found",
+        "Found": "found",
+        "VisionOn": "vision-on",
     }
 )
 
@@ -173,7 +155,6 @@ class Percept:
     detections: dict[str, Detection]
     boxes3d: dict[str, Box]  # empty in NO_DEPTH mode
     attachments: dict[str, str]  # holder label -> held label
-    camera: Camera
     mode: Mode
     vision_on: bool
 
@@ -367,49 +348,21 @@ def perceive(
         scene.get(holder).label: scene.get(held).label
         for holder, held in scene.attachments.items()
     }
-    return Percept(by_label, boxes3d, attachments, cam, mode, scene.vision_on)
+    return Percept(by_label, boxes3d, attachments, mode, scene.vision_on)
 
 
 # --- relation grounding ----------------------------------------------------------
 
 
 def ground_relation(pred: str, args: tuple[str, ...], percept: Percept) -> bool:
-    rule = DEFAULT_RULES.get(pred)
-    if rule is None:
+    kind = DEFAULT_RULES.get(pred)
+    if kind is None:
         raise UnknownPredicate(pred)
-    return _eval(rule, args, percept)
+    return _eval(kind, args, percept)
 
 
-def _pixel_center(det: Detection) -> tuple[float, float]:
-    return det.center_px
-
-
-def _pixel_area(det: Detection) -> float:
-    u0, v0, u1, v1 = det.bbox
-    return max(0.0, u1 - u0) * max(0.0, v1 - v0)
-
-
-def _on_3d(a: Box, b: Box) -> bool:
+def _eval(kind: str, args: tuple[str, ...], p: Percept) -> bool:
     th = DEFAULT_THRESHOLDS
-    return abs(a.lo[2] - b.hi[2]) <= th.on_gap and a.footprint_overlap(b) >= th.on_overlap
-
-
-def _on_px(a: Detection, b: Detection) -> bool:
-    th = DEFAULT_THRESHOLDS
-    au0, _, au1, av1 = a.bbox
-    bu0, bv0, bu1, bv1 = b.bbox
-    w = min(au1, bu1) - max(au0, bu0)
-    if w <= 0.0 or au1 <= au0:
-        return False
-    if w / (au1 - au0) < th.on_overlap:
-        return False
-    upper_band = bv0 + 0.5 * (bv1 - bv0)
-    return bv0 - th.px_on_gap <= av1 <= upper_band
-
-
-def _eval(rule: RelationRule, args: tuple[str, ...], p: Percept) -> bool:
-    th = DEFAULT_THRESHOLDS
-    kind = rule.kind
     det = p.detections
     pixel_mode = p.mode is Mode.NO_DEPTH
 
@@ -429,7 +382,7 @@ def _eval(rule: RelationRule, args: tuple[str, ...], p: Percept) -> bool:
         if pixel_mode:
             u0, v0, u1, v1 = det[h].bbox
             m = th.px_hold_dilate
-            cu, cv = _pixel_center(det[o])
+            cu, cv = det[o].center_px
             return u0 - m <= cu <= u1 + m and v0 - m <= cv <= v1 + m
         (x0, y0, z0), (x1, y1, z1) = p.boxes3d[h].lo, p.boxes3d[h].hi
         m = th.hold_dilate
@@ -443,19 +396,7 @@ def _eval(rule: RelationRule, args: tuple[str, ...], p: Percept) -> bool:
             return False
         if h not in det:
             return True
-        return not any(o != h and _eval(DEFAULT_RULES["Hold"], (h, o), p) for o in sorted(det))
-
-    if kind == "empty":
-        (c,) = args
-        if c not in det:
-            return False
-        return not any(o != c and _eval(DEFAULT_RULES["Inside"], (o, c), p) for o in sorted(det))
-
-    if kind == "clear":
-        (x,) = args
-        if x not in det:
-            return False
-        return not any(o != x and _eval(DEFAULT_RULES["On"], (o, x), p) for o in sorted(det))
+        return not any(o != h and _eval("hold", (h, o), p) for o in sorted(det))
 
     # the remaining kinds are binary geometric relations
     a, b = args
@@ -464,14 +405,17 @@ def _eval(rule: RelationRule, args: tuple[str, ...], p: Percept) -> bool:
 
     if kind == "on":
         if pixel_mode:
-            return _on_px(det[a], det[b])
-        return _on_3d(p.boxes3d[a], p.boxes3d[b])
-
-    if kind == "under":
-        # a under b: b rests on a
-        if pixel_mode:
-            return _on_px(det[b], det[a])
-        return _on_3d(p.boxes3d[b], p.boxes3d[a])
+            au0, _, au1, av1 = det[a].bbox
+            bu0, bv0, bu1, bv1 = det[b].bbox
+            w = min(au1, bu1) - max(au0, bu0)
+            if w <= 0.0 or au1 <= au0:
+                return False
+            if w / (au1 - au0) < th.on_overlap:
+                return False
+            upper_band = bv0 + 0.5 * (bv1 - bv0)
+            return bv0 - th.px_on_gap <= av1 <= upper_band
+        ba, bb = p.boxes3d[a], p.boxes3d[b]
+        return abs(ba.lo[2] - bb.hi[2]) <= th.on_gap and ba.footprint_overlap(bb) >= th.on_overlap
 
     if kind == "inside":
         if pixel_mode:
@@ -479,7 +423,7 @@ def _eval(rule: RelationRule, args: tuple[str, ...], p: Percept) -> bool:
             w0, x0, w1, x1 = det[b].bbox
             iw = min(u1, w1) - max(u0, w0)
             ih = min(v1, x1) - max(v0, x0)
-            area = _pixel_area(det[a])
+            area = max(0.0, u1 - u0) * max(0.0, v1 - v0)
             if iw <= 0.0 or ih <= 0.0 or area <= 0.0:
                 return False
             return iw * ih / area >= th.inside_ratio
@@ -488,33 +432,13 @@ def _eval(rule: RelationRule, args: tuple[str, ...], p: Percept) -> bool:
 
     if kind in ("close", "at"):
         if pixel_mode:
-            (ua, va_), (ub, vb) = _pixel_center(det[a]), _pixel_center(det[b])
+            (ua, va_), (ub, vb) = det[a].center_px, det[b].center_px
             limit = th.px_close if kind == "close" else th.px_at
             return math.hypot(ua - ub, va_ - vb) <= limit
         limit = th.close_dist if kind == "close" else th.at_dist
         return dist(p.boxes3d[a].center, p.boxes3d[b].center) <= limit
 
-    if kind == "lateral":
-        if pixel_mode:
-            disp = _pixel_center(det[a])[0] - _pixel_center(det[b])[0]
-            return rule.sign * disp > th.px_deadband
-        ca, cb = p.boxes3d[a].center, p.boxes3d[b].center
-        r = p.camera.right
-        disp = sum((ca[k] - cb[k]) * r[k] for k in range(3))
-        return rule.sign * disp > th.deadband
-
-    if kind == "depthwise":
-        if pixel_mode:
-            # no depth: a larger apparent area reads as nearer
-            aa, ab = _pixel_area(det[a]), _pixel_area(det[b])
-            if rule.sign < 0:
-                return aa > th.px_area_front * ab
-            return ab > th.px_area_front * aa
-        da = p.camera.depth_of(p.boxes3d[a].center)
-        db = p.camera.depth_of(p.boxes3d[b].center)
-        return rule.sign * (da - db) > th.deadband
-
-    raise UnknownPredicate(f"{rule.pred} (kind {kind})")
+    raise UnknownPredicate(f"kind {kind}")
 
 
 # --- the full query --------------------------------------------------------------

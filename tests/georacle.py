@@ -105,20 +105,6 @@ def truth(pred: str, args: tuple, scene: Scene, cam: Camera, th: Thresholds = No
         if not visible(scene, cam, h):
             return True
         return not any(o != h and holds_direct(h, o) for o in vis_labels())
-    if pred == "Empty":
-        c = args[0]
-        if not visible(scene, cam, c):
-            return False
-        cb = box(c)
-        return not any(
-            o != c and _inter_vol(box(o), cb) / max(box(o).volume, 1e-12) >= th.inside_ratio
-            for o in vis_labels()
-        )
-    if pred == "Clear":
-        x = args[0]
-        if not visible(scene, cam, x):
-            return False
-        return not any(o != x and _resting_on(box(o), box(x), th) for o in vis_labels())
 
     a, b = args
     if not (visible(scene, cam, a) and visible(scene, cam, b)):
@@ -128,23 +114,12 @@ def truth(pred: str, args: tuple, scene: Scene, cam: Camera, th: Thresholds = No
 
     if pred == "On":
         return _resting_on(A, B, th)
-    if pred == "Under":
-        return _resting_on(B, A, th)
     if pred == "Inside":
         return _inter_vol(A, B) / max(A.volume, 1e-12) >= th.inside_ratio
     if pred == "CloseTo":
         return _dist(ca, cb) <= th.close_dist
     if pred == "At":
         return _dist(ca, cb) <= th.at_dist
-    if pred in ("Left", "Right"):
-        r = cam.right
-        disp = sum((ca[k] - cb[k]) * r[k] for k in range(3))
-        return disp < -th.deadband if pred == "Left" else disp > th.deadband
-    if pred in ("InFront", "Behind"):
-        f = cam.forward
-        da = sum((ca[k] - cam.position[k]) * f[k] for k in range(3))
-        db = sum((cb[k] - cam.position[k]) * f[k] for k in range(3))
-        return (db - da) > th.deadband if pred == "InFront" else (da - db) > th.deadband
     raise KeyError(pred)
 
 
@@ -230,7 +205,7 @@ def reference_perceive(scene: Scene, cam: Camera, model: DetectorModel, n: int, 
                 tuple(c + s / 2.0 for c, s in zip(center, size)),
             )
     att = {scene.get(h).label: scene.get(o).label for h, o in scene.attachments.items()}
-    return Percept(by_label, boxes3d, att, cam, mode, scene.vision_on)
+    return Percept(by_label, boxes3d, att, mode, scene.vision_on)
 
 
 # --- scene sampler ----------------------------------------------------------------

@@ -883,6 +883,9 @@ def test_nudge_offset_must_be_three_numbers(packaged_lib):
         Disturbance(1, "nudge", "brush", offset=(0.1, 0.2))
     with pytest.raises(ValueError, match="3 numbers"):
         Disturbance(1, "nudge", "brush", offset=(0.1, "up", 0.0))
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="not finite"):
+            Disturbance(2, "nudge", "brush", offset=(bad, 0.0, 0.0))
     bring_dynamic_actuator(packaged_lib, Disturbance(1, "nudge", "brush", offset=(0.1, 0.2, 0)))
 
 

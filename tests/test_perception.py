@@ -25,7 +25,6 @@ from taskmon.perception import (
     Mode,
     NoForeground,
     Percept,
-    RelationRule,
     Thresholds,
     UnknownPredicate,
     detect_batch,
@@ -294,6 +293,13 @@ frame: 7
          "['objects', 'camera', 'attachments', 'vision_on', 'frame']"),
         ("objects: [{id: cup, box: [[0, 0, 0], [1, 1, 1]], lable: mug}]", "scene: object cup: unknown fields "
          "['lable'], expected some of ['id', 'label', 'box', 'supported_by', 'proprio']"),
+        ("camera: {position: [.nan, 0, 1]}", "scene: camera: field 'position' must be finite, got [nan, 0, 1]"),
+        ("camera: {max_depth: .nan}", "scene: camera: field 'max_depth' must be finite, got nan"),
+        ("camera: {max_depth: .inf}", "scene: camera: field 'max_depth' must be finite, got inf"),
+        ("camera: {yaw: .inf}", "scene: camera: field 'yaw' must be finite, got inf"),
+        ("objects: [{id: cup, box: [[0, 0, 0], [1, 1, .inf]]}]",
+         "scene: object cup: field 'box' must be finite, got [1, 1, inf]"),
+        ("camera: {hfov: 1%s}" % ("0" * 309), "scene: camera: field 'hfov' must be finite, got 1%s" % ("0" * 309)),
     ],
 )
 def test_scene_loader_names_the_misshapen_field(tmp_path, text, message):
@@ -803,13 +809,13 @@ def test_hold_edge_is_the_dilated_box_face(axis, side):
         assert brush.center[axis] == c  # exact: the faces stay in c's binade
         det = lambda label: Detection(label, label, (0.0, 0.0, 1.0, 1.0), (0.5, 0.5), 1.0, 1.0)
         p = Percept({"hand": det("hand"), "brush": det("brush")}, {"hand": hand, "brush": brush}, {},
-                    Camera(), Mode.FULL, True)
+                    Mode.FULL, True)
         assert georacle.dilated(hand, m).contains(brush.center) is holds
         assert ground_relation("Hold", ("hand", "brush"), p) is holds
         assert ground_relation("Free", ("hand",), p) is not holds
 
 
-def test_free_empty_clear_quantifiers():
+def test_free_quantifies_over_the_detected_objects():
     cam = Camera(position=(0, 0, 1.1), yaw=0.0, pitch=-0.2)
     bin_box = Box((1.0, -0.15, 0.5), (1.3, 0.15, 0.8))
     chip = Box((1.1, -0.03, 0.52), (1.16, 0.03, 0.58))
@@ -823,32 +829,15 @@ def test_free_empty_clear_quantifiers():
         cam,
     )
     p = perceive(scene, cam, DetectorModel(), n=1)
-    assert not ground_relation("Empty", ("bin",), p)  # chip sits inside
-    assert ground_relation("Empty", ("chip",), p)
-    assert not ground_relation("Clear", ("table",), p)  # bin rests on it
-    assert ground_relation("Clear", ("bin",), p)
-    assert not ground_relation("Empty", ("ghost",), p)  # undetected container
-    assert not ground_relation("Clear", ("ghost",), p)
+    assert not ground_relation("Free", ("bin",), p)  # the chip's centre lies in the bin
     assert ground_relation("Free", ("ghost",), p)  # nothing says it holds anything
 
 
 def _relation_atoms(scene: Scene):
     """Every unary and binary grounding over the scene's labels."""
     labels = sorted(o.label for o in scene.objects)
-    unary = ("Found", "Detected", "VisionOn", "Free", "Empty", "Clear")
-    binary = (
-        "On",
-        "Under",
-        "Inside",
-        "CloseTo",
-        "At",
-        "Left",
-        "Right",
-        "InFront",
-        "Behind",
-        "Hold",
-        "Holding",
-    )
+    unary = ("Found", "Detected", "VisionOn", "Free")
+    binary = ("On", "Inside", "CloseTo", "At", "Hold", "Holding")
     for pred in unary:
         for x in labels:
             yield pred, (x,)
@@ -878,22 +867,6 @@ def test_grounding_agrees_with_truth_oracle_at_zero_noise():
             assert got == want, f"seed {seed}: {pred}{args} perception={got} truth={want}"
             checked += 1
     assert checked > 20000
-
-
-def test_antisymmetric_pairs_exhaustive_all_modes():
-    model = DetectorModel()
-    for seed in range(40):
-        rnd = random.Random(1000 + seed)
-        scene = georacle.sample_relation_scene(rnd, overlap_heavy=True)
-        cam = scene.camera
-        for mode in Mode:
-            p = perceive(scene, cam, model, n=1, mode=mode)
-            labels = sorted(o.label for o in scene.objects)
-            for a, b in permutations(labels, 2):
-                assert ground_relation("Left", (a, b), p) == ground_relation("Right", (b, a), p)
-                assert ground_relation("InFront", (a, b), p) == ground_relation("Behind", (b, a), p)
-                assert ground_relation("On", (a, b), p) == ground_relation("Under", (b, a), p)
-                assert ground_relation("Hold", (a, b), p) == ground_relation("Holding", (a, b), p)
 
 
 def test_ablation_modes_degrade_in_order():
@@ -985,27 +958,17 @@ def test_query_determinism():
     assert first == second
 
 
-def test_default_rules_cover_exactly_the_shared_vocabulary():
-    rules = DEFAULT_RULES
-    spatial = {
-        "On",
-        "Under",
-        "Inside",
-        "CloseTo",
-        "At",
-        "Left",
-        "Right",
-        "InFront",
-        "Behind",
-        "Hold",
-        "Free",
-        "Empty",
-        "Clear",
-    }
-    assert spatial <= set(rules)
-    # alias spellings resolve to the same procedures
-    assert rules["Holding"].kind == rules["Hold"].kind
-    assert rules["Detected"].kind == rules["Found"].kind
+def test_default_rules_ground_exactly_the_library_predicates(packaged_lib):
+    # a row that no domain names is never grounded; a domain predicate with
+    # no row would end a run in `internal: UnknownPredicate`
+    library = {pred for e in packaged_lib.entries for pred in e.domain.predicates}
+    # alias -> library spelling; the desk domain of test_monitor.py spells
+    # the alias, and it shares the library spelling's procedure
+    aliases = {"Found": "Detected", "Hold": "Holding"}
+    assert set(aliases.values()) <= library
+    assert set(DEFAULT_RULES) == library | set(aliases)
+    for alias, spelling in aliases.items():
+        assert DEFAULT_RULES[alias] == DEFAULT_RULES[spelling]
 
 
 def test_shared_rule_table_is_the_only_one_and_read_only():
@@ -1015,7 +978,7 @@ def test_shared_rule_table_is_the_only_one_and_read_only():
     with pytest.raises(UnknownPredicate):
         ground_relation("Atop", ("brush", "table"), p)
     with pytest.raises(TypeError):
-        DEFAULT_RULES["Atop"] = RelationRule("Atop", "on")  # the shared table is read-only
+        DEFAULT_RULES["Atop"] = "on"  # the shared table is read-only
 
 
 def test_shared_thresholds_are_the_frozen_default():
