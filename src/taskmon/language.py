@@ -260,6 +260,17 @@ def branch_kind(parents: Mapping[str, Optional[str]], sort: str) -> str:
     return ROBOT if cur.startswith("robot") else WORLD
 
 
+def _by_name(items: Sequence, kind: str, name) -> dict:
+    """The items keyed by `name(item)`; a name given twice is refused."""
+    out: dict = {}
+    for item in items:
+        key = name(item)
+        if key in out:
+            raise LanguageError(f"duplicate {kind} {key}")
+        out[key] = item
+    return out
+
+
 class Vocabulary:
     """The extended robot language: sorts, terms, predicates, task sentences,
     and the bijective token index over them and the separator tokens.
@@ -277,11 +288,11 @@ class Vocabulary:
         tasks: Sequence[TaskSentence],
         max_atoms: int = DEFAULT_MAX_ATOMS,
     ):
-        self.sorts = {s.name: s for s in sorts}
+        self.sorts = _by_name(sorts, "sort", lambda s: s.name)
         self.parents = {s.name: s.parent for s in sorts}
-        self.terms = {t.name: t for t in terms}
-        self.predicates = {p.name: p for p in predicates}
-        self.tasks = {t.id: t for t in tasks}
+        self.terms = _by_name(terms, "term", lambda t: t.name)
+        self.predicates = _by_name(predicates, "predicate", lambda p: p.name)
+        self.tasks = _by_name(tasks, "task", lambda t: t.id)
         self.max_atoms = max_atoms
         self._validate()
 

@@ -74,11 +74,20 @@ EVENT_KINDS = frozenset(
 )
 
 
+# The longest plan PLAN accepts; a longer one retires its goal as a failed
+# plan does. It also sizes `MonitorConfig.step_budget`.
+MAX_PLAN_LEN = 40
+
+
 @dataclass(frozen=True)
 class MonitorConfig:
     """mu/tau gate perception exactly as in query_vision; k bounds how many
     ranked goals one request may return; max_goals bounds goal selections
-    per run; replans bounds re-planning after an actuator failure."""
+    per run; replans bounds re-planning after an actuator failure. `seed`
+    seeds the one perception stream of a run, which LiveVision owns and
+    passes to every query and scan; `detector` holds only noise levels;
+    `frames` is the batch each look votes over. The planner's search
+    budget is `solve`'s own default."""
 
     mu: float = 0.7
     tau: int = 5
@@ -88,14 +97,12 @@ class MonitorConfig:
     mode: Mode = Mode.FULL
     detector: DetectorModel = field(default_factory=DetectorModel)
     frames: int = 10
-    plan_budget: int = 200_000
-    max_plan_len: int = 40
     replans: int = 1
 
     def __post_init__(self):
         if not 0.0 < self.mu < 1.0:
             raise ValueError("mu outside (0, 1)")
-        for name in ("tau", "k", "max_goals", "frames", "plan_budget", "max_plan_len"):
+        for name in ("tau", "k", "max_goals", "frames"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         if self.replans < 0:
@@ -106,7 +113,7 @@ class MonitorConfig:
         """Hard bound on loop transitions: each selected goal costs at most
         three transitions per plan step plus bounded overhead for selection,
         re-planning, and the vision sweep."""
-        return self.max_goals * (3 * self.max_plan_len + self.tau + 16)
+        return self.max_goals * (3 * MAX_PLAN_LEN + self.tau + 16)
 
 
 @dataclass(frozen=True)
@@ -227,9 +234,9 @@ class LiveVision(VisionSystem):
             self.scene,
             self.scene.camera,
             cfg.detector,
+            self._rng,
             cfg.mu,
             cfg.tau,
-            self._rng,
             cfg.mode,
             cfg.frames,
         )
@@ -249,7 +256,7 @@ class LiveVision(VisionSystem):
         for pose in self._ring:
             if not remaining:
                 break
-            percept = perceive(self.scene, pose, cfg.detector, cfg.frames, self._rng, cfg.mode)
+            percept = perceive(self.scene, pose, cfg.detector, self._rng, cfg.frames, cfg.mode)
             unheld = []
             for a in remaining:
                 if ground_relation(a.pred, a.args, percept):
@@ -519,12 +526,10 @@ def step(state: LoopState, ctx: MonitorContext) -> tuple[LoopState, tuple]:
         # stale; the PRE gate re-checks it by vision before any dispatch.
         init = ctx.vision.scan(_scan_candidates(entry.domain, objects, ctx.lib.vocab))
         try:
-            steps = solve(
-                entry.domain, objects, init, state.goal, ctx.cfg.plan_budget
-            )
+            steps = solve(entry.domain, objects, init, state.goal)
         except (NoPlan, BudgetExceeded):
             steps = None
-        if steps is None or len(steps) > ctx.cfg.max_plan_len:
+        if steps is None or len(steps) > MAX_PLAN_LEN:
             # not a perception failure: retire the goal and quietly try the
             # next ranked proposal
             return _advance(

@@ -11,6 +11,7 @@ and (not atom) deletes. Everything else raises UnsupportedFeature.
 
 from __future__ import annotations
 
+import math
 import os
 from collections import Counter
 from dataclasses import dataclass, field
@@ -420,14 +421,21 @@ def parse_domain(text: str) -> PlanDomain:
                     raise UnsupportedFeature(f"requirement {r}")
         elif key == ":types":
             for sort, parent in _typed_names(lst.items[1:], require_sort=False, what="sort"):
+                if sort in sorts:
+                    raise ParseError(lst.line, lst.col, f"distinct sort names (duplicate {sort})")
                 sorts[sort] = parent
         elif key == ":predicates":
             for p in lst.items[1:]:
                 plst, pname = _head(p, "a predicate declaration", "a predicate name")
+                if pname in predicates:
+                    raise ParseError(plst.line, plst.col, f"distinct predicate names (duplicate {pname})")
                 params = _typed_names(plst.items[1:], require_sort=True, what="variable")
                 predicates[pname] = Predicate(pname, tuple(s for _, s in params))
         elif key == ":action":
-            schemas.append(_parse_action(lst))
+            schema = _parse_action(lst)
+            if any(sch.name == schema.name for sch in schemas):
+                raise ParseError(lst.line, lst.col, f"distinct action names (duplicate {schema.name})")
+            schemas.append(schema)
         elif key in (":durative-action", ":functions", ":constants", ":derived", ":axiom"):
             raise UnsupportedFeature(key)
         else:
@@ -544,6 +552,8 @@ def parse_problem(text: str, domain: PlanDomain) -> PlanProblem:
             domain_name = _sym(lst.items[1], "a domain name")
         elif key == ":objects":
             for n, s in _typed_names(lst.items[1:], require_sort=True, what="object"):
+                if n in objects:
+                    raise ParseError(lst.line, lst.col, f"distinct object names (duplicate {n})")
                 objects[n] = s
         elif key == ":init":
             for item in lst.items[1:]:
@@ -635,6 +645,8 @@ def load_library(manifest_path: str, vocab: Vocabulary) -> PlanLibrary:
                 if shaped(g, str, f"{where}: goal", LibraryError) not in names:
                     raise LibraryError(f"task {tid}: chain references unknown entry {g}")
             weight = shaped(ch.get("weight", 1.0), (int, float), f"{where}: field 'weight'", LibraryError)
+            if not (math.isfinite(weight) and weight >= 0):
+                raise LibraryError(f"{where}: field 'weight' is {weight}, not a finite number >= 0")
             chains.append(TaskChain(tid, goals, float(weight)))
 
     return PlanLibrary(entries, vocab, chains)

@@ -22,6 +22,10 @@ behind an answer calls `perceive` itself. `estimate_depth`, a ray-cast
 foreground mask inside a detected box, is a separate on-demand
 measurement that neither reconstruction nor the vision query runs.
 
+The caller owns the random stream: each function that draws takes the
+generator `rng` right after the detector model and builds none. The
+monitor's `LiveVision` seeds one per run from `MonitorConfig.seed`.
+
 Three ablation modes control what the reconstruction may use: FULL keeps
 estimated centroids plus true class extents, NO_SHAPE replaces extents with
 a nominal cube, NO_DEPTH works purely in pixel space.
@@ -58,26 +62,21 @@ class NoForeground(Exception):
 
 @dataclass(frozen=True)
 class DetectorModel:
-    """Noise knobs for the simulated detector. All randomness flows through
-    generators derived from `seed`; clone one per query, never share."""
+    """Noise levels of the simulated detector. It holds no random state: the
+    caller passes the generator each draw takes from."""
 
     tp_rate: float = 1.0
     confusion: float = 0.0
     px_jitter: float = 0.0
     depth_sigma: float = 0.0
-    mask_flip: float = 0.0
-    seed: int = 0
 
     def __post_init__(self):
-        for r in (self.tp_rate, self.confusion, self.mask_flip):
+        for r in (self.tp_rate, self.confusion):
             if not 0.0 <= r <= 1.0:
                 raise ValueError(f"rate {r} outside [0, 1]")
         for name in ("px_jitter", "depth_sigma"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be >= 0")
-
-    def rng(self, stream: int = 0) -> np.random.Generator:
-        return np.random.default_rng([self.seed, stream])
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0")
 
 
 @dataclass
@@ -166,8 +165,8 @@ def detect_batch(
     scene: Scene,
     cam: Camera,
     model: DetectorModel,
+    rng: np.random.Generator,
     n: int = 10,
-    rng: Optional[np.random.Generator] = None,
     mode: Mode = Mode.FULL,
 ) -> list[Detection]:
     """Majority vote over n noisy frames per visible object. An object whose
@@ -195,8 +194,6 @@ def detect_batch(
     winning frames."""
     if n < 1:
         raise ValueError("batch size must be >= 1")
-    if rng is None:
-        rng = model.rng()
     label_set = {o.label for o in scene.objects}
     pixels = mode is Mode.NO_DEPTH
     out: list[Detection] = []
@@ -274,16 +271,13 @@ def estimate_depth(
     scene: Scene,
     cam: Camera,
     model: DetectorModel,
-    rng: Optional[np.random.Generator] = None,
+    rng: np.random.Generator,
     grid: int = 32,
 ) -> float:
     """Nearest foreground depth inside the detected box: ray-cast a pixel
-    lattice, keep pixels whose foreground probability clears 0.7 (0.95 when
-    the nearest hit is the detected object, 0.05 otherwise), return the
-    minimum hit depth plus Gaussian noise. Excluding background pixels keeps
-    overlapping farther objects out of the estimate."""
-    if rng is None:
-        rng = model.rng(1)
+    lattice, keep the pixels whose nearest hit is the detected object, and
+    return the minimum hit depth plus Gaussian noise. Excluding background
+    pixels keeps overlapping farther objects out of the estimate."""
     u0, v0, u1, v1 = det.bbox
     nx = max(2, min(grid, int(math.ceil(u1 - u0))))
     ny = max(2, min(grid, int(math.ceil(v1 - v0))))
@@ -299,12 +293,7 @@ def estimate_depth(
                 t = ray_box(cam.position, ray, obj.box)
                 if t is not None and t < best_t:
                     best_t, best_id = t, obj.id
-            if best_id is None:
-                continue
-            p_fg = 0.95 if best_id == det.obj_id else 0.05
-            if model.mask_flip > 0.0 and rng.random() < model.mask_flip:
-                p_fg = 1.0 - p_fg
-            if p_fg > 0.7:
+            if best_id == det.obj_id:
                 hit = tuple(cam.position[k] + best_t * ray[k] for k in range(3))
                 depths.append(cam.depth_of(hit))
     if len(depths) < 0.05 * total:
@@ -319,12 +308,12 @@ def perceive(
     scene: Scene,
     cam: Camera,
     model: DetectorModel,
+    rng: np.random.Generator,
     n: int = 10,
-    rng: Optional[np.random.Generator] = None,
     mode: Mode = Mode.FULL,
 ) -> Percept:
     """One detection pass plus geometry reconstruction under `mode`."""
-    dets = detect_batch(scene, cam, model, n, rng, mode)
+    dets = detect_batch(scene, cam, model, rng, n, mode)
     by_label: dict[str, Detection] = {}
     for d in dets:
         if d.label not in by_label or d.confidence > by_label[d.label].confidence:
@@ -449,9 +438,9 @@ def query_vision(
     scene: Scene,
     cam: Camera,
     model: DetectorModel,
+    rng: np.random.Generator,
     mu: float = 0.7,
     tau: int = 5,
-    rng: Optional[np.random.Generator] = None,
     mode: Mode = Mode.FULL,
     n: int = 10,
 ) -> tuple[bool, bool]:
@@ -463,8 +452,6 @@ def query_vision(
     from the scene fall back to a blind yaw sweep. On timeout the answer is
     (False, True). Otherwise every atom is grounded in the final frame and
     `holds` says whether all do. An empty conjunction is vacuously true."""
-    if rng is None:
-        rng = model.rng()
     terms = sorted({arg for atom in s.atoms for arg in atom.args})
     if not terms:
         return True, False
@@ -478,7 +465,7 @@ def query_vision(
         aim = cam.aimed_at(centroid)
 
     current = cam
-    percept = perceive(scene, current, model, n, rng, mode)
+    percept = perceive(scene, current, model, rng, n, mode)
     steps = 0
     phase: Optional[float] = None
     while True:
@@ -502,6 +489,6 @@ def query_vision(
             yaw = phase + (steps - 1) * cam.hfov * 0.85
             pitch = float(rng.uniform(-0.35, -0.05))
             current = replace(cam, yaw=yaw, pitch=pitch)
-        percept = perceive(scene, current, model, n, rng, mode)
+        percept = perceive(scene, current, model, rng, n, mode)
 
     return all(ground_relation(a.pred, a.args, percept) for a in s.drop_times().canonical()), False

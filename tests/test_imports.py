@@ -1,6 +1,7 @@
 """Every name a module imports is used in it, every public name of the
 package has a caller in the program, not only in the tests, and every
-defaulted parameter of a public function is set by some program call."""
+defaulted parameter of a public function, and every defaulted field of a
+public dataclass, is set by some program call."""
 
 import ast
 import os
@@ -104,6 +105,8 @@ def _program_sources() -> tuple[list[str], list[str]]:
 
 
 def unreferenced_public_names() -> list[str]:
+    """Public top-level names of the package that nothing else in the
+    program uses, KEEP entries included."""
     src, bench = _program_sources()
     defined: list[str] = []
     uses: dict[str, set[str]] = {}
@@ -119,18 +122,21 @@ def unreferenced_public_names() -> list[str]:
     for source in bench:
         for name in _referenced(ast.parse(source)):
             uses.setdefault(name, set()).add("<perfbench>")
-    return sorted(n for n in defined if not uses.get(n, set()) - {n} and n not in KEEP)
+    return sorted(n for n in defined if not uses.get(n, set()) - {n})
 
 
 def test_every_public_name_has_a_program_caller():
-    assert unreferenced_public_names() == []
+    unreferenced = unreferenced_public_names()
+    assert sorted(set(unreferenced) - set(KEEP)) == []
+    # an entry whose name is gone or now has a program caller is stale
+    assert sorted(set(KEEP) - set(unreferenced)) == []
 
 
 # Defaulted parameters that no program call sets, each kept on purpose.
 KEEP_PARAMS = {
     ("SimActuator.__init__", "fail_prob"): "injects actuator faults for robustness runs",
-    ("estimate_depth", "rng"): "stays with estimate_depth, which perfbench's tracer wraps",
     ("estimate_depth", "grid"): "stays with estimate_depth, which perfbench's tracer wraps",
+    ("solve", "budget"): "the search budget's one owner; a test sets it to see BudgetExceeded",
     ("train", "params"): "the seam through which a test trains a poisoned net",
     ("train", "use_attention"): "the paper's attention ablation, set by tests/decodesweep.py",
 }
@@ -162,33 +168,40 @@ def _defaulted(tree: ast.Module):
                     yield qual, callee, arg.arg, None
 
 
-def unset_defaults(defining: list[str], calling: list[str]) -> list[str]:
-    """`qualified name: parameter` for each defaulted parameter defined in
-    the `defining` sources that no call in the `calling` sources sets. A
-    call sets it when it uses the same bare callee name (the class name for
-    `__init__`) and passes the parameter by keyword, reaches its position or
-    spreads `*`/`**`."""
+def _calls(sources: list[str]) -> dict[str, list[ast.Call]]:
+    """Every call in the sources, by the bare name it calls."""
     calls: dict[str, list[ast.Call]] = {}
-    for source in calling:
+    for source in sources:
         for node in ast.walk(ast.parse(source)):
             if isinstance(node, ast.Call):
                 f = node.func
                 name = f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else None
                 calls.setdefault(name, []).append(node)
+    return calls
 
-    def sets(call: ast.Call, param: str, pos) -> bool:
-        if any(k.arg in (None, param) for k in call.keywords):
-            return True
-        if any(isinstance(a, ast.Starred) for a in call.args):
-            return True
-        return pos is not None and len(call.args) > pos
 
-    out = []
-    for source in defining:
-        for qual, callee, param, pos in _defaulted(ast.parse(source)):
-            if not any(sets(c, param, pos) for c in calls.get(callee, [])):
-                out.append(f"{qual}: {param}")
-    return out
+def _sets(call: ast.Call, param: str, pos) -> bool:
+    """Whether the call passes `param` by keyword, reaches its position or
+    spreads `*`/`**`."""
+    if any(k.arg in (None, param) for k in call.keywords):
+        return True
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    return pos is not None and len(call.args) > pos
+
+
+def unset_defaults(defining: list[str], calling: list[str]) -> list[str]:
+    """`qualified name: parameter` for each defaulted parameter defined in
+    the `defining` sources that no call in the `calling` sources sets: none
+    uses the same bare callee name (the class name for `__init__`) and sets
+    it as `_sets` says."""
+    calls = _calls(calling)
+    return [
+        f"{qual}: {param}"
+        for source in defining
+        for qual, callee, param, pos in _defaulted(ast.parse(source))
+        if not any(_sets(c, param, pos) for c in calls.get(callee, []))
+    ]
 
 
 def test_unset_default_detector():
@@ -212,3 +225,92 @@ def test_every_defaulted_parameter_is_set_by_the_program():
     assert sorted(set(unset_defaults(src, src + bench)) - keep) == []
     # an entry whose parameter is gone or now set is stale
     assert sorted(keep - set(unset_defaults(src, src + bench))) == []
+
+
+# Defaulted dataclass fields that no program call sets, each kept on purpose:
+# keyed by (class, field), or by class for every field of that class.
+KEEP_FIELDS = {
+    "LoopState": "the fold's state: the loop starts from the defaults and moves by `replace`",
+    "Grounding": "memo slots, empty until planning and the PLAN scan fill them by attribute",
+    "Thresholds": "one frozen instance judges every query; perfbench builds one to read two fields",
+    ("MonitorConfig", "mu"): "the paper's confidence gate, a setting of the monitor",
+    ("MonitorConfig", "tau"): "the paper's search budget per query, a setting of the monitor",
+    ("MonitorConfig", "k"): "how many ranked goals one request returns, a setting of the monitor",
+    ("MonitorConfig", "max_goals"): "bounds goal selections per run, a setting of the monitor",
+    ("MonitorConfig", "frames"): "the frames each look votes over, a setting of the monitor",
+    ("MonitorConfig", "replans"): "re-plans after an actuator failure, a setting of the monitor",
+    ("MonitorConfig", "mode"): "the paper's perception ablation, set by the trace sweep",
+    ("MonitorConfig", "detector"): "detector noise, set by the trace sweep's noisy rows",
+    ("DetectorModel", "tp_rate"): "detector noise, set by the trace sweep's noisy rows",
+    ("DetectorModel", "confusion"): "detector noise, set by the trace sweep's noisy rows",
+    ("DetectorModel", "px_jitter"): "detector noise, set by the trace sweep's noisy rows",
+    ("DetectorModel", "depth_sigma"): "detector noise, set by the trace sweep's noisy rows",
+    ("Disturbance", "offset"): "the translation of a nudge, which the fuzzers schedule",
+    ("Disturbance", "prob"): "the chance a disturbance fires, for the planned slip robustness runs",
+}
+
+
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    return any(
+        isinstance(d, ast.Name) and d.id == "dataclass"
+        or isinstance(d, ast.Call) and isinstance(d.func, ast.Name) and d.func.id == "dataclass"
+        for d in cls.decorator_list
+    )
+
+
+def _defaulted_fields(tree: ast.Module):
+    """(class, field, argument position) of each defaulted `init` field of
+    a public dataclass. The position counts every `init` field before it."""
+    for cls in tree.body:
+        if not isinstance(cls, ast.ClassDef) or cls.name.startswith("_") or not _is_dataclass(cls):
+            continue
+        pos = 0
+        for node in cls.body:
+            if not isinstance(node, ast.AnnAssign) or not isinstance(node.target, ast.Name):
+                continue
+            value = node.value
+            defaulted = value is not None
+            if isinstance(value, ast.Call) and isinstance(value.func, ast.Name) and value.func.id == "field":
+                kw = {k.arg: k.value for k in value.keywords}
+                if isinstance(kw.get("init"), ast.Constant) and kw["init"].value is False:
+                    continue
+                defaulted = "default" in kw or "default_factory" in kw
+            if defaulted:
+                yield cls.name, node.target.id, pos
+            pos += 1
+
+
+def unset_fields(defining: list[str], calling: list[str]) -> list[tuple[str, str]]:
+    """(class, field) for each defaulted `init` field of a public dataclass
+    in the `defining` sources that no call in the `calling` sources sets: no
+    call names the class and sets it as `_sets` says."""
+    calls = _calls(calling)
+    return [
+        (cls, name)
+        for source in defining
+        for cls, name, pos in _defaulted_fields(ast.parse(source))
+        if not any(_sets(c, name, pos) for c in calls.get(cls, []))
+    ]
+
+
+def test_unset_field_detector():
+    defining = (
+        "from dataclasses import dataclass, field\n"
+        "@dataclass(frozen=True)\nclass A:\n    x: int\n    y: int = 0\n    z: list = field(default_factory=list)\n"
+        "    memo: dict = field(default_factory=dict, init=False)\n    w: int = field(repr=False)\n"
+        "@dataclass\nclass B:\n    u: int = 0\n    def m(self, v=0):\n        pass\n"
+        "@dataclass\nclass _P:\n    p: int = 0\n"
+        "class C:\n    c: int = 0\n"
+    )
+    assert unset_fields([defining], ["A(1, 2)\nm.B(**kw)\n"]) == [("A", "z")]
+    assert unset_fields([defining], ["A(1, z=[])\nB(*args)\nreplace(a, y=1)\n"]) == [("A", "y")]
+    assert unset_fields([defining], [""]) == [("A", "y"), ("A", "z"), ("B", "u")]
+
+
+def test_every_dataclass_field_is_set_by_the_program():
+    src, bench = _program_sources()
+    unset = set(unset_fields(src, src + bench))
+    assert all(KEEP_FIELDS.values())
+    assert sorted(f for f in unset if f not in KEEP_FIELDS and f[0] not in KEEP_FIELDS) == []
+    # an entry whose field or class is gone, or now set, is stale
+    assert [k for k in KEEP_FIELDS if k not in unset | {cls for cls, _ in unset}] == []

@@ -355,6 +355,16 @@ def test_vocab_yaml_loader(tmp_path):
          "predicate Hold: unknown fields ['epistemc'], expected some of ['name', 'args', 'epistemic']"),
         ("{id: t1, sentence: fetch the mug}", "{id: t1, sentence: fetch the mug, words: 4}",
          "task t1: unknown fields ['words'], expected some of ['id', 'sentence']"),
+        # a name given twice is refused, not overwritten by the last
+        ("{name: robot-part, parent: entity}",
+         "{name: robot-part, parent: entity}\n  - {name: world-obj, parent: robot-part}", "duplicate sort world-obj"),
+        ("{name: claw, sort: robot-part}", "{name: claw, sort: robot-part}\n  - {name: mug, sort: robot-part}",
+         "duplicate term mug"),
+        ("{name: Hold, args: [robot-part, world-obj]}",
+         "{name: Hold, args: [robot-part, world-obj]}\n  - {name: Found, args: [robot-part]}",
+         "duplicate predicate Found"),
+        ("{id: t1, sentence: fetch the mug}", "{id: t1, sentence: fetch the mug}\n  - {id: t1, sentence: drop the mug}",
+         "duplicate task t1"),
     ],
 )
 def test_vocab_loader_rejects_misshapen_files(tmp_path, old, new, message):

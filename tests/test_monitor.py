@@ -11,7 +11,7 @@ import pytest
 
 import taskmon
 from taskmon import monitor
-from conftest import DATA, load_packaged_lib
+from conftest import DATA, load_packaged_lib, make_tiny_vocab
 from georacle import in_view
 from taskmon.actuator import (
     ActionResult,
@@ -26,11 +26,12 @@ from taskmon.actuator import (
     truth_percept,
 )
 from taskmon.geometry import Box, Camera, Scene, SceneObject, dist, load_scene
-from taskmon.language import Atom, State, TokenSeq
+from taskmon.language import Atom, State, StateTooLong, TokenSeq
 from taskmon.monitor import (
     BeliefVision,
     LiveVision,
     MonitorConfig,
+    NetGoalSource,
     Outcome,
     ScriptedGoalSource,
     candidate_atoms,
@@ -48,7 +49,7 @@ from taskmon.pddl import (
 )
 from taskmon.perception import DetectorModel, Mode, ground_relation
 from taskmon.planning import ground_actions, match_plan
-from taskmon.predictor import GoalProposal
+from taskmon.predictor import GoalProposal, TrainingPair, infer_topk, train
 from tracesweep import sweep as trace_sweep
 
 DOMAIN = """
@@ -146,9 +147,6 @@ def quiet_cfg(**over) -> MonitorConfig:
         {"k": 0},
         {"max_goals": 0},
         {"frames": 0},
-        {"plan_budget": -5},
-        {"plan_budget": 0},
-        {"max_plan_len": 0},
         {"replans": -1},
     ],
 )
@@ -157,9 +155,26 @@ def test_monitor_config_rejects_out_of_range_settings(over):
         MonitorConfig(**over)
 
 
+def test_net_goal_source_proposes_from_the_canonical_prefix_of_a_long_state():
+    # the encoder takes max_atoms atoms; a longer verified state is cut to
+    # its first max_atoms canonical atoms instead of failing to encode
+    vocab = make_tiny_vocab(max_atoms=3)
+    task = vocab.tasks["t-fetch"]
+    s = State.parse(
+        ["On(brush,table)", "On(cup,shelf)", "Free(hand)", "Found(brush)", "CloseTo(rover,table)"]
+    )
+    assert len(s.atoms) == vocab.max_atoms + 2
+    head = State.of(s.canonical()[: vocab.max_atoms])
+    params, _ = train([TrainingPair.of(task, head, State.parse(["Hold(hand,brush)"]), vocab)], vocab, seed=3)
+    with pytest.raises(StateTooLong):
+        infer_topk(task, s, params, vocab, 3)
+    want = infer_topk(task, head, params, vocab, 3)
+    assert want and NetGoalSource(params, vocab).propose(task, s, 3) == want
+
+
 def test_monitor_config_accepts_its_bounds():
-    cfg = MonitorConfig(tau=1, k=1, max_goals=1, frames=1, plan_budget=1, max_plan_len=1, replans=0)
-    assert cfg.plan_budget == 1 and cfg.replans == 0
+    cfg = MonitorConfig(tau=1, k=1, max_goals=1, frames=1, replans=0)
+    assert cfg.frames == 1 and cfg.replans == 0
 
 
 def goal_of(lib, name: str) -> State:
@@ -815,9 +830,7 @@ def test_packaged_chain_succeeds_on_its_scene(packaged_lib, task_id, chain_idx, 
 def test_packaged_chain_trace_is_seed_deterministic_under_noise(
     packaged_lib, task_id, chain_idx, scene_name
 ):
-    noisy = DetectorModel(
-        tp_rate=0.95, confusion=0.05, px_jitter=1.0, depth_sigma=0.02, mask_flip=0.05, seed=11
-    )
+    noisy = DetectorModel(tp_rate=0.95, confusion=0.05, px_jitter=1.0, depth_sigma=0.02)
     cfg = MonitorConfig(seed=3, detector=noisy)
     first, _ = run_packaged_chain(packaged_lib, task_id, chain_idx, scene_name, cfg)
     second, _ = run_packaged_chain(packaged_lib, task_id, chain_idx, scene_name, cfg)
@@ -889,6 +902,16 @@ def test_nudge_offset_must_be_three_numbers(packaged_lib):
     bring_dynamic_actuator(packaged_lib, Disturbance(1, "nudge", "brush", offset=(0.1, 0.2, 0)))
 
 
+def test_disturbance_call_index_is_a_positive_int():
+    # a call index that is never an int would never fire
+    for bad in (1.5, 1.0, True, "1"):
+        with pytest.raises(ValueError, match="not an int"):
+            Disturbance(bad, "remove", "brush")
+    with pytest.raises(ValueError, match="1-based"):
+        Disturbance(0, "remove", "brush")
+    assert Disturbance(3, "remove", "brush").before_call == 3
+
+
 def test_relocate_onto_itself_is_refused():
     with pytest.raises(ValueError, match="onto itself"):
         Disturbance(1, "relocate", "brush", dest="brush")
@@ -937,7 +960,6 @@ def test_fuzzed_runs_always_halt_within_bound(lib, tiny_vocab):
                 tp_rate=float(rng.uniform(0.6, 1.0)),
                 px_jitter=float(rng.uniform(0.0, 2.0)),
                 depth_sigma=float(rng.uniform(0.0, 0.02)),
-                seed=int(rng.integers(0, 2**16)),
             ),
             frames=5,
             replans=int(rng.integers(0, 2)),

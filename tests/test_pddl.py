@@ -392,8 +392,23 @@ def test_load_library_rejects_duplicates_and_bad_refs(tmp_path):
             "tasks:\n  - id: t-fetch\n    chains:\n      - {goals: [], weight: heavy}\n",
             "task t-fetch: chain 0: field 'weight' must be a number, got str",
         ),
+        (
+            "tasks:\n  - id: t-fetch\n    chains:\n      - {goals: [], weight: .nan}\n",
+            "task t-fetch: chain 0: field 'weight' is nan, not a finite number >= 0",
+        ),
+        (
+            "tasks:\n  - id: t-fetch\n    chains:\n      - {goals: [], weight: .inf}\n",
+            "task t-fetch: chain 0: field 'weight' is inf, not a finite number >= 0",
+        ),
+        (
+            "tasks:\n  - id: t-fetch\n    chains:\n      - {goals: [], weight: -1}\n",
+            "task t-fetch: chain 0: field 'weight' is -1, not a finite number >= 0",
+        ),
     ],
-    ids=["empty", "top-level-list", "entries-int", "goals-string", "name-int", "goal-list", "weight-string"],
+    ids=[
+        "empty", "top-level-list", "entries-int", "goals-string", "name-int", "goal-list", "weight-string",
+        "weight-nan", "weight-inf", "weight-negative",
+    ],
 )
 def test_load_library_rejects_misshapen_manifest(tmp_path, manifest, message):
     path = tmp_path / "manifest.yaml"
@@ -401,6 +416,30 @@ def test_load_library_rejects_misshapen_manifest(tmp_path, manifest, message):
     with pytest.raises(LibraryError) as e:
         load_library(str(path), make_tiny_vocab())
     assert str(e.value) == message
+
+
+@pytest.mark.parametrize(
+    "old, new, duplicate",
+    [
+        ("item surface - world-ent", "item surface - world-ent item - entity", "sort names (duplicate item)"),
+        ("(Free ?g - gripper)", "(Free ?g - gripper) (On ?o - item ?s - item)", "predicate names (duplicate On)"),
+        ("(:action approach", "(:action search", "action names (duplicate search)"),
+    ],
+    ids=["types", "predicates", "actions"],
+)
+def test_parse_domain_refuses_a_duplicate_name(old, new, duplicate):
+    # a name declared twice is refused, not overwritten by the last
+    assert TINY_DOMAIN.count(old) == 1
+    with pytest.raises(ParseError) as e:
+        parse_domain(TINY_DOMAIN.replace(old, new))
+    assert e.value.expected == f"distinct {duplicate}"
+
+
+def test_parse_problem_refuses_a_duplicate_object(tiny_domain):
+    text = TINY_PROBLEM.replace("brush cup - item", "brush cup - item brush - surface")
+    with pytest.raises(ParseError) as e:
+        parse_problem(text, tiny_domain)
+    assert e.value.expected == "distinct object names (duplicate brush)"
 
 
 def test_load_library_cross_checks_vocabulary(tmp_path):

@@ -8,6 +8,7 @@ import random
 from dataclasses import FrozenInstanceError, replace
 from itertools import permutations, product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -35,6 +36,11 @@ from taskmon.perception import (
 )
 
 import georacle
+
+
+def stream(seed: int = 0, k: int = 0) -> np.random.Generator:
+    """A fresh generator for a test's perception draws, which the caller owns."""
+    return np.random.default_rng([seed, k])
 
 
 # --- geometry primitives ----------------------------------------------------------
@@ -333,7 +339,7 @@ def desk_scene(vision_on: bool = True) -> Scene:
 def test_zero_noise_detection_is_exact():
     scene = desk_scene()
     cam = scene.camera
-    dets = {d.label: d for d in detect_batch(scene, cam, DetectorModel(), n=5)}
+    dets = {d.label: d for d in detect_batch(scene, cam, DetectorModel(), stream(), n=5)}
     # far and behind objects are not in view; everything else is
     assert set(dets) == {"table", "brush", "cup", "hand"}
     for label in ("table", "brush", "cup"):
@@ -349,7 +355,7 @@ def test_zero_noise_detection_is_exact():
 
 def test_vision_off_reports_only_proprio():
     scene = desk_scene(vision_on=False)
-    dets = detect_batch(scene, scene.camera, DetectorModel(), n=3)
+    dets = detect_batch(scene, scene.camera, DetectorModel(), stream(), n=3)
     assert [d.label for d in dets] == ["hand"]
     assert dets[0].confidence == 1.0
 
@@ -361,7 +367,7 @@ def test_proprio_reported_even_outside_view():
         cam,
         vision_on=False,
     )
-    dets = detect_batch(scene, cam, DetectorModel(), n=1)
+    dets = detect_batch(scene, cam, DetectorModel(), stream(), n=1)
     assert len(dets) == 1 and dets[0].label == "hand"
 
 
@@ -379,18 +385,27 @@ def test_model_rate_validation():
         DetectorModel(px_jitter=-1)
     with pytest.raises(ValueError):
         DetectorModel(depth_sigma=-0.5)
+    # a non-finite noise level would end a run on an unusable box, or pass
+    # unnoticed as nan
+    for name in ("px_jitter", "depth_sigma"):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                DetectorModel(**{name: bad})
+    for name in ("tp_rate", "confusion"):
+        with pytest.raises(ValueError):
+            DetectorModel(**{name: math.nan})
     m = DetectorModel(tp_rate=0.9, px_jitter=0.0, depth_sigma=0.0)
     assert m.tp_rate == 0.9
 
 
 def test_batch_size_must_be_positive():
     with pytest.raises(ValueError):
-        detect_batch(desk_scene(), desk_scene().camera, DetectorModel(), n=0)
+        detect_batch(desk_scene(), desk_scene().camera, DetectorModel(), stream(), n=0)
 
 
 def test_always_missed_detector_reports_nothing_visual():
     scene = desk_scene()
-    dets = detect_batch(scene, scene.camera, DetectorModel(tp_rate=0.0), n=10)
+    dets = detect_batch(scene, scene.camera, DetectorModel(tp_rate=0.0), stream(), n=10)
     assert [d.label for d in dets] == ["hand"]
 
 
@@ -425,13 +440,13 @@ def test_confusion_voting_matches_multinomial_oracle():
     for i, y in enumerate((-0.3, -0.1, 0.1, 0.3)):
         objs.append(SceneObject(f"o{i}", f"o{i}", Box((1.2, y, 0.6), (1.3, y + 0.08, 0.68))))
     scene = Scene(objs, cam)
-    model = DetectorModel(tp_rate=1.0, confusion=0.3, seed=11)
+    model = DetectorModel(tp_rate=1.0, confusion=0.3)
 
     exact = _modal_win_prob(10, 0.7, 3)
-    rng = model.rng()
+    rng = stream(11)
     trials, wins = 0, 0
     for _ in range(1000):
-        dets = detect_batch(scene, cam, model, n=10, rng=rng)
+        dets = detect_batch(scene, cam, model, rng, n=10)
         by_id = {d.obj_id: d for d in dets}
         for o in objs:
             trials += 1
@@ -446,13 +461,13 @@ def test_confusion_voting_matches_multinomial_oracle():
 def test_batch_voting_beats_single_frame_under_noise():
     scene = desk_scene()
     cam = scene.camera
-    model = DetectorModel(tp_rate=0.75, confusion=0.2, seed=3)
+    model = DetectorModel(tp_rate=0.75, confusion=0.2)
 
     def correct_rate(n: int) -> float:
-        rng = model.rng()
+        rng = stream(3)
         good, total = 0, 0
         for _ in range(1000):
-            dets = {d.obj_id: d for d in detect_batch(scene, cam, model, n=n, rng=rng)}
+            dets = {d.obj_id: d for d in detect_batch(scene, cam, model, rng, n=n)}
             for label in ("table", "brush", "cup"):
                 obj = scene.by_label(label)
                 total += 1
@@ -466,11 +481,11 @@ def test_batch_voting_beats_single_frame_under_noise():
 
 def test_detection_determinism_per_seed():
     scene = desk_scene()
-    model = DetectorModel(tp_rate=0.8, confusion=0.2, px_jitter=1.5, depth_sigma=0.01, seed=42)
-    a = detect_batch(scene, scene.camera, model, n=10, rng=model.rng())
-    b = detect_batch(scene, scene.camera, model, n=10, rng=model.rng())
+    model = DetectorModel(tp_rate=0.8, confusion=0.2, px_jitter=1.5, depth_sigma=0.01)
+    a = detect_batch(scene, scene.camera, model, stream(42), n=10)
+    b = detect_batch(scene, scene.camera, model, stream(42), n=10)
     assert a == b
-    c = detect_batch(scene, scene.camera, DetectorModel(tp_rate=0.8, confusion=0.2, seed=43), n=10)
+    c = detect_batch(scene, scene.camera, DetectorModel(tp_rate=0.8, confusion=0.2), stream(43), n=10)
     assert c != a or [d.label for d in c] != [d.label for d in a]
 
 
@@ -480,9 +495,9 @@ def test_noise_free_detection_takes_two_doubles_per_frame_per_visible_object(yaw
     cam = replace(scene.camera, yaw=yaw)
     assert sum(1 for o in scene.objects if not o.proprio and georacle.in_view(cam, o.box.center)) == m
     model = DetectorModel()
-    rng, twin = model.rng(), model.rng()
+    rng, twin = stream(), stream()
     n = 7
-    detect_batch(scene, cam, model, n=n, rng=rng)
+    detect_batch(scene, cam, model, rng, n=n)
     twin.random(2 * n * m)
     assert rng.bit_generator.state == twin.bit_generator.state
 
@@ -534,10 +549,10 @@ def test_detection_equals_the_per_frame_vote(scene_name):
     grid = list(product((0.0, 0.5, 0.95, 1.0), (0.0, 0.05, 0.5), (0.0, 1.0), (0.0, 0.02), (1, 2, 4, 10)))
     for mode in Mode:
         for seed, (tp, conf, jitter, sigma, n) in enumerate(grid):
-            model = DetectorModel(tp_rate=tp, confusion=conf, px_jitter=jitter, depth_sigma=sigma, seed=seed)
-            rng, twin = model.rng(), model.rng()
+            model = DetectorModel(tp_rate=tp, confusion=conf, px_jitter=jitter, depth_sigma=sigma)
+            rng, twin = stream(seed), stream(seed)
             for _ in range(3):
-                got = detect_batch(scene, scene.camera, model, n, rng, mode)
+                got = detect_batch(scene, scene.camera, model, rng, n, mode)
                 want = georacle.vote_detect_batch(scene, scene.camera, model, n, twin)
                 if mode is not Mode.NO_DEPTH:
                     want = _unprojected_parts(scene, want)
@@ -548,7 +563,7 @@ def test_detection_equals_the_per_frame_vote(scene_name):
 def test_jitter_shifts_bbox_and_center_together():
     scene = desk_scene()
     cam = scene.camera
-    dets = {d.label: d for d in detect_batch(scene, cam, DetectorModel(px_jitter=3.0, seed=5), n=10)}
+    dets = {d.label: d for d in detect_batch(scene, cam, DetectorModel(px_jitter=3.0), stream(5), n=10)}
     d = dets["brush"]
     true_bbox = cam.project_box(scene.by_label("brush").box)
     du = d.bbox[0] - true_bbox[0]
@@ -563,7 +578,7 @@ def test_jitter_shifts_bbox_and_center_together():
 
 def test_depth_sigma_perturbs_reported_depth():
     scene = desk_scene()
-    dets = {d.label: d for d in detect_batch(scene, scene.camera, DetectorModel(depth_sigma=0.05, seed=9), n=5)}
+    dets = {d.label: d for d in detect_batch(scene, scene.camera, DetectorModel(depth_sigma=0.05), stream(9), n=5)}
     true_depth = scene.camera.depth_of(scene.by_label("cup").box.center)
     assert dets["cup"].center_depth != true_depth
     assert abs(dets["cup"].center_depth - true_depth) < 0.5
@@ -575,8 +590,8 @@ def test_depth_sigma_perturbs_reported_depth():
 def test_estimate_depth_exact_on_front_face():
     cam = Camera(position=(0, 0, 1.0), yaw=0.0, pitch=0.0)
     scene = Scene([SceneObject("slab", "slab", Box((1.2, -0.3, 0.7), (1.5, 0.3, 1.3)))], cam)
-    det = detect_batch(scene, cam, DetectorModel(), n=1)[0]
-    d = estimate_depth(det, scene, cam, DetectorModel())
+    det = detect_batch(scene, cam, DetectorModel(), stream(), n=1)[0]
+    d = estimate_depth(det, scene, cam, DetectorModel(), stream(0, 1))
     # every lattice ray enters through the x = 1.2 face: forward depth 1.2
     assert d == pytest.approx(1.2, abs=1e-9)
 
@@ -586,12 +601,12 @@ def test_estimate_depth_prefers_front_object_under_overlap():
     front = SceneObject("front", "front", Box((1.0, -0.10, 0.9), (1.12, 0.10, 1.1)))
     back = SceneObject("back", "back", Box((2.0, -0.5, 0.5), (2.3, 0.5, 1.5)))
     scene = Scene([front, back], cam)
-    dets = {d.label: d for d in detect_batch(scene, cam, DetectorModel(), n=1)}
-    d_front = estimate_depth(dets["front"], scene, cam, DetectorModel())
+    dets = {d.label: d for d in detect_batch(scene, cam, DetectorModel(), stream(), n=1)}
+    d_front = estimate_depth(dets["front"], scene, cam, DetectorModel(), stream(0, 1))
     assert d_front == pytest.approx(1.0, abs=1e-9)
     # the back box's detection window is mostly blocked: surviving rays still
     # report the back face depth, never the occluder's
-    d_back = estimate_depth(dets["back"], scene, cam, DetectorModel())
+    d_back = estimate_depth(dets["back"], scene, cam, DetectorModel(), stream(0, 1))
     assert d_back == pytest.approx(2.0, abs=1e-9)
 
 
@@ -600,10 +615,10 @@ def test_estimate_depth_raises_when_fully_occluded():
     wall = SceneObject("wall", "wall", Box((0.8, -0.8, 0.2), (0.9, 0.8, 1.8)))
     hidden = SceneObject("hidden", "hidden", Box((1.5, -0.05, 0.95), (1.6, 0.05, 1.05)))
     scene = Scene([wall, hidden], cam)
-    dets = {d.label: d for d in detect_batch(scene, cam, DetectorModel(), n=1)}
+    dets = {d.label: d for d in detect_batch(scene, cam, DetectorModel(), stream(), n=1)}
     assert "hidden" in dets  # the detector has no occlusion model
     with pytest.raises(NoForeground):
-        estimate_depth(dets["hidden"], scene, cam, DetectorModel())
+        estimate_depth(dets["hidden"], scene, cam, DetectorModel(), stream(0, 1))
 
 
 # --- reconstruction ----------------------------------------------------------------
@@ -611,7 +626,7 @@ def test_estimate_depth_raises_when_fully_occluded():
 
 def test_full_mode_reconstructs_true_boxes_at_zero_noise():
     scene = desk_scene()
-    p = perceive(scene, scene.camera, DetectorModel(), n=1, mode=Mode.FULL)
+    p = perceive(scene, scene.camera, DetectorModel(), stream(), n=1, mode=Mode.FULL)
     for label in ("table", "brush", "cup", "hand"):
         true = scene.by_label(label).box
         got = p.boxes3d[label]
@@ -622,7 +637,7 @@ def test_full_mode_reconstructs_true_boxes_at_zero_noise():
 def test_no_shape_mode_uses_nominal_cubes():
     scene = desk_scene()
     th = Thresholds()
-    p = perceive(scene, scene.camera, DetectorModel(), n=1, mode=Mode.NO_SHAPE)
+    p = perceive(scene, scene.camera, DetectorModel(), stream(), n=1, mode=Mode.NO_SHAPE)
     for label in ("table", "brush", "cup"):
         assert p.boxes3d[label].size == pytest.approx((th.nominal_extent,) * 3)
         # centroid position is still metric
@@ -632,7 +647,7 @@ def test_no_shape_mode_uses_nominal_cubes():
 
 def test_no_depth_mode_has_no_metric_boxes():
     scene = desk_scene()
-    p = perceive(scene, scene.camera, DetectorModel(), n=1, mode=Mode.NO_DEPTH)
+    p = perceive(scene, scene.camera, DetectorModel(), stream(), n=1, mode=Mode.NO_DEPTH)
     assert p.boxes3d == {}
     assert set(p.detections) == {"table", "brush", "cup", "hand"}
 
@@ -640,7 +655,7 @@ def test_no_depth_mode_has_no_metric_boxes():
 def test_percept_attachments_use_labels():
     scene = desk_scene()
     scene.attachments["hand"] = "brush"
-    p = perceive(scene, scene.camera, DetectorModel(), n=1)
+    p = perceive(scene, scene.camera, DetectorModel(), stream(), n=1)
     assert p.attachments == {"hand": "brush"}
 
 
@@ -677,13 +692,13 @@ def test_perceive_equals_the_plain_reference_on_packaged_scenes(packaged_lib, sc
     objects = {o.label: vocab.terms[o.label].sort for o in scene.objects}
     grounded = [p for p in vocab.predicates.values() if p.name in DEFAULT_RULES]
     atoms = candidate_atoms(objects, grounded, vocab)
-    noisy = DetectorModel(tp_rate=0.9, confusion=0.1, px_jitter=2.0, depth_sigma=0.02, seed=17)
+    noisy = DetectorModel(tp_rate=0.9, confusion=0.1, px_jitter=2.0, depth_sigma=0.02)
     held = 0
-    for model in (DetectorModel(), noisy):
+    for seed, model in ((0, DetectorModel()), (17, noisy)):
         for mode in Mode:
-            rng, twin = model.rng(), model.rng()
+            rng, twin = stream(seed), stream(seed)
             for cam in _scan_ring(scene):
-                got = perceive(scene, cam, model, 10, rng, mode)
+                got = perceive(scene, cam, model, rng, 10, mode)
                 want = georacle.reference_perceive(scene, cam, model, 10, twin, mode)
                 assert rng.bit_generator.state == twin.bit_generator.state
                 assert got.boxes3d == want.boxes3d
@@ -723,7 +738,7 @@ def test_perceive_projects_robot_parts_only_for_pixel_grounding(mode, monkeypatc
     seen = 0
     for cam in ring:
         projected.clear()
-        perceive(scene, cam, DetectorModel(), 10, None, mode)
+        perceive(scene, cam, DetectorModel(), stream(), 10, mode)
         want = [
             o.box
             for o in scene.objects
@@ -739,21 +754,21 @@ def test_perceive_projects_robot_parts_only_for_pixel_grounding(mode, monkeypatc
 
 def test_unknown_predicate_raises():
     scene = desk_scene()
-    p = perceive(scene, scene.camera, DetectorModel(), n=1)
+    p = perceive(scene, scene.camera, DetectorModel(), stream(), n=1)
     with pytest.raises(UnknownPredicate):
         ground_relation("Levitates", ("brush",), p)
 
 
 def test_found_requires_confident_detection():
     scene = desk_scene()
-    p = perceive(scene, scene.camera, DetectorModel(), n=1)
+    p = perceive(scene, scene.camera, DetectorModel(), stream(), n=1)
     assert ground_relation("Found", ("brush",), p)
     assert ground_relation("Detected", ("brush",), p)
     assert not ground_relation("Found", ("far_crate",), p)
     # a shaky detector drives confidence under the gate
-    shaky = DetectorModel(tp_rate=0.55, seed=1)
+    shaky = DetectorModel(tp_rate=0.55)
     for trial in range(40):
-        pp = perceive(scene, scene.camera, shaky, n=9, rng=shaky.rng(trial))
+        pp = perceive(scene, scene.camera, shaky, stream(1, trial), n=9)
         if "brush" in pp.detections and pp.detections["brush"].confidence <= 0.7:
             assert not ground_relation("Found", ("brush",), pp)
             break
@@ -762,21 +777,21 @@ def test_found_requires_confident_detection():
 
 
 def test_vision_on_tracks_scene_flag():
-    on = perceive(desk_scene(), desk_scene().camera, DetectorModel(), n=1)
+    on = perceive(desk_scene(), desk_scene().camera, DetectorModel(), stream(), n=1)
     off_scene = desk_scene(vision_on=False)
-    off = perceive(off_scene, off_scene.camera, DetectorModel(), n=1)
+    off = perceive(off_scene, off_scene.camera, DetectorModel(), stream(), n=1)
     assert ground_relation("VisionOn", ("robot",), on)
     assert not ground_relation("VisionOn", ("robot",), off)
 
 
 def test_hold_via_attachment_and_containment():
     scene = desk_scene()
-    p = perceive(scene, scene.camera, DetectorModel(), n=1)
+    p = perceive(scene, scene.camera, DetectorModel(), stream(), n=1)
     assert not ground_relation("Hold", ("hand", "brush"), p)
     assert ground_relation("Free", ("hand",), p)
 
     scene.attachments["hand"] = "brush"
-    p2 = perceive(scene, scene.camera, DetectorModel(), n=1)
+    p2 = perceive(scene, scene.camera, DetectorModel(), stream(), n=1)
     assert ground_relation("Hold", ("hand", "brush"), p2)
     assert ground_relation("Holding", ("hand", "brush"), p2)
     assert not ground_relation("Free", ("hand",), p2)
@@ -788,7 +803,7 @@ def test_hold_via_attachment_and_containment():
     hand.box = Box((0.5, 0.0, 0.72), (0.6, 0.1, 0.82))
     brush = grip.by_label("brush")
     brush.box = Box.from_center(hand.box.center, brush.box.size)
-    p3 = perceive(grip, grip.camera, DetectorModel(), n=1)
+    p3 = perceive(grip, grip.camera, DetectorModel(), stream(), n=1)
     assert "brush" in p3.detections
     assert ground_relation("Hold", ("hand", "brush"), p3)
     assert not ground_relation("Free", ("hand",), p3)
@@ -828,7 +843,7 @@ def test_free_quantifies_over_the_detected_objects():
         ],
         cam,
     )
-    p = perceive(scene, cam, DetectorModel(), n=1)
+    p = perceive(scene, cam, DetectorModel(), stream(), n=1)
     assert not ground_relation("Free", ("bin",), p)  # the chip's centre lies in the bin
     assert ground_relation("Free", ("ghost",), p)  # nothing says it holds anything
 
@@ -860,7 +875,7 @@ def test_grounding_agrees_with_truth_oracle_at_zero_noise():
             )
             scene = Scene(scene.objects, scene.camera, scene.attachments, scene.vision_on)
         cam = scene.camera
-        p = perceive(scene, cam, model, n=1, mode=Mode.FULL)
+        p = perceive(scene, cam, model, stream(), n=1, mode=Mode.FULL)
         for pred, args in _relation_atoms(scene):
             got = ground_relation(pred, args, p)
             want = georacle.truth(pred, args, scene, cam)
@@ -879,7 +894,7 @@ def test_ablation_modes_degrade_in_order():
         rnd = random.Random(5000 + seed)
         scene = georacle.sample_relation_scene(rnd, overlap_heavy=seed % 2 == 0)
         cam = scene.camera
-        percepts = {mode: perceive(scene, cam, model, n=1, mode=mode) for mode in Mode}
+        percepts = {mode: perceive(scene, cam, model, stream(), n=1, mode=mode) for mode in Mode}
         for pred, args in _relation_atoms(scene):
             want = georacle.truth(pred, args, scene, cam)
             for mode in Mode:
@@ -896,32 +911,32 @@ def test_ablation_modes_degrade_in_order():
 
 def test_query_empty_conjunction_is_vacuous():
     scene = desk_scene()
-    assert query_vision(State(), scene, scene.camera, DetectorModel()) == (True, False)
+    assert query_vision(State(), scene, scene.camera, DetectorModel(), stream()) == (True, False)
 
 
 def test_query_conforming_state():
     scene = desk_scene()
     s = State.parse(["On(brush, table)", "Found(cup)", "CloseTo(brush, cup)"])
-    assert query_vision(s, scene, scene.camera, DetectorModel(seed=2)) == (True, False)
+    assert query_vision(s, scene, scene.camera, DetectorModel(), stream(2)) == (True, False)
 
 
 def test_query_false_relation_reports_evidence():
     scene = desk_scene()
     s = State.parse(["On(table, brush)"])
     # the terms are all found, so the claim fails without a timeout
-    assert query_vision(s, scene, scene.camera, DetectorModel(seed=2)) == (False, False)
+    assert query_vision(s, scene, scene.camera, DetectorModel(), stream(2)) == (False, False)
 
 
 def test_query_unknown_term_times_out():
     scene = desk_scene()
     s = State.parse(["Found(ghost)"])
-    assert query_vision(s, scene, scene.camera, DetectorModel(seed=4), tau=3) == (False, True)
+    assert query_vision(s, scene, scene.camera, DetectorModel(), stream(4), tau=3) == (False, True)
 
 
 def test_query_zero_budget_times_out_when_term_unseen():
     scene = desk_scene()
     s = State.parse(["Found(hind_block)"])
-    assert query_vision(s, scene, scene.camera, DetectorModel(seed=4), tau=0) == (False, True)
+    assert query_vision(s, scene, scene.camera, DetectorModel(), stream(4), tau=0) == (False, True)
 
 
 def test_query_sweep_finds_object_behind_camera():
@@ -932,7 +947,7 @@ def test_query_sweep_finds_object_behind_camera():
     scene = Scene([target, front], cam)
     s = State.parse(["Found(valve)"])
     for seed in range(5):
-        answer = query_vision(s, scene, cam, DetectorModel(seed=seed), tau=8)
+        answer = query_vision(s, scene, cam, DetectorModel(), stream(seed), tau=8)
         assert answer == (True, False), f"sweep missed the target with seed {seed}"
 
 
@@ -945,16 +960,16 @@ def test_query_aims_at_a_term_by_label_not_object_id():
     scene = Scene([target, front], cam)
     s = State.parse(["Found(valve)"])
     for seed in range(20):
-        answer = query_vision(s, scene, cam, DetectorModel(seed=seed), tau=1)
+        answer = query_vision(s, scene, cam, DetectorModel(), stream(seed), tau=1)
         assert answer == (True, False), f"one aimed step missed the target with seed {seed}"
 
 
 def test_query_determinism():
     scene = desk_scene()
     s = State.parse(["On(brush, table)", "Found(cup)"])
-    model = DetectorModel(tp_rate=0.9, confusion=0.1, px_jitter=0.5, depth_sigma=0.01, seed=77)
-    first = query_vision(s, scene, scene.camera, model)
-    second = query_vision(s, scene, scene.camera, model)
+    model = DetectorModel(tp_rate=0.9, confusion=0.1, px_jitter=0.5, depth_sigma=0.01)
+    first = query_vision(s, scene, scene.camera, model, stream(77))
+    second = query_vision(s, scene, scene.camera, model, stream(77))
     assert first == second
 
 
@@ -973,7 +988,7 @@ def test_default_rules_ground_exactly_the_library_predicates(packaged_lib):
 
 def test_shared_rule_table_is_the_only_one_and_read_only():
     scene = desk_scene()
-    p = perceive(scene, scene.camera, DetectorModel(), n=1)
+    p = perceive(scene, scene.camera, DetectorModel(), stream(), n=1)
     assert ground_relation("On", ("brush", "table"), p)
     with pytest.raises(UnknownPredicate):
         ground_relation("Atop", ("brush", "table"), p)
@@ -984,12 +999,12 @@ def test_shared_rule_table_is_the_only_one_and_read_only():
 def test_shared_thresholds_are_the_frozen_default():
     assert DEFAULT_THRESHOLDS == Thresholds()
     scene = desk_scene()
-    p = perceive(scene, scene.camera, DetectorModel(), n=1)
+    p = perceive(scene, scene.camera, DetectorModel(), stream(), n=1)
     # brush and cup centres are about 0.31 m apart
     assert ground_relation("CloseTo", ("brush", "cup"), p)
     q = State.of([parse_atom("CloseTo(brush,cup)")])
-    assert query_vision(q, scene, scene.camera, DetectorModel()) == (True, False)
-    nominal = perceive(scene, scene.camera, DetectorModel(), n=1, mode=Mode.NO_SHAPE)
+    assert query_vision(q, scene, scene.camera, DetectorModel(), stream()) == (True, False)
+    nominal = perceive(scene, scene.camera, DetectorModel(), stream(), n=1, mode=Mode.NO_SHAPE)
     assert nominal.boxes3d["cup"].size == pytest.approx((0.06,) * 3)
     with pytest.raises(FrozenInstanceError):
         DEFAULT_THRESHOLDS.close_dist = 0.1  # the shared default is read-only

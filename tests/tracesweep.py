@@ -43,9 +43,7 @@ from taskmon.perception import DetectorModel, Mode
 DATA = os.path.join(os.path.dirname(taskmon.__file__), "data")
 DETECTORS = {
     "zero-noise": DetectorModel(),
-    "noisy": DetectorModel(
-        tp_rate=0.95, confusion=0.05, px_jitter=1.0, depth_sigma=0.02, mask_flip=0.05, seed=5
-    ),
+    "noisy": DetectorModel(tp_rate=0.95, confusion=0.05, px_jitter=1.0, depth_sigma=0.02),
 }
 
 
