@@ -226,6 +226,18 @@ class Camera:
                     vs.append(half_h * (1.0 - (zu0 + zu) / (z * tv)))
         return (min(us), min(vs), max(us), max(vs))
 
+    def in_front(self, box: Box) -> bool:
+        """`project_box(box) is not None`, projecting nothing: every corner's
+        forward depth exceeds 1e-9. Float rounding is monotone, so the nearest
+        corner's depth is (min_x + min_y) + min_z, each the smaller of that
+        axis's two forward products, summed in `project_box`'s order."""
+        f = self.forward
+        px, py, pz = self.position
+        x = min((box.lo[0] - px) * f[0], (box.hi[0] - px) * f[0])
+        y = min((box.lo[1] - py) * f[1], (box.hi[1] - py) * f[1])
+        z = min((box.lo[2] - pz) * f[2], (box.hi[2] - pz) * f[2])
+        return (x + y) + z > 1e-9
+
     def aimed_at(self, p: Vec) -> "Camera":
         d = _sub(p, self.position)
         yaw = math.atan2(d[1], d[0])

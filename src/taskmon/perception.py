@@ -7,10 +7,13 @@ hits when the scene has one label), the confused frames' wrong labels, the
 pixel jitter, then the depth noise; a noise-free detector draws only the
 first block. The per-label ranked vote runs only when some frame was
 confused; otherwise the label wins exactly on a strict majority of hits.
-Reconstruction places each detected object at the detector's noisy
-centroid depth, and each robot part at its true box; a part's pixel
-fields are projected only in NO_DEPTH mode, the one whose rules read
-them. The 8 predicates the plan library's domains use, plus the alias
+Pixel boxes are projected only in NO_DEPTH mode, the one whose rules read
+them: FULL and NO_SHAPE test a world object's visibility by its nearest
+corner's depth (`Camera.in_front`) and leave every detection's bbox, and a
+robot part's other pixel fields, at zeros. Reconstruction places each
+detected world object at the detector's noisy centroid depth, building its
+3D box when a rule first reads it, and each robot part at its true box.
+The 8 predicates the plan library's domains use, plus the alias
 spellings Found and Hold, are grounded by geometric rules over the
 perceived (reconstructed) geometry, never the ground truth. The detection
 thresholds (`DEFAULT_THRESHOLDS`) and the predicate -> procedure table
@@ -81,10 +84,12 @@ class DetectorModel:
 
 @dataclass
 class Detection:
-    """One object's voted detection. A robot part's pixel fields (bbox,
-    center_px, center_depth) are projected only in NO_DEPTH mode, the one
-    whose rules read them; in FULL and NO_SHAPE they hold zeros, and
-    reconstruction places the part by its true box."""
+    """One object's voted detection. Its pixel fields are filled only where
+    something reads them, and hold zeros elsewhere: bbox only in NO_DEPTH
+    mode, the one whose rules read it; a world object's center_px and
+    center_depth in every mode, because reconstruction reads them; a robot
+    part's only in NO_DEPTH, since FULL and NO_SHAPE place it by its true
+    box."""
 
     label: str
     obj_id: str
@@ -98,8 +103,8 @@ class Detection:
             raise ValueError("confidence outside [0, 1]")
 
 
-# A robot part's pixel fields when they are not projected, or when its box or
-# centre lies behind the camera.
+# Pixel fields left unprojected: every bbox in FULL and NO_SHAPE, a robot
+# part's centre outside NO_DEPTH, and a part's box or centre behind the camera.
 _NO_BBOX = (0.0, 0.0, 0.0, 0.0)
 _NO_PX = (0.0, 0.0)
 
@@ -152,7 +157,9 @@ class Percept:
     reconstructed under the active ablation mode."""
 
     detections: dict[str, Detection]
-    boxes3d: dict[str, Box]  # empty in NO_DEPTH mode
+    # Read by label. Empty in NO_DEPTH mode; in FULL and NO_SHAPE `perceive`
+    # builds a world object's box when a rule first reads it (`_LookBoxes`).
+    boxes3d: dict[str, Box]
     attachments: dict[str, str]  # holder label -> held label
     mode: Mode
     vision_on: bool
@@ -172,11 +179,14 @@ def detect_batch(
     """Majority vote over n noisy frames per visible object. An object whose
     modal vote is a miss (or a tie) is omitted; confidence is the modal
     frequency. Proprioceptive objects (the robot's own parts) are always
-    reported, at confidence 1 and drawing no random numbers. Their pixel
-    fields are projected only when `mode` is NO_DEPTH, the one mode that
-    grounds in pixels. FULL and NO_SHAPE place a part by its true box and
-    read none of them, so there the fields hold zeros, placeholders as
-    `actuator.truth_percept`'s are.
+    reported, at confidence 1 and drawing no random numbers.
+
+    Pixel boxes are projected only when `mode` is NO_DEPTH, the one mode that
+    grounds in pixels. In FULL and NO_SHAPE a world object is visible when
+    its centre is in view and every corner is in front (`Camera.in_front`,
+    the test `project_box` makes), and its bbox holds zeros; a part, which
+    those modes place by its true box, has all its pixel fields at zeros.
+    Both are placeholders, as `actuator.truth_percept`'s are.
 
     Each visible object draws its n frames as blocks, in this order:
     `rng.random(2 * n)`, the first n for hits and the last n for confusion
@@ -213,8 +223,11 @@ def detect_batch(
         pr = cam.view(center)
         if pr is None:
             continue
-        true_bbox = cam.project_box(obj.box)
-        if true_bbox is None:
+        if pixels:
+            true_bbox = cam.project_box(obj.box)
+            if true_bbox is None:
+                continue
+        elif not cam.in_front(obj.box):
             continue
 
         if len(label_set) > 1:
@@ -253,16 +266,11 @@ def detect_batch(
         depth = pr[2]  # the centroid's forward depth, as depth_of gives it
         if model.depth_sigma > 0.0:
             depth += rng.normal(0.0, model.depth_sigma)
-        out.append(
-            Detection(
-                winner,
-                obj.id,
-                (true_bbox[0] + du, true_bbox[1] + dv, true_bbox[2] + du, true_bbox[3] + dv),
-                (pr[0] + du, pr[1] + dv),
-                depth,
-                top / n,
-            )
-        )
+        if pixels:
+            bbox = (true_bbox[0] + du, true_bbox[1] + dv, true_bbox[2] + du, true_bbox[3] + dv)
+        else:
+            bbox = _NO_BBOX
+        out.append(Detection(winner, obj.id, bbox, (pr[0] + du, pr[1] + dv), depth, top / n))
     return out
 
 
@@ -277,7 +285,13 @@ def estimate_depth(
     """Nearest foreground depth inside the detected box: ray-cast a pixel
     lattice, keep the pixels whose nearest hit is the detected object, and
     return the minimum hit depth plus Gaussian noise. Excluding background
-    pixels keeps overlapping farther objects out of the estimate."""
+    pixels keeps overlapping farther objects out of the estimate.
+
+    It takes a NO_DEPTH detection of a box wholly in front of the camera,
+    the only kind that carries a pixel box; any other raises ValueError."""
+    if det.bbox == _NO_BBOX:
+        raise ValueError(f"{det.label}: the detection has no pixel box; estimate_depth "
+                         "takes a NO_DEPTH detection of a box in front of the camera")
     u0, v0, u1, v1 = det.bbox
     nx = max(2, min(grid, int(math.ceil(u1 - u0))))
     ny = max(2, min(grid, int(math.ceil(v1 - v0))))
@@ -304,6 +318,27 @@ def estimate_depth(
     return d
 
 
+class _LookBoxes(dict):
+    """`Percept.boxes3d` of one look in FULL or NO_SHAPE. A robot part's true
+    box is there from the start; a world object's box is built around its
+    unprojected centroid when a rule first reads `[label]`, then kept. It
+    holds the camera and, per label, the detection and the extents taken at
+    look time, never the scene: the actuator replaces an object's box, and a
+    percept answers for the look it came from. An undetected label raises
+    KeyError. `in`, `len` and iteration see only the boxes built so far."""
+
+    def __init__(self, parts: dict[str, Box], cam: Camera, todo: dict):
+        super().__init__(parts)
+        self._cam = cam
+        self._todo = todo  # label -> (detection, extents), until first read
+
+    def __missing__(self, label: str) -> Box:
+        det, size = self._todo.pop(label)
+        center = self._cam.unproject(det.center_px[0], det.center_px[1], det.center_depth)
+        box = self[label] = Box.from_center(center, size)
+        return box
+
+
 def perceive(
     scene: Scene,
     cam: Camera,
@@ -312,7 +347,9 @@ def perceive(
     n: int = 10,
     mode: Mode = Mode.FULL,
 ) -> Percept:
-    """One detection pass plus geometry reconstruction under `mode`."""
+    """One detection pass plus geometry reconstruction under `mode`. In FULL
+    and NO_SHAPE a world object's 3D box is built when a rule first reads it
+    (see `_LookBoxes`); NO_DEPTH builds none."""
     dets = detect_batch(scene, cam, model, rng, n, mode)
     by_label: dict[str, Detection] = {}
     for d in dets:
@@ -321,17 +358,17 @@ def perceive(
 
     boxes3d: dict[str, Box] = {}
     if mode is not Mode.NO_DEPTH:
+        nominal = (DEFAULT_THRESHOLDS.nominal_extent,) * 3
+        parts: dict[str, Box] = {}
+        todo: dict[str, tuple[Detection, tuple[float, float, float]]] = {}
         for label, det in by_label.items():
             obj = scene.get(det.obj_id)
             if obj.proprio:
-                boxes3d[label] = obj.box
-                continue
-            center = cam.unproject(det.center_px[0], det.center_px[1], det.center_depth)
-            if mode is Mode.FULL:
-                size = obj.box.size  # class shape model: true extents
+                parts[label] = obj.box
             else:
-                size = (DEFAULT_THRESHOLDS.nominal_extent,) * 3
-            boxes3d[label] = Box.from_center(center, size)
+                # FULL's class shape model: the true extents, taken at look time
+                todo[label] = (det, obj.box.size if mode is Mode.FULL else nominal)
+        boxes3d = _LookBoxes(parts, cam, todo)
 
     attachments = {
         scene.get(holder).label: scene.get(held).label

@@ -149,6 +149,7 @@ def quiet_cfg(**over) -> MonitorConfig:
         {"frames": 0},
         {"replans": -1},
     ],
+    ids=["mu-0", "mu-1", "tau-0", "k-0", "max_goals-0", "frames-0", "replans-neg"],
 )
 def test_monitor_config_rejects_out_of_range_settings(over):
     with pytest.raises(ValueError):
@@ -365,6 +366,24 @@ def test_disturbance_fires_before_scheduled_call(lib, tiny_vocab):
     assert ground_relation("On", ("cup", "table"), truth_percept(scene))
     act.execute(ga)  # refused (brush already held) but the world event fires
     assert ground_relation("On", ("cup", "shelf"), truth_percept(scene))
+
+
+def test_a_chance_disturbance_fires_on_its_stream_first_draw(lib, tiny_vocab):
+    # prob < 1 takes one draw from the actuator's disturbance stream and fires
+    # below prob; prob = 1 fires without drawing. The grasp leaves the cup be
+    ga = grasp_action(lib)
+    fired = 0
+    for seed in range(24):
+        for prob in (0.5, 1.0):
+            twin = np.random.default_rng([seed, 0xD157])
+            fires = prob == 1.0 or twin.random() < prob
+            scene = desk_scene()
+            act = SimActuator(scene, tiny_vocab, seed=seed, disturbances=[Disturbance(1, "remove", "cup", prob=prob)])
+            act.execute(ga)
+            assert (scene.get("cup").box.center[2] == -50.0) is fires, (seed, prob)
+            assert act._drng.bit_generator.state == twin.bit_generator.state, (seed, prob)
+            fired += fires and prob < 1.0
+    assert 0 < fired < 24
 
 
 def test_remove_hides_object_from_all_views(tiny_vocab):

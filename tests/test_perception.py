@@ -5,6 +5,7 @@ search-then-verify vision query."""
 import math
 import os
 import random
+from collections import Counter
 from dataclasses import FrozenInstanceError, replace
 from itertools import permutations, product
 
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 from conftest import DATA
 from taskmon import monitor
+from taskmon.actuator import Disturbance, SimActuator, translate_object
 from taskmon.geometry import Box, Camera, Scene, SceneObject, load_scene, ray_box
 from taskmon.language import State, parse_atom
 from taskmon.monitor import LiveVision, MonitorConfig, candidate_atoms
@@ -216,7 +218,42 @@ def test_project_box_is_exactly_project_over_the_corners():
             expected = None
             straddling += any(pr is not None for pr in projected)
         assert cam.project_box(box) == expected
+        assert cam.in_front(box) is (expected is not None)
     assert in_front >= 50 and straddling >= 50
+
+
+def test_in_front_is_project_box_without_the_projection():
+    # every packaged-scene object at every scan-ring pose, then boxes whose
+    # nearest corner sits on the 1e-9 margin or a few ulps either side
+    for name in PACKAGED_SCENES:
+        scene = _packaged_scene(name)
+        for cam in _scan_ring(scene):
+            for o in scene.objects:
+                assert cam.in_front(o.box) is (cam.project_box(o.box) is not None), (name, cam, o.id)
+    ahead = Camera(position=(0.0, 0.0, 0.0), yaw=0.0, pitch=0.0)
+    for x0, front in ((1e-9, False), (math.nextafter(1e-9, 1.0), True)):
+        box = Box((x0, -0.1, -0.1), (1.0, 0.1, 0.1))
+        assert ahead.in_front(box) is front is (ahead.project_box(box) is not None)
+    rng = random.Random(21)
+    seen = Counter()
+    for _ in range(1500):
+        cam = Camera(
+            position=tuple(rng.uniform(-2.0, 2.0) for _ in range(3)),
+            yaw=rng.uniform(-math.pi, math.pi),
+            pitch=rng.uniform(-1.2, 1.2),
+        )
+        lo = tuple(rng.uniform(-3.0, 3.0) for _ in range(3))
+        box = Box(lo, tuple(l + rng.uniform(0.01, 2.5) for l in lo))
+        # slide the box along the view axis until its nearest corner sits at
+        # 1e-9 plus a few ulps of the corner's coordinates
+        (x0, y0, z0), (x1, y1, z1) = box.lo, box.hi
+        nearest = min(cam.depth_of((x, y, z)) for x in (x0, x1) for y in (y0, y1) for z in (z0, z1))
+        shift = 1e-9 + rng.randint(-8, 8) * 2e-16 - nearest
+        box = Box(*(tuple(c + shift * f for c, f in zip(corner, cam.forward)) for corner in (box.lo, box.hi)))
+        front = cam.in_front(box)
+        assert front is (cam.project_box(box) is not None), (cam, box)
+        seen[front] += 1
+    assert min(seen[True], seen[False]) >= 300, seen
 
 
 def test_aimed_at_centers_target():
@@ -337,20 +374,26 @@ def desk_scene(vision_on: bool = True) -> Scene:
 
 
 def test_zero_noise_detection_is_exact():
+    # the pixel box is projected only in NO_DEPTH, whose rules read it; the
+    # centre and its depth, which reconstruction reads, in every mode
     scene = desk_scene()
     cam = scene.camera
-    dets = {d.label: d for d in detect_batch(scene, cam, DetectorModel(), stream(), n=5)}
-    # far and behind objects are not in view; everything else is
-    assert set(dets) == {"table", "brush", "cup", "hand"}
-    for label in ("table", "brush", "cup"):
-        obj = scene.by_label(label)
-        d = dets[label]
-        assert d.confidence == 1.0
-        assert d.obj_id == obj.id
-        assert d.bbox == cam.project_box(obj.box)
-        pr = cam.project(obj.box.center)
-        assert d.center_px == (pr[0], pr[1])
-        assert d.center_depth == cam.depth_of(obj.box.center)
+    for mode in Mode:
+        dets = {d.label: d for d in detect_batch(scene, cam, DetectorModel(), stream(), 5, mode)}
+        # far and behind objects are not in view; everything else is
+        assert set(dets) == {"table", "brush", "cup", "hand"}
+        for label in ("table", "brush", "cup"):
+            obj = scene.by_label(label)
+            d = dets[label]
+            assert d.confidence == 1.0
+            assert d.obj_id == obj.id
+            if mode is Mode.NO_DEPTH:
+                assert d.bbox == cam.project_box(obj.box) != (0.0, 0.0, 0.0, 0.0)
+            else:
+                assert d.bbox == (0.0, 0.0, 0.0, 0.0)
+            pr = cam.project(obj.box.center)
+            assert d.center_px == (pr[0], pr[1])
+            assert d.center_depth == cam.depth_of(obj.box.center)
 
 
 def test_vision_off_reports_only_proprio():
@@ -530,12 +573,13 @@ VOTE_SCENES = {
 }
 
 
-def _unprojected_parts(scene: Scene, dets: list[Detection]) -> list[Detection]:
-    """dets with each robot part's pixel fields zeroed, as a 3D mode leaves them."""
+def _unprojected(scene: Scene, dets: list[Detection]) -> list[Detection]:
+    """dets as a 3D mode leaves them: every pixel box zeroed, and a robot
+    part's centre and depth too. A world object keeps its centre and depth."""
     return [
         replace(d, bbox=(0.0, 0.0, 0.0, 0.0), center_px=(0.0, 0.0), center_depth=0.0)
         if scene.get(d.obj_id).proprio
-        else d
+        else replace(d, bbox=(0.0, 0.0, 0.0, 0.0))
         for d in dets
     ]
 
@@ -544,7 +588,7 @@ def _unprojected_parts(scene: Scene, dets: list[Detection]) -> list[Detection]:
 def test_detection_equals_the_per_frame_vote(scene_name):
     # ties come from even n, the ranked vote from confusion; three batches
     # share one generator, as a query's frames do. The oracle projects every
-    # robot part; detect_batch does so only for NO_DEPTH
+    # box and robot part; detect_batch does so only for NO_DEPTH
     scene = VOTE_SCENES[scene_name]()
     grid = list(product((0.0, 0.5, 0.95, 1.0), (0.0, 0.05, 0.5), (0.0, 1.0), (0.0, 0.02), (1, 2, 4, 10)))
     for mode in Mode:
@@ -555,7 +599,7 @@ def test_detection_equals_the_per_frame_vote(scene_name):
                 got = detect_batch(scene, scene.camera, model, rng, n, mode)
                 want = georacle.vote_detect_batch(scene, scene.camera, model, n, twin)
                 if mode is not Mode.NO_DEPTH:
-                    want = _unprojected_parts(scene, want)
+                    want = _unprojected(scene, want)
                 assert got == want, (mode, tp, conf, jitter, sigma, n)
                 assert rng.bit_generator.state == twin.bit_generator.state
 
@@ -563,7 +607,7 @@ def test_detection_equals_the_per_frame_vote(scene_name):
 def test_jitter_shifts_bbox_and_center_together():
     scene = desk_scene()
     cam = scene.camera
-    dets = {d.label: d for d in detect_batch(scene, cam, DetectorModel(px_jitter=3.0), stream(5), n=10)}
+    dets = {d.label: d for d in detect_batch(scene, cam, DetectorModel(px_jitter=3.0), stream(5), 10, Mode.NO_DEPTH)}
     d = dets["brush"]
     true_bbox = cam.project_box(scene.by_label("brush").box)
     du = d.bbox[0] - true_bbox[0]
@@ -590,10 +634,22 @@ def test_depth_sigma_perturbs_reported_depth():
 def test_estimate_depth_exact_on_front_face():
     cam = Camera(position=(0, 0, 1.0), yaw=0.0, pitch=0.0)
     scene = Scene([SceneObject("slab", "slab", Box((1.2, -0.3, 0.7), (1.5, 0.3, 1.3)))], cam)
-    det = detect_batch(scene, cam, DetectorModel(), stream(), n=1)[0]
+    det = detect_batch(scene, cam, DetectorModel(), stream(), 1, Mode.NO_DEPTH)[0]
     d = estimate_depth(det, scene, cam, DetectorModel(), stream(0, 1))
     # every lattice ray enters through the x = 1.2 face: forward depth 1.2
     assert d == pytest.approx(1.2, abs=1e-9)
+
+
+@pytest.mark.parametrize("mode", [Mode.FULL, Mode.NO_SHAPE])
+def test_estimate_depth_refuses_a_detection_without_a_pixel_box(mode):
+    # a 3D mode projects no pixel box: the lattice would sit at pixel (0, 0)
+    cam = Camera(position=(0, 0, 1.0), yaw=0.0, pitch=0.0)
+    scene = Scene([SceneObject("slab", "slab", Box((1.2, -0.3, 0.7), (1.5, 0.3, 1.3)))], cam)
+    det = detect_batch(scene, cam, DetectorModel(), stream(), 1, mode)[0]
+    rng = stream(0, 1)
+    with pytest.raises(ValueError, match="slab: the detection has no pixel box; estimate_depth takes a NO_DEPTH"):
+        estimate_depth(det, scene, cam, DetectorModel(depth_sigma=0.1), rng)
+    assert rng.bit_generator.state == stream(0, 1).bit_generator.state
 
 
 def test_estimate_depth_prefers_front_object_under_overlap():
@@ -601,7 +657,7 @@ def test_estimate_depth_prefers_front_object_under_overlap():
     front = SceneObject("front", "front", Box((1.0, -0.10, 0.9), (1.12, 0.10, 1.1)))
     back = SceneObject("back", "back", Box((2.0, -0.5, 0.5), (2.3, 0.5, 1.5)))
     scene = Scene([front, back], cam)
-    dets = {d.label: d for d in detect_batch(scene, cam, DetectorModel(), stream(), n=1)}
+    dets = {d.label: d for d in detect_batch(scene, cam, DetectorModel(), stream(), 1, Mode.NO_DEPTH)}
     d_front = estimate_depth(dets["front"], scene, cam, DetectorModel(), stream(0, 1))
     assert d_front == pytest.approx(1.0, abs=1e-9)
     # the back box's detection window is mostly blocked: surviving rays still
@@ -615,7 +671,7 @@ def test_estimate_depth_raises_when_fully_occluded():
     wall = SceneObject("wall", "wall", Box((0.8, -0.8, 0.2), (0.9, 0.8, 1.8)))
     hidden = SceneObject("hidden", "hidden", Box((1.5, -0.05, 0.95), (1.6, 0.05, 1.05)))
     scene = Scene([wall, hidden], cam)
-    dets = {d.label: d for d in detect_batch(scene, cam, DetectorModel(), stream(), n=1)}
+    dets = {d.label: d for d in detect_batch(scene, cam, DetectorModel(), stream(), 1, Mode.NO_DEPTH)}
     assert "hidden" in dets  # the detector has no occlusion model
     with pytest.raises(NoForeground):
         estimate_depth(dets["hidden"], scene, cam, DetectorModel(), stream(0, 1))
@@ -684,9 +740,10 @@ def _scan_ring(scene: Scene) -> list[Camera]:
 
 @pytest.mark.parametrize("scene_name", PACKAGED_SCENES)
 def test_perceive_equals_the_plain_reference_on_packaged_scenes(packaged_lib, scene_name):
-    # per ring pose, mode and detector: the same boxes, the same detections
-    # but for the robot parts' unread pixel fields, the same answer for every
-    # candidate atom, and the same generator state
+    # per ring pose, mode and detector: the same answer for every candidate
+    # atom, then the same box for every label the reference rebuilds, the
+    # same detections but for the pixel fields a 3D mode does not read, and
+    # the same generator state
     scene = _packaged_scene(scene_name)
     vocab = packaged_lib.vocab
     objects = {o.label: vocab.terms[o.label].sort for o in scene.objects}
@@ -701,36 +758,46 @@ def test_perceive_equals_the_plain_reference_on_packaged_scenes(packaged_lib, sc
                 got = perceive(scene, cam, model, rng, 10, mode)
                 want = georacle.reference_perceive(scene, cam, model, 10, twin, mode)
                 assert rng.bit_generator.state == twin.bit_generator.state
-                assert got.boxes3d == want.boxes3d
-                dets = list(want.detections.values())
-                if mode is not Mode.NO_DEPTH:
-                    dets = _unprojected_parts(scene, dets)
-                assert got.detections == {d.label: d for d in dets}
                 for a in atoms:
                     answer = ground_relation(a.pred, a.args, got)
                     assert answer == ground_relation(a.pred, a.args, want), (mode, model, cam, a)
                     held += answer
+                for label, box in want.boxes3d.items():
+                    assert got.boxes3d[label] == box, (mode, model, cam, label)
+                dets = list(want.detections.values())
+                if mode is Mode.NO_DEPTH:
+                    assert got.boxes3d == want.boxes3d == {}
+                else:
+                    assert set(want.boxes3d) == set(want.detections)
+                    dets = _unprojected(scene, dets)
+                assert got.detections == {d.label: d for d in dets}
     assert held > 0
 
 
 @pytest.mark.parametrize("mode", list(Mode))
 def test_perceive_projects_robot_parts_only_for_pixel_grounding(mode, monkeypatch):
-    # a 3D mode projects the box of each visible world object and nothing
-    # of a robot part; NO_DEPTH also projects each part's box
+    # NO_DEPTH projects the box of each robot part and of each world object
+    # whose centre is in view; a 3D mode projects nothing, and tests each such
+    # world object's corners with `in_front` instead
     scene = _packaged_scene("bring_dynamic")
     ring = _scan_ring(scene)
     assert any(o.proprio for o in scene.objects)
-    projected = []
-    project_box = Camera.project_box
+    projected, tested = [], []
+    project_box, in_front = Camera.project_box, Camera.in_front
 
     def spy(cam, box):
         projected.append(box)
         return project_box(cam, box)
 
+    def front_spy(cam, box):
+        tested.append(box)
+        return in_front(cam, box)
+
     def unread(*args):
         raise AssertionError("a robot part projected in a 3D mode")
 
     monkeypatch.setattr(Camera, "project_box", spy)
+    monkeypatch.setattr(Camera, "in_front", front_spy)
     pixels = mode is Mode.NO_DEPTH
     if not pixels:
         monkeypatch.setattr(Camera, "project", unread)
@@ -738,15 +805,41 @@ def test_perceive_projects_robot_parts_only_for_pixel_grounding(mode, monkeypatc
     seen = 0
     for cam in ring:
         projected.clear()
+        tested.clear()
         perceive(scene, cam, DetectorModel(), stream(), 10, mode)
-        want = [
-            o.box
-            for o in scene.objects
-            if (pixels if o.proprio else georacle.in_view(cam, o.box.center))
-        ]
-        assert projected == want
-        seen += len(want)
+        looked = [o for o in scene.objects if o.proprio or georacle.in_view(cam, o.box.center)]
+        world = [o.box for o in looked if not o.proprio]
+        assert (projected, tested) == (([o.box for o in looked], []) if pixels else ([], world))
+        seen += len(world)
     assert seen > 0
+
+
+def test_a_percept_answers_for_its_look_after_the_world_moves(packaged_lib):
+    # boxes are built when first read, from what the look saw: moving,
+    # relocating or reshaping objects after the look changes none of them
+    scene = _packaged_scene("bring_dynamic")
+    cam = scene.camera
+    p = perceive(scene, cam, DetectorModel(), stream(), 10, Mode.FULL)
+    want = georacle.reference_perceive(scene, cam, DetectorModel(), 10, stream(), Mode.FULL)
+    assert {"table", "brush", "cup", "spray_bottle", "robot", "robot_hand"} <= set(want.boxes3d)
+    assert p.boxes3d["table"] == want.boxes3d["table"]  # one read before the world moves
+    before = {o.id: o.box for o in scene.objects}
+    translate_object(scene, "brush", (0.2, -0.1, 0.05))
+    translate_object(scene, "robot", (0.3, 0.2, 0.0))  # and the hand it holds
+    SimActuator(scene, packaged_lib.vocab).apply_disturbance(Disturbance(1, "relocate", "cup", dest="shelf"))
+    bottle = scene.get("spray_bottle")
+    bottle.box = Box(bottle.box.lo, tuple(h + 0.1 for h in bottle.box.hi))
+    moved = {o.id for o in scene.objects if o.box != before[o.id]}
+    assert moved == {"brush", "robot", "robot_hand", "cup", "spray_bottle"}
+    for label, box in want.boxes3d.items():
+        assert p.boxes3d[label] == box, label
+    with pytest.raises(KeyError):
+        p.boxes3d["wrench"]  # in the scene, not in view
+    flat = perceive(scene, cam, DetectorModel(), stream(), 10, Mode.NO_DEPTH)
+    assert "table" in flat.detections
+    for label in flat.detections:
+        with pytest.raises(KeyError):
+            flat.boxes3d[label]
 
 
 # --- relation grounding ------------------------------------------------------------
