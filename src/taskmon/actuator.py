@@ -201,8 +201,7 @@ class SimActuator(Actuator):
     Failure reasons: "fault" for a transient seeded failure, "precondition
     <atom>" when a non-epistemic precondition fails against the ground
     truth. Either way the scene is left exactly as it was. Success applies
-    every delete, then every add, as geometric edits and advances the frame
-    counter."""
+    every delete, then every add, as geometric edits."""
 
     def __init__(
         self,
@@ -258,7 +257,6 @@ class SimActuator(Actuator):
         if unmet is not None:
             return ActionResult(False, f"precondition {unmet}")
         self._apply(action)
-        self.scene.frame += 1
         return ActionResult(True)
 
     def _unmet_precondition(self, action: GroundAction) -> Optional[str]:

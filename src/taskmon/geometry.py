@@ -17,7 +17,7 @@ Vec = tuple[float, float, float]
 
 # The keys a scene file may give: at the top, per object, and the Camera
 # fields it may set (the image size is fixed).
-_SCENE_KEYS = ("objects", "camera", "attachments", "vision_on", "frame")
+_SCENE_KEYS = ("objects", "camera", "attachments", "vision_on")
 _OBJECT_KEYS = ("id", "label", "box", "supported_by", "proprio")
 _CAMERA_KEYS = ("position", "yaw", "pitch", "hfov", "vfov", "max_depth")
 
@@ -261,7 +261,6 @@ class Scene:
     camera: Camera
     attachments: dict[str, str] = field(default_factory=dict)  # holder id -> held id
     vision_on: bool = True
-    frame: int = 0
 
     def __post_init__(self):
         self._index = {o.id: o for o in self.objects}
@@ -296,7 +295,6 @@ class Scene:
             self.camera,
             dict(self.attachments),
             self.vision_on,
-            self.frame,
         )
 
     @staticmethod
@@ -333,7 +331,6 @@ class Scene:
             _camera(doc.get("camera", {})),
             dict(attachments),
             shaped(doc.get("vision_on", True), bool, "scene: field 'vision_on'", ValueError),
-            shaped(doc.get("frame", 0), int, "scene: field 'frame'", ValueError),
         )
 
 

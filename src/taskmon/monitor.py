@@ -12,11 +12,13 @@ is retired the same way, without a recovery event, and a proposal is never
 selected when the library goal it matches has been retired.
 
 `step` performs exactly one such transition on an immutable LoopState, so
-every run is a fold; `run_task` drives it to termination and never raises,
-reporting all failures through the trace outcome. Perception, goal
-proposal, and actuation are injected seams: LiveVision re-detects from the
-current camera each query, BeliefVision answers from a snapshot updated
-only by the robot's own believed effects, NetGoalSource wraps the trained
+every run is a fold; no transition mutates a field. `run_task` drives it to
+termination within `MonitorConfig.step_budget` transitions, stamps each
+event's `ts` with its index in the run, and never raises, reporting all
+failures through the trace outcome. Perception, goal proposal, and
+actuation are injected seams: LiveVision re-detects from the current
+camera each query, BeliefVision answers from a snapshot updated only by
+the robot's own believed effects, NetGoalSource wraps the trained
 predictor, ScriptedGoalSource replays a fixed goal order.
 """
 
@@ -25,6 +27,7 @@ from __future__ import annotations
 import enum
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional, Sequence
 
@@ -87,7 +90,8 @@ class MonitorConfig:
     seeds the one perception stream of a run, which LiveVision owns and
     passes to every query and scan; `detector` holds only noise levels;
     `frames` is the batch each look votes over. The planner's search
-    budget is `solve`'s own default."""
+    budget is `solve`'s own default. A setting of the wrong type or out of
+    range raises ValueError here, not mid-run."""
 
     mu: float = 0.7
     tau: int = 5
@@ -100,19 +104,22 @@ class MonitorConfig:
     replans: int = 1
 
     def __post_init__(self):
-        if not 0.0 < self.mu < 1.0:
-            raise ValueError("mu outside (0, 1)")
-        for name in ("tau", "k", "max_goals", "frames"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        if self.replans < 0:
-            raise ValueError("replans must be >= 0")
+        if not isinstance(self.mu, numbers.Real) or not 0.0 < self.mu < 1.0:
+            raise ValueError(f"mu must be a number in (0, 1), got {self.mu!r}")
+        for name in ("seed", "tau", "k", "max_goals", "frames", "replans"):
+            value, low = getattr(self, name), 0 if name in ("seed", "replans") else 1
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+        if not isinstance(self.mode, Mode):
+            raise ValueError(f"mode must be a Mode, got {self.mode!r}")
+        if not isinstance(self.detector, DetectorModel):
+            raise ValueError(f"detector must be a DetectorModel, got {self.detector!r}")
 
     @property
     def step_budget(self) -> int:
         """Hard bound on loop transitions: each selected goal costs at most
         three transitions per plan step plus bounded overhead for selection,
-        re-planning, and the vision sweep."""
+        re-planning, and a query's tau re-aims."""
         return self.max_goals * (3 * MAX_PLAN_LEN + self.tau + 16)
 
 
@@ -217,9 +224,9 @@ class VisionSystem:
 
 
 class LiveVision(VisionSystem):
-    """Perception against the live scene: queries sweep the camera under the
-    mu/tau discipline; scans ground each candidate atom from a ring of
-    camera poses and keep whatever holds in any pose."""
+    """Perception against the live scene: queries re-aim the camera at their
+    terms under the mu/tau discipline; scans ground each candidate atom
+    from a ring of camera poses and keep whatever holds in any pose."""
 
     def __init__(self, scene: Scene, cfg: MonitorConfig):
         self.scene = scene
@@ -366,31 +373,34 @@ class Phase(enum.Enum):
     EFFECTS = "effects"
     GOAL = "goal"
     TERMINAL = "terminal"
-    DONE = "done"
 
 
 @dataclass(frozen=True)
 class LoopState:
     """One fold step of the monitor; every field is immutable so a run is
-    fully determined by the initial state and the injected seam results."""
+    fully determined by the initial state and the injected seam results.
+    A run ends when `outcome` is set. `match` is the goal SELECT chose and
+    `plan`/`step_idx` the plan PLAN made for it; each is read only in the
+    phases after the one that sets it, so a retired goal leaves them be.
+    `attempted` lists every selected goal, so its length is the goals
+    selected so far."""
 
     phase: Phase = Phase.START
-    frame: int = 0
-    transitions: int = 0
     current: State = field(default_factory=lambda: State(frozenset()))
     proposals: tuple[GoalProposal, ...] = ()
     proposal_idx: int = 0
-    goal: Optional[State] = None
-    entry_name: str = ""
-    substitution: tuple[tuple[str, str], ...] = ()
+    match: Optional[MatchScore] = None
     plan: tuple[GroundAction, ...] = ()
     step_idx: int = 0
     replans_left: int = 0
-    goals_done: int = 0
     failed_goals: tuple[State, ...] = ()
     attempted: tuple[tuple[str, int], ...] = ()
     last_timeout: bool = False
     outcome: Optional[Outcome] = None
+
+    @property
+    def goal(self) -> Optional[State]:
+        return None if self.match is None else self.match.matched_goal
 
 
 @dataclass
@@ -408,18 +418,17 @@ class MonitorContext:
 
 
 class _Emitter:
-    def __init__(self, base: int):
-        self.events: list[MonitorEvent] = []
-        self._next = base
+    """A transition's events as (kind, payload) pairs; `run_task` stamps
+    them."""
+
+    def __init__(self):
+        self.events: list[tuple[str, dict]] = []
 
     def __call__(self, kind: str, **payload) -> None:
-        self.events.append(MonitorEvent(self._next, kind, payload))
-        self._next += 1
+        self.events.append((kind, payload))
 
 
 def _advance(state: LoopState, ev: _Emitter, **changes) -> tuple[LoopState, tuple]:
-    changes.setdefault("frame", state.frame + len(ev.events))
-    changes.setdefault("transitions", state.transitions + 1)
     return replace(state, **changes), tuple(ev.events)
 
 
@@ -428,9 +437,9 @@ def _finish(state: LoopState, ev: _Emitter, status: str, reason: str = "") -> tu
         "end_task",
         outcome=status,
         reason=reason,
-        goals_attempted=state.goals_done,
+        goals_attempted=len(state.attempted),
     )
-    return _advance(state, ev, phase=Phase.DONE, outcome=Outcome(status, reason))
+    return _advance(state, ev, outcome=Outcome(status, reason))
 
 
 def _verify(ev: _Emitter, ctx: MonitorContext, s: State, purpose: str) -> tuple[bool, bool]:
@@ -441,33 +450,35 @@ def _verify(ev: _Emitter, ctx: MonitorContext, s: State, purpose: str) -> tuple[
     return holds, timeout
 
 
-def _to_recovery(
-    state: LoopState, ev: _Emitter, reason: str, timeout: bool
-) -> tuple[LoopState, tuple]:
-    """A goal-level verification failed: retire the goal and move selection
-    past the current proposal."""
-    ev("recovery", failed_goal=_atom_strs(state.goal), reason=reason)
+def _retire(state: LoopState, ev: _Emitter, **changes) -> tuple[LoopState, tuple]:
+    """Retire the current goal for the rest of the run and move selection
+    past its proposal."""
     return _advance(
         state,
         ev,
         phase=Phase.SELECT,
         proposal_idx=state.proposal_idx + 1,
         failed_goals=state.failed_goals + (state.goal,),
-        last_timeout=timeout,
-        goal=None,
-        plan=(),
-        step_idx=0,
+        **changes,
     )
+
+
+def _to_recovery(
+    state: LoopState, ev: _Emitter, reason: str, timeout: bool
+) -> tuple[LoopState, tuple]:
+    """A goal-level verification failed: retire the goal with a recovery
+    event."""
+    ev("recovery", failed_goal=_atom_strs(state.goal), reason=reason)
+    return _retire(state, ev, last_timeout=timeout)
 
 
 def step(state: LoopState, ctx: MonitorContext) -> tuple[LoopState, tuple]:
     """One transition. Returns the successor state and the events emitted,
-    in order; the caller owns accumulation."""
+    in order, as (kind, payload) pairs; the caller owns accumulation and
+    stamps each event's `ts`. No transition mutates a field of `state`."""
     if state.outcome is not None:
         return state, ()
-    ev = _Emitter(state.frame)
-    if state.transitions >= ctx.cfg.step_budget:
-        return _finish(state, ev, "failure", "step_budget_exhausted")
+    ev = _Emitter()
 
     if state.phase is Phase.START:
         holds, timeout = _verify(ev, ctx, ctx.start, "start")
@@ -477,7 +488,7 @@ def step(state: LoopState, ctx: MonitorContext) -> tuple[LoopState, tuple]:
         return _advance(state, ev, phase=Phase.REQUEST, current=ctx.start)
 
     if state.phase is Phase.REQUEST:
-        if state.goals_done >= ctx.cfg.max_goals:
+        if len(state.attempted) >= ctx.cfg.max_goals:
             return _finish(state, ev, "failure", "goal_budget_exhausted")
         props = tuple(ctx.goals.propose(ctx.task, state.current, ctx.cfg.k))
         ev("proposal_requested", state=_atom_strs(state.current), count=len(props))
@@ -486,7 +497,7 @@ def step(state: LoopState, ctx: MonitorContext) -> tuple[LoopState, tuple]:
         return _advance(state, ev, phase=Phase.SELECT, proposals=props, proposal_idx=0)
 
     if state.phase is Phase.SELECT:
-        if state.goals_done >= ctx.cfg.max_goals:
+        if len(state.attempted) >= ctx.cfg.max_goals:
             return _finish(state, ev, "failure", "goal_budget_exhausted")
         found = recover(state.proposals, ctx.lib, state.failed_goals, state.proposal_idx)
         if found is None:
@@ -506,17 +517,13 @@ def step(state: LoopState, ctx: MonitorContext) -> tuple[LoopState, tuple]:
             ev,
             phase=Phase.PLAN,
             proposal_idx=i,
-            goal=ms.matched_goal,
-            entry_name=ms.entry.name,
-            substitution=tuple(sorted(ms.substitution.items())),
+            match=ms,
             replans_left=ctx.cfg.replans,
-            goals_done=state.goals_done + 1,
             attempted=state.attempted + ((" ".join(_atom_strs(ms.matched_goal)), rank),),
         )
 
     if state.phase is Phase.PLAN:
-        entry = ctx.lib.entry(state.entry_name)
-        sub = dict(state.substitution)
+        entry, sub = state.match.entry, state.match.substitution
         objects: dict[str, str] = {}
         for name in sorted(entry.problem.objects):
             objects.setdefault(sub.get(name, name), entry.problem.objects[name])
@@ -532,14 +539,7 @@ def step(state: LoopState, ctx: MonitorContext) -> tuple[LoopState, tuple]:
         if steps is None or len(steps) > MAX_PLAN_LEN:
             # not a perception failure: retire the goal and quietly try the
             # next ranked proposal
-            return _advance(
-                state,
-                ev,
-                phase=Phase.SELECT,
-                proposal_idx=state.proposal_idx + 1,
-                failed_goals=state.failed_goals + (state.goal,),
-                goal=None,
-            )
+            return _retire(state, ev)
         return _advance(
             state,
             ev,
@@ -592,9 +592,7 @@ def step(state: LoopState, ctx: MonitorContext) -> tuple[LoopState, tuple]:
         current = state.goal.drop_times()
         if set(ctx.terminal.drop_times().atoms) <= set(current.atoms):
             return _advance(state, ev, phase=Phase.TERMINAL, current=current)
-        return _advance(
-            state, ev, phase=Phase.REQUEST, current=current, goal=None, plan=(), step_idx=0
-        )
+        return _advance(state, ev, phase=Phase.REQUEST, current=current)
 
     if state.phase is Phase.TERMINAL:
         holds, timeout = _verify(ev, ctx, ctx.terminal, "terminal")
@@ -637,15 +635,20 @@ def run_task(
     )
     state = LoopState()
     events: list[MonitorEvent] = []
+    transitions = 0
     while state.outcome is None:
-        try:
-            state, evs = step(state, ctx)
-        except Exception as exc:  # contract: failures surface in the outcome
-            ev = _Emitter(state.frame)
-            state, evs = _finish(
-                state, ev, "failure", f"internal: {type(exc).__name__}: {exc}"
-            )
-        events.extend(evs)
+        if transitions >= cfg.step_budget:
+            state, evs = _finish(state, _Emitter(), "failure", "step_budget_exhausted")
+        else:
+            try:
+                state, evs = step(state, ctx)
+            except Exception as exc:  # contract: failures surface in the outcome
+                state, evs = _finish(
+                    state, _Emitter(), "failure", f"internal: {type(exc).__name__}: {exc}"
+                )
+        transitions += 1
+        for kind, payload in evs:
+            events.append(MonitorEvent(len(events), kind, payload))
     return ExecutionTrace(task.id, tuple(events), state.outcome, state.attempted)
 
 

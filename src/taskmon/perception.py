@@ -20,7 +20,9 @@ thresholds (`DEFAULT_THRESHOLDS`) and the predicate -> procedure table
 (`DEFAULT_RULES`) are fixed module constants: every query is judged by
 the same rule set, and no caller replaces it. The vision query
 `query_vision` answers (holds, timed_out), the same pair the monitor's
-`VisionSystem.query` gives; a caller that wants the frames or boxes
+`VisionSystem.query` gives; it re-aims only at the centroid of its terms'
+scene objects, and a term no scene object carries times out at once,
+with no look and no sweep. A caller that wants the frames or boxes
 behind an answer calls `perceive` itself. `estimate_depth`, a ray-cast
 foreground mask inside a detected box, is a separate on-demand
 measurement that neither reconstruction nor the vision query runs.
@@ -39,9 +41,9 @@ from __future__ import annotations
 import enum
 import math
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Mapping, Optional
+from typing import Mapping
 
 import numpy as np
 
@@ -485,47 +487,27 @@ def query_vision(
     timed_out), the answer `monitor.VisionSystem.query` gives. Detect every
     term in s; while any term is missing or under-confident, re-aim at the
     centroid of the terms' scene positions for at most tau steps, so a
-    conjunction verifies only when every term fits one view. Terms absent
-    from the scene fall back to a blind yaw sweep. On timeout the answer is
-    (False, True). Otherwise every atom is grounded in the final frame and
-    `holds` says whether all do. An empty conjunction is vacuously true."""
+    conjunction verifies only when every term fits one view. On timeout the
+    answer is (False, True). A term no scene object carries times out at
+    once, perceiving nothing and drawing nothing: detection reports only the
+    labels of scene objects, so no look could find it. Otherwise every atom
+    is grounded in the final frame and `holds` says whether all do. An
+    empty conjunction is vacuously true."""
     terms = sorted({arg for atom in s.atoms for arg in atom.args})
     if not terms:
         return True, False
-
     known = [o for o in scene.objects if o.label in terms]
-    aim: Optional[Camera] = None
-    if known:
-        centroid = tuple(
-            sum(o.box.center[i] for o in known) / len(known) for i in range(3)
-        )
-        aim = cam.aimed_at(centroid)
+    if len({o.label for o in known}) < len(terms):
+        return False, True
 
-    current = cam
-    percept = perceive(scene, current, model, rng, n, mode)
+    centroid = tuple(sum(o.box.center[i] for o in known) / len(known) for i in range(3))
+    aim = cam.aimed_at(centroid)
+    percept = perceive(scene, cam, model, rng, n, mode)
     steps = 0
-    phase: Optional[float] = None
-    while True:
-        missing = [
-            t
-            for t in terms
-            if t not in percept.detections or percept.detections[t].confidence <= mu
-        ]
-        if not missing:
-            break
+    while any(t not in percept.detections or percept.detections[t].confidence <= mu for t in terms):
         if steps >= tau:
             return False, True
         steps += 1
-        if aim is not None:
-            current = aim
-        else:
-            # blind sweep: random phase, yaw strides under one FOV so
-            # consecutive steps tile the circle
-            if phase is None:
-                phase = float(rng.uniform(0.0, 2.0 * math.pi))
-            yaw = phase + (steps - 1) * cam.hfov * 0.85
-            pitch = float(rng.uniform(-0.35, -0.05))
-            current = replace(cam, yaw=yaw, pitch=pitch)
-        percept = perceive(scene, current, model, rng, n, mode)
+        percept = perceive(scene, aim, model, rng, n, mode)
 
     return all(ground_relation(a.pred, a.args, percept) for a in s.drop_times().canonical()), False

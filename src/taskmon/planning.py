@@ -73,7 +73,7 @@ class GroundAction:
         return self.name
 
 
-@dataclass
+@dataclass(frozen=True)
 class MatchScore:
     entry: PlanEntry
     overlap: int

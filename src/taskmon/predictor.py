@@ -328,12 +328,8 @@ def _teacher_forced_loss(
 @dataclass
 class DecodeResult:
     tokens: TokenSeq
-    step_logps: tuple[float, ...]
+    log_prob: float  # the beam's score: its step log-probabilities added left to right
     truncated: bool
-
-    @property
-    def log_prob(self) -> float:
-        return float(sum(self.step_logps))
 
 
 @dataclass
@@ -413,8 +409,7 @@ def _dec_step_np(
 @dataclass
 class _Beam:
     tokens: list[int] = field(default_factory=list)
-    logps: list[float] = field(default_factory=list)
-    total: float = 0.0  # running sum of logps, added left to right
+    total: float = 0.0  # running sum of the step log-probabilities, left to right
     prev_seg: np.ndarray = None
     group: list[int] = field(default_factory=list)
 
@@ -455,22 +450,17 @@ def beam_decode(ids: tuple[int, ...], params: GoalNetParams, width: int = 3) -> 
         # top `width` extensions overall; EOS extensions retire to done
         next_live: list[_Beam] = []
         rows: list[int] = []
-        for bt, lp, total in zip(
-            key[picked].tolist(), step.ravel()[picked].tolist(), score.ravel()[picked].tolist()
-        ):
+        for bt, total in zip(key[picked].tolist(), score.ravel()[picked].tolist()):
             i, tok = divmod(bt, V)
             src = live[i]
             nb = _Beam(
                 tokens=src.tokens + [tok],
-                logps=src.logps + [lp],
                 total=total,
                 prev_seg=src.prev_seg,
                 group=list(src.group),
             )
             if tok == EOS_ID:
-                done.append(
-                    DecodeResult(TokenSeq(tuple(nb.tokens)), tuple(nb.logps), truncated=False)
-                )
+                done.append(DecodeResult(TokenSeq(tuple(nb.tokens)), total, truncated=False))
                 continue
             if tok == EOA_ID:
                 if nb.group:
@@ -484,19 +474,19 @@ def beam_decode(ids: tuple[int, ...], params: GoalNetParams, width: int = 3) -> 
         if len(done) >= width:
             break
     for b in live:
-        done.append(DecodeResult(TokenSeq(tuple(b.tokens)), tuple(b.logps), truncated=True))
+        done.append(DecodeResult(TokenSeq(tuple(b.tokens)), b.total, truncated=True))
     done.sort(key=lambda r: (-r.log_prob, r.tokens.ids))
     return done[:width]
 
 
-def infer_topk_ids(
-    input_ids: tuple[int, ...], params: GoalNetParams, vocab: Vocabulary, k: int = 3
+def infer_topk(
+    task: TaskSentence, s: State, params: GoalNetParams, vocab: Vocabulary, k: int = 3
 ) -> list[GoalProposal]:
-    """Top-k distinct well-formed goal states for an already-encoded input."""
+    """Top-k distinct well-formed goal states proposed for `task` in `s`."""
     if k < 1:
         raise ValueError("k must be >= 1")
     width = max(2 * k, 6)
-    results = beam_decode(tuple(input_ids), params, width)
+    results = beam_decode(encode_state(task, s, vocab).ids, params, width)
     proposals: list[GoalProposal] = []
     seen: set[frozenset] = set()
     for r in results:
@@ -518,12 +508,6 @@ def infer_topk_ids(
     if not proposals:
         raise NoValidProposal("no beam entry decoded to a well-formed goal")
     return proposals
-
-
-def infer_topk(
-    task: TaskSentence, s: State, params: GoalNetParams, vocab: Vocabulary, k: int = 3
-) -> list[GoalProposal]:
-    return infer_topk_ids(encode_state(task, s, vocab).ids, params, vocab, k)
 
 
 # --- training -------------------------------------------------------------------------

@@ -56,7 +56,6 @@ from taskmon.predictor import (
     beam_decode,
     grad_check,
     infer_topk,
-    infer_topk_ids,
     load_params,
     save_params,
     segment_spans,
@@ -255,8 +254,9 @@ def test_attend_is_a_distribution(tiny_vocab):
 def test_greedy_is_width_one_beam(tiny_vocab, fetch_pair):
     params = GoalNetParams.init(tiny_vocab, seed=5)
     b = beam_decode(fetch_pair.input_ids, params, width=1)[0]
-    assert b.log_prob == sum(b.step_logps)  # additivity is exact
-    assert all(lp <= 0.0 for lp in b.step_logps)
+    # the reference scores a beam by the sum of its step log-probabilities
+    assert [b] == _taped_beam_decode(fetch_pair.input_ids, params, width=1)
+    assert b.log_prob <= 0.0
 
 
 def test_beam_results_sorted_and_distinct(tiny_vocab, fetch_pair):
@@ -289,7 +289,7 @@ def test_infer_topk_rejects_k_below_one(tiny_vocab, fetch_pair):
     params = GoalNetParams.init(tiny_vocab, seed=5)
     for k in (0, -1):
         with pytest.raises(ValueError, match="k must be >= 1"):
-            infer_topk_ids(fetch_pair.input_ids, params, tiny_vocab, k=k)
+            infer_topk(fetch_pair.task, fetch_pair.state, params, tiny_vocab, k=k)
 
 
 def test_decode_without_attention(tiny_vocab, fetch_pair):
@@ -330,6 +330,15 @@ def _taped_env(params, ids, rows: int) -> tuple[dict, np.ndarray]:
     return benv, hc0
 
 
+def _left_sum(logps) -> float:
+    """The sum of the step log-probabilities, added left to right as a beam
+    accumulates them (from Python 3.12 the builtin `sum` compensates)."""
+    total = 0.0
+    for lp in logps:
+        total += lp
+    return total
+
+
 def _taped_beam_decode(ids, params, width: int) -> list[DecodeResult]:
     """Beam search over the taped forward, candidates ranked by a plain sort
     on (-score, beam, token): the reference `beam_decode` must reproduce."""
@@ -351,14 +360,14 @@ def _taped_beam_decode(ids, params, width: int) -> list[DecodeResult]:
         cands = []
         for i, b in enumerate(live):
             for tok in np.argsort(-logp[i], kind="stable")[: width + 1]:
-                cands.append((sum(b[1]) + logp[i, tok], i, int(tok)))
+                cands.append((_left_sum(b[1]) + logp[i, tok], i, int(tok)))
         cands.sort(key=lambda c: (-c[0], c[1], c[2]))
         next_live = []
         for _, i, tok in cands[:width]:
             tokens, logps, seg, group, _ = live[i]
             tokens, logps = tokens + (tok,), logps + (float(logp[i, tok]),)
             if tok == EOS_ID:
-                done.append(DecodeResult(TokenSeq(tokens), logps, truncated=False))
+                done.append(DecodeResult(TokenSeq(tokens), _left_sum(logps), truncated=False))
                 continue
             if tok == EOA_ID and group:
                 seg, group = emb[list(group)].mean(axis=0), ()
@@ -368,7 +377,7 @@ def _taped_beam_decode(ids, params, width: int) -> list[DecodeResult]:
         live = next_live
         if len(done) >= width:
             break
-    done += [DecodeResult(TokenSeq(b[0]), b[1], truncated=True) for b in live]
+    done += [DecodeResult(TokenSeq(b[0]), _left_sum(b[1]), truncated=True) for b in live]
     done.sort(key=lambda r: (-r.log_prob, r.tokens.ids))
     return done[:width]
 

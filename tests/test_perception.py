@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import DATA
-from taskmon import monitor
+from taskmon import monitor, perception
 from taskmon.actuator import Disturbance, SimActuator, translate_object
 from taskmon.geometry import Box, Camera, Scene, SceneObject, load_scene, ray_box
 from taskmon.language import State, parse_atom
@@ -295,7 +295,6 @@ objects:
   - {id: table, label: table, box: [[0.8, -0.5, 0], [1.6, 0.5, 0.7]]}
 attachments: {hand: brush}
 vision_on: false
-frame: 7
 """
     )
     scene = Scene(
@@ -307,12 +306,11 @@ frame: 7
         Camera(position=(0, 0, 1.3), yaw=0.2, pitch=-0.1),
         attachments={"hand": "brush"},
         vision_on=False,
-        frame=7,
     )
     back = load_scene(str(path))
     assert back.camera == scene.camera
     assert back.attachments == {"hand": "brush"}
-    assert back.vision_on is False and back.frame == 7
+    assert back.vision_on is False
     for orig in scene.objects:
         got = back.get(orig.id)
         assert got.label == orig.label
@@ -333,7 +331,7 @@ frame: 7
         ("camera: {zoom: 2}", "scene: camera: unknown fields ['zoom'], expected some of "
          "['position', 'yaw', 'pitch', 'hfov', 'vfov', 'max_depth']"),
         ("object: []", "scene: unknown fields ['object'], expected some of "
-         "['objects', 'camera', 'attachments', 'vision_on', 'frame']"),
+         "['objects', 'camera', 'attachments', 'vision_on']"),
         ("objects: [{id: cup, box: [[0, 0, 0], [1, 1, 1]], lable: mug}]", "scene: object cup: unknown fields "
          "['lable'], expected some of ['id', 'label', 'box', 'supported_by', 'proprio']"),
         ("camera: {position: [.nan, 0, 1]}", "scene: camera: field 'position' must be finite, got [nan, 0, 1]"),
@@ -1026,6 +1024,25 @@ def test_query_unknown_term_times_out():
     assert query_vision(s, scene, scene.camera, DetectorModel(), stream(4), tau=3) == (False, True)
 
 
+@pytest.mark.parametrize(
+    "atoms",
+    [["Found(ghost)"], ["On(brush, ghost)"], ["Found(brush)", "Found(ghost)"]],
+    ids=["alone", "in-a-relation", "beside-a-present-term"],
+)
+def test_query_of_a_term_no_scene_object_carries_times_out_without_looking(atoms, monkeypatch):
+    # detection reports only the labels of scene objects, so no look could
+    # find the term: the answer comes at once, with no look and no draw
+    scene = desk_scene()
+    looks = []
+    monkeypatch.setattr(perception, "perceive", lambda *a, **kw: looks.append(a))
+    rng = stream(4)
+    before = rng.bit_generator.state
+    answer = query_vision(State.parse(atoms), scene, scene.camera, DetectorModel(), rng, tau=3)
+    assert answer == (False, True)
+    assert rng.bit_generator.state == before
+    assert looks == []
+
+
 def test_query_zero_budget_times_out_when_term_unseen():
     scene = desk_scene()
     s = State.parse(["Found(hind_block)"])
@@ -1046,7 +1063,7 @@ def test_query_sweep_finds_object_behind_camera():
 
 def test_query_aims_at_a_term_by_label_not_object_id():
     # the scene object's id differs from the label the atom names; the query
-    # must still aim at it rather than fall back to the blind sweep
+    # must still find it by its label and aim at it
     cam = Camera(position=(0, 0, 1.2), yaw=0.0, pitch=-0.15)
     target = SceneObject("valve_1", "valve", Box((-1.2, -0.06, 0.72), (-1.08, 0.06, 0.84)))
     front = SceneObject("table", "table", Box((0.9, -0.45, 0.0), (1.65, 0.45, 0.7)))
