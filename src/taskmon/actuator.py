@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Real
+from numbers import Integral, Real
 from typing import Iterable, Optional
 
 import numpy as np
@@ -151,6 +151,10 @@ def remove_from_workspace(scene: Scene, obj_id: str) -> None:
 # --- disturbances ----------------------------------------------------------------
 
 
+def _is_probability(p) -> bool:
+    return isinstance(p, Real) and not isinstance(p, bool) and 0.0 <= p <= 1.0
+
+
 @dataclass(frozen=True)
 class Disturbance:
     """A world edit scheduled against the actuator's call counter: fires just
@@ -179,8 +183,8 @@ class Disturbance:
             raise ValueError(f"offset {self.offset!r} is not 3 numbers")
         if not all(math.isfinite(v) for v in self.offset):
             raise ValueError(f"offset {self.offset!r} is not finite")
-        if not 0.0 <= self.prob <= 1.0:
-            raise ValueError("prob outside [0, 1]")
+        if not _is_probability(self.prob):
+            raise ValueError(f"prob must be a number in [0, 1], got {self.prob!r}")
 
 
 def _check_ids(scene: Scene, d: Disturbance) -> None:
@@ -211,8 +215,10 @@ class SimActuator(Actuator):
         seed: int = 0,
         disturbances: Iterable[Disturbance] = (),
     ):
-        if not 0.0 <= fail_prob <= 1.0:
-            raise ValueError("fail_prob outside [0, 1]")
+        if not _is_probability(fail_prob):
+            raise ValueError(f"fail_prob must be a number in [0, 1], got {fail_prob!r}")
+        if not isinstance(seed, Integral) or isinstance(seed, bool) or seed < 0:
+            raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
         disturbances = tuple(disturbances)
         for d in disturbances:
             _check_ids(scene, d)

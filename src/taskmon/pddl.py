@@ -188,9 +188,14 @@ class TaskChain:
 
 @dataclass
 class PlanLibrary:
+    """A loaded library. `matches` is planning's memo of `match_plan`
+    results per entry goal, filled on first use; a library is not edited
+    after its first match."""
+
     entries: list[PlanEntry]
     vocab: Vocabulary
     chains: list[TaskChain] = field(default_factory=list)
+    matches: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def entry(self, name: str) -> PlanEntry:
         for e in self.entries:

@@ -17,6 +17,17 @@ the first plan of an entry costs what grounding costs. The memo holds no
 scene state: its size is bounded by the library's entries times the
 renamings `match_plan` maps them to, and it lives as long as the domain.
 
+Matching is memoised per library goal. `match_plan` keys a library's memo
+(`PlanLibrary.matches`) by a goal's atoms without their times, as a
+frozenset of (predicate, args) keys, and keeps a result only for a key that
+is some entry's goal, so the memo holds at most one result per entry. A
+goal that is no entry's goal, such as a net's free-form proposal, is
+searched afresh on every call and never kept. Nothing is matched when a
+library loads: the memo's slots are made on the first match, and each is
+filled by the first search for its goal. Results are shared by every task
+that plans against the same entry, so a `MatchScore`'s renaming is
+read-only.
+
 Matching bounds before it searches. Each entry's overlap is capped by its
 per-predicate atom counts against the goal's, so entries that cannot beat
 the best so far are skipped, and the renaming search inside an entry cuts
@@ -30,7 +41,8 @@ import heapq
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from typing import Optional
+from types import MappingProxyType
+from typing import Mapping, Optional
 
 from .language import Atom, State, Vocabulary
 from .pddl import ActionSchema, PlanDomain, PlanEntry, PlanLibrary
@@ -75,9 +87,14 @@ class GroundAction:
 
 @dataclass(frozen=True)
 class MatchScore:
+    """The result of `match_plan`: the winning entry, its overlap with the
+    goal, the renaming of its goal objects and the renamed entry goal. A
+    library's match memo shares one result across tasks, so `substitution`
+    is a read-only mapping."""
+
     entry: PlanEntry
     overlap: int
-    substitution: dict[str, str]
+    substitution: Mapping[str, str]
     matched_goal: State
 
 
@@ -256,16 +273,26 @@ def match_plan(lib: PlanLibrary, g: State) -> MatchScore:
     An entry's overlap can never exceed the sum, over predicates, of the
     smaller of its goal's atom count and g's, so an entry whose bound cannot
     beat the best so far under that order is skipped unsearched. Skipping
-    it, and pruning inside the renaming search, changes no result."""
+    it, and pruning inside the renaming search, changes no result.
+
+    g is looked up in the library's match memo (`PlanLibrary.matches`) by
+    its timeless atom keys. The first call makes one empty slot per entry
+    goal; a g that fills a slot is returned from it on every later call,
+    and any other g is searched every time and not kept."""
     if not lib.entries:
         raise EmptyLibrary("cannot match against an empty library")
-    g_atoms = g.drop_times().atoms
-    g_keys = {a.key() for a in g_atoms}
-    g_counts = Counter(a.pred for a in g_atoms)
+    g_keys = frozenset(a.key() for a in g.atoms)
+    memo = lib.matches
+    if not memo:
+        memo.update(dict.fromkeys(frozenset(a.key() for a in e.goal_state.atoms) for e in lib.entries))
+    hit = memo.get(g_keys)
+    if hit is not None:
+        return hit
+    g_counts = Counter(p for p, _ in g_keys)
     vocab = lib.vocab
     g_terms = [
         (t, vocab.terms[t].sort)
-        for t in sorted({x for a in g_atoms for x in a.args})
+        for t in sorted({x for _, args in g_keys for x in args})
         if t in vocab.terms
     ]
     best: Optional[MatchScore] = None
@@ -280,12 +307,14 @@ def match_plan(lib: PlanLibrary, g: State) -> MatchScore:
             best, best_rank = score, (score.overlap, -len(pat.atoms))
     if best is None:
         raise NoMatch(f"no entry shares a goal atom with {g}")
+    if g_keys in memo:
+        memo[g_keys] = best
     return best
 
 
 def _best_substitution(
     entry: PlanEntry,
-    g_keys: set[tuple],
+    g_keys: frozenset[tuple],
     g_counts: Counter,
     g_terms: list[tuple[str, str]],
     vocab: Vocabulary,
@@ -341,4 +370,4 @@ def _best_substitution(
     matched = State(frozenset(
         Atom(a.pred, tuple(best_sub.get(x, x) for x in a.args)) for a in entry.goal_state.atoms
     ))
-    return MatchScore(entry, best_overlap, best_sub, matched)
+    return MatchScore(entry, best_overlap, MappingProxyType(best_sub), matched)

@@ -4,6 +4,7 @@ transition semantics, recovery ranking, trace invariants, and halting."""
 import json
 import math
 import os
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -891,6 +892,50 @@ def test_grounding_memo_warmth_never_shows_in_a_trace():
     assert lines[1:] == [lines[0]] * 3
 
 
+def run_ladder_chain(lib, vision_name):
+    # bring_object with the brush staged on the ladder by the actuator's own
+    # relocation, its ladder chain scripted; locate_brush_ladder matches
+    # locate_brush_table under the renaming table -> ladder
+    cfg = MonitorConfig(seed=0)
+    scene = load_scene(os.path.join(DATA, "scenes", "bring_dynamic.yaml"))
+    SimActuator(scene, lib.vocab).apply_disturbance(Disturbance(1, "relocate", "brush", "ladder"))
+    if vision_name == "live":
+        vision = LiveVision(scene, cfg)
+    else:
+        objects = {o.label: lib.vocab.terms[o.label].sort for o in scene.objects}
+        predicates = {p.name: p for e in lib.entries for p in e.domain.predicates.values()}
+        vision = BeliefVision(scene, candidate_atoms(objects, predicates.values(), lib.vocab))
+    chain = [c for c in lib.chains if c.task_id == "bring_object"][1]
+    goals = [lib.entry(n).goal_state for n in chain.goals]
+    assert chain.goals[1] == "locate_brush_ladder"
+    return run_task(
+        "bring_object",
+        scene,
+        lib,
+        None,
+        SimActuator(scene, lib.vocab, seed=cfg.seed),
+        cfg,
+        terminal=goals[-1],
+        vision=vision,
+        goal_source=ScriptedGoalSource(goals),
+    )
+
+
+@pytest.mark.parametrize("vision_name", ["belief", "live"])
+def test_match_memo_warmth_never_shows_in_a_trace(vision_name):
+    # a library memoises its goals' matches across tasks; two runs on one
+    # library, the second served from the memo, and a run on a freshly
+    # loaded library give one trace
+    lib = load_packaged_lib()
+    traces = [run_ladder_chain(lib, vision_name) for _ in range(2)]
+    warm = lib.entry("locate_brush_ladder").goal_state
+    assert lib.matches[frozenset(a.key() for a in warm.atoms)].entry.name == "locate_brush_table"
+    traces.append(run_ladder_chain(load_packaged_lib(), vision_name))
+    lines = [trace_lines(t) for t in traces]
+    assert traces[0].outcome == Outcome("success", "")
+    assert lines[1:] == [lines[0]] * 2
+
+
 def bring_dynamic_actuator(lib, *disturbances: Disturbance) -> SimActuator:
     scene = load_scene(os.path.join(DATA, "scenes", "bring_dynamic.yaml"))
     return SimActuator(scene, lib.vocab, disturbances=disturbances)
@@ -950,6 +995,45 @@ def test_disturbance_call_index_is_a_positive_int():
 def test_relocate_onto_itself_is_refused():
     with pytest.raises(ValueError, match="onto itself"):
         Disturbance(1, "relocate", "brush", dest="brush")
+
+
+@pytest.mark.parametrize(
+    "setting",
+    [
+        {"seed": 1.5},
+        {"seed": -1},
+        {"seed": True},
+        {"seed": "3"},
+        {"fail_prob": "0.1"},
+        {"fail_prob": True},
+        {"fail_prob": -0.1},
+        {"fail_prob": 1.5},
+        {"fail_prob": math.nan},
+    ],
+    ids=[
+        "seed-float", "seed-neg", "seed-bool", "seed-str", "fail_prob-str", "fail_prob-bool",
+        "fail_prob-neg", "fail_prob-over1", "fail_prob-nan",
+    ],
+)
+def test_sim_actuator_rejects_a_malformed_setting_by_name(tiny_vocab, setting):
+    (name, value), = setting.items()
+    with pytest.raises(ValueError, match=f"^{name} must be .*, got {re.escape(repr(value))}$"):
+        SimActuator(desk_scene(), tiny_vocab, **setting)
+
+
+def test_sim_actuator_accepts_integral_seeds_and_real_probabilities(tiny_vocab):
+    for setting in ({"seed": np.int64(3)}, {"seed": 0}, {"fail_prob": 1}, {"fail_prob": np.float64(0.5)}):
+        SimActuator(desk_scene(), tiny_vocab, **setting)
+
+
+@pytest.mark.parametrize(
+    "prob",
+    ["0.5", True, -0.1, 1.5, math.nan],
+    ids=["str", "bool", "neg", "over1", "nan"],
+)
+def test_disturbance_prob_is_a_number_in_the_unit_interval(prob):
+    with pytest.raises(ValueError, match=rf"^prob must be a number in \[0, 1\], got {re.escape(repr(prob))}$"):
+        Disturbance(1, "remove", "brush", prob=prob)
 
 
 def test_trace_sweep_matches_its_pinned_rows():

@@ -482,3 +482,71 @@ def test_match_agrees_with_brute_force_on_packaged_library(packaged_lib):
             continue
         outcomes["renamed" if any(k != v for k, v in m.substitution.items()) else "identity"] += 1
     assert min(outcomes["renamed"], outcomes["identity"]) > 50 and outcomes["none"] > 0, outcomes
+
+
+# --- the match memo ---------------------------------------------------------------
+
+
+def goal_key(g: State) -> frozenset:
+    return frozenset(a.key() for a in g.atoms)
+
+
+def match_fields(m):
+    return (m.entry.name, m.overlap, dict(m.substitution), m.matched_goal)
+
+
+def test_match_memo_serves_library_goals_with_the_cold_search_result():
+    lib = load_packaged_lib()
+    fresh = load_packaged_lib()
+    lib_goals = {goal_key(e.goal_state) for e in lib.entries}
+    goals = [e.goal_state for e in lib.entries] + perturbed_goals(lib, 520, seed=5)
+    served = 0
+    for g in goals:
+        cold = PlanLibrary(fresh.entries, fresh.vocab)  # freshly loaded entries, an empty memo
+        try:
+            first = match_plan(lib, g)
+        except NoMatch:
+            with pytest.raises(NoMatch):
+                match_plan(cold, g)
+            continue
+        again = match_plan(lib, g)
+        if goal_key(g) in lib_goals:
+            assert again is first, g
+            served += 1
+        else:
+            assert again is not first, g  # searched afresh, never kept
+        assert match_fields(again) == match_fields(match_plan(cold, g)), g
+        assert_matches_brute_force(lib, g)
+    assert served > len(lib.entries)  # some perturbations are library goals again
+    # the memo holds library-goal keys only, one result at most per entry
+    kept = [k for k, m in lib.matches.items() if m is not None]
+    assert set(lib.matches) <= lib_goals
+    assert set(kept) == lib_goals and len(kept) <= len(lib.entries)
+
+
+def test_a_timed_goal_uses_its_timeless_twins_memo_slot():
+    lib = load_packaged_lib()
+    goal = lib.entry("locate_brush_ladder").goal_state
+    timed = State.of(Atom(a.pred, a.args, 3) for a in goal.atoms)
+    m = match_plan(lib, timed)
+    assert match_plan(lib, goal) is m
+    assert (m.entry.name, dict(m.substitution)) == (
+        "locate_brush_table",
+        {"brush": "brush", "table": "ladder"},
+    )
+    assert lib.matches[goal_key(goal)] is m
+
+
+def test_a_shared_match_is_read_only(small_library):
+    m = match_plan(small_library, State.of([Atom("On", ("brush", "shelf"))]))
+    with pytest.raises(TypeError):
+        m.substitution["x"] = "y"
+    assert m.substitution == {"cup": "brush", "hand": "hand", "shelf": "shelf"}  # still equals a dict
+
+
+def test_each_loaded_library_starts_with_an_empty_match_memo():
+    first = load_packaged_lib()
+    match_plan(first, first.entries[0].goal_state)
+    assert first.matches
+    second = load_packaged_lib()
+    assert second.matches == {} and second.matches is not first.matches
