@@ -76,9 +76,6 @@ class Box:
         sx, sy, sz = self.size
         return sx * sy * sz
 
-    def contains(self, p: Vec) -> bool:
-        return all(l <= c <= h for l, c, h in zip(self.lo, p, self.hi))
-
     def intersection_volume(self, other: "Box") -> float:
         v = 1.0
         for lo1, hi1, lo2, hi2 in zip(self.lo, self.hi, other.lo, other.hi):

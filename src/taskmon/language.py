@@ -110,8 +110,8 @@ class Term:
 @dataclass(frozen=True)
 class Predicate:
     """`epistemic` marks predicates describing what the robot knows or senses
-    (Found, VisionOn) rather than physical world state; ecological actions may
-    change only epistemic atoms and the robot's own state."""
+    (Detected, VisionOn) rather than physical world state; ecological
+    actions may change only epistemic atoms and the robot's own state."""
 
     name: str
     arg_sorts: tuple[str, ...]

@@ -252,7 +252,7 @@ class LiveVision(VisionSystem):
         cfg = self.cfg
         cam = self.scene.camera
         if not self._ring or self._ring[0] is not cam:
-            # the ring follows the scene's camera, which a Found effect re-aims
+            # the ring follows the scene's camera, which a Detected effect re-aims
             steps = max(1, math.ceil(2.0 * math.pi / (cam.hfov * 0.85)))
             self._ring = [cam] + [
                 replace(cam, yaw=cam.yaw + i * cam.hfov * 0.85, pitch=-0.2)

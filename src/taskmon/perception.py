@@ -13,12 +13,15 @@ corner's depth (`Camera.in_front`) and leave every detection's bbox, and a
 robot part's other pixel fields, at zeros. Reconstruction places each
 detected world object at the detector's noisy centroid depth, building its
 3D box when a rule first reads it, and each robot part at its true box.
-The 8 predicates the plan library's domains use, plus the alias
-spellings Found and Hold, are grounded by geometric rules over the
-perceived (reconstructed) geometry, never the ground truth. The detection
-thresholds (`DEFAULT_THRESHOLDS`) and the predicate -> procedure table
-(`DEFAULT_RULES`) are fixed module constants: every query is judged by
-the same rule set, and no caller replaces it. The vision query
+The 8 predicates the plan library's domains use are grounded in the
+percept. Holding and Free read only the grasp state it carries
+(`Percept.attachments`), which is proprioception, as a robot part's true
+box is: no geometry makes a hold. The other predicates are geometric rules
+over the perceived (reconstructed) geometry, never the ground truth, and
+On and Inside are false for an object the grasp state shows held. The
+detection thresholds (`DEFAULT_THRESHOLDS`) and the predicate ->
+procedure table (`DEFAULT_RULES`) are fixed module constants: every query
+is judged by the same rule set, and no caller replaces it. The vision query
 `query_vision` answers (holds, timed_out), the same pair the monitor's
 `VisionSystem.query` gives; it re-aims only at the centroid of its terms'
 scene objects, and a term no scene object carries times out at once,
@@ -119,13 +122,11 @@ class Thresholds:
     inside_ratio: float = 0.9
     close_dist: float = 0.8
     at_dist: float = 1.2
-    hold_dilate: float = 0.05
     nominal_extent: float = 0.06
     # pixel-space fallbacks for the NO_DEPTH ablation
     px_on_gap: float = 16.0
     px_close: float = 240.0
     px_at: float = 360.0
-    px_hold_dilate: float = 24.0
 
 
 # The one set of thresholds every query is judged by: a frozen instance
@@ -133,10 +134,9 @@ class Thresholds:
 DEFAULT_THRESHOLDS = Thresholds()
 
 
-# The predicate -> geometric-procedure table, built once and shared read-only
-# by perception and the actuator's effect dispatch. It holds the predicates
-# the library's domains use; Found and Hold are alias spellings of Detected
-# and Holding and share their procedures.
+# The predicate -> procedure table, built once and shared read-only by
+# perception and the actuator's effect dispatch. It holds exactly the
+# predicates the library's domains use.
 DEFAULT_RULES: Mapping[str, str] = MappingProxyType(
     {
         "On": "on",
@@ -144,10 +144,8 @@ DEFAULT_RULES: Mapping[str, str] = MappingProxyType(
         "CloseTo": "close",
         "At": "at",
         "Holding": "hold",
-        "Hold": "hold",
         "Free": "free",
         "Detected": "found",
-        "Found": "found",
         "VisionOn": "vision-on",
     }
 )
@@ -162,7 +160,9 @@ class Percept:
     # Read by label. Empty in NO_DEPTH mode; in FULL and NO_SHAPE `perceive`
     # builds a world object's box when a rule first reads it (`_LookBoxes`).
     boxes3d: dict[str, Box]
-    attachments: dict[str, str]  # holder label -> held label
+    # holder label -> held label: the grasp state, which alone grounds
+    # Holding and Free
+    attachments: dict[str, str]
     mode: Mode
     vision_on: bool
 
@@ -401,35 +401,20 @@ def _eval(kind: str, args: tuple[str, ...], p: Percept) -> bool:
     if kind == "vision-on":
         return p.vision_on
 
+    # the grasp state, not geometry: a hold is what a grasp made
     if kind == "hold":
         h, o = args
-        if p.attachments.get(h) == o:
-            return True
-        if h not in det or o not in det:
-            return False
-        if pixel_mode:
-            u0, v0, u1, v1 = det[h].bbox
-            m = th.px_hold_dilate
-            cu, cv = det[o].center_px
-            return u0 - m <= cu <= u1 + m and v0 - m <= cv <= v1 + m
-        (x0, y0, z0), (x1, y1, z1) = p.boxes3d[h].lo, p.boxes3d[h].hi
-        m = th.hold_dilate
-        cx, cy, cz = p.boxes3d[o].center
-        return x0 - m <= cx <= x1 + m and y0 - m <= cy <= y1 + m and z0 - m <= cz <= z1 + m
+        return p.attachments.get(h) == o
 
     if kind == "free":
-        (h,) = args
-        held = p.attachments.get(h)
-        if held is not None:
-            return False
-        if h not in det:
-            return True
-        return not any(o != h and _eval("hold", (h, o), p) for o in sorted(det))
+        return args[0] not in p.attachments
 
     # the remaining kinds are binary geometric relations
     a, b = args
     if a not in det or b not in det:
         return False
+    if kind in ("on", "inside") and a in p.attachments.values():
+        return False  # a held object rests on nothing and sits in nothing
 
     if kind == "on":
         if pixel_mode:

@@ -1,5 +1,6 @@
-"""Ground-truth relation oracle: evaluates every predicate directly on the
-true scene geometry with plain re-derived math. Perception must agree with
+"""Ground-truth relation oracle: evaluates every geometric predicate
+directly on the true scene geometry with plain re-derived math, and
+Holding and Free on the scene's grasp state. Perception must agree with
 this at zero noise. Visibility gating mirrors the detection contract (an
 invisible argument cannot ground a relation)."""
 
@@ -36,11 +37,6 @@ def in_view(cam: Camera, p) -> bool:
     return abs(x / z) <= math.tan(cam.hfov / 2.0) and abs(y / z) <= math.tan(cam.vfov / 2.0)
 
 
-def dilated(box: Box, margin: float) -> Box:
-    """The box grown by margin on every face."""
-    return Box(tuple(l - margin for l in box.lo), tuple(h + margin for h in box.hi))
-
-
 def _xy_overlap_frac(a: Box, b: Box) -> float:
     w = min(a.hi[0], b.hi[0]) - max(a.lo[0], b.lo[0])
     d = min(a.hi[1], b.hi[1]) - max(a.lo[1], b.lo[1])
@@ -72,43 +68,31 @@ def _resting_on(a: Box, b: Box, th: Thresholds) -> bool:
 
 
 def truth(pred: str, args: tuple, scene: Scene, cam: Camera, th: Thresholds = None) -> bool:
-    """What a perfect perceiver should report for pred(args)."""
+    """What a perfect perceiver should report for pred(args). Holding and
+    Free read the scene's grasp state, its attachments, whatever is in view,
+    and On and Inside are false for an object the attachments show held.
+    Every other relation is re-derived from the true geometry of its
+    visible arguments."""
     th = th or Thresholds()
+    att = {scene.get(h).label: scene.get(o).label for h, o in scene.attachments.items()}
 
     def box(label: str) -> Box:
         return scene.by_label(label).box
 
-    def holds_direct(h: str, o: str) -> bool:
-        ho, oo = scene.by_label(h), scene.by_label(o)
-        att = {scene.get(a).label: scene.get(b).label for a, b in scene.attachments.items()}
-        if att.get(h) == o:
-            return True
-        if not (visible(scene, cam, h) and visible(scene, cam, o)):
-            return False
-        hb = dilated(ho.box, th.hold_dilate)
-        return hb.contains(_center(oo.box))
-
-    def vis_labels() -> list[str]:
-        return sorted(o.label for o in scene.objects if visible(scene, cam, o.label))
-
-    if pred in ("Found", "Detected"):
+    if pred == "Detected":
         return visible(scene, cam, args[0])
     if pred == "VisionOn":
         return scene.vision_on
-    if pred in ("Hold", "Holding"):
-        return holds_direct(args[0], args[1])
+    if pred == "Holding":
+        return att.get(args[0]) == args[1]
     if pred == "Free":
-        h = args[0]
-        att = {scene.get(a).label: scene.get(b).label for a, b in scene.attachments.items()}
-        if h in att:
-            return False
-        if not visible(scene, cam, h):
-            return True
-        return not any(o != h and holds_direct(h, o) for o in vis_labels())
+        return args[0] not in att
 
     a, b = args
     if not (visible(scene, cam, a) and visible(scene, cam, b)):
         return False
+    if pred in ("On", "Inside") and a in att.values():
+        return False  # a held object rests on nothing and sits in nothing
     A, B = box(a), box(b)
     ca, cb = _center(A), _center(B)
 

@@ -1,7 +1,8 @@
 """Every name a module imports is used in it, every public name of the
-package has a caller in the program, not only in the tests, and every
+package has a caller in the program, not only in the tests, every
 defaulted parameter of a public function, and every defaulted field of a
-public dataclass, is set by some program call."""
+public dataclass, is set by some program call, and every perception
+threshold is read by the package."""
 
 import ast
 import os
@@ -314,3 +315,39 @@ def test_every_dataclass_field_is_set_by_the_program():
     assert sorted(f for f in unset if f not in KEEP_FIELDS and f[0] not in KEEP_FIELDS) == []
     # an entry whose field or class is gone, or now set, is stale
     assert [k for k in KEEP_FIELDS if k not in unset | {cls for cls, _ in unset}] == []
+
+
+def unread_fields(sources: list[str], cls_name: str) -> list[str]:
+    """Fields of the class `cls_name` defined in the sources that no
+    attribute read in them names."""
+    trees = [ast.parse(source) for source in sources]
+    fields = [
+        node.target.id
+        for tree in trees
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef) and cls.name == cls_name
+        for node in cls.body
+        if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+    ]
+    assert fields, f"no fields of {cls_name} found"
+    read = {
+        node.attr
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    return [f for f in fields if f not in read]
+
+
+def test_unread_field_detector():
+    source = (
+        "class T:\n    a: float = 1.0\n    b: float = 2.0\n    c: float = 3.0\n"
+        "def f(th):\n    th.c = 0.0\n    return th.a\n"
+    )
+    assert unread_fields([source], "T") == ["b", "c"]
+
+
+def test_every_threshold_is_read_by_the_package():
+    # a threshold that no rule reads is a setting with no effect
+    src, _ = _program_sources()
+    assert unread_fields(src, "Thresholds") == []

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from conftest import DATA
 from taskmon import monitor, perception
-from taskmon.actuator import Disturbance, SimActuator, translate_object
+from taskmon.actuator import Disturbance, SimActuator, place_on, translate_object, truth_percept
 from taskmon.geometry import Box, Camera, Scene, SceneObject, load_scene, ray_box
 from taskmon.language import State, parse_atom
 from taskmon.monitor import LiveVision, MonitorConfig, candidate_atoms
@@ -27,7 +27,6 @@ from taskmon.perception import (
     Detection,
     Mode,
     NoForeground,
-    Percept,
     Thresholds,
     UnknownPredicate,
     detect_batch,
@@ -74,10 +73,6 @@ def test_box_accessors():
     assert b.center == (1.0, 2.0, 0.5)
     assert b.size == (2.0, 4.0, 1.0)
     assert b.volume == pytest.approx(8.0)
-    assert b.contains((2.0, 4.0, 1.0))  # faces inclusive
-    assert not b.contains((2.0001, 1.0, 0.5))
-    d = georacle.dilated(b, 0.5)
-    assert d.lo == (-0.5, -0.5, -0.5) and d.hi == (2.5, 4.5, 1.5)
 
 
 def _fresh_center_size(box):
@@ -732,7 +727,7 @@ def _scan_ring(scene: Scene) -> list[Camera]:
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(monitor, "perceive", spy)
-        LiveVision(scene, MonitorConfig()).scan([parse_atom("Found(ghost)")])
+        LiveVision(scene, MonitorConfig()).scan([parse_atom("Detected(ghost)")])
     return poses
 
 
@@ -853,15 +848,14 @@ def test_unknown_predicate_raises():
 def test_found_requires_confident_detection():
     scene = desk_scene()
     p = perceive(scene, scene.camera, DetectorModel(), stream(), n=1)
-    assert ground_relation("Found", ("brush",), p)
     assert ground_relation("Detected", ("brush",), p)
-    assert not ground_relation("Found", ("far_crate",), p)
+    assert not ground_relation("Detected", ("far_crate",), p)
     # a shaky detector drives confidence under the gate
     shaky = DetectorModel(tp_rate=0.55)
     for trial in range(40):
         pp = perceive(scene, scene.camera, shaky, stream(1, trial), n=9)
         if "brush" in pp.detections and pp.detections["brush"].confidence <= 0.7:
-            assert not ground_relation("Found", ("brush",), pp)
+            assert not ground_relation("Detected", ("brush",), pp)
             break
     else:
         pytest.fail("never sampled an under-confident detection")
@@ -878,47 +872,25 @@ def test_vision_on_tracks_scene_flag():
 def test_hold_via_attachment_and_containment():
     scene = desk_scene()
     p = perceive(scene, scene.camera, DetectorModel(), stream(), n=1)
-    assert not ground_relation("Hold", ("hand", "brush"), p)
+    assert not ground_relation("Holding", ("hand", "brush"), p)
     assert ground_relation("Free", ("hand",), p)
 
     scene.attachments["hand"] = "brush"
     p2 = perceive(scene, scene.camera, DetectorModel(), stream(), n=1)
-    assert ground_relation("Hold", ("hand", "brush"), p2)
     assert ground_relation("Holding", ("hand", "brush"), p2)
     assert not ground_relation("Free", ("hand",), p2)
 
-    # containment without an attachment record also reads as holding; the
-    # grip pose must sit inside the view cone or the held object goes unseen
+    # containment without an attachment record is not a hold: only a grasp
+    # makes one. The grip pose sits inside the view cone, so both are seen
     grip = desk_scene()
     hand = grip.by_label("hand")
     hand.box = Box((0.5, 0.0, 0.72), (0.6, 0.1, 0.82))
     brush = grip.by_label("brush")
     brush.box = Box.from_center(hand.box.center, brush.box.size)
     p3 = perceive(grip, grip.camera, DetectorModel(), stream(), n=1)
-    assert "brush" in p3.detections
-    assert ground_relation("Hold", ("hand", "brush"), p3)
-    assert not ground_relation("Free", ("hand",), p3)
-
-
-@pytest.mark.parametrize("axis", [0, 1, 2])
-@pytest.mark.parametrize("side", [-1, 1])
-def test_hold_edge_is_the_dilated_box_face(axis, side):
-    # the held centre exactly on the dilated face holds; the next float
-    # outward does not, just as the dilated box's `contains` decides
-    hand = Box((0.6, 0.6, 0.6), (0.65, 0.65, 0.65))
-    m = DEFAULT_THRESHOLDS.hold_dilate
-    face = hand.hi[axis] + m if side > 0 else hand.lo[axis] - m
-    for c, holds in ((face, True), (math.nextafter(face, side * math.inf), False)):
-        center = list(hand.center)
-        center[axis] = c
-        brush = Box(tuple(x - 1 / 64 for x in center), tuple(x + 1 / 64 for x in center))
-        assert brush.center[axis] == c  # exact: the faces stay in c's binade
-        det = lambda label: Detection(label, label, (0.0, 0.0, 1.0, 1.0), (0.5, 0.5), 1.0, 1.0)
-        p = Percept({"hand": det("hand"), "brush": det("brush")}, {"hand": hand, "brush": brush}, {},
-                    Mode.FULL, True)
-        assert georacle.dilated(hand, m).contains(brush.center) is holds
-        assert ground_relation("Hold", ("hand", "brush"), p) is holds
-        assert ground_relation("Free", ("hand",), p) is not holds
+    assert "brush" in p3.detections and "hand" in p3.detections
+    assert not ground_relation("Holding", ("hand", "brush"), p3)
+    assert ground_relation("Free", ("hand",), p3)
 
 
 def test_free_quantifies_over_the_detected_objects():
@@ -935,15 +907,48 @@ def test_free_quantifies_over_the_detected_objects():
         cam,
     )
     p = perceive(scene, cam, DetectorModel(), stream(), n=1)
-    assert not ground_relation("Free", ("bin",), p)  # the chip's centre lies in the bin
+    assert "chip" in p.detections
+    # the chip's centre lies in the bin, but the bin grasps nothing
+    assert ground_relation("Free", ("bin",), p)
     assert ground_relation("Free", ("ghost",), p)  # nothing says it holds anything
+    scene.attachments["bin"] = "chip"
+    assert not ground_relation("Free", ("bin",), perceive(scene, cam, DetectorModel(), stream(), n=1))
+
+
+def test_a_held_object_rests_on_nothing_until_placed():
+    # a held cup 3 mm above a stand, its footprint wholly over it, meets the
+    # geometric On rule in every mode (both are nominal-size cubes, so
+    # NO_SHAPE rebuilds them exactly); the grasp state says it rests on
+    # nothing, in every mode and in the truth, until `place` releases it
+    cube = (0.06, 0.06, 0.06)
+    stand = Box.from_center((1.3, 0.15, 0.67), cube)
+    cup = Box.from_center((1.3, 0.15, 0.733), cube)
+    scene = Scene(
+        [
+            SceneObject("stand", "stand", stand),
+            SceneObject("cup", "cup", cup),
+            SceneObject("hand", "hand", Box.from_center(cup.center, (0.12, 0.12, 0.12)), proprio=True),
+        ],
+        Camera(position=(0, 0, 1.1), yaw=0.0, pitch=-0.15),
+    )
+
+    def on_stand() -> list[bool]:
+        looks = [perceive(scene, scene.camera, DetectorModel(), stream(), n=1, mode=m) for m in Mode]
+        return [ground_relation("On", ("cup", "stand"), p) for p in looks + [truth_percept(scene)]]
+
+    assert on_stand() == [True] * 4
+    scene.attachments["hand"] = "cup"
+    assert on_stand() == [False] * 4
+    place_on(scene, "cup", "stand")
+    assert scene.attachments == {}
+    assert on_stand() == [True] * 4
 
 
 def _relation_atoms(scene: Scene):
     """Every unary and binary grounding over the scene's labels."""
     labels = sorted(o.label for o in scene.objects)
-    unary = ("Found", "Detected", "VisionOn", "Free")
-    binary = ("On", "Inside", "CloseTo", "At", "Hold", "Holding")
+    unary = ("Detected", "VisionOn", "Free")
+    binary = ("On", "Inside", "CloseTo", "At", "Holding")
     for pred in unary:
         for x in labels:
             yield pred, (x,)
@@ -1007,7 +1012,7 @@ def test_query_empty_conjunction_is_vacuous():
 
 def test_query_conforming_state():
     scene = desk_scene()
-    s = State.parse(["On(brush, table)", "Found(cup)", "CloseTo(brush, cup)"])
+    s = State.parse(["On(brush, table)", "Detected(cup)", "CloseTo(brush, cup)"])
     assert query_vision(s, scene, scene.camera, DetectorModel(), stream(2)) == (True, False)
 
 
@@ -1020,13 +1025,13 @@ def test_query_false_relation_reports_evidence():
 
 def test_query_unknown_term_times_out():
     scene = desk_scene()
-    s = State.parse(["Found(ghost)"])
+    s = State.parse(["Detected(ghost)"])
     assert query_vision(s, scene, scene.camera, DetectorModel(), stream(4), tau=3) == (False, True)
 
 
 @pytest.mark.parametrize(
     "atoms",
-    [["Found(ghost)"], ["On(brush, ghost)"], ["Found(brush)", "Found(ghost)"]],
+    [["Detected(ghost)"], ["On(brush, ghost)"], ["Detected(brush)", "Detected(ghost)"]],
     ids=["alone", "in-a-relation", "beside-a-present-term"],
 )
 def test_query_of_a_term_no_scene_object_carries_times_out_without_looking(atoms, monkeypatch):
@@ -1045,7 +1050,7 @@ def test_query_of_a_term_no_scene_object_carries_times_out_without_looking(atoms
 
 def test_query_zero_budget_times_out_when_term_unseen():
     scene = desk_scene()
-    s = State.parse(["Found(hind_block)"])
+    s = State.parse(["Detected(hind_block)"])
     assert query_vision(s, scene, scene.camera, DetectorModel(), stream(4), tau=0) == (False, True)
 
 
@@ -1055,7 +1060,7 @@ def test_query_sweep_finds_object_behind_camera():
     target = SceneObject("valve", "valve", Box((-1.2, -0.06, 0.72), (-1.08, 0.06, 0.84)))
     front = SceneObject("table", "table", Box((0.9, -0.45, 0.0), (1.65, 0.45, 0.7)))
     scene = Scene([target, front], cam)
-    s = State.parse(["Found(valve)"])
+    s = State.parse(["Detected(valve)"])
     for seed in range(5):
         answer = query_vision(s, scene, cam, DetectorModel(), stream(seed), tau=8)
         assert answer == (True, False), f"sweep missed the target with seed {seed}"
@@ -1068,7 +1073,7 @@ def test_query_aims_at_a_term_by_label_not_object_id():
     target = SceneObject("valve_1", "valve", Box((-1.2, -0.06, 0.72), (-1.08, 0.06, 0.84)))
     front = SceneObject("table", "table", Box((0.9, -0.45, 0.0), (1.65, 0.45, 0.7)))
     scene = Scene([target, front], cam)
-    s = State.parse(["Found(valve)"])
+    s = State.parse(["Detected(valve)"])
     for seed in range(20):
         answer = query_vision(s, scene, cam, DetectorModel(), stream(seed), tau=1)
         assert answer == (True, False), f"one aimed step missed the target with seed {seed}"
@@ -1076,7 +1081,7 @@ def test_query_aims_at_a_term_by_label_not_object_id():
 
 def test_query_determinism():
     scene = desk_scene()
-    s = State.parse(["On(brush, table)", "Found(cup)"])
+    s = State.parse(["On(brush, table)", "Detected(cup)"])
     model = DetectorModel(tp_rate=0.9, confusion=0.1, px_jitter=0.5, depth_sigma=0.01)
     first = query_vision(s, scene, scene.camera, model, stream(77))
     second = query_vision(s, scene, scene.camera, model, stream(77))
@@ -1087,13 +1092,7 @@ def test_default_rules_ground_exactly_the_library_predicates(packaged_lib):
     # a row that no domain names is never grounded; a domain predicate with
     # no row would end a run in `internal: UnknownPredicate`
     library = {pred for e in packaged_lib.entries for pred in e.domain.predicates}
-    # alias -> library spelling; the desk domain of test_monitor.py spells
-    # the alias, and it shares the library spelling's procedure
-    aliases = {"Found": "Detected", "Hold": "Holding"}
-    assert set(aliases.values()) <= library
-    assert set(DEFAULT_RULES) == library | set(aliases)
-    for alias, spelling in aliases.items():
-        assert DEFAULT_RULES[alias] == DEFAULT_RULES[spelling]
+    assert set(DEFAULT_RULES) == library
 
 
 def test_shared_rule_table_is_the_only_one_and_read_only():
