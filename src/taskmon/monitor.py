@@ -1,11 +1,12 @@
 """Closed-loop execution monitoring over vision-verified symbolic states.
 
-The loop alternates between three moves, always gated by perception: with
+The loop alternates between two moves, always gated by perception: with
 no active plan it asks the goal predictor for ranked candidate goals and
-matches one against the plan library; with an active plan it verifies each
-step's precondition before dispatching the action and verifies the add
-effects afterwards; when a verified state satisfies the task's terminal
-goal it runs one final vision check and succeeds. Any verification failure
+matches one against the plan library; with an active plan it runs each
+action as one check-act-check, verifying its precondition, dispatching it
+and verifying its add effects. Once the plan is done it verifies the
+goal, and when that goal contains the task's terminal state it checks
+the terminal state too and succeeds. Any verification failure
 triggers recovery: the failed goal is retired for the rest of the run and
 the next-ranked matchable proposal takes over. A goal that cannot be planned
 is retired the same way, without a recovery event, and a proposal is never
@@ -13,12 +14,12 @@ selected when the library goal it matches has been retired.
 
 `step` performs exactly one such transition on an immutable LoopState, so
 every run is a fold; no transition mutates a field. `run_task` drives it to
-termination within `MonitorConfig.step_budget` transitions, stamps each
-event's `ts` with its index in the run, and never raises, reporting all
-failures through the trace outcome. Perception, goal proposal, and
-actuation are injected seams: LiveVision re-detects from the current
-camera each query, BeliefVision answers from a snapshot updated only by
-the robot's own believed effects, NetGoalSource wraps the trained
+termination within `MonitorConfig.step_budget` transitions, owns the run's
+events, stamping each event's `ts` with its index in the run, and never
+raises, reporting all failures through the trace outcome. Perception, goal
+proposal, and actuation are injected seams: LiveVision re-detects from the
+current camera each query, BeliefVision answers from a snapshot updated
+only by the robot's own believed effects, NetGoalSource wraps the trained
 predictor, ScriptedGoalSource replays a fixed goal order.
 """
 
@@ -117,9 +118,11 @@ class MonitorConfig:
 
     @property
     def step_budget(self) -> int:
-        """Hard bound on loop transitions: each selected goal costs at most
-        three transitions per plan step plus bounded overhead for selection,
-        re-planning, and a query's tau re-aims."""
+        """Hard bound on loop transitions. A selected goal costs one
+        transition for its request, selection and goal check each, one per
+        plan, and one per plan action. The bound leaves each goal room for
+        three full-length plans, the first and two re-plans after actuator
+        failures, so only a run with `replans` above 2 can exhaust it."""
         return self.max_goals * (3 * MAX_PLAN_LEN + self.tau + 16)
 
 
@@ -364,15 +367,16 @@ def recover(
 
 
 class Phase(enum.Enum):
+    """Where the fold stands. STEP checks, dispatches and re-checks one plan
+    action; GOAL verifies the selected goal and, when the goal contains the
+    terminal state, makes the terminal check too."""
+
     START = "start"
     REQUEST = "request"
     SELECT = "select"
     PLAN = "plan"
-    PRE = "pre"
-    DISPATCH = "dispatch"
-    EFFECTS = "effects"
+    STEP = "step"
     GOAL = "goal"
-    TERMINAL = "terminal"
 
 
 @dataclass(frozen=True)
@@ -380,8 +384,10 @@ class LoopState:
     """One fold step of the monitor; every field is immutable so a run is
     fully determined by the initial state and the injected seam results.
     A run ends when `outcome` is set. `match` is the goal SELECT chose and
-    `plan`/`step_idx` the plan PLAN made for it; each is read only in the
-    phases after the one that sets it, so a retired goal leaves them be.
+    `plan`/`step_idx` the plan PLAN made for it, `step_idx` being the next
+    action STEP runs; each is read only in the phases after the one that
+    sets it, so a retired goal leaves them be. `current` is the last
+    verified goal-level state, which REQUEST hands the goal source.
     `attempted` lists every selected goal, so its length is the goals
     selected so far."""
 
@@ -418,28 +424,24 @@ class MonitorContext:
 
 
 class _Emitter:
-    """A transition's events as (kind, payload) pairs; `run_task` stamps
-    them."""
+    """A run's events, stamped with their index in the run as they are
+    emitted."""
 
     def __init__(self):
-        self.events: list[tuple[str, dict]] = []
+        self.events: list[MonitorEvent] = []
 
     def __call__(self, kind: str, **payload) -> None:
-        self.events.append((kind, payload))
+        self.events.append(MonitorEvent(len(self.events), kind, payload))
 
 
-def _advance(state: LoopState, ev: _Emitter, **changes) -> tuple[LoopState, tuple]:
-    return replace(state, **changes), tuple(ev.events)
-
-
-def _finish(state: LoopState, ev: _Emitter, status: str, reason: str = "") -> tuple[LoopState, tuple]:
+def _finish(state: LoopState, ev: _Emitter, status: str, reason: str = "") -> LoopState:
     ev(
         "end_task",
         outcome=status,
         reason=reason,
         goals_attempted=len(state.attempted),
     )
-    return _advance(state, ev, outcome=Outcome(status, reason))
+    return replace(state, outcome=Outcome(status, reason))
 
 
 def _verify(ev: _Emitter, ctx: MonitorContext, s: State, purpose: str) -> tuple[bool, bool]:
@@ -450,12 +452,11 @@ def _verify(ev: _Emitter, ctx: MonitorContext, s: State, purpose: str) -> tuple[
     return holds, timeout
 
 
-def _retire(state: LoopState, ev: _Emitter, **changes) -> tuple[LoopState, tuple]:
+def _retire(state: LoopState, **changes) -> LoopState:
     """Retire the current goal for the rest of the run and move selection
     past its proposal."""
-    return _advance(
+    return replace(
         state,
-        ev,
         phase=Phase.SELECT,
         proposal_idx=state.proposal_idx + 1,
         failed_goals=state.failed_goals + (state.goal,),
@@ -463,29 +464,23 @@ def _retire(state: LoopState, ev: _Emitter, **changes) -> tuple[LoopState, tuple
     )
 
 
-def _to_recovery(
-    state: LoopState, ev: _Emitter, reason: str, timeout: bool
-) -> tuple[LoopState, tuple]:
-    """A goal-level verification failed: retire the goal with a recovery
-    event."""
+def _to_recovery(state: LoopState, ev: _Emitter, reason: str, timeout: bool) -> LoopState:
+    """A verification failed: retire the goal with a recovery event."""
     ev("recovery", failed_goal=_atom_strs(state.goal), reason=reason)
-    return _retire(state, ev, last_timeout=timeout)
+    return _retire(state, last_timeout=timeout)
 
 
-def step(state: LoopState, ctx: MonitorContext) -> tuple[LoopState, tuple]:
-    """One transition. Returns the successor state and the events emitted,
-    in order, as (kind, payload) pairs; the caller owns accumulation and
-    stamps each event's `ts`. No transition mutates a field of `state`."""
-    if state.outcome is not None:
-        return state, ()
-    ev = _Emitter()
-
+def step(state: LoopState, ctx: MonitorContext, ev: _Emitter) -> LoopState:
+    """One transition of an unfinished run. Emits its events, in order,
+    through `ev`, which the run owns, so the events emitted before a seam
+    raises stay in the trace. Returns the successor state; no transition
+    mutates a field of `state`."""
     if state.phase is Phase.START:
         holds, timeout = _verify(ev, ctx, ctx.start, "start")
         if not holds:
             reason = "vision_timeout" if timeout else "start_unverified"
             return _finish(state, ev, "failure", reason)
-        return _advance(state, ev, phase=Phase.REQUEST, current=ctx.start)
+        return replace(state, phase=Phase.REQUEST, current=ctx.start)
 
     if state.phase is Phase.REQUEST:
         if len(state.attempted) >= ctx.cfg.max_goals:
@@ -494,7 +489,7 @@ def step(state: LoopState, ctx: MonitorContext) -> tuple[LoopState, tuple]:
         ev("proposal_requested", state=_atom_strs(state.current), count=len(props))
         if not props:
             return _finish(state, ev, "failure", "no_proposals")
-        return _advance(state, ev, phase=Phase.SELECT, proposals=props, proposal_idx=0)
+        return replace(state, phase=Phase.SELECT, proposals=props, proposal_idx=0)
 
     if state.phase is Phase.SELECT:
         if len(state.attempted) >= ctx.cfg.max_goals:
@@ -512,9 +507,8 @@ def step(state: LoopState, ctx: MonitorContext) -> tuple[LoopState, tuple]:
             entry=ms.entry.name,
             overlap=ms.overlap,
         )
-        return _advance(
+        return replace(
             state,
-            ev,
             phase=Phase.PLAN,
             proposal_idx=i,
             match=ms,
@@ -530,7 +524,7 @@ def step(state: LoopState, ctx: MonitorContext) -> tuple[LoopState, tuple]:
         # plan from every atom the scan verifies, proximity included. Move
         # actions never delete the CloseTo/At atoms they falsify, so a plan
         # can still lean on one its own earlier approach/reach/goto made
-        # stale; the PRE gate re-checks it by vision before any dispatch.
+        # stale; STEP re-checks it by vision before any dispatch.
         init = ctx.vision.scan(_scan_candidates(entry.domain, objects, ctx.lib.vocab))
         try:
             steps = solve(entry.domain, objects, init, state.goal)
@@ -539,49 +533,33 @@ def step(state: LoopState, ctx: MonitorContext) -> tuple[LoopState, tuple]:
         if steps is None or len(steps) > MAX_PLAN_LEN:
             # not a perception failure: retire the goal and quietly try the
             # next ranked proposal
-            return _retire(state, ev)
-        return _advance(
+            return _retire(state)
+        return replace(
             state,
-            ev,
-            phase=Phase.PRE if steps else Phase.GOAL,
+            phase=Phase.STEP if steps else Phase.GOAL,
             plan=tuple(steps),
             step_idx=0,
         )
 
-    if state.phase is Phase.PRE:
+    if state.phase is Phase.STEP:
         ga = state.plan[state.step_idx]
         holds, timeout = _verify(ev, ctx, State.of(ga.pre), "precondition")
-        if holds:
-            return _advance(state, ev, phase=Phase.DISPATCH)
-        return _to_recovery(state, ev, "precondition_unverified", timeout)
-
-    if state.phase is Phase.DISPATCH:
-        ga = state.plan[state.step_idx]
+        if not holds:
+            return _to_recovery(state, ev, "precondition_unverified", timeout)
         ev("action_dispatch", action=ga.name, step=state.step_idx)
         res = ctx.act.execute(ga)
         ev("action_result", ok=res.ok, reason=res.reason)
-        if res.ok:
-            ctx.vision.note_effects(ga.add, ga.delete)
-            return _advance(state, ev, phase=Phase.EFFECTS)
-        if state.replans_left > 0:
-            return _advance(
-                state, ev, phase=Phase.PLAN, replans_left=state.replans_left - 1
-            )
-        return _to_recovery(state, ev, f"action_failed: {res.reason}", False)
-
-    if state.phase is Phase.EFFECTS:
-        ga = state.plan[state.step_idx]
+        if not res.ok:
+            if state.replans_left > 0:
+                return replace(state, phase=Phase.PLAN, replans_left=state.replans_left - 1)
+            return _to_recovery(state, ev, f"action_failed: {res.reason}", False)
+        ctx.vision.note_effects(ga.add, ga.delete)
         holds, timeout = _verify(ev, ctx, State.of(ga.add), "effects")
         if not holds:
             return _to_recovery(state, ev, "effects_unverified", timeout)
-        current = State.of((state.current.drop_times().atoms - ga.delete) | ga.add)
         nxt = state.step_idx + 1
-        return _advance(
-            state,
-            ev,
-            phase=Phase.PRE if nxt < len(state.plan) else Phase.GOAL,
-            step_idx=nxt,
-            current=current,
+        return replace(
+            state, phase=Phase.STEP if nxt < len(state.plan) else Phase.GOAL, step_idx=nxt
         )
 
     if state.phase is Phase.GOAL:
@@ -590,11 +568,8 @@ def step(state: LoopState, ctx: MonitorContext) -> tuple[LoopState, tuple]:
             return _to_recovery(state, ev, "goal_unverified", timeout)
         ev("goal_reached", goal=_atom_strs(state.goal))
         current = state.goal.drop_times()
-        if set(ctx.terminal.drop_times().atoms) <= set(current.atoms):
-            return _advance(state, ev, phase=Phase.TERMINAL, current=current)
-        return _advance(state, ev, phase=Phase.REQUEST, current=current)
-
-    if state.phase is Phase.TERMINAL:
+        if not set(ctx.terminal.drop_times().atoms) <= set(current.atoms):
+            return replace(state, phase=Phase.REQUEST, current=current)
         holds, timeout = _verify(ev, ctx, ctx.terminal, "terminal")
         if holds:
             return _finish(state, ev, "success")
@@ -634,22 +609,18 @@ def run_task(
         cfg, lib, vision, goal_source, act, task, terminal, start or State(frozenset())
     )
     state = LoopState()
-    events: list[MonitorEvent] = []
+    ev = _Emitter()
     transitions = 0
     while state.outcome is None:
         if transitions >= cfg.step_budget:
-            state, evs = _finish(state, _Emitter(), "failure", "step_budget_exhausted")
+            state = _finish(state, ev, "failure", "step_budget_exhausted")
         else:
             try:
-                state, evs = step(state, ctx)
+                state = step(state, ctx, ev)
             except Exception as exc:  # contract: failures surface in the outcome
-                state, evs = _finish(
-                    state, _Emitter(), "failure", f"internal: {type(exc).__name__}: {exc}"
-                )
+                state = _finish(state, ev, "failure", f"internal: {type(exc).__name__}: {exc}")
         transitions += 1
-        for kind, payload in evs:
-            events.append(MonitorEvent(len(events), kind, payload))
-    return ExecutionTrace(task.id, tuple(events), state.outcome, state.attempted)
+    return ExecutionTrace(task.id, tuple(ev.events), state.outcome, state.attempted)
 
 
 # --- trace serialization ------------------------------------------------------------

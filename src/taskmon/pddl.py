@@ -134,15 +134,15 @@ class PlanProblem:
 class GoalPattern:
     """An entry goal laid out for library matching. `atoms` is the goal in
     canonical order and `objects` the objects it names, sorted; `sorts`
-    holds each object's declared sort (None when the problem leaves it
-    undeclared). `closes[i]` lists the atoms whose last argument, in
+    holds each object's declared sort, which the parser requires of every
+    goal argument. `closes[i]` lists the atoms whose last argument, in
     `objects` order, is object i, so a renaming that has bound objects
     0..i decides exactly those atoms (every predicate has arity 1 or 2).
     `pred_counts` counts the goal atoms per predicate."""
 
     atoms: tuple[Atom, ...]
     objects: tuple[str, ...]
-    sorts: tuple[Optional[str], ...]
+    sorts: tuple[str, ...]
     closes: tuple[tuple[int, ...], ...]
     pred_counts: dict[str, int]
 
@@ -170,7 +170,7 @@ class PlanEntry:
         return GoalPattern(
             atoms,
             objects,
-            tuple(self.problem.objects.get(o) for o in objects),
+            tuple(self.problem.objects[o] for o in objects),
             tuple(tuple(c) for c in closes),
             dict(Counter(a.pred for a in atoms)),
         )

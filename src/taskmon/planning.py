@@ -328,12 +328,7 @@ def _best_substitution(
     objs, atoms, closes = pat.objects, pat.atoms, pat.closes
     cand: list[list[str]] = []
     for o, declared in zip(objs, pat.sorts):
-        if declared is None and o in vocab.terms:
-            declared = vocab.terms[o].sort
-        cand.append(
-            [o]
-            + [t for t, s in g_terms if t != o and declared and vocab.is_subsort(s, declared)]
-        )
+        cand.append([o] + [t for t, s in g_terms if t != o and vocab.is_subsort(s, declared)])
     # matchable[i]: atoms decided at depth i or later whose predicate g has
     matchable = [0] * (len(objs) + 1)
     for i in range(len(objs) - 1, -1, -1):

@@ -757,6 +757,26 @@ def test_persistent_actuator_fault_exhausts_replans_then_recovers(lib, desk_voca
     assert recoveries[0].payload["reason"] == "action_failed: fault"
 
 
+class Raising(Actuator):
+    def execute(self, action):
+        raise RuntimeError("arm offline")
+
+
+def test_a_raising_actuator_keeps_the_events_before_the_raise(lib):
+    # the run owns its events, so the transition that raised keeps its
+    # precondition check and its dispatch
+    g = goal_of(lib, "e-pick")
+    trace = run_scripted(lib, desk_scene(), [g], g, act=Raising())
+    assert trace.outcome == Outcome("failure", "internal: RuntimeError: arm offline")
+    audit(trace)
+    pre, dispatch, end = trace.events[-3:]
+    assert pre.kind == "vision_result" and pre.payload["purpose"] == "precondition"
+    assert pre.payload["holds"]
+    assert dispatch.kind == "action_dispatch"
+    assert dispatch.payload == {"action": "grasp(hand,brush,table)", "step": 0}
+    assert end.kind == "end_task"
+
+
 def test_goal_budget_halts_a_cycling_source(lib, desk_vocab):
     scene = desk_scene()
     cfg = quiet_cfg(max_goals=3)

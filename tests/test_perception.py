@@ -969,6 +969,11 @@ def test_grounding_agrees_with_truth_oracle_at_zero_noise():
             scene.objects.append(
                 SceneObject("hand", "hand", Box((0.25, 0.0, 0.85), (0.33, 0.08, 0.93)), proprio=True)
             )
+            if seed % 14 == 0:
+                # held where it lies, so the held-object rule and not the
+                # geometry decides its On and Inside
+                held = "chip" if any(o.id == "chip" for o in scene.objects) else "item0"
+                scene.attachments["hand"] = held
             scene = Scene(scene.objects, scene.camera, scene.attachments, scene.vision_on)
         cam = scene.camera
         p = perceive(scene, cam, model, stream(), n=1, mode=Mode.FULL)
