@@ -274,7 +274,7 @@ class SimActuator(Actuator):
             if pred is not None and pred.epistemic:
                 continue
             if not ground_relation(a.pred, a.args, percept):
-                return str(a.drop_time())
+                return str(a)
         return None
 
     def _apply(self, action: GroundAction) -> None:

@@ -40,8 +40,8 @@ def base_pairs(lib: PlanLibrary) -> list[tuple[TaskSentence, State, State, float
             out.append(
                 (
                     task,
-                    lib.entry(a).goal_state.drop_times(),
-                    lib.entry(b).goal_state.drop_times(),
+                    lib.entry(a).goal_state,
+                    lib.entry(b).goal_state,
                     chain.weight,
                 )
             )

@@ -5,6 +5,9 @@ space shared by task words, predicate names, term names, and the three
 separator tokens. Those are fixed: `EOS`, `ETS` and `EOA` spell them and
 they always take the ids `EOS_ID`, `ETS_ID` and `EOA_ID` (0, 1, 2).
 
+An `Atom` is a predicate and its arguments, `Pred(a,b)`; a `State` is a
+frozenset of atoms, as in STRIPS, and a goal's one identity.
+
 This module owns the two formats the rest of the package shares. The sort
 tree is a `sort -> parent` map walked only by `is_subsort`,
 `check_sort_forest` and `branch_kind`; both the vocabulary and PDDL domains
@@ -128,39 +131,35 @@ class Predicate:
 
 @dataclass(frozen=True)
 class Atom:
-    """A ground literal. `time` is a frame index used only for trace audit."""
+    """A ground literal: a predicate name and its argument terms."""
 
     pred: str
     args: tuple[str, ...]
-    time: Optional[int] = None
-
-    def drop_time(self) -> "Atom":
-        return self if self.time is None else Atom(self.pred, self.args)
 
     def key(self) -> tuple:
         return (self.pred, self.args)
 
     def __str__(self) -> str:
-        body = f"{self.pred}({','.join(self.args)})"
-        return body if self.time is None else f"{body}@{self.time}"
+        return f"{self.pred}({','.join(self.args)})"
 
 
-_ATOM_RE = re.compile(r"^\s*([A-Za-z_][\w-]*)\s*\(\s*([^)]*?)\s*\)\s*(?:@(\d+))?\s*$")
+_ATOM_RE = re.compile(r"^\s*([A-Za-z_][\w-]*)\s*\(\s*([^)]*?)\s*\)\s*$")
 
 
 def parse_atom(text: str) -> Atom:
-    """Parse 'Pred(a,b)' or 'Pred(a)@3' into an Atom."""
+    """Parse 'Pred(a,b)' or 'Pred(a)' into an Atom; LanguageError on any
+    other text, such as one with a suffix after the closing parenthesis."""
     m = _ATOM_RE.match(text)
     if not m:
         raise LanguageError(f"cannot parse atom: {text!r}")
     args = tuple(a.strip() for a in m.group(2).split(",")) if m.group(2).strip() else ()
-    t = int(m.group(3)) if m.group(3) else None
-    return Atom(m.group(1), args, t)
+    return Atom(m.group(1), args)
 
 
 @dataclass(frozen=True)
 class State:
-    """A conjunction of ground atoms, stored as a frozenset."""
+    """A conjunction of ground atoms, stored as a frozenset; hashable, and
+    equal to another state exactly when their atoms are."""
 
     atoms: frozenset[Atom] = frozenset()
 
@@ -173,7 +172,10 @@ class State:
         return State(frozenset(parse_atom(t) for t in texts))
 
     def drop_times(self) -> "State":
-        return State(frozenset(a.drop_time() for a in self.atoms))
+        """This state: atoms carry no times. Kept only for the two calls in
+        `perfbench/checks.py`; it goes with ROADMAP item 3 stage A, a
+        benchmark change."""
+        return self
 
     def canonical(self) -> list[Atom]:
         """Atoms in the deterministic encode order: (predicate name, args)."""
@@ -408,7 +410,7 @@ def encode_atoms(
 ) -> TokenSeq:
     """The one writer of the token grammar: the task words and ETS when a task
     is given, then each atom in the given order as predicate, arguments and
-    EOA, then EOS. Time indices are not written."""
+    EOA, then EOS."""
     tok = vocab.token_to_id
     ids = [] if task is None else [tok[w] for w in task.words] + [ETS_ID]
     for atom in atoms:
@@ -422,7 +424,7 @@ def encode_atoms(
 def _canonical_atoms(s: State, vocab: Vocabulary) -> list[Atom]:
     if len(s) > vocab.max_atoms:
         raise StateTooLong(len(s), vocab.max_atoms)
-    return s.drop_times().canonical()
+    return s.canonical()
 
 
 def encode_state(task: TaskSentence, s: State, vocab: Vocabulary) -> TokenSeq:

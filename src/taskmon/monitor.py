@@ -170,11 +170,7 @@ class ExecutionTrace:
 
 
 def _atom_strs(s: State) -> list[str]:
-    return [str(a) for a in s.drop_times().canonical()]
-
-
-def _goal_key(s: State) -> frozenset:
-    return frozenset(a.key() for a in s.drop_times().atoms)
+    return [str(a) for a in s.canonical()]
 
 
 def candidate_atoms(
@@ -289,7 +285,7 @@ class BeliefVision(VisionSystem):
         }
 
     def query(self, s: State) -> tuple[bool, bool]:
-        return set(s.drop_times().atoms) <= self.belief, False
+        return s.atoms <= self.belief, False
 
     def scan(self, atoms: Iterable[Atom]) -> State:
         return State.of(a for a in atoms if a in self.belief)
@@ -350,15 +346,15 @@ def recover(
     this run. Returns (index, match), or None when the list is exhausted.
     A proposal whose own goal already failed is skipped without matching:
     a library goal matches to itself."""
-    bad = {_goal_key(s) for s in failed}
+    bad = set(failed)
     for i in range(start, len(proposals)):
-        if _goal_key(proposals[i].goal) in bad:
+        if proposals[i].goal in bad:
             continue
         try:
             ms = match_plan(lib, proposals[i].goal)
         except (NoMatch, EmptyLibrary):
             continue
-        if _goal_key(ms.matched_goal) not in bad:
+        if ms.matched_goal not in bad:
             return i, ms
     return None
 
@@ -567,9 +563,8 @@ def step(state: LoopState, ctx: MonitorContext, ev: _Emitter) -> LoopState:
         if not holds:
             return _to_recovery(state, ev, "goal_unverified", timeout)
         ev("goal_reached", goal=_atom_strs(state.goal))
-        current = state.goal.drop_times()
-        if not set(ctx.terminal.drop_times().atoms) <= set(current.atoms):
-            return replace(state, phase=Phase.REQUEST, current=current)
+        if not ctx.terminal.atoms <= state.goal.atoms:
+            return replace(state, phase=Phase.REQUEST, current=state.goal)
         holds, timeout = _verify(ev, ctx, ctx.terminal, "terminal")
         if holds:
             return _finish(state, ev, "success")

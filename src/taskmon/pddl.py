@@ -161,7 +161,7 @@ class PlanEntry:
     def goal_pattern(self) -> GoalPattern:
         """Built on the first match against this entry, then reused; an
         entry's goal is not edited once it has been matched."""
-        atoms = tuple(Atom(a.pred, a.args) for a in self.goal_state.canonical())
+        atoms = tuple(self.goal_state.canonical())
         objects = tuple(sorted({x for a in atoms for x in a.args}))
         pos = {o: i for i, o in enumerate(objects)}
         closes: list[list[int]] = [[] for _ in objects]

@@ -495,4 +495,4 @@ def query_vision(
         steps += 1
         percept = perceive(scene, aim, model, rng, n, mode)
 
-    return all(ground_relation(a.pred, a.args, percept) for a in s.drop_times().canonical()), False
+    return all(ground_relation(a.pred, a.args, percept) for a in s.canonical()), False

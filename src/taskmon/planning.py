@@ -18,15 +18,15 @@ scene state: its size is bounded by the library's entries times the
 renamings `match_plan` maps them to, and it lives as long as the domain.
 
 Matching is memoised per library goal. `match_plan` keys a library's memo
-(`PlanLibrary.matches`) by a goal's atoms without their times, as a
-frozenset of (predicate, args) keys, and keeps a result only for a key that
-is some entry's goal, so the memo holds at most one result per entry. A
-goal that is no entry's goal, such as a net's free-form proposal, is
-searched afresh on every call and never kept. Nothing is matched when a
-library loads: the memo's slots are made on the first match, and each is
-filled by the first search for its goal. Results are shared by every task
-that plans against the same entry, so a `MatchScore`'s renaming is
-read-only.
+(`PlanLibrary.matches`) by the goal `State` itself, and keeps a result only
+for a goal that is some entry's goal, so the memo holds at most one result
+per entry; the renaming search's (predicate, args) keys are built only on
+a miss. A goal that is no entry's goal, such as a net's free-form
+proposal, is searched afresh on every call and never kept. Nothing is
+matched when a library loads: the memo's slots are made on the first
+match, and each is filled by the first search for its goal. Results are
+shared by every task that plans against the same entry, so a
+`MatchScore`'s renaming is read-only.
 
 Matching bounds before it searches. Each entry's overlap is capped by its
 per-predicate atom counts against the goal's, so entries that cannot beat
@@ -275,19 +275,19 @@ def match_plan(lib: PlanLibrary, g: State) -> MatchScore:
     beat the best so far under that order is skipped unsearched. Skipping
     it, and pruning inside the renaming search, changes no result.
 
-    g is looked up in the library's match memo (`PlanLibrary.matches`) by
-    its timeless atom keys. The first call makes one empty slot per entry
-    goal; a g that fills a slot is returned from it on every later call,
-    and any other g is searched every time and not kept."""
+    g itself is the key of the library's match memo (`PlanLibrary.matches`).
+    The first call makes one empty slot per entry goal; a g that fills a
+    slot is returned from it on every later call, and any other g is
+    searched every time and not kept."""
     if not lib.entries:
         raise EmptyLibrary("cannot match against an empty library")
-    g_keys = frozenset(a.key() for a in g.atoms)
     memo = lib.matches
     if not memo:
-        memo.update(dict.fromkeys(frozenset(a.key() for a in e.goal_state.atoms) for e in lib.entries))
-    hit = memo.get(g_keys)
+        memo.update(dict.fromkeys(e.goal_state for e in lib.entries))
+    hit = memo.get(g)
     if hit is not None:
         return hit
+    g_keys = frozenset(a.key() for a in g.atoms)
     g_counts = Counter(p for p, _ in g_keys)
     vocab = lib.vocab
     g_terms = [
@@ -307,8 +307,8 @@ def match_plan(lib: PlanLibrary, g: State) -> MatchScore:
             best, best_rank = score, (score.overlap, -len(pat.atoms))
     if best is None:
         raise NoMatch(f"no entry shares a goal atom with {g}")
-    if g_keys in memo:
-        memo[g_keys] = best
+    if g in memo:
+        memo[g] = best
     return best
 
 

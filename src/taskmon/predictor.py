@@ -498,10 +498,9 @@ def infer_topk(
             continue
         if filter_by_types(goal.atoms, vocab) != set(goal.atoms):
             continue
-        key = frozenset(a.key() for a in goal.atoms)
-        if key in seen:
+        if goal.atoms in seen:
             continue
-        seen.add(key)
+        seen.add(goal.atoms)
         proposals.append(GoalProposal(goal, r.log_prob, rank=len(proposals) + 1, tokens=r.tokens))
         if len(proposals) == k:
             break

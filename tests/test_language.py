@@ -97,13 +97,6 @@ def test_encode_canonical_order_ignores_set_order(tiny_vocab):
     assert a == b
 
 
-def test_encode_drops_time(tiny_vocab):
-    t = tiny_vocab.tasks["t-clear"]
-    timed = State.of([Atom("Free", ("hand",), time=7)])
-    plain = State.of([Atom("Free", ("hand",))])
-    assert encode_state(t, timed, tiny_vocab) == encode_state(t, plain, tiny_vocab)
-
-
 def test_encode_segment_structure(tiny_vocab):
     t = tiny_vocab.tasks["t-clear"]
     s = State.of([Atom("On", ("cup", "table")), Atom("Free", ("hand",))])
@@ -122,14 +115,14 @@ def test_decode_inverts_encode(tiny_vocab):
     t = tiny_vocab.tasks["t-fetch"]
     s = State.of(
         [
-            Atom("On", ("brush", "table"), time=3),
+            Atom("On", ("brush", "table")),
             Atom("Hold", ("hand", "cup")),
             Atom("Found", ("shelf",)),
         ]
     )
     t2, s2 = decode_state(encode_state(t, s, tiny_vocab), tiny_vocab)
     assert t2 == t
-    assert s2 == s.drop_times()
+    assert s2 == s
 
 
 @settings(max_examples=200, deadline=None)
@@ -278,12 +271,13 @@ def test_predicate_arity_bounds():
 
 
 def test_parse_atom_round_trip():
-    for text in ["On(brush,table)", "Free(hand)", "Hold(hand,cup)@12"]:
+    for text in ["On(brush,table)", "Free(hand)", "Hold(hand,cup)"]:
         a = parse_atom(text)
         assert parse_atom(str(a)) == a
     assert parse_atom("On( brush , table )") == Atom("On", ("brush", "table"))
-    with pytest.raises(LanguageError):
-        parse_atom("not an atom")
+    for bad in ["not an atom", "Hold(hand,cup)@12"]:
+        with pytest.raises(LanguageError):
+            parse_atom(bad)
 
 
 def test_vocab_hash_stable_and_sensitive():

@@ -132,11 +132,11 @@ def overfit(tiny_vocab, fetch_pair):
 
 
 def test_goal_roundtrip(tiny_vocab):
-    st = State.parse(["On(brush,shelf)", "Free(hand)", "Hold(hand,cup)@4"])
+    st = State.parse(["On(brush,shelf)", "Free(hand)", "Hold(hand,cup)"])
     seq = encode_goal(st, tiny_vocab)
     assert seq.ids[-1] == EOS_ID
     assert ETS_ID not in seq.ids
-    assert decode_goal(seq, tiny_vocab) == st.drop_times()
+    assert decode_goal(seq, tiny_vocab) == st
     # canonical atom order: Free < Hold < On
     names = [tiny_vocab.id_to_token[i] for i in seq.ids]
     assert names[0] == "Free" and names[3] == "Hold" and names[7] == "On"

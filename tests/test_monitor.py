@@ -967,7 +967,7 @@ def test_match_memo_warmth_never_shows_in_a_trace(vision_name):
     lib = load_packaged_lib()
     traces = [run_ladder_chain(lib, vision_name) for _ in range(2)]
     warm = lib.entry("locate_brush_ladder").goal_state
-    assert lib.matches[frozenset(a.key() for a in warm.atoms)].entry.name == "locate_brush_table"
+    assert lib.matches[warm].entry.name == "locate_brush_table"
     traces.append(run_ladder_chain(load_packaged_lib(), vision_name))
     lines = [trace_lines(t) for t in traces]
     assert traces[0].outcome == Outcome("success", "")

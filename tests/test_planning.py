@@ -291,7 +291,6 @@ def brute_force_match(lib: PlanLibrary, g: State):
     fewer goal atoms), ties to the earliest. Returns (entry index, overlap,
     substitution, matched goal)."""
     vocab = lib.vocab
-    g = g.drop_times()
     g_terms = sorted({a for atom in g.atoms for a in atom.args if a in vocab.terms})
     best = None
     for idx, entry in enumerate(lib.entries):
@@ -487,10 +486,6 @@ def test_match_agrees_with_brute_force_on_packaged_library(packaged_lib):
 # --- the match memo ---------------------------------------------------------------
 
 
-def goal_key(g: State) -> frozenset:
-    return frozenset(a.key() for a in g.atoms)
-
-
 def match_fields(m):
     return (m.entry.name, m.overlap, dict(m.substitution), m.matched_goal)
 
@@ -498,7 +493,7 @@ def match_fields(m):
 def test_match_memo_serves_library_goals_with_the_cold_search_result():
     lib = load_packaged_lib()
     fresh = load_packaged_lib()
-    lib_goals = {goal_key(e.goal_state) for e in lib.entries}
+    lib_goals = {e.goal_state for e in lib.entries}
     goals = [e.goal_state for e in lib.entries] + perturbed_goals(lib, 520, seed=5)
     served = 0
     for g in goals:
@@ -510,7 +505,7 @@ def test_match_memo_serves_library_goals_with_the_cold_search_result():
                 match_plan(cold, g)
             continue
         again = match_plan(lib, g)
-        if goal_key(g) in lib_goals:
+        if g in lib_goals:
             assert again is first, g
             served += 1
         else:
@@ -518,23 +513,22 @@ def test_match_memo_serves_library_goals_with_the_cold_search_result():
         assert match_fields(again) == match_fields(match_plan(cold, g)), g
         assert_matches_brute_force(lib, g)
     assert served > len(lib.entries)  # some perturbations are library goals again
-    # the memo holds library-goal keys only, one result at most per entry
+    # the memo holds library goals only, one result at most per entry
     kept = [k for k, m in lib.matches.items() if m is not None]
     assert set(lib.matches) <= lib_goals
     assert set(kept) == lib_goals and len(kept) <= len(lib.entries)
 
 
-def test_a_timed_goal_uses_its_timeless_twins_memo_slot():
+def test_a_library_goal_is_its_own_memo_key():
     lib = load_packaged_lib()
     goal = lib.entry("locate_brush_ladder").goal_state
-    timed = State.of(Atom(a.pred, a.args, 3) for a in goal.atoms)
-    m = match_plan(lib, timed)
+    m = match_plan(lib, goal)
     assert match_plan(lib, goal) is m
     assert (m.entry.name, dict(m.substitution)) == (
         "locate_brush_table",
         {"brush": "brush", "table": "ladder"},
     )
-    assert lib.matches[goal_key(goal)] is m
+    assert lib.matches[goal] is m
 
 
 def test_a_shared_match_is_read_only(small_library):
