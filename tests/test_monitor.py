@@ -1071,9 +1071,11 @@ def test_the_plan_model_agrees_with_the_world_step_by_step(packaged_lib):
             for a in sorted(model - world, key=Atom.key):
                 stale.setdefault((a.pred, ga.schema.name), []).append(f"{a} after {ga.name}")
             unmodelled.update(a.pred for a in world - model)
-    # the world makes atoms the model does not add (place frees no hand, a
-    # move brings proximity); the next scan re-reads them, so they only inform
+    # the world makes atoms the model does not add (a move brings
+    # proximity); the next scan re-reads them, so they only inform. A hand
+    # the model leaves busy could not grasp again, so Free is always modelled
     report = f"{steps} steps; unmodelled atoms (world true, model false): {dict(sorted(unmodelled.items()))}"
+    assert unmodelled["Free"] == 0, report
     assert {k: v for k, v in stale.items() if k not in KNOWN_STALE} == {}, report
     assert sorted(set(KNOWN_STALE) - set(stale)) == [], f"known stale atoms no longer occur; {report}"
 

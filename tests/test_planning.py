@@ -224,6 +224,26 @@ def test_plan_unreachable_goal():
         plan(entry)
 
 
+def test_a_hand_that_places_can_grasp_again(packaged_lib):
+    # warehouse: place frees the hand, as handover does, so a plan can set
+    # the panel down and then pick the brush up with the same hand
+    dom = packaged_lib.entry("stow_panel").domain
+    objects = {
+        "robot": "robot-body",
+        "robot_hand": "robot-hand",
+        "panel": "item",
+        "brush": "item",
+        "workbench": "surface",
+        "table": "surface",
+    }
+    init = State.parse(["VisionOn(robot)", "Holding(robot_hand,panel)", "On(brush,table)"])
+    goal = State.parse(["On(panel,workbench)", "Holding(robot_hand,brush)"])
+    steps = solve(dom, objects, init, goal)
+    names = [ga.schema.name for ga in steps]
+    assert names.index("place") < names.index("grasp")
+    assert goal.atoms <= replay(init, steps).atoms
+
+
 def test_dead_end_goal_raises_noplan_before_any_expansion():
     entry = make_entry(
         """
