@@ -169,7 +169,7 @@ class Disturbance:
     prob: float = 1.0
 
     def __post_init__(self):
-        if not isinstance(self.before_call, int) or isinstance(self.before_call, bool):
+        if not isinstance(self.before_call, Integral) or isinstance(self.before_call, bool):
             raise ValueError(f"before_call {self.before_call!r} is not an int")
         if self.before_call < 1:
             raise ValueError("before_call is 1-based")

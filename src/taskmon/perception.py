@@ -45,6 +45,7 @@ import enum
 import math
 from collections import Counter
 from dataclasses import dataclass
+from numbers import Real
 from types import MappingProxyType
 from typing import Mapping
 
@@ -79,12 +80,14 @@ class DetectorModel:
     depth_sigma: float = 0.0
 
     def __post_init__(self):
-        for r in (self.tp_rate, self.confusion):
-            if not 0.0 <= r <= 1.0:
-                raise ValueError(f"rate {r} outside [0, 1]")
+        for name in ("tp_rate", "confusion"):
+            v = getattr(self, name)
+            if not isinstance(v, Real) or isinstance(v, bool) or not 0.0 <= v <= 1.0:
+                raise ValueError(f"{name} must be a number in [0, 1], got {v!r}")
         for name in ("px_jitter", "depth_sigma"):
-            if not 0.0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and >= 0")
+            v = getattr(self, name)
+            if not isinstance(v, Real) or isinstance(v, bool) or not 0.0 <= v < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {v!r}")
 
 
 @dataclass

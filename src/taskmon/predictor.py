@@ -541,16 +541,16 @@ DEFAULT_HYPER = {"batch": 5, "epochs": 100, "lr": 0.02}
 def _checked_hyper(hyper: Optional[dict]) -> dict:
     """DEFAULT_HYPER updated by `hyper`. A ValueError names a key that is not
     in DEFAULT_HYPER, a batch or epoch count below 1 or an lr that is not a
-    positive finite number."""
+    positive finite number; a bool is none of them."""
     h = dict(DEFAULT_HYPER)
     for key, value in (hyper or {}).items():
         if key not in DEFAULT_HYPER:
             raise ValueError(f"unknown hyper-parameter {key!r}, expected one of {sorted(DEFAULT_HYPER)}")
         h[key] = value
     for key in ("batch", "epochs"):
-        if not isinstance(h[key], numbers.Integral) or h[key] < 1:
+        if not isinstance(h[key], numbers.Integral) or isinstance(h[key], bool) or h[key] < 1:
             raise ValueError(f"hyper-parameter {key!r} must be an integer >= 1, got {h[key]!r}")
-    if not isinstance(h["lr"], numbers.Real) or not 0 < h["lr"] < math.inf:
+    if not isinstance(h["lr"], numbers.Real) or isinstance(h["lr"], bool) or not 0 < h["lr"] < math.inf:
         raise ValueError(f"hyper-parameter 'lr' must be a positive finite number, got {h['lr']!r}")
     return h
 

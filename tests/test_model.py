@@ -492,6 +492,10 @@ def test_train_rejects_empty_and_nonfinite(tiny_vocab, fetch_pair):
         ({"lr": float("nan")}, "lr"),
         ({"lr": float("inf")}, "lr"),
         ({"lr": "0.02"}, "lr"),
+        # a bool is no count or rate, though Python's bool is an int
+        pytest.param({"batch": True}, "batch", id="batch-bool"),
+        pytest.param({"epochs": True}, "epochs", id="epochs-bool"),
+        pytest.param({"lr": True}, "lr", id="lr-bool"),
     ],
 )
 def test_train_rejects_bad_hyper(tiny_vocab, fetch_pair, hyper, key):

@@ -1136,6 +1136,18 @@ def test_disturbance_call_index_is_a_positive_int():
     assert Disturbance(3, "remove", "brush").before_call == 3
 
 
+@pytest.mark.parametrize("index", [np.int64(2), np.uint8(2)], ids=["int64", "uint8"])
+def test_a_numpy_call_index_fires_at_its_call(packaged_lib, index):
+    entry = packaged_lib.entry("locate_brush_table")
+    look = next(ga for ga in ground_actions(entry.domain, entry.problem.objects) if ga.name == "look_for(robot,table)")
+    act = bring_dynamic_actuator(packaged_lib, Disturbance(index, "relocate", "brush", dest="shelf"))
+    supports = []
+    for _ in range(3):
+        assert act.execute(look).ok
+        supports.append(act.scene.get("brush").supported_by)
+    assert supports[0] != "shelf" and supports[1:] == ["shelf", "shelf"]
+
+
 def test_relocate_onto_itself_is_refused():
     with pytest.raises(ValueError, match="onto itself"):
         Disturbance(1, "relocate", "brush", dest="brush")

@@ -5,6 +5,7 @@ search-then-verify vision query."""
 import math
 import os
 import random
+import re
 from collections import Counter
 from dataclasses import FrozenInstanceError, replace
 from itertools import permutations, product
@@ -432,6 +433,27 @@ def test_model_rate_validation():
             DetectorModel(**{name: math.nan})
     m = DetectorModel(tp_rate=0.9, px_jitter=0.0, depth_sigma=0.0)
     assert m.tp_rate == 0.9
+
+
+@pytest.mark.parametrize(
+    "field, bad",
+    [
+        ("tp_rate", "0.5"),
+        ("tp_rate", None),
+        ("tp_rate", True),
+        ("confusion", None),
+        ("confusion", False),
+        ("px_jitter", "1"),
+        ("px_jitter", None),
+        ("depth_sigma", True),
+        ("depth_sigma", None),
+    ],
+    ids=["tp_rate-str", "tp_rate-none", "tp_rate-bool", "confusion-none", "confusion-bool",
+         "px_jitter-str", "px_jitter-none", "depth_sigma-bool", "depth_sigma-none"],
+)
+def test_detector_model_refuses_a_malformed_setting_by_name(field, bad):
+    with pytest.raises(ValueError, match=f"^{field} must be .*, got {re.escape(repr(bad))}$"):
+        DetectorModel(**{field: bad})
 
 
 def test_batch_size_must_be_positive():
