@@ -9,8 +9,9 @@ goal, and when that goal contains the task's terminal state it checks
 the terminal state too and succeeds. Any verification failure
 triggers recovery: the failed goal is retired for the rest of the run and
 the next-ranked matchable proposal takes over. A goal that cannot be planned
-is retired the same way, without a recovery event, and a proposal is never
-selected when the library goal it matches has been retired.
+is retired the same way, with a `plan_failed` event in place of the
+recovery event, and a proposal is never selected when the library goal it
+matches has been retired.
 
 `step` performs exactly one such transition on an immutable LoopState, so
 every run is a fold; no transition mutates a field. `run_task` drives it to
@@ -72,6 +73,7 @@ EVENT_KINDS = frozenset(
         "goal_reached",
         "proposal_requested",
         "proposal_selected",
+        "plan_failed",
         "recovery",
         "end_task",
     }
@@ -524,11 +526,12 @@ def step(state: LoopState, ctx: MonitorContext, ev: _Emitter) -> LoopState:
         init = ctx.vision.scan(_scan_candidates(entry.domain, objects, ctx.lib.vocab))
         try:
             steps = solve(entry.domain, objects, init, state.goal)
-        except (NoPlan, BudgetExceeded):
-            steps = None
-        if steps is None or len(steps) > MAX_PLAN_LEN:
-            # not a perception failure: retire the goal and quietly try the
-            # next ranked proposal
+        except (NoPlan, BudgetExceeded) as exc:
+            reason = "no_plan" if isinstance(exc, NoPlan) else "budget_exceeded"
+            ev("plan_failed", reason=reason, init_size=len(init.atoms))
+            return _retire(state)
+        if len(steps) > MAX_PLAN_LEN:
+            ev("plan_failed", reason="too_long", init_size=len(init.atoms), plan_len=len(steps))
             return _retire(state)
         return replace(
             state,

@@ -820,6 +820,35 @@ def test_unplannable_goal_is_selected_once(lib, desk_vocab):
     selected = trace.of_kind("proposal_selected")
     assert [(e.payload["rank"], e.payload["entry"]) for e in selected] == [(1, "e-pick")]
     assert trace.of_kind("action_dispatch") == []
+    # the planning failure is in the trace, right after the selection
+    kinds = [e.kind for e in trace.events]
+    i = kinds.index("plan_failed")
+    assert kinds[i - 1] == "proposal_selected" and kinds[i + 1] == "end_task"
+    failed = trace.events[i].payload
+    assert failed["reason"] == "no_plan" and "plan_len" not in failed
+    assert 0 < failed["init_size"]
+
+
+@pytest.mark.parametrize("reason", ["budget_exceeded", "too_long"])
+def test_plan_failed_names_why_the_goal_was_retired(lib, desk_vocab, monkeypatch, reason):
+    long_plan = [grasp_action(lib)] * (monitor.MAX_PLAN_LEN + 1)
+
+    def fake_solve(domain, objects, init, goal):
+        if reason == "budget_exceeded":
+            raise monitor.BudgetExceeded(17)
+        return long_plan
+
+    monkeypatch.setattr(monitor, "solve", fake_solve)
+    trace = run_scripted(lib, desk_scene(), [goal_of(lib, "e-pick")], goal_of(lib, "e-pick"))
+    assert trace.outcome == Outcome("failure", "proposals_exhausted")
+    audit(trace)
+    (e,) = trace.of_kind("plan_failed")
+    assert e.payload["reason"] == reason
+    if reason == "too_long":
+        assert e.payload["plan_len"] == monitor.MAX_PLAN_LEN + 1
+    else:
+        assert "plan_len" not in e.payload
+    assert trace.of_kind("action_dispatch") == []
 
 
 def test_empty_script_fails_with_no_proposals(lib, desk_vocab):
