@@ -6,7 +6,11 @@ matches one against the plan library; with an active plan it runs each
 action as one check-act-check, verifying its precondition, dispatching it
 and verifying its add effects. Once the plan is done it verifies the
 goal, and when that goal contains the task's terminal state it checks
-the terminal state too and succeeds. Any verification failure
+the terminal state too and succeeds. The world changes only when an
+action is dispatched, so a check whose atoms were all verified since the
+last dispatch makes no look and draws nothing; it still emits its query
+and result events, the result saying no look was made. The terminal check
+is always such a check. Any verification failure
 triggers recovery: the failed goal is retired for the rest of the run and
 the next-ranked matchable proposal takes over. A goal that cannot be planned
 is retired the same way, with a `plan_failed` event in place of the
@@ -387,7 +391,11 @@ class LoopState:
     sets it, so a retired goal leaves them be. `current` is the last
     verified goal-level state, which REQUEST hands the goal source.
     `attempted` lists every selected goal, so its length is the goals
-    selected so far."""
+    selected so far. `verified` holds the atoms vision has verified since
+    the last dispatch: the world changes only inside `Actuator.execute`, so
+    a gate whose atoms are all in it makes no look (`_verify`). Every
+    dispatch empties it, a failed one included, since a disturbance may
+    fire before the fault."""
 
     phase: Phase = Phase.START
     current: State = field(default_factory=lambda: State(frozenset()))
@@ -400,6 +408,7 @@ class LoopState:
     failed_goals: tuple[State, ...] = ()
     attempted: tuple[tuple[str, int], ...] = ()
     last_timeout: bool = False
+    verified: frozenset[Atom] = frozenset()
     outcome: Optional[Outcome] = None
 
     @property
@@ -442,11 +451,20 @@ def _finish(state: LoopState, ev: _Emitter, status: str, reason: str = "") -> Lo
     return replace(state, outcome=Outcome(status, reason))
 
 
-def _verify(ev: _Emitter, ctx: MonitorContext, s: State, purpose: str) -> tuple[bool, bool]:
+def _verify(
+    ev: _Emitter, ctx: MonitorContext, s: State, purpose: str, verified: frozenset[Atom]
+) -> tuple[bool, bool]:
+    """One vision gate: a `vision_query`/`vision_result` pair around the
+    vision seam's answer for `s`. A gate whose atoms are all in `verified`,
+    the atoms verified since the last dispatch, makes no look and draws
+    nothing: it holds, and its result says `looked: false`. A partly covered
+    gate still asks its whole conjunction, because LiveVision verifies a
+    conjunction only when all its terms fit one view."""
     atoms = _atom_strs(s)
     ev("vision_query", purpose=purpose, atoms=atoms)
-    holds, timeout = ctx.vision.query(s)
-    ev("vision_result", purpose=purpose, holds=holds, timeout=timeout, atoms=atoms)
+    looked = not s.atoms <= verified
+    holds, timeout = ctx.vision.query(s) if looked else (True, False)
+    ev("vision_result", purpose=purpose, holds=holds, timeout=timeout, atoms=atoms, looked=looked)
     return holds, timeout
 
 
@@ -462,10 +480,13 @@ def _retire(state: LoopState, **changes) -> LoopState:
     )
 
 
-def _to_recovery(state: LoopState, ev: _Emitter, reason: str, timeout: bool) -> LoopState:
-    """A verification failed: retire the goal with a recovery event."""
+def _to_recovery(
+    state: LoopState, ev: _Emitter, reason: str, timeout: bool, **changes
+) -> LoopState:
+    """A verification or a dispatch failed: retire the goal with a recovery
+    event."""
     ev("recovery", failed_goal=_atom_strs(state.goal), reason=reason)
-    return _retire(state, last_timeout=timeout)
+    return _retire(state, last_timeout=timeout, **changes)
 
 
 def step(state: LoopState, ctx: MonitorContext, ev: _Emitter) -> LoopState:
@@ -474,11 +495,11 @@ def step(state: LoopState, ctx: MonitorContext, ev: _Emitter) -> LoopState:
     raises stay in the trace. Returns the successor state; no transition
     mutates a field of `state`."""
     if state.phase is Phase.START:
-        holds, timeout = _verify(ev, ctx, ctx.start, "start")
+        holds, timeout = _verify(ev, ctx, ctx.start, "start", state.verified)
         if not holds:
             reason = "vision_timeout" if timeout else "start_unverified"
             return _finish(state, ev, "failure", reason)
-        return replace(state, phase=Phase.REQUEST, current=ctx.start)
+        return replace(state, phase=Phase.REQUEST, current=ctx.start, verified=ctx.start.atoms)
 
     if state.phase is Phase.REQUEST:
         if len(state.attempted) >= ctx.cfg.max_goals:
@@ -542,36 +563,46 @@ def step(state: LoopState, ctx: MonitorContext, ev: _Emitter) -> LoopState:
 
     if state.phase is Phase.STEP:
         ga = state.plan[state.step_idx]
-        holds, timeout = _verify(ev, ctx, State.of(ga.pre), "precondition")
+        holds, timeout = _verify(ev, ctx, State.of(ga.pre), "precondition", state.verified)
         if not holds:
             return _to_recovery(state, ev, "precondition_unverified", timeout)
         ev("action_dispatch", action=ga.name, step=state.step_idx)
         res = ctx.act.execute(ga)
         ev("action_result", ok=res.ok, reason=res.reason)
+        # the world may have changed: every exit from here on empties the
+        # verified set, or sets it to the effects just verified
+        cleared: frozenset[Atom] = frozenset()
         if not res.ok:
             if state.replans_left > 0:
-                return replace(state, phase=Phase.PLAN, replans_left=state.replans_left - 1)
-            return _to_recovery(state, ev, f"action_failed: {res.reason}", False)
+                return replace(
+                    state, phase=Phase.PLAN, replans_left=state.replans_left - 1, verified=cleared
+                )
+            return _to_recovery(state, ev, f"action_failed: {res.reason}", False, verified=cleared)
         ctx.vision.note_effects(ga.add, ga.delete)
-        holds, timeout = _verify(ev, ctx, State.of(ga.add), "effects")
+        effects = State.of(ga.add)
+        holds, timeout = _verify(ev, ctx, effects, "effects", cleared)
         if not holds:
-            return _to_recovery(state, ev, "effects_unverified", timeout)
+            return _to_recovery(state, ev, "effects_unverified", timeout, verified=cleared)
         nxt = state.step_idx + 1
         return replace(
-            state, phase=Phase.STEP if nxt < len(state.plan) else Phase.GOAL, step_idx=nxt
+            state,
+            phase=Phase.STEP if nxt < len(state.plan) else Phase.GOAL,
+            step_idx=nxt,
+            verified=effects.atoms,
         )
 
     if state.phase is Phase.GOAL:
-        holds, timeout = _verify(ev, ctx, state.goal, "goal")
+        holds, timeout = _verify(ev, ctx, state.goal, "goal", state.verified)
         if not holds:
             return _to_recovery(state, ev, "goal_unverified", timeout)
         ev("goal_reached", goal=_atom_strs(state.goal))
+        verified = state.verified | state.goal.atoms
         if not ctx.terminal.atoms <= state.goal.atoms:
-            return replace(state, phase=Phase.REQUEST, current=state.goal)
-        holds, timeout = _verify(ev, ctx, ctx.terminal, "terminal")
-        if holds:
-            return _finish(state, ev, "success")
-        return _to_recovery(state, ev, "terminal_unverified", timeout)
+            return replace(state, phase=Phase.REQUEST, current=state.goal, verified=verified)
+        # the goal holds and contains the terminal state, so this check makes
+        # no look; it is the terminal result the trace ends a success on
+        _verify(ev, ctx, ctx.terminal, "terminal", verified)
+        return _finish(state, ev, "success")
 
     raise MonitorSetupError(f"no transition from phase {state.phase}")
 

@@ -25,10 +25,13 @@ is judged by the same rule set, and no caller replaces it. The vision query
 `query_vision` answers (holds, timed_out), the same pair the monitor's
 `VisionSystem.query` gives; it re-aims only at the centroid of its terms'
 scene objects, and a term no scene object carries times out at once,
-with no look and no sweep. A caller that wants the frames or boxes
-behind an answer calls `perceive` itself. `estimate_depth`, a ray-cast
-foreground mask inside a detected box, is a separate on-demand
-measurement that neither reconstruction nor the vision query runs.
+with no look and no sweep. It looks only from a pose that has every term
+in view by the test detection itself applies (`_in_view`); a look from
+any other pose counts as a failed one and draws nothing. A caller that
+wants the frames or boxes behind an answer calls `perceive` itself.
+`estimate_depth`, a ray-cast foreground mask inside a detected box, is a
+separate on-demand measurement that neither reconstruction nor the vision
+query runs.
 
 The caller owns the random stream: each function that draws takes the
 generator `rng` right after the detector model and builds none. The
@@ -47,11 +50,11 @@ from collections import Counter
 from dataclasses import dataclass
 from numbers import Real
 from types import MappingProxyType
-from typing import Mapping
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .geometry import Box, Camera, Scene, dist, ray_box
+from .geometry import Box, Camera, Scene, SceneObject, dist, ray_box
 from .language import State
 
 
@@ -173,6 +176,38 @@ class Percept:
 # --- detection -----------------------------------------------------------------
 
 
+def _in_view(
+    objects: Iterable[SceneObject], cam: Camera, vision_on: bool, pixels: bool
+) -> Iterator[tuple[SceneObject, tuple]]:
+    """The one visibility test, shared by `detect_batch` and `query_vision`:
+    yields the objects a look from `cam` sees, in order, each with what the
+    look sees of it. A robot part is proprioception, always in view, and comes
+    with `()`. A world object is in view when the scene's vision is on, its
+    centre is in the view cone (`Camera.view`) and every corner is in front
+    of the camera: in pixel mode (`pixels`, NO_DEPTH) `project_box` gives its
+    pixel box, otherwise `Camera.in_front` says so without projecting. It
+    comes with its centre's (u, v, depth) and the pixel box, `_NO_BBOX`
+    outside pixel mode."""
+    for obj in objects:
+        if obj.proprio:
+            yield obj, ()
+            continue
+        if not vision_on:
+            continue
+        pr = cam.view(obj.box.center)
+        if pr is None:
+            continue
+        if pixels:
+            bbox = cam.project_box(obj.box)
+            if bbox is None:
+                continue
+        elif cam.in_front(obj.box):
+            bbox = _NO_BBOX
+        else:
+            continue
+        yield obj, (pr, bbox)
+
+
 def detect_batch(
     scene: Scene,
     cam: Camera,
@@ -186,12 +221,12 @@ def detect_batch(
     frequency. Proprioceptive objects (the robot's own parts) are always
     reported, at confidence 1 and drawing no random numbers.
 
+    An object is a candidate only when `_in_view` finds it in view.
     Pixel boxes are projected only when `mode` is NO_DEPTH, the one mode that
-    grounds in pixels. In FULL and NO_SHAPE a world object is visible when
-    its centre is in view and every corner is in front (`Camera.in_front`,
-    the test `project_box` makes), and its bbox holds zeros; a part, which
-    those modes place by its true box, has all its pixel fields at zeros.
-    Both are placeholders, as `actuator.truth_percept`'s are.
+    grounds in pixels. In FULL and NO_SHAPE a world object's bbox holds
+    zeros; a part, which those modes place by its true box, has all its
+    pixel fields at zeros. Both are placeholders, as
+    `actuator.truth_percept`'s are.
 
     Each visible object draws its n frames as blocks, in this order:
     `rng.random(2 * n)`, the first n for hits and the last n for confusion
@@ -212,10 +247,10 @@ def detect_batch(
     label_set = {o.label for o in scene.objects}
     pixels = mode is Mode.NO_DEPTH
     out: list[Detection] = []
-    for obj in scene.objects:
-        center = obj.box.center
+    for obj, seen in _in_view(scene.objects, cam, scene.vision_on, pixels):
         if obj.proprio:
             if pixels:
+                center = obj.box.center
                 pr = cam.project(center)
                 bbox = cam.project_box(obj.box) or _NO_BBOX
                 px = (pr[0], pr[1]) if pr else _NO_PX
@@ -223,17 +258,7 @@ def detect_batch(
             else:
                 out.append(Detection(obj.label, obj.id, _NO_BBOX, _NO_PX, 0.0, 1.0))
             continue
-        if not scene.vision_on:
-            continue
-        pr = cam.view(center)
-        if pr is None:
-            continue
-        if pixels:
-            true_bbox = cam.project_box(obj.box)
-            if true_bbox is None:
-                continue
-        elif not cam.in_front(obj.box):
-            continue
+        pr, true_bbox = seen
 
         if len(label_set) > 1:
             draws = rng.random(2 * n).tolist()
@@ -472,15 +497,27 @@ def query_vision(
     n: int = 10,
 ) -> tuple[bool, bool]:
     """Verify a conjunction of atoms against the scene; returns (holds,
-    timed_out), the answer `monitor.VisionSystem.query` gives. Detect every
-    term in s; while any term is missing or under-confident, re-aim at the
+    timed_out), the answer `monitor.VisionSystem.query` gives. Look from
+    `cam`; while any term is missing or under-confident, re-aim at the
     centroid of the terms' scene positions for at most tau steps, so a
     conjunction verifies only when every term fits one view. On timeout the
     answer is (False, True). A term no scene object carries times out at
     once, perceiving nothing and drawing nothing: detection reports only the
-    labels of scene objects, so no look could find it. Otherwise every atom
-    is grounded in the final frame and `holds` says whether all do. An
-    empty conjunction is vacuously true."""
+    labels of scene objects, so no look could find it.
+
+    A look is taken only from a pose that has every term in view, by the
+    test detection applies (`_in_view`): some object carrying the term is
+    a robot part or is seen from that pose. From any other pose the look
+    counts as a failed one and perceives and draws nothing, since it could
+    not detect every term. The aimed pose does not change between steps, so
+    when it cannot see the terms the query times out at once. Under a noisy
+    detector this changes which numbers later looks draw, and it drops a
+    false detection that a skipped look might have made: a confused vote
+    naming an out-of-view term.
+
+    Otherwise every atom is grounded in the frame whose detections passed
+    and `holds` says whether all do. An empty conjunction is vacuously
+    true."""
     terms = sorted({arg for atom in s.atoms for arg in atom.args})
     if not terms:
         return True, False
@@ -490,12 +527,16 @@ def query_vision(
 
     centroid = tuple(sum(o.box.center[i] for o in known) / len(known) for i in range(3))
     aim = cam.aimed_at(centroid)
-    percept = perceive(scene, cam, model, rng, n, mode)
-    steps = 0
-    while any(t not in percept.detections or percept.detections[t].confidence <= mu for t in terms):
-        if steps >= tau:
-            return False, True
-        steps += 1
-        percept = perceive(scene, aim, model, rng, n, mode)
-
-    return all(ground_relation(a.pred, a.args, percept) for a in s.canonical()), False
+    pixels = mode is Mode.NO_DEPTH
+    for step in range(tau + 1):
+        pose = aim if step else cam
+        seen = {o.label for o, _ in _in_view(known, pose, scene.vision_on, pixels)}
+        if len(seen) < len(terms):
+            if step:
+                break  # no later look from the aimed pose sees the terms either
+            continue
+        percept = perceive(scene, pose, model, rng, n, mode)
+        det = percept.detections
+        if all(t in det and det[t].confidence > mu for t in terms):
+            return all(ground_relation(a.pred, a.args, percept) for a in s.canonical()), False
+    return False, True

@@ -73,6 +73,18 @@ def truth(pred: str, args: tuple, scene: Scene, cam: Camera, th: Thresholds = No
     and On and Inside are false for an object the attachments show held.
     Every other relation is re-derived from the true geometry of its
     visible arguments."""
+    if pred == "Detected":
+        return visible(scene, cam, args[0])
+    if pred not in ("VisionOn", "Holding", "Free"):
+        if not all(visible(scene, cam, x) for x in args):
+            return False
+    return world_truth(pred, args, scene, th)
+
+
+def world_truth(pred: str, args: tuple, scene: Scene, th: Thresholds = None) -> bool:
+    """What holds in the true scene, whatever a camera sees: `truth`'s
+    relations with no visibility gate. Detected(x) asks that a look aimed at
+    x's object from the scene camera's position could see it."""
     th = th or Thresholds()
     att = {scene.get(h).label: scene.get(o).label for h, o in scene.attachments.items()}
 
@@ -80,7 +92,8 @@ def truth(pred: str, args: tuple, scene: Scene, cam: Camera, th: Thresholds = No
         return scene.by_label(label).box
 
     if pred == "Detected":
-        return visible(scene, cam, args[0])
+        o = scene.by_label(args[0])
+        return o is not None and visible(scene, scene.camera.aimed_at(o.box.center), args[0])
     if pred == "VisionOn":
         return scene.vision_on
     if pred == "Holding":
@@ -89,8 +102,6 @@ def truth(pred: str, args: tuple, scene: Scene, cam: Camera, th: Thresholds = No
         return args[0] not in att
 
     a, b = args
-    if not (visible(scene, cam, a) and visible(scene, cam, b)):
-        return False
     if pred in ("On", "Inside") and a in att.values():
         return False  # a held object rests on nothing and sits in nothing
     A, B = box(a), box(b)

@@ -14,6 +14,7 @@ import pytest
 import taskmon
 from taskmon import monitor
 from conftest import DATA, load_packaged_lib, make_tiny_vocab
+import georacle
 from georacle import in_view
 from taskmon.actuator import (
     ActionResult,
@@ -757,6 +758,162 @@ def test_persistent_actuator_fault_exhausts_replans_then_recovers(lib, desk_voca
     assert recoveries[0].payload["reason"] == "action_failed: fault"
 
 
+# --- the loop: the verified set ------------------------------------------------------
+
+
+def gate_ctx(lib, scene, act, terminal=State(frozenset())):
+    cfg = quiet_cfg()
+    return monitor.MonitorContext(
+        cfg, lib, LiveVision(scene, cfg), ScriptedGoalSource([]), act,
+        lib.vocab.tasks["t-fetch"], terminal, START,
+    )
+
+
+def count_looks(monkeypatch) -> list:
+    """Record every perceive call a query or a scan makes."""
+    looks = []
+    real = monitor.perceive
+
+    def counted(*args, **kwargs):
+        looks.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(monitor, "perceive", counted)
+    monkeypatch.setattr(taskmon.perception, "perceive", counted)
+    return looks
+
+
+def test_a_gate_verified_since_the_last_dispatch_makes_no_look(lib, desk_vocab, monkeypatch):
+    # the goal and the terminal state inside it were verified since the last
+    # dispatch: neither check looks or draws, and both still report a result
+    scene = desk_scene()
+    goal = goal_of(lib, "e-found")
+    ctx = gate_ctx(lib, scene, SimActuator(scene, desk_vocab, seed=7), terminal=goal)
+    state = monitor.LoopState(
+        phase=monitor.Phase.GOAL, match=match_plan(lib, goal), verified=goal.atoms
+    )
+    looks = count_looks(monkeypatch)
+    drawn = ctx.vision._rng.bit_generator.state
+    ev = monitor._Emitter()
+    nxt = monitor.step(state, ctx, ev)
+    assert nxt.outcome == Outcome("success", "")
+    assert looks == [] and ctx.vision._rng.bit_generator.state == drawn
+    results = [e.payload for e in ev.events if e.kind == "vision_result"]
+    assert [(r["purpose"], r["holds"], r["looked"]) for r in results] == [
+        ("goal", True, False),
+        ("terminal", True, False),
+    ]
+    # with nothing verified the same goal check looks
+    monitor.step(replace(state, verified=frozenset()), ctx, monitor._Emitter())
+    assert looks and ctx.vision._rng.bit_generator.state != drawn
+
+
+class Recording(monitor.VisionSystem):
+    """Holds every query and records what was asked."""
+
+    def __init__(self):
+        self.asked = []
+
+    def query(self, s):
+        self.asked.append(s)
+        return True, False
+
+
+def test_a_partly_covered_gate_asks_its_whole_conjunction(lib, desk_vocab):
+    scene = desk_scene()
+    goal = goal_of(lib, "e-found")
+    ctx = gate_ctx(lib, scene, SimActuator(scene, desk_vocab, seed=7), terminal=goal_of(lib, "e-place"))
+    ctx.vision = Recording()
+    covered = frozenset({Atom("Detected", ("brush",))})
+    state = monitor.LoopState(phase=monitor.Phase.GOAL, match=match_plan(lib, goal), verified=covered)
+    ev = monitor._Emitter()
+    nxt = monitor.step(state, ctx, ev)
+    assert ctx.vision.asked == [goal]
+    assert [e.payload["looked"] for e in ev.events if e.kind == "vision_result"] == [True]
+    assert nxt.verified == covered | goal.atoms
+
+
+def test_a_partly_covered_packaged_gate_still_times_out(packaged_lib):
+    # the third bring_object chain in NO_DEPTH on its base scene: a gate
+    # that is partly covered is asked whole, and its terms do not fit one
+    # view; asking only its unverified atoms would end this run in success
+    chain = [c for c in packaged_lib.chains if c.task_id == "bring_object"][2]
+    goals = [packaged_lib.entry(n).goal_state for n in chain.goals]
+    cfg = MonitorConfig(seed=0, mode=Mode.NO_DEPTH)
+    scene = load_scene(os.path.join(DATA, "scenes", "bring_dynamic.yaml"))
+    trace = run_task(
+        "bring_object", scene, packaged_lib, None, SimActuator(scene, packaged_lib.vocab, seed=0),
+        cfg, terminal=goals[-1], vision=LiveVision(scene, cfg), goal_source=ScriptedGoalSource(goals),
+    )
+    assert trace.outcome == Outcome("failure", "vision_timeout")
+    audit(trace)
+    last = trace.of_kind("vision_result")[-1].payload
+    assert last["timeout"] and last["looked"]
+
+
+def dispatch_case(kind, scene, desk_vocab):
+    if kind == "faulted":
+        return SimActuator(scene, desk_vocab, seed=7, fail_prob=1.0)
+    if kind == "refused":
+        attach(scene, "hand", "cup")  # Free(hand) is false in the world
+        return SimActuator(scene, desk_vocab, seed=7)
+    # the cup moves to the shelf as grasp is called, and grasp succeeds
+    return SimActuator(
+        scene, desk_vocab, seed=7,
+        disturbances=[Disturbance(before_call=1, kind="relocate", obj="cup", dest="shelf")],
+    )
+
+
+@pytest.mark.parametrize("kind", ["faulted", "refused", "relocated"])
+def test_every_dispatch_empties_the_verified_set(lib, desk_vocab, monkeypatch, kind):
+    # every atom the step's checks ask is marked verified; the dispatch
+    # empties the set, so the next check looks again
+    scene = desk_scene()
+    act = dispatch_case(kind, scene, desk_vocab)
+    ga = grasp_action(lib)
+    goal = goal_of(lib, "e-pick")
+    ctx = gate_ctx(lib, scene, act)
+    state = monitor.LoopState(
+        phase=monitor.Phase.STEP, match=match_plan(lib, goal), plan=(ga,), replans_left=1,
+        verified=ga.pre | ga.add | goal.atoms,
+    )
+    looks = count_looks(monkeypatch)
+    ev = monitor._Emitter()
+    nxt = monitor.step(state, ctx, ev)
+    kinds = [e.kind for e in ev.events]
+    assert kinds[:3] == ["vision_query", "vision_result", "action_dispatch"]
+    assert ev.events[1].payload["looked"] is False
+    ok = ev.events[3].payload["ok"]
+    assert ok is (kind == "relocated")
+    assert bool(looks) is ok
+    if ok:
+        # the effects check right after the dispatch looks
+        assert ev.events[-1].payload["purpose"] == "effects"
+        assert ev.events[-1].payload["looked"] is True
+        assert nxt.verified == ga.add
+    else:
+        # a failed dispatch re-plans with nothing verified: the re-planned
+        # step's precondition check looks
+        assert nxt.phase is monitor.Phase.PLAN and nxt.verified == frozenset()
+        again = monitor._Emitter()
+        monitor.step(replace(nxt, phase=monitor.Phase.STEP, plan=(ga,), step_idx=0), ctx, again)
+        assert again.events[1].payload["purpose"] == "precondition"
+        assert again.events[1].payload["looked"] is True and looks
+
+
+def test_a_success_ends_on_a_terminal_check_that_makes_no_look(lib):
+    g = goal_of(lib, "e-pick")
+    trace = run_scripted(lib, desk_scene(), [g], g)
+    assert trace.outcome.ok
+    audit(trace)
+    results = trace.of_kind("vision_result")
+    assert results[-1].payload == {
+        "purpose": "terminal", "holds": True, "timeout": False,
+        "atoms": ["Holding(hand,brush)"], "looked": False,
+    }
+    assert trace.verified_states()[-1] == ("terminal", g)
+
+
 class Raising(Actuator):
     def execute(self, action):
         raise RuntimeError("arm offline")
@@ -1293,3 +1450,82 @@ def test_fuzzed_runs_always_halt_within_bound(lib, desk_vocab):
         assert not trace.outcome.reason.startswith("internal:"), trace.outcome
         # generous event bound implied by the transition budget
         assert len(trace.events) <= 5 * cfg.step_budget
+
+
+NOISY = DetectorModel(tp_rate=0.95, confusion=0.05, px_jitter=1.0, depth_sigma=0.02)
+
+
+def fuzz_case(lib, rng: np.random.Generator) -> dict:
+    """One packaged run drawn from `rng`: a library chain as scripted goals,
+    a packaged scene, up to two relocate, remove or nudge disturbances on its
+    world objects, each scheduled on the actuator or applied before the run,
+    and a drawn fault rate, mode and detector."""
+    scene_dir = os.path.join(DATA, "scenes")
+    scenes = sorted(f[: -len(".yaml")] for f in os.listdir(scene_dir) if f.endswith(".yaml"))
+    chain = lib.chains[int(rng.integers(len(lib.chains)))]
+    scene_name = scenes[int(rng.integers(len(scenes)))]
+    scene = load_scene(os.path.join(scene_dir, f"{scene_name}.yaml"))
+    world = [o.id for o in scene.objects if not o.proprio]
+    staged, scheduled = [], []
+    for _ in range(int(rng.integers(0, 3))):
+        kind = ("relocate", "remove", "nudge")[int(rng.integers(3))]
+        obj, dest = (world[i] for i in rng.choice(len(world), 2, replace=False))
+        shift = (float(rng.normal(0, 0.3)), float(rng.normal(0, 0.3)), 0.0)
+        d = Disturbance(
+            before_call=int(rng.integers(1, 6)),
+            kind=kind,
+            obj=obj,
+            dest=dest if kind == "relocate" else None,
+            offset=shift if kind == "nudge" else (0.0, 0.0, 0.0),
+        )
+        (staged if rng.random() < 0.3 else scheduled).append(d)
+    return dict(
+        chain=chain,
+        scene=scene_name,
+        staged=staged,
+        scheduled=scheduled,
+        fail_prob=float(rng.uniform(0.0, 0.3)) if rng.random() < 0.5 else 0.0,
+        mode=list(Mode)[int(rng.integers(len(Mode)))],
+        noisy=bool(rng.random() < 0.5),
+        seed=int(rng.integers(2**16)),
+    )
+
+
+def run_fuzz_case(lib, case: dict):
+    goals = [lib.entry(n).goal_state for n in case["chain"].goals]
+    scene = load_scene(os.path.join(DATA, "scenes", f"{case['scene']}.yaml"))
+    detector = NOISY if case["noisy"] else DetectorModel()
+    cfg = MonitorConfig(seed=case["seed"], mode=case["mode"], detector=detector)
+    act = SimActuator(
+        scene, lib.vocab, fail_prob=case["fail_prob"], seed=case["seed"], disturbances=case["scheduled"]
+    )
+    for d in case["staged"]:
+        act.apply_disturbance(d)
+    trace = run_task(
+        case["chain"].task_id, scene, lib, None, act, cfg,
+        terminal=goals[-1], vision=LiveVision(scene, cfg), goal_source=ScriptedGoalSource(goals),
+    )
+    return trace, scene, goals[-1], cfg
+
+
+def test_packaged_fuzz_halts_replays_and_succeeds_only_in_the_world(packaged_lib):
+    # seeded runs over the packaged chains and scenes under random world
+    # edits, faults, modes and detectors: each halts within its budget, never
+    # ends internally, passes the audit, replays to the same trace, and with
+    # the zero-noise detector succeeds only when every terminal atom holds in
+    # the true scene
+    rng = np.random.default_rng(0xF022)
+    outcomes = Counter()
+    for trial in range(600):
+        case = fuzz_case(packaged_lib, rng)
+        trace, scene, terminal, cfg = run_fuzz_case(packaged_lib, case)
+        where = f"trial {trial}: {case}"
+        assert not trace.outcome.reason.startswith("internal:"), where
+        assert len(trace.events) <= 5 * cfg.step_budget, where
+        audit(trace)
+        assert trace_lines(run_fuzz_case(packaged_lib, case)[0]) == trace_lines(trace), where
+        if trace.outcome.ok and not case["noisy"]:
+            false = [a for a in terminal.canonical() if not georacle.world_truth(a.pred, a.args, scene)]
+            assert false == [], where
+        outcomes[trace.outcome.status] += 1
+    assert outcomes["success"] > 0 and outcomes["failure"] > 0

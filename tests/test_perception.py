@@ -1076,9 +1076,70 @@ def test_query_of_a_term_no_scene_object_carries_times_out_without_looking(atoms
 
 
 def test_query_zero_budget_times_out_when_term_unseen():
+    # the block is behind the camera, so its one allowed look cannot see it:
+    # the query takes no look and draws nothing
     scene = desk_scene()
     s = State.parse(["Detected(hind_block)"])
-    assert query_vision(s, scene, scene.camera, DetectorModel(), stream(4), tau=0) == (False, True)
+    rng = stream(4)
+    drawn = rng.bit_generator.state
+    assert query_vision(s, scene, scene.camera, DetectorModel(), rng, tau=0) == (False, True)
+    assert rng.bit_generator.state == drawn
+
+
+def test_query_looks_only_from_a_pose_that_sees_every_term(monkeypatch):
+    # brush is in view and hind_block behind the camera: the first look could
+    # not detect both, so only the aimed pose perceives, which sees neither
+    # and so times out with no look at all; a brush query looks once
+    scene = desk_scene()
+    looks = []
+    real = perception.perceive
+
+    def counted(scene, cam, *args):
+        looks.append(cam)
+        return real(scene, cam, *args)
+
+    monkeypatch.setattr(perception, "perceive", counted)
+    both = State.parse(["Detected(brush)", "Detected(hind_block)"])
+    rng = stream(2)
+    drawn = rng.bit_generator.state
+    assert query_vision(both, scene, scene.camera, DetectorModel(), rng, tau=3) == (False, True)
+    assert looks == [] and rng.bit_generator.state == drawn
+    brush = State.parse(["Detected(brush)"])
+    assert query_vision(brush, scene, scene.camera, DetectorModel(), rng, tau=3) == (True, False)
+    assert looks == [scene.camera]
+    # the valve behind the camera is seen only from the aimed pose
+    cam = Camera(position=(0, 0, 1.2), yaw=0.0, pitch=-0.15)
+    valve = SceneObject("valve", "valve", Box((-1.2, -0.06, 0.72), (-1.08, 0.06, 0.84)))
+    behind = Scene([valve], cam)
+    looks.clear()
+    valve_seen = State.parse(["Detected(valve)"])
+    assert query_vision(valve_seen, behind, cam, DetectorModel(), rng, tau=2) == (True, False)
+    assert looks == [cam.aimed_at(valve.box.center)]
+
+
+def test_visibility_helper_and_detection_agree_at_zero_noise():
+    # an object is detected exactly when the shared test says it is in view:
+    # every packaged scene, every pose of LiveVision's scan ring, every mode,
+    # and a scene whose vision is off
+    scene_dir = os.path.join(DATA, "scenes")
+    names = sorted(f for f in os.listdir(scene_dir) if f.endswith(".yaml"))
+    checked = Counter()
+    for name in names:
+        for vision_on in (True, False):
+            scene = load_scene(os.path.join(scene_dir, name))
+            scene.vision_on = vision_on
+            vision = LiveVision(scene, MonitorConfig())
+            vision.scan([])  # builds the ring of scan poses
+            for cam, mode in product(vision._ring, Mode):
+                pixels = mode is Mode.NO_DEPTH
+                in_view = perception._in_view(scene.objects, cam, scene.vision_on, pixels)
+                seen = {o.id for o, _ in in_view}
+                dets = detect_batch(scene, cam, DetectorModel(), stream(), 10, mode)
+                assert {d.obj_id for d in dets} == seen, (name, cam, mode)
+                world = {o.id for o in scene.objects if not o.proprio} & seen
+                assert vision_on or not world  # with vision off only parts are seen
+                checked[vision_on] += len(world)
+    assert checked[True] > 0
 
 
 def test_query_sweep_finds_object_behind_camera():
