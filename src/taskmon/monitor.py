@@ -457,7 +457,8 @@ def _verify(
     """One vision gate: a `vision_query`/`vision_result` pair around the
     vision seam's answer for `s`. A gate whose atoms are all in `verified`,
     the atoms verified since the last dispatch, makes no look and draws
-    nothing: it holds, and its result says `looked: false`. A partly covered
+    nothing: it holds, and its result says `looked: false`. Under a noisy
+    detector later looks therefore draw other numbers. A partly covered
     gate still asks its whole conjunction, because LiveVision verifies a
     conjunction only when all its terms fit one view."""
     atoms = _atom_strs(s)
