@@ -44,8 +44,11 @@ from .geometry import Camera, Scene
 from .language import Atom, Predicate, State, TaskSentence, TokenSeq, Vocabulary
 from .pddl import PlanDomain, PlanLibrary
 from .perception import (
+    DEFAULT_RULES,
+    TERM_KINDS,
     DetectorModel,
     Mode,
+    _in_view,
     ground_relation,
     perceive,
     query_vision,
@@ -231,7 +234,21 @@ class VisionSystem:
 class LiveVision(VisionSystem):
     """Perception against the live scene: queries re-aim the camera at their
     terms under the mu/tau discipline; scans ground each candidate atom
-    from a ring of camera poses and keep whatever holds in any pose."""
+    from a ring of camera poses and keep whatever holds in any pose.
+
+    A scan takes only the looks that can change its answer. It always looks
+    from the first pose, and decides `Holding`, `Free` and `VisionOn` there
+    for good: they read the grasp state and `Scene.vision_on`, which no pose
+    changes. The other candidates are grouped by their term set. A later
+    pose is looked from only when the visibility test detection applies
+    (`perception._in_view`) has every term of some unheld group in view
+    there; a skipped pose perceives and draws nothing. A look grounds only
+    the groups whose terms it detected, since a `Detected` or geometric
+    atom with an undetected term is false. At zero noise the scan thus holds
+    exactly what a look from every pose would. Under a noisy detector the
+    later looks draw different numbers, and a skipped look drops a false
+    detection it might have made: a confused vote naming an out-of-view
+    term. `query_vision` makes the same trade."""
 
     def __init__(self, scene: Scene, cfg: MonitorConfig):
         self.scene = scene
@@ -254,8 +271,8 @@ class LiveVision(VisionSystem):
         )
 
     def scan(self, atoms: Iterable[Atom]) -> State:
-        cfg = self.cfg
-        cam = self.scene.camera
+        cfg, scene = self.cfg, self.scene
+        cam = scene.camera
         if not self._ring or self._ring[0] is not cam:
             # the ring follows the scene's camera, which a Detected effect re-aims
             steps = max(1, math.ceil(2.0 * math.pi / (cam.hfov * 0.85)))
@@ -263,19 +280,41 @@ class LiveVision(VisionSystem):
                 replace(cam, yaw=cam.yaw + i * cam.hfov * 0.85, pitch=-0.2)
                 for i in range(1, steps + 1)
             ]
-        remaining = sorted(set(atoms), key=lambda x: x.key())
+        first: list[Atom] = []  # decided at the first pose; an unknown predicate raises there
+        groups: dict[frozenset[str], list[Atom]] = {}  # the unheld term-reading atoms
+        for a in dict.fromkeys(atoms):
+            if DEFAULT_RULES.get(a.pred) in TERM_KINDS:
+                groups.setdefault(frozenset(a.args), []).append(a)
+            else:
+                first.append(a)
+        if not first and not groups:
+            return State()
+        pixels = cfg.mode is Mode.NO_DEPTH
         held: list[Atom] = []
-        for pose in self._ring:
-            if not remaining:
-                break
-            percept = perceive(self.scene, pose, cfg.detector, self._rng, cfg.frames, cfg.mode)
-            unheld = []
-            for a in remaining:
-                if ground_relation(a.pred, a.args, percept):
-                    held.append(a)
+        watched = None  # the scene objects carrying a term of some group
+        for i, pose in enumerate(self._ring):
+            if i:
+                if not groups:
+                    break
+                if watched is None:
+                    terms = frozenset().union(*groups)
+                    watched = [o for o in scene.objects if o.label in terms]
+                seen = {o.label for o, _ in _in_view(watched, pose, scene.vision_on, pixels)}
+                if not any(g <= seen for g in groups):
+                    continue
+            percept = perceive(scene, pose, cfg.detector, self._rng, cfg.frames, cfg.mode)
+            if not i:
+                held.extend(a for a in first if ground_relation(a.pred, a.args, percept))
+            detected = percept.detections.keys()
+            for g in [g for g in groups if g <= detected]:
+                unheld = []
+                for a in groups[g]:
+                    (held if ground_relation(a.pred, a.args, percept) else unheld).append(a)
+                if unheld:
+                    groups[g] = unheld
                 else:
-                    unheld.append(a)
-            remaining = unheld
+                    del groups[g]
+                    watched = None
         return State.of(held)
 
 

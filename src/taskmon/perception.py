@@ -27,8 +27,10 @@ is judged by the same rule set, and no caller replaces it. The vision query
 scene objects, and a term no scene object carries times out at once,
 with no look and no sweep. It looks only from a pose that has every term
 in view by the test detection itself applies (`_in_view`); a look from
-any other pose counts as a failed one and draws nothing. A caller that
-wants the frames or boxes behind an answer calls `perceive` itself.
+any other pose counts as a failed one and draws nothing. The monitor's
+`LiveVision.scan` applies the same test to its ring of poses, and skips
+a pose that has the terms of no remaining candidate all in view. A caller
+that wants the frames or boxes behind an answer calls `perceive` itself.
 `estimate_depth`, a ray-cast foreground mask inside a detected box, is a
 separate on-demand measurement that neither reconstruction nor the vision
 query runs.
@@ -156,6 +158,11 @@ DEFAULT_RULES: Mapping[str, str] = MappingProxyType(
     }
 )
 
+# The kinds whose answer reads the detections of the atom's terms, and is
+# false when a term is undetected. The others read the grasp state or the
+# vision switch, which no camera pose changes.
+TERM_KINDS = frozenset({"found", "on", "inside", "close", "at"})
+
 
 @dataclass
 class Percept:
@@ -179,15 +186,16 @@ class Percept:
 def _in_view(
     objects: Iterable[SceneObject], cam: Camera, vision_on: bool, pixels: bool
 ) -> Iterator[tuple[SceneObject, tuple]]:
-    """The one visibility test, shared by `detect_batch` and `query_vision`:
-    yields the objects a look from `cam` sees, in order, each with what the
-    look sees of it. A robot part is proprioception, always in view, and comes
-    with `()`. A world object is in view when the scene's vision is on, its
-    centre is in the view cone (`Camera.view`) and every corner is in front
-    of the camera: in pixel mode (`pixels`, NO_DEPTH) `project_box` gives its
-    pixel box, otherwise `Camera.in_front` says so without projecting. It
-    comes with its centre's (u, v, depth) and the pixel box, `_NO_BBOX`
-    outside pixel mode."""
+    """The one visibility test, shared by `detect_batch`, `query_vision` and
+    the monitor's `LiveVision.scan`: yields the objects a look from `cam`
+    sees, in order, each with what the look sees of it. A robot part is
+    proprioception, always in view, and comes with `()`. A world object is
+    in view when the scene's vision is on, its centre is in the view cone
+    (`Camera.view`) and every corner is in front of the camera: in pixel
+    mode (`pixels`, NO_DEPTH) `project_box` gives its pixel box, otherwise
+    `Camera.in_front` says so without projecting. It comes with its
+    centre's (u, v, depth) and the pixel box, `_NO_BBOX` outside pixel
+    mode."""
     for obj in objects:
         if obj.proprio:
             yield obj, ()

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import taskmon
-from taskmon import monitor
+from taskmon import monitor, perception
 from conftest import DATA, load_packaged_lib, make_tiny_vocab
 import georacle
 from georacle import in_view
@@ -50,7 +50,7 @@ from taskmon.pddl import (
     parse_problem,
     validate_library,
 )
-from taskmon.perception import DetectorModel, Mode, ground_relation
+from taskmon.perception import DetectorModel, Mode, ground_relation, perceive
 from taskmon.planning import ground_actions, match_plan, solve
 from taskmon.predictor import GoalProposal, TrainingPair, infer_topk, train
 from tracesweep import sweep as trace_sweep
@@ -359,26 +359,33 @@ def test_search_effect_aims_camera(lib, desk_vocab):
     assert in_view(scene.camera, scene.get("brush").box.center)
 
 
+def _spy_looks(monkeypatch) -> list[Camera]:
+    """The poses of every LiveVision look from now on, in order."""
+    looks = []
+    real = monitor.perceive
+
+    def spy(scene_, cam, *rest):
+        looks.append(cam)
+        return real(scene_, cam, *rest)
+
+    monkeypatch.setattr(monitor, "perceive", spy)
+    return looks
+
+
 def test_scan_ring_follows_the_camera_a_search_effect_re_aims(lib, desk_vocab, monkeypatch):
     scene = desk_scene(brush_center=(1.0, 0.0, 2.2))
     vision = LiveVision(scene, quiet_cfg())
-    seen = []
-    perceive = monitor.perceive
-
-    def spy(scene_, cam, *rest):
-        seen.append(cam)
-        return perceive(scene_, cam, *rest)
-
-    monkeypatch.setattr(monitor, "perceive", spy)
+    seen = _spy_looks(monkeypatch)
 
     def ring(cam):
         steps = math.ceil(2.0 * math.pi / (cam.hfov * 0.85))
         return [cam] + [replace(cam, yaw=cam.yaw + i * cam.hfov * 0.85, pitch=-0.2) for i in range(1, steps + 1)]
 
     def scan_all():
-        # an atom that holds in no pose makes the scan visit the whole ring
+        # the hand and the rover are robot parts, in view from every pose, and
+        # the hand never rests on the rover: the scan visits the whole ring
         seen.clear()
-        vision.scan([Atom("Detected", ("ghost",))])
+        vision.scan([Atom("On", ("hand", "rover"))])
         return list(seen)
 
     start = scan_all()
@@ -476,6 +483,62 @@ def test_live_vision_casts_no_rays(lib, desk_vocab, monkeypatch):
     objs = lib.entry("e-pick").problem.objects
     init = vision.scan(candidate_atoms(objs, lib.entry("e-pick").domain.predicates.values(), desk_vocab))
     assert Atom("On", ("brush", "table")) in init
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_live_scan_equals_a_look_from_every_pose_at_zero_noise(packaged_lib, mode):
+    # the plain scan: perceive from every ring pose and ground every
+    # candidate there, for each packaged scene with vision on and off and
+    # each library entry's scan candidates
+    held = 0
+    for name in sorted(f[: -len(".yaml")] for f in os.listdir(os.path.join(DATA, "scenes"))):
+        for vision_on in (True, False):
+            scene = load_scene(os.path.join(DATA, "scenes", f"{name}.yaml"))
+            scene.vision_on = vision_on
+            cfg = MonitorConfig(mode=mode)
+            vision = LiveVision(scene, cfg)
+            vision.scan([])  # builds the ring of scan poses
+            rng = np.random.default_rng(0)
+            looks = [perceive(scene, pose, cfg.detector, rng, cfg.frames, mode) for pose in vision._ring]
+            for entry in packaged_lib.entries:
+                candidates = monitor._scan_candidates(entry.domain, dict(entry.problem.objects), packaged_lib.vocab)
+                want = {a for a in candidates if any(ground_relation(a.pred, a.args, p) for p in looks)}
+                assert vision.scan(candidates).atoms == want, (name, vision_on, entry.name)
+                held += len(want)
+    assert held > 0
+
+
+def test_a_scan_of_pose_free_atoms_looks_once(monkeypatch):
+    # Holding, Free and VisionOn read the grasp state and the vision switch,
+    # so the first look decides them, those that fail included
+    scene = desk_scene()
+    looks = _spy_looks(monkeypatch)
+    vision = LiveVision(scene, quiet_cfg())
+    atoms = State.parse(["Holding(hand,brush)", "Free(hand)", "Free(rover)", "VisionOn()"]).atoms
+    init = vision.scan(atoms)
+    assert looks == [scene.camera]
+    assert init == State.parse(["Free(hand)", "Free(rover)", "VisionOn()"])
+
+
+def test_a_scan_skips_a_pose_that_sees_no_remaining_candidate(monkeypatch):
+    # no scene object carries ghost, and the shelf is behind the start
+    # camera: after the first look the scan looks only from the first pose
+    # that sees the shelf. A skipped pose perceives and draws nothing
+    scene = desk_scene()
+    looks = _spy_looks(monkeypatch)
+    cfg = quiet_cfg(detector=DetectorModel(tp_rate=0.99, px_jitter=1.0, depth_sigma=0.02))
+    vision = LiveVision(scene, cfg)
+    init = vision.scan([Atom("Detected", ("ghost",)), Atom("Detected", ("shelf",))])
+    assert init == State.parse(["Detected(shelf)"])
+    ring = vision._ring
+    shelf = [scene.get("shelf")]
+    sees = [any(perception._in_view(shelf, pose, True, False)) for pose in ring]
+    k = sees.index(True)
+    assert k > 1 and looks == [ring[0], ring[k]]
+    twin = np.random.default_rng([cfg.seed, 0x515C])
+    for pose in looks:
+        perceive(scene, pose, cfg.detector, twin, cfg.frames, cfg.mode)
+    assert vision._rng.bit_generator.state == twin.bit_generator.state
 
 
 def test_belief_vision_snapshot_goes_stale(lib, desk_vocab):

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import DATA
-from taskmon import monitor, perception
+from taskmon import perception
 from taskmon.actuator import Disturbance, SimActuator, place_on, translate_object, truth_percept
 from taskmon.geometry import Box, Camera, Scene, SceneObject, load_scene, ray_box
 from taskmon.language import State, parse_atom
@@ -738,19 +738,11 @@ def _packaged_scene(name: str) -> Scene:
 
 
 def _scan_ring(scene: Scene) -> list[Camera]:
-    """The poses a LiveVision scan of the scene visits, in order: an atom that
-    holds in no pose makes the scan visit the whole ring."""
-    poses = []
-    real = monitor.perceive
-
-    def spy(scene_, cam, *rest):
-        poses.append(cam)
-        return real(scene_, cam, *rest)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(monitor, "perceive", spy)
-        LiveVision(scene, MonitorConfig()).scan([parse_atom("Detected(ghost)")])
-    return poses
+    """The poses of a LiveVision scan of the scene, in order. A scan with no
+    candidates builds the ring and looks from none of it."""
+    vision = LiveVision(scene, MonitorConfig())
+    vision.scan([])
+    return vision._ring
 
 
 @pytest.mark.parametrize("scene_name", PACKAGED_SCENES)
