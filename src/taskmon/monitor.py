@@ -60,6 +60,7 @@ from .planning import (
     MatchScore,
     NoMatch,
     NoPlan,
+    ground_actions,
     grounding,
     match_plan,
     solve,
@@ -186,8 +187,8 @@ def candidate_atoms(
     objects: dict[str, str], predicates: Iterable[Predicate], vocab: Vocabulary
 ) -> list[Atom]:
     """Every type-valid ground atom over the given object set, excluding
-    reflexive binaries. This is the hypothesis space a perception scan
-    grounds one by one."""
+    reflexive binaries: the hypothesis space of a world snapshot. The PLAN
+    scan grounds only the part of it a plan can read (`_scan_candidates`)."""
     names = sorted(objects)
     out: list[Atom] = []
     for p in sorted(predicates, key=lambda q: q.name):
@@ -204,13 +205,34 @@ def candidate_atoms(
 def _scan_candidates(
     domain: PlanDomain, objects: dict[str, str], vocab: Vocabulary
 ) -> tuple[Atom, ...]:
-    """`candidate_atoms` over a library domain's predicates, memoised with
-    the domain's ground actions (`planning.grounding`). A library domain is
-    only ever scanned with its own library's vocabulary."""
+    """The `candidate_atoms` over a library domain's predicates that occur
+    in some ground action's precondition, in `candidate_atoms` order. Each
+    is the action's own interned object, so `solve` compares a scanned
+    state's atoms by identity. Memoised with the domain's ground actions
+    (`planning.grounding`). A library domain is only ever scanned with its
+    own library's vocabulary."""
     g = grounding(domain, objects)
     if g.candidates is None:
-        g.candidates = tuple(candidate_atoms(objects, domain.predicates.values(), vocab))
+        pre = {a: a for ga in ground_actions(domain, objects) for a in ga.pre}
+        g.candidates = tuple(
+            pre[a] for a in candidate_atoms(objects, domain.predicates.values(), vocab) if a in pre
+        )
     return g.candidates
+
+
+def _plan_scan(
+    domain: PlanDomain, objects: dict[str, str], goal: State, vocab: Vocabulary
+) -> tuple[dict[Atom, None], State]:
+    """What PLAN scans, and the goal it plans for. The scan covers the
+    `_scan_candidates` and the goal's atoms, which may be in no
+    precondition: `boot`'s `Free(robot_hand)` and `VisionOn(robot)` are in
+    none, and without them its plan raises `NoPlan`. The goal's atoms are the
+    grounding's interned objects wherever it has them, for the scan and
+    for `solve`."""
+    candidates = _scan_candidates(domain, objects, vocab)
+    table = grounding(domain, objects).atoms
+    goal = State.of(table.get(a, a) for a in goal.atoms)
+    return dict.fromkeys((*candidates, *goal.atoms)), goal
 
 
 # --- perception seams -------------------------------------------------------------
@@ -580,13 +602,15 @@ def step(state: LoopState, ctx: MonitorContext, ev: _Emitter) -> LoopState:
         objects: dict[str, str] = {}
         for name in sorted(entry.problem.objects):
             objects.setdefault(sub.get(name, name), entry.problem.objects[name])
-        # plan from every atom the scan verifies, proximity included. Move
-        # actions never delete the CloseTo/At atoms they falsify, so a plan
-        # can still lean on one its own earlier approach/reach/goto made
-        # stale; STEP re-checks it by vision before any dispatch.
-        init = ctx.vision.scan(_scan_candidates(entry.domain, objects, ctx.lib.vocab))
+        # plan from what the scan verifies of the atoms a plan can read
+        # (`_plan_scan`), proximity included. Move actions never delete the
+        # CloseTo/At atoms they falsify, so a plan can still lean on one its
+        # own earlier approach/reach/goto made stale; STEP re-checks it by
+        # vision before any dispatch.
+        scan, goal = _plan_scan(entry.domain, objects, state.goal, ctx.lib.vocab)
+        init = ctx.vision.scan(scan)
         try:
-            steps = solve(entry.domain, objects, init, state.goal)
+            steps = solve(entry.domain, objects, init, goal)
         except (NoPlan, BudgetExceeded) as exc:
             reason = "no_plan" if isinstance(exc, NoPlan) else "budget_exceeded"
             ev("plan_failed", reason=reason, init_size=len(init.atoms))

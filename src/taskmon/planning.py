@@ -11,11 +11,20 @@ delete (the delete relaxation behind h_max and FF), no plan exists.
 Grounding is done once per domain and object set. `grounding` keys a
 domain's memo (`PlanDomain.groundings`) by the object set as a frozenset of
 (name, sort) pairs and holds a `Grounding` there: the sorted ground actions,
-as an immutable tuple, and the atoms the monitor's PLAN scan grounds. Each
-part is built on its first use, so loading a library grounds nothing, and
-the first plan of an entry costs what grounding costs. The memo holds no
-scene state: its size is bounded by the library's entries times the
-renamings `match_plan` maps them to, and it lives as long as the domain.
+as an immutable tuple, the table their atoms are interned through, and the
+atoms the monitor's PLAN scan grounds. Each part is built on its first use,
+so loading a library grounds nothing, and the first plan of an entry costs
+what grounding costs. The memo holds no scene state: its size is bounded
+by the library's entries times the renamings `match_plan` maps them to,
+and it lives as long as the domain.
+
+Atoms are interned per grounding: equal atoms of its actions are one
+object, and the scan's candidates are those same objects, so `solve`'s set
+tests find a state's atoms by identity before any `Atom.__eq__` runs. The
+scan grounds only the atoms some action's precondition reads, plus the
+goal's (relevance analysis, Nebel, Dimopoulos & Koehler 1997): an atom no
+precondition reads cannot change which actions apply, and one outside the
+goal cannot change how far the goal is, so the plan is the same without it.
 
 Matching is memoised per library goal. `match_plan` keys a library's memo
 (`PlanLibrary.matches`) by the goal `State` itself, and keeps a result only
@@ -104,10 +113,14 @@ class MatchScore:
 @dataclass
 class Grounding:
     """What a domain yields over one object set, each part filled on first
-    use: `actions` by `ground_actions`, `candidates` by the monitor's PLAN
-    scan."""
+    use. `ground_actions` fills `actions` and `atoms`, the table that holds
+    one object per distinct atom of their `pre`, `add` and `delete` sets,
+    mapped to itself. The monitor's PLAN scan fills `candidates` with the
+    scannable atoms some action's precondition reads, taken from that
+    table."""
 
     actions: Optional[tuple[GroundAction, ...]] = None
+    atoms: Optional[dict[Atom, Atom]] = None
     candidates: Optional[tuple[Atom, ...]] = None
 
 
@@ -129,10 +142,12 @@ def ground_actions(domain: PlanDomain, objects: dict[str, str]) -> tuple[GroundA
     Memoised in the domain by `grounding`, keyed by the object set's
     (name, sort) pairs: the first call for a key grounds, and every later
     call returns the same tuple. Keys are filled lazily, one per library
-    entry and renaming of it that gets planned."""
+    entry and renaming of it that gets planned. Equal atoms of the kept
+    actions are one object, interned through `Grounding.atoms`."""
     g = grounding(domain, objects)
     if g.actions is not None:
         return g.actions
+    table: dict[Atom, Atom] = {}
     out: list[GroundAction] = []
     for sch in domain.schemas:
         candidates = []
@@ -143,11 +158,11 @@ def ground_actions(domain: PlanDomain, objects: dict[str, str]) -> tuple[GroundA
             binding = {p.name: o for p, o in zip(sch.parameters, combo)}
             if not all(eq.holds(binding) for eq in sch.eqs):
                 continue
-            ga = _bind(sch, binding, combo, domain, objects)
+            ga = _bind(sch, binding, combo, domain, objects, table)
             if ga is not None:
                 out.append(ga)
     out.sort(key=GroundAction.key)
-    g.actions = tuple(out)
+    g.actions, g.atoms = tuple(out), table
     return g.actions
 
 
@@ -157,8 +172,9 @@ def _bind(
     combo: tuple[str, ...],
     domain: PlanDomain,
     objects: dict[str, str],
+    table: dict[Atom, Atom],
 ) -> Optional[GroundAction]:
-    def ground_all(atoms) -> Optional[frozenset[Atom]]:
+    def ground_all(atoms) -> Optional[list[Atom]]:
         acc = []
         for a in atoms:
             g = a.ground(binding)
@@ -166,13 +182,12 @@ def _bind(
                 if arg not in objects or not domain.is_subsort(objects[arg], slot):
                     return None
             acc.append(g)
-        return frozenset(acc)
+        return acc
 
-    pre = ground_all(sch.pre)
-    add = ground_all(sch.add)
-    delete = ground_all(sch.delete)
-    if pre is None or add is None or delete is None:
+    parts = [ground_all(sch.pre), ground_all(sch.add), ground_all(sch.delete)]
+    if any(part is None for part in parts):
         return None
+    pre, add, delete = (frozenset(table.setdefault(a, a) for a in part) for part in parts)
     return GroundAction(sch, combo, pre, add, delete)
 
 

@@ -1284,9 +1284,11 @@ KNOWN_STALE = {
 
 def replay_chain(lib, chain):
     """Run a packaged chain at zero noise: plan each entry with `solve` from
-    the truth over the entry's scan candidates, and execute the plan with
-    SimActuator. Yields (action, STRIPS successor of the truth before it,
-    truth after it) per step; a refused action fails at once."""
+    the truth over every type-valid atom of the entry's objects, and execute
+    the plan with SimActuator. Yields (action, STRIPS successor of the truth
+    before it, truth after it) per step; a refused action fails at once. The
+    world is read over all of `candidate_atoms`, not the PLAN scan's
+    candidates, so that an atom no precondition reads is still compared."""
     scene = load_scene(os.path.join(DATA, "scenes", f"{PACKAGED_SCENE[chain.task_id]}.yaml"))
     alt = ALT_SUPPORT.get(chain.task_id)
     if alt and any(Atom("On", alt) in lib.entry(n).goal_state.atoms for n in chain.goals):
@@ -1295,7 +1297,7 @@ def replay_chain(lib, chain):
     for name in chain.goals:
         entry = lib.entry(name)
         objects = dict(entry.problem.objects)
-        candidates = monitor._scan_candidates(entry.domain, objects, lib.vocab)
+        candidates = candidate_atoms(objects, entry.domain.predicates.values(), lib.vocab)
 
         def world() -> set[Atom]:
             p = truth_percept(scene)

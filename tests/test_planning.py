@@ -1,11 +1,15 @@
 import itertools
+import os
 import random
 from collections import Counter
 
 import pytest
 
+from taskmon.actuator import truth_percept
+from taskmon.geometry import load_scene
 from taskmon.language import Atom, State
-from taskmon.monitor import _scan_candidates, candidate_atoms
+from taskmon.monitor import _plan_scan, _scan_candidates, candidate_atoms
+from taskmon.perception import ground_relation
 from taskmon.pddl import PlanEntry, PlanLibrary, parse_domain, parse_problem
 from taskmon.planning import (
     BudgetExceeded,
@@ -16,7 +20,7 @@ from taskmon.planning import (
     match_plan,
     solve,
 )
-from conftest import load_packaged_lib, make_tiny_vocab
+from conftest import DATA, load_packaged_lib, make_tiny_vocab
 from domaingen import (
     BLOCKS_DOMAIN,
     bfs_optimal_length,
@@ -130,27 +134,28 @@ def plan_objects(entry: PlanEntry, sub: dict[str, str]) -> dict[str, str]:
     return objects
 
 
-def packaged_groundings(lib: PlanLibrary) -> list[tuple[PlanEntry, dict[str, str]]]:
-    """Every entry over its own objects, and over each renaming match_plan
-    gives it for another entry's goal."""
+def packaged_groundings(lib: PlanLibrary) -> list[tuple[PlanEntry, dict[str, str], State]]:
+    """Every entry over its own objects, planned for its own goal, and over
+    each renaming match_plan gives it for another entry's goal, planned for
+    the renamed entry goal."""
     out = []
     for entry in lib.entries:
-        out.append((entry, dict(entry.problem.objects)))
+        out.append((entry, dict(entry.problem.objects), entry.goal_state))
         alone = PlanLibrary([entry], lib.vocab)
         for other in lib.entries:
             try:
                 m = match_plan(alone, other.goal_state)
             except NoMatch:
                 continue
-            out.append((entry, plan_objects(entry, m.substitution)))
+            out.append((entry, plan_objects(entry, m.substitution), m.matched_goal))
     return out
 
 
 def test_memoised_grounding_equals_a_fresh_one_on_the_packaged_library(packaged_lib):
     oracle = load_packaged_lib()
     cases = packaged_groundings(packaged_lib)
-    assert sum(1 for e, o in cases if o != e.problem.objects) > len(packaged_lib.entries)
-    for entry, objects in cases:
+    assert sum(1 for e, o, _ in cases if o != e.problem.objects) > len(packaged_lib.entries)
+    for entry, objects, _ in cases:
         dom = oracle.entry(entry.name).domain
         dom.groundings.clear()  # the oracle grounds afresh every time
         fresh = ground_actions(dom, objects)
@@ -158,9 +163,41 @@ def test_memoised_grounding_equals_a_fresh_one_on_the_packaged_library(packaged_
         assert [(a.name, a.pre, a.add, a.delete) for a in memo] == [
             (a.name, a.pre, a.add, a.delete) for a in fresh
         ], entry.name
-        assert list(_scan_candidates(entry.domain, objects, packaged_lib.vocab)) == candidate_atoms(
-            objects, dom.predicates.values(), oracle.vocab
-        ), entry.name
+        # the scan's candidates: those a fresh grounding's preconditions
+        # read, in candidate order, each the memoised precondition's object
+        read = {a for ga in fresh for a in ga.pre}
+        want = [a for a in candidate_atoms(objects, dom.predicates.values(), oracle.vocab) if a in read]
+        got = _scan_candidates(entry.domain, objects, packaged_lib.vocab)
+        assert list(got) == want, entry.name
+        pre_objects = {id(a) for ga in memo for a in ga.pre}
+        assert all(id(a) in pre_objects for a in got), entry.name
+        # interned: no two distinct objects of the memoised actions are equal
+        distinct = {id(a): a for ga in memo for part in (ga.pre, ga.add, ga.delete) for a in part}
+        assert len(distinct) == len(set(distinct.values())), entry.name
+
+
+def test_relevance_keeps_every_packaged_plan(packaged_lib):
+    # PLAN scans only the candidates a precondition reads plus the goal's
+    # atoms; from each packaged scene's truth, that init must plan what the
+    # truth over every type-valid atom plans, or fail the same way
+    vocab = packaged_lib.vocab
+    scene_dir = os.path.join(DATA, "scenes")
+    percepts = [truth_percept(load_scene(os.path.join(scene_dir, f))) for f in sorted(os.listdir(scene_dir))]
+    outcomes: Counter = Counter()
+    for entry, objects, goal in packaged_groundings(packaged_lib):
+        every = candidate_atoms(objects, entry.domain.predicates.values(), vocab)
+        scan, planned = _plan_scan(entry.domain, objects, goal, vocab)
+        for percept in percepts:
+            results = []
+            for atoms, g in ((every, goal), (scan, planned)):
+                init = State.of(a for a in atoms if ground_relation(a.pred, a.args, percept))
+                try:
+                    results.append([ga.name for ga in solve(entry.domain, objects, init, g)])
+                except (NoPlan, BudgetExceeded) as exc:
+                    results.append(type(exc))
+            assert results[0] == results[1], (entry.name, sorted(objects), str(goal))
+            outcomes["plan" if isinstance(results[0], list) else results[0].__name__] += 1
+    assert outcomes["plan"] > 0 and outcomes["NoPlan"] > 0, outcomes
 
 
 def test_grounding_memo_is_shared_across_insertion_orders_and_immutable():
