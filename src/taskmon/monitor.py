@@ -222,17 +222,18 @@ def _scan_candidates(
 
 def _plan_scan(
     domain: PlanDomain, objects: dict[str, str], goal: State, vocab: Vocabulary
-) -> tuple[dict[Atom, None], State]:
+) -> tuple[tuple[Atom, ...], State]:
     """What PLAN scans, and the goal it plans for. The scan covers the
     `_scan_candidates` and the goal's atoms, which may be in no
     precondition: `boot`'s `Free(robot_hand)` and `VisionOn(robot)` are in
-    none, and without them its plan raises `NoPlan`. The goal's atoms are the
-    grounding's interned objects wherever it has them, for the scan and
-    for `solve`."""
+    none, and without them its plan raises `NoPlan`. A goal atom that is
+    also a candidate appears twice; each scan drops the repeat. The goal's
+    atoms are the grounding's interned objects wherever it has them, for
+    the scan and for `solve`."""
     candidates = _scan_candidates(domain, objects, vocab)
     table = grounding(domain, objects).atoms
     goal = State.of(table.get(a, a) for a in goal.atoms)
-    return dict.fromkeys((*candidates, *goal.atoms)), goal
+    return (*candidates, *goal.atoms), goal
 
 
 # --- perception seams -------------------------------------------------------------

@@ -489,7 +489,8 @@ def test_live_vision_casts_no_rays(lib, desk_vocab, monkeypatch):
 def test_live_scan_equals_a_look_from_every_pose_at_zero_noise(packaged_lib, mode):
     # the plain scan: perceive from every ring pose and ground every
     # candidate there, for each packaged scene with vision on and off and
-    # each library entry's scan candidates
+    # every type-valid atom over each library entry's objects; and PLAN's
+    # scan of each entry's own goal, where a goal atom may repeat a candidate
     held = 0
     for name in sorted(f[: -len(".yaml")] for f in os.listdir(os.path.join(DATA, "scenes"))):
         for vision_on in (True, False):
@@ -501,10 +502,13 @@ def test_live_scan_equals_a_look_from_every_pose_at_zero_noise(packaged_lib, mod
             rng = np.random.default_rng(0)
             looks = [perceive(scene, pose, cfg.detector, rng, cfg.frames, mode) for pose in vision._ring]
             for entry in packaged_lib.entries:
-                candidates = monitor._scan_candidates(entry.domain, dict(entry.problem.objects), packaged_lib.vocab)
-                want = {a for a in candidates if any(ground_relation(a.pred, a.args, p) for p in looks)}
-                assert vision.scan(candidates).atoms == want, (name, vision_on, entry.name)
-                held += len(want)
+                objects = dict(entry.problem.objects)
+                candidates = candidate_atoms(objects, entry.domain.predicates.values(), packaged_lib.vocab)
+                planned, _ = monitor._plan_scan(entry.domain, objects, entry.problem.goal, packaged_lib.vocab)
+                for atoms in (candidates, planned):
+                    want = {a for a in atoms if any(ground_relation(a.pred, a.args, p) for p in looks)}
+                    assert vision.scan(atoms).atoms == want, (name, vision_on, entry.name)
+                    held += len(want)
     assert held > 0
 
 
