@@ -58,14 +58,15 @@ class Actuator:
 def truth_percept(scene: Scene) -> Percept:
     """Omniscient percept straight from ground truth: every object reported
     at confidence 1 regardless of the camera, true boxes, true attachments.
-    Serves physical applicability checks and full-knowledge baselines."""
+    Serves physical applicability checks and full-knowledge baselines. It is
+    a FULL-mode percept whose rules read the true boxes, so a detection's
+    pixel fields and centre depth are placeholders: no rule reads them."""
     dets: dict[str, Detection] = {}
     boxes: dict[str, Box] = {}
     for o in scene.objects:
         if o.label in dets:
             continue  # first object per label, matching Scene.by_label
-        depth = scene.camera.depth_of(o.box.center)
-        dets[o.label] = Detection(o.label, o.id, (0.0, 0.0, 1.0, 1.0), (0.0, 0.0), depth, 1.0)
+        dets[o.label] = Detection(o.label, o.id, (0.0, 0.0, 1.0, 1.0), (0.0, 0.0), 0.0, 1.0)
         boxes[o.label] = o.box
     att = {scene.get(h).label: scene.get(d).label for h, d in scene.attachments.items()}
     return Percept(dets, boxes, att, Mode.FULL, vision_on=True)

@@ -48,6 +48,7 @@ from .perception import (
     TERM_KINDS,
     DetectorModel,
     Mode,
+    UnknownPredicate,
     _in_view,
     ground_relation,
     perceive,
@@ -344,23 +345,45 @@ class LiveVision(VisionSystem):
 class BeliefVision(VisionSystem):
     """Full world knowledge captured once, then never re-observed: queries
     and scans answer from the snapshot, and only the robot's own believed
-    action effects ever change it."""
+    action effects ever change it.
+
+    The snapshot is the `truth_percept` taken at construction, which holds
+    the scene's frozen boxes and a copy of its attachments, so a later move
+    in the scene does not reach it. An atom is grounded against it the first
+    time a query or scan reads it, and the answer is memoised for the rest
+    of the task: it holds when it is one of `candidates` and its relation
+    holds in the snapshot. A believed delete reads false and a believed add
+    true from then on, the add winning when an atom is both. A candidate
+    predicate with no grounding rule raises `UnknownPredicate` here; any
+    other fault of a candidate, such as a wrong arity, raises at its first
+    read."""
 
     def __init__(self, scene: Scene, candidates: Iterable[Atom]):
-        percept = truth_percept(scene)
-        self.belief: set[Atom] = {
-            a for a in candidates if ground_relation(a.pred, a.args, percept)
-        }
+        self._percept = truth_percept(scene)
+        self._candidates = frozenset(candidates)
+        unknown = {a.pred for a in self._candidates} - DEFAULT_RULES.keys()
+        if unknown:
+            raise UnknownPredicate(min(unknown))
+        self._belief: dict[Atom, bool] = {}
+
+    def _holds(self, a: Atom) -> bool:
+        held = self._belief.get(a)
+        if held is None:
+            held = a in self._candidates and ground_relation(a.pred, a.args, self._percept)
+            self._belief[a] = held
+        return held
 
     def query(self, s: State) -> tuple[bool, bool]:
-        return s.atoms <= self.belief, False
+        return all(self._holds(a) for a in s.atoms), False
 
     def scan(self, atoms: Iterable[Atom]) -> State:
-        return State.of(a for a in atoms if a in self.belief)
+        return State.of(a for a in atoms if self._holds(a))
 
     def note_effects(self, add: Iterable[Atom], delete: Iterable[Atom]) -> None:
-        self.belief -= set(delete)
-        self.belief |= set(add)
+        for a in delete:
+            self._belief[a] = False
+        for a in add:
+            self._belief[a] = True
 
 
 # --- goal sources ------------------------------------------------------------------

@@ -102,7 +102,8 @@ class Detection:
     mode, the one whose rules read it; a world object's center_px and
     center_depth in every mode, because reconstruction reads them; a robot
     part's only in NO_DEPTH, since FULL and NO_SHAPE place it by its true
-    box."""
+    box. `actuator.truth_percept` reconstructs nothing: every pixel field and
+    centre depth of its detections is a placeholder."""
 
     label: str
     obj_id: str
@@ -234,7 +235,7 @@ def detect_batch(
     grounds in pixels. In FULL and NO_SHAPE a world object's bbox holds
     zeros; a part, which those modes place by its true box, has all its
     pixel fields at zeros. Both are placeholders, as
-    `actuator.truth_percept`'s are.
+    `actuator.truth_percept`'s pixel fields and centre depths are.
 
     Each visible object draws its n frames as blocks, in this order:
     `rng.random(2 * n)`, the first n for hits and the last n for confusion

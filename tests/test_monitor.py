@@ -555,6 +555,14 @@ def test_belief_vision_snapshot_goes_stale(lib, desk_vocab):
     assert belief.query(State.parse(["On(cup,table)"])) == (True, False)  # never re-observed
     live = LiveVision(scene, quiet_cfg())
     assert live.query(State.parse(["On(cup,table)"]))[0] is False
+    # atoms first read after the world changed answer from the snapshot
+    # taken at construction too, boxes and grasp state alike
+    attach(scene, "hand", "brush")
+    moved = State.parse(["On(cup,shelf)", "Holding(hand,brush)"])
+    now = truth_percept(scene)
+    assert all(ground_relation(a.pred, a.args, now) for a in moved.atoms)
+    assert belief.scan(moved.atoms) == State()
+    assert belief.query(State.parse(["On(brush,table)", "Free(hand)"])) == (True, False)
 
 
 def test_belief_vision_tracks_own_effects(lib, desk_vocab):
@@ -562,12 +570,38 @@ def test_belief_vision_tracks_own_effects(lib, desk_vocab):
     objs = lib.entry("e-pick").problem.objects
     cand = candidate_atoms(objs, lib.entry("e-pick").domain.predicates.values(), desk_vocab)
     belief = BeliefVision(scene, cand)
+    # On(brush,table) is deleted before its first read
     belief.note_effects(
         add=[Atom("Holding", ("hand", "brush"))], delete=[Atom("On", ("brush", "table"))]
     )
     assert belief.query(State.parse(["Holding(hand,brush)"]))[0]
     assert not belief.query(State.parse(["On(brush,table)"]))[0]
     assert belief.scan(cand) == belief.scan(cand)  # snapshot semantics: stable
+    # deletes apply before adds, so an atom both deleted and added holds
+    on, free = Atom("On", ("brush", "shelf")), Atom("Free", ("hand",))
+    belief.note_effects(add=[on, free], delete=[on, free])
+    assert belief.query(State.of([on, free])) == (True, False)
+
+
+def test_belief_vision_holds_only_candidates(desk_vocab):
+    # On(cup,table) holds in the world but is no candidate
+    scene = desk_scene()
+    assert ground_relation("On", ("cup", "table"), truth_percept(scene))
+    belief = BeliefVision(scene, [Atom("On", ("brush", "table"))])
+    assert belief.query(State.parse(["On(cup,table)"])) == (False, False)
+    both = [Atom("On", ("cup", "table")), Atom("On", ("brush", "table"))]
+    assert belief.scan(both) == State.parse(["On(brush,table)"])
+
+
+def test_belief_vision_refuses_an_unknown_predicate_at_construction():
+    scene = desk_scene()
+    with pytest.raises(perception.UnknownPredicate, match="Under"):
+        BeliefVision(scene, [Atom("On", ("cup", "table")), Atom("Under", ("cup", "table"))])
+    # a wrong arity is a fault of the atom, not of the rule table: it is
+    # grounded, and refused, only when first read
+    belief = BeliefVision(scene, [Atom("On", ("cup",))])
+    with pytest.raises(ValueError):
+        belief.query(State.parse(["On(cup)"]))
 
 
 # --- recovery helper ---------------------------------------------------------------
@@ -1312,6 +1346,56 @@ def replay_chain(lib, chain):
             result = act.execute(ga)
             assert result.ok, f"{chain.task_id} {chain.goals}: {ga.name} refused: {result.reason}"
             yield ga, (before - ga.delete) | ga.add, world()
+
+
+def packaged_stagings(lib):
+    """(name, scene) for every packaged scene file, and for each pick-up
+    task's scene with its object on the alternative support, staged by the
+    actuator's own relocation."""
+    scene_dir = os.path.join(DATA, "scenes")
+    for f in sorted(os.listdir(scene_dir)):
+        yield f, load_scene(os.path.join(scene_dir, f))
+    for task_id, alt in ALT_SUPPORT.items():
+        scene = load_scene(os.path.join(scene_dir, f"{PACKAGED_SCENE[task_id]}.yaml"))
+        SimActuator(scene, lib.vocab).apply_disturbance(Disturbance(1, "relocate", *alt))
+        yield f"{task_id}/alt", scene
+
+
+def test_belief_vision_reads_what_eager_grounding_holds(packaged_lib, monkeypatch):
+    # each atom read is grounded once, on first read, and answers as
+    # grounding every candidate against the snapshot up front would
+    lib = packaged_lib
+    predicates = {p.name: p for e in lib.entries for p in e.domain.predicates.values()}
+    grounded: list[Atom] = []
+
+    def counted(pred, args, percept):
+        grounded.append(Atom(pred, args))
+        return ground_relation(pred, args, percept)
+
+    monkeypatch.setattr(monitor, "ground_relation", counted)
+    for name, scene in packaged_stagings(lib):
+        objects = {o.label: lib.vocab.terms[o.label].sort for o in scene.objects}
+        candidates = candidate_atoms(objects, predicates.values(), lib.vocab)
+        p = truth_percept(scene)
+        eager = {a for a in candidates if ground_relation(a.pred, a.args, p)}
+        assert eager, name
+        belief = BeliefVision(scene, candidates)
+        assert grounded == [], name
+        for a in candidates:
+            assert belief.query(State.of([a])) == (a in eager, False), f"{name}: {a}"
+        assert len(grounded) == len(candidates), name
+        assert belief.scan(candidates) == State.of(eager), name
+        assert len(grounded) == len(candidates), f"{name}: a repeated read grounded again"
+        for e in lib.entries:
+            atoms, _ = monitor._plan_scan(e.domain, e.problem.objects, e.goal_state, lib.vocab)
+            read = sorted(set(atoms) & set(candidates), key=Atom.key)
+            grounded.clear()
+            belief = BeliefVision(scene, candidates)
+            assert belief.scan(atoms) == State.of(a for a in atoms if a in eager), f"{name}: {e.name}"
+            belief.scan(atoms)
+            belief.query(State.of(atoms))
+            assert sorted(grounded, key=Atom.key) == read, f"{name}: {e.name}"
+        grounded.clear()
 
 
 def test_the_plan_model_agrees_with_the_world_step_by_step(packaged_lib):
