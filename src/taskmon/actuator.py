@@ -180,7 +180,11 @@ class Disturbance:
             raise ValueError("relocate needs a destination")
         if self.kind == "relocate" and self.dest == self.obj:
             raise ValueError(f"cannot relocate {self.obj} onto itself")
-        if len(self.offset) != 3 or not all(isinstance(v, Real) for v in self.offset):
+        if (
+            not isinstance(self.offset, (tuple, list))
+            or len(self.offset) != 3
+            or not all(isinstance(v, Real) and not isinstance(v, bool) for v in self.offset)
+        ):
             raise ValueError(f"offset {self.offset!r} is not 3 numbers")
         if not all(math.isfinite(v) for v in self.offset):
             raise ValueError(f"offset {self.offset!r} is not finite")

@@ -372,7 +372,10 @@ class Vocabulary:
         for i, s in enumerate(shaped_field(doc, "sorts", "vocabulary", list)):
             name = shaped_field(s, "name", f"sort {i}")
             known_fields(s, ("name", "parent"), f"sort {name}")
-            sorts.append(Sort(name, s.get("parent")))
+            parent = s.get("parent")
+            if parent is not None:
+                shaped(parent, str, f"sort {name}: field 'parent'")
+            sorts.append(Sort(name, parent))
         terms = []
         for i, t in enumerate(shaped_field(doc, "terms", "vocabulary", list)):
             name = shaped_field(t, "name", f"term {i}")

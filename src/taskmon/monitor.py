@@ -42,7 +42,7 @@ import numpy as np
 from .actuator import Actuator, truth_percept
 from .geometry import Camera, Scene
 from .language import Atom, Predicate, State, TaskSentence, TokenSeq, Vocabulary
-from .pddl import PlanDomain, PlanLibrary
+from .pddl import PlanLibrary
 from .perception import (
     DEFAULT_RULES,
     TERM_KINDS,
@@ -62,7 +62,6 @@ from .planning import (
     NoMatch,
     NoPlan,
     ground_actions,
-    grounding,
     match_plan,
     solve,
 )
@@ -189,7 +188,7 @@ def candidate_atoms(
 ) -> list[Atom]:
     """Every type-valid ground atom over the given object set, excluding
     reflexive binaries: the hypothesis space of a world snapshot. The PLAN
-    scan grounds only the part of it a plan can read (`_scan_candidates`)."""
+    scan grounds only the part of it a plan can read (`Grounding.relevant`)."""
     names = sorted(objects)
     out: list[Atom] = []
     for p in sorted(predicates, key=lambda q: q.name):
@@ -201,40 +200,6 @@ def candidate_atoms(
         else:
             out.extend(Atom(p.name, (x, y)) for x in pools[0] for y in pools[1] if x != y)
     return out
-
-
-def _scan_candidates(
-    domain: PlanDomain, objects: dict[str, str], vocab: Vocabulary
-) -> tuple[Atom, ...]:
-    """The `candidate_atoms` over a library domain's predicates that occur
-    in some ground action's precondition, in `candidate_atoms` order. Each
-    is the action's own interned object, so `solve` compares a scanned
-    state's atoms by identity. Memoised with the domain's ground actions
-    (`planning.grounding`). A library domain is only ever scanned with its
-    own library's vocabulary."""
-    g = grounding(domain, objects)
-    if g.candidates is None:
-        pre = {a: a for ga in ground_actions(domain, objects) for a in ga.pre}
-        g.candidates = tuple(
-            pre[a] for a in candidate_atoms(objects, domain.predicates.values(), vocab) if a in pre
-        )
-    return g.candidates
-
-
-def _plan_scan(
-    domain: PlanDomain, objects: dict[str, str], goal: State, vocab: Vocabulary
-) -> tuple[tuple[Atom, ...], State]:
-    """What PLAN scans, and the goal it plans for. The scan covers the
-    `_scan_candidates` and the goal's atoms, which may be in no
-    precondition: `boot`'s `Free(robot_hand)` and `VisionOn(robot)` are in
-    none, and without them its plan raises `NoPlan`. A goal atom that is
-    also a candidate appears twice; each scan drops the repeat. The goal's
-    atoms are the grounding's interned objects wherever it has them, for
-    the scan and for `solve`."""
-    candidates = _scan_candidates(domain, objects, vocab)
-    table = grounding(domain, objects).atoms
-    goal = State.of(table.get(a, a) for a in goal.atoms)
-    return (*candidates, *goal.atoms), goal
 
 
 # --- perception seams -------------------------------------------------------------
@@ -622,19 +587,22 @@ def step(state: LoopState, ctx: MonitorContext, ev: _Emitter) -> LoopState:
         )
 
     if state.phase is Phase.PLAN:
-        entry, sub = state.match.entry, state.match.substitution
-        objects: dict[str, str] = {}
-        for name in sorted(entry.problem.objects):
-            objects.setdefault(sub.get(name, name), entry.problem.objects[name])
+        domain, objects = state.match.entry.domain, state.match.objects
         # plan from what the scan verifies of the atoms a plan can read
-        # (`_plan_scan`), proximity included. Move actions never delete the
-        # CloseTo/At atoms they falsify, so a plan can still lean on one its
-        # own earlier approach/reach/goto made stale; STEP re-checks it by
-        # vision before any dispatch.
-        scan, goal = _plan_scan(entry.domain, objects, state.goal, ctx.lib.vocab)
+        # (`Grounding.relevant`), proximity included, and of the goal's,
+        # which may be in no precondition: `boot`'s `Free(robot_hand)` and
+        # `VisionOn(robot)` are in none, and without them its plan raises
+        # `NoPlan`. The goal is interned so `solve` finds its atoms by
+        # identity; each scan drops a goal atom that repeats one. Move
+        # actions never delete the CloseTo/At atoms they falsify, so a plan
+        # can still lean on one its own earlier approach/reach/goto made
+        # stale; STEP re-checks it by vision before any dispatch.
+        g = ground_actions(domain, objects)
+        goal = State.of(g.atoms.get(a, a) for a in state.goal.atoms)
+        scan = (*g.relevant, *goal.atoms)
         init = ctx.vision.scan(scan)
         try:
-            steps = solve(entry.domain, objects, init, goal)
+            steps = solve(domain, objects, init, goal)
         except (NoPlan, BudgetExceeded) as exc:
             reason = "no_plan" if isinstance(exc, NoPlan) else "budget_exceeded"
             ev("plan_failed", reason=reason, init_size=len(init.atoms))

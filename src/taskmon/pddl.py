@@ -109,8 +109,8 @@ class ActionSchema:
 @dataclass
 class PlanDomain:
     """A parsed domain. `groundings` is planning's memo of what the domain
-    yields per object set (`planning.grounding`), filled on first use; a
-    domain is not edited after its first grounding."""
+    yields per object set (`planning.ground_actions`), filled on first use;
+    a domain is not edited after its first grounding."""
 
     name: str
     sorts: dict[str, Optional[str]]  # sort -> parent (None at a root)
@@ -468,6 +468,8 @@ def _parse_action(lst: SList) -> ActionSchema:
             if key.startswith(":"):
                 raise UnsupportedFeature(f"action section {key}")
             raise ParseError(*_pos(lst.items[i]), "an action keyword")
+        if key in sections:
+            raise ParseError(*_pos(lst.items[i]), f"a single {key} section")
         if i + 1 >= len(lst.items):
             raise ParseError(*_pos(lst.items[i]), f"a value after {key}")
         sections[key] = lst.items[i + 1]
@@ -547,10 +549,14 @@ def parse_problem(text: str, domain: PlanDomain) -> PlanProblem:
     objects: dict[str, str] = {}
     init_atoms: list[Atom] = []
     goal_atoms: list[Atom] = []
-    saw_goal = False
+    seen: set[str] = set()
 
     for section in top.items[2:]:
         lst, key = _head(section, "a problem section", "a section keyword")
+        if key in seen:
+            raise ParseError(lst.line, lst.col, f"a single {key} section")
+        if key in (":domain", ":goal"):
+            seen.add(key)
         if key == ":domain":
             if len(lst.items) != 2:
                 raise ParseError(lst.line, lst.col, "a single domain name")
@@ -567,7 +573,6 @@ def parse_problem(text: str, domain: PlanDomain) -> PlanProblem:
             if len(lst.items) != 2:
                 raise ParseError(lst.line, lst.col, "a single goal formula")
             goal_atoms = [_ground_atom(n) for n in _conjuncts(lst.items[1])]
-            saw_goal = True
         elif key in (":metric", ":constraints"):
             raise UnsupportedFeature(key)
         else:
@@ -575,7 +580,7 @@ def parse_problem(text: str, domain: PlanDomain) -> PlanProblem:
 
     if domain_name != domain.name:
         raise TypingError(name, f"problem references domain {domain_name!r}, expected {domain.name!r}")
-    if not saw_goal:
+    if ":goal" not in seen:
         raise ParseError(top.line, top.col, "a :goal section")
 
     prob = PlanProblem(name, objects, State.of(init_atoms), State.of(goal_atoms))

@@ -8,21 +8,21 @@ frontier breaks ties by insertion sequence. A dead-end goal is rejected
 before any search: if the goal is unreachable even when actions never
 delete (the delete relaxation behind h_max and FF), no plan exists.
 
-Grounding is done once per domain and object set. `grounding` keys a
+Grounding is done once per domain and object set. `ground_actions` keys a
 domain's memo (`PlanDomain.groundings`) by the object set as a frozenset of
-(name, sort) pairs and holds a `Grounding` there: the sorted ground actions,
-as an immutable tuple, the table their atoms are interned through, and the
-atoms the monitor's PLAN scan grounds. Each part is built on its first use,
-so loading a library grounds nothing, and the first plan of an entry costs
-what grounding costs. The memo holds no scene state: its size is bounded
-by the library's entries times the renamings `match_plan` maps them to,
-and it lives as long as the domain.
+(name, sort) pairs and builds a frozen `Grounding` there in one pass: the
+sorted ground actions, the table their atoms are interned through, and the
+relevant atoms, those some precondition reads. Nothing is grounded when a
+library loads, and the first plan of an entry costs what grounding costs.
+The memo holds no scene state: its size is bounded by the library's
+entries times the renamings `match_plan` maps them to, and it lives as
+long as the domain.
 
 Atoms are interned per grounding: equal atoms of its actions are one
-object, and the scan's candidates are those same objects, so `solve`'s set
+object, and the relevant atoms are those same objects, so `solve`'s set
 tests find a state's atoms by identity before any `Atom.__eq__` runs. The
-scan grounds only the atoms some action's precondition reads, plus the
-goal's (relevance analysis, Nebel, Dimopoulos & Koehler 1997): an atom no
+monitor's PLAN scan grounds only the relevant atoms plus the goal's
+(relevance analysis, Nebel, Dimopoulos & Koehler 1997): an atom no
 precondition reads cannot change which actions apply, and one outside the
 goal cannot change how far the goal is, so the plan is the same without it.
 
@@ -106,47 +106,50 @@ class MatchScore:
     substitution: Mapping[str, str]
     matched_goal: State
 
+    @property
+    def objects(self) -> dict[str, str]:
+        """The entry's objects under the renaming, name to sort: the object
+        set PLAN grounds the entry over. Objects go in sorted name order,
+        and a renamed name that another object already has keeps the sort
+        of the first to claim it."""
+        declared = self.entry.problem.objects
+        out: dict[str, str] = {}
+        for name in sorted(declared):
+            out.setdefault(self.substitution.get(name, name), declared[name])
+        return out
+
 
 # --- grounding ---------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class Grounding:
-    """What a domain yields over one object set, each part filled on first
-    use. `ground_actions` fills `actions` and `atoms`, the table that holds
-    one object per distinct atom of their `pre`, `add` and `delete` sets,
-    mapped to itself. The monitor's PLAN scan fills `candidates` with the
-    scannable atoms some action's precondition reads, taken from that
-    table."""
+    """What a domain yields over one object set. `actions` are the kept
+    ground actions in (schema name, args) order. `atoms` is the table that
+    holds one object per distinct atom of their `pre`, `add` and `delete`
+    sets, mapped to itself. `relevant` holds the distinct precondition
+    atoms, those interned objects, sorted by `Atom.key`, without binary
+    atoms over one object: the atoms a plan can read, which PLAN scans."""
 
-    actions: Optional[tuple[GroundAction, ...]] = None
-    atoms: Optional[dict[Atom, Atom]] = None
-    candidates: Optional[tuple[Atom, ...]] = None
-
-
-def grounding(domain: PlanDomain, objects: dict[str, str]) -> Grounding:
-    """The memo slot of `domain` for this object set, keyed by the set of its
-    (name, sort) pairs, so dicts equal in any insertion order share it."""
-    key = frozenset(objects.items())
-    g = domain.groundings.get(key)
-    if g is None:
-        g = domain.groundings[key] = Grounding()
-    return g
+    actions: tuple[GroundAction, ...]
+    atoms: Mapping[Atom, Atom]
+    relevant: tuple[Atom, ...]
 
 
-def ground_actions(domain: PlanDomain, objects: dict[str, str]) -> tuple[GroundAction, ...]:
+def ground_actions(domain: PlanDomain, objects: dict[str, str]) -> Grounding:
     """Enumerate sort-compatible bindings for every schema, resolve equality
     preconditions at grounding time, drop ill-typed instantiations. Sorted by
     (schema name, args) for deterministic search.
 
-    Memoised in the domain by `grounding`, keyed by the object set's
-    (name, sort) pairs: the first call for a key grounds, and every later
-    call returns the same tuple. Keys are filled lazily, one per library
-    entry and renaming of it that gets planned. Equal atoms of the kept
-    actions are one object, interned through `Grounding.atoms`."""
-    g = grounding(domain, objects)
-    if g.actions is not None:
-        return g.actions
+    Memoised in `domain.groundings`, keyed by the set of the object set's
+    (name, sort) pairs, so dicts equal in any insertion order share it: the
+    first call for a key builds the whole `Grounding`, and every later call
+    returns the same one. Keys are filled lazily, one per library entry and
+    renaming of it that gets planned."""
+    key = frozenset(objects.items())
+    g = domain.groundings.get(key)
+    if g is not None:
+        return g
     table: dict[Atom, Atom] = {}
     out: list[GroundAction] = []
     for sch in domain.schemas:
@@ -162,8 +165,10 @@ def ground_actions(domain: PlanDomain, objects: dict[str, str]) -> tuple[GroundA
             if ga is not None:
                 out.append(ga)
     out.sort(key=GroundAction.key)
-    g.actions, g.atoms = tuple(out), table
-    return g.actions
+    read = {a for ga in out for a in ga.pre if len(a.args) != 2 or a.args[0] != a.args[1]}
+    g = Grounding(tuple(out), MappingProxyType(table), tuple(sorted(read, key=Atom.key)))
+    domain.groundings[key] = g
+    return g
 
 
 def _bind(
@@ -207,7 +212,7 @@ def solve(
     goals that no sequence reaches even with every delete ignored; the
     relaxation over-approximates reachability, so it rejects only goals the
     search would also exhaust on, and plans are unchanged."""
-    actions = ground_actions(domain, objects)
+    actions = ground_actions(domain, objects).actions
     goal_atoms = goal.atoms
     start = init.atoms
     if not _relaxed_reachable(start, goal_atoms, actions):

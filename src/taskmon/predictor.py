@@ -421,8 +421,7 @@ def beam_decode(ids: tuple[int, ...], params: GoalNetParams, width: int = 3) -> 
     for pos, t in enumerate(ids):
         if not 0 <= t < params.vocab_size:
             raise IndexOutOfVocab(f"token id {t} at position {pos}")
-    if width < 1:
-        raise ValueError("beam width must be >= 1")
+    _check_count("width", width)
     env = _encode_np(params, ids, rows=width)
     emb = params.emb.data
     live = [_Beam(prev_seg=np.zeros(EMB_DIM))]
@@ -483,8 +482,7 @@ def infer_topk(
     task: TaskSentence, s: State, params: GoalNetParams, vocab: Vocabulary, k: int = 3
 ) -> list[GoalProposal]:
     """Top-k distinct well-formed goal states proposed for `task` in `s`."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    _check_count("k", k)
     width = max(2 * k, 6)
     results = beam_decode(encode_state(task, s, vocab).ids, params, width)
     proposals: list[GoalProposal] = []
@@ -538,6 +536,13 @@ class TrainingPair:
 DEFAULT_HYPER = {"batch": 5, "epochs": 100, "lr": 0.02}
 
 
+def _check_count(name: str, value) -> None:
+    """Raise a ValueError naming `name` unless `value` is an integer >= 1;
+    a bool is not one."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 def _checked_hyper(hyper: Optional[dict]) -> dict:
     """DEFAULT_HYPER updated by `hyper`. A ValueError names a key that is not
     in DEFAULT_HYPER, a batch or epoch count below 1 or an lr that is not a
@@ -548,8 +553,7 @@ def _checked_hyper(hyper: Optional[dict]) -> dict:
             raise ValueError(f"unknown hyper-parameter {key!r}, expected one of {sorted(DEFAULT_HYPER)}")
         h[key] = value
     for key in ("batch", "epochs"):
-        if not isinstance(h[key], numbers.Integral) or isinstance(h[key], bool) or h[key] < 1:
-            raise ValueError(f"hyper-parameter {key!r} must be an integer >= 1, got {h[key]!r}")
+        _check_count(f"hyper-parameter {key!r}", h[key])
     if not isinstance(h["lr"], numbers.Real) or isinstance(h["lr"], bool) or not 0 < h["lr"] < math.inf:
         raise ValueError(f"hyper-parameter 'lr' must be a positive finite number, got {h['lr']!r}")
     return h

@@ -150,7 +150,7 @@ def replay(init: State, steps) -> State:
 
 def bfs_optimal_length(domain: PlanDomain, prob: PlanProblem) -> int | None:
     """Independent breadth-first oracle for optimal plan length."""
-    actions = ground_actions(domain, prob.objects)
+    actions = ground_actions(domain, prob.objects).actions
     start, target = prob.init.atoms, prob.goal.atoms
     if target <= start:
         return 0

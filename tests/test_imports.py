@@ -232,7 +232,6 @@ def test_every_defaulted_parameter_is_set_by_the_program():
 # keyed by (class, field), or by class for every field of that class.
 KEEP_FIELDS = {
     "LoopState": "the fold's state: the loop starts from the defaults and moves by `replace`",
-    "Grounding": "memo slots, empty until planning and the PLAN scan fill them by attribute",
     "Thresholds": "one frozen instance judges every query; perfbench builds one to read two fields",
     ("MonitorConfig", "mu"): "the paper's confidence gate, a setting of the monitor",
     ("MonitorConfig", "tau"): "the paper's search budget per query, a setting of the monitor",

@@ -341,6 +341,10 @@ def test_vocab_yaml_loader(tmp_path):
          "predicate Found: field 'epistemic' must be a boolean, got str"),
         ("max_atoms: 9", "max_atom: 3", "vocabulary: unknown fields ['max_atom'], expected some of "
          "['sorts', 'terms', 'predicates', 'tasks', 'max_atoms']"),
+        ("{name: world-obj, parent: entity}", "{name: world-obj, parent: [entity]}",
+         "sort world-obj: field 'parent' must be a string, got list"),
+        ("{name: world-obj, parent: entity}", "{name: world-obj, parent: 3}",
+         "sort world-obj: field 'parent' must be a string, got int"),
         ("{name: world-obj, parent: entity}", "{name: world-obj, parnt: entity}",
          "sort world-obj: unknown fields ['parnt'], expected some of ['name', 'parent']"),
         ("{name: claw, sort: robot-part}", "{name: claw, sort: robot-part, colour: red}",

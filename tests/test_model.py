@@ -288,8 +288,22 @@ def test_infer_topk_no_valid_proposal(tiny_vocab, fetch_pair):
 def test_infer_topk_rejects_k_below_one(tiny_vocab, fetch_pair):
     params = GoalNetParams.init(tiny_vocab, seed=5)
     for k in (0, -1):
-        with pytest.raises(ValueError, match="k must be >= 1"):
+        with pytest.raises(ValueError, match="k must be an integer >= 1"):
             infer_topk(fetch_pair.task, fetch_pair.state, params, tiny_vocab, k=k)
+
+
+def test_proposal_count_and_beam_width_are_whole_numbers(tiny_vocab, fetch_pair):
+    # k=2.5 would pass a bare `k < 1` and never meet `len(proposals) == k`,
+    # so up to 6 proposals came back; k=3.5 and width=2.5 failed in numpy
+    params = GoalNetParams.init(tiny_vocab, seed=5)
+    for bad in (2.5, 3.5, 2.0, True, "3"):
+        with pytest.raises(ValueError, match=rf"^k must be an integer >= 1, got {bad!r}$"):
+            infer_topk(fetch_pair.task, fetch_pair.state, params, tiny_vocab, k=bad)
+        with pytest.raises(ValueError, match=rf"^width must be an integer >= 1, got {bad!r}$"):
+            beam_decode(fetch_pair.input_ids, params, width=bad)
+    with pytest.raises(ValueError, match="width must be an integer >= 1, got 0"):
+        beam_decode(fetch_pair.input_ids, params, width=0)
+    assert len(beam_decode(fetch_pair.input_ids, params, width=np.int64(2))) <= 2
 
 
 def test_decode_without_attention(tiny_vocab, fetch_pair):

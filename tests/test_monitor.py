@@ -292,7 +292,7 @@ def run_scripted(lib, scene, goals, terminal, cfg=None, act=None, start=START):
 def grasp_action(lib):
     dom = lib.entry("e-pick").domain
     objs = lib.entry("e-pick").problem.objects
-    acts = {a.name: a for a in ground_actions(dom, objs)}
+    acts = {a.name: a for a in ground_actions(dom, objs).actions}
     return acts["grasp(hand,brush,table)"]
 
 
@@ -334,7 +334,7 @@ def test_place_and_approach_effects(lib, desk_vocab):
     scene = desk_scene()
     dom = lib.entry("e-place").domain
     objs = lib.entry("e-place").problem.objects
-    acts = {a.name: a for a in ground_actions(dom, objs)}
+    acts = {a.name: a for a in ground_actions(dom, objs).actions}
     act = SimActuator(scene, desk_vocab)
     assert act.execute(acts["grasp(hand,brush,table)"]).ok
     assert act.execute(acts["approach(hand,shelf)"]).ok
@@ -354,7 +354,7 @@ def test_search_effect_aims_camera(lib, desk_vocab):
     assert not in_view(scene.camera, scene.get("brush").box.center)
     dom = lib.entry("e-search").domain
     objs = lib.entry("e-search").problem.objects
-    acts = {a.name: a for a in ground_actions(dom, objs)}
+    acts = {a.name: a for a in ground_actions(dom, objs).actions}
     SimActuator(scene, desk_vocab).execute(acts["search(brush)"])
     assert in_view(scene.camera, scene.get("brush").box.center)
 
@@ -393,7 +393,7 @@ def test_scan_ring_follows_the_camera_a_search_effect_re_aims(lib, desk_vocab, m
     assert all(a is b for a, b in zip(scan_all(), start))  # the same camera keeps its ring
     dom = lib.entry("e-search").domain
     objs = lib.entry("e-search").problem.objects
-    acts = {a.name: a for a in ground_actions(dom, objs)}
+    acts = {a.name: a for a in ground_actions(dom, objs).actions}
     SimActuator(scene, desk_vocab).execute(acts["search(brush)"])
     aimed = scan_all()
     assert aimed[0] is scene.camera and aimed[0] is not start[0]
@@ -504,7 +504,7 @@ def test_live_scan_equals_a_look_from_every_pose_at_zero_noise(packaged_lib, mod
             for entry in packaged_lib.entries:
                 objects = dict(entry.problem.objects)
                 candidates = candidate_atoms(objects, entry.domain.predicates.values(), packaged_lib.vocab)
-                planned, _ = monitor._plan_scan(entry.domain, objects, entry.problem.goal, packaged_lib.vocab)
+                planned = (*ground_actions(entry.domain, objects).relevant, *entry.problem.goal.atoms)
                 for atoms in (candidates, planned):
                     want = {a for a in atoms if any(ground_relation(a.pred, a.args, p) for p in looks)}
                     assert vision.scan(atoms).atoms == want, (name, vision_on, entry.name)
@@ -1387,7 +1387,7 @@ def test_belief_vision_reads_what_eager_grounding_holds(packaged_lib, monkeypatc
         assert belief.scan(candidates) == State.of(eager), name
         assert len(grounded) == len(candidates), f"{name}: a repeated read grounded again"
         for e in lib.entries:
-            atoms, _ = monitor._plan_scan(e.domain, e.problem.objects, e.goal_state, lib.vocab)
+            atoms = (*ground_actions(e.domain, e.problem.objects).relevant, *e.goal_state.atoms)
             read = sorted(set(atoms) & set(candidates), key=Atom.key)
             grounded.clear()
             belief = BeliefVision(scene, candidates)
@@ -1459,6 +1459,9 @@ def test_nudge_offset_must_be_three_numbers(packaged_lib):
         Disturbance(1, "nudge", "brush", offset=(0.1, 0.2))
     with pytest.raises(ValueError, match="3 numbers"):
         Disturbance(1, "nudge", "brush", offset=(0.1, "up", 0.0))
+    for bad in (5, (True, 0, 0), "xyz"):
+        with pytest.raises(ValueError, match=r"offset .* is not 3 numbers"):
+            Disturbance(1, "nudge", "brush", offset=bad)
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="not finite"):
             Disturbance(2, "nudge", "brush", offset=(bad, 0.0, 0.0))
@@ -1478,7 +1481,7 @@ def test_disturbance_call_index_is_a_positive_int():
 @pytest.mark.parametrize("index", [np.int64(2), np.uint8(2)], ids=["int64", "uint8"])
 def test_a_numpy_call_index_fires_at_its_call(packaged_lib, index):
     entry = packaged_lib.entry("locate_brush_table")
-    look = next(ga for ga in ground_actions(entry.domain, entry.problem.objects) if ga.name == "look_for(robot,table)")
+    look = next(ga for ga in ground_actions(entry.domain, entry.problem.objects).actions if ga.name == "look_for(robot,table)")
     act = bring_dynamic_actuator(packaged_lib, Disturbance(index, "relocate", "brush", dest="shelf"))
     supports = []
     for _ in range(3):

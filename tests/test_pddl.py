@@ -228,6 +228,34 @@ def test_problem_missing_goal(tiny_domain):
         parse_problem("(define (problem p) (:domain tiny) (:init))", tiny_domain)
 
 
+def test_a_repeated_section_is_refused_at_the_repeat(tiny_domain):
+    # a repeat would silently replace the first: (:goal (P x)) (:goal (Q x))
+    # would plan for Q(x) alone
+    sections = {":parameters": "(?x - t)", ":precondition": "(and)", ":effect": "(and)", ":class": "world"}
+    for key, value in sections.items():
+        body = " ".join(f"{k} {v}" for k, v in sections.items())
+        text = f"(define (domain d) (:types t) (:predicates (P ?x - t))\n (:action a {body} {key} {value}))"
+        with pytest.raises(ParseError) as e:
+            parse_domain(text)
+        assert e.value.expected == f"a single {key} section", key
+        assert (e.value.line, e.value.column) == (2, text.rindex(key) - text.index("\n")), key
+    problem = "(define (problem p) (:domain tiny) (:objects hand - gripper)\n {})"
+    for repeat in ("(:goal (and (Free hand))) (:goal (and))", "(:domain tiny) (:goal (and))"):
+        text = problem.format(repeat)
+        key = repeat[1 : repeat.index(" ")]
+        with pytest.raises(ParseError) as e:
+            parse_problem(text, tiny_domain)
+        assert e.value.expected == f"a single {key} section", key
+        assert (e.value.line, e.value.column) == (2, text.rindex("(" + key) - text.index("\n")), key
+    # sections that accumulate stay legal when repeated
+    p = parse_problem(
+        "(define (problem p) (:domain tiny) (:objects hand - gripper) (:objects cup - item)"
+        " (:init (Free hand)) (:init (Found cup)) (:goal (and (Free hand))))",
+        tiny_domain,
+    )
+    assert p.objects == {"hand": "gripper", "cup": "item"} and len(p.init) == 2
+
+
 def test_print_parse_round_trip_fixture(tiny_domain, tiny_problem, packaged_lib):
     domains = [tiny_domain] + list({id(e.domain): e.domain for e in packaged_lib.entries}.values())
     problems = [(tiny_domain, tiny_problem)] + [(e.domain, e.problem) for e in packaged_lib.entries]

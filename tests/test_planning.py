@@ -2,13 +2,14 @@ import itertools
 import os
 import random
 from collections import Counter
+from dataclasses import FrozenInstanceError
 
 import pytest
 
 from taskmon.actuator import truth_percept
 from taskmon.geometry import load_scene
 from taskmon.language import Atom, State
-from taskmon.monitor import _plan_scan, _scan_candidates, candidate_atoms
+from taskmon.monitor import candidate_atoms
 from taskmon.perception import ground_relation
 from taskmon.pddl import PlanEntry, PlanLibrary, parse_domain, parse_problem
 from taskmon.planning import (
@@ -56,7 +57,7 @@ def plan(entry: PlanEntry, **kw):
 def test_apply_grasp_transition():
     dom = parse_domain(TINY_DOMAIN)
     objects = {"brush": "item", "table": "surface", "hand": "gripper", "rover": "base"}
-    acts = {ga.name: ga for ga in ground_actions(dom, objects)}
+    acts = {ga.name: ga for ga in ground_actions(dom, objects).actions}
     grasp = acts["grasp(brush,table)"]
     assert grasp.pre == {
         Atom("On", ("brush", "table")),
@@ -73,7 +74,7 @@ def test_apply_inverse_pairs_restore_state():
     for seed in range(25):
         rng = random.Random(seed)
         _, prob = blocks_case(rng, rng.randint(3, 5))
-        actions = ground_actions(BLOCKS_DOMAIN, prob.objects)
+        actions = ground_actions(BLOCKS_DOMAIN, prob.objects).actions
         s = prob.init
         for _ in range(6):
             usable = [ga for ga in actions if ga.pre <= s.atoms]
@@ -94,7 +95,7 @@ def test_apply_inverse_pairs_restore_state():
 def test_grounding_respects_sorts_and_equality():
     dom = parse_domain(TINY_DOMAIN)
     objects = {"brush": "item", "table": "surface", "hand": "gripper", "rover": "base"}
-    names = {ga.name for ga in ground_actions(dom, objects)}
+    names = {ga.name for ga in ground_actions(dom, objects).actions}
     assert "grasp(brush,table)" in names
     assert "grasp(table,brush)" not in names  # sort filtering
     assert "place(brush,table)" in names
@@ -115,23 +116,15 @@ def test_grounding_equality_filter():
     :effect (and (P ?a ?b))))
 """
     )
-    names = {ga.name for ga in ground_actions(dom, {"x": "t", "y": "t"})}
+    names = {ga.name for ga in ground_actions(dom, {"x": "t", "y": "t"}).actions}
     assert names == {"link(x,y)", "link(y,x)"}
 
 
 def test_grounding_is_sorted():
     rng = random.Random(3)
     _, prob = blocks_case(rng, 4)
-    acts = ground_actions(BLOCKS_DOMAIN, prob.objects)
+    acts = ground_actions(BLOCKS_DOMAIN, prob.objects).actions
     assert [a.key() for a in acts] == sorted(a.key() for a in acts)
-
-
-def plan_objects(entry: PlanEntry, sub: dict[str, str]) -> dict[str, str]:
-    """The object set the monitor's PLAN phase grounds an entry over."""
-    objects: dict[str, str] = {}
-    for name in sorted(entry.problem.objects):
-        objects.setdefault(sub.get(name, name), entry.problem.objects[name])
-    return objects
 
 
 def packaged_groundings(lib: PlanLibrary) -> list[tuple[PlanEntry, dict[str, str], State]]:
@@ -147,7 +140,7 @@ def packaged_groundings(lib: PlanLibrary) -> list[tuple[PlanEntry, dict[str, str
                 m = match_plan(alone, other.goal_state)
             except NoMatch:
                 continue
-            out.append((entry, plan_objects(entry, m.substitution), m.matched_goal))
+            out.append((entry, m.objects, m.matched_goal))
     return out
 
 
@@ -158,19 +151,21 @@ def test_memoised_grounding_equals_a_fresh_one_on_the_packaged_library(packaged_
     for entry, objects, _ in cases:
         dom = oracle.entry(entry.name).domain
         dom.groundings.clear()  # the oracle grounds afresh every time
-        fresh = ground_actions(dom, objects)
-        memo = ground_actions(entry.domain, objects)
+        fresh = ground_actions(dom, objects).actions
+        g = ground_actions(entry.domain, objects)
+        memo = g.actions
         assert [(a.name, a.pre, a.add, a.delete) for a in memo] == [
             (a.name, a.pre, a.add, a.delete) for a in fresh
         ], entry.name
-        # the scan's candidates: those a fresh grounding's preconditions
-        # read, in candidate order, each the memoised precondition's object
+        # the relevant atoms: the type-valid candidates a fresh grounding's
+        # preconditions read, in candidate order, each the memoised
+        # precondition's own object
         read = {a for ga in fresh for a in ga.pre}
         want = [a for a in candidate_atoms(objects, dom.predicates.values(), oracle.vocab) if a in read]
-        got = _scan_candidates(entry.domain, objects, packaged_lib.vocab)
-        assert list(got) == want, entry.name
+        assert list(g.relevant) == want, entry.name
         pre_objects = {id(a) for ga in memo for a in ga.pre}
-        assert all(id(a) in pre_objects for a in got), entry.name
+        assert all(id(a) in pre_objects for a in g.relevant), entry.name
+        assert all(g.atoms[a] is a for a in g.relevant), entry.name
         # interned: no two distinct objects of the memoised actions are equal
         distinct = {id(a): a for ga in memo for part in (ga.pre, ga.add, ga.delete) for a in part}
         assert len(distinct) == len(set(distinct.values())), entry.name
@@ -186,13 +181,13 @@ def test_relevance_keeps_every_packaged_plan(packaged_lib):
     outcomes: Counter = Counter()
     for entry, objects, goal in packaged_groundings(packaged_lib):
         every = candidate_atoms(objects, entry.domain.predicates.values(), vocab)
-        scan, planned = _plan_scan(entry.domain, objects, goal, vocab)
+        scan = (*ground_actions(entry.domain, objects).relevant, *goal.atoms)
         for percept in percepts:
             results = []
-            for atoms, g in ((every, goal), (scan, planned)):
+            for atoms in (every, scan):
                 init = State.of(a for a in atoms if ground_relation(a.pred, a.args, percept))
                 try:
-                    results.append([ga.name for ga in solve(entry.domain, objects, init, g)])
+                    results.append([ga.name for ga in solve(entry.domain, objects, init, goal)])
                 except (NoPlan, BudgetExceeded) as exc:
                     results.append(type(exc))
             assert results[0] == results[1], (entry.name, sorted(objects), str(goal))
@@ -202,19 +197,40 @@ def test_relevance_keeps_every_packaged_plan(packaged_lib):
 
 def test_grounding_memo_is_shared_across_insertion_orders_and_immutable():
     dom = parse_domain(TINY_DOMAIN)
-    vocab = make_tiny_vocab()
     objects = {"brush": "item", "table": "surface", "hand": "gripper", "rover": "base"}
     reordered = dict(reversed(list(objects.items())))
-    acts = ground_actions(dom, objects)
-    assert ground_actions(dom, reordered) is acts
-    cands = _scan_candidates(dom, objects, vocab)
-    assert _scan_candidates(dom, reordered, vocab) is cands
-    assert isinstance(acts, tuple) and isinstance(cands, tuple)
+    g = ground_actions(dom, objects)
+    assert ground_actions(dom, reordered) is g
+    assert isinstance(g.actions, tuple) and isinstance(g.relevant, tuple)
+    with pytest.raises(FrozenInstanceError):
+        g.relevant = ()
+    with pytest.raises(TypeError):
+        g.atoms[Atom("Free", ("rover",))] = Atom("Free", ("rover",))
     # another object, or another sort for the same name, is another key
-    assert ground_actions(dom, {**objects, "cup": "item"}) is not acts
+    assert ground_actions(dom, {**objects, "cup": "item"}) is not g
     resorted = ground_actions(dom, {**objects, "table": "item"})
-    assert "grasp(brush,table)" not in {a.name for a in resorted}
+    assert "grasp(brush,table)" not in {a.name for a in resorted.actions}
     assert len(dom.groundings) == 3
+
+
+def test_relevant_atoms_leave_out_one_object_binaries():
+    # a precondition may read P(x,x) when no inequality forbids it; no
+    # candidate is a reflexive binary, so the relevant atoms leave it out
+    dom = parse_domain(
+        """
+(define (domain d)
+  (:requirements :typing)
+  (:types t - entity)
+  (:predicates (P ?a - t ?b - t) (Q ?a - t))
+  (:action link
+    :parameters (?a - t ?b - t)
+    :precondition (and (P ?a ?b) (Q ?b))
+    :effect (and (Q ?a))))
+"""
+    )
+    g = ground_actions(dom, {"x": "t", "y": "t"})
+    assert Atom("P", ("x", "x")) in g.actions[0].pre
+    assert [str(a) for a in g.relevant] == ["P(x,y)", "P(y,x)", "Q(x)", "Q(y)"]
 
 
 # --- search -------------------------------------------------------------------
@@ -442,6 +458,32 @@ def test_match_tie_breaks_by_library_order(small_library):
     assert m.entry.name == "fetch-brush"
     assert m.substitution["brush"] == "cup"
     assert m.overlap == 1
+
+
+def test_a_match_names_the_object_set_plan_grounds(small_library):
+    # the entry's objects under the renaming, in sorted name order; a name
+    # the renaming gives that another object already has is kept once, with
+    # the sort of the first to claim it
+    def renamed(m) -> dict[str, str]:
+        objects: dict[str, str] = {}
+        for name in sorted(m.entry.problem.objects):
+            objects.setdefault(m.substitution.get(name, name), m.entry.problem.objects[name])
+        return objects
+
+    cases = [
+        State.of([Atom("Hold", ("hand", "cup"))]),  # brush -> cup, and cup is declared
+        State.of([Atom("On", ("brush", "shelf"))]),  # cup -> brush, brush is not
+        State.of([Atom("On", ("cup", "shelf")), Atom("Free", ("hand",))]),  # identity
+    ]
+    for g in cases:
+        m = match_plan(small_library, g)
+        assert m.objects == renamed(m), g
+        assert list(m.objects) == list(renamed(m)), g
+    m = match_plan(small_library, cases[0])
+    assert m.substitution["brush"] == "cup" and "cup" in m.entry.problem.objects
+    assert m.objects == {"cup": "item", "table": "surface", "shelf": "surface", "hand": "gripper", "rover": "base"}
+    with pytest.raises(AttributeError):
+        m.objects = {}
 
 
 def test_match_renames_objects(small_library):
