@@ -237,7 +237,14 @@ class LiveVision(VisionSystem):
     exactly what a look from every pose would. Under a noisy detector the
     later looks draw different numbers, and a skipped look drops a false
     detection it might have made: a confused vote naming an out-of-view
-    term. `query_vision` makes the same trade."""
+    term. `query_vision` makes the same trade.
+
+    A look detects only `watched`, the scene objects that carry a term of
+    some unheld group, at every pose, the first included (`Holding`,
+    `Free` and `VisionOn` read no detection). At zero noise this holds
+    what a whole-scene look would. A noisy look draws fewer numbers, and
+    no other object's confused vote can name a term; the query's looks
+    detect only their terms' objects in the same way."""
 
     def __init__(self, scene: Scene, cfg: MonitorConfig):
         self.scene = scene
@@ -282,16 +289,16 @@ class LiveVision(VisionSystem):
         held: list[Atom] = []
         watched = None  # the scene objects carrying a term of some group
         for i, pose in enumerate(self._ring):
+            if i and not groups:
+                break
+            if watched is None:
+                terms = frozenset().union(*groups)
+                watched = [o for o in scene.objects if o.label in terms]
             if i:
-                if not groups:
-                    break
-                if watched is None:
-                    terms = frozenset().union(*groups)
-                    watched = [o for o in scene.objects if o.label in terms]
                 seen = {o.label for o, _ in _in_view(watched, pose, scene.vision_on, pixels)}
                 if not any(g <= seen for g in groups):
                     continue
-            percept = perceive(scene, pose, cfg.detector, self._rng, cfg.frames, cfg.mode)
+            percept = perceive(scene, pose, watched, cfg.detector, self._rng, cfg.frames, cfg.mode)
             if not i:
                 held.extend(a for a in first if ground_relation(a.pred, a.args, percept))
             detected = percept.detections.keys()

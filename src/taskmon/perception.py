@@ -1,11 +1,21 @@
 """Simulated perception over ground-truth scenes.
 
+A look detects only the objects its caller asks about: `detect_batch` and
+`perceive` take that list, and test visibility, vote and reconstruct over
+it alone. The vision query passes the scene objects carrying its terms,
+and the monitor's `LiveVision.scan` the objects carrying a term of some
+candidate it has not yet seen hold. At zero noise no answer changes, since
+a rule reads only its atom's terms. A noisy detector draws fewer numbers
+per look, so later looks' streams shift, and an object no atom names can
+no longer be voted in as a term by a confused frame. The confusion label
+set is still every label of the scene.
+
 Detection draws a batch of noisy frames and majority-votes the class per
-object. Each visible object takes its frames' random numbers as blocks from
-the query's generator: one block of n hit and n confusion draws (only the
-hits when the scene has one label), the confused frames' wrong labels, the
-pixel jitter, then the depth noise; a noise-free detector draws only the
-first block. The per-label ranked vote runs only when some frame was
+object. Each visible listed object takes its frames' random numbers as
+blocks from the query's generator: one block of n hit and n confusion
+draws (only the hits when the scene has one label), the confused frames'
+wrong labels, the pixel jitter, then the depth noise; a noise-free
+detector draws only the first block. The per-label ranked vote runs only when some frame was
 confused; otherwise the label wins exactly on a strict majority of hits.
 Pixel boxes are projected only in NO_DEPTH mode, the one whose rules read
 them: FULL and NO_SHAPE test a world object's visibility by its nearest
@@ -50,7 +60,7 @@ import enum
 import math
 from collections import Counter
 from dataclasses import dataclass
-from numbers import Real
+from numbers import Integral, Real
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
@@ -220,24 +230,32 @@ def _in_view(
 def detect_batch(
     scene: Scene,
     cam: Camera,
+    objects: Iterable[SceneObject],
     model: DetectorModel,
     rng: np.random.Generator,
     n: int = 10,
     mode: Mode = Mode.FULL,
 ) -> list[Detection]:
-    """Majority vote over n noisy frames per visible object. An object whose
-    modal vote is a miss (or a tie) is omitted; confidence is the modal
-    frequency. Proprioceptive objects (the robot's own parts) are always
-    reported, at confidence 1 and drawing no random numbers.
+    """Majority vote over n noisy frames per visible object of `objects`,
+    the scene objects the caller asks about, in their order; no other
+    object is tested, voted or reported. A whole-scene look passes
+    `scene.objects`. An object whose modal vote is a miss (or a tie) is
+    omitted; confidence is the modal frequency. A listed proprioceptive
+    object (a robot part) is always reported, at confidence 1 and drawing
+    no random numbers. `n` must be an int >= 1, not a bool.
 
-    An object is a candidate only when `_in_view` finds it in view.
+    An object is a candidate only when `_in_view` finds it in view. A
+    confused frame picks its wrong label from every label of the scene,
+    not only the listed objects', so each listed object draws exactly what
+    it would in a whole-scene look; fewer listed objects draw fewer
+    numbers, which shifts a noisy detector's later draws.
     Pixel boxes are projected only when `mode` is NO_DEPTH, the one mode that
     grounds in pixels. In FULL and NO_SHAPE a world object's bbox holds
     zeros; a part, which those modes place by its true box, has all its
     pixel fields at zeros. Both are placeholders, as
     `actuator.truth_percept`'s pixel fields and centre depths are.
 
-    Each visible object draws its n frames as blocks, in this order:
+    Each visible listed object draws its n frames as blocks, in this order:
     `rng.random(2 * n)`, the first n for hits and the last n for confusion
     (`rng.random(n)`, hits only, when the scene has a single label); one
     integer per confused frame picking the wrong label; an (n, 2) block of
@@ -251,12 +269,12 @@ def detect_batch(
     frame is a hit or a miss, and the label wins exactly when hits > n/2; a
     tie or a modal miss gives no detection. The jitter is averaged over the
     winning frames."""
-    if n < 1:
-        raise ValueError("batch size must be >= 1")
+    if isinstance(n, bool) or not isinstance(n, Integral) or n < 1:
+        raise ValueError(f"n must be an integer >= 1, got {n!r}")
     label_set = {o.label for o in scene.objects}
     pixels = mode is Mode.NO_DEPTH
     out: list[Detection] = []
-    for obj, seen in _in_view(scene.objects, cam, scene.vision_on, pixels):
+    for obj, seen in _in_view(objects, cam, scene.vision_on, pixels):
         if obj.proprio:
             if pixels:
                 center = obj.box.center
@@ -381,15 +399,18 @@ class _LookBoxes(dict):
 def perceive(
     scene: Scene,
     cam: Camera,
+    objects: Iterable[SceneObject],
     model: DetectorModel,
     rng: np.random.Generator,
     n: int = 10,
     mode: Mode = Mode.FULL,
 ) -> Percept:
-    """One detection pass plus geometry reconstruction under `mode`. In FULL
-    and NO_SHAPE a world object's 3D box is built when a rule first reads it
-    (see `_LookBoxes`); NO_DEPTH builds none."""
-    dets = detect_batch(scene, cam, model, rng, n, mode)
+    """One detection pass over `objects` (see `detect_batch`) plus geometry
+    reconstruction under `mode`. Its detections and boxes come only from
+    the listed objects; its grasp state and vision switch are the whole
+    scene's. In FULL and NO_SHAPE a world object's 3D box is built
+    when a rule first reads it (see `_LookBoxes`); NO_DEPTH builds none."""
+    dets = detect_batch(scene, cam, objects, model, rng, n, mode)
     by_label: dict[str, Detection] = {}
     for d in dets:
         if d.label not in by_label or d.confidence > by_label[d.label].confidence:
@@ -526,7 +547,13 @@ def query_vision(
 
     Otherwise every atom is grounded in the frame whose detections passed
     and `holds` says whether all do. An empty conjunction is vacuously
-    true."""
+    true.
+
+    A look detects only the scene objects that carry a term (see
+    `detect_batch`). At zero noise that answers as a whole-scene look
+    would, since every rule reads only its atom's terms. Under a noisy
+    detector a look draws fewer numbers, and no other object's confused
+    vote can name a term."""
     terms = sorted({arg for atom in s.atoms for arg in atom.args})
     if not terms:
         return True, False
@@ -544,7 +571,7 @@ def query_vision(
             if step:
                 break  # no later look from the aimed pose sees the terms either
             continue
-        percept = perceive(scene, pose, model, rng, n, mode)
+        percept = perceive(scene, pose, known, model, rng, n, mode)
         det = percept.detections
         if all(t in det and det[t].confidence > mu for t in terms):
             return all(ground_relation(a.pred, a.args, percept) for a in s.canonical()), False

@@ -121,16 +121,19 @@ def world_truth(pred: str, args: tuple, scene: Scene, th: Thresholds = None) -> 
 # --- detection oracle -------------------------------------------------------------
 
 
-def vote_detect_batch(scene: Scene, cam: Camera, model: DetectorModel, n: int, rng) -> list[Detection]:
+def vote_detect_batch(
+    scene: Scene, cam: Camera, objects: list[SceneObject], model: DetectorModel, n: int, rng
+) -> list[Detection]:
     """`perception.detect_batch` written the plain way, as the detector's
-    contract states it: `in_view` then `project` per object, the hit and the
-    confusion draws as two n blocks, every frame's vote built and ranked by
-    a Counter, jitter averaged over the winning frames. It draws the same
-    random numbers in the same order, so it must give equal detections and
-    leave the generator in the same state."""
+    contract states it: `in_view` then `project` per listed object, the hit
+    and the confusion draws as two n blocks, every frame's vote built over
+    the whole scene's labels and ranked by a Counter, jitter averaged over
+    the winning frames. It draws the same random numbers in the same order,
+    so it must give equal detections and leave the generator in the same
+    state."""
     labels = sorted({o.label for o in scene.objects})
     out = []
-    for obj in scene.objects:
+    for obj in objects:
         center = obj.box.center
         if obj.proprio:
             pr = cam.project(center)
@@ -173,14 +176,17 @@ def vote_detect_batch(scene: Scene, cam: Camera, model: DetectorModel, n: int, r
     return out
 
 
-def reference_perceive(scene: Scene, cam: Camera, model: DetectorModel, n: int, rng, mode: Mode) -> Percept:
-    """`perception.perceive` written the plain way: `vote_detect_batch`, which
-    projects every robot part whatever the mode, the most confident
-    detection per label, and each detected world object's box rebuilt
-    around its unprojected centroid from per-axis corner sums. Robot parts
-    keep their true boxes; NO_DEPTH rebuilds none."""
+def reference_perceive(
+    scene: Scene, cam: Camera, objects: list[SceneObject], model: DetectorModel, n: int, rng, mode: Mode
+) -> Percept:
+    """`perception.perceive` written the plain way: `vote_detect_batch` over
+    the listed objects, which projects every robot part whatever the mode,
+    the most confident detection per label, and each detected world
+    object's box rebuilt around its unprojected centroid from per-axis
+    corner sums. Robot parts keep their true boxes; NO_DEPTH rebuilds
+    none."""
     by_label = {}
-    for d in vote_detect_batch(scene, cam, model, n, rng):
+    for d in vote_detect_batch(scene, cam, objects, model, n, rng):
         if d.label not in by_label or d.confidence > by_label[d.label].confidence:
             by_label[d.label] = d
     boxes3d = {}

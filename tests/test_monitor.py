@@ -500,7 +500,7 @@ def test_live_scan_equals_a_look_from_every_pose_at_zero_noise(packaged_lib, mod
             vision = LiveVision(scene, cfg)
             vision.scan([])  # builds the ring of scan poses
             rng = np.random.default_rng(0)
-            looks = [perceive(scene, pose, cfg.detector, rng, cfg.frames, mode) for pose in vision._ring]
+            looks = [perceive(scene, pose, scene.objects, cfg.detector, rng, cfg.frames, mode) for pose in vision._ring]
             for entry in packaged_lib.entries:
                 objects = dict(entry.problem.objects)
                 candidates = candidate_atoms(objects, entry.domain.predicates.values(), packaged_lib.vocab)
@@ -527,7 +527,8 @@ def test_a_scan_of_pose_free_atoms_looks_once(monkeypatch):
 def test_a_scan_skips_a_pose_that_sees_no_remaining_candidate(monkeypatch):
     # no scene object carries ghost, and the shelf is behind the start
     # camera: after the first look the scan looks only from the first pose
-    # that sees the shelf. A skipped pose perceives and draws nothing
+    # that sees the shelf. A skipped pose perceives and draws nothing, and
+    # each look detects only the shelf, the one object carrying a term
     scene = desk_scene()
     looks = _spy_looks(monkeypatch)
     cfg = quiet_cfg(detector=DetectorModel(tp_rate=0.99, px_jitter=1.0, depth_sigma=0.02))
@@ -541,7 +542,7 @@ def test_a_scan_skips_a_pose_that_sees_no_remaining_candidate(monkeypatch):
     assert k > 1 and looks == [ring[0], ring[k]]
     twin = np.random.default_rng([cfg.seed, 0x515C])
     for pose in looks:
-        perceive(scene, pose, cfg.detector, twin, cfg.frames, cfg.mode)
+        perceive(scene, pose, shelf, cfg.detector, twin, cfg.frames, cfg.mode)
     assert vision._rng.bit_generator.state == twin.bit_generator.state
 
 

@@ -21,6 +21,7 @@ from taskmon.actuator import Disturbance, SimActuator, place_on, translate_objec
 from taskmon.geometry import Box, Camera, Scene, SceneObject, load_scene, ray_box
 from taskmon.language import State, parse_atom
 from taskmon.monitor import LiveVision, MonitorConfig, candidate_atoms
+from taskmon.planning import ground_actions
 from taskmon.perception import (
     DEFAULT_RULES,
     DEFAULT_THRESHOLDS,
@@ -373,7 +374,7 @@ def test_zero_noise_detection_is_exact():
     scene = desk_scene()
     cam = scene.camera
     for mode in Mode:
-        dets = {d.label: d for d in detect_batch(scene, cam, DetectorModel(), stream(), 5, mode)}
+        dets = {d.label: d for d in detect_batch(scene, cam, scene.objects, DetectorModel(), stream(), 5, mode)}
         # far and behind objects are not in view; everything else is
         assert set(dets) == {"table", "brush", "cup", "hand"}
         for label in ("table", "brush", "cup"):
@@ -392,7 +393,7 @@ def test_zero_noise_detection_is_exact():
 
 def test_vision_off_reports_only_proprio():
     scene = desk_scene(vision_on=False)
-    dets = detect_batch(scene, scene.camera, DetectorModel(), stream(), n=3)
+    dets = detect_batch(scene, scene.camera, scene.objects, DetectorModel(), stream(), n=3)
     assert [d.label for d in dets] == ["hand"]
     assert dets[0].confidence == 1.0
 
@@ -404,7 +405,7 @@ def test_proprio_reported_even_outside_view():
         cam,
         vision_on=False,
     )
-    dets = detect_batch(scene, cam, DetectorModel(), stream(), n=1)
+    dets = detect_batch(scene, cam, scene.objects, DetectorModel(), stream(), n=1)
     assert len(dets) == 1 and dets[0].label == "hand"
 
 
@@ -458,12 +459,27 @@ def test_detector_model_refuses_a_malformed_setting_by_name(field, bad):
 
 def test_batch_size_must_be_positive():
     with pytest.raises(ValueError):
-        detect_batch(desk_scene(), desk_scene().camera, DetectorModel(), stream(), n=0)
+        detect_batch(desk_scene(), desk_scene().camera, desk_scene().objects, DetectorModel(), stream(), n=0)
+
+
+@pytest.mark.parametrize("n", [0, -2, 2.5, 2.0, True, "3", None])
+def test_detection_refuses_a_malformed_frame_count_by_name(n):
+    # a bool, a non-integer or a count below 1 is refused before any draw;
+    # a numpy integer is an integer
+    scene = desk_scene()
+    rng = stream()
+    drawn = rng.bit_generator.state
+    with pytest.raises(ValueError, match=f"^n must be an integer >= 1, got {re.escape(repr(n))}$"):
+        detect_batch(scene, scene.camera, scene.objects, DetectorModel(), rng, n)
+    assert rng.bit_generator.state == drawn
+    noisy = DetectorModel(tp_rate=0.9, confusion=0.1)
+    want = detect_batch(scene, scene.camera, scene.objects, noisy, stream(1), 3)
+    assert detect_batch(scene, scene.camera, scene.objects, noisy, stream(1), np.int64(3)) == want
 
 
 def test_always_missed_detector_reports_nothing_visual():
     scene = desk_scene()
-    dets = detect_batch(scene, scene.camera, DetectorModel(tp_rate=0.0), stream(), n=10)
+    dets = detect_batch(scene, scene.camera, scene.objects, DetectorModel(tp_rate=0.0), stream(), n=10)
     assert [d.label for d in dets] == ["hand"]
 
 
@@ -504,7 +520,7 @@ def test_confusion_voting_matches_multinomial_oracle():
     rng = stream(11)
     trials, wins = 0, 0
     for _ in range(1000):
-        dets = detect_batch(scene, cam, model, rng, n=10)
+        dets = detect_batch(scene, cam, scene.objects, model, rng, n=10)
         by_id = {d.obj_id: d for d in dets}
         for o in objs:
             trials += 1
@@ -525,7 +541,7 @@ def test_batch_voting_beats_single_frame_under_noise():
         rng = stream(3)
         good, total = 0, 0
         for _ in range(1000):
-            dets = {d.obj_id: d for d in detect_batch(scene, cam, model, rng, n=n)}
+            dets = {d.obj_id: d for d in detect_batch(scene, cam, scene.objects, model, rng, n=n)}
             for label in ("table", "brush", "cup"):
                 obj = scene.by_label(label)
                 total += 1
@@ -540,10 +556,10 @@ def test_batch_voting_beats_single_frame_under_noise():
 def test_detection_determinism_per_seed():
     scene = desk_scene()
     model = DetectorModel(tp_rate=0.8, confusion=0.2, px_jitter=1.5, depth_sigma=0.01)
-    a = detect_batch(scene, scene.camera, model, stream(42), n=10)
-    b = detect_batch(scene, scene.camera, model, stream(42), n=10)
+    a = detect_batch(scene, scene.camera, scene.objects, model, stream(42), n=10)
+    b = detect_batch(scene, scene.camera, scene.objects, model, stream(42), n=10)
     assert a == b
-    c = detect_batch(scene, scene.camera, DetectorModel(tp_rate=0.8, confusion=0.2), stream(43), n=10)
+    c = detect_batch(scene, scene.camera, scene.objects, DetectorModel(tp_rate=0.8, confusion=0.2), stream(43), n=10)
     assert c != a or [d.label for d in c] != [d.label for d in a]
 
 
@@ -555,7 +571,7 @@ def test_noise_free_detection_takes_two_doubles_per_frame_per_visible_object(yaw
     model = DetectorModel()
     rng, twin = stream(), stream()
     n = 7
-    detect_batch(scene, cam, model, rng, n=n)
+    detect_batch(scene, cam, scene.objects, model, rng, n=n)
     twin.random(2 * n * m)
     assert rng.bit_generator.state == twin.bit_generator.state
 
@@ -602,27 +618,36 @@ def _unprojected(scene: Scene, dets: list[Detection]) -> list[Detection]:
 @pytest.mark.parametrize("scene_name", sorted(VOTE_SCENES))
 def test_detection_equals_the_per_frame_vote(scene_name):
     # ties come from even n, the ranked vote from confusion; three batches
-    # share one generator, as a query's frames do. The oracle projects every
+    # share one generator, as a query's frames do: one over the whole scene,
+    # then two over random subsets of its objects in random order. A confused
+    # frame picks from every label of the scene, so a listed object can be
+    # voted in under an unlisted object's label. The oracle projects every
     # box and robot part; detect_batch does so only for NO_DEPTH
     scene = VOTE_SCENES[scene_name]()
     grid = list(product((0.0, 0.5, 0.95, 1.0), (0.0, 0.05, 0.5), (0.0, 1.0), (0.0, 0.02), (1, 2, 4, 10)))
+    pick = random.Random(scene_name)
+    foreign = 0
     for mode in Mode:
         for seed, (tp, conf, jitter, sigma, n) in enumerate(grid):
             model = DetectorModel(tp_rate=tp, confusion=conf, px_jitter=jitter, depth_sigma=sigma)
             rng, twin = stream(seed), stream(seed)
-            for _ in range(3):
-                got = detect_batch(scene, scene.camera, model, rng, n, mode)
-                want = georacle.vote_detect_batch(scene, scene.camera, model, n, twin)
+            for batch in range(3):
+                objects = pick.sample(scene.objects, pick.randint(0, len(scene.objects))) if batch else scene.objects
+                got = detect_batch(scene, scene.camera, objects, model, rng, n, mode)
+                want = georacle.vote_detect_batch(scene, scene.camera, objects, model, n, twin)
                 if mode is not Mode.NO_DEPTH:
                     want = _unprojected(scene, want)
-                assert got == want, (mode, tp, conf, jitter, sigma, n)
+                assert got == want, (mode, tp, conf, jitter, sigma, n, [o.id for o in objects])
                 assert rng.bit_generator.state == twin.bit_generator.state
+                assert {d.obj_id for d in got} <= {o.id for o in objects}
+                foreign += sum(d.label not in {o.label for o in objects} for d in got)
+    assert foreign > 0 or scene_name in ("one-label", "vision-off")
 
 
 def test_jitter_shifts_bbox_and_center_together():
     scene = desk_scene()
     cam = scene.camera
-    dets = {d.label: d for d in detect_batch(scene, cam, DetectorModel(px_jitter=3.0), stream(5), 10, Mode.NO_DEPTH)}
+    dets = {d.label: d for d in detect_batch(scene, cam, scene.objects, DetectorModel(px_jitter=3.0), stream(5), 10, Mode.NO_DEPTH)}
     d = dets["brush"]
     true_bbox = cam.project_box(scene.by_label("brush").box)
     du = d.bbox[0] - true_bbox[0]
@@ -637,7 +662,7 @@ def test_jitter_shifts_bbox_and_center_together():
 
 def test_depth_sigma_perturbs_reported_depth():
     scene = desk_scene()
-    dets = {d.label: d for d in detect_batch(scene, scene.camera, DetectorModel(depth_sigma=0.05), stream(9), n=5)}
+    dets = {d.label: d for d in detect_batch(scene, scene.camera, scene.objects, DetectorModel(depth_sigma=0.05), stream(9), n=5)}
     true_depth = scene.camera.depth_of(scene.by_label("cup").box.center)
     assert dets["cup"].center_depth != true_depth
     assert abs(dets["cup"].center_depth - true_depth) < 0.5
@@ -649,7 +674,7 @@ def test_depth_sigma_perturbs_reported_depth():
 def test_estimate_depth_exact_on_front_face():
     cam = Camera(position=(0, 0, 1.0), yaw=0.0, pitch=0.0)
     scene = Scene([SceneObject("slab", "slab", Box((1.2, -0.3, 0.7), (1.5, 0.3, 1.3)))], cam)
-    det = detect_batch(scene, cam, DetectorModel(), stream(), 1, Mode.NO_DEPTH)[0]
+    det = detect_batch(scene, cam, scene.objects, DetectorModel(), stream(), 1, Mode.NO_DEPTH)[0]
     d = estimate_depth(det, scene, cam, DetectorModel(), stream(0, 1))
     # every lattice ray enters through the x = 1.2 face: forward depth 1.2
     assert d == pytest.approx(1.2, abs=1e-9)
@@ -660,7 +685,7 @@ def test_estimate_depth_refuses_a_detection_without_a_pixel_box(mode):
     # a 3D mode projects no pixel box: the lattice would sit at pixel (0, 0)
     cam = Camera(position=(0, 0, 1.0), yaw=0.0, pitch=0.0)
     scene = Scene([SceneObject("slab", "slab", Box((1.2, -0.3, 0.7), (1.5, 0.3, 1.3)))], cam)
-    det = detect_batch(scene, cam, DetectorModel(), stream(), 1, mode)[0]
+    det = detect_batch(scene, cam, scene.objects, DetectorModel(), stream(), 1, mode)[0]
     rng = stream(0, 1)
     with pytest.raises(ValueError, match="slab: the detection has no pixel box; estimate_depth takes a NO_DEPTH"):
         estimate_depth(det, scene, cam, DetectorModel(depth_sigma=0.1), rng)
@@ -672,7 +697,7 @@ def test_estimate_depth_prefers_front_object_under_overlap():
     front = SceneObject("front", "front", Box((1.0, -0.10, 0.9), (1.12, 0.10, 1.1)))
     back = SceneObject("back", "back", Box((2.0, -0.5, 0.5), (2.3, 0.5, 1.5)))
     scene = Scene([front, back], cam)
-    dets = {d.label: d for d in detect_batch(scene, cam, DetectorModel(), stream(), 1, Mode.NO_DEPTH)}
+    dets = {d.label: d for d in detect_batch(scene, cam, scene.objects, DetectorModel(), stream(), 1, Mode.NO_DEPTH)}
     d_front = estimate_depth(dets["front"], scene, cam, DetectorModel(), stream(0, 1))
     assert d_front == pytest.approx(1.0, abs=1e-9)
     # the back box's detection window is mostly blocked: surviving rays still
@@ -686,7 +711,7 @@ def test_estimate_depth_raises_when_fully_occluded():
     wall = SceneObject("wall", "wall", Box((0.8, -0.8, 0.2), (0.9, 0.8, 1.8)))
     hidden = SceneObject("hidden", "hidden", Box((1.5, -0.05, 0.95), (1.6, 0.05, 1.05)))
     scene = Scene([wall, hidden], cam)
-    dets = {d.label: d for d in detect_batch(scene, cam, DetectorModel(), stream(), 1, Mode.NO_DEPTH)}
+    dets = {d.label: d for d in detect_batch(scene, cam, scene.objects, DetectorModel(), stream(), 1, Mode.NO_DEPTH)}
     assert "hidden" in dets  # the detector has no occlusion model
     with pytest.raises(NoForeground):
         estimate_depth(dets["hidden"], scene, cam, DetectorModel(), stream(0, 1))
@@ -697,7 +722,7 @@ def test_estimate_depth_raises_when_fully_occluded():
 
 def test_full_mode_reconstructs_true_boxes_at_zero_noise():
     scene = desk_scene()
-    p = perceive(scene, scene.camera, DetectorModel(), stream(), n=1, mode=Mode.FULL)
+    p = perceive(scene, scene.camera, scene.objects, DetectorModel(), stream(), n=1, mode=Mode.FULL)
     for label in ("table", "brush", "cup", "hand"):
         true = scene.by_label(label).box
         got = p.boxes3d[label]
@@ -708,7 +733,7 @@ def test_full_mode_reconstructs_true_boxes_at_zero_noise():
 def test_no_shape_mode_uses_nominal_cubes():
     scene = desk_scene()
     th = Thresholds()
-    p = perceive(scene, scene.camera, DetectorModel(), stream(), n=1, mode=Mode.NO_SHAPE)
+    p = perceive(scene, scene.camera, scene.objects, DetectorModel(), stream(), n=1, mode=Mode.NO_SHAPE)
     for label in ("table", "brush", "cup"):
         assert p.boxes3d[label].size == pytest.approx((th.nominal_extent,) * 3)
         # centroid position is still metric
@@ -718,7 +743,7 @@ def test_no_shape_mode_uses_nominal_cubes():
 
 def test_no_depth_mode_has_no_metric_boxes():
     scene = desk_scene()
-    p = perceive(scene, scene.camera, DetectorModel(), stream(), n=1, mode=Mode.NO_DEPTH)
+    p = perceive(scene, scene.camera, scene.objects, DetectorModel(), stream(), n=1, mode=Mode.NO_DEPTH)
     assert p.boxes3d == {}
     assert set(p.detections) == {"table", "brush", "cup", "hand"}
 
@@ -726,7 +751,7 @@ def test_no_depth_mode_has_no_metric_boxes():
 def test_percept_attachments_use_labels():
     scene = desk_scene()
     scene.attachments["hand"] = "brush"
-    p = perceive(scene, scene.camera, DetectorModel(), stream(), n=1)
+    p = perceive(scene, scene.camera, scene.objects, DetectorModel(), stream(), n=1)
     assert p.attachments == {"hand": "brush"}
 
 
@@ -762,8 +787,8 @@ def test_perceive_equals_the_plain_reference_on_packaged_scenes(packaged_lib, sc
         for mode in Mode:
             rng, twin = stream(seed), stream(seed)
             for cam in _scan_ring(scene):
-                got = perceive(scene, cam, model, rng, 10, mode)
-                want = georacle.reference_perceive(scene, cam, model, 10, twin, mode)
+                got = perceive(scene, cam, scene.objects, model, rng, 10, mode)
+                want = georacle.reference_perceive(scene, cam, scene.objects, model, 10, twin, mode)
                 assert rng.bit_generator.state == twin.bit_generator.state
                 for a in atoms:
                     answer = ground_relation(a.pred, a.args, got)
@@ -813,7 +838,7 @@ def test_perceive_projects_robot_parts_only_for_pixel_grounding(mode, monkeypatc
     for cam in ring:
         projected.clear()
         tested.clear()
-        perceive(scene, cam, DetectorModel(), stream(), 10, mode)
+        perceive(scene, cam, scene.objects, DetectorModel(), stream(), 10, mode)
         looked = [o for o in scene.objects if o.proprio or georacle.in_view(cam, o.box.center)]
         world = [o.box for o in looked if not o.proprio]
         assert (projected, tested) == (([o.box for o in looked], []) if pixels else ([], world))
@@ -826,8 +851,8 @@ def test_a_percept_answers_for_its_look_after_the_world_moves(packaged_lib):
     # relocating or reshaping objects after the look changes none of them
     scene = _packaged_scene("bring_dynamic")
     cam = scene.camera
-    p = perceive(scene, cam, DetectorModel(), stream(), 10, Mode.FULL)
-    want = georacle.reference_perceive(scene, cam, DetectorModel(), 10, stream(), Mode.FULL)
+    p = perceive(scene, cam, scene.objects, DetectorModel(), stream(), 10, Mode.FULL)
+    want = georacle.reference_perceive(scene, cam, scene.objects, DetectorModel(), 10, stream(), Mode.FULL)
     assert {"table", "brush", "cup", "spray_bottle", "robot", "robot_hand"} <= set(want.boxes3d)
     assert p.boxes3d["table"] == want.boxes3d["table"]  # one read before the world moves
     before = {o.id: o.box for o in scene.objects}
@@ -842,7 +867,7 @@ def test_a_percept_answers_for_its_look_after_the_world_moves(packaged_lib):
         assert p.boxes3d[label] == box, label
     with pytest.raises(KeyError):
         p.boxes3d["wrench"]  # in the scene, not in view
-    flat = perceive(scene, cam, DetectorModel(), stream(), 10, Mode.NO_DEPTH)
+    flat = perceive(scene, cam, scene.objects, DetectorModel(), stream(), 10, Mode.NO_DEPTH)
     assert "table" in flat.detections
     for label in flat.detections:
         with pytest.raises(KeyError):
@@ -854,20 +879,20 @@ def test_a_percept_answers_for_its_look_after_the_world_moves(packaged_lib):
 
 def test_unknown_predicate_raises():
     scene = desk_scene()
-    p = perceive(scene, scene.camera, DetectorModel(), stream(), n=1)
+    p = perceive(scene, scene.camera, scene.objects, DetectorModel(), stream(), n=1)
     with pytest.raises(UnknownPredicate):
         ground_relation("Levitates", ("brush",), p)
 
 
 def test_found_requires_confident_detection():
     scene = desk_scene()
-    p = perceive(scene, scene.camera, DetectorModel(), stream(), n=1)
+    p = perceive(scene, scene.camera, scene.objects, DetectorModel(), stream(), n=1)
     assert ground_relation("Detected", ("brush",), p)
     assert not ground_relation("Detected", ("far_crate",), p)
     # a shaky detector drives confidence under the gate
     shaky = DetectorModel(tp_rate=0.55)
     for trial in range(40):
-        pp = perceive(scene, scene.camera, shaky, stream(1, trial), n=9)
+        pp = perceive(scene, scene.camera, scene.objects, shaky, stream(1, trial), n=9)
         if "brush" in pp.detections and pp.detections["brush"].confidence <= 0.7:
             assert not ground_relation("Detected", ("brush",), pp)
             break
@@ -876,21 +901,21 @@ def test_found_requires_confident_detection():
 
 
 def test_vision_on_tracks_scene_flag():
-    on = perceive(desk_scene(), desk_scene().camera, DetectorModel(), stream(), n=1)
+    on = perceive(desk_scene(), desk_scene().camera, desk_scene().objects, DetectorModel(), stream(), n=1)
     off_scene = desk_scene(vision_on=False)
-    off = perceive(off_scene, off_scene.camera, DetectorModel(), stream(), n=1)
+    off = perceive(off_scene, off_scene.camera, off_scene.objects, DetectorModel(), stream(), n=1)
     assert ground_relation("VisionOn", ("robot",), on)
     assert not ground_relation("VisionOn", ("robot",), off)
 
 
 def test_hold_via_attachment_and_containment():
     scene = desk_scene()
-    p = perceive(scene, scene.camera, DetectorModel(), stream(), n=1)
+    p = perceive(scene, scene.camera, scene.objects, DetectorModel(), stream(), n=1)
     assert not ground_relation("Holding", ("hand", "brush"), p)
     assert ground_relation("Free", ("hand",), p)
 
     scene.attachments["hand"] = "brush"
-    p2 = perceive(scene, scene.camera, DetectorModel(), stream(), n=1)
+    p2 = perceive(scene, scene.camera, scene.objects, DetectorModel(), stream(), n=1)
     assert ground_relation("Holding", ("hand", "brush"), p2)
     assert not ground_relation("Free", ("hand",), p2)
 
@@ -901,7 +926,7 @@ def test_hold_via_attachment_and_containment():
     hand.box = Box((0.5, 0.0, 0.72), (0.6, 0.1, 0.82))
     brush = grip.by_label("brush")
     brush.box = Box.from_center(hand.box.center, brush.box.size)
-    p3 = perceive(grip, grip.camera, DetectorModel(), stream(), n=1)
+    p3 = perceive(grip, grip.camera, grip.objects, DetectorModel(), stream(), n=1)
     assert "brush" in p3.detections and "hand" in p3.detections
     assert not ground_relation("Holding", ("hand", "brush"), p3)
     assert ground_relation("Free", ("hand",), p3)
@@ -920,13 +945,13 @@ def test_free_quantifies_over_the_detected_objects():
         ],
         cam,
     )
-    p = perceive(scene, cam, DetectorModel(), stream(), n=1)
+    p = perceive(scene, cam, scene.objects, DetectorModel(), stream(), n=1)
     assert "chip" in p.detections
     # the chip's centre lies in the bin, but the bin grasps nothing
     assert ground_relation("Free", ("bin",), p)
     assert ground_relation("Free", ("ghost",), p)  # nothing says it holds anything
     scene.attachments["bin"] = "chip"
-    assert not ground_relation("Free", ("bin",), perceive(scene, cam, DetectorModel(), stream(), n=1))
+    assert not ground_relation("Free", ("bin",), perceive(scene, cam, scene.objects, DetectorModel(), stream(), n=1))
 
 
 def test_a_held_object_rests_on_nothing_until_placed():
@@ -947,7 +972,7 @@ def test_a_held_object_rests_on_nothing_until_placed():
     )
 
     def on_stand() -> list[bool]:
-        looks = [perceive(scene, scene.camera, DetectorModel(), stream(), n=1, mode=m) for m in Mode]
+        looks = [perceive(scene, scene.camera, scene.objects, DetectorModel(), stream(), n=1, mode=m) for m in Mode]
         return [ground_relation("On", ("cup", "stand"), p) for p in looks + [truth_percept(scene)]]
 
     assert on_stand() == [True] * 4
@@ -990,7 +1015,7 @@ def test_grounding_agrees_with_truth_oracle_at_zero_noise():
                 scene.attachments["hand"] = held
             scene = Scene(scene.objects, scene.camera, scene.attachments, scene.vision_on)
         cam = scene.camera
-        p = perceive(scene, cam, model, stream(), n=1, mode=Mode.FULL)
+        p = perceive(scene, cam, scene.objects, model, stream(), n=1, mode=Mode.FULL)
         for pred, args in _relation_atoms(scene):
             got = ground_relation(pred, args, p)
             want = georacle.truth(pred, args, scene, cam)
@@ -1009,7 +1034,7 @@ def test_ablation_modes_degrade_in_order():
         rnd = random.Random(5000 + seed)
         scene = georacle.sample_relation_scene(rnd, overlap_heavy=seed % 2 == 0)
         cam = scene.camera
-        percepts = {mode: perceive(scene, cam, model, stream(), n=1, mode=mode) for mode in Mode}
+        percepts = {mode: perceive(scene, cam, scene.objects, model, stream(), n=1, mode=mode) for mode in Mode}
         for pred, args in _relation_atoms(scene):
             want = georacle.truth(pred, args, scene, cam)
             for mode in Mode:
@@ -1065,6 +1090,37 @@ def test_query_of_a_term_no_scene_object_carries_times_out_without_looking(atoms
     assert answer == (False, True)
     assert rng.bit_generator.state == before
     assert looks == []
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_a_query_answers_as_a_whole_scene_look_at_zero_noise(packaged_lib, mode, monkeypatch):
+    # a look detects only the objects carrying the query's terms; at zero
+    # noise it answers as a look over every scene object does, for every
+    # library goal and every ground action's precondition and add-effect
+    # state, from each pose of the scan ring of each packaged scene with
+    # vision on and off
+    states = [e.goal_state for e in packaged_lib.entries]
+    for e in packaged_lib.entries:
+        for a in ground_actions(e.domain, dict(e.problem.objects)).actions:
+            states += [State.of(a.pre), State.of(a.add)]
+    cases = []
+    for name in PACKAGED_SCENES:
+        for vision_on in (True, False):
+            scene = _packaged_scene(name)
+            scene.vision_on = vision_on
+            for i, cam in enumerate(_scan_ring(scene)):
+                cases += [(name, vision_on, i, s, scene, cam) for s in dict.fromkeys(states)]
+
+    def answers():
+        return [query_vision(s, scene, cam, DetectorModel(), stream(), mode=mode) for *_, s, scene, cam in cases]
+
+    got = answers()
+    real = perception.perceive
+    whole = lambda scene, cam, objects, *rest: real(scene, cam, scene.objects, *rest)
+    monkeypatch.setattr(perception, "perceive", whole)
+    want = answers()
+    assert [c[:4] for c, g, w in zip(cases, got, want) if g != w] == []
+    assert {(True, False), (False, False), (False, True)} <= set(got)
 
 
 def test_query_zero_budget_times_out_when_term_unseen():
@@ -1126,7 +1182,7 @@ def test_visibility_helper_and_detection_agree_at_zero_noise():
                 pixels = mode is Mode.NO_DEPTH
                 in_view = perception._in_view(scene.objects, cam, scene.vision_on, pixels)
                 seen = {o.id for o, _ in in_view}
-                dets = detect_batch(scene, cam, DetectorModel(), stream(), 10, mode)
+                dets = detect_batch(scene, cam, scene.objects, DetectorModel(), stream(), 10, mode)
                 assert {d.obj_id for d in dets} == seen, (name, cam, mode)
                 world = {o.id for o in scene.objects if not o.proprio} & seen
                 assert vision_on or not world  # with vision off only parts are seen
@@ -1177,7 +1233,7 @@ def test_default_rules_ground_exactly_the_library_predicates(packaged_lib):
 
 def test_shared_rule_table_is_the_only_one_and_read_only():
     scene = desk_scene()
-    p = perceive(scene, scene.camera, DetectorModel(), stream(), n=1)
+    p = perceive(scene, scene.camera, scene.objects, DetectorModel(), stream(), n=1)
     assert ground_relation("On", ("brush", "table"), p)
     with pytest.raises(UnknownPredicate):
         ground_relation("Atop", ("brush", "table"), p)
@@ -1188,12 +1244,12 @@ def test_shared_rule_table_is_the_only_one_and_read_only():
 def test_shared_thresholds_are_the_frozen_default():
     assert DEFAULT_THRESHOLDS == Thresholds()
     scene = desk_scene()
-    p = perceive(scene, scene.camera, DetectorModel(), stream(), n=1)
+    p = perceive(scene, scene.camera, scene.objects, DetectorModel(), stream(), n=1)
     # brush and cup centres are about 0.31 m apart
     assert ground_relation("CloseTo", ("brush", "cup"), p)
     q = State.of([parse_atom("CloseTo(brush,cup)")])
     assert query_vision(q, scene, scene.camera, DetectorModel(), stream()) == (True, False)
-    nominal = perceive(scene, scene.camera, DetectorModel(), stream(), n=1, mode=Mode.NO_SHAPE)
+    nominal = perceive(scene, scene.camera, scene.objects, DetectorModel(), stream(), n=1, mode=Mode.NO_SHAPE)
     assert nominal.boxes3d["cup"].size == pytest.approx((0.06,) * 3)
     with pytest.raises(FrozenInstanceError):
         DEFAULT_THRESHOLDS.close_dist = 0.1  # the shared default is read-only
