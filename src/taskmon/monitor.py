@@ -49,8 +49,8 @@ from .perception import (
     DetectorModel,
     Mode,
     UnknownPredicate,
-    _in_view,
     ground_relation,
+    in_view,
     perceive,
     query_vision,
 )
@@ -228,23 +228,21 @@ class LiveVision(VisionSystem):
     A scan takes only the looks that can change its answer. It always looks
     from the first pose, and decides `Holding`, `Free` and `VisionOn` there
     for good: they read the grasp state and `Scene.vision_on`, which no pose
-    changes. The other candidates are grouped by their term set. A later
-    pose is looked from only when the visibility test detection applies
-    (`perception._in_view`) has every term of some unheld group in view
-    there; a skipped pose perceives and draws nothing. A look grounds only
-    the groups whose terms it detected, since a `Detected` or geometric
-    atom with an undetected term is false. At zero noise the scan thus holds
-    exactly what a look from every pose would. Under a noisy detector the
-    later looks draw different numbers, and a skipped look drops a false
-    detection it might have made: a confused vote naming an out-of-view
-    term. `query_vision` makes the same trade.
+    changes. The other candidates are grouped by their term set. Each pose
+    gets one `View` (`perception.in_view`) of the objects carrying a term,
+    and a later pose is looked from only when its view has every term of
+    some unheld group among its labels; a skipped pose perceives and draws
+    nothing. A look grounds only the groups whose terms it detected, since a
+    `Detected` or geometric atom with an undetected term is false. At zero
+    noise the scan thus holds exactly what a look from every pose would.
+    Under a noisy detector the later looks draw different numbers, and a
+    skipped look drops a false detection it might have made: a confused vote
+    naming an out-of-view term. `query_vision` makes the same trade.
 
-    A look detects only `watched`, the scene objects that carry a term of
-    some unheld group, at every pose, the first included (`Holding`,
-    `Free` and `VisionOn` read no detection). At zero noise this holds
-    what a whole-scene look would. A noisy look draws fewer numbers, and
-    no other object's confused vote can name a term; the query's looks
-    detect only their terms' objects in the same way."""
+    A view and its look cover only `watched`, the scene objects that carry a
+    term of some unheld group, at every pose, the first included (`Holding`,
+    `Free` and `VisionOn` read no detection). At zero noise this holds what
+    a whole-scene look would."""
 
     def __init__(self, scene: Scene, cfg: MonitorConfig):
         self.scene = scene
@@ -285,7 +283,6 @@ class LiveVision(VisionSystem):
                 first.append(a)
         if not first and not groups:
             return State()
-        pixels = cfg.mode is Mode.NO_DEPTH
         held: list[Atom] = []
         watched = None  # the scene objects carrying a term of some group
         for i, pose in enumerate(self._ring):
@@ -294,11 +291,10 @@ class LiveVision(VisionSystem):
             if watched is None:
                 terms = frozenset().union(*groups)
                 watched = [o for o in scene.objects if o.label in terms]
-            if i:
-                seen = {o.label for o, _ in _in_view(watched, pose, scene.vision_on, pixels)}
-                if not any(g <= seen for g in groups):
-                    continue
-            percept = perceive(scene, pose, watched, cfg.detector, self._rng, cfg.frames, cfg.mode)
+            view = in_view(scene, pose, watched, cfg.mode)
+            if i and not any(g <= view.labels for g in groups):
+                continue
+            percept = perceive(scene, view, cfg.detector, self._rng, cfg.frames)
             if not i:
                 held.extend(a for a in first if ground_relation(a.pred, a.args, percept))
             detected = percept.detections.keys()

@@ -1,22 +1,25 @@
 """Simulated perception over ground-truth scenes.
 
-A look detects only the objects its caller asks about: `detect_batch` and
-`perceive` take that list, and test visibility, vote and reconstruct over
-it alone. The vision query passes the scene objects carrying its terms,
-and the monitor's `LiveVision.scan` the objects carrying a term of some
-candidate it has not yet seen hold. At zero noise no answer changes, since
-a rule reads only its atom's terms. A noisy detector draws fewer numbers
-per look, so later looks' streams shift, and an object no atom names can
-no longer be voted in as a term by a confused frame. The confusion label
-set is still every label of the scene.
+A look is `in_view` then `perceive`. `in_view` tests, once per pose,
+which of the objects its caller asks about are in view, and returns their
+`View`; the caller decides from `View.labels` whether to look, and
+`perceive` votes and reconstructs over that view without testing again.
+The vision query asks about the scene objects carrying its terms, and the
+monitor's `LiveVision.scan` about those carrying a term of some candidate
+it has not yet seen hold. At zero noise no answer changes, since a rule
+reads only its atom's terms. A noisy detector draws fewer numbers per
+look, so later looks' streams shift, and an object no atom names cannot
+be voted in as a term by a confused frame. The confusion label set is
+still every label of the scene.
 
 Detection draws a batch of noisy frames and majority-votes the class per
-object. Each visible listed object takes its frames' random numbers as
+object. Each object in the view takes its frames' random numbers as
 blocks from the query's generator: one block of n hit and n confusion
 draws (only the hits when the scene has one label), the confused frames'
 wrong labels, the pixel jitter, then the depth noise; a noise-free
-detector draws only the first block. The per-label ranked vote runs only when some frame was
-confused; otherwise the label wins exactly on a strict majority of hits.
+detector draws only the first block. The per-label ranked vote runs only
+when some frame was confused; otherwise the label wins exactly on a
+strict majority of hits.
 Pixel boxes are projected only in NO_DEPTH mode, the one whose rules read
 them: FULL and NO_SHAPE test a world object's visibility by its nearest
 corner's depth (`Camera.in_front`) and leave every detection's bbox, and a
@@ -35,15 +38,12 @@ is judged by the same rule set, and no caller replaces it. The vision query
 `query_vision` answers (holds, timed_out), the same pair the monitor's
 `VisionSystem.query` gives; it re-aims only at the centroid of its terms'
 scene objects, and a term no scene object carries times out at once,
-with no look and no sweep. It looks only from a pose that has every term
-in view by the test detection itself applies (`_in_view`); a look from
-any other pose counts as a failed one and draws nothing. The monitor's
-`LiveVision.scan` applies the same test to its ring of poses, and skips
-a pose that has the terms of no remaining candidate all in view. A caller
-that wants the frames or boxes behind an answer calls `perceive` itself.
-`estimate_depth`, a ray-cast foreground mask inside a detected box, is a
-separate on-demand measurement that neither reconstruction nor the vision
-query runs.
+with no look and no sweep. It looks only from a pose whose view has every
+term in view; `LiveVision.scan` skips a later ring pose whose view has
+the terms of no remaining candidate. A caller that wants the frames or
+boxes behind an answer calls `perceive` itself. `estimate_depth`, a
+ray-cast foreground mask inside a detected box, is a separate on-demand
+measurement that neither reconstruction nor the vision query runs.
 
 The caller owns the random stream: each function that draws takes the
 generator `rng` right after the detector model and builds none. The
@@ -62,7 +62,7 @@ from collections import Counter
 from dataclasses import dataclass
 from numbers import Integral, Real
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -194,24 +194,34 @@ class Percept:
 # --- detection -----------------------------------------------------------------
 
 
-def _in_view(
-    objects: Iterable[SceneObject], cam: Camera, vision_on: bool, pixels: bool
-) -> Iterator[tuple[SceneObject, tuple]]:
-    """The one visibility test, shared by `detect_batch`, `query_vision` and
-    the monitor's `LiveVision.scan`: yields the objects a look from `cam`
-    sees, in order, each with what the look sees of it. A robot part is
-    proprioception, always in view, and comes with `()`. A world object is
-    in view when the scene's vision is on, its centre is in the view cone
-    (`Camera.view`) and every corner is in front of the camera: in pixel
-    mode (`pixels`, NO_DEPTH) `project_box` gives its pixel box, otherwise
+@dataclass(frozen=True)
+class View:
+    """What a look from `cam` in `mode` sees of the objects `in_view` was
+    asked about: `seen` pairs each object in view, in the order asked, with
+    what the look sees of it, and `labels` holds their labels. A view
+    serves every look from its pose, and none tests visibility again."""
+
+    cam: Camera
+    mode: Mode
+    seen: tuple[tuple[SceneObject, tuple], ...]
+    labels: frozenset[str]
+
+
+def in_view(scene: Scene, cam: Camera, objects: Iterable[SceneObject], mode: Mode) -> View:
+    """The one visibility test: which of `objects` a look from `cam` sees
+    in `mode`. A robot part is proprioception, always in view, and comes
+    with `()`. A world object is in view when the scene's vision is on, its
+    centre is in the view cone (`Camera.view`) and every corner is in front
+    of the camera: in NO_DEPTH `project_box` gives its pixel box, otherwise
     `Camera.in_front` says so without projecting. It comes with its
-    centre's (u, v, depth) and the pixel box, `_NO_BBOX` outside pixel
-    mode."""
+    centre's (u, v, depth) and the pixel box, `_NO_BBOX` outside NO_DEPTH."""
+    pixels = mode is Mode.NO_DEPTH
+    seen = []
     for obj in objects:
         if obj.proprio:
-            yield obj, ()
+            seen.append((obj, ()))
             continue
-        if not vision_on:
+        if not scene.vision_on:
             continue
         pr = cam.view(obj.box.center)
         if pr is None:
@@ -224,38 +234,35 @@ def _in_view(
             bbox = _NO_BBOX
         else:
             continue
-        yield obj, (pr, bbox)
+        seen.append((obj, (pr, bbox)))
+    return View(cam, mode, tuple(seen), frozenset(o.label for o, _ in seen))
 
 
 def detect_batch(
     scene: Scene,
-    cam: Camera,
-    objects: Iterable[SceneObject],
+    view: View,
     model: DetectorModel,
     rng: np.random.Generator,
     n: int = 10,
-    mode: Mode = Mode.FULL,
 ) -> list[Detection]:
-    """Majority vote over n noisy frames per visible object of `objects`,
-    the scene objects the caller asks about, in their order; no other
-    object is tested, voted or reported. A whole-scene look passes
-    `scene.objects`. An object whose modal vote is a miss (or a tie) is
-    omitted; confidence is the modal frequency. A listed proprioceptive
-    object (a robot part) is always reported, at confidence 1 and drawing
-    no random numbers. `n` must be an int >= 1, not a bool.
+    """Majority vote over n noisy frames per object `view` sees, in its
+    order, from `view.cam` in `view.mode`; no other object is voted or
+    reported, and none is tested for visibility again. An object whose
+    modal vote is a miss (or a tie) is omitted; confidence is the modal
+    frequency. A robot part in the view is always reported, at confidence
+    1 and drawing no random numbers. `n` must be an int >= 1, not a bool.
 
-    An object is a candidate only when `_in_view` finds it in view. A
-    confused frame picks its wrong label from every label of the scene,
-    not only the listed objects', so each listed object draws exactly what
-    it would in a whole-scene look; fewer listed objects draw fewer
-    numbers, which shifts a noisy detector's later draws.
-    Pixel boxes are projected only when `mode` is NO_DEPTH, the one mode that
-    grounds in pixels. In FULL and NO_SHAPE a world object's bbox holds
+    A confused frame picks its wrong label from every label of the scene,
+    not only the viewed objects', so each object draws exactly what it
+    would in a whole-scene look; fewer objects draw fewer numbers, which
+    shifts a noisy detector's later draws.
+    Pixel boxes are projected only in NO_DEPTH, the one mode that grounds
+    in pixels. In FULL and NO_SHAPE a world object's bbox holds
     zeros; a part, which those modes place by its true box, has all its
     pixel fields at zeros. Both are placeholders, as
     `actuator.truth_percept`'s pixel fields and centre depths are.
 
-    Each visible listed object draws its n frames as blocks, in this order:
+    Each object in the view draws its n frames as blocks, in this order:
     `rng.random(2 * n)`, the first n for hits and the last n for confusion
     (`rng.random(n)`, hits only, when the scene has a single label); one
     integer per confused frame picking the wrong label; an (n, 2) block of
@@ -272,9 +279,9 @@ def detect_batch(
     if isinstance(n, bool) or not isinstance(n, Integral) or n < 1:
         raise ValueError(f"n must be an integer >= 1, got {n!r}")
     label_set = {o.label for o in scene.objects}
-    pixels = mode is Mode.NO_DEPTH
+    cam, pixels = view.cam, view.mode is Mode.NO_DEPTH
     out: list[Detection] = []
-    for obj, seen in _in_view(objects, cam, scene.vision_on, pixels):
+    for obj, seen in view.seen:
         if obj.proprio:
             if pixels:
                 center = obj.box.center
@@ -398,26 +405,25 @@ class _LookBoxes(dict):
 
 def perceive(
     scene: Scene,
-    cam: Camera,
-    objects: Iterable[SceneObject],
+    view: View,
     model: DetectorModel,
     rng: np.random.Generator,
     n: int = 10,
-    mode: Mode = Mode.FULL,
 ) -> Percept:
-    """One detection pass over `objects` (see `detect_batch`) plus geometry
-    reconstruction under `mode`. Its detections and boxes come only from
-    the listed objects; its grasp state and vision switch are the whole
-    scene's. In FULL and NO_SHAPE a world object's 3D box is built
-    when a rule first reads it (see `_LookBoxes`); NO_DEPTH builds none."""
-    dets = detect_batch(scene, cam, objects, model, rng, n, mode)
+    """One look: a detection pass over the objects `view` sees (see
+    `detect_batch`) plus geometry reconstruction in `view.mode`. Its
+    detections and boxes come only from those objects; its grasp state and
+    vision switch are the whole scene's. In FULL and NO_SHAPE a world
+    object's 3D box is built when a rule first reads it (see `_LookBoxes`);
+    NO_DEPTH builds none."""
+    dets = detect_batch(scene, view, model, rng, n)
     by_label: dict[str, Detection] = {}
     for d in dets:
         if d.label not in by_label or d.confidence > by_label[d.label].confidence:
             by_label[d.label] = d
 
     boxes3d: dict[str, Box] = {}
-    if mode is not Mode.NO_DEPTH:
+    if view.mode is not Mode.NO_DEPTH:
         nominal = (DEFAULT_THRESHOLDS.nominal_extent,) * 3
         parts: dict[str, Box] = {}
         todo: dict[str, tuple[Detection, tuple[float, float, float]]] = {}
@@ -427,14 +433,14 @@ def perceive(
                 parts[label] = obj.box
             else:
                 # FULL's class shape model: the true extents, taken at look time
-                todo[label] = (det, obj.box.size if mode is Mode.FULL else nominal)
-        boxes3d = _LookBoxes(parts, cam, todo)
+                todo[label] = (det, obj.box.size if view.mode is Mode.FULL else nominal)
+        boxes3d = _LookBoxes(parts, view.cam, todo)
 
     attachments = {
         scene.get(holder).label: scene.get(held).label
         for holder, held in scene.attachments.items()
     }
-    return Percept(by_label, boxes3d, attachments, mode, scene.vision_on)
+    return Percept(by_label, boxes3d, attachments, view.mode, scene.vision_on)
 
 
 # --- relation grounding ----------------------------------------------------------
@@ -535,12 +541,12 @@ def query_vision(
     once, perceiving nothing and drawing nothing: detection reports only the
     labels of scene objects, so no look could find it.
 
-    A look is taken only from a pose that has every term in view, by the
-    test detection applies (`_in_view`): some object carrying the term is
-    a robot part or is seen from that pose. From any other pose the look
-    counts as a failed one and perceives and draws nothing, since it could
-    not detect every term. The aimed pose does not change between steps, so
-    when it cannot see the terms the query times out at once. Under a noisy
+    A look is taken only from a pose whose `View` of the objects carrying
+    the terms has every term among its labels. From any other pose the
+    look counts as a failed one and perceives and draws nothing, since it
+    could not detect every term. The aimed pose does not change between
+    steps, so its view is built once and serves every re-look, and when it
+    cannot see the terms the query times out at once. Under a noisy
     detector this changes which numbers later looks draw, and it drops a
     false detection that a skipped look might have made: a confused vote
     naming an out-of-view term.
@@ -549,11 +555,9 @@ def query_vision(
     and `holds` says whether all do. An empty conjunction is vacuously
     true.
 
-    A look detects only the scene objects that carry a term (see
-    `detect_batch`). At zero noise that answers as a whole-scene look
-    would, since every rule reads only its atom's terms. Under a noisy
-    detector a look draws fewer numbers, and no other object's confused
-    vote can name a term."""
+    A look detects only the scene objects that carry a term. At zero noise
+    that answers as a whole-scene look would, since every rule reads only
+    its atom's terms."""
     terms = sorted({arg for atom in s.atoms for arg in atom.args})
     if not terms:
         return True, False
@@ -561,17 +565,16 @@ def query_vision(
     if len({o.label for o in known}) < len(terms):
         return False, True
 
-    centroid = tuple(sum(o.box.center[i] for o in known) / len(known) for i in range(3))
-    aim = cam.aimed_at(centroid)
-    pixels = mode is Mode.NO_DEPTH
+    view = in_view(scene, cam, known, mode)
     for step in range(tau + 1):
-        pose = aim if step else cam
-        seen = {o.label for o, _ in _in_view(known, pose, scene.vision_on, pixels)}
-        if len(seen) < len(terms):
+        if step == 1:  # re-aim once: the aimed pose's view serves every later look
+            centroid = tuple(sum(o.box.center[i] for o in known) / len(known) for i in range(3))
+            view = in_view(scene, cam.aimed_at(centroid), known, mode)
+        if len(view.labels) < len(terms):
             if step:
                 break  # no later look from the aimed pose sees the terms either
             continue
-        percept = perceive(scene, pose, known, model, rng, n, mode)
+        percept = perceive(scene, view, model, rng, n)
         det = percept.detections
         if all(t in det and det[t].confidence > mu for t in terms):
             return all(ground_relation(a.pred, a.args, percept) for a in s.canonical()), False

@@ -3,10 +3,17 @@ import os
 import pytest
 
 import taskmon
+from taskmon.geometry import Camera, Scene
 from taskmon.language import Predicate, Sort, TaskSentence, Term, Vocabulary
 from taskmon.pddl import load_library
+from taskmon.perception import Mode, View, in_view
 
 DATA = os.path.join(os.path.dirname(taskmon.__file__), "data")
+
+
+def whole_view(scene: Scene, cam: Camera, mode: Mode = Mode.FULL) -> View:
+    """The view of a whole-scene look: every scene object tested from `cam`."""
+    return in_view(scene, cam, scene.objects, mode)
 
 
 def make_tiny_vocab(max_atoms: int = 17) -> Vocabulary:

@@ -37,6 +37,18 @@ def in_view(cam: Camera, p) -> bool:
     return abs(x / z) <= math.tan(cam.hfov / 2.0) and abs(y / z) <= math.tan(cam.vfov / 2.0)
 
 
+def in_front(cam: Camera, box: Box) -> bool:
+    """Every corner of the box is in front of the image plane: the test
+    `Camera.project_box` passes before it projects, corner by corner."""
+    pos, f = cam.position, cam.forward
+    return all(
+        (x - pos[0]) * f[0] + (y - pos[1]) * f[1] + (z - pos[2]) * f[2] > 1e-9
+        for x in (box.lo[0], box.hi[0])
+        for y in (box.lo[1], box.hi[1])
+        for z in (box.lo[2], box.hi[2])
+    )
+
+
 def _xy_overlap_frac(a: Box, b: Box) -> float:
     w = min(a.hi[0], b.hi[0]) - max(a.lo[0], b.lo[0])
     d = min(a.hi[1], b.hi[1]) - max(a.lo[1], b.lo[1])

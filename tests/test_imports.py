@@ -1,5 +1,6 @@
-"""Every name a module imports is used in it, every public name of the
-package has a caller in the program, not only in the tests, every
+"""Every name a module imports is used in it, no package module imports
+another's private name, every public name of the package has a caller
+in the program, not only in the tests, every
 defaulted parameter of a public function, and every defaulted field of a
 public dataclass, is set by some program call, and every perception
 threshold is read by the package."""
@@ -57,6 +58,38 @@ def test_unused_import_detector():
         "def f(x: 'Optional[int]') -> None:\n    return np.zeros(1)\n"
     )
     assert unused_imports(src) == ["Sequence (line 3)", "os (line 1)"]
+
+
+def private_imports(source: str) -> list[str]:
+    """`from <module> import <name>` for each underscore name the source
+    imports from a package module: a relative import, or one from
+    `taskmon`."""
+    return [
+        f"from {'.' * node.level}{node.module or ''} import {a.name}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").split(".")[0] == "taskmon")
+        for a in node.names
+        if a.name.startswith("_") and not a.name.startswith("__")
+    ]
+
+
+def test_private_import_detector():
+    src = (
+        "from __future__ import annotations\nfrom os import _exit\n"
+        "from .perception import _in_view, perceive\nfrom taskmon.geometry import _dot\n"
+        "from . import _private\n"
+    )
+    assert private_imports(src) == [
+        "from .perception import _in_view", "from taskmon.geometry import _dot", "from . import _private",
+    ]
+
+
+@pytest.mark.parametrize("path", [m for m in MODULES if m.startswith("src")])
+def test_no_package_module_imports_a_private_name(path):
+    # a name another module needs is public: its seam is explicit
+    with open(os.path.join(ROOT, path)) as f:
+        assert private_imports(f.read()) == []
 
 
 # Public names with no caller in the program, each kept on purpose.

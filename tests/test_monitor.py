@@ -13,7 +13,7 @@ import pytest
 
 import taskmon
 from taskmon import monitor, perception
-from conftest import DATA, load_packaged_lib, make_tiny_vocab
+from conftest import DATA, load_packaged_lib, make_tiny_vocab, whole_view
 import georacle
 from georacle import in_view
 from taskmon.actuator import (
@@ -364,9 +364,9 @@ def _spy_looks(monkeypatch) -> list[Camera]:
     looks = []
     real = monitor.perceive
 
-    def spy(scene_, cam, *rest):
-        looks.append(cam)
-        return real(scene_, cam, *rest)
+    def spy(scene_, view, *rest):
+        looks.append(view.cam)
+        return real(scene_, view, *rest)
 
     monkeypatch.setattr(monitor, "perceive", spy)
     return looks
@@ -500,7 +500,7 @@ def test_live_scan_equals_a_look_from_every_pose_at_zero_noise(packaged_lib, mod
             vision = LiveVision(scene, cfg)
             vision.scan([])  # builds the ring of scan poses
             rng = np.random.default_rng(0)
-            looks = [perceive(scene, pose, scene.objects, cfg.detector, rng, cfg.frames, mode) for pose in vision._ring]
+            looks = [perceive(scene, whole_view(scene, pose, mode), cfg.detector, rng, cfg.frames) for pose in vision._ring]
             for entry in packaged_lib.entries:
                 objects = dict(entry.problem.objects)
                 candidates = candidate_atoms(objects, entry.domain.predicates.values(), packaged_lib.vocab)
@@ -537,12 +537,12 @@ def test_a_scan_skips_a_pose_that_sees_no_remaining_candidate(monkeypatch):
     assert init == State.parse(["Detected(shelf)"])
     ring = vision._ring
     shelf = [scene.get("shelf")]
-    sees = [any(perception._in_view(shelf, pose, True, False)) for pose in ring]
+    sees = ["shelf" in perception.in_view(scene, pose, shelf, cfg.mode).labels for pose in ring]
     k = sees.index(True)
     assert k > 1 and looks == [ring[0], ring[k]]
     twin = np.random.default_rng([cfg.seed, 0x515C])
     for pose in looks:
-        perceive(scene, pose, shelf, cfg.detector, twin, cfg.frames, cfg.mode)
+        perceive(scene, perception.in_view(scene, pose, shelf, cfg.mode), cfg.detector, twin, cfg.frames)
     assert vision._rng.bit_generator.state == twin.bit_generator.state
 
 
@@ -872,12 +872,12 @@ def gate_ctx(lib, scene, act, terminal=State(frozenset())):
 
 
 def count_looks(monkeypatch) -> list:
-    """Record every perceive call a query or a scan makes."""
+    """Record the pose of every perceive call a query or a scan makes."""
     looks = []
     real = monitor.perceive
 
     def counted(*args, **kwargs):
-        looks.append(args[1])
+        looks.append(args[1].cam)
         return real(*args, **kwargs)
 
     monkeypatch.setattr(monitor, "perceive", counted)
@@ -908,6 +908,44 @@ def test_a_gate_verified_since_the_last_dispatch_makes_no_look(lib, desk_vocab, 
     # with nothing verified the same goal check looks
     monitor.step(replace(state, verified=frozenset()), ctx, monitor._Emitter())
     assert looks and ctx.vision._rng.bit_generator.state != drawn
+
+
+def test_a_pose_tests_each_object_once_however_many_looks_it_serves(monkeypatch):
+    # a look is `in_view` then `perceive`, and detection does not test again:
+    # a noisy query re-looks from its aimed pose several times and tests its
+    # terms' objects there once, and a scan tests each watched object once at
+    # each ring pose it reaches, looked from or skipped
+    tested = Counter()
+    real = Camera.view
+
+    def spy(cam, p):
+        tested[cam, p] += 1
+        return real(cam, p)
+
+    monkeypatch.setattr(Camera, "view", spy)
+    looks = count_looks(monkeypatch)
+    scene = desk_scene()
+    vision = LiveVision(scene, quiet_cfg(detector=DetectorModel(tp_rate=0.6), seed=3))
+    assert vision.query(State.parse(["On(brush,table)"])) == (True, False)
+    start, aimed = looks[0], looks[1]
+    assert start is scene.camera and looks.count(aimed) == len(looks) - 1 > 1
+    terms = [scene.get(i).box.center for i in ("table", "brush")]
+    assert tested == Counter({(pose, p): 1 for pose in (start, aimed) for p in terms})
+
+    # the first look holds On(brush,table), so later poses watch the shelf
+    # alone, until the one that sees it ends the scan
+    tested.clear()
+    looks.clear()
+    vision = LiveVision(scene, quiet_cfg())
+    init = vision.scan([Atom("Detected", ("shelf",)), Atom("On", ("brush", "table"))])
+    assert init == State.parse(["Detected(shelf)", "On(brush,table)"])
+    ring = vision._ring
+    k = ring.index(looks[-1])
+    assert looks == [ring[0], ring[k]] and k > 1
+    shelf = scene.get("shelf").box.center
+    want = Counter({(ring[0], scene.get(i).box.center): 1 for i in ("table", "shelf", "brush")})
+    want.update((pose, shelf) for pose in ring[1 : k + 1])
+    assert tested == want
 
 
 class Recording(monitor.VisionSystem):

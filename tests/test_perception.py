@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import DATA
+from conftest import DATA, whole_view
 from taskmon import perception
 from taskmon.actuator import Disturbance, SimActuator, place_on, translate_object, truth_percept
 from taskmon.geometry import Box, Camera, Scene, SceneObject, load_scene, ray_box
@@ -34,6 +34,7 @@ from taskmon.perception import (
     detect_batch,
     estimate_depth,
     ground_relation,
+    in_view,
     perceive,
     query_vision,
 )
@@ -374,7 +375,7 @@ def test_zero_noise_detection_is_exact():
     scene = desk_scene()
     cam = scene.camera
     for mode in Mode:
-        dets = {d.label: d for d in detect_batch(scene, cam, scene.objects, DetectorModel(), stream(), 5, mode)}
+        dets = {d.label: d for d in detect_batch(scene, whole_view(scene, cam, mode), DetectorModel(), stream(), 5)}
         # far and behind objects are not in view; everything else is
         assert set(dets) == {"table", "brush", "cup", "hand"}
         for label in ("table", "brush", "cup"):
@@ -393,7 +394,7 @@ def test_zero_noise_detection_is_exact():
 
 def test_vision_off_reports_only_proprio():
     scene = desk_scene(vision_on=False)
-    dets = detect_batch(scene, scene.camera, scene.objects, DetectorModel(), stream(), n=3)
+    dets = detect_batch(scene, whole_view(scene, scene.camera), DetectorModel(), stream(), n=3)
     assert [d.label for d in dets] == ["hand"]
     assert dets[0].confidence == 1.0
 
@@ -405,7 +406,7 @@ def test_proprio_reported_even_outside_view():
         cam,
         vision_on=False,
     )
-    dets = detect_batch(scene, cam, scene.objects, DetectorModel(), stream(), n=1)
+    dets = detect_batch(scene, whole_view(scene, cam), DetectorModel(), stream(), n=1)
     assert len(dets) == 1 and dets[0].label == "hand"
 
 
@@ -458,8 +459,9 @@ def test_detector_model_refuses_a_malformed_setting_by_name(field, bad):
 
 
 def test_batch_size_must_be_positive():
+    scene = desk_scene()
     with pytest.raises(ValueError):
-        detect_batch(desk_scene(), desk_scene().camera, desk_scene().objects, DetectorModel(), stream(), n=0)
+        detect_batch(scene, whole_view(scene, scene.camera), DetectorModel(), stream(), n=0)
 
 
 @pytest.mark.parametrize("n", [0, -2, 2.5, 2.0, True, "3", None])
@@ -470,16 +472,16 @@ def test_detection_refuses_a_malformed_frame_count_by_name(n):
     rng = stream()
     drawn = rng.bit_generator.state
     with pytest.raises(ValueError, match=f"^n must be an integer >= 1, got {re.escape(repr(n))}$"):
-        detect_batch(scene, scene.camera, scene.objects, DetectorModel(), rng, n)
+        detect_batch(scene, whole_view(scene, scene.camera), DetectorModel(), rng, n)
     assert rng.bit_generator.state == drawn
     noisy = DetectorModel(tp_rate=0.9, confusion=0.1)
-    want = detect_batch(scene, scene.camera, scene.objects, noisy, stream(1), 3)
-    assert detect_batch(scene, scene.camera, scene.objects, noisy, stream(1), np.int64(3)) == want
+    want = detect_batch(scene, whole_view(scene, scene.camera), noisy, stream(1), 3)
+    assert detect_batch(scene, whole_view(scene, scene.camera), noisy, stream(1), np.int64(3)) == want
 
 
 def test_always_missed_detector_reports_nothing_visual():
     scene = desk_scene()
-    dets = detect_batch(scene, scene.camera, scene.objects, DetectorModel(tp_rate=0.0), stream(), n=10)
+    dets = detect_batch(scene, whole_view(scene, scene.camera), DetectorModel(tp_rate=0.0), stream(), n=10)
     assert [d.label for d in dets] == ["hand"]
 
 
@@ -520,7 +522,7 @@ def test_confusion_voting_matches_multinomial_oracle():
     rng = stream(11)
     trials, wins = 0, 0
     for _ in range(1000):
-        dets = detect_batch(scene, cam, scene.objects, model, rng, n=10)
+        dets = detect_batch(scene, whole_view(scene, cam), model, rng, n=10)
         by_id = {d.obj_id: d for d in dets}
         for o in objs:
             trials += 1
@@ -541,7 +543,7 @@ def test_batch_voting_beats_single_frame_under_noise():
         rng = stream(3)
         good, total = 0, 0
         for _ in range(1000):
-            dets = {d.obj_id: d for d in detect_batch(scene, cam, scene.objects, model, rng, n=n)}
+            dets = {d.obj_id: d for d in detect_batch(scene, whole_view(scene, cam), model, rng, n=n)}
             for label in ("table", "brush", "cup"):
                 obj = scene.by_label(label)
                 total += 1
@@ -556,10 +558,10 @@ def test_batch_voting_beats_single_frame_under_noise():
 def test_detection_determinism_per_seed():
     scene = desk_scene()
     model = DetectorModel(tp_rate=0.8, confusion=0.2, px_jitter=1.5, depth_sigma=0.01)
-    a = detect_batch(scene, scene.camera, scene.objects, model, stream(42), n=10)
-    b = detect_batch(scene, scene.camera, scene.objects, model, stream(42), n=10)
+    a = detect_batch(scene, whole_view(scene, scene.camera), model, stream(42), n=10)
+    b = detect_batch(scene, whole_view(scene, scene.camera), model, stream(42), n=10)
     assert a == b
-    c = detect_batch(scene, scene.camera, scene.objects, DetectorModel(tp_rate=0.8, confusion=0.2), stream(43), n=10)
+    c = detect_batch(scene, whole_view(scene, scene.camera), DetectorModel(tp_rate=0.8, confusion=0.2), stream(43), n=10)
     assert c != a or [d.label for d in c] != [d.label for d in a]
 
 
@@ -571,7 +573,7 @@ def test_noise_free_detection_takes_two_doubles_per_frame_per_visible_object(yaw
     model = DetectorModel()
     rng, twin = stream(), stream()
     n = 7
-    detect_batch(scene, cam, scene.objects, model, rng, n=n)
+    detect_batch(scene, whole_view(scene, cam), model, rng, n=n)
     twin.random(2 * n * m)
     assert rng.bit_generator.state == twin.bit_generator.state
 
@@ -633,7 +635,7 @@ def test_detection_equals_the_per_frame_vote(scene_name):
             rng, twin = stream(seed), stream(seed)
             for batch in range(3):
                 objects = pick.sample(scene.objects, pick.randint(0, len(scene.objects))) if batch else scene.objects
-                got = detect_batch(scene, scene.camera, objects, model, rng, n, mode)
+                got = detect_batch(scene, in_view(scene, scene.camera, objects, mode), model, rng, n)
                 want = georacle.vote_detect_batch(scene, scene.camera, objects, model, n, twin)
                 if mode is not Mode.NO_DEPTH:
                     want = _unprojected(scene, want)
@@ -647,7 +649,7 @@ def test_detection_equals_the_per_frame_vote(scene_name):
 def test_jitter_shifts_bbox_and_center_together():
     scene = desk_scene()
     cam = scene.camera
-    dets = {d.label: d for d in detect_batch(scene, cam, scene.objects, DetectorModel(px_jitter=3.0), stream(5), 10, Mode.NO_DEPTH)}
+    dets = {d.label: d for d in detect_batch(scene, whole_view(scene, cam, Mode.NO_DEPTH), DetectorModel(px_jitter=3.0), stream(5), 10)}
     d = dets["brush"]
     true_bbox = cam.project_box(scene.by_label("brush").box)
     du = d.bbox[0] - true_bbox[0]
@@ -662,7 +664,7 @@ def test_jitter_shifts_bbox_and_center_together():
 
 def test_depth_sigma_perturbs_reported_depth():
     scene = desk_scene()
-    dets = {d.label: d for d in detect_batch(scene, scene.camera, scene.objects, DetectorModel(depth_sigma=0.05), stream(9), n=5)}
+    dets = {d.label: d for d in detect_batch(scene, whole_view(scene, scene.camera), DetectorModel(depth_sigma=0.05), stream(9), n=5)}
     true_depth = scene.camera.depth_of(scene.by_label("cup").box.center)
     assert dets["cup"].center_depth != true_depth
     assert abs(dets["cup"].center_depth - true_depth) < 0.5
@@ -674,7 +676,7 @@ def test_depth_sigma_perturbs_reported_depth():
 def test_estimate_depth_exact_on_front_face():
     cam = Camera(position=(0, 0, 1.0), yaw=0.0, pitch=0.0)
     scene = Scene([SceneObject("slab", "slab", Box((1.2, -0.3, 0.7), (1.5, 0.3, 1.3)))], cam)
-    det = detect_batch(scene, cam, scene.objects, DetectorModel(), stream(), 1, Mode.NO_DEPTH)[0]
+    det = detect_batch(scene, whole_view(scene, cam, Mode.NO_DEPTH), DetectorModel(), stream(), 1)[0]
     d = estimate_depth(det, scene, cam, DetectorModel(), stream(0, 1))
     # every lattice ray enters through the x = 1.2 face: forward depth 1.2
     assert d == pytest.approx(1.2, abs=1e-9)
@@ -685,7 +687,7 @@ def test_estimate_depth_refuses_a_detection_without_a_pixel_box(mode):
     # a 3D mode projects no pixel box: the lattice would sit at pixel (0, 0)
     cam = Camera(position=(0, 0, 1.0), yaw=0.0, pitch=0.0)
     scene = Scene([SceneObject("slab", "slab", Box((1.2, -0.3, 0.7), (1.5, 0.3, 1.3)))], cam)
-    det = detect_batch(scene, cam, scene.objects, DetectorModel(), stream(), 1, mode)[0]
+    det = detect_batch(scene, whole_view(scene, cam, mode), DetectorModel(), stream(), 1)[0]
     rng = stream(0, 1)
     with pytest.raises(ValueError, match="slab: the detection has no pixel box; estimate_depth takes a NO_DEPTH"):
         estimate_depth(det, scene, cam, DetectorModel(depth_sigma=0.1), rng)
@@ -697,7 +699,7 @@ def test_estimate_depth_prefers_front_object_under_overlap():
     front = SceneObject("front", "front", Box((1.0, -0.10, 0.9), (1.12, 0.10, 1.1)))
     back = SceneObject("back", "back", Box((2.0, -0.5, 0.5), (2.3, 0.5, 1.5)))
     scene = Scene([front, back], cam)
-    dets = {d.label: d for d in detect_batch(scene, cam, scene.objects, DetectorModel(), stream(), 1, Mode.NO_DEPTH)}
+    dets = {d.label: d for d in detect_batch(scene, whole_view(scene, cam, Mode.NO_DEPTH), DetectorModel(), stream(), 1)}
     d_front = estimate_depth(dets["front"], scene, cam, DetectorModel(), stream(0, 1))
     assert d_front == pytest.approx(1.0, abs=1e-9)
     # the back box's detection window is mostly blocked: surviving rays still
@@ -711,7 +713,7 @@ def test_estimate_depth_raises_when_fully_occluded():
     wall = SceneObject("wall", "wall", Box((0.8, -0.8, 0.2), (0.9, 0.8, 1.8)))
     hidden = SceneObject("hidden", "hidden", Box((1.5, -0.05, 0.95), (1.6, 0.05, 1.05)))
     scene = Scene([wall, hidden], cam)
-    dets = {d.label: d for d in detect_batch(scene, cam, scene.objects, DetectorModel(), stream(), 1, Mode.NO_DEPTH)}
+    dets = {d.label: d for d in detect_batch(scene, whole_view(scene, cam, Mode.NO_DEPTH), DetectorModel(), stream(), 1)}
     assert "hidden" in dets  # the detector has no occlusion model
     with pytest.raises(NoForeground):
         estimate_depth(dets["hidden"], scene, cam, DetectorModel(), stream(0, 1))
@@ -722,7 +724,7 @@ def test_estimate_depth_raises_when_fully_occluded():
 
 def test_full_mode_reconstructs_true_boxes_at_zero_noise():
     scene = desk_scene()
-    p = perceive(scene, scene.camera, scene.objects, DetectorModel(), stream(), n=1, mode=Mode.FULL)
+    p = perceive(scene, whole_view(scene, scene.camera, Mode.FULL), DetectorModel(), stream(), n=1)
     for label in ("table", "brush", "cup", "hand"):
         true = scene.by_label(label).box
         got = p.boxes3d[label]
@@ -733,7 +735,7 @@ def test_full_mode_reconstructs_true_boxes_at_zero_noise():
 def test_no_shape_mode_uses_nominal_cubes():
     scene = desk_scene()
     th = Thresholds()
-    p = perceive(scene, scene.camera, scene.objects, DetectorModel(), stream(), n=1, mode=Mode.NO_SHAPE)
+    p = perceive(scene, whole_view(scene, scene.camera, Mode.NO_SHAPE), DetectorModel(), stream(), n=1)
     for label in ("table", "brush", "cup"):
         assert p.boxes3d[label].size == pytest.approx((th.nominal_extent,) * 3)
         # centroid position is still metric
@@ -743,7 +745,7 @@ def test_no_shape_mode_uses_nominal_cubes():
 
 def test_no_depth_mode_has_no_metric_boxes():
     scene = desk_scene()
-    p = perceive(scene, scene.camera, scene.objects, DetectorModel(), stream(), n=1, mode=Mode.NO_DEPTH)
+    p = perceive(scene, whole_view(scene, scene.camera, Mode.NO_DEPTH), DetectorModel(), stream(), n=1)
     assert p.boxes3d == {}
     assert set(p.detections) == {"table", "brush", "cup", "hand"}
 
@@ -751,7 +753,7 @@ def test_no_depth_mode_has_no_metric_boxes():
 def test_percept_attachments_use_labels():
     scene = desk_scene()
     scene.attachments["hand"] = "brush"
-    p = perceive(scene, scene.camera, scene.objects, DetectorModel(), stream(), n=1)
+    p = perceive(scene, whole_view(scene, scene.camera), DetectorModel(), stream(), n=1)
     assert p.attachments == {"hand": "brush"}
 
 
@@ -787,7 +789,7 @@ def test_perceive_equals_the_plain_reference_on_packaged_scenes(packaged_lib, sc
         for mode in Mode:
             rng, twin = stream(seed), stream(seed)
             for cam in _scan_ring(scene):
-                got = perceive(scene, cam, scene.objects, model, rng, 10, mode)
+                got = perceive(scene, whole_view(scene, cam, mode), model, rng, 10)
                 want = georacle.reference_perceive(scene, cam, scene.objects, model, 10, twin, mode)
                 assert rng.bit_generator.state == twin.bit_generator.state
                 for a in atoms:
@@ -808,9 +810,10 @@ def test_perceive_equals_the_plain_reference_on_packaged_scenes(packaged_lib, sc
 
 @pytest.mark.parametrize("mode", list(Mode))
 def test_perceive_projects_robot_parts_only_for_pixel_grounding(mode, monkeypatch):
-    # NO_DEPTH projects the box of each robot part and of each world object
-    # whose centre is in view; a 3D mode projects nothing, and tests each such
-    # world object's corners with `in_front` instead
+    # NO_DEPTH projects the box of each world object whose centre is in view,
+    # once, in the visibility test, then each robot part's in detection; a 3D
+    # mode projects nothing, and tests each such world object's corners with
+    # `in_front` instead
     scene = _packaged_scene("bring_dynamic")
     ring = _scan_ring(scene)
     assert any(o.proprio for o in scene.objects)
@@ -838,10 +841,11 @@ def test_perceive_projects_robot_parts_only_for_pixel_grounding(mode, monkeypatc
     for cam in ring:
         projected.clear()
         tested.clear()
-        perceive(scene, cam, scene.objects, DetectorModel(), stream(), 10, mode)
+        perceive(scene, whole_view(scene, cam, mode), DetectorModel(), stream(), 10)
         looked = [o for o in scene.objects if o.proprio or georacle.in_view(cam, o.box.center)]
         world = [o.box for o in looked if not o.proprio]
-        assert (projected, tested) == (([o.box for o in looked], []) if pixels else ([], world))
+        parts = [o.box for o in looked if o.proprio]
+        assert (projected, tested) == ((world + parts, []) if pixels else ([], world))
         seen += len(world)
     assert seen > 0
 
@@ -851,7 +855,7 @@ def test_a_percept_answers_for_its_look_after_the_world_moves(packaged_lib):
     # relocating or reshaping objects after the look changes none of them
     scene = _packaged_scene("bring_dynamic")
     cam = scene.camera
-    p = perceive(scene, cam, scene.objects, DetectorModel(), stream(), 10, Mode.FULL)
+    p = perceive(scene, whole_view(scene, cam, Mode.FULL), DetectorModel(), stream(), 10)
     want = georacle.reference_perceive(scene, cam, scene.objects, DetectorModel(), 10, stream(), Mode.FULL)
     assert {"table", "brush", "cup", "spray_bottle", "robot", "robot_hand"} <= set(want.boxes3d)
     assert p.boxes3d["table"] == want.boxes3d["table"]  # one read before the world moves
@@ -867,7 +871,7 @@ def test_a_percept_answers_for_its_look_after_the_world_moves(packaged_lib):
         assert p.boxes3d[label] == box, label
     with pytest.raises(KeyError):
         p.boxes3d["wrench"]  # in the scene, not in view
-    flat = perceive(scene, cam, scene.objects, DetectorModel(), stream(), 10, Mode.NO_DEPTH)
+    flat = perceive(scene, whole_view(scene, cam, Mode.NO_DEPTH), DetectorModel(), stream(), 10)
     assert "table" in flat.detections
     for label in flat.detections:
         with pytest.raises(KeyError):
@@ -879,20 +883,20 @@ def test_a_percept_answers_for_its_look_after_the_world_moves(packaged_lib):
 
 def test_unknown_predicate_raises():
     scene = desk_scene()
-    p = perceive(scene, scene.camera, scene.objects, DetectorModel(), stream(), n=1)
+    p = perceive(scene, whole_view(scene, scene.camera), DetectorModel(), stream(), n=1)
     with pytest.raises(UnknownPredicate):
         ground_relation("Levitates", ("brush",), p)
 
 
 def test_found_requires_confident_detection():
     scene = desk_scene()
-    p = perceive(scene, scene.camera, scene.objects, DetectorModel(), stream(), n=1)
+    p = perceive(scene, whole_view(scene, scene.camera), DetectorModel(), stream(), n=1)
     assert ground_relation("Detected", ("brush",), p)
     assert not ground_relation("Detected", ("far_crate",), p)
     # a shaky detector drives confidence under the gate
     shaky = DetectorModel(tp_rate=0.55)
     for trial in range(40):
-        pp = perceive(scene, scene.camera, scene.objects, shaky, stream(1, trial), n=9)
+        pp = perceive(scene, whole_view(scene, scene.camera), shaky, stream(1, trial), n=9)
         if "brush" in pp.detections and pp.detections["brush"].confidence <= 0.7:
             assert not ground_relation("Detected", ("brush",), pp)
             break
@@ -901,21 +905,22 @@ def test_found_requires_confident_detection():
 
 
 def test_vision_on_tracks_scene_flag():
-    on = perceive(desk_scene(), desk_scene().camera, desk_scene().objects, DetectorModel(), stream(), n=1)
+    on_scene = desk_scene()
+    on = perceive(on_scene, whole_view(on_scene, on_scene.camera), DetectorModel(), stream(), n=1)
     off_scene = desk_scene(vision_on=False)
-    off = perceive(off_scene, off_scene.camera, off_scene.objects, DetectorModel(), stream(), n=1)
+    off = perceive(off_scene, whole_view(off_scene, off_scene.camera), DetectorModel(), stream(), n=1)
     assert ground_relation("VisionOn", ("robot",), on)
     assert not ground_relation("VisionOn", ("robot",), off)
 
 
 def test_hold_via_attachment_and_containment():
     scene = desk_scene()
-    p = perceive(scene, scene.camera, scene.objects, DetectorModel(), stream(), n=1)
+    p = perceive(scene, whole_view(scene, scene.camera), DetectorModel(), stream(), n=1)
     assert not ground_relation("Holding", ("hand", "brush"), p)
     assert ground_relation("Free", ("hand",), p)
 
     scene.attachments["hand"] = "brush"
-    p2 = perceive(scene, scene.camera, scene.objects, DetectorModel(), stream(), n=1)
+    p2 = perceive(scene, whole_view(scene, scene.camera), DetectorModel(), stream(), n=1)
     assert ground_relation("Holding", ("hand", "brush"), p2)
     assert not ground_relation("Free", ("hand",), p2)
 
@@ -926,7 +931,7 @@ def test_hold_via_attachment_and_containment():
     hand.box = Box((0.5, 0.0, 0.72), (0.6, 0.1, 0.82))
     brush = grip.by_label("brush")
     brush.box = Box.from_center(hand.box.center, brush.box.size)
-    p3 = perceive(grip, grip.camera, grip.objects, DetectorModel(), stream(), n=1)
+    p3 = perceive(grip, whole_view(grip, grip.camera), DetectorModel(), stream(), n=1)
     assert "brush" in p3.detections and "hand" in p3.detections
     assert not ground_relation("Holding", ("hand", "brush"), p3)
     assert ground_relation("Free", ("hand",), p3)
@@ -945,13 +950,13 @@ def test_free_quantifies_over_the_detected_objects():
         ],
         cam,
     )
-    p = perceive(scene, cam, scene.objects, DetectorModel(), stream(), n=1)
+    p = perceive(scene, whole_view(scene, cam), DetectorModel(), stream(), n=1)
     assert "chip" in p.detections
     # the chip's centre lies in the bin, but the bin grasps nothing
     assert ground_relation("Free", ("bin",), p)
     assert ground_relation("Free", ("ghost",), p)  # nothing says it holds anything
     scene.attachments["bin"] = "chip"
-    assert not ground_relation("Free", ("bin",), perceive(scene, cam, scene.objects, DetectorModel(), stream(), n=1))
+    assert not ground_relation("Free", ("bin",), perceive(scene, whole_view(scene, cam), DetectorModel(), stream(), n=1))
 
 
 def test_a_held_object_rests_on_nothing_until_placed():
@@ -972,7 +977,7 @@ def test_a_held_object_rests_on_nothing_until_placed():
     )
 
     def on_stand() -> list[bool]:
-        looks = [perceive(scene, scene.camera, scene.objects, DetectorModel(), stream(), n=1, mode=m) for m in Mode]
+        looks = [perceive(scene, whole_view(scene, scene.camera, m), DetectorModel(), stream(), n=1) for m in Mode]
         return [ground_relation("On", ("cup", "stand"), p) for p in looks + [truth_percept(scene)]]
 
     assert on_stand() == [True] * 4
@@ -1015,7 +1020,7 @@ def test_grounding_agrees_with_truth_oracle_at_zero_noise():
                 scene.attachments["hand"] = held
             scene = Scene(scene.objects, scene.camera, scene.attachments, scene.vision_on)
         cam = scene.camera
-        p = perceive(scene, cam, scene.objects, model, stream(), n=1, mode=Mode.FULL)
+        p = perceive(scene, whole_view(scene, cam, Mode.FULL), model, stream(), n=1)
         for pred, args in _relation_atoms(scene):
             got = ground_relation(pred, args, p)
             want = georacle.truth(pred, args, scene, cam)
@@ -1034,7 +1039,7 @@ def test_ablation_modes_degrade_in_order():
         rnd = random.Random(5000 + seed)
         scene = georacle.sample_relation_scene(rnd, overlap_heavy=seed % 2 == 0)
         cam = scene.camera
-        percepts = {mode: perceive(scene, cam, scene.objects, model, stream(), n=1, mode=mode) for mode in Mode}
+        percepts = {mode: perceive(scene, whole_view(scene, cam, mode), model, stream(), n=1) for mode in Mode}
         for pred, args in _relation_atoms(scene):
             want = georacle.truth(pred, args, scene, cam)
             for mode in Mode:
@@ -1116,7 +1121,7 @@ def test_a_query_answers_as_a_whole_scene_look_at_zero_noise(packaged_lib, mode,
 
     got = answers()
     real = perception.perceive
-    whole = lambda scene, cam, objects, *rest: real(scene, cam, scene.objects, *rest)
+    whole = lambda scene, view, *rest: real(scene, whole_view(scene, view.cam, view.mode), *rest)
     monkeypatch.setattr(perception, "perceive", whole)
     want = answers()
     assert [c[:4] for c, g, w in zip(cases, got, want) if g != w] == []
@@ -1142,9 +1147,9 @@ def test_query_looks_only_from_a_pose_that_sees_every_term(monkeypatch):
     looks = []
     real = perception.perceive
 
-    def counted(scene, cam, *args):
-        looks.append(cam)
-        return real(scene, cam, *args)
+    def counted(scene, view, *args):
+        looks.append(view.cam)
+        return real(scene, view, *args)
 
     monkeypatch.setattr(perception, "perceive", counted)
     both = State.parse(["Detected(brush)", "Detected(hind_block)"])
@@ -1165,10 +1170,12 @@ def test_query_looks_only_from_a_pose_that_sees_every_term(monkeypatch):
     assert looks == [cam.aimed_at(valve.box.center)]
 
 
-def test_visibility_helper_and_detection_agree_at_zero_noise():
-    # an object is detected exactly when the shared test says it is in view:
-    # every packaged scene, every pose of LiveVision's scan ring, every mode,
-    # and a scene whose vision is off
+def test_visibility_test_agrees_with_the_plain_reference():
+    # `in_view` sees exactly the objects the plain reference says are in
+    # view, in scene order: a robot part always, a world object when vision
+    # is on, its centre is in the view cone and every corner is in front of
+    # the camera. Every packaged scene, every pose of LiveVision's scan ring,
+    # every mode, with vision on and off; a zero-noise look detects them all
     scene_dir = os.path.join(DATA, "scenes")
     names = sorted(f for f in os.listdir(scene_dir) if f.endswith(".yaml"))
     world_seen = 0
@@ -1179,12 +1186,17 @@ def test_visibility_helper_and_detection_agree_at_zero_noise():
             vision = LiveVision(scene, MonitorConfig())
             vision.scan([])  # builds the ring of scan poses
             for cam, mode in product(vision._ring, Mode):
-                pixels = mode is Mode.NO_DEPTH
-                in_view = perception._in_view(scene.objects, cam, scene.vision_on, pixels)
-                seen = {o.id for o, _ in in_view}
-                dets = detect_batch(scene, cam, scene.objects, DetectorModel(), stream(), 10, mode)
-                assert {d.obj_id for d in dets} == seen, (name, cam, mode)
-                world = {o.id for o in scene.objects if not o.proprio} & seen
+                view = in_view(scene, cam, scene.objects, mode)
+                want = [
+                    o for o in scene.objects
+                    if o.proprio or vision_on and georacle.in_view(cam, o.box.center) and georacle.in_front(cam, o.box)
+                ]
+                assert [o for o, _ in view.seen] == want, (name, cam, mode)
+                assert (view.cam, view.mode) == (cam, mode)
+                assert view.labels == {o.label for o in want}
+                dets = detect_batch(scene, view, DetectorModel(), stream(), 10)
+                assert {d.obj_id for d in dets} == {o.id for o in want}, (name, cam, mode)
+                world = [o for o in want if not o.proprio]
                 assert vision_on or not world  # with vision off only parts are seen
                 world_seen += len(world)
     assert world_seen > 0
@@ -1233,7 +1245,7 @@ def test_default_rules_ground_exactly_the_library_predicates(packaged_lib):
 
 def test_shared_rule_table_is_the_only_one_and_read_only():
     scene = desk_scene()
-    p = perceive(scene, scene.camera, scene.objects, DetectorModel(), stream(), n=1)
+    p = perceive(scene, whole_view(scene, scene.camera), DetectorModel(), stream(), n=1)
     assert ground_relation("On", ("brush", "table"), p)
     with pytest.raises(UnknownPredicate):
         ground_relation("Atop", ("brush", "table"), p)
@@ -1244,12 +1256,12 @@ def test_shared_rule_table_is_the_only_one_and_read_only():
 def test_shared_thresholds_are_the_frozen_default():
     assert DEFAULT_THRESHOLDS == Thresholds()
     scene = desk_scene()
-    p = perceive(scene, scene.camera, scene.objects, DetectorModel(), stream(), n=1)
+    p = perceive(scene, whole_view(scene, scene.camera), DetectorModel(), stream(), n=1)
     # brush and cup centres are about 0.31 m apart
     assert ground_relation("CloseTo", ("brush", "cup"), p)
     q = State.of([parse_atom("CloseTo(brush,cup)")])
     assert query_vision(q, scene, scene.camera, DetectorModel(), stream()) == (True, False)
-    nominal = perceive(scene, scene.camera, scene.objects, DetectorModel(), stream(), n=1, mode=Mode.NO_SHAPE)
+    nominal = perceive(scene, whole_view(scene, scene.camera, Mode.NO_SHAPE), DetectorModel(), stream(), n=1)
     assert nominal.boxes3d["cup"].size == pytest.approx((0.06,) * 3)
     with pytest.raises(FrozenInstanceError):
         DEFAULT_THRESHOLDS.close_dist = 0.1  # the shared default is read-only
