@@ -21,7 +21,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .geometry import Box, Scene, SceneObject, Vec
-from .language import Atom, Vocabulary
+from .language import Atom, Vocabulary, check_int
 from .perception import (
     DEFAULT_RULES,
     DEFAULT_THRESHOLDS,
@@ -222,8 +222,7 @@ class SimActuator(Actuator):
     ):
         if not _is_probability(fail_prob):
             raise ValueError(f"fail_prob must be a number in [0, 1], got {fail_prob!r}")
-        if not isinstance(seed, Integral) or isinstance(seed, bool) or seed < 0:
-            raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
+        check_int("seed", seed, 0)
         disturbances = tuple(disturbances)
         for d in disturbances:
             _check_ids(scene, d)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .language import Atom, State, TaskSentence, Vocabulary, encode_atoms
+from .language import Atom, State, TaskSentence, Vocabulary, check_int, encode_atoms
 from .pddl import LibraryError, PlanLibrary
 from .predictor import TrainingPair
 
@@ -106,7 +106,11 @@ def _random_atom(
 
 def grow_dataset(lib: PlanLibrary, target: int = 20000, seed: int = 0) -> list[TrainingPair]:
     """Deterministically grow up to `target` distinct training pairs. Stops
-    short of target only after 200 consecutive duplicate draws (tiny bases)."""
+    short of target only after 200 consecutive duplicate draws (tiny bases).
+    A `target` below 1 or a negative `seed` raises ValueError; a bool is
+    neither."""
+    check_int("target", target, 1)
+    check_int("seed", seed, 0)
     vocab = lib.vocab
     base = base_pairs(lib)
     if not base:

@@ -18,11 +18,14 @@ atom spans only by `atom_spans`. It also owns how the packaged YAML files
 are parsed: `load_yaml` is the one reader behind scenes, the vocabulary and
 the plan library, and `shaped`/`shaped_field` are the one check of a
 document's shape that the vocabulary and plan-library loaders share.
+`check_int` is the package's one check of an integer setting, such as a
+seed, a count or a beam width.
 """
 
 from __future__ import annotations
 
 import hashlib
+import numbers
 import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
@@ -50,6 +53,13 @@ def load_yaml(stream):
 
 class LanguageError(Exception):
     """Base class for vocabulary and codec failures."""
+
+
+def check_int(name: str, value, low: int) -> None:
+    """Raise a ValueError naming `name` unless `value` is an integer >=
+    `low`; a bool is not one."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 _SHAPES = {dict: "mapping", list: "list", str: "string", bool: "boolean", int: "whole number", (int, float): "number"}

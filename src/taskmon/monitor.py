@@ -41,7 +41,7 @@ import numpy as np
 
 from .actuator import Actuator, truth_percept
 from .geometry import Camera, Scene
-from .language import Atom, Predicate, State, TaskSentence, TokenSeq, Vocabulary
+from .language import Atom, Predicate, State, TaskSentence, TokenSeq, Vocabulary, check_int
 from .pddl import PlanLibrary
 from .perception import (
     DEFAULT_RULES,
@@ -118,9 +118,7 @@ class MonitorConfig:
         if not isinstance(self.mu, numbers.Real) or not 0.0 < self.mu < 1.0:
             raise ValueError(f"mu must be a number in (0, 1), got {self.mu!r}")
         for name in ("seed", "tau", "k", "max_goals", "frames", "replans"):
-            value, low = getattr(self, name), 0 if name in ("seed", "replans") else 1
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < low:
-                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+            check_int(name, getattr(self, name), 0 if name in ("seed", "replans") else 1)
         if not isinstance(self.mode, Mode):
             raise ValueError(f"mode must be a Mode, got {self.mode!r}")
         if not isinstance(self.detector, DetectorModel):
@@ -681,12 +679,20 @@ def run_task(
 ) -> ExecutionTrace:
     """Drive the loop to termination. Never raises once configured: every
     failure, including seam exceptions, lands in the trace outcome, and the
-    single end_task event is always last."""
+    single end_task event is always last. A task that is not the
+    vocabulary's, or a start or terminal atom of the wrong predicate, arity
+    or sorts, raises MonitorSetupError before the loop starts."""
     vocab = lib.vocab
-    if isinstance(task, str):
-        if task not in vocab.tasks:
-            raise MonitorSetupError(f"unknown task id {task!r}")
-        task = vocab.tasks[task]
+    task_id = task if isinstance(task, str) else task.id
+    if task_id not in vocab.tasks:
+        raise MonitorSetupError(f"unknown task id {task_id!r}")
+    if not isinstance(task, str) and task != vocab.tasks[task_id]:
+        raise MonitorSetupError(f"task {task_id!r} is not the vocabulary's: {task.sentence!r}")
+    task = vocab.tasks[task_id]
+    for purpose, s in (("start", start), ("terminal", terminal)):
+        bad = sorted(str(a) for a in (s.atoms if s is not None else ()) if not vocab.atom_type_ok(a))
+        if bad:
+            raise MonitorSetupError(f"{purpose} atoms fail the vocabulary's types: {bad}")
     if goal_source is None:
         if net is None:
             raise MonitorSetupError("need a trained net or an explicit goal source")

@@ -60,14 +60,14 @@ import enum
 import math
 from collections import Counter
 from dataclasses import dataclass
-from numbers import Integral, Real
+from numbers import Real
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
 import numpy as np
 
 from .geometry import Box, Camera, Scene, SceneObject, dist, ray_box
-from .language import State
+from .language import State, check_int
 
 
 class Mode(enum.Enum):
@@ -276,8 +276,7 @@ def detect_batch(
     frame is a hit or a miss, and the label wins exactly when hits > n/2; a
     tie or a modal miss gives no detection. The jitter is averaged over the
     winning frames."""
-    if isinstance(n, bool) or not isinstance(n, Integral) or n < 1:
-        raise ValueError(f"n must be an integer >= 1, got {n!r}")
+    check_int("n", n, 1)
     label_set = {o.label for o in scene.objects}
     cam, pixels = view.cam, view.mode is Mode.NO_DEPTH
     out: list[Detection] = []

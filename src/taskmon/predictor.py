@@ -40,6 +40,7 @@ from .language import (
     TokenSeq,
     Vocabulary,
     atom_spans,
+    check_int,
     decode_goal,
     encode_goal,
     encode_state,
@@ -146,6 +147,7 @@ class GoalNetParams:
 
     @staticmethod
     def init(vocab: Vocabulary, seed: int = 0, use_attention: bool = True) -> "GoalNetParams":
+        check_int("seed", seed, 0)
         rng = np.random.default_rng(seed)
         return GoalNetParams(
             vocab_hash=vocab.hash(),
@@ -421,7 +423,7 @@ def beam_decode(ids: tuple[int, ...], params: GoalNetParams, width: int = 3) -> 
     for pos, t in enumerate(ids):
         if not 0 <= t < params.vocab_size:
             raise IndexOutOfVocab(f"token id {t} at position {pos}")
-    _check_count("width", width)
+    check_int("width", width, 1)
     env = _encode_np(params, ids, rows=width)
     emb = params.emb.data
     live = [_Beam(prev_seg=np.zeros(EMB_DIM))]
@@ -482,7 +484,7 @@ def infer_topk(
     task: TaskSentence, s: State, params: GoalNetParams, vocab: Vocabulary, k: int = 3
 ) -> list[GoalProposal]:
     """Top-k distinct well-formed goal states proposed for `task` in `s`."""
-    _check_count("k", k)
+    check_int("k", k, 1)
     width = max(2 * k, 6)
     results = beam_decode(encode_state(task, s, vocab).ids, params, width)
     proposals: list[GoalProposal] = []
@@ -536,13 +538,6 @@ class TrainingPair:
 DEFAULT_HYPER = {"batch": 5, "epochs": 100, "lr": 0.02}
 
 
-def _check_count(name: str, value) -> None:
-    """Raise a ValueError naming `name` unless `value` is an integer >= 1;
-    a bool is not one."""
-    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-
-
 def _checked_hyper(hyper: Optional[dict]) -> dict:
     """DEFAULT_HYPER updated by `hyper`. A ValueError names a key that is not
     in DEFAULT_HYPER, a batch or epoch count below 1 or an lr that is not a
@@ -553,7 +548,7 @@ def _checked_hyper(hyper: Optional[dict]) -> dict:
             raise ValueError(f"unknown hyper-parameter {key!r}, expected one of {sorted(DEFAULT_HYPER)}")
         h[key] = value
     for key in ("batch", "epochs"):
-        _check_count(f"hyper-parameter {key!r}", h[key])
+        check_int(f"hyper-parameter {key!r}", h[key], 1)
     if not isinstance(h["lr"], numbers.Real) or isinstance(h["lr"], bool) or not 0 < h["lr"] < math.inf:
         raise ValueError(f"hyper-parameter 'lr' must be a positive finite number, got {h['lr']!r}")
     return h
@@ -571,6 +566,7 @@ def train(
     categorical cross-entropy. Returns (params, per-epoch mean token loss)."""
     if not pairs:
         raise EmptyDataset("no training pairs")
+    check_int("seed", seed, 0)
     h = _checked_hyper(hyper)
     if params is None:
         params = GoalNetParams.init(vocab, seed=seed, use_attention=use_attention)

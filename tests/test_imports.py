@@ -2,13 +2,16 @@
 another's private name, every public name of the package has a caller
 in the program, not only in the tests, every
 defaulted parameter of a public function, and every defaulted field of a
-public dataclass, is set by some program call, and every perception
-threshold is read by the package."""
+public dataclass, is set by some program call, every perception
+threshold is read by the package, and every packaged data file has a
+reader."""
 
 import ast
 import os
 
 import pytest
+
+from taskmon.language import load_yaml
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
@@ -383,3 +386,26 @@ def test_every_threshold_is_read_by_the_package():
     # a threshold that no rule reads is a setting with no effect
     src, _ = _program_sources()
     assert unread_fields(src, "Thresholds") == []
+
+
+def test_every_packaged_data_file_has_a_reader():
+    # each plan file is a domain or problem of a library.yaml entry, and each
+    # scene file is named by a string in the program's sources; a file no
+    # code reads fails here
+    data = os.path.join(ROOT, "src", "taskmon", "data")
+    with open(os.path.join(data, "library.yaml")) as f:
+        entries = load_yaml(f)["entries"]
+    listed = {os.path.normpath(e[k]) for e in entries for k in ("domain", "problem")}
+    plans = [
+        os.path.relpath(os.path.join(d, f), data) for d, _, files in os.walk(data) for f in files if f.endswith(".pddl")
+    ]
+    assert plans and sorted(set(plans) - listed) == []
+    strings = {
+        node.value
+        for group in _program_sources()
+        for source in group
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    }
+    scenes = sorted(os.listdir(os.path.join(data, "scenes")))
+    assert scenes and [f for f in scenes if not {f, f.removesuffix(".yaml")} & strings] == []

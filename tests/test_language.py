@@ -409,6 +409,6 @@ def test_libyaml_and_python_loaders_agree_on_packaged_files(monkeypatch):
         return vars(vocab), lib.entries, lib.chains, scenes
 
     with_c = load_all()
-    assert [len(x) for x in with_c[1:]] == [26, 13, 6]
+    assert [len(x) for x in with_c[1:]] == [26, 13, 5]
     monkeypatch.setattr(lang, "YAML_LOADER", yaml.SafeLoader)
     assert load_all() == with_c

@@ -4,6 +4,7 @@ forms, decoding, training, gradient checks, checkpoints, and dataset growth."""
 import hashlib
 import io
 import json
+import re
 import zipfile
 
 import numpy as np
@@ -515,6 +516,34 @@ def test_train_rejects_empty_and_nonfinite(tiny_vocab, fetch_pair):
 def test_train_rejects_bad_hyper(tiny_vocab, fetch_pair, hyper, key):
     with pytest.raises(ValueError, match=f"hyper-parameter '{key}'"):
         train([fetch_pair], tiny_vocab, hyper=hyper)
+
+
+@pytest.mark.parametrize(
+    "entry,name,value",
+    [
+        pytest.param(entry, name, value, id=f"{entry}-{name}-{value!r}")
+        for entry, name, values in (
+            ("grow_dataset", "seed", (True, 1.5, -1, "3")),
+            ("train", "seed", (True, 1.5, -1, "3")),
+            ("init", "seed", (True, 1.5, -1, "3")),
+            ("grow_dataset", "target", (True, 2.5, 0, -3)),
+        )
+        for value in values
+    ],
+)
+def test_learning_entry_points_refuse_a_malformed_seed_or_target_by_name(
+    tiny_vocab, tiny_lib, fetch_pair, entry, name, value
+):
+    # a bool, a fraction or a value below the floor is no seed or pair count,
+    # though numpy would take some of them
+    call = {
+        "grow_dataset": lambda **kw: grow_dataset(tiny_lib, **{"target": 4, **kw}),
+        "train": lambda **kw: train([fetch_pair], tiny_vocab, hyper={"epochs": 1}, **kw),
+        "init": lambda **kw: GoalNetParams.init(tiny_vocab, **kw),
+    }[entry]
+    low = 1 if name == "target" else 0
+    with pytest.raises(ValueError, match=rf"^{name} must be an integer >= {low}, got {re.escape(repr(value))}$"):
+        call(**{name: value})
 
 
 # --- gradient checks ------------------------------------------------------------------

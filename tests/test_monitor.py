@@ -13,9 +13,10 @@ import pytest
 
 import taskmon
 from taskmon import monitor, perception
-from conftest import DATA, load_packaged_lib, make_tiny_vocab, whole_view
+from conftest import load_packaged_lib, make_tiny_vocab, whole_view
 import georacle
 from georacle import in_view
+from stagings import ALT_SUPPORT, SCENES, STAGINGS, run_chain, stage
 from taskmon.actuator import (
     ActionResult,
     ActuationSetupError,
@@ -28,12 +29,13 @@ from taskmon.actuator import (
     translate_object,
     truth_percept,
 )
-from taskmon.geometry import Box, Camera, Scene, SceneObject, dist, load_scene
-from taskmon.language import Atom, State, StateTooLong, TokenSeq, Vocabulary
+from taskmon.geometry import Box, Camera, Scene, SceneObject, dist
+from taskmon.language import Atom, State, StateTooLong, TaskSentence, TokenSeq, Vocabulary
 from taskmon.monitor import (
     BeliefVision,
     LiveVision,
     MonitorConfig,
+    MonitorSetupError,
     NetGoalSource,
     Outcome,
     ScriptedGoalSource,
@@ -53,7 +55,7 @@ from taskmon.pddl import (
 from taskmon.perception import DetectorModel, Mode, ground_relation, perceive
 from taskmon.planning import ground_actions, match_plan, solve
 from taskmon.predictor import GoalProposal, TrainingPair, infer_topk, train
-from tracesweep import sweep as trace_sweep
+from tracesweep import NOISY, RUNS as SWEEP_RUNS, sweep as trace_sweep
 
 DOMAIN = """
 (define (domain desk)
@@ -488,13 +490,14 @@ def test_live_vision_casts_no_rays(lib, desk_vocab, monkeypatch):
 @pytest.mark.parametrize("mode", list(Mode))
 def test_live_scan_equals_a_look_from_every_pose_at_zero_noise(packaged_lib, mode):
     # the plain scan: perceive from every ring pose and ground every
-    # candidate there, for each packaged scene with vision on and off and
-    # every type-valid atom over each library entry's objects; and PLAN's
-    # scan of each entry's own goal, where a goal atom may repeat a candidate
+    # candidate there, for each packaged staging's scene with vision on and
+    # off and every type-valid atom over each library entry's objects; and
+    # PLAN's scan of each entry's own goal, where a goal atom may repeat a
+    # candidate
     held = 0
-    for name in sorted(f[: -len(".yaml")] for f in os.listdir(os.path.join(DATA, "scenes"))):
+    for name in SCENES:
         for vision_on in (True, False):
-            scene = load_scene(os.path.join(DATA, "scenes", f"{name}.yaml"))
+            scene = stage(name, packaged_lib.vocab).scene
             scene.vision_on = vision_on
             cfg = MonitorConfig(mode=mode)
             vision = LiveVision(scene, cfg)
@@ -974,17 +977,11 @@ def test_a_partly_covered_gate_asks_its_whole_conjunction(lib, desk_vocab):
 
 
 def test_a_partly_covered_packaged_gate_still_times_out(packaged_lib):
-    # the third bring_object chain in NO_DEPTH on its base scene: a gate
+    # the third bring_object chain in NO_DEPTH on the base scene: a gate
     # that is partly covered is asked whole, and its terms do not fit one
     # view; asking only its unverified atoms would end this run in success
-    chain = [c for c in packaged_lib.chains if c.task_id == "bring_object"][2]
-    goals = [packaged_lib.entry(n).goal_state for n in chain.goals]
-    cfg = MonitorConfig(seed=0, mode=Mode.NO_DEPTH)
-    scene = load_scene(os.path.join(DATA, "scenes", "bring_dynamic.yaml"))
-    trace = run_task(
-        "bring_object", scene, packaged_lib, None, SimActuator(scene, packaged_lib.vocab, seed=0),
-        cfg, terminal=goals[-1], vision=LiveVision(scene, cfg), goal_source=ScriptedGoalSource(goals),
-    )
+    chain = packaged_chain(packaged_lib, "bring_object", 2)
+    trace = run_chain(packaged_lib, chain, "base", MonitorConfig(seed=0, mode=Mode.NO_DEPTH))
     assert trace.outcome == Outcome("failure", "vision_timeout")
     audit(trace)
     last = trace.of_kind("vision_result")[-1].payload
@@ -1191,98 +1188,88 @@ def test_failed_goal_is_never_reselected(lib, desk_vocab):
 # --- packaged data ------------------------------------------------------------------
 
 PACKAGED_RUNS = [
-    ("bring_object", 0, "bring_dynamic"),
-    ("bring_object", 1, "bring_eq1"),  # the ladder chain
-    ("remove_panel", 0, "remove_panel"),
-    ("support_panel", 0, "support_panel"),
-    ("clean_diverter", 0, "clean_diverter"),
-    ("find_object", 0, "find_object"),
+    ("bring_object", 0, "base"),
+    ("bring_object", 1, "alt:bring_object"),  # the ladder chain
+    ("remove_panel", 0, "base"),
+    ("support_panel", 0, "base"),
+    ("clean_diverter", 0, "base"),
+    ("find_object", 0, "base"),
 ]
 
 
-def run_packaged_chain(lib, task_id, chain_idx, scene_name, cfg):
-    chain = [c for c in lib.chains if c.task_id == task_id][chain_idx]
-    goals = [lib.entry(n).goal_state for n in chain.goals]
-    scene = load_scene(os.path.join(DATA, "scenes", f"{scene_name}.yaml"))
-    trace = run_task(
-        task_id,
-        scene,
-        lib,
-        None,
-        SimActuator(scene, lib.vocab, seed=cfg.seed),
-        cfg,
-        terminal=goals[-1],
-        vision=LiveVision(scene, cfg),
-        goal_source=ScriptedGoalSource(goals),
-    )
-    return trace, goals
+def packaged_chain(lib, task_id, chain_idx):
+    return [c for c in lib.chains if c.task_id == task_id][chain_idx]
 
 
-@pytest.mark.parametrize("task_id,chain_idx,scene_name", PACKAGED_RUNS)
-def test_packaged_chain_succeeds_on_its_scene(packaged_lib, task_id, chain_idx, scene_name):
-    trace, goals = run_packaged_chain(packaged_lib, task_id, chain_idx, scene_name, MonitorConfig(seed=0))
+@pytest.mark.parametrize("task_id,chain_idx,staging_name", PACKAGED_RUNS)
+def test_packaged_chain_succeeds_on_its_staging(packaged_lib, task_id, chain_idx, staging_name):
+    chain = packaged_chain(packaged_lib, task_id, chain_idx)
+    trace = run_chain(packaged_lib, chain, staging_name, MonitorConfig(seed=0))
     assert trace.outcome == Outcome("success", ""), trace.outcome
     audit(trace)
-    assert len(trace.of_kind("goal_reached")) == len(goals)
+    assert len(trace.of_kind("goal_reached")) == len(chain.goals)
 
 
-@pytest.mark.parametrize("task_id,chain_idx,scene_name", PACKAGED_RUNS)
+@pytest.mark.parametrize("task_id,chain_idx,staging_name", PACKAGED_RUNS)
 def test_packaged_chain_trace_is_seed_deterministic_under_noise(
-    packaged_lib, task_id, chain_idx, scene_name
+    packaged_lib, task_id, chain_idx, staging_name
 ):
-    noisy = DetectorModel(tp_rate=0.95, confusion=0.05, px_jitter=1.0, depth_sigma=0.02)
-    cfg = MonitorConfig(seed=3, detector=noisy)
-    first, _ = run_packaged_chain(packaged_lib, task_id, chain_idx, scene_name, cfg)
-    second, _ = run_packaged_chain(packaged_lib, task_id, chain_idx, scene_name, cfg)
+    chain = packaged_chain(packaged_lib, task_id, chain_idx)
+    cfg = MonitorConfig(seed=3, detector=NOISY)
+    first, second = (run_chain(packaged_lib, chain, staging_name, cfg) for _ in range(2))
     audit(first)
     assert not first.outcome.reason.startswith("internal:"), first.outcome
     assert trace_lines(first) == trace_lines(second)
+
+
+@pytest.mark.parametrize(
+    "setup,refused",
+    [
+        ({"task": "fetch_object"}, "unknown task id 'fetch_object'"),
+        ({"task": TaskSentence.of("bring_object", "fetch the zzz")}, "task 'bring_object' is not the vocabulary's"),
+        ({"start": State.parse(["Foo(robot)"])}, r"start atoms .*Foo\(robot\)"),
+        ({"start": State.parse(["Detected(robot)"])}, r"start atoms .*Detected\(robot\)"),
+        ({"terminal": State.parse(["Detected(brush,table)"])}, r"terminal atoms .*Detected\(brush,table\)"),
+    ],
+    ids=["unknown-task", "foreign-sentence", "start-unknown-predicate", "start-wrong-sort", "terminal-wrong-arity"],
+)
+def test_run_task_refuses_malformed_setup_before_the_loop(packaged_lib, setup, refused):
+    # a task or atom the vocabulary does not type raises at set-up, not as
+    # an internal outcome of the loop
+    goals = [packaged_lib.entry("boot").goal_state]
+    scene = stage("base", packaged_lib.vocab).scene
+    args = {"task": "bring_object", "start": None, "terminal": goals[-1], **setup}
+    with pytest.raises(MonitorSetupError, match=refused):
+        run_task(
+            args["task"], scene, packaged_lib, None, SimActuator(scene, packaged_lib.vocab), MonitorConfig(),
+            terminal=args["terminal"], start=args["start"], goal_source=ScriptedGoalSource(goals),
+        )
 
 
 def test_grounding_memo_warmth_never_shows_in_a_trace():
     # a library's domains memoise their groundings across tasks; a warm
     # memo, a cold one and one warmed by validate_library give one trace
     cfg = MonitorConfig(seed=0)
-    run = ("bring_object", 0, "bring_dynamic")
     lib = load_packaged_lib()
-    traces = [run_packaged_chain(lib, *run, cfg)[0] for _ in range(2)]
+    chain = packaged_chain(lib, "bring_object", 0)
+    traces = [run_chain(lib, chain, "base", cfg) for _ in range(2)]
     assert all(e.domain.groundings for e in lib.entries)  # the memo is warm
-    traces.append(run_packaged_chain(load_packaged_lib(), *run, cfg)[0])
+    traces.append(run_chain(load_packaged_lib(), chain, "base", cfg))
     validated = load_packaged_lib()
     assert validate_library(validated) == []
-    traces.append(run_packaged_chain(validated, *run, cfg)[0])
+    traces.append(run_chain(validated, chain, "base", cfg))
     lines = [trace_lines(t) for t in traces]
     assert traces[0].outcome == Outcome("success", "")
     assert lines[1:] == [lines[0]] * 3
 
 
 def run_ladder_chain(lib, vision_name):
-    # bring_object with the brush staged on the ladder by the actuator's own
-    # relocation, its ladder chain scripted; locate_brush_ladder matches
-    # locate_brush_table under the renaming table -> ladder
-    cfg = MonitorConfig(seed=0)
-    scene = load_scene(os.path.join(DATA, "scenes", "bring_dynamic.yaml"))
-    SimActuator(scene, lib.vocab).apply_disturbance(Disturbance(1, "relocate", "brush", "ladder"))
-    if vision_name == "live":
-        vision = LiveVision(scene, cfg)
-    else:
-        objects = {o.label: lib.vocab.terms[o.label].sort for o in scene.objects}
-        predicates = {p.name: p for e in lib.entries for p in e.domain.predicates.values()}
-        vision = BeliefVision(scene, candidate_atoms(objects, predicates.values(), lib.vocab))
-    chain = [c for c in lib.chains if c.task_id == "bring_object"][1]
-    goals = [lib.entry(n).goal_state for n in chain.goals]
+    # bring_object with the brush staged on the ladder, its ladder chain
+    # scripted; locate_brush_ladder matches locate_brush_table under the
+    # renaming table -> ladder
+    chain = packaged_chain(lib, "bring_object", 1)
     assert chain.goals[1] == "locate_brush_ladder"
-    return run_task(
-        "bring_object",
-        scene,
-        lib,
-        None,
-        SimActuator(scene, lib.vocab, seed=cfg.seed),
-        cfg,
-        terminal=goals[-1],
-        vision=vision,
-        goal_source=ScriptedGoalSource(goals),
-    )
+    return run_chain(lib, chain, "alt:bring_object", MonitorConfig(seed=0), vision_name)
 
 
 @pytest.mark.parametrize("vision_name", ["belief", "live"])
@@ -1309,15 +1296,14 @@ def test_a_success_has_put_the_panel_down(packaged_lib):
     successes = 0
     for seed in range(30):
         cfg = MonitorConfig(seed=seed)
-        scene = load_scene(os.path.join(DATA, "scenes", "remove_panel.yaml"))
-        act = SimActuator(scene, packaged_lib.vocab, seed=seed, fail_prob=0.2)
-        act.apply_disturbance(Disturbance(1, "relocate", "panel", "shelf"))
+        staging = stage("alt:remove_panel", packaged_lib.vocab)
+        scene = staging.scene
         trace = run_task(
             "remove_panel",
             scene,
             packaged_lib,
             None,
-            act,
+            staging.actuator(seed=seed, fail_prob=0.2),
             cfg,
             terminal=goals[-1],
             vision=LiveVision(scene, cfg),
@@ -1329,23 +1315,6 @@ def test_a_success_has_put_the_panel_down(packaged_lib):
             assert scene.get("panel").supported_by == "workbench", f"seed {seed}"
     assert successes > 0
 
-
-# Each packaged task's scene, and the object and alternative support its
-# secondary chains name: a chain with a goal that rests the object on that
-# support runs with it staged there by the actuator's own relocation.
-PACKAGED_SCENE = {
-    "bring_object": "bring_dynamic",
-    "remove_panel": "remove_panel",
-    "support_panel": "support_panel",
-    "clean_diverter": "clean_diverter",
-    "find_object": "find_object",
-}
-ALT_SUPPORT = {
-    "bring_object": ("brush", "ladder"),
-    "remove_panel": ("panel", "shelf"),
-    "support_panel": ("guard", "workbench"),
-    "clean_diverter": ("cloth", "workbench"),
-}
 
 # Atoms the plan model keeps true after an action while the world reads them
 # false, by (predicate, action), each with the change that removes it. A move
@@ -1362,15 +1331,16 @@ KNOWN_STALE = {
 def replay_chain(lib, chain):
     """Run a packaged chain at zero noise: plan each entry with `solve` from
     the truth over every type-valid atom of the entry's objects, and execute
-    the plan with SimActuator. Yields (action, STRIPS successor of the truth
-    before it, truth after it) per step; a refused action fails at once. The
-    world is read over all of `candidate_atoms`, not the PLAN scan's
-    candidates, so that an atom no precondition reads is still compared."""
-    scene = load_scene(os.path.join(DATA, "scenes", f"{PACKAGED_SCENE[chain.task_id]}.yaml"))
+    the plan with SimActuator. A chain with a goal that rests the task's
+    object on its alternative support runs on the task's `alt` staging, any
+    other on the base. Yields (action, STRIPS successor of the truth before
+    it, truth after it) per step; a refused action fails at once. The world
+    is read over all of `candidate_atoms`, not the PLAN scan's candidates,
+    so that an atom no precondition reads is still compared."""
     alt = ALT_SUPPORT.get(chain.task_id)
-    if alt and any(Atom("On", alt) in lib.entry(n).goal_state.atoms for n in chain.goals):
-        SimActuator(scene, lib.vocab).apply_disturbance(Disturbance(1, "relocate", *alt))
-    act = SimActuator(scene, lib.vocab)
+    on_alt = alt and any(Atom("On", alt) in lib.entry(n).goal_state.atoms for n in chain.goals)
+    staging = stage(f"alt:{chain.task_id}" if on_alt else "base", lib.vocab)
+    scene, act = staging.scene, staging.actuator()
     for name in chain.goals:
         entry = lib.entry(name)
         objects = dict(entry.problem.objects)
@@ -1387,19 +1357,6 @@ def replay_chain(lib, chain):
             yield ga, (before - ga.delete) | ga.add, world()
 
 
-def packaged_stagings(lib):
-    """(name, scene) for every packaged scene file, and for each pick-up
-    task's scene with its object on the alternative support, staged by the
-    actuator's own relocation."""
-    scene_dir = os.path.join(DATA, "scenes")
-    for f in sorted(os.listdir(scene_dir)):
-        yield f, load_scene(os.path.join(scene_dir, f))
-    for task_id, alt in ALT_SUPPORT.items():
-        scene = load_scene(os.path.join(scene_dir, f"{PACKAGED_SCENE[task_id]}.yaml"))
-        SimActuator(scene, lib.vocab).apply_disturbance(Disturbance(1, "relocate", *alt))
-        yield f"{task_id}/alt", scene
-
-
 def test_belief_vision_reads_what_eager_grounding_holds(packaged_lib, monkeypatch):
     # each atom read is grounded once, on first read, and answers as
     # grounding every candidate against the snapshot up front would
@@ -1412,7 +1369,8 @@ def test_belief_vision_reads_what_eager_grounding_holds(packaged_lib, monkeypatc
         return ground_relation(pred, args, percept)
 
     monkeypatch.setattr(monitor, "ground_relation", counted)
-    for name, scene in packaged_stagings(lib):
+    for name in SCENES:
+        scene = stage(name, lib.vocab).scene
         objects = {o.label: lib.vocab.terms[o.label].sort for o in scene.objects}
         candidates = candidate_atoms(objects, predicates.values(), lib.vocab)
         p = truth_percept(scene)
@@ -1458,19 +1416,14 @@ def test_the_plan_model_agrees_with_the_world_step_by_step(packaged_lib):
     assert sorted(set(KNOWN_STALE) - set(stale)) == [], f"known stale atoms no longer occur; {report}"
 
 
-def bring_dynamic_actuator(lib, *disturbances: Disturbance) -> SimActuator:
-    scene = load_scene(os.path.join(DATA, "scenes", "bring_dynamic.yaml"))
-    return SimActuator(scene, lib.vocab, disturbances=disturbances)
-
-
 def test_relocate_to_an_unknown_destination_is_refused_at_setup(packaged_lib):
     with pytest.raises(ActuationSetupError, match="nowhere"):
-        bring_dynamic_actuator(packaged_lib, Disturbance(1, "relocate", "brush", dest="nowhere"))
+        stage("base", packaged_lib.vocab).actuator(Disturbance(1, "relocate", "brush", dest="nowhere"))
 
 
 def test_removing_an_unknown_object_is_refused_at_setup(packaged_lib):
     with pytest.raises(ActuationSetupError, match="ghost"):
-        bring_dynamic_actuator(packaged_lib, Disturbance(1, "remove", "ghost"))
+        stage("base", packaged_lib.vocab).actuator(Disturbance(1, "remove", "ghost"))
 
 
 @pytest.mark.parametrize(
@@ -1486,7 +1439,7 @@ def test_removing_an_unknown_object_is_refused_at_setup(packaged_lib):
 def test_applying_a_disturbance_with_an_unknown_id_is_refused(packaged_lib, disturbance, unknown):
     # staged straight through apply_disturbance, as scenario set-up does:
     # the same check as the constructor's, before any edit
-    act = bring_dynamic_actuator(packaged_lib)
+    act = stage("base", packaged_lib.vocab).actuator()
     before = [(o.id, o.box, o.supported_by) for o in act.scene.objects]
     with pytest.raises(ActuationSetupError, match=f"{disturbance.kind} disturbance names no scene object '{unknown}'"):
         act.apply_disturbance(disturbance)
@@ -1504,7 +1457,7 @@ def test_nudge_offset_must_be_three_numbers(packaged_lib):
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="not finite"):
             Disturbance(2, "nudge", "brush", offset=(bad, 0.0, 0.0))
-    bring_dynamic_actuator(packaged_lib, Disturbance(1, "nudge", "brush", offset=(0.1, 0.2, 0)))
+    stage("base", packaged_lib.vocab).actuator(Disturbance(1, "nudge", "brush", offset=(0.1, 0.2, 0)))
 
 
 def test_disturbance_call_index_is_a_positive_int():
@@ -1521,7 +1474,7 @@ def test_disturbance_call_index_is_a_positive_int():
 def test_a_numpy_call_index_fires_at_its_call(packaged_lib, index):
     entry = packaged_lib.entry("locate_brush_table")
     look = next(ga for ga in ground_actions(entry.domain, entry.problem.objects).actions if ga.name == "look_for(robot,table)")
-    act = bring_dynamic_actuator(packaged_lib, Disturbance(index, "relocate", "brush", dest="shelf"))
+    act = stage("base", packaged_lib.vocab).actuator(Disturbance(index, "relocate", "brush", dest="shelf"))
     supports = []
     for _ in range(3):
         assert act.execute(look).ok
@@ -1573,14 +1526,37 @@ def test_disturbance_prob_is_a_number_in_the_unit_interval(prob):
         Disturbance(1, "remove", "brush", prob=prob)
 
 
+def pinned_sweep() -> list[str]:
+    with open(os.path.join(os.path.dirname(__file__), "tracesweep.tsv")) as f:
+        return f.read().splitlines()
+
+
 def test_trace_sweep_matches_its_pinned_rows():
     # tests/tracesweep.tsv is the sweep's output; a change that moves a trace
     # or an outcome shows here row by row, and rewrites that file on purpose
-    with open(os.path.join(os.path.dirname(__file__), "tracesweep.tsv")) as f:
-        pinned = f.read().splitlines()
+    pinned = pinned_sweep()
     rows = ["\t".join(row) for row in trace_sweep()]
     assert len(rows) == len(pinned)
     assert [(want, got) for want, got in zip(pinned, rows) if want != got] == []
+
+
+def test_named_stagings_are_distinct_worlds_run_once_each_in_the_sweep(packaged_lib):
+    # a world is the boxes, supports, attachments and disturbance schedule;
+    # two stagings of one world, or two pinned rows of one (vision, detector,
+    # chain, staging), would be duplicate runs
+    def world(name):
+        staged = stage(name, packaged_lib.vocab)
+        objects = tuple((o.id, o.box, o.supported_by) for o in staged.scene.objects)
+        return objects, tuple(sorted(staged.scene.attachments.items())), staged.disturbances
+
+    assert len({world(name) for name in STAGINGS}) == len(STAGINGS)
+    keys = Counter(tuple(row.split("\t")[:4]) for row in pinned_sweep())
+    assert [k for k, n in keys.items() if n > 1] == []
+    runs: dict[tuple[str, str], set] = {}
+    for vision, detector, chain, staging in keys:
+        runs.setdefault((chain, staging), set()).add((vision, detector))
+    assert {staging for _, staging in runs} == set(STAGINGS)
+    assert {frozenset(r) for r in runs.values()} == {frozenset((v, d) for v, _, d, _ in SWEEP_RUNS)}
 
 
 # --- halting fuzz ---------------------------------------------------------------------
@@ -1647,20 +1623,14 @@ def test_fuzzed_runs_always_halt_within_bound(lib, desk_vocab):
         assert len(trace.events) <= 5 * cfg.step_budget
 
 
-NOISY = DetectorModel(tp_rate=0.95, confusion=0.05, px_jitter=1.0, depth_sigma=0.02)
-
-
 def fuzz_case(lib, rng: np.random.Generator) -> dict:
     """One packaged run drawn from `rng`: a library chain as scripted goals,
-    a packaged scene, up to two relocate, remove or nudge disturbances on its
-    world objects, each scheduled on the actuator or applied before the run,
-    and a drawn fault rate, mode and detector."""
-    scene_dir = os.path.join(DATA, "scenes")
-    scenes = sorted(f[: -len(".yaml")] for f in os.listdir(scene_dir) if f.endswith(".yaml"))
+    a named staging, up to two more relocate, remove or nudge disturbances
+    on its world objects, each scheduled on the actuator or applied before
+    the run, and a drawn fault rate, mode and detector."""
     chain = lib.chains[int(rng.integers(len(lib.chains)))]
-    scene_name = scenes[int(rng.integers(len(scenes)))]
-    scene = load_scene(os.path.join(scene_dir, f"{scene_name}.yaml"))
-    world = [o.id for o in scene.objects if not o.proprio]
+    staging = STAGINGS[int(rng.integers(len(STAGINGS)))]
+    world = [o.id for o in stage(staging, lib.vocab).scene.objects if not o.proprio]
     staged, scheduled = [], []
     for _ in range(int(rng.integers(0, 3))):
         kind = ("relocate", "remove", "nudge")[int(rng.integers(3))]
@@ -1676,7 +1646,7 @@ def fuzz_case(lib, rng: np.random.Generator) -> dict:
         (staged if rng.random() < 0.3 else scheduled).append(d)
     return dict(
         chain=chain,
-        scene=scene_name,
+        staging=staging,
         staged=staged,
         scheduled=scheduled,
         fail_prob=float(rng.uniform(0.0, 0.3)) if rng.random() < 0.5 else 0.0,
@@ -1688,12 +1658,11 @@ def fuzz_case(lib, rng: np.random.Generator) -> dict:
 
 def run_fuzz_case(lib, case: dict):
     goals = [lib.entry(n).goal_state for n in case["chain"].goals]
-    scene = load_scene(os.path.join(DATA, "scenes", f"{case['scene']}.yaml"))
+    staging = stage(case["staging"], lib.vocab)
+    scene = staging.scene
     detector = NOISY if case["noisy"] else DetectorModel()
     cfg = MonitorConfig(seed=case["seed"], mode=case["mode"], detector=detector)
-    act = SimActuator(
-        scene, lib.vocab, fail_prob=case["fail_prob"], seed=case["seed"], disturbances=case["scheduled"]
-    )
+    act = staging.actuator(*case["scheduled"], fail_prob=case["fail_prob"], seed=case["seed"])
     for d in case["staged"]:
         act.apply_disturbance(d)
     trace = run_task(
@@ -1704,7 +1673,7 @@ def run_fuzz_case(lib, case: dict):
 
 
 def test_packaged_fuzz_halts_replays_and_succeeds_only_in_the_world(packaged_lib):
-    # seeded runs over the packaged chains and scenes under random world
+    # seeded runs over the packaged chains and stagings under random world
     # edits, faults, modes and detectors: each halts within its budget, never
     # ends internally, passes the audit, replays to the same trace, and with
     # the zero-noise detector succeeds only when every terminal atom holds in

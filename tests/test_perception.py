@@ -3,7 +3,6 @@ grounding (cross-checked against the direct ground-truth oracle), and the
 search-then-verify vision query."""
 
 import math
-import os
 import random
 import re
 from collections import Counter
@@ -15,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import DATA, whole_view
+from conftest import whole_view
 from taskmon import perception
 from taskmon.actuator import Disturbance, SimActuator, place_on, translate_object, truth_percept
 from taskmon.geometry import Box, Camera, Scene, SceneObject, load_scene, ray_box
@@ -40,6 +39,7 @@ from taskmon.perception import (
 )
 
 import georacle
+from stagings import SCENES, base_scene, stage
 
 
 def stream(seed: int = 0, k: int = 0) -> np.random.Generator:
@@ -220,11 +220,11 @@ def test_project_box_is_exactly_project_over_the_corners():
     assert in_front >= 50 and straddling >= 50
 
 
-def test_in_front_is_project_box_without_the_projection():
-    # every packaged-scene object at every scan-ring pose, then boxes whose
-    # nearest corner sits on the 1e-9 margin or a few ulps either side
-    for name in PACKAGED_SCENES:
-        scene = _packaged_scene(name)
+def test_in_front_is_project_box_without_the_projection(packaged_lib):
+    # every packaged-staging object at every scan-ring pose, then boxes
+    # whose nearest corner sits on the 1e-9 margin or a few ulps either side
+    for name in SCENES:
+        scene = stage(name, packaged_lib.vocab).scene
         for cam in _scan_ring(scene):
             for o in scene.objects:
                 assert cam.in_front(o.box) is (cam.project_box(o.box) is not None), (name, cam, o.id)
@@ -757,13 +757,6 @@ def test_percept_attachments_use_labels():
     assert p.attachments == {"hand": "brush"}
 
 
-PACKAGED_SCENES = sorted(f[: -len(".yaml")] for f in os.listdir(os.path.join(DATA, "scenes")))
-
-
-def _packaged_scene(name: str) -> Scene:
-    return load_scene(os.path.join(DATA, "scenes", f"{name}.yaml"))
-
-
 def _scan_ring(scene: Scene) -> list[Camera]:
     """The poses of a LiveVision scan of the scene, in order. A scan with no
     candidates builds the ring and looks from none of it."""
@@ -772,14 +765,14 @@ def _scan_ring(scene: Scene) -> list[Camera]:
     return vision._ring
 
 
-@pytest.mark.parametrize("scene_name", PACKAGED_SCENES)
-def test_perceive_equals_the_plain_reference_on_packaged_scenes(packaged_lib, scene_name):
+@pytest.mark.parametrize("staging_name", SCENES)
+def test_perceive_equals_the_plain_reference_on_packaged_scenes(packaged_lib, staging_name):
     # per ring pose, mode and detector: the same answer for every candidate
     # atom, then the same box for every label the reference rebuilds, the
     # same detections but for the pixel fields a 3D mode does not read, and
     # the same generator state
-    scene = _packaged_scene(scene_name)
     vocab = packaged_lib.vocab
+    scene = stage(staging_name, vocab).scene
     objects = {o.label: vocab.terms[o.label].sort for o in scene.objects}
     grounded = [p for p in vocab.predicates.values() if p.name in DEFAULT_RULES]
     atoms = candidate_atoms(objects, grounded, vocab)
@@ -814,7 +807,7 @@ def test_perceive_projects_robot_parts_only_for_pixel_grounding(mode, monkeypatc
     # once, in the visibility test, then each robot part's in detection; a 3D
     # mode projects nothing, and tests each such world object's corners with
     # `in_front` instead
-    scene = _packaged_scene("bring_dynamic")
+    scene = base_scene()
     ring = _scan_ring(scene)
     assert any(o.proprio for o in scene.objects)
     projected, tested = [], []
@@ -853,7 +846,7 @@ def test_perceive_projects_robot_parts_only_for_pixel_grounding(mode, monkeypatc
 def test_a_percept_answers_for_its_look_after_the_world_moves(packaged_lib):
     # boxes are built when first read, from what the look saw: moving,
     # relocating or reshaping objects after the look changes none of them
-    scene = _packaged_scene("bring_dynamic")
+    scene = base_scene()
     cam = scene.camera
     p = perceive(scene, whole_view(scene, cam, Mode.FULL), DetectorModel(), stream(), 10)
     want = georacle.reference_perceive(scene, cam, scene.objects, DetectorModel(), 10, stream(), Mode.FULL)
@@ -1102,16 +1095,16 @@ def test_a_query_answers_as_a_whole_scene_look_at_zero_noise(packaged_lib, mode,
     # a look detects only the objects carrying the query's terms; at zero
     # noise it answers as a look over every scene object does, for every
     # library goal and every ground action's precondition and add-effect
-    # state, from each pose of the scan ring of each packaged scene with
-    # vision on and off
+    # state, from each pose of the scan ring of each packaged staging's
+    # scene with vision on and off
     states = [e.goal_state for e in packaged_lib.entries]
     for e in packaged_lib.entries:
         for a in ground_actions(e.domain, dict(e.problem.objects)).actions:
             states += [State.of(a.pre), State.of(a.add)]
     cases = []
-    for name in PACKAGED_SCENES:
+    for name in SCENES:
         for vision_on in (True, False):
-            scene = _packaged_scene(name)
+            scene = stage(name, packaged_lib.vocab).scene
             scene.vision_on = vision_on
             for i, cam in enumerate(_scan_ring(scene)):
                 cases += [(name, vision_on, i, s, scene, cam) for s in dict.fromkeys(states)]
@@ -1170,18 +1163,17 @@ def test_query_looks_only_from_a_pose_that_sees_every_term(monkeypatch):
     assert looks == [cam.aimed_at(valve.box.center)]
 
 
-def test_visibility_test_agrees_with_the_plain_reference():
+def test_visibility_test_agrees_with_the_plain_reference(packaged_lib):
     # `in_view` sees exactly the objects the plain reference says are in
     # view, in scene order: a robot part always, a world object when vision
     # is on, its centre is in the view cone and every corner is in front of
-    # the camera. Every packaged scene, every pose of LiveVision's scan ring,
-    # every mode, with vision on and off; a zero-noise look detects them all
-    scene_dir = os.path.join(DATA, "scenes")
-    names = sorted(f for f in os.listdir(scene_dir) if f.endswith(".yaml"))
+    # the camera. Every packaged staging's scene, every pose of LiveVision's
+    # scan ring, every mode, with vision on and off; a zero-noise look
+    # detects them all
     world_seen = 0
-    for name in names:
+    for name in SCENES:
         for vision_on in (True, False):
-            scene = load_scene(os.path.join(scene_dir, name))
+            scene = stage(name, packaged_lib.vocab).scene
             scene.vision_on = vision_on
             vision = LiveVision(scene, MonitorConfig())
             vision.scan([])  # builds the ring of scan poses

@@ -1,5 +1,4 @@
 import itertools
-import os
 import random
 from collections import Counter
 from dataclasses import FrozenInstanceError
@@ -7,7 +6,6 @@ from dataclasses import FrozenInstanceError
 import pytest
 
 from taskmon.actuator import truth_percept
-from taskmon.geometry import load_scene
 from taskmon.language import Atom, State
 from taskmon.monitor import candidate_atoms
 from taskmon.perception import ground_relation
@@ -21,7 +19,8 @@ from taskmon.planning import (
     match_plan,
     solve,
 )
-from conftest import DATA, load_packaged_lib, make_tiny_vocab
+from conftest import load_packaged_lib, make_tiny_vocab
+from stagings import SCENES, stage
 from domaingen import (
     BLOCKS_DOMAIN,
     bfs_optimal_length,
@@ -173,11 +172,10 @@ def test_memoised_grounding_equals_a_fresh_one_on_the_packaged_library(packaged_
 
 def test_relevance_keeps_every_packaged_plan(packaged_lib):
     # PLAN scans only the candidates a precondition reads plus the goal's
-    # atoms; from each packaged scene's truth, that init must plan what the
+    # atoms; from each packaged staging's truth, that init must plan what the
     # truth over every type-valid atom plans, or fail the same way
     vocab = packaged_lib.vocab
-    scene_dir = os.path.join(DATA, "scenes")
-    percepts = [truth_percept(load_scene(os.path.join(scene_dir, f))) for f in sorted(os.listdir(scene_dir))]
+    percepts = [truth_percept(stage(name, vocab).scene) for name in SCENES]
     outcomes: Counter = Counter()
     for entry, objects, goal in packaged_groundings(packaged_lib):
         every = candidate_atoms(objects, entry.domain.predicates.values(), vocab)

@@ -1,13 +1,15 @@
-"""Trace sweep: every packaged task chain on every packaged scene.
+"""Trace sweep: every packaged task chain on every distinct packaged world.
 
 Runs each chain of the packaged library, its goals scripted in order, on
-each packaged scene, under LiveVision and BeliefVision, with a zero-noise
-and a noisy detector: 13 chains x 6 scenes x 2 x 2 = 312 runs. Then the
-LiveVision runs again in the NO_SHAPE and NO_DEPTH ablation modes, which
-reconstruct and ground differently: 2 x 156 more runs, their vision named
-`live-no-shape` and `live-no-depth`. Prints one tab-separated line per run:
-vision, detector, task#chain, scene, outcome, reason and the SHA-256 of the
-run's `trace_lines`. Comparing the output of two checkouts shows which
+the named stagings of `stagings.py`: every chain on `base` and on the four
+`alt:<task>` stagings, and each pick-up task's chains on its own
+`moved:<task>` staging, 13 x 5 + 12 = 77 runs. Each runs seven ways:
+LiveVision in the FULL, NO_SHAPE and NO_DEPTH perception modes (vision
+`live`, `live-no-shape`, `live-no-depth`), each with a zero-noise and a
+noisy detector, and BeliefVision once, with detector `-`, since it draws
+nothing: 77 x 7 = 539 runs. Prints one tab-separated line per run:
+vision, detector, task#chain, staging, outcome, reason and the SHA-256 of
+the run's `trace_lines`. Comparing the output of two checkouts shows which
 traces a change shifted and whether any outcome moved:
 
     PYTHONPATH=src python3 tests/tracesweep.py > sweep.tsv
@@ -22,89 +24,47 @@ with the command above and names the rows it moved.
 from __future__ import annotations
 
 import hashlib
-import os
 
-import taskmon
-from taskmon.actuator import SimActuator
-from taskmon.geometry import load_scene
-from taskmon.language import Vocabulary
-from taskmon.monitor import (
-    BeliefVision,
-    LiveVision,
-    MonitorConfig,
-    ScriptedGoalSource,
-    candidate_atoms,
-    run_task,
-    trace_lines,
-)
-from taskmon.pddl import load_library
+from conftest import load_packaged_lib
+from stagings import ALT_SUPPORT, SCENES, run_chain
+from taskmon.monitor import MonitorConfig, trace_lines
 from taskmon.perception import DetectorModel, Mode
 
-DATA = os.path.join(os.path.dirname(taskmon.__file__), "data")
-DETECTORS = {
-    "zero-noise": DetectorModel(),
-    "noisy": DetectorModel(tp_rate=0.95, confusion=0.05, px_jitter=1.0, depth_sigma=0.02),
-}
+NOISY = DetectorModel(tp_rate=0.95, confusion=0.05, px_jitter=1.0, depth_sigma=0.02)
 
-
-# (vision name, mode) groups in output order: the original 312 rows take
-# live and belief in turn per chain and scene; the ablation rows follow,
-# one mode after the other
-GROUPS = (
-    (("live", Mode.FULL), ("belief", Mode.FULL)),
-    (("live-no-shape", Mode.NO_SHAPE),),
-    (("live-no-depth", Mode.NO_DEPTH),),
+# (vision, mode, detector name, detector) per run of a chain on a staging,
+# in output order
+RUNS = (
+    *(
+        (vision, mode, det_name, detector)
+        for vision, mode in (("live", Mode.FULL), ("live-no-shape", Mode.NO_SHAPE), ("live-no-depth", Mode.NO_DEPTH))
+        for det_name, detector in (("zero-noise", DetectorModel()), ("noisy", NOISY))
+    ),
+    ("belief", Mode.FULL, "-", DetectorModel()),
 )
 
 
 def sweep():
-    """Yield (vision, detector, run, scene, outcome, reason, sha256) per run."""
-    for visions in GROUPS:
-        yield from _sweep(visions)
-
-
-def _sweep(visions):
-    vocab = Vocabulary.from_yaml(os.path.join(DATA, "vocabulary.yaml"))
-    lib = load_library(os.path.join(DATA, "library.yaml"), vocab)
-    predicates = {p.name: p for e in lib.entries for p in e.domain.predicates.values()}
-    scene_dir = os.path.join(DATA, "scenes")
-    scene_names = sorted(f[: -len(".yaml")] for f in os.listdir(scene_dir) if f.endswith(".yaml"))
+    """Yield (vision, detector, run, staging, outcome, reason, sha256) per run."""
+    lib = load_packaged_lib()
     seen: dict[str, int] = {}
     for chain in lib.chains:
         idx = seen[chain.task_id] = seen.get(chain.task_id, -1) + 1
-        goals = [lib.entry(n).goal_state for n in chain.goals]
-        for scene_name in scene_names:
-            for vision_name, mode in visions:
-                for det_name, detector in DETECTORS.items():
-                    cfg = MonitorConfig(seed=0, mode=mode, detector=detector)
-                    scene = load_scene(os.path.join(scene_dir, f"{scene_name}.yaml"))
-                    if vision_name != "belief":
-                        vision = LiveVision(scene, cfg)
-                    else:
-                        objects = {o.label: vocab.terms[o.label].sort for o in scene.objects}
-                        candidates = candidate_atoms(objects, predicates.values(), vocab)
-                        vision = BeliefVision(scene, candidates)
-                    trace = run_task(
-                        chain.task_id,
-                        scene,
-                        lib,
-                        None,
-                        SimActuator(scene, vocab, seed=cfg.seed),
-                        cfg,
-                        terminal=goals[-1],
-                        vision=vision,
-                        goal_source=ScriptedGoalSource(goals),
-                    )
-                    digest = hashlib.sha256("\n".join(trace_lines(trace)).encode()).hexdigest()
-                    yield (
-                        vision_name,
-                        det_name,
-                        f"{chain.task_id}#{idx}",
-                        scene_name,
-                        trace.outcome.status,
-                        trace.outcome.reason or "-",
-                        digest,
-                    )
+        moved = (f"moved:{chain.task_id}",) if chain.task_id in ALT_SUPPORT else ()
+        for staging_name in (*SCENES, *moved):
+            for vision_name, mode, det_name, detector in RUNS:
+                cfg = MonitorConfig(seed=0, mode=mode, detector=detector)
+                trace = run_chain(lib, chain, staging_name, cfg, "belief" if vision_name == "belief" else "live")
+                digest = hashlib.sha256("\n".join(trace_lines(trace)).encode()).hexdigest()
+                yield (
+                    vision_name,
+                    det_name,
+                    f"{chain.task_id}#{idx}",
+                    staging_name,
+                    trace.outcome.status,
+                    trace.outcome.reason or "-",
+                    digest,
+                )
 
 
 if __name__ == "__main__":
