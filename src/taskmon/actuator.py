@@ -23,7 +23,6 @@ import numpy as np
 from .geometry import Box, Scene, SceneObject, Vec
 from .language import Atom, Vocabulary, check_int
 from .perception import (
-    DEFAULT_RULES,
     DEFAULT_THRESHOLDS,
     Detection,
     Mode,
@@ -283,7 +282,7 @@ class SimActuator(Actuator):
 
     def _apply(self, action: GroundAction) -> None:
         for a in sorted(action.delete, key=lambda x: x.key()):
-            if DEFAULT_RULES.get(a.pred) == "hold":
+            if a.pred == "Holding":
                 holder, held = (_require(self.scene, t) for t in a.args)
                 if self.scene.attachments.get(holder.id) == held.id:
                     del self.scene.attachments[holder.id]
@@ -291,26 +290,26 @@ class SimActuator(Actuator):
             self._apply_add(a)
 
     def _apply_add(self, a: Atom) -> None:
-        kind = DEFAULT_RULES.get(a.pred)
-        if kind == "hold":
+        # Dispatched on the predicate's name, as `ground_relation` is. Free
+        # needs no edit: the paired Holding/On effects make its geometry. Any
+        # other predicate is a purely symbolic effect.
+        pred = a.pred
+        if pred == "Holding":
             holder, held = (_require(self.scene, t) for t in a.args)
             grasp(self.scene, holder.id, held.id)
-        elif kind == "on":
+        elif pred == "On":
             obj, dest = (_require(self.scene, t) for t in a.args)
             place_on(self.scene, obj.id, dest.id)
-        elif kind == "inside":
+        elif pred == "Inside":
             obj, dest = (_require(self.scene, t) for t in a.args)
             detach(self.scene, obj.id)
             move_center_to(self.scene, obj.id, dest.box.center)
-        elif kind in ("close", "at"):
+        elif pred in ("CloseTo", "At"):
             mover, target = (_require(self.scene, t) for t in a.args)
-            limit = DEFAULT_THRESHOLDS.close_dist if kind == "close" else DEFAULT_THRESHOLDS.at_dist
+            limit = DEFAULT_THRESHOLDS.close_dist if pred == "CloseTo" else DEFAULT_THRESHOLDS.at_dist
             approach(self.scene, mover.id, target.id, 0.6 * limit)
-        elif kind == "found":
+        elif pred == "Detected":
             obj = _require(self.scene, a.args[0])
             self.scene.camera = self.scene.camera.aimed_at(obj.box.center)
-        elif kind == "vision-on":
+        elif pred == "VisionOn":
             self.scene.vision_on = True
-        # Free needs no edit: the paired hold/on effects above already produce
-        # the right geometry. A predicate with no rule is a purely symbolic
-        # effect with no geometric interpretation.

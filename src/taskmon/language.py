@@ -317,6 +317,7 @@ class Vocabulary:
         self.token_to_id: dict[str, int] = {w: i for i, w in enumerate(self.id_to_token)}
 
     def _validate(self) -> None:
+        shaped(self.max_atoms, int, "max_atoms")
         if self.max_atoms < 1:
             raise LanguageError(f"max_atoms must be at least 1, got {self.max_atoms}")
         roots = [s for s in self.sorts.values() if s.parent is None]
@@ -337,6 +338,8 @@ class Vocabulary:
         return is_subsort(self.parents, child, ancestor)
 
     def atom_type_ok(self, atom: Atom) -> bool:
+        """Whether the atom's predicate is known, its arity is right and
+        each argument is a term of a subsort of its predicate's sort."""
         pred = self.predicates.get(atom.pred)
         if pred is None or len(atom.args) != pred.arity:
             return False
@@ -411,11 +414,6 @@ class Vocabulary:
 
 
 # --- operations ------------------------------------------------------------
-
-
-def filter_by_types(atoms: Iterable[Atom], vocab: Vocabulary) -> set[Atom]:
-    """Keep exactly the atoms whose arguments satisfy their predicate's sorts."""
-    return {a for a in atoms if vocab.atom_type_ok(a)}
 
 
 def encode_atoms(

@@ -33,7 +33,6 @@ from __future__ import annotations
 import enum
 import json
 import math
-import numbers
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional, Sequence
 
@@ -44,11 +43,12 @@ from .geometry import Camera, Scene
 from .language import Atom, Predicate, State, TaskSentence, TokenSeq, Vocabulary, check_int
 from .pddl import PlanLibrary
 from .perception import (
-    DEFAULT_RULES,
-    TERM_KINDS,
+    GROUNDED_PREDICATES,
+    TERM_PREDICATES,
     DetectorModel,
     Mode,
     UnknownPredicate,
+    check_query_settings,
     ground_relation,
     in_view,
     perceive,
@@ -115,12 +115,9 @@ class MonitorConfig:
     replans: int = 1
 
     def __post_init__(self):
-        if not isinstance(self.mu, numbers.Real) or not 0.0 < self.mu < 1.0:
-            raise ValueError(f"mu must be a number in (0, 1), got {self.mu!r}")
+        check_query_settings(self.mu, self.tau, self.mode)
         for name in ("seed", "tau", "k", "max_goals", "frames", "replans"):
             check_int(name, getattr(self, name), 0 if name in ("seed", "replans") else 1)
-        if not isinstance(self.mode, Mode):
-            raise ValueError(f"mode must be a Mode, got {self.mode!r}")
         if not isinstance(self.detector, DetectorModel):
             raise ValueError(f"detector must be a DetectorModel, got {self.detector!r}")
 
@@ -226,13 +223,14 @@ class LiveVision(VisionSystem):
     A scan takes only the looks that can change its answer. It always looks
     from the first pose, and decides `Holding`, `Free` and `VisionOn` there
     for good: they read the grasp state and `Scene.vision_on`, which no pose
-    changes. The other candidates are grouped by their term set. Each pose
-    gets one `View` (`perception.in_view`) of the objects carrying a term,
-    and a later pose is looked from only when its view has every term of
-    some unheld group among its labels; a skipped pose perceives and draws
-    nothing. A look grounds only the groups whose terms it detected, since a
-    `Detected` or geometric atom with an undetected term is false. At zero
-    noise the scan thus holds exactly what a look from every pose would.
+    changes. The others, those of `perception.TERM_PREDICATES`, are grouped
+    by their term set. Each pose gets one `View` (`perception.in_view`) of
+    the objects carrying a term, and a later pose is looked from only when
+    its view has every term of some unheld group among its labels; a skipped
+    pose perceives and draws nothing. A look grounds only the groups whose
+    terms it detected, since a `Detected` or geometric atom with an
+    undetected term is false. At zero noise the scan thus holds exactly what
+    a look from every pose would.
     Under a noisy detector the later looks draw different numbers, and a
     skipped look drops a false detection it might have made: a confused vote
     naming an out-of-view term. `query_vision` makes the same trade.
@@ -275,7 +273,7 @@ class LiveVision(VisionSystem):
         first: list[Atom] = []  # decided at the first pose; an unknown predicate raises there
         groups: dict[frozenset[str], list[Atom]] = {}  # the unheld term-reading atoms
         for a in dict.fromkeys(atoms):
-            if DEFAULT_RULES.get(a.pred) in TERM_KINDS:
+            if a.pred in TERM_PREDICATES:
                 groups.setdefault(frozenset(a.args), []).append(a)
             else:
                 first.append(a)
@@ -320,14 +318,14 @@ class BeliefVision(VisionSystem):
     of the task: it holds when it is one of `candidates` and its relation
     holds in the snapshot. A believed delete reads false and a believed add
     true from then on, the add winning when an atom is both. A candidate
-    predicate with no grounding rule raises `UnknownPredicate` here; any
-    other fault of a candidate, such as a wrong arity, raises at its first
-    read."""
+    predicate outside `GROUNDED_PREDICATES` raises `UnknownPredicate` here;
+    any other fault of a candidate, such as a wrong arity, raises at its
+    first read."""
 
     def __init__(self, scene: Scene, candidates: Iterable[Atom]):
         self._percept = truth_percept(scene)
         self._candidates = frozenset(candidates)
-        unknown = {a.pred for a in self._candidates} - DEFAULT_RULES.keys()
+        unknown = {a.pred for a in self._candidates} - GROUNDED_PREDICATES
         if unknown:
             raise UnknownPredicate(min(unknown))
         self._belief: dict[Atom, bool] = {}

@@ -7,51 +7,37 @@ which of the objects its caller asks about are in view, and returns their
 The vision query asks about the scene objects carrying its terms, and the
 monitor's `LiveVision.scan` about those carrying a term of some candidate
 it has not yet seen hold. At zero noise no answer changes, since a rule
-reads only its atom's terms. A noisy detector draws fewer numbers per
-look, so later looks' streams shift, and an object no atom names cannot
-be voted in as a term by a confused frame. The confusion label set is
-still every label of the scene.
+reads only its atom's terms; a noisy detector draws fewer numbers per
+look (`detect_batch` gives the draw order and the vote). Pixel boxes are
+projected only in NO_DEPTH mode, the one whose rules read them.
+Reconstruction places each detected world object at the detector's noisy
+centroid depth, building its 3D box when a rule first reads it, and each
+robot part at its true box. Three ablation modes control what it may use:
+FULL keeps estimated centroids plus true class extents, NO_SHAPE replaces
+extents with a nominal cube, NO_DEPTH works purely in pixel space.
 
-Detection draws a batch of noisy frames and majority-votes the class per
-object. Each object in the view takes its frames' random numbers as
-blocks from the query's generator: one block of n hit and n confusion
-draws (only the hits when the scene has one label), the confused frames'
-wrong labels, the pixel jitter, then the depth noise; a noise-free
-detector draws only the first block. The per-label ranked vote runs only
-when some frame was confused; otherwise the label wins exactly on a
-strict majority of hits.
-Pixel boxes are projected only in NO_DEPTH mode, the one whose rules read
-them: FULL and NO_SHAPE test a world object's visibility by its nearest
-corner's depth (`Camera.in_front`) and leave every detection's bbox, and a
-robot part's other pixel fields, at zeros. Reconstruction places each
-detected world object at the detector's noisy centroid depth, building its
-3D box when a rule first reads it, and each robot part at its true box.
-The 8 predicates the plan library's domains use are grounded in the
-percept. Holding and Free read only the grasp state it carries
-(`Percept.attachments`), which is proprioception, as a robot part's true
-box is: no geometry makes a hold. The other predicates are geometric rules
-over the perceived (reconstructed) geometry, never the ground truth, and
-On and Inside are false for an object the grasp state shows held. The
-detection thresholds (`DEFAULT_THRESHOLDS`) and the predicate ->
-procedure table (`DEFAULT_RULES`) are fixed module constants: every query
-is judged by the same rule set, and no caller replaces it. The vision query
-`query_vision` answers (holds, timed_out), the same pair the monitor's
-`VisionSystem.query` gives; it re-aims only at the centroid of its terms'
-scene objects, and a term no scene object carries times out at once,
-with no look and no sweep. It looks only from a pose whose view has every
-term in view; `LiveVision.scan` skips a later ring pose whose view has
-the terms of no remaining candidate. A caller that wants the frames or
-boxes behind an answer calls `perceive` itself. `estimate_depth`, a
-ray-cast foreground mask inside a detected box, is a separate on-demand
-measurement that neither reconstruction nor the vision query runs.
+`ground_relation` grounds the 8 predicates the plan library's domains use,
+`GROUNDED_PREDICATES`, in a percept, dispatching on the predicate's own
+name. Holding and Free read the grasp state (`Percept.attachments`), which
+is proprioception: no geometry makes a hold. VisionOn reads the vision
+switch. The rest, `TERM_PREDICATES`, read their terms' detections: On,
+Inside, CloseTo and At are geometric rules over the reconstructed
+geometry, never the ground truth. The thresholds (`DEFAULT_THRESHOLDS`)
+and both predicate sets are fixed module constants, so every query is
+judged by the same rules.
+
+`query_vision` answers (holds, timed_out), the pair the monitor's
+`VisionSystem.query` gives, looking only from a pose whose view has every
+term; a caller that wants the frame behind an answer calls `perceive`
+itself. `estimate_depth`, a ray-cast foreground mask inside a detected
+box, is an on-demand measurement that neither reconstruction nor the
+vision query runs.
 
 The caller owns the random stream: each function that draws takes the
-generator `rng` right after the detector model and builds none. The
-monitor's `LiveVision` seeds one per run from `MonitorConfig.seed`.
-
-Three ablation modes control what the reconstruction may use: FULL keeps
-estimated centroids plus true class extents, NO_SHAPE replaces extents with
-a nominal cube, NO_DEPTH works purely in pixel space.
+generator `rng` right after the detector model and builds none. A
+malformed setting raises a ValueError naming it before any look: the mode
+in `in_view`, and mu, tau and mode in `check_query_settings`, which
+`query_vision` and `MonitorConfig` share.
 """
 
 from __future__ import annotations
@@ -61,8 +47,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from numbers import Real
-from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
@@ -149,30 +134,16 @@ class Thresholds:
 
 
 # The one set of thresholds every query is judged by: a frozen instance
-# built at import, as DEFAULT_RULES is.
+# built at import.
 DEFAULT_THRESHOLDS = Thresholds()
 
 
-# The predicate -> procedure table, built once and shared read-only by
-# perception and the actuator's effect dispatch. It holds exactly the
-# predicates the library's domains use.
-DEFAULT_RULES: Mapping[str, str] = MappingProxyType(
-    {
-        "On": "on",
-        "Inside": "inside",
-        "CloseTo": "close",
-        "At": "at",
-        "Holding": "hold",
-        "Free": "free",
-        "Detected": "found",
-        "VisionOn": "vision-on",
-    }
-)
+# The predicates `ground_relation` grounds: those the library's domains use.
+GROUNDED_PREDICATES = frozenset({"On", "Inside", "CloseTo", "At", "Holding", "Free", "Detected", "VisionOn"})
 
-# The kinds whose answer reads the detections of the atom's terms, and is
-# false when a term is undetected. The others read the grasp state or the
-# vision switch, which no camera pose changes.
-TERM_KINDS = frozenset({"found", "on", "inside", "close", "at"})
+# Those that read their terms' detections, false when a term is undetected.
+# The others read the grasp state or the vision switch, which no pose changes.
+TERM_PREDICATES = frozenset({"Detected", "On", "Inside", "CloseTo", "At"})
 
 
 @dataclass
@@ -214,7 +185,10 @@ def in_view(scene: Scene, cam: Camera, objects: Iterable[SceneObject], mode: Mod
     centre is in the view cone (`Camera.view`) and every corner is in front
     of the camera: in NO_DEPTH `project_box` gives its pixel box, otherwise
     `Camera.in_front` says so without projecting. It comes with its
-    centre's (u, v, depth) and the pixel box, `_NO_BBOX` outside NO_DEPTH."""
+    centre's (u, v, depth) and the pixel box, `_NO_BBOX` outside NO_DEPTH.
+    A `mode` that is not a Mode raises ValueError."""
+    if not isinstance(mode, Mode):
+        raise ValueError(f"mode must be a Mode, got {mode!r}")
     pixels = mode is Mode.NO_DEPTH
     seen = []
     for obj in objects:
@@ -446,40 +420,39 @@ def perceive(
 
 
 def ground_relation(pred: str, args: tuple[str, ...], percept: Percept) -> bool:
-    kind = DEFAULT_RULES.get(pred)
-    if kind is None:
+    """Whether `pred(args)` holds in `percept` under `DEFAULT_THRESHOLDS`.
+    A predicate outside `GROUNDED_PREDICATES` raises UnknownPredicate,
+    whatever its arguments. One of `TERM_PREDICATES` is false when a term is
+    undetected, and On and Inside are false for a held object."""
+    if pred not in GROUNDED_PREDICATES:
         raise UnknownPredicate(pred)
-    return _eval(kind, args, percept)
-
-
-def _eval(kind: str, args: tuple[str, ...], p: Percept) -> bool:
     th = DEFAULT_THRESHOLDS
-    det = p.detections
-    pixel_mode = p.mode is Mode.NO_DEPTH
+    det = percept.detections
+    pixel_mode = percept.mode is Mode.NO_DEPTH
 
-    if kind == "found":
+    if pred == "Detected":
         (x,) = args
         return x in det and det[x].confidence > th.found_conf
 
-    if kind == "vision-on":
-        return p.vision_on
+    if pred == "VisionOn":
+        return percept.vision_on
 
     # the grasp state, not geometry: a hold is what a grasp made
-    if kind == "hold":
+    if pred == "Holding":
         h, o = args
-        return p.attachments.get(h) == o
+        return percept.attachments.get(h) == o
 
-    if kind == "free":
-        return args[0] not in p.attachments
+    if pred == "Free":
+        return args[0] not in percept.attachments
 
-    # the remaining kinds are binary geometric relations
+    # the remaining predicates are binary geometric relations
     a, b = args
     if a not in det or b not in det:
         return False
-    if kind in ("on", "inside") and a in p.attachments.values():
+    if pred in ("On", "Inside") and a in percept.attachments.values():
         return False  # a held object rests on nothing and sits in nothing
 
-    if kind == "on":
+    if pred == "On":
         if pixel_mode:
             au0, _, au1, av1 = det[a].bbox
             bu0, bv0, bu1, bv1 = det[b].bbox
@@ -490,10 +463,10 @@ def _eval(kind: str, args: tuple[str, ...], p: Percept) -> bool:
                 return False
             upper_band = bv0 + 0.5 * (bv1 - bv0)
             return bv0 - th.px_on_gap <= av1 <= upper_band
-        ba, bb = p.boxes3d[a], p.boxes3d[b]
+        ba, bb = percept.boxes3d[a], percept.boxes3d[b]
         return abs(ba.lo[2] - bb.hi[2]) <= th.on_gap and ba.footprint_overlap(bb) >= th.on_overlap
 
-    if kind == "inside":
+    if pred == "Inside":
         if pixel_mode:
             u0, v0, u1, v1 = det[a].bbox
             w0, x0, w1, x1 = det[b].bbox
@@ -503,21 +476,30 @@ def _eval(kind: str, args: tuple[str, ...], p: Percept) -> bool:
             if iw <= 0.0 or ih <= 0.0 or area <= 0.0:
                 return False
             return iw * ih / area >= th.inside_ratio
-        va = p.boxes3d[a].volume
-        return va > 0.0 and p.boxes3d[a].intersection_volume(p.boxes3d[b]) / va >= th.inside_ratio
+        va = percept.boxes3d[a].volume
+        return va > 0.0 and percept.boxes3d[a].intersection_volume(percept.boxes3d[b]) / va >= th.inside_ratio
 
-    if kind in ("close", "at"):
-        if pixel_mode:
-            (ua, va_), (ub, vb) = det[a].center_px, det[b].center_px
-            limit = th.px_close if kind == "close" else th.px_at
-            return math.hypot(ua - ub, va_ - vb) <= limit
-        limit = th.close_dist if kind == "close" else th.at_dist
-        return dist(p.boxes3d[a].center, p.boxes3d[b].center) <= limit
-
-    raise UnknownPredicate(f"kind {kind}")
+    # CloseTo or At: centre distance within the predicate's limit
+    if pixel_mode:
+        (ua, va_), (ub, vb) = det[a].center_px, det[b].center_px
+        limit = th.px_close if pred == "CloseTo" else th.px_at
+        return math.hypot(ua - ub, va_ - vb) <= limit
+    limit = th.close_dist if pred == "CloseTo" else th.at_dist
+    return dist(percept.boxes3d[a].center, percept.boxes3d[b].center) <= limit
 
 
 # --- the full query --------------------------------------------------------------
+
+
+def check_query_settings(mu: float, tau: int, mode: Mode) -> None:
+    """The vision query's settings rule, shared with `MonitorConfig`: raise
+    a ValueError naming the setting unless the gate `mu` is a number in
+    (0, 1), the re-aim budget `tau` an integer >= 0 and `mode` a Mode."""
+    if not isinstance(mu, Real) or isinstance(mu, bool) or not 0.0 < mu < 1.0:
+        raise ValueError(f"mu must be a number in (0, 1), got {mu!r}")
+    check_int("tau", tau, 0)
+    if not isinstance(mode, Mode):
+        raise ValueError(f"mode must be a Mode, got {mode!r}")
 
 
 def query_vision(
@@ -556,7 +538,11 @@ def query_vision(
 
     A look detects only the scene objects that carry a term. At zero noise
     that answers as a whole-scene look would, since every rule reads only
-    its atom's terms."""
+    its atom's terms.
+
+    Malformed settings raise ValueError before any look or early answer
+    (`check_query_settings`)."""
+    check_query_settings(mu, tau, mode)
     terms = sorted({arg for atom in s.atoms for arg in atom.args})
     if not terms:
         return True, False

@@ -44,7 +44,6 @@ from .language import (
     decode_goal,
     encode_goal,
     encode_state,
-    filter_by_types,
 )
 
 CHECKPOINT_VERSION = 1
@@ -496,7 +495,7 @@ def infer_topk(
             goal = decode_goal(r.tokens, vocab)
         except MalformedSequence:
             continue
-        if filter_by_types(goal.atoms, vocab) != set(goal.atoms):
+        if not all(vocab.atom_type_ok(a) for a in goal.atoms):
             continue
         if goal.atoms in seen:
             continue

@@ -48,6 +48,41 @@ def make_tiny_vocab(max_atoms: int = 17) -> Vocabulary:
     return Vocabulary(sorts, terms, predicates, tasks, max_atoms=max_atoms)
 
 
+# The one tiny PDDL domain, over the tiny vocabulary's sorts and predicates.
+TINY_DOMAIN = """
+(define (domain tiny)
+  (:requirements :typing :equality)
+  (:types item surface - world-ent
+          gripper base - robot-ent
+          world-ent robot-ent - entity)
+  (:predicates (On ?o - item ?s - surface)
+               (Hold ?g - gripper ?o - item)
+               (Free ?g - gripper)
+               (Found ?x - world-ent)
+               (CloseTo ?r - robot-ent ?x - world-ent))
+  (:action search
+    :class ecological
+    :parameters (?x - world-ent)
+    :precondition (and)
+    :effect (and (Found ?x)))
+  (:action approach
+    :class ecological
+    :parameters (?x - world-ent)
+    :precondition (and (Found ?x))
+    :effect (and (CloseTo rover ?x)))
+  (:action grasp
+    :class world
+    :parameters (?o - item ?s - surface)
+    :precondition (and (On ?o ?s) (Free hand) (CloseTo rover ?s))
+    :effect (and (Hold hand ?o) (not (On ?o ?s)) (not (Free hand))))
+  (:action place
+    :class world
+    :parameters (?o - item ?s - surface)
+    :precondition (and (Hold hand ?o) (CloseTo rover ?s) (not (= ?o ?s)))
+    :effect (and (On ?o ?s) (Free hand) (not (Hold hand ?o)))))
+"""
+
+
 @pytest.fixture(scope="session")
 def tiny_vocab() -> Vocabulary:
     return make_tiny_vocab()

@@ -1,10 +1,10 @@
 """Every name a module imports is used in it, no package module imports
-another's private name, every public name of the package has a caller
-in the program, not only in the tests, every
-defaulted parameter of a public function, and every defaulted field of a
-public dataclass, is set by some program call, every perception
-threshold is read by the package, and every packaged data file has a
-reader."""
+another's private name, every public function, class and module-level
+constant of the package has a reader in the program, not only in the
+tests, every defaulted parameter of a public function, and every
+defaulted field of a public dataclass, is set by some program call, every
+perception threshold is read by the package, and every packaged data file
+has a reader."""
 
 import ast
 import os
@@ -108,13 +108,14 @@ KEEP = {
 
 
 def _referenced(tree: ast.Module) -> dict[str, set[str]]:
-    """Each name used as a Name or Attribute, mapped to the top-level
-    definitions (or "<module>") whose code uses it."""
+    """Each name read as a Name, or used as an Attribute, mapped to the
+    top-level definitions (or "<module>") whose code uses it. A Name that
+    is only assigned, such as a constant's own definition, is no use."""
     out: dict[str, set[str]] = {}
     for stmt in tree.body:
         owner = getattr(stmt, "name", "<module>")
         for node in ast.walk(stmt):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
                 out.setdefault(node.id, set()).add(owner)
             elif isinstance(node, ast.Attribute):
                 out.setdefault(node.attr, set()).add(owner)
@@ -141,19 +142,27 @@ def _program_sources() -> tuple[list[str], list[str]]:
     return out
 
 
-def unreferenced_public_names() -> list[str]:
-    """Public top-level names of the package that nothing else in the
-    program uses, KEEP entries included."""
-    src, bench = _program_sources()
+def _public_definitions(tree: ast.Module) -> list[str]:
+    """The public functions, classes and module-level constants a module
+    defines: a constant is a name a top-level assignment binds."""
+    out = []
+    for s in tree.body:
+        if isinstance(s, (ast.FunctionDef, ast.ClassDef)):
+            out.append(s.name)
+        elif isinstance(s, (ast.Assign, ast.AnnAssign)):
+            targets = s.targets if isinstance(s, ast.Assign) else [s.target]
+            out += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return [n for n in out if not n.startswith("_")]
+
+
+def unreferenced_public_names(src: list[str], bench: list[str]) -> list[str]:
+    """Public top-level names of the package sources `src` that nothing
+    else in them or in the perfbench sources `bench` uses."""
     defined: list[str] = []
     uses: dict[str, set[str]] = {}
     for source in src:
         tree = ast.parse(source)
-        defined += [
-            s.name
-            for s in tree.body
-            if isinstance(s, (ast.FunctionDef, ast.ClassDef)) and not s.name.startswith("_")
-        ]
+        defined += _public_definitions(tree)
         for name, owners in _referenced(tree).items():
             uses.setdefault(name, set()).update(owners)
     for source in bench:
@@ -162,8 +171,19 @@ def unreferenced_public_names() -> list[str]:
     return sorted(n for n in defined if not uses.get(n, set()) - {n})
 
 
+def test_unreferenced_public_name_detector():
+    defining = (
+        "TABLE = {'a': 1}\nLIMIT: int = 3\nA, B = 1, 2\n_PRIVATE = 0\nBOUND = 2\n"
+        "def f(x=BOUND):\n    return x + A\n"
+        "class K:\n    pass\n"
+        "def g():\n    return f() + LIMIT\n"
+    )
+    assert unreferenced_public_names([defining], []) == ["B", "K", "TABLE", "g"]
+    assert unreferenced_public_names([defining], ["K.x = TABLE\n"]) == ["B", "g"]
+
+
 def test_every_public_name_has_a_program_caller():
-    unreferenced = unreferenced_public_names()
+    unreferenced = unreferenced_public_names(*_program_sources())
     assert sorted(set(unreferenced) - set(KEEP)) == []
     # an entry whose name is gone or now has a program caller is stale
     assert sorted(set(KEEP) - set(unreferenced)) == []

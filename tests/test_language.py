@@ -20,7 +20,6 @@ from taskmon.language import (
     Vocabulary,
     decode_state,
     encode_state,
-    filter_by_types,
     parse_atom,
 )
 from taskmon.geometry import load_scene
@@ -63,25 +62,28 @@ def test_herbrand_example_scale():
     assert len(herbrand_universe(v)) == unary * 6 + binary * 36
 
 
-def test_filter_by_types_idempotent_and_shrinking():
+def test_atom_type_ok_matches_the_predicate_sorts():
+    # the random vocabularies' sorts are flat, so an atom is well typed
+    # exactly when each argument's sort is its predicate's; an unknown
+    # predicate or term, or a wrong arity, is not
     for seed in range(30):
         rng = random.Random(1000 + seed)
         v = random_vocab(rng)
         atoms = herbrand_universe(v)
-        once = filter_by_types(atoms, v)
-        assert once <= atoms
-        assert filter_by_types(once, v) == once
-        for a in once:
-            assert v.atom_type_ok(a)
-        for a in atoms - once:
-            assert not v.atom_type_ok(a)
+        kept = {a for a in atoms if v.atom_type_ok(a)}
+        assert kept == {
+            a for a in atoms if all(v.terms[x].sort == s for x, s in zip(a.args, v.predicates[a.pred].arg_sorts))
+        }
+        pred = next(iter(v.predicates.values()))
+        args = ("o0",) * pred.arity
+        assert not v.atom_type_ok(Atom("Nope", args))
+        assert not v.atom_type_ok(Atom(pred.name, args + ("o0",)))
+        assert not v.atom_type_ok(Atom(pred.name, ("nobody",) * pred.arity))
 
 
-def test_filter_by_types_respects_subsorts(tiny_vocab):
-    good = Atom("Found", ("brush",))  # item <= world-ent
-    bad = Atom("Found", ("hand",))  # gripper is on the robot branch
-    kept = filter_by_types({good, bad}, tiny_vocab)
-    assert kept == {good}
+def test_atom_type_ok_respects_subsorts(tiny_vocab):
+    assert tiny_vocab.atom_type_ok(Atom("Found", ("brush",)))  # item <= world-ent
+    assert not tiny_vocab.atom_type_ok(Atom("Found", ("hand",)))  # gripper is on the robot branch
 
 
 def test_encode_canonical_order_ignores_set_order(tiny_vocab):
@@ -129,7 +131,7 @@ def test_decode_inverts_encode(tiny_vocab):
 @given(data=st.data())
 def test_decode_inverts_encode_property(data):
     v = make_tiny_vocab()
-    pool = sorted(filter_by_types(herbrand_universe(v), v), key=lambda a: a.key())
+    pool = sorted((a for a in herbrand_universe(v) if v.atom_type_ok(a)), key=lambda a: a.key())
     atoms = data.draw(st.lists(st.sampled_from(pool), max_size=v.max_atoms, unique=True))
     task = data.draw(st.sampled_from(sorted(v.tasks)))
     t, s = v.tasks[task], State.of(atoms)
@@ -144,6 +146,13 @@ def test_state_too_long():
         encode_state(t, State.of(atoms), v)
     assert e.value.n_atoms == 4 and e.value.limit == 3
     encode_state(t, State.of(atoms[:3]), v)  # at the cap is fine
+
+
+@pytest.mark.parametrize("max_atoms", [2.5, 3.0, True, "3"])
+def test_vocabulary_refuses_a_max_atoms_that_is_not_a_whole_number(max_atoms):
+    # a fractional cap would reach the net's goal source as a slice bound
+    with pytest.raises(LanguageError, match="max_atoms must be a whole number"):
+        make_tiny_vocab(max_atoms=max_atoms)
 
 
 def test_empty_state_encodes(tiny_vocab):

@@ -10,7 +10,7 @@ import zipfile
 import numpy as np
 import pytest
 
-from conftest import make_tiny_vocab
+from conftest import TINY_DOMAIN, make_tiny_vocab
 from domaingen import herbrand_universe
 from taskmon import autodiff as ad
 from taskmon.dataset import (
@@ -33,7 +33,6 @@ from taskmon.language import (
     decode_goal,
     encode_goal,
     encode_state,
-    filter_by_types,
 )
 from taskmon.pddl import PlanEntry, PlanLibrary, TaskChain, parse_domain, parse_problem
 from taskmon.predictor import (
@@ -63,29 +62,6 @@ from taskmon.predictor import (
     train,
 )
 
-DOMAIN = """
-(define (domain tiny)
-  (:requirements :typing :equality)
-  (:types item surface - world-ent
-          gripper base - robot-ent
-          world-ent robot-ent - entity)
-  (:predicates (On ?o - item ?s - surface)
-               (Hold ?g - gripper ?o - item)
-               (Free ?g - gripper)
-               (Found ?x - world-ent)
-               (CloseTo ?r - robot-ent ?x - world-ent))
-  (:action search
-    :class ecological
-    :parameters (?x - world-ent)
-    :precondition (and)
-    :effect (and (Found ?x)))
-  (:action grasp
-    :class world
-    :parameters (?o - item ?s - surface)
-    :precondition (and (On ?o ?s) (Free hand))
-    :effect (and (Hold hand ?o) (not (On ?o ?s)) (not (Free hand)))))
-"""
-
 OBJECTS = "(:objects brush cup - item table shelf - surface hand - gripper rover - base)"
 
 GOALS = {
@@ -102,7 +78,7 @@ def _problem(name: str, goal: str) -> str:
 
 
 def make_lib(vocab, chains):
-    dom = parse_domain(DOMAIN)
+    dom = parse_domain(TINY_DOMAIN)
     entries = [PlanEntry(n, dom, parse_problem(_problem(n, g), dom)) for n, g in GOALS.items()]
     return PlanLibrary(entries, vocab, chains)
 
@@ -780,8 +756,7 @@ def test_grow_dataset_bulk_properties(tiny_vocab, tiny_lib):
     keys = {(p.input_ids, p.target_ids) for p in pairs}
     assert len(keys) == 400
     for p in pairs:
-        assert filter_by_types(p.state.atoms, tiny_vocab) == set(p.state.atoms)
-        assert filter_by_types(p.target.atoms, tiny_vocab) == set(p.target.atoms)
+        assert all(tiny_vocab.atom_type_ok(a) for a in p.state.atoms | p.target.atoms)
         assert p.input_ids[-1] == EOS_ID
         assert len(p.state) <= tiny_vocab.max_atoms
     counts = [len(p.state) for p in pairs]

@@ -19,41 +19,8 @@ from taskmon.pddl import (
     parse_problem,
     validate_library,
 )
-from conftest import make_tiny_vocab
+from conftest import TINY_DOMAIN, make_tiny_vocab
 from domaingen import print_domain, print_problem
-
-TINY_DOMAIN = """
-(define (domain tiny)
-  (:requirements :typing :equality)
-  (:types item surface - world-ent
-          gripper base - robot-ent
-          world-ent robot-ent - entity)
-  (:predicates (On ?o - item ?s - surface)
-               (Hold ?g - gripper ?o - item)
-               (Free ?g - gripper)
-               (Found ?x - world-ent)
-               (CloseTo ?r - robot-ent ?x - world-ent))
-  (:action search
-    :class ecological
-    :parameters (?x - world-ent)
-    :precondition (and)
-    :effect (and (Found ?x)))
-  (:action approach
-    :class ecological
-    :parameters (?x - world-ent)
-    :precondition (and (Found ?x))
-    :effect (and (CloseTo rover ?x)))
-  (:action grasp
-    :class world
-    :parameters (?o - item ?s - surface)
-    :precondition (and (On ?o ?s) (Free hand) (CloseTo rover ?s))
-    :effect (and (Hold hand ?o) (not (On ?o ?s)) (not (Free hand))))
-  (:action place
-    :class world
-    :parameters (?o - item ?s - surface)
-    :precondition (and (Hold hand ?o) (CloseTo rover ?s) (not (= ?o ?s)))
-    :effect (and (On ?o ?s) (Free hand) (not (Hold hand ?o)))))
-"""
 
 TINY_PROBLEM = """
 (define (problem fetch-brush)

@@ -15,15 +15,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import whole_view
-from taskmon import perception
+from taskmon import monitor, perception
 from taskmon.actuator import Disturbance, SimActuator, place_on, translate_object, truth_percept
 from taskmon.geometry import Box, Camera, Scene, SceneObject, load_scene, ray_box
 from taskmon.language import State, parse_atom
 from taskmon.monitor import LiveVision, MonitorConfig, candidate_atoms
 from taskmon.planning import ground_actions
 from taskmon.perception import (
-    DEFAULT_RULES,
     DEFAULT_THRESHOLDS,
+    GROUNDED_PREDICATES,
+    TERM_PREDICATES,
     DetectorModel,
     Detection,
     Mode,
@@ -39,7 +40,7 @@ from taskmon.perception import (
 )
 
 import georacle
-from stagings import SCENES, base_scene, stage
+from stagings import SCENES, STAGINGS, base_scene, stage
 
 
 def stream(seed: int = 0, k: int = 0) -> np.random.Generator:
@@ -774,7 +775,7 @@ def test_perceive_equals_the_plain_reference_on_packaged_scenes(packaged_lib, st
     vocab = packaged_lib.vocab
     scene = stage(staging_name, vocab).scene
     objects = {o.label: vocab.terms[o.label].sort for o in scene.objects}
-    grounded = [p for p in vocab.predicates.values() if p.name in DEFAULT_RULES]
+    grounded = [p for p in vocab.predicates.values() if p.name in GROUNDED_PREDICATES]
     atoms = candidate_atoms(objects, grounded, vocab)
     noisy = DetectorModel(tp_rate=0.9, confusion=0.1, px_jitter=2.0, depth_sigma=0.02)
     held = 0
@@ -1047,6 +1048,41 @@ def test_ablation_modes_degrade_in_order():
 # --- query_vision ------------------------------------------------------------------
 
 
+@pytest.mark.parametrize(
+    "setting, value, message",
+    [
+        ("mu", 1.5, "mu must be a number in (0, 1), got 1.5"),
+        ("mu", 0.0, "mu must be a number in (0, 1), got 0.0"),
+        ("mu", True, "mu must be a number in (0, 1), got True"),
+        ("mu", "x", "mu must be a number in (0, 1), got 'x'"),
+        ("tau", -3, "tau must be an integer >= 0, got -3"),
+        ("tau", 2.5, "tau must be an integer >= 0, got 2.5"),
+        ("mode", "full", "mode must be a Mode, got 'full'"),
+        ("mode", "no-depth", "mode must be a Mode, got 'no-depth'"),
+    ],
+)
+def test_query_refuses_a_malformed_setting_by_name_before_looking(setting, value, message):
+    # whether the query would look, answer vacuously or time out at once,
+    # a malformed setting raises and nothing is drawn
+    scene = desk_scene()
+    noisy = DetectorModel(tp_rate=0.9, confusion=0.1, px_jitter=0.5, depth_sigma=0.01)
+    rng = stream(3)
+    drawn = rng.bit_generator.state
+    for atoms in (["On(brush, table)"], [], ["Detected(ghost)"]):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            query_vision(State.parse(atoms), scene, scene.camera, noisy, rng, **{setting: value})
+    assert rng.bit_generator.state == drawn
+
+
+@pytest.mark.parametrize("mode", ["full", "no-shape", "no-depth", None])
+def test_in_view_refuses_a_mode_that_is_not_a_mode(mode):
+    # a string mode would be kept as the view's mode and reconstructed as
+    # nominal cubes
+    scene = desk_scene()
+    with pytest.raises(ValueError, match=f"mode must be a Mode, got {re.escape(repr(mode))}"):
+        in_view(scene, scene.camera, scene.objects, mode)
+
+
 def test_query_empty_conjunction_is_vacuous():
     scene = desk_scene()
     assert query_vision(State(), scene, scene.camera, DetectorModel(), stream()) == (True, False)
@@ -1228,21 +1264,57 @@ def test_query_determinism():
     assert first == second
 
 
-def test_default_rules_ground_exactly_the_library_predicates(packaged_lib):
-    # a row that no domain names is never grounded; a domain predicate with
-    # no row would end a run in `internal: UnknownPredicate`
+def test_grounded_predicates_are_exactly_the_library_predicates(packaged_lib):
+    # a predicate no domain names is never grounded; a domain predicate
+    # outside the set would end a run in `internal: UnknownPredicate`
     library = {pred for e in packaged_lib.entries for pred in e.domain.predicates}
-    assert set(DEFAULT_RULES) == library
+    assert GROUNDED_PREDICATES == library
 
 
-def test_shared_rule_table_is_the_only_one_and_read_only():
+def test_shared_predicate_sets_are_the_only_ones_and_read_only():
     scene = desk_scene()
     p = perceive(scene, whole_view(scene, scene.camera), DetectorModel(), stream(), n=1)
     assert ground_relation("On", ("brush", "table"), p)
     with pytest.raises(UnknownPredicate):
         ground_relation("Atop", ("brush", "table"), p)
-    with pytest.raises(TypeError):
-        DEFAULT_RULES["Atop"] = "on"  # the shared table is read-only
+    # the monitor reads the very sets perception grounds by
+    assert monitor.GROUNDED_PREDICATES is GROUNDED_PREDICATES
+    assert monitor.TERM_PREDICATES is TERM_PREDICATES
+    for shared in (GROUNDED_PREDICATES, TERM_PREDICATES):
+        assert type(shared) is frozenset
+        with pytest.raises(AttributeError):
+            shared.add("Atop")  # the shared sets are read-only
+    with pytest.raises(UnknownPredicate):
+        ground_relation("Atop", ("brush", "table"), p)
+
+
+@pytest.mark.parametrize("staging_name", STAGINGS)
+def test_term_predicates_read_the_detections_and_no_other_does(packaged_lib, staging_name):
+    # the scan's split: a pose-free atom answers the same with no detection
+    # at all, so its first pose decides it; a term-reading atom reads false
+    # once any one of its terms is undetected, so a pose that cannot detect
+    # its terms need not be looked from
+    assert TERM_PREDICATES <= GROUNDED_PREDICATES
+    vocab = packaged_lib.vocab
+    scene = stage(staging_name, vocab).scene
+    objects = {o.label: vocab.terms[o.label].sort for o in scene.objects}
+    grounded = [p for p in vocab.predicates.values() if p.name in GROUNDED_PREDICATES]
+    atoms = candidate_atoms(objects, grounded, vocab)
+    assert {a.pred for a in atoms} == GROUNDED_PREDICATES
+    truth = truth_percept(scene)
+    blind = replace(truth, detections={})
+    held = Counter()
+    for a in atoms:
+        answer = ground_relation(a.pred, a.args, truth)
+        held[a.pred in TERM_PREDICATES, answer] += 1
+        if a.pred not in TERM_PREDICATES:
+            assert ground_relation(a.pred, a.args, blind) == answer, a
+            continue
+        for term in a.args:
+            missing = replace(truth, detections={k: d for k, d in truth.detections.items() if k != term})
+            assert not ground_relation(a.pred, a.args, missing), (a, term)
+    # both kinds hold somewhere, so neither check is vacuous
+    assert held[True, True] and held[False, True], held
 
 
 def test_shared_thresholds_are_the_frozen_default():

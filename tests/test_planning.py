@@ -19,7 +19,7 @@ from taskmon.planning import (
     match_plan,
     solve,
 )
-from conftest import load_packaged_lib, make_tiny_vocab
+from conftest import TINY_DOMAIN, load_packaged_lib, make_tiny_vocab
 from stagings import SCENES, stage
 from domaingen import (
     BLOCKS_DOMAIN,
@@ -29,7 +29,6 @@ from domaingen import (
     replay,
     unreachable_case,
 )
-from test_pddl import TINY_DOMAIN
 
 
 def make_entry(problem_text: str, name: str = "e") -> PlanEntry:
