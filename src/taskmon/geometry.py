@@ -16,10 +16,14 @@ from .language import known_fields, load_yaml, shaped, shaped_field
 Vec = tuple[float, float, float]
 
 # The keys a scene file may give: at the top, per object, and the Camera
-# fields it may set (the image size is fixed).
+# fields it may set.
 _SCENE_KEYS = ("objects", "camera", "attachments", "vision_on")
 _OBJECT_KEYS = ("id", "label", "box", "supported_by", "proprio")
 _CAMERA_KEYS = ("position", "yaw", "pitch", "hfov", "vfov", "max_depth")
+
+# Every camera's image size, in pixels.
+IMAGE_WIDTH = 640.0
+IMAGE_HEIGHT = 480.0
 
 
 def _add(a: Vec, b: Vec) -> Vec:
@@ -126,8 +130,6 @@ class Camera:
     hfov: float = math.radians(60.0)
     vfov: float = math.radians(45.0)
     max_depth: float = 2.5
-    width: float = 640.0
-    height: float = 480.0
 
     # The basis and the half-FOV tangents are derived once, when the camera is
     # built: the dataclass is frozen and replace() builds a fresh instance, so
@@ -174,7 +176,7 @@ class Camera:
         th, tv = self.tan_half_hfov, self.tan_half_vfov
         if cone and not (abs(x / z) <= th and abs(y / z) <= tv):
             return None
-        return (self.width / 2.0 * (1.0 + x / (z * th)), self.height / 2.0 * (1.0 - y / (z * tv)), z)
+        return (IMAGE_WIDTH / 2.0 * (1.0 + x / (z * th)), IMAGE_HEIGHT / 2.0 * (1.0 - y / (z * tv)), z)
 
     def project(self, p: Vec) -> Optional[tuple[float, float, float]]:
         """(u, v, forward depth), or None behind the image plane."""
@@ -187,8 +189,8 @@ class Camera:
 
     def unproject(self, u: float, v: float, depth: float) -> Vec:
         """Inverse of project at the given forward depth."""
-        x = (2.0 * u / self.width - 1.0) * self.tan_half_hfov * depth
-        y = (1.0 - 2.0 * v / self.height) * self.tan_half_vfov * depth
+        x = (2.0 * u / IMAGE_WIDTH - 1.0) * self.tan_half_hfov * depth
+        y = (1.0 - 2.0 * v / IMAGE_HEIGHT) * self.tan_half_vfov * depth
         p = _add(self.position, _scale(self.forward, depth))
         p = _add(p, _scale(self.right, x))
         return _add(p, _scale(self.up, y))
@@ -209,7 +211,7 @@ class Camera:
         xs = [(d * f[0], d * r[0], d * w[0]) for d in (box.lo[0] - px, box.hi[0] - px)]
         ys = [(d * f[1], d * r[1], d * w[1]) for d in (box.lo[1] - py, box.hi[1] - py)]
         zs = [(d * f[2], d * r[2], d * w[2]) for d in (box.lo[2] - pz, box.hi[2] - pz)]
-        half_w, half_h = self.width / 2.0, self.height / 2.0
+        half_w, half_h = IMAGE_WIDTH / 2.0, IMAGE_HEIGHT / 2.0
         th, tv = self.tan_half_hfov, self.tan_half_vfov
         us, vs = [], []
         for xf, xr, xu in xs:

@@ -11,8 +11,8 @@ reads only its atom's terms; a noisy detector draws fewer numbers per
 look (`detect_batch` gives the draw order and the vote). Pixel boxes are
 projected only in NO_DEPTH mode, the one whose rules read them.
 Reconstruction places each detected world object at the detector's noisy
-centroid depth, building its 3D box when a rule first reads it, and each
-robot part at its true box. Three ablation modes control what it may use:
+centroid depth and each robot part at its true box, building every box
+when the look is taken. Three ablation modes control what it may use:
 FULL keeps estimated centroids plus true class extents, NO_SHAPE replaces
 extents with a nominal cube, NO_DEPTH works purely in pixel space.
 
@@ -152,8 +152,8 @@ class Percept:
     reconstructed under the active ablation mode."""
 
     detections: dict[str, Detection]
-    # Read by label. Empty in NO_DEPTH mode; in FULL and NO_SHAPE `perceive`
-    # builds a world object's box when a rule first reads it (`_LookBoxes`).
+    # One box per detected label in FULL and NO_SHAPE, built at look time;
+    # empty in NO_DEPTH mode.
     boxes3d: dict[str, Box]
     # holder label -> held label: the grasp state, which alone grounds
     # Holding and Free
@@ -355,27 +355,6 @@ def estimate_depth(
     return d
 
 
-class _LookBoxes(dict):
-    """`Percept.boxes3d` of one look in FULL or NO_SHAPE. A robot part's true
-    box is there from the start; a world object's box is built around its
-    unprojected centroid when a rule first reads `[label]`, then kept. It
-    holds the camera and, per label, the detection and the extents taken at
-    look time, never the scene: the actuator replaces an object's box, and a
-    percept answers for the look it came from. An undetected label raises
-    KeyError. `in`, `len` and iteration see only the boxes built so far."""
-
-    def __init__(self, parts: dict[str, Box], cam: Camera, todo: dict):
-        super().__init__(parts)
-        self._cam = cam
-        self._todo = todo  # label -> (detection, extents), until first read
-
-    def __missing__(self, label: str) -> Box:
-        det, size = self._todo.pop(label)
-        center = self._cam.unproject(det.center_px[0], det.center_px[1], det.center_depth)
-        box = self[label] = Box.from_center(center, size)
-        return box
-
-
 def perceive(
     scene: Scene,
     view: View,
@@ -386,9 +365,9 @@ def perceive(
     """One look: a detection pass over the objects `view` sees (see
     `detect_batch`) plus geometry reconstruction in `view.mode`. Its
     detections and boxes come only from those objects; its grasp state and
-    vision switch are the whole scene's. In FULL and NO_SHAPE a world
-    object's 3D box is built when a rule first reads it (see `_LookBoxes`);
-    NO_DEPTH builds none."""
+    vision switch are the whole scene's. In FULL and NO_SHAPE each detected
+    world object's 3D box is built at look time around its unprojected
+    centroid, and each robot part keeps its true box; NO_DEPTH builds none."""
     dets = detect_batch(scene, view, model, rng, n)
     by_label: dict[str, Detection] = {}
     for d in dets:
@@ -398,16 +377,14 @@ def perceive(
     boxes3d: dict[str, Box] = {}
     if view.mode is not Mode.NO_DEPTH:
         nominal = (DEFAULT_THRESHOLDS.nominal_extent,) * 3
-        parts: dict[str, Box] = {}
-        todo: dict[str, tuple[Detection, tuple[float, float, float]]] = {}
         for label, det in by_label.items():
             obj = scene.get(det.obj_id)
             if obj.proprio:
-                parts[label] = obj.box
+                boxes3d[label] = obj.box
             else:
-                # FULL's class shape model: the true extents, taken at look time
-                todo[label] = (det, obj.box.size if view.mode is Mode.FULL else nominal)
-        boxes3d = _LookBoxes(parts, view.cam, todo)
+                # FULL's class shape model: the true extents
+                center = view.cam.unproject(det.center_px[0], det.center_px[1], det.center_depth)
+                boxes3d[label] = Box.from_center(center, obj.box.size if view.mode is Mode.FULL else nominal)
 
     attachments = {
         scene.get(holder).label: scene.get(held).label
@@ -541,8 +518,10 @@ def query_vision(
     its atom's terms.
 
     Malformed settings raise ValueError before any look or early answer
-    (`check_query_settings`)."""
+    (`check_query_settings`), and so does a frame count `n` that is not an
+    int >= 1."""
     check_query_settings(mu, tau, mode)
+    check_int("n", n, 1)
     terms = sorted({arg for atom in s.atoms for arg in atom.args})
     if not terms:
         return True, False

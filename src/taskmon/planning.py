@@ -53,7 +53,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping, Optional
 
-from .language import Atom, State, Vocabulary
+from .language import Atom, State, Vocabulary, check_int
 from .pddl import ActionSchema, PlanDomain, PlanEntry, PlanLibrary
 
 
@@ -211,7 +211,9 @@ def solve(
     a delete-relaxed reachability fixpoint over the ground actions rejects
     goals that no sequence reaches even with every delete ignored; the
     relaxation over-approximates reachability, so it rejects only goals the
-    search would also exhaust on, and plans are unchanged."""
+    search would also exhaust on, and plans are unchanged. A `budget` that
+    is not an int >= 0 raises ValueError before any grounding."""
+    check_int("budget", budget, 0)
     actions = ground_actions(domain, objects).actions
     goal_atoms = goal.atoms
     start = init.atoms

@@ -599,7 +599,10 @@ def grad_check(params: GoalNetParams, pair: TrainingPair, min_samples: int = 200
     """Analytic gradients versus central finite differences on sampled weights
     from every parameter group; returns the max relative error per group. The
     denominator is floored at GRAD_CHECK_FLOOR: loss evaluation roundoff
-    (~1e-11) on a near-zero gradient is measurement noise, not disagreement."""
+    (~1e-11) on a near-zero gradient is measurement noise, not disagreement.
+    A `min_samples` that is not an int >= 1 raises ValueError before any
+    evaluation."""
+    check_int("min_samples", min_samples, 1)
     inputs, targets = [pair.input_ids], [pair.target_ids]
     eps = GRAD_CHECK_EPS
 

@@ -238,9 +238,10 @@ def _calls(sources: list[str]) -> dict[str, list[ast.Call]]:
 
 
 def _sets(call: ast.Call, param: str, pos) -> bool:
-    """Whether the call passes `param` by keyword, reaches its position or
-    spreads `*`/`**`."""
-    if any(k.arg in (None, param) for k in call.keywords):
+    """Whether the call names `param` as a keyword, reaches its position or
+    spreads `*`. A `**` spread sets no field by name: what it passes is
+    data, such as the keys a scene file gives."""
+    if any(k.arg == param for k in call.keywords):
         return True
     if any(isinstance(a, ast.Starred) for a in call.args):
         return True
@@ -303,6 +304,12 @@ KEEP_FIELDS = {
     ("DetectorModel", "depth_sigma"): "detector noise, set by the trace sweep's noisy rows",
     ("Disturbance", "offset"): "the translation of a nudge, which the fuzzers schedule",
     ("Disturbance", "prob"): "the chance a disturbance fires, for the planned slip robustness runs",
+    ("Camera", "position"): "a scene file's camera field; `geometry._camera` passes the keys it gives",
+    ("Camera", "yaw"): "a scene file's camera field; `geometry._camera` passes the keys it gives",
+    ("Camera", "pitch"): "a scene file's camera field; `geometry._camera` passes the keys it gives",
+    ("Camera", "hfov"): "a scene file's camera field; `geometry._camera` passes the keys it gives",
+    ("Camera", "vfov"): "a scene file's camera field; `geometry._camera` passes the keys it gives",
+    ("Camera", "max_depth"): "a scene file's camera field; `geometry._camera` passes the keys it gives",
 }
 
 
@@ -358,7 +365,7 @@ def test_unset_field_detector():
         "@dataclass\nclass _P:\n    p: int = 0\n"
         "class C:\n    c: int = 0\n"
     )
-    assert unset_fields([defining], ["A(1, 2)\nm.B(**kw)\n"]) == [("A", "z")]
+    assert unset_fields([defining], ["A(1, 2)\nm.B(**kw)\n"]) == [("A", "z"), ("B", "u")]
     assert unset_fields([defining], ["A(1, z=[])\nB(*args)\nreplace(a, y=1)\n"]) == [("A", "y")]
     assert unset_fields([defining], [""]) == [("A", "y"), ("A", "z"), ("B", "u")]
 

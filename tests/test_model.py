@@ -533,6 +533,16 @@ def test_grad_check_all_groups(tiny_vocab, fetch_pair):
     assert worst < 1e-4, f"worst group error {worst}"
 
 
+@pytest.mark.parametrize("min_samples", [0, -3, 2.5, True, "44", None])
+def test_grad_check_refuses_a_malformed_sample_count_by_name(tiny_vocab, fetch_pair, min_samples):
+    # a count below 1, a fraction or a bool is refused before any evaluation,
+    # though the per-group floor of 3 would run on it
+    params = GoalNetParams.init(tiny_vocab, seed=7)
+    with pytest.raises(ValueError, match=f"^min_samples must be an integer >= 1, got {re.escape(repr(min_samples))}$"):
+        grad_check(params, fetch_pair, min_samples=min_samples)
+    assert all(t.grad is None for t in params.groups().values())
+
+
 def test_grad_check_detects_corrupted_attention_backward(tiny_vocab, fetch_pair, monkeypatch):
     def crooked_tanh(x):
         y = np.tanh(x.data)

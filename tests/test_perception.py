@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from conftest import whole_view
 from taskmon import monitor, perception
 from taskmon.actuator import Disturbance, SimActuator, place_on, translate_object, truth_percept
-from taskmon.geometry import Box, Camera, Scene, SceneObject, load_scene, ray_box
+from taskmon.geometry import IMAGE_HEIGHT, IMAGE_WIDTH, Box, Camera, Scene, SceneObject, load_scene, ray_box
 from taskmon.language import State, parse_atom
 from taskmon.monitor import LiveVision, MonitorConfig, candidate_atoms
 from taskmon.planning import ground_actions
@@ -260,8 +260,8 @@ def test_aimed_at_centers_target():
     p = (1.4, -0.9, 0.3)
     aimed = cam.aimed_at(p)
     u, v, _ = aimed.project(p)
-    assert u == pytest.approx(cam.width / 2.0)
-    assert v == pytest.approx(cam.height / 2.0)
+    assert u == pytest.approx(IMAGE_WIDTH / 2.0)
+    assert v == pytest.approx(IMAGE_HEIGHT / 2.0)
     assert georacle.in_view(aimed, p)
 
 
@@ -768,10 +768,10 @@ def _scan_ring(scene: Scene) -> list[Camera]:
 
 @pytest.mark.parametrize("staging_name", SCENES)
 def test_perceive_equals_the_plain_reference_on_packaged_scenes(packaged_lib, staging_name):
-    # per ring pose, mode and detector: the same answer for every candidate
-    # atom, then the same box for every label the reference rebuilds, the
-    # same detections but for the pixel fields a 3D mode does not read, and
-    # the same generator state
+    # per ring pose, mode and detector: the same boxes as soon as the look
+    # returns, before any rule reads one, the same answer for every
+    # candidate atom, the same detections but for the pixel fields a 3D mode
+    # does not read, and the same generator state
     vocab = packaged_lib.vocab
     scene = stage(staging_name, vocab).scene
     objects = {o.label: vocab.terms[o.label].sort for o in scene.objects}
@@ -785,16 +785,15 @@ def test_perceive_equals_the_plain_reference_on_packaged_scenes(packaged_lib, st
             for cam in _scan_ring(scene):
                 got = perceive(scene, whole_view(scene, cam, mode), model, rng, 10)
                 want = georacle.reference_perceive(scene, cam, scene.objects, model, 10, twin, mode)
+                assert got.boxes3d == want.boxes3d, (mode, model, cam)
                 assert rng.bit_generator.state == twin.bit_generator.state
                 for a in atoms:
                     answer = ground_relation(a.pred, a.args, got)
                     assert answer == ground_relation(a.pred, a.args, want), (mode, model, cam, a)
                     held += answer
-                for label, box in want.boxes3d.items():
-                    assert got.boxes3d[label] == box, (mode, model, cam, label)
                 dets = list(want.detections.values())
                 if mode is Mode.NO_DEPTH:
-                    assert got.boxes3d == want.boxes3d == {}
+                    assert got.boxes3d == {}
                 else:
                     assert set(want.boxes3d) == set(want.detections)
                     dets = _unprojected(scene, dets)
@@ -845,14 +844,13 @@ def test_perceive_projects_robot_parts_only_for_pixel_grounding(mode, monkeypatc
 
 
 def test_a_percept_answers_for_its_look_after_the_world_moves(packaged_lib):
-    # boxes are built when first read, from what the look saw: moving,
+    # boxes are built when the look is taken, from what it saw: moving,
     # relocating or reshaping objects after the look changes none of them
     scene = base_scene()
     cam = scene.camera
     p = perceive(scene, whole_view(scene, cam, Mode.FULL), DetectorModel(), stream(), 10)
     want = georacle.reference_perceive(scene, cam, scene.objects, DetectorModel(), 10, stream(), Mode.FULL)
     assert {"table", "brush", "cup", "spray_bottle", "robot", "robot_hand"} <= set(want.boxes3d)
-    assert p.boxes3d["table"] == want.boxes3d["table"]  # one read before the world moves
     before = {o.id: o.box for o in scene.objects}
     translate_object(scene, "brush", (0.2, -0.1, 0.05))
     translate_object(scene, "robot", (0.3, 0.2, 0.0))  # and the hand it holds
@@ -861,8 +859,7 @@ def test_a_percept_answers_for_its_look_after_the_world_moves(packaged_lib):
     bottle.box = Box(bottle.box.lo, tuple(h + 0.1 for h in bottle.box.hi))
     moved = {o.id for o in scene.objects if o.box != before[o.id]}
     assert moved == {"brush", "robot", "robot_hand", "cup", "spray_bottle"}
-    for label, box in want.boxes3d.items():
-        assert p.boxes3d[label] == box, label
+    assert p.boxes3d == want.boxes3d
     with pytest.raises(KeyError):
         p.boxes3d["wrench"]  # in the scene, not in view
     flat = perceive(scene, whole_view(scene, cam, Mode.NO_DEPTH), DetectorModel(), stream(), 10)
@@ -1059,6 +1056,10 @@ def test_ablation_modes_degrade_in_order():
         ("tau", 2.5, "tau must be an integer >= 0, got 2.5"),
         ("mode", "full", "mode must be a Mode, got 'full'"),
         ("mode", "no-depth", "mode must be a Mode, got 'no-depth'"),
+        ("n", 0, "n must be an integer >= 1, got 0"),
+        ("n", 2.5, "n must be an integer >= 1, got 2.5"),
+        ("n", True, "n must be an integer >= 1, got True"),
+        ("n", "3", "n must be an integer >= 1, got '3'"),
     ],
 )
 def test_query_refuses_a_malformed_setting_by_name_before_looking(setting, value, message):

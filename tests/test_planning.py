@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from collections import Counter
 from dataclasses import FrozenInstanceError
 
@@ -333,6 +334,16 @@ def test_plan_budget_exceeded():
     dom, prob = blocks_case(rng, 5)
     with pytest.raises(BudgetExceeded):
         solve(dom, prob.objects, prob.init, prob.goal, budget=1)
+
+
+@pytest.mark.parametrize("budget", [-1, 2.5, True, "100", None])
+def test_solve_refuses_a_malformed_budget_by_name(budget):
+    # refused before grounding, whether the search would stop at once,
+    # run on a fraction or a bool, or fail comparing the count
+    rng = random.Random(7)
+    dom, prob = blocks_case(rng, 5)
+    with pytest.raises(ValueError, match=f"^budget must be an integer >= 0, got {re.escape(repr(budget))}$"):
+        solve(dom, prob.objects, prob.init, prob.goal, budget=budget)
 
 
 def test_greedy_is_sound_and_terminates():
