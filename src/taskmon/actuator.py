@@ -20,7 +20,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .geometry import Box, Scene, SceneObject, Vec
+from .geometry import Box, Scene, Vec
 from .language import Atom, Vocabulary, check_int
 from .perception import (
     DEFAULT_THRESHOLDS,
@@ -33,8 +33,7 @@ from .planning import GroundAction
 
 
 class ActuationSetupError(Exception):
-    """An effect references a term, or a disturbance an object id, with no
-    scene object behind it."""
+    """An effect or a disturbance names no scene object."""
 
 
 @dataclass(frozen=True)
@@ -55,30 +54,27 @@ class Actuator:
 
 
 def truth_percept(scene: Scene) -> Percept:
-    """Omniscient percept straight from ground truth: every object reported
-    at confidence 1 regardless of the camera, true boxes, true attachments.
-    Serves physical applicability checks and full-knowledge baselines. It is
-    a FULL-mode percept whose rules read the true boxes, so a detection's
-    pixel fields and centre depth are placeholders: no rule reads them."""
-    dets: dict[str, Detection] = {}
-    boxes: dict[str, Box] = {}
-    for o in scene.objects:
-        if o.label in dets:
-            continue  # first object per label, matching Scene.by_label
-        dets[o.label] = Detection(o.label, o.id, (0.0, 0.0, 1.0, 1.0), (0.0, 0.0), 0.0, 1.0)
-        boxes[o.label] = o.box
-    att = {scene.get(h).label: scene.get(d).label for h, d in scene.attachments.items()}
-    return Percept(dets, boxes, att, Mode.FULL, vision_on=True)
+    """Omniscient percept straight from ground truth, for physical
+    applicability checks and full-knowledge baselines: every object under
+    its name at confidence 1 whatever the camera, true boxes, a copy of the
+    attachments. Its rules read the true boxes (it is a FULL-mode percept),
+    so its detections' pixel fields and centre depths are placeholders."""
+    dets = {o.id: Detection(o.id, o.id, (0.0, 0.0, 1.0, 1.0), (0.0, 0.0), 0.0, 1.0) for o in scene.objects}
+    boxes = {o.id: o.box for o in scene.objects}
+    return Percept(dets, boxes, dict(scene.attachments), Mode.FULL, vision_on=True)
 
 
 # --- scene editing ---------------------------------------------------------------
 
 
-def _require(scene: Scene, label: str) -> SceneObject:
-    obj = scene.by_label(label)
-    if obj is None:
-        raise ActuationSetupError(f"no scene object grounds '{label}'")
-    return obj
+def _require(scene: Scene, names: tuple[str, ...], what: object) -> tuple[str, ...]:
+    """Return `names`; raise ActuationSetupError if `what` names no scene object."""
+    for name in names:
+        try:
+            scene.get(name)
+        except KeyError:
+            raise ActuationSetupError(f"{what} names no scene object '{name}'") from None
+    return names
 
 
 def translate_object(scene: Scene, obj_id: str, delta: Vec) -> None:
@@ -89,7 +85,7 @@ def translate_object(scene: Scene, obj_id: str, delta: Vec) -> None:
         tuple(h + d for h, d in zip(obj.box.hi, delta)),
     )
     held = scene.attachments.get(obj_id)
-    if held is not None and held != obj_id:
+    if held is not None:
         translate_object(scene, held, delta)
 
 
@@ -192,12 +188,8 @@ class Disturbance:
 
 
 def _check_ids(scene: Scene, d: Disturbance) -> None:
-    """Raise ActuationSetupError when d names an object id, or a relocate a
-    destination id, that is not in the scene."""
-    ids = {o.id for o in scene.objects}
-    for obj_id in (d.obj, d.dest) if d.kind == "relocate" else (d.obj,):
-        if obj_id not in ids:
-            raise ActuationSetupError(f"{d.kind} disturbance names no scene object '{obj_id}'")
+    """`_require` of d's object and a relocate's destination."""
+    _require(scene, (d.obj, d.dest) if d.kind == "relocate" else (d.obj,), f"{d.kind} disturbance")
 
 
 # --- the simulated actuator ------------------------------------------------------
@@ -208,8 +200,10 @@ class SimActuator(Actuator):
 
     Failure reasons: "fault" for a transient seeded failure, "precondition
     <atom>" when a non-epistemic precondition fails against the ground
-    truth. Either way the scene is left exactly as it was. Success applies
-    every delete, then every add, as geometric edits."""
+    truth, "<action> would close a holding loop" when a Holding effect's
+    object is its holder or holds it. Either way the scene is left exactly
+    as it was. Success applies every delete, then every add, as geometric
+    edits."""
 
     def __init__(
         self,
@@ -265,6 +259,8 @@ class SimActuator(Actuator):
         unmet = self._unmet_precondition(action)
         if unmet is not None:
             return ActionResult(False, f"precondition {unmet}")
+        if any(a.pred == "Holding" and self.scene.carries(a.args[1], a.args[0]) for a in action.add):
+            return ActionResult(False, f"{action} would close a holding loop")
         self._apply(action)
         return ActionResult(True)
 
@@ -283,9 +279,9 @@ class SimActuator(Actuator):
     def _apply(self, action: GroundAction) -> None:
         for a in sorted(action.delete, key=lambda x: x.key()):
             if a.pred == "Holding":
-                holder, held = (_require(self.scene, t) for t in a.args)
-                if self.scene.attachments.get(holder.id) == held.id:
-                    del self.scene.attachments[holder.id]
+                holder, held = _require(self.scene, a.args, a)
+                if self.scene.attachments.get(holder) == held:
+                    del self.scene.attachments[holder]
         for a in sorted(action.add, key=lambda x: x.key()):
             self._apply_add(a)
 
@@ -293,23 +289,20 @@ class SimActuator(Actuator):
         # Dispatched on the predicate's name, as `ground_relation` is. Free
         # needs no edit: the paired Holding/On effects make its geometry. Any
         # other predicate is a purely symbolic effect.
-        pred = a.pred
+        pred, scene = a.pred, self.scene
         if pred == "Holding":
-            holder, held = (_require(self.scene, t) for t in a.args)
-            grasp(self.scene, holder.id, held.id)
+            grasp(scene, *_require(scene, a.args, a))
         elif pred == "On":
-            obj, dest = (_require(self.scene, t) for t in a.args)
-            place_on(self.scene, obj.id, dest.id)
+            place_on(scene, *_require(scene, a.args, a))
         elif pred == "Inside":
-            obj, dest = (_require(self.scene, t) for t in a.args)
-            detach(self.scene, obj.id)
-            move_center_to(self.scene, obj.id, dest.box.center)
+            obj, dest = _require(scene, a.args, a)
+            detach(scene, obj)
+            move_center_to(scene, obj, scene.get(dest).box.center)
         elif pred in ("CloseTo", "At"):
-            mover, target = (_require(self.scene, t) for t in a.args)
             limit = DEFAULT_THRESHOLDS.close_dist if pred == "CloseTo" else DEFAULT_THRESHOLDS.at_dist
-            approach(self.scene, mover.id, target.id, 0.6 * limit)
+            approach(scene, *_require(scene, a.args, a), 0.6 * limit)
         elif pred == "Detected":
-            obj = _require(self.scene, a.args[0])
-            self.scene.camera = self.scene.camera.aimed_at(obj.box.center)
+            (obj,) = _require(scene, a.args, a)
+            scene.camera = scene.camera.aimed_at(scene.get(obj).box.center)
         elif pred == "VisionOn":
-            self.scene.vision_on = True
+            scene.vision_on = True

@@ -18,7 +18,7 @@ Vec = tuple[float, float, float]
 # The keys a scene file may give: at the top, per object, and the Camera
 # fields it may set.
 _SCENE_KEYS = ("objects", "camera", "attachments", "vision_on")
-_OBJECT_KEYS = ("id", "label", "box", "supported_by", "proprio")
+_OBJECT_KEYS = ("id", "box", "supported_by", "proprio")
 _CAMERA_KEYS = ("position", "yaw", "pitch", "hfov", "vfov", "max_depth")
 
 # Every camera's image size, in pixels.
@@ -247,11 +247,17 @@ class Camera:
 
 @dataclass
 class SceneObject:
+    """A world object. Its one name, `id`, is the vocabulary term it grounds."""
+
     id: str
-    label: str  # vocabulary term this object grounds
     box: Box
     supported_by: Optional[str] = None
     proprio: bool = False  # robot's own parts: always perceivable
+
+    @property
+    def label(self) -> str:
+        """`id`, under the name the benchmark harness still reads."""
+        return self.id
 
 
 @dataclass
@@ -265,9 +271,15 @@ class Scene:
         self._index = {o.id: o for o in self.objects}
         if len(self._index) != len(self.objects):
             raise ValueError("duplicate object ids")
+        held_by: dict[str, str] = {}
         for holder, held in self.attachments.items():
             if holder not in self._index or held not in self._index:
                 raise ValueError(f"attachment {holder}->{held} references a missing object")
+            if held_by.setdefault(held, holder) != holder:
+                raise ValueError(f"attachment {holder}->{held}: {held} is already held by {held_by[held]}")
+        for holder, held in self.attachments.items():
+            if self.carries(held, holder):  # no object has two holders, so the walk ends
+                raise ValueError(f"attachment {holder}->{held} closes a holding loop")
         for o in self.objects:
             seen = {o.id}
             cur = o.supported_by
@@ -282,15 +294,16 @@ class Scene:
     def get(self, obj_id: str) -> SceneObject:
         return self._index[obj_id]
 
-    def by_label(self, label: str) -> Optional[SceneObject]:
-        for o in self.objects:
-            if o.label == label:
-                return o
-        return None
+    def carries(self, holder_id: str, obj_id: str) -> bool:
+        """Whether `holder_id` is `obj_id` or holds it down a chain of holds."""
+        cur = holder_id
+        while cur is not None and cur != obj_id:
+            cur = self.attachments.get(cur)
+        return cur is not None
 
     def copy(self) -> "Scene":
         return Scene(
-            [SceneObject(o.id, o.label, o.box, o.supported_by, o.proprio) for o in self.objects],
+            [SceneObject(o.id, o.box, o.supported_by, o.proprio) for o in self.objects],
             self.camera,
             dict(self.attachments),
             self.vision_on,
@@ -316,7 +329,6 @@ class Scene:
             objs.append(
                 SceneObject(
                     oid,
-                    shaped(o.get("label", oid), str, f"{where}: field 'label'", ValueError),
                     Box(*(_vec(c, f"{where}: field 'box'") for c in corners)),
                     supported_by,
                     shaped(o.get("proprio", False), bool, f"{where}: field 'proprio'", ValueError),

@@ -421,12 +421,19 @@ def encode_atoms(
 ) -> TokenSeq:
     """The one writer of the token grammar: the task words and ETS when a task
     is given, then each atom in the given order as predicate, arguments and
-    EOA, then EOS."""
-    tok = vocab.token_to_id
+    EOA, then EOS. An atom the decoders would refuse raises LanguageError
+    naming it."""
+    tok, preds, terms = vocab.token_to_id, vocab.predicates, vocab.terms
     ids = [] if task is None else [tok[w] for w in task.words] + [ETS_ID]
     for atom in atoms:
+        pred = preds.get(atom.pred)
+        if pred is None or len(atom.args) != pred.arity:
+            raise LanguageError(f"cannot encode {atom}: the vocabulary has no {len(atom.args)}-ary predicate {atom.pred}")
         ids.append(tok[atom.pred])
-        ids.extend(tok[a] for a in atom.args)
+        for a in atom.args:
+            if a not in terms:
+                raise LanguageError(f"cannot encode {atom}: {a!r} is not a term")
+            ids.append(tok[a])
         ids.append(EOA_ID)
     ids.append(EOS_ID)
     return TokenSeq(tuple(ids))

@@ -159,9 +159,6 @@ class ExecutionTrace:
     outcome: Outcome
     attempted: tuple[tuple[str, int], ...]  # (goal text, proposal rank)
 
-    def of_kind(self, kind: str) -> list[MonitorEvent]:
-        return [e for e in self.events if e.kind == kind]
-
     def verified_states(self) -> list[tuple[str, State]]:
         """Goal-level states confirmed by vision, in order: the start state,
         each reached goal, and the terminal check when it passed."""
@@ -286,7 +283,7 @@ class LiveVision(VisionSystem):
                 break
             if watched is None:
                 terms = frozenset().union(*groups)
-                watched = [o for o in scene.objects if o.label in terms]
+                watched = [o for o in scene.objects if o.id in terms]
             view = in_view(scene, pose, watched, cfg.mode)
             if i and not any(g <= view.labels for g in groups):
                 continue

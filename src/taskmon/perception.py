@@ -1,4 +1,4 @@
-"""Simulated perception over ground-truth scenes.
+"""Simulated perception over ground-truth scenes; an object's one name is the term it grounds.
 
 A look is `in_view` then `perceive`. `in_view` tests, once per pose,
 which of the objects its caller asks about are in view, and returns their
@@ -98,7 +98,9 @@ class Detection:
     center_depth in every mode, because reconstruction reads them; a robot
     part's only in NO_DEPTH, since FULL and NO_SHAPE place it by its true
     box. `actuator.truth_percept` reconstructs nothing: every pixel field and
-    centre depth of its detections is a placeholder."""
+    centre depth of its detections is a placeholder. `label` is the voted
+    name, which a confused vote can make another object's; `obj_id` names
+    the object whose frames cast the vote."""
 
     label: str
     obj_id: str
@@ -155,8 +157,8 @@ class Percept:
     # One box per detected label in FULL and NO_SHAPE, built at look time;
     # empty in NO_DEPTH mode.
     boxes3d: dict[str, Box]
-    # holder label -> held label: the grasp state, which alone grounds
-    # Holding and Free
+    # holder -> held, a copy of the scene's: the grasp state, which alone
+    # grounds Holding and Free
     attachments: dict[str, str]
     mode: Mode
     vision_on: bool
@@ -169,7 +171,7 @@ class Percept:
 class View:
     """What a look from `cam` in `mode` sees of the objects `in_view` was
     asked about: `seen` pairs each object in view, in the order asked, with
-    what the look sees of it, and `labels` holds their labels. A view
+    what the look sees of it, and `labels` holds their names. A view
     serves every look from its pose, and none tests visibility again."""
 
     cam: Camera
@@ -209,7 +211,7 @@ def in_view(scene: Scene, cam: Camera, objects: Iterable[SceneObject], mode: Mod
         else:
             continue
         seen.append((obj, (pr, bbox)))
-    return View(cam, mode, tuple(seen), frozenset(o.label for o, _ in seen))
+    return View(cam, mode, tuple(seen), frozenset(o.id for o, _ in seen))
 
 
 def detect_batch(
@@ -226,24 +228,20 @@ def detect_batch(
     frequency. A robot part in the view is always reported, at confidence
     1 and drawing no random numbers. `n` must be an int >= 1, not a bool.
 
-    A confused frame picks its wrong label from every label of the scene,
-    not only the viewed objects', so each object draws exactly what it
-    would in a whole-scene look; fewer objects draw fewer numbers, which
-    shifts a noisy detector's later draws.
-    Pixel boxes are projected only in NO_DEPTH, the one mode that grounds
-    in pixels. In FULL and NO_SHAPE a world object's bbox holds
-    zeros; a part, which those modes place by its true box, has all its
-    pixel fields at zeros. Both are placeholders, as
-    `actuator.truth_percept`'s pixel fields and centre depths are.
+    A confused frame picks its wrong label from every object name of the
+    scene, not only the viewed objects', so each object draws exactly what
+    it would in a whole-scene look; fewer objects draw fewer numbers, which
+    shifts a noisy detector's later draws. Pixel fields are filled as
+    `Detection` says: pixel boxes only in NO_DEPTH.
 
     Each object in the view draws its n frames as blocks, in this order:
     `rng.random(2 * n)`, the first n for hits and the last n for confusion
-    (`rng.random(n)`, hits only, when the scene has a single label); one
+    (`rng.random(n)`, hits only, when the scene has a single object); one
     integer per confused frame picking the wrong label; an (n, 2) block of
     pixel jitter, when `px_jitter` > 0; one depth noise sample, when
     `depth_sigma` > 0. The 2n block gives the same doubles as two n blocks,
     so the stream is the per-frame one. A noise-free detector thus takes
-    exactly 2n doubles per object (n with a single label).
+    exactly 2n doubles per object (n with a single object).
 
     Only when some frame was confused are the object's wrong labels sorted
     for the picks and the votes ranked by count, then label. Otherwise each
@@ -251,7 +249,7 @@ def detect_batch(
     tie or a modal miss gives no detection. The jitter is averaged over the
     winning frames."""
     check_int("n", n, 1)
-    label_set = {o.label for o in scene.objects}
+    label_set = {o.id for o in scene.objects}
     cam, pixels = view.cam, view.mode is Mode.NO_DEPTH
     out: list[Detection] = []
     for obj, seen in view.seen:
@@ -261,9 +259,9 @@ def detect_batch(
                 pr = cam.project(center)
                 bbox = cam.project_box(obj.box) or _NO_BBOX
                 px = (pr[0], pr[1]) if pr else _NO_PX
-                out.append(Detection(obj.label, obj.id, bbox, px, cam.depth_of(center), 1.0))
+                out.append(Detection(obj.id, obj.id, bbox, px, cam.depth_of(center), 1.0))
             else:
-                out.append(Detection(obj.label, obj.id, _NO_BBOX, _NO_PX, 0.0, 1.0))
+                out.append(Detection(obj.id, obj.id, _NO_BBOX, _NO_PX, 0.0, 1.0))
             continue
         pr, true_bbox = seen
 
@@ -276,9 +274,9 @@ def detect_batch(
             hit = [r < model.tp_rate for r in rng.random(n).tolist()]
             n_swapped = 0
         if n_swapped:
-            others = sorted(label_set - {obj.label})
+            others = sorted(label_set - {obj.id})
             picks = iter(rng.integers(len(others), size=n_swapped).tolist())
-            votes = [others[next(picks)] if s else (obj.label if h else "") for h, s in zip(hit, swap)]
+            votes = [others[next(picks)] if s else (obj.id if h else "") for h, s in zip(hit, swap)]
         if model.px_jitter > 0.0:
             jitters = rng.normal(0.0, model.px_jitter, size=(n, 2)).tolist()
 
@@ -292,7 +290,7 @@ def detect_batch(
             won = [v == winner for v in votes]
         else:
             # only hits and misses: the label wins exactly on a strict majority
-            winner, top, won = obj.label, sum(hit), hit
+            winner, top, won = obj.id, sum(hit), hit
             if 2 * top <= n:
                 continue
         du = dv = 0.0
@@ -386,11 +384,7 @@ def perceive(
                 center = view.cam.unproject(det.center_px[0], det.center_px[1], det.center_depth)
                 boxes3d[label] = Box.from_center(center, obj.box.size if view.mode is Mode.FULL else nominal)
 
-    attachments = {
-        scene.get(holder).label: scene.get(held).label
-        for holder, held in scene.attachments.items()
-    }
-    return Percept(by_label, boxes3d, attachments, view.mode, scene.vision_on)
+    return Percept(by_label, boxes3d, dict(scene.attachments), view.mode, scene.vision_on)
 
 
 # --- relation grounding ----------------------------------------------------------
@@ -497,7 +491,7 @@ def query_vision(
     conjunction verifies only when every term fits one view. On timeout the
     answer is (False, True). A term no scene object carries times out at
     once, perceiving nothing and drawing nothing: detection reports only the
-    labels of scene objects, so no look could find it.
+    names of scene objects, so no look could find it.
 
     A look is taken only from a pose whose `View` of the objects carrying
     the terms has every term among its labels. From any other pose the
@@ -513,10 +507,6 @@ def query_vision(
     and `holds` says whether all do. An empty conjunction is vacuously
     true.
 
-    A look detects only the scene objects that carry a term. At zero noise
-    that answers as a whole-scene look would, since every rule reads only
-    its atom's terms.
-
     Malformed settings raise ValueError before any look or early answer
     (`check_query_settings`), and so does a frame count `n` that is not an
     int >= 1."""
@@ -525,8 +515,8 @@ def query_vision(
     terms = sorted({arg for atom in s.atoms for arg in atom.args})
     if not terms:
         return True, False
-    known = [o for o in scene.objects if o.label in terms]
-    if len({o.label for o in known}) < len(terms):
+    known = [o for o in scene.objects if o.id in terms]
+    if len(known) < len(terms):
         return False, True
 
     view = in_view(scene, cam, known, mode)

@@ -12,8 +12,13 @@ from taskmon.geometry import Box, Camera, Scene, SceneObject
 from taskmon.perception import DEFAULT_THRESHOLDS, Detection, DetectorModel, Mode, Percept, Thresholds
 
 
-def visible(scene: Scene, cam: Camera, label: str) -> bool:
-    o = scene.by_label(label)
+def _find(scene: Scene, name: str):
+    """The scene object named `name`, or None."""
+    return next((o for o in scene.objects if o.id == name), None)
+
+
+def visible(scene: Scene, cam: Camera, name: str) -> bool:
+    o = _find(scene, name)
     if o is None:
         return False
     if o.proprio:
@@ -98,13 +103,13 @@ def world_truth(pred: str, args: tuple, scene: Scene, th: Thresholds = None) -> 
     relations with no visibility gate. Detected(x) asks that a look aimed at
     x's object from the scene camera's position could see it."""
     th = th or Thresholds()
-    att = {scene.get(h).label: scene.get(o).label for h, o in scene.attachments.items()}
+    att = scene.attachments
 
-    def box(label: str) -> Box:
-        return scene.by_label(label).box
+    def box(name: str) -> Box:
+        return scene.get(name).box
 
     if pred == "Detected":
-        o = scene.by_label(args[0])
+        o = _find(scene, args[0])
         return o is not None and visible(scene, scene.camera.aimed_at(o.box.center), args[0])
     if pred == "VisionOn":
         return scene.vision_on
@@ -139,11 +144,11 @@ def vote_detect_batch(
     """`perception.detect_batch` written the plain way, as the detector's
     contract states it: `in_view` then `project` per listed object, the hit
     and the confusion draws as two n blocks, every frame's vote built over
-    the whole scene's labels and ranked by a Counter, jitter averaged over
+    the whole scene's names and ranked by a Counter, jitter averaged over
     the winning frames. It draws the same random numbers in the same order,
     so it must give equal detections and leave the generator in the same
     state."""
-    labels = sorted({o.label for o in scene.objects})
+    labels = sorted(o.id for o in scene.objects)
     out = []
     for obj in objects:
         center = obj.box.center
@@ -151,7 +156,7 @@ def vote_detect_batch(
             pr = cam.project(center)
             bbox = cam.project_box(obj.box) or (0.0, 0.0, 0.0, 0.0)
             px = (pr[0], pr[1]) if pr else (0.0, 0.0)
-            out.append(Detection(obj.label, obj.id, bbox, px, cam.depth_of(center), 1.0))
+            out.append(Detection(obj.id, obj.id, bbox, px, cam.depth_of(center), 1.0))
             continue
         if not scene.vision_on or not in_view(cam, center):
             continue
@@ -163,10 +168,10 @@ def vote_detect_batch(
         swap = [False] * n
         if len(labels) > 1:
             swap = [h and r < model.confusion for h, r in zip(hit, rng.random(n).tolist())]
-        votes = [obj.label if h else "" for h in hit]  # "" is a miss
+        votes = [obj.id if h else "" for h in hit]  # "" is a miss
         n_swapped = sum(swap)
         if n_swapped:
-            others = [l for l in labels if l != obj.label]
+            others = [l for l in labels if l != obj.id]
             picks = iter(rng.integers(len(others), size=n_swapped).tolist())
             votes = [others[next(picks)] if s else v for v, s in zip(votes, swap)]
         if model.px_jitter > 0.0:
@@ -217,8 +222,7 @@ def reference_perceive(
                 tuple(c - s / 2.0 for c, s in zip(center, size)),
                 tuple(c + s / 2.0 for c, s in zip(center, size)),
             )
-    att = {scene.get(h).label: scene.get(o).label for h, o in scene.attachments.items()}
-    return Percept(by_label, boxes3d, att, mode, scene.vision_on)
+    return Percept(by_label, boxes3d, dict(scene.attachments), mode, scene.vision_on)
 
 
 # --- scene sampler ----------------------------------------------------------------
@@ -235,7 +239,7 @@ def sample_relation_scene(rng: random.Random, overlap_heavy: bool = False) -> Sc
     ty = rng.uniform(-0.25, 0.25)
     top = rng.uniform(0.55, 0.8)
     table = Box((tx, ty - 0.45, 0.0), (tx + 0.75, ty + 0.45, top))
-    objects.append(SceneObject("table", "table", table))
+    objects.append(SceneObject("table", table))
 
     def small(cx, cy, cz, s=None):
         s = s or rng.uniform(0.05, 0.14)
@@ -254,21 +258,20 @@ def sample_relation_scene(rng: random.Random, overlap_heavy: bool = False) -> Sc
         else:
             depth = rng.uniform(0.6, 2.2) if not overlap_heavy else rng.uniform(0.8, 2.3)
             b = small(depth, rng.uniform(-0.5, 0.5), rng.uniform(0.2, 1.0))
-        objects.append(SceneObject(f"item{i}", f"item{i}", b))
+        objects.append(SceneObject(f"item{i}", b))
 
     if rng.random() < 0.7:
         cx = rng.uniform(tx + 0.1, tx + 0.55)
         cy = rng.uniform(ty - 0.3, ty + 0.3)
         s = rng.uniform(0.18, 0.3)
         objects.append(
-            SceneObject("bin", "bin", Box((cx - s / 2, cy - s / 2, top), (cx + s / 2, cy + s / 2, top + s)))
+            SceneObject("bin", Box((cx - s / 2, cy - s / 2, top), (cx + s / 2, cy + s / 2, top + s)))
         )
         if rng.random() < 0.7:
             inner = rng.uniform(0.04, 0.08)
             off = rng.uniform(0.0, (s - inner) / 2 * 0.9)
             objects.append(
                 SceneObject(
-                    "chip",
                     "chip",
                     Box(
                         (cx - inner / 2 + off, cy - inner / 2, top + 0.01),
@@ -286,6 +289,6 @@ def sample_relation_scene(rng: random.Random, overlap_heavy: bool = False) -> Sc
             cy = d * math.sin(yaw_off) + rng.uniform(-0.04, 0.04)
             cz = 1.1 - 0.15 * d + rng.uniform(-0.05, 0.05)
             s = rng.uniform(0.08, 0.2)
-            objects.append(SceneObject(f"los{j}", f"los{j}", small(cx, cy, cz, s)))
+            objects.append(SceneObject(f"los{j}", small(cx, cy, cz, s)))
 
     return Scene(objects, cam)

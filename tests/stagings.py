@@ -93,7 +93,7 @@ def run_chain(
     if vision == "live":
         seen = LiveVision(scene, cfg)
     else:
-        objects = {o.label: lib.vocab.terms[o.label].sort for o in scene.objects}
+        objects = {o.id: lib.vocab.terms[o.id].sort for o in scene.objects}
         predicates = {p.name: p for e in lib.entries for p in e.domain.predicates.values()}
         seen = BeliefVision(scene, candidate_atoms(objects, predicates.values(), lib.vocab))
     return run_task(

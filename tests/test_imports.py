@@ -1,10 +1,10 @@
 """Every name a module imports is used in it, no package module imports
 another's private name, every public function, class and module-level
-constant of the package has a reader in the program, not only in the
-tests, every defaulted parameter of a public function, and every
-defaulted field of a public dataclass, is set by some program call, every
-perception threshold is read by the package, and every packaged data file
-has a reader."""
+constant of the package, and every public method and property of a public
+class, has a reader in the program, not only in the tests, every defaulted
+parameter of a public function, and every defaulted field of a public
+dataclass, is set by some program call, every perception threshold is read
+by the package, and every packaged data file has a reader."""
 
 import ast
 import os
@@ -104,16 +104,31 @@ KEEP = {
     "validate_library": "the library's static and solution-level check",
     "trace_lines": "the deterministic trace that tests and the trace sweep compare",
     "ScriptedGoalSource": "the seam that scripts goals in place of the learned proposer",
+    "ExecutionTrace.verified_states": "ROADMAP item 10 takes the verified states of each rollout's trace",
 }
+
+
+def _owned(tree: ast.Module):
+    """(owner, node) for each top-level statement, and for each statement of
+    a top-level class's body: the owner is the definition's name,
+    "Class.method" for a method, "Class" for the rest of a class, and
+    "<module>" for a top-level statement that defines nothing."""
+    for stmt in tree.body:
+        if not isinstance(stmt, ast.ClassDef):
+            yield getattr(stmt, "name", "<module>"), stmt
+            continue
+        for node in stmt.decorator_list + stmt.bases + stmt.keywords:
+            yield stmt.name, node
+        for node in stmt.body:
+            yield (f"{stmt.name}.{node.name}" if isinstance(node, ast.FunctionDef) else stmt.name), node
 
 
 def _referenced(tree: ast.Module) -> dict[str, set[str]]:
     """Each name read as a Name, or used as an Attribute, mapped to the
-    top-level definitions (or "<module>") whose code uses it. A Name that
-    is only assigned, such as a constant's own definition, is no use."""
+    owners (see `_owned`) whose code uses it. A Name that is only assigned,
+    such as a constant's own definition, is no use."""
     out: dict[str, set[str]] = {}
-    for stmt in tree.body:
-        owner = getattr(stmt, "name", "<module>")
+    for owner, stmt in _owned(tree):
         for node in ast.walk(stmt):
             if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
                 out.setdefault(node.id, set()).add(owner)
@@ -144,11 +159,14 @@ def _program_sources() -> tuple[list[str], list[str]]:
 
 def _public_definitions(tree: ast.Module) -> list[str]:
     """The public functions, classes and module-level constants a module
-    defines: a constant is a name a top-level assignment binds."""
+    defines, and each public class's public methods and properties as
+    "Class.method": a constant is a name a top-level assignment binds."""
     out = []
     for s in tree.body:
         if isinstance(s, (ast.FunctionDef, ast.ClassDef)):
             out.append(s.name)
+            if isinstance(s, ast.ClassDef) and not s.name.startswith("_"):
+                out += [f"{s.name}.{f.name}" for f in s.body if isinstance(f, ast.FunctionDef) and not f.name.startswith("_")]
         elif isinstance(s, (ast.Assign, ast.AnnAssign)):
             targets = s.targets if isinstance(s, ast.Assign) else [s.target]
             out += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
@@ -156,8 +174,10 @@ def _public_definitions(tree: ast.Module) -> list[str]:
 
 
 def unreferenced_public_names(src: list[str], bench: list[str]) -> list[str]:
-    """Public top-level names of the package sources `src` that nothing
-    else in them or in the perfbench sources `bench` uses."""
+    """Public names of the package sources `src` (see `_public_definitions`)
+    that nothing else in them or in the perfbench sources `bench` uses. A
+    method counts as used wherever an attribute of its name is, outside its
+    own body; a class or function, outside its own code."""
     defined: list[str] = []
     uses: dict[str, set[str]] = {}
     for source in src:
@@ -168,7 +188,10 @@ def unreferenced_public_names(src: list[str], bench: list[str]) -> list[str]:
     for source in bench:
         for name in _referenced(ast.parse(source)):
             uses.setdefault(name, set()).add("<perfbench>")
-    return sorted(n for n in defined if not uses.get(n, set()) - {n})
+    return sorted(
+        n for n in defined
+        if not {o for o in uses.get(n.rpartition(".")[2], ()) if o != n and not o.startswith(n + ".")}
+    )
 
 
 def test_unreferenced_public_name_detector():
@@ -180,6 +203,22 @@ def test_unreferenced_public_name_detector():
     )
     assert unreferenced_public_names([defining], []) == ["B", "K", "TABLE", "g"]
     assert unreferenced_public_names([defining], ["K.x = TABLE\n"]) == ["B", "g"]
+    # a method or property is used by an attribute read outside its own
+    # body, its class's other methods included, so recursion is no use; a
+    # private or dunder one is not checked
+    methods = (
+        "class K:\n"
+        "    def __init__(self):\n        self.inner()\n"
+        "    def rec(self):\n        return self.rec()\n"
+        "    def inner(self):\n        return 1\n"
+        "    def outer(self):\n        return self.inner()\n"
+        "    @property\n    def size(self):\n        return 0\n"
+        "    def _hidden(self):\n        return 0\n"
+        "class _P:\n    def m(self):\n        return 0\n"
+        "K()\n"
+    )
+    assert unreferenced_public_names([methods], []) == ["K.outer", "K.rec", "K.size"]
+    assert unreferenced_public_names([methods], ["K().outer().size\n"]) == ["K.rec"]
 
 
 def test_every_public_name_has_a_program_caller():

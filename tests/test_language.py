@@ -1,5 +1,6 @@
 import os
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ from taskmon.language import (
     TokenSeq,
     Vocabulary,
     decode_state,
+    encode_goal,
     encode_state,
     parse_atom,
 )
@@ -153,6 +155,29 @@ def test_vocabulary_refuses_a_max_atoms_that_is_not_a_whole_number(max_atoms):
     # a fractional cap would reach the net's goal source as a slice bound
     with pytest.raises(LanguageError, match="max_atoms must be a whole number"):
         make_tiny_vocab(max_atoms=max_atoms)
+
+
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        ("Foo(brush)", "the vocabulary has no 1-ary predicate Foo"),
+        ("On(brush)", "the vocabulary has no 1-ary predicate On"),
+        ("On(ghost,table)", "'ghost' is not a term"),
+        ("On(Holding,table)", "'Holding' is not a term"),
+    ],
+)
+def test_encoder_refuses_an_atom_the_vocabulary_cannot_spell(packaged_lib, text, reason):
+    # each of these once raised a bare KeyError or spelled a sequence the
+    # decoders refuse
+    vocab = packaged_lib.vocab
+    bad = parse_atom(text)
+    atoms = State.of([Atom("Detected", ("brush",)), bad])
+    task = vocab.tasks[min(vocab.tasks)]
+    message = re.escape(f"cannot encode {bad}: {reason}")
+    with pytest.raises(LanguageError, match=message):
+        encode_goal(atoms, vocab)
+    with pytest.raises(LanguageError, match=message):
+        encode_state(task, atoms, vocab)
 
 
 def test_empty_state_encodes(tiny_vocab):

@@ -109,6 +109,11 @@ def _problem(name: str, goal: str) -> str:
     )
 
 
+def of_kind(trace, kind: str) -> list:
+    """The trace's events of one kind, in order."""
+    return [e for e in trace.events if e.kind == kind]
+
+
 def make_lib(vocab):
     dom = parse_domain(DOMAIN)
     entries = [PlanEntry(n, dom, parse_problem(_problem(n, g), dom)) for n, g in GOALS.items()]
@@ -121,12 +126,12 @@ def desk_scene(brush_center=(1.0, 0.0, 0.8)) -> Scene:
     the sweep band."""
     mk = Box.from_center
     objs = [
-        SceneObject("table", "table", mk((1.0, 0.0, 0.45), (0.8, 0.8, 0.5)), None),
-        SceneObject("shelf", "shelf", mk((0.0, 1.2, 0.45), (0.6, 0.4, 0.6)), None),
-        SceneObject("brush", "brush", mk(brush_center, (0.08, 0.08, 0.2)), "table"),
-        SceneObject("cup", "cup", mk((1.15, 0.2, 0.75), (0.1, 0.1, 0.1)), "table"),
-        SceneObject("hand", "hand", mk((0.35, -0.3, 0.9), (0.12, 0.12, 0.12)), None, proprio=True),
-        SceneObject("rover", "rover", mk((0.2, 0.0, 0.1), (0.5, 0.4, 0.2)), None, proprio=True),
+        SceneObject("table", mk((1.0, 0.0, 0.45), (0.8, 0.8, 0.5)), None),
+        SceneObject("shelf", mk((0.0, 1.2, 0.45), (0.6, 0.4, 0.6)), None),
+        SceneObject("brush", mk(brush_center, (0.08, 0.08, 0.2)), "table"),
+        SceneObject("cup", mk((1.15, 0.2, 0.75), (0.1, 0.1, 0.1)), "table"),
+        SceneObject("hand", mk((0.35, -0.3, 0.9), (0.12, 0.12, 0.12)), None, proprio=True),
+        SceneObject("rover", mk((0.2, 0.0, 0.1), (0.5, 0.4, 0.2)), None, proprio=True),
     ]
     return Scene(objs, Camera(position=(0.0, 0.0, 0.9), yaw=0.0, pitch=-0.3))
 
@@ -321,6 +326,28 @@ def test_actuator_refuses_unmet_precondition_and_leaves_scene_alone(lib, desk_vo
     assert scene == before
 
 
+@pytest.mark.parametrize("holder, held", [("brush", "brush"), ("brush", "hand")])
+def test_actuator_refuses_a_hold_that_closes_a_holding_loop(lib, desk_vocab, holder, held):
+    # the hand holds the brush; a hold of the brush by itself, or of the hand
+    # by the brush, would leave a scene whose translation never ends
+    scene = desk_scene()
+    act = SimActuator(scene, desk_vocab)
+    assert act.execute(grasp_action(lib)).ok
+    before = scene.copy()
+    hold = Atom("Holding", (holder, held))
+    loop = replace(grasp_action(lib), pre=frozenset(), add=frozenset({hold}), delete=frozenset())
+    assert act.execute(loop) == ActionResult(False, f"{loop} would close a holding loop")
+    assert scene == before
+
+
+def test_an_effect_naming_no_scene_object_is_refused(lib, desk_vocab):
+    # every precondition holds, so the effect is where the missing name shows
+    ghost = Atom("Detected", ("ghost",))
+    search = replace(grasp_action(lib), pre=frozenset(), add=frozenset({ghost}), delete=frozenset())
+    with pytest.raises(ActuationSetupError, match=re.escape("Detected(ghost) names no scene object 'ghost'")):
+        SimActuator(desk_scene(), desk_vocab).execute(search)
+
+
 def test_actuator_fault_stream_is_seeded(lib, desk_vocab):
     ga = grasp_action(lib)
     outcomes = []
@@ -434,7 +461,7 @@ def test_a_chance_disturbance_fires_on_its_stream_first_draw(lib, desk_vocab):
 def test_remove_hides_object_from_all_views(desk_vocab):
     scene = desk_scene()
     remove_from_workspace(scene, "brush")
-    assert scene.by_label("brush") is not None
+    assert any(o.id == "brush" for o in scene.objects)
     p = truth_percept(scene)
     assert not ground_relation("On", ("brush", "table"), p)
     cam = scene.camera
@@ -671,17 +698,17 @@ def test_benign_run_event_shape(benign):
     trace, _ = benign
     assert [e.kind for e in trace.events[:2]] == ["vision_query", "vision_result"]
     assert trace.events[0].payload["purpose"] == "start"
-    assert len(trace.of_kind("goal_reached")) == 3
-    assert len(trace.of_kind("recovery")) == 0
+    assert len(of_kind(trace, "goal_reached")) == 3
+    assert len(of_kind(trace, "recovery")) == 0
     # e-found is already satisfied (empty plan); e-pick takes one action,
     # e-place approaches then places
-    dispatched = [e.payload["action"] for e in trace.of_kind("action_dispatch")]
+    dispatched = [e.payload["action"] for e in of_kind(trace, "action_dispatch")]
     assert dispatched == [
         "grasp(hand,brush,table)",
         "approach(hand,shelf)",
         "place(hand,brush,shelf)",
     ]
-    assert all(e.payload["ok"] for e in trace.of_kind("action_result"))
+    assert all(e.payload["ok"] for e in of_kind(trace, "action_result"))
     assert [rank for _, rank in trace.attempted] == [1, 1, 1]
 
 
@@ -715,9 +742,9 @@ def test_search_plan_dispatches_and_succeeds(lib):
     trace = run_scripted(lib, scene, [goal], goal, start=State.parse(["Free(hand)"]))
     assert trace.outcome.ok
     audit(trace)
-    assert [e.payload["action"] for e in trace.of_kind("action_dispatch")] == ["search(brush)"]
+    assert [e.payload["action"] for e in of_kind(trace, "action_dispatch")] == ["search(brush)"]
     # the search precondition is the empty conjunction: vacuously verified
-    pre = [e for e in trace.of_kind("vision_query") if e.payload["purpose"] == "precondition"]
+    pre = [e for e in of_kind(trace, "vision_query") if e.payload["purpose"] == "precondition"]
     assert pre[0].payload["atoms"] == []
 
 
@@ -767,13 +794,13 @@ def test_mid_run_disturbance_recovers_to_rank_two(lib, desk_vocab):
     )
     assert trace.outcome.ok
     audit(trace)
-    recoveries = trace.of_kind("recovery")
+    recoveries = of_kind(trace, "recovery")
     assert len(recoveries) == 1
     assert recoveries[0].payload["reason"] == "precondition_unverified"
-    assert [e.payload["rank"] for e in trace.of_kind("proposal_selected")] == [1, 2]
+    assert [e.payload["rank"] for e in of_kind(trace, "proposal_selected")] == [1, 2]
     assert [rank for _, rank in trace.attempted] == [1, 2]
     # rank 2 matched e-pick under brush->cup renaming
-    assert trace.of_kind("proposal_selected")[1].payload["entry"] == "e-pick"
+    assert of_kind(trace, "proposal_selected")[1].payload["entry"] == "e-pick"
     assert ground_relation("Holding", ("hand", "cup"), truth_percept(scene))
 
 
@@ -799,7 +826,7 @@ def test_all_proposals_exhausted_after_timeout(lib, desk_vocab):
     )
     assert trace.outcome == Outcome("failure", "vision_timeout")
     audit(trace)
-    assert len(trace.of_kind("recovery")) == 1
+    assert len(of_kind(trace, "recovery")) == 1
 
 
 def test_transient_actuator_fault_replans_same_goal(lib, desk_vocab):
@@ -818,11 +845,11 @@ def test_transient_actuator_fault_replans_same_goal(lib, desk_vocab):
     )
     assert trace.outcome.ok
     audit(trace)
-    oks = [e.payload["ok"] for e in trace.of_kind("action_result")]
+    oks = [e.payload["ok"] for e in of_kind(trace, "action_result")]
     assert oks == [False, True]
     # re-planning retries the same goal: one selection, no recovery
-    assert len(trace.of_kind("proposal_selected")) == 1
-    assert len(trace.of_kind("recovery")) == 0
+    assert len(of_kind(trace, "proposal_selected")) == 1
+    assert len(of_kind(trace, "recovery")) == 0
 
 
 def test_plan_relying_on_stale_proximity_is_caught_before_dispatch(lib):
@@ -833,10 +860,10 @@ def test_plan_relying_on_stale_proximity_is_caught_before_dispatch(lib):
     trace = run_scripted(lib, desk_scene(), [g], g)
     assert trace.outcome == Outcome("failure", "proposals_exhausted")
     audit(trace)  # nothing dispatched on an unverified precondition
-    recoveries = trace.of_kind("recovery")
+    recoveries = of_kind(trace, "recovery")
     assert len(recoveries) == 1
     assert recoveries[0].payload["reason"] == "precondition_unverified"
-    dispatched = [e.payload["action"] for e in trace.of_kind("action_dispatch")]
+    dispatched = [e.payload["action"] for e in of_kind(trace, "action_dispatch")]
     assert "grasp(hand,brush,table)" not in dispatched
 
 
@@ -856,9 +883,9 @@ def test_persistent_actuator_fault_exhausts_replans_then_recovers(lib, desk_voca
     )
     assert trace.outcome == Outcome("failure", "proposals_exhausted")
     audit(trace)
-    results = trace.of_kind("action_result")
+    results = of_kind(trace, "action_result")
     assert [e.payload["reason"] for e in results] == ["fault", "fault"]  # first try + one re-plan
-    recoveries = trace.of_kind("recovery")
+    recoveries = of_kind(trace, "recovery")
     assert len(recoveries) == 1
     assert recoveries[0].payload["reason"] == "action_failed: fault"
 
@@ -984,7 +1011,7 @@ def test_a_partly_covered_packaged_gate_still_times_out(packaged_lib):
     trace = run_chain(packaged_lib, chain, "base", MonitorConfig(seed=0, mode=Mode.NO_DEPTH))
     assert trace.outcome == Outcome("failure", "vision_timeout")
     audit(trace)
-    last = trace.of_kind("vision_result")[-1].payload
+    last = of_kind(trace, "vision_result")[-1].payload
     assert last["timeout"] and last["looked"]
 
 
@@ -1043,7 +1070,7 @@ def test_a_success_ends_on_a_terminal_check_that_makes_no_look(lib):
     trace = run_scripted(lib, desk_scene(), [g], g)
     assert trace.outcome.ok
     audit(trace)
-    results = trace.of_kind("vision_result")
+    results = of_kind(trace, "vision_result")
     assert results[-1].payload == {
         "purpose": "terminal", "holds": True, "timeout": False,
         "atoms": ["Holding(hand,brush)"], "looked": False,
@@ -1089,8 +1116,8 @@ def test_goal_budget_halts_a_cycling_source(lib, desk_vocab):
     )
     assert trace.outcome == Outcome("failure", "goal_budget_exhausted")
     audit(trace)
-    assert len(trace.of_kind("goal_reached")) == 3
-    assert len(trace.of_kind("proposal_selected")) == 3
+    assert len(of_kind(trace, "goal_reached")) == 3
+    assert len(of_kind(trace, "proposal_selected")) == 3
 
 
 def test_unplannable_goal_is_selected_once(lib, desk_vocab):
@@ -1111,9 +1138,9 @@ def test_unplannable_goal_is_selected_once(lib, desk_vocab):
     )
     assert trace.outcome == Outcome("failure", "proposals_exhausted")
     audit(trace)
-    selected = trace.of_kind("proposal_selected")
+    selected = of_kind(trace, "proposal_selected")
     assert [(e.payload["rank"], e.payload["entry"]) for e in selected] == [(1, "e-pick")]
-    assert trace.of_kind("action_dispatch") == []
+    assert of_kind(trace, "action_dispatch") == []
     # the planning failure is in the trace, right after the selection
     kinds = [e.kind for e in trace.events]
     i = kinds.index("plan_failed")
@@ -1136,13 +1163,13 @@ def test_plan_failed_names_why_the_goal_was_retired(lib, desk_vocab, monkeypatch
     trace = run_scripted(lib, desk_scene(), [goal_of(lib, "e-pick")], goal_of(lib, "e-pick"))
     assert trace.outcome == Outcome("failure", "proposals_exhausted")
     audit(trace)
-    (e,) = trace.of_kind("plan_failed")
+    (e,) = of_kind(trace, "plan_failed")
     assert e.payload["reason"] == reason
     if reason == "too_long":
         assert e.payload["plan_len"] == monitor.MAX_PLAN_LEN + 1
     else:
         assert "plan_len" not in e.payload
-    assert trace.of_kind("action_dispatch") == []
+    assert of_kind(trace, "action_dispatch") == []
 
 
 def test_empty_script_fails_with_no_proposals(lib, desk_vocab):
@@ -1182,7 +1209,7 @@ def test_failed_goal_is_never_reselected(lib, desk_vocab):
     )
     assert not trace.outcome.ok
     audit(trace)
-    assert len(trace.of_kind("proposal_selected")) == 1  # rank 2 repeat was skipped
+    assert len(of_kind(trace, "proposal_selected")) == 1  # rank 2 repeat was skipped
 
 
 # --- packaged data ------------------------------------------------------------------
@@ -1207,7 +1234,7 @@ def test_packaged_chain_succeeds_on_its_staging(packaged_lib, task_id, chain_idx
     trace = run_chain(packaged_lib, chain, staging_name, MonitorConfig(seed=0))
     assert trace.outcome == Outcome("success", ""), trace.outcome
     audit(trace)
-    assert len(trace.of_kind("goal_reached")) == len(chain.goals)
+    assert len(of_kind(trace, "goal_reached")) == len(chain.goals)
 
 
 @pytest.mark.parametrize("task_id,chain_idx,staging_name", PACKAGED_RUNS)
@@ -1371,7 +1398,7 @@ def test_belief_vision_reads_what_eager_grounding_holds(packaged_lib, monkeypatc
     monkeypatch.setattr(monitor, "ground_relation", counted)
     for name in SCENES:
         scene = stage(name, lib.vocab).scene
-        objects = {o.label: lib.vocab.terms[o.label].sort for o in scene.objects}
+        objects = {o.id: lib.vocab.terms[o.id].sort for o in scene.objects}
         candidates = candidate_atoms(objects, predicates.values(), lib.vocab)
         p = truth_percept(scene)
         eager = {a for a in candidates if ground_relation(a.pred, a.args, p)}
