@@ -12,12 +12,14 @@ This module owns the two formats the rest of the package shares. The sort
 tree is a `sort -> parent` map walked only by `is_subsort`,
 `check_sort_forest` and `branch_kind`; both the vocabulary and PDDL domains
 use them. The token grammar `task <ets> (pred args <eoa>)* <eos>` (the task
-prefix is absent in goals) is written only by `encode_atoms`, read only by
-the atom-group loop behind `decode_state` and `decode_goal`, and split into
-atom spans only by `atom_spans`. It also owns how the packaged YAML files
-are parsed: `load_yaml` is the one reader behind scenes, the vocabulary and
-the plan library, and `shaped`/`shaped_field` are the one check of a
-document's shape that the vocabulary and plan-library loaders share.
+prefix is absent in goals) is written only by `encode_atoms` and split into
+atom spans only by `atom_spans`. Two readers parse it: the atom-group loop
+behind `decode_state` and `decode_goal`, and `predictor.beam_decode`, which
+ends a hypothesis at `<eos>` and an atom group at `<eoa>`, and keeps `<ets>`
+out of a group, as it decodes. It also owns how the packaged YAML files are
+parsed: `load_yaml` is the one reader behind scenes, the vocabulary and the
+plan library, and `shaped`, `shaped_field` and `known_fields` are the one
+check of a document's shape that their loaders share.
 `check_int` is the package's one check of an integer setting, such as a
 seed, a count or a beam width.
 """
@@ -421,9 +423,11 @@ def encode_atoms(
 ) -> TokenSeq:
     """The one writer of the token grammar: the task words and ETS when a task
     is given, then each atom in the given order as predicate, arguments and
-    EOA, then EOS. An atom the decoders would refuse raises LanguageError
-    naming it."""
+    EOA, then EOS. A task that is not the vocabulary's, or an atom the
+    decoders would refuse, raises LanguageError naming it."""
     tok, preds, terms = vocab.token_to_id, vocab.predicates, vocab.terms
+    if task is not None and vocab.tasks.get(task.id) != task:
+        raise LanguageError(f"cannot encode task {task.id!r}: not the vocabulary's task {task.sentence!r}")
     ids = [] if task is None else [tok[w] for w in task.words] + [ETS_ID]
     for atom in atoms:
         pred = preds.get(atom.pred)

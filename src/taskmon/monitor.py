@@ -675,8 +675,9 @@ def run_task(
     """Drive the loop to termination. Never raises once configured: every
     failure, including seam exceptions, lands in the trace outcome, and the
     single end_task event is always last. A task that is not the
-    vocabulary's, or a start or terminal atom of the wrong predicate, arity
-    or sorts, raises MonitorSetupError before the loop starts."""
+    vocabulary's, a start or terminal atom of the wrong predicate, arity
+    or sorts, or a net to deploy that was built for another vocabulary,
+    raises MonitorSetupError before the loop starts."""
     vocab = lib.vocab
     task_id = task if isinstance(task, str) else task.id
     if task_id not in vocab.tasks:
@@ -691,6 +692,8 @@ def run_task(
     if goal_source is None:
         if net is None:
             raise MonitorSetupError("need a trained net or an explicit goal source")
+        if net.vocab_hash != vocab.hash():
+            raise MonitorSetupError("the net was built for a different vocabulary")
         goal_source = NetGoalSource(net, vocab)
     if vision is None:
         vision = LiveVision(scene, cfg)

@@ -1,10 +1,11 @@
-"""PDDL subset: typed domains with equality, ground problems, plan library.
+"""PDDL subset: typed STRIPS domains, ground problems, plan library.
 
-Supported surface: :requirements (:typing :equality), :types, :predicates,
-:action with :parameters/:precondition/:effect plus a per-action :class
-annotation (world or ecological). Preconditions are conjunctions of positive
-atoms and (possibly negated) equalities; effects are conjunctions of atoms
-and (not atom) deletes. Everything else raises UnsupportedFeature.
+Supported surface: :requirements :typing, :types, :predicates, :action with
+:parameters/:precondition/:effect plus a per-action :class annotation
+(world or ecological). Preconditions are conjunctions of positive atoms,
+with no equality; effects are conjunctions of atoms and (not atom) deletes.
+Each section but :action appears at most once. Everything else, `=`
+included, raises UnsupportedFeature.
 `validate_library` checks every entry with the monitor's planner,
 `planning.solve`.
 """
@@ -27,6 +28,7 @@ from .language import (
     branch_kind,
     check_sort_forest,
     is_subsort,
+    known_fields,
     load_yaml,
     shaped,
     shaped_field,
@@ -85,22 +87,10 @@ class SchemaAtom:
 
 
 @dataclass(frozen=True)
-class EqCond:
-    a: str
-    b: str
-    negated: bool
-
-    def holds(self, binding: dict[str, str]) -> bool:
-        eq = binding.get(self.a, self.a) == binding.get(self.b, self.b)
-        return eq != self.negated
-
-
-@dataclass(frozen=True)
 class ActionSchema:
     name: str
     parameters: tuple[Parameter, ...]
     pre: tuple[SchemaAtom, ...]
-    eqs: tuple[EqCond, ...]
     add: tuple[SchemaAtom, ...]
     delete: tuple[SchemaAtom, ...]
     action_class: str = WORLD_ACTION
@@ -358,17 +348,14 @@ def _conjuncts(node: Node) -> list[Node]:
     return [lst]
 
 
-_REJECTED_HEADS = {"or", "forall", "exists", "when", "imply", "oneof", "increase", "decrease", "assign"}
+_REJECTED_HEADS = {"=", "or", "forall", "exists", "when", "imply", "oneof", "increase", "decrease", "assign"}
 
 
 def _parse_plain_atom(node: Node) -> SchemaAtom:
     lst, head = _head(node, "an atom", "a predicate name")
     if head in _REJECTED_HEADS:
         raise UnsupportedFeature(head)
-    args = tuple(_sym(a, "an argument") for a in lst.items[1:])
-    if head == "=" and len(args) != 2:
-        raise ParseError(lst.line, lst.col, "two arguments to =")
-    return SchemaAtom(head, args)
+    return SchemaAtom(head, tuple(_sym(a, "an argument") for a in lst.items[1:]))
 
 
 def _literals(node: Node) -> Iterator[tuple[bool, SchemaAtom]]:
@@ -384,25 +371,19 @@ def _literals(node: Node) -> Iterator[tuple[bool, SchemaAtom]]:
             yield False, _parse_plain_atom(lst)
 
 
-def _parse_precondition(node: Node) -> tuple[tuple[SchemaAtom, ...], tuple[EqCond, ...]]:
+def _parse_precondition(node: Node) -> tuple[SchemaAtom, ...]:
     atoms: list[SchemaAtom] = []
-    eqs: list[EqCond] = []
     for negated, atom in _literals(node):
-        if atom.pred == "=":
-            eqs.append(EqCond(atom.args[0], atom.args[1], negated))
-        elif negated:
-            raise UnsupportedFeature("negative precondition on a non-equality atom")
-        else:
-            atoms.append(atom)
-    return tuple(atoms), tuple(eqs)
+        if negated:
+            raise UnsupportedFeature("negative precondition")
+        atoms.append(atom)
+    return tuple(atoms)
 
 
 def _parse_effect(node: Node) -> tuple[tuple[SchemaAtom, ...], tuple[SchemaAtom, ...]]:
     add: list[SchemaAtom] = []
     delete: list[SchemaAtom] = []
     for negated, atom in _literals(node):
-        if atom.pred == "=":
-            raise UnsupportedFeature("equality in effects")
         (delete if negated else add).append(atom)
     return tuple(add), tuple(delete)
 
@@ -416,13 +397,17 @@ def parse_domain(text: str) -> PlanDomain:
     sorts: dict[str, Optional[str]] = {}
     predicates: dict[str, Predicate] = {}
     schemas: list[ActionSchema] = []
+    seen: set[str] = set()
 
     for section in top.items[2:]:
         lst, key = _head(section, "a domain section", "a section keyword")
+        if key in seen and key != ":action":
+            raise ParseError(lst.line, lst.col, f"a single {key} section")
+        seen.add(key)
         if key == ":requirements":
             for req in lst.items[1:]:
                 r = _sym(req, "a requirement flag")
-                if r not in (":typing", ":equality"):
+                if r != ":typing":
                     raise UnsupportedFeature(f"requirement {r}")
         elif key == ":types":
             for sort, parent in _typed_names(lst.items[1:], require_sort=False, what="sort"):
@@ -432,6 +417,8 @@ def parse_domain(text: str) -> PlanDomain:
         elif key == ":predicates":
             for p in lst.items[1:]:
                 plst, pname = _head(p, "a predicate declaration", "a predicate name")
+                if pname in _REJECTED_HEADS:
+                    raise UnsupportedFeature(pname)
                 if pname in predicates:
                     raise ParseError(plst.line, plst.col, f"distinct predicate names (duplicate {pname})")
                 params = _typed_names(plst.items[1:], require_sort=True, what="variable")
@@ -493,22 +480,20 @@ def _parse_action(lst: SList) -> ActionSchema:
         if action_class not in (WORLD_ACTION, ECOLOGICAL_ACTION):
             raise ParseError(*_pos(sections[":class"]), "world or ecological")
 
-    pre, eqs = _parse_precondition(sections[":precondition"]) if ":precondition" in sections else ((), ())
+    pre = _parse_precondition(sections[":precondition"]) if ":precondition" in sections else ()
     add, delete = _parse_effect(sections[":effect"]) if ":effect" in sections else ((), ())
 
     declared = {p.name for p in params}
     used = set()
     for a in pre + add + delete:
         used |= a.variables()
-    for e in eqs:
-        used |= {v for v in (e.a, e.b) if v.startswith("?")}
     stray = used - declared
     if stray:
         raise ParseError(lst.line, lst.col, f"declared parameters (undeclared: {sorted(stray)})")
     if set(add) & set(delete):
         raise ParseError(lst.line, lst.col, "disjoint add and delete lists")
 
-    return ActionSchema(name, params, pre, eqs, add, delete, action_class)
+    return ActionSchema(name, params, pre, add, delete, action_class)
 
 
 def _check_domain(dom: PlanDomain) -> None:
@@ -555,8 +540,7 @@ def parse_problem(text: str, domain: PlanDomain) -> PlanProblem:
         lst, key = _head(section, "a problem section", "a section keyword")
         if key in seen:
             raise ParseError(lst.line, lst.col, f"a single {key} section")
-        if key in (":domain", ":goal"):
-            seen.add(key)
+        seen.add(key)
         if key == ":domain":
             if len(lst.items) != 2:
                 raise ParseError(lst.line, lst.col, "a single domain name")
@@ -590,8 +574,6 @@ def parse_problem(text: str, domain: PlanDomain) -> PlanProblem:
 
 def _ground_atom(node: Node) -> Atom:
     atom = _parse_plain_atom(node)
-    if atom.pred == "=":
-        raise UnsupportedFeature("equality in problem states")
     for a in atom.args:
         if a.startswith("?"):
             raise TypingError(atom, f"not ground (variable {a})")
@@ -622,6 +604,7 @@ def load_library(manifest_path: str, vocab: Vocabulary) -> PlanLibrary:
     task chains, parse and cross-check everything against the vocabulary."""
     with open(manifest_path) as f:
         doc = shaped(load_yaml(f), dict, "manifest", LibraryError)
+    known_fields(doc, ("entries", "tasks"), "manifest", LibraryError)
     base = os.path.dirname(os.path.abspath(manifest_path))
 
     domains: dict[str, PlanDomain] = {}
@@ -629,6 +612,7 @@ def load_library(manifest_path: str, vocab: Vocabulary) -> PlanLibrary:
     names: set[str] = set()
     for i, item in enumerate(shaped(doc.get("entries", []), list, "manifest: field 'entries'", LibraryError)):
         name = shaped_field(item, "name", f"entry {i}", error=LibraryError)
+        known_fields(item, ("name", "domain", "problem"), f"entry {name}", LibraryError)
         if name in names:
             raise LibraryError(f"duplicate entry name {name}")
         names.add(name)
@@ -646,11 +630,13 @@ def load_library(manifest_path: str, vocab: Vocabulary) -> PlanLibrary:
     chains: list[TaskChain] = []
     for i, item in enumerate(shaped(doc.get("tasks", []), list, "manifest: field 'tasks'", LibraryError)):
         tid = shaped_field(item, "id", f"task {i}", error=LibraryError)
+        known_fields(item, ("id", "chains"), f"task {tid}", LibraryError)
         if tid not in vocab.tasks:
             raise LibraryError(f"task {tid} is not in the vocabulary")
         for j, ch in enumerate(shaped(item.get("chains", []), list, f"task {tid}: field 'chains'", LibraryError)):
             where = f"task {tid}: chain {j}"
             goals = tuple(shaped_field(ch, "goals", where, list, LibraryError))
+            known_fields(ch, ("goals", "weight"), where, LibraryError)
             for g in goals:
                 if shaped(g, str, f"{where}: goal", LibraryError) not in names:
                     raise LibraryError(f"task {tid}: chain references unknown entry {g}")

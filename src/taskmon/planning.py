@@ -137,9 +137,9 @@ class Grounding:
 
 
 def ground_actions(domain: PlanDomain, objects: dict[str, str]) -> Grounding:
-    """Enumerate sort-compatible bindings for every schema, resolve equality
-    preconditions at grounding time, drop ill-typed instantiations. Sorted by
-    (schema name, args) for deterministic search.
+    """Enumerate sort-compatible bindings for every schema and drop
+    ill-typed instantiations. Sorted by (schema name, args) for
+    deterministic search.
 
     Memoised in `domain.groundings`, keyed by the set of the object set's
     (name, sort) pairs, so dicts equal in any insertion order share it: the
@@ -159,8 +159,6 @@ def ground_actions(domain: PlanDomain, objects: dict[str, str]) -> Grounding:
             candidates.append(cands)
         for combo in itertools.product(*candidates):
             binding = {p.name: o for p, o in zip(sch.parameters, combo)}
-            if not all(eq.holds(binding) for eq in sch.eqs):
-                continue
             ga = _bind(sch, binding, combo, domain, objects, table)
             if ga is not None:
                 out.append(ga)

@@ -51,7 +51,7 @@ def make_tiny_vocab(max_atoms: int = 17) -> Vocabulary:
 # The one tiny PDDL domain, over the tiny vocabulary's sorts and predicates.
 TINY_DOMAIN = """
 (define (domain tiny)
-  (:requirements :typing :equality)
+  (:requirements :typing)
   (:types item surface - world-ent
           gripper base - robot-ent
           world-ent robot-ent - entity)
@@ -78,7 +78,7 @@ TINY_DOMAIN = """
   (:action place
     :class world
     :parameters (?o - item ?s - surface)
-    :precondition (and (Hold hand ?o) (CloseTo rover ?s) (not (= ?o ?s)))
+    :precondition (and (Hold hand ?o) (CloseTo rover ?s))
     :effect (and (On ?o ?s) (Free hand) (not (Hold hand ?o)))))
 """
 

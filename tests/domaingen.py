@@ -22,7 +22,7 @@ from taskmon.planning import ground_actions
 BLOCKS_DOMAIN = parse_domain(
     """
 (define (domain blocks)
-  (:requirements :typing :equality)
+  (:requirements :typing)
   (:types block gripper - entity)
   (:predicates (On ?a - block ?b - block)
                (OnTable ?b - block)
@@ -43,7 +43,7 @@ BLOCKS_DOMAIN = parse_domain(
     :effect (and (Hold ?g ?a) (Clear ?b) (not (On ?a ?b)) (not (Clear ?a)) (not (Free ?g))))
   (:action stack
     :parameters (?a - block ?b - block ?g - gripper)
-    :precondition (and (Hold ?g ?a) (Clear ?b) (not (= ?a ?b)))
+    :precondition (and (Hold ?g ?a) (Clear ?b))
     :effect (and (On ?a ?b) (Clear ?a) (Free ?g) (not (Hold ?g ?a)) (not (Clear ?b)))))
 """
 )
@@ -120,16 +120,16 @@ def random_case(seed: int) -> tuple[PlanDomain, PlanProblem]:
 
 def unreachable_case(seed: int) -> tuple[PlanDomain, PlanProblem]:
     """random_case(seed) with goal atoms that no plan reaches together. A
-    block on itself is unreachable even when deletes are ignored (stack
-    needs two distinct blocks); a hand both holding and free, or a lamp
-    both lit and dark, is reachable atom by atom, so only search rules it
-    out."""
+    block on a name that is no problem object is unreachable even when
+    deletes are ignored, since no ground action adds it; a hand both holding
+    and free, or a lamp both lit and dark, is reachable atom by atom, so
+    only search rules it out."""
     dom, prob = random_case(seed)
     rng = random.Random(~seed)
     if seed % 2 == 0:
         b = rng.choice(sorted(o for o, s in prob.objects.items() if s == "block"))
         if rng.random() < 0.5:
-            extra = [Atom("On", (b, b))]
+            extra = [Atom("On", (b, "nowhere"))]
         else:
             extra = [Atom("Hold", ("hand", b)), Atom("Free", ("hand",))]
     else:
@@ -213,7 +213,7 @@ def _print_typed(pairs: list[tuple[str, Optional[str]]]) -> str:
 
 
 def print_domain(dom: PlanDomain) -> str:
-    lines = [f"(define (domain {dom.name})", "  (:requirements :typing :equality)"]
+    lines = [f"(define (domain {dom.name})", "  (:requirements :typing)"]
     typed = [(s, p) for s, p in dom.sorts.items()]
     if typed:
         lines.append(f"  (:types {_print_typed(typed)})")
@@ -226,9 +226,6 @@ def print_domain(dom: PlanDomain) -> str:
     for sch in dom.schemas:
         params = _print_typed([(p.name, p.sort) for p in sch.parameters])
         pre_parts = [_print_atom(a) for a in sch.pre]
-        pre_parts += [
-            f"(not (= {e.a} {e.b}))" if e.negated else f"(= {e.a} {e.b})" for e in sch.eqs
-        ]
         eff_parts = [_print_atom(a) for a in sch.add]
         eff_parts += [f"(not {_print_atom(a)})" for a in sch.delete]
         lines.append(f"  (:action {sch.name}")

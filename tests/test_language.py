@@ -180,6 +180,20 @@ def test_encoder_refuses_an_atom_the_vocabulary_cannot_spell(packaged_lib, text,
         encode_state(task, atoms, vocab)
 
 
+@pytest.mark.parametrize(
+    "task",
+    [TaskSentence.of("t-x", "fetch the spanner"), TaskSentence.of("t-x", "clear the table"),
+     TaskSentence.of("t-clear", "bring the brush to the shelf")],
+    ids=["unknown-words", "unknown-id", "another-sentence"],
+)
+def test_encoder_refuses_a_task_that_is_not_the_vocabularys(tiny_vocab, task):
+    # unknown words once raised a bare KeyError; known words under another
+    # id would decode to the vocabulary's task, not this one
+    message = re.escape(f"cannot encode task {task.id!r}")
+    with pytest.raises(LanguageError, match=message):
+        encode_state(task, State(), tiny_vocab)
+
+
 def test_empty_state_encodes(tiny_vocab):
     t = tiny_vocab.tasks["t-clear"]
     seq = encode_state(t, State(), tiny_vocab)

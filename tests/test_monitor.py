@@ -54,12 +54,12 @@ from taskmon.pddl import (
 )
 from taskmon.perception import DetectorModel, Mode, ground_relation, perceive
 from taskmon.planning import ground_actions, match_plan, solve
-from taskmon.predictor import GoalProposal, TrainingPair, infer_topk, train
+from taskmon.predictor import GoalNetParams, GoalProposal, TrainingPair, infer_topk, train
 from tracesweep import NOISY, RUNS as SWEEP_RUNS, sweep as trace_sweep
 
 DOMAIN = """
 (define (domain desk)
-  (:requirements :typing :equality)
+  (:requirements :typing)
   (:types item surface - world-ent
           gripper base - robot-ent
           world-ent robot-ent - entity)
@@ -1257,19 +1257,27 @@ def test_packaged_chain_trace_is_seed_deterministic_under_noise(
         ({"start": State.parse(["Foo(robot)"])}, r"start atoms .*Foo\(robot\)"),
         ({"start": State.parse(["Detected(robot)"])}, r"start atoms .*Detected\(robot\)"),
         ({"terminal": State.parse(["Detected(brush,table)"])}, r"terminal atoms .*Detected\(brush,table\)"),
+        # once the loop's first proposal: internal: IndexOutOfVocab
+        ({"net": GoalNetParams.init(make_tiny_vocab()), "goal_source": None}, "a different vocabulary"),
     ],
-    ids=["unknown-task", "foreign-sentence", "start-unknown-predicate", "start-wrong-sort", "terminal-wrong-arity"],
+    ids=[
+        "unknown-task", "foreign-sentence", "start-unknown-predicate", "start-wrong-sort", "terminal-wrong-arity",
+        "foreign-net",
+    ],
 )
 def test_run_task_refuses_malformed_setup_before_the_loop(packaged_lib, setup, refused):
-    # a task or atom the vocabulary does not type raises at set-up, not as
-    # an internal outcome of the loop
+    # a task, atom or net the vocabulary does not type raises at set-up, not
+    # as an internal outcome of the loop
     goals = [packaged_lib.entry("boot").goal_state]
     scene = stage("base", packaged_lib.vocab).scene
-    args = {"task": "bring_object", "start": None, "terminal": goals[-1], **setup}
+    args = {
+        "task": "bring_object", "start": None, "terminal": goals[-1], "net": None,
+        "goal_source": ScriptedGoalSource(goals), **setup,
+    }
     with pytest.raises(MonitorSetupError, match=refused):
         run_task(
-            args["task"], scene, packaged_lib, None, SimActuator(scene, packaged_lib.vocab), MonitorConfig(),
-            terminal=args["terminal"], start=args["start"], goal_source=ScriptedGoalSource(goals),
+            args["task"], scene, packaged_lib, args["net"], SimActuator(scene, packaged_lib.vocab), MonitorConfig(),
+            terminal=args["terminal"], start=args["start"], goal_source=args["goal_source"],
         )
 
 

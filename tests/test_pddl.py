@@ -5,7 +5,6 @@ import pytest
 from taskmon.language import Atom, Predicate, State
 from taskmon.pddl import (
     ActionSchema,
-    EqCond,
     LibraryError,
     Parameter,
     ParseError,
@@ -70,14 +69,15 @@ def test_parse_domain_structure(tiny_domain):
     assert grasp.action_class == "world"
     assert SchemaAtom("On", ("?o", "?s")) in grasp.pre
     assert SchemaAtom("On", ("?o", "?s")) in grasp.delete
-    assert EqCond("?o", "?s", negated=True) in schemas["place"].eqs
 
 
 def test_unsupported_features():
     with pytest.raises(UnsupportedFeature, match=":durative-action"):
         parse_domain("(define (domain d) (:durative-action go))")
-    with pytest.raises(UnsupportedFeature, match=":strips"):
-        parse_domain("(define (domain d) (:requirements :strips))")
+    for flag in ("strips", "equality", "negative-preconditions"):
+        with pytest.raises(UnsupportedFeature) as e:
+            parse_domain(f"(define (domain d) (:requirements :typing :{flag}))")
+        assert e.value.feature == f"requirement :{flag}"
     with pytest.raises(UnsupportedFeature, match="or"):
         parse_domain(
             "(define (domain d) (:types t) (:predicates (P ?x - t))"
@@ -88,11 +88,22 @@ def test_unsupported_features():
             "(define (domain d) (:types t) (:predicates (P ?x - t))"
             " (:action a :parameters (?x - t) :precondition (not (P ?x)) :effect (and)))"
         )
-    with pytest.raises(UnsupportedFeature, match="equality in effects"):
-        parse_domain(
-            "(define (domain d) (:types t) (:predicates (P ?x - t))"
-            " (:action a :parameters (?x - t) :precondition (and) :effect (= ?x ?x)))"
-        )
+    # equality is refused wherever it appears, as a literal or a declaration
+    for pre, eff in [("(not (= ?x ?y))", "(and)"), ("(= ?x ?y)", "(and)"), ("(and)", "(= ?x ?y)")]:
+        with pytest.raises(UnsupportedFeature) as e:
+            parse_domain(
+                "(define (domain d) (:types t) (:predicates (P ?x - t))"
+                f" (:action a :parameters (?x ?y - t) :precondition {pre} :effect {eff}))"
+            )
+        assert e.value.feature == "=", (pre, eff)
+    with pytest.raises(UnsupportedFeature) as e:
+        parse_domain("(define (domain d) (:types t) (:predicates (= ?x ?y - t)))")
+    assert e.value.feature == "="
+    dom = parse_domain("(define (domain d) (:types t) (:predicates (P ?x - t)))")
+    for sections in ["(:init (= x x)) (:goal (and))", "(:init) (:goal (and (P x) (= x x)))"]:
+        with pytest.raises(UnsupportedFeature) as e:
+            parse_problem(f"(define (problem p) (:domain d) (:objects x - t) {sections})", dom)
+        assert e.value.feature == "=", sections
 
 
 def test_parse_error_positions():
@@ -112,13 +123,6 @@ def test_parse_error_positions():
     with pytest.raises(ParseError) as e:
         parse_domain("(define (domain d) (:predicates ()))")
     assert (e.value.line, e.value.column) == (1, 33) and e.value.expected == "a predicate name"
-
-    with pytest.raises(ParseError) as e:
-        parse_domain(
-            "(define (domain d) (:types t) (:predicates (P ?x - t))\n"
-            " (:action a :parameters (?x - t) :precondition (not (= ?x)) :effect (and)))"
-        )
-    assert (e.value.line, e.value.column) == (2, 53) and e.value.expected == "two arguments to ="
 
     with pytest.raises(ParseError, match="world or ecological"):
         parse_domain(
@@ -196,8 +200,9 @@ def test_problem_missing_goal(tiny_domain):
 
 
 def test_a_repeated_section_is_refused_at_the_repeat(tiny_domain):
-    # a repeat would silently replace the first: (:goal (P x)) (:goal (Q x))
-    # would plan for Q(x) alone
+    # a repeat would silently replace or merge with the first: (:goal (P x))
+    # (:goal (Q x)) would plan for Q(x) alone, and a second :objects would
+    # add objects; only :action repeats, once per action
     sections = {":parameters": "(?x - t)", ":precondition": "(and)", ":effect": "(and)", ":class": "world"}
     for key, value in sections.items():
         body = " ".join(f"{k} {v}" for k, v in sections.items())
@@ -206,21 +211,25 @@ def test_a_repeated_section_is_refused_at_the_repeat(tiny_domain):
             parse_domain(text)
         assert e.value.expected == f"a single {key} section", key
         assert (e.value.line, e.value.column) == (2, text.rindex(key) - text.index("\n")), key
+    domain = "(define (domain d) (:requirements :typing) (:types t) (:predicates (P ?x - t))\n {})"
     problem = "(define (problem p) (:domain tiny) (:objects hand - gripper)\n {})"
-    for repeat in ("(:goal (and (Free hand))) (:goal (and))", "(:domain tiny) (:goal (and))"):
-        text = problem.format(repeat)
+    repeats = [
+        (domain, "(:requirements :typing)"),
+        (domain, "(:types u)"),
+        (domain, "(:predicates (Q ?x - t))"),
+        (problem, "(:goal (and (Free hand))) (:goal (and))"),
+        (problem, "(:domain tiny) (:goal (and))"),
+        (problem, "(:objects cup - item) (:goal (and))"),
+        (problem, "(:init (Free hand)) (:init (Found cup)) (:goal (and))"),
+    ]
+    parsers = {domain: parse_domain, problem: lambda text: parse_problem(text, tiny_domain)}
+    for template, repeat in repeats:
+        text = template.format(repeat)
         key = repeat[1 : repeat.index(" ")]
         with pytest.raises(ParseError) as e:
-            parse_problem(text, tiny_domain)
+            parsers[template](text)
         assert e.value.expected == f"a single {key} section", key
         assert (e.value.line, e.value.column) == (2, text.rindex("(" + key) - text.index("\n")), key
-    # sections that accumulate stay legal when repeated
-    p = parse_problem(
-        "(define (problem p) (:domain tiny) (:objects hand - gripper) (:objects cup - item)"
-        " (:init (Free hand)) (:init (Found cup)) (:goal (and (Free hand))))",
-        tiny_domain,
-    )
-    assert p.objects == {"hand": "gripper", "cup": "item"} and len(p.init) == 2
 
 
 def test_print_parse_round_trip_fixture(tiny_domain, tiny_problem, packaged_lib):
@@ -250,12 +259,9 @@ def random_trip_domain(rng: random.Random) -> PlanDomain:
             return SchemaAtom(p.name, tuple(rng.choice(params).name for _ in range(p.arity)))
 
         pre = tuple(atom() for _ in range(rng.randint(0, 3)))
-        eqs = ()
-        if len(params) >= 2 and rng.random() < 0.5:
-            eqs = (EqCond(params[0].name, params[1].name, rng.random() < 0.5),)
         add = tuple({atom() for _ in range(rng.randint(0, 2))})
         delete = tuple({a for a in (atom() for _ in range(rng.randint(0, 2))) if a not in add})
-        schemas.append(ActionSchema(f"a{i}", params, pre, eqs, add, delete, rng.choice(["world", "ecological"])))
+        schemas.append(ActionSchema(f"a{i}", params, pre, add, delete, rng.choice(["world", "ecological"])))
     return PlanDomain("rnd", sorts, preds, tuple(schemas))
 
 
@@ -399,10 +405,21 @@ def test_load_library_rejects_duplicates_and_bad_refs(tmp_path):
             "tasks:\n  - id: t-fetch\n    chains:\n      - {goals: [], weight: -1}\n",
             "task t-fetch: chain 0: field 'weight' is -1, not a finite number >= 0",
         ),
+        # a misspelt key is refused at every level, not read as an absent one
+        ("entries: []\nentires: []\n", "manifest: unknown fields ['entires'], expected some of ['entries', 'tasks']"),
+        (
+            "entries:\n  - {name: e, domain: d.pddl, problem: p.pddl, weight: 2}\n",
+            "entry e: unknown fields ['weight'], expected some of ['name', 'domain', 'problem']",
+        ),
+        ("tasks:\n  - {id: t-fetch, chain: []}\n", "task t-fetch: unknown fields ['chain'], expected some of ['id', 'chains']"),
+        (
+            "tasks:\n  - id: t-fetch\n    chains:\n      - {goals: [], wieght: 3}\n",
+            "task t-fetch: chain 0: unknown fields ['wieght'], expected some of ['goals', 'weight']",
+        ),
     ],
     ids=[
         "empty", "top-level-list", "entries-int", "goals-string", "name-int", "goal-list", "weight-string",
-        "weight-nan", "weight-inf", "weight-negative",
+        "weight-nan", "weight-inf", "weight-negative", "manifest-field", "entry-field", "task-field", "chain-field",
     ],
 )
 def test_load_library_rejects_misshapen_manifest(tmp_path, manifest, message):

@@ -102,23 +102,6 @@ def test_grounding_respects_sorts_and_equality():
     assert "approach(brush)" in names and "approach(rover)" not in names
 
 
-def test_grounding_equality_filter():
-    dom = parse_domain(
-        """
-(define (domain d)
-  (:requirements :typing :equality)
-  (:types t - entity)
-  (:predicates (P ?a - t ?b - t))
-  (:action link
-    :parameters (?a - t ?b - t)
-    :precondition (and (not (= ?a ?b)))
-    :effect (and (P ?a ?b))))
-"""
-    )
-    names = {ga.name for ga in ground_actions(dom, {"x": "t", "y": "t"}).actions}
-    assert names == {"link(x,y)", "link(y,x)"}
-
-
 def test_grounding_is_sorted():
     rng = random.Random(3)
     _, prob = blocks_case(rng, 4)
@@ -212,7 +195,7 @@ def test_grounding_memo_is_shared_across_insertion_orders_and_immutable():
 
 
 def test_relevant_atoms_leave_out_one_object_binaries():
-    # a precondition may read P(x,x) when no inequality forbids it; no
+    # a precondition reads P(x,x) when both parameters bind one object; no
     # candidate is a reflexive binary, so the relevant atoms leave it out
     dom = parse_domain(
         """
