@@ -4,9 +4,12 @@ A Tensor records its parents and a backward closure; backward() replays the
 tape in reverse topological order. Everything is float64. The op set is
 exactly what the goal predictor needs: a few dense primitives plus fused
 steps (gated recurrent cell, masked softmax, cross-entropy) that keep the
-tape short, since graph length dominates runtime in pure Python. The
-forwards of the fused steps are plain-array kernels that inference calls
-directly, without building Tensors. An op on a tensor that requires grad
+tape short, since graph length dominates runtime in pure Python. A whole
+gated layer over a sequence (`lstm_layer`) and the lookup of a (B, T) id grid
+(`seq_embedding`) are one node each; both give the bits of the per-step
+tape they replace, gradients included. The forwards of the fused steps and
+of the layer are plain-array kernels that inference calls directly, without
+building Tensors. An op on a tensor that requires grad
 always records itself; a forward whose gradient is not wanted simply drops
 its tape. `param` draws every trainable leaf uniformly in
 [-INIT_SCALE, INIT_SCALE], and `Adam` uses the fixed moment constants
@@ -184,17 +187,6 @@ def repeat_rows(x: Tensor, k: int) -> Tensor:
     return _node(out_data, (x,), back)
 
 
-def stack_time(steps: list[Tensor]) -> Tensor:
-    """T tensors of (B, D) -> (B, T, D)."""
-    out_data = np.stack([s.data for s in steps], axis=1)
-
-    def back(g):
-        for t, s in enumerate(steps):
-            _acc(s, g[:, t, :])
-
-    return _node(out_data, tuple(steps), back)
-
-
 def sum_tensors(parts: list[Tensor]) -> Tensor:
     out_data = np.array(sum(float(p.data) for p in parts))
 
@@ -220,6 +212,32 @@ def embedding(W: Tensor, ids: np.ndarray) -> Tensor:
         gw = np.zeros_like(W.data)
         np.add.at(gw, ids.reshape(-1), g.reshape(-1, W.data.shape[1]))
         _acc(W, gw)
+
+    return _node(out_data, (W,), back)
+
+
+def seq_embedding(W: Tensor, ids: np.ndarray) -> Tensor:
+    """Row lookup over a (B, T) grid of ids -> (B, T, D), whose backward
+    scatter-adds into W one step (column) at a time: each step's rows into a
+    zero array, added to W's gradient in the step order T-2, T-3, ..., 0, then
+    T-1. That is the order in which the per-step tape this node replaces (one
+    lookup per step, feeding a forward and a reverse chain of `lstm_step`s)
+    runs its lookups: its depth-first sort reaches step T-1 first, at the
+    reverse chain's first step, then steps 0..T-2 along the forward chain,
+    and the tape runs nodes in the reverse of that order. Summing in that
+    order keeps W's gradient bit-equal to that tape's; one scatter over the
+    whole grid, or steps in 0..T-1 order, rounds differently."""
+    ids = np.asarray(ids)
+    T = ids.shape[1]
+    out_data = W.data[ids]
+
+    def back(g):
+        if not W.requires_grad:
+            return
+        for t in (*range(T - 2, -1, -1), T - 1):
+            gw = np.zeros_like(W.data)
+            np.add.at(gw, ids[:, t], g[:, t])
+            _acc(W, gw)
 
     return _node(out_data, (W,), back)
 
@@ -305,6 +323,58 @@ def lstm_step(x: Tensor, hc: Tensor, Wx: Tensor, Wh: Tensor, b: Tensor, mask: np
     return _node(out_data, (x, hc, Wx, Wh, b), back)
 
 
+def lstm_layer(X: Tensor, Wx: Tensor, Wh: Tensor, b: Tensor, mask: np.ndarray, reverse: bool = False) -> Tensor:
+    """One gated layer over the steps of X (B, T, D) as one node: the hidden
+    states (B, T, H) in input order. It is bit for bit a chain of `lstm_step`s
+    from a zero state over X[:, t] and mask[:, t:t+1], t ascending (descending
+    when `reverse`), with each step's h taken out, in its forward and in every
+    gradient: the backward replays `lstm_step`'s step by step in reverse run
+    order, and adds each step's Wx, Wh and b gradients to theirs one at a time
+    in that order, as the chain's tape does. What does not feed the
+    recurrence is computed for all steps at once: the gate slopes
+    (elementwise), and the x, Wx and Wh gradient products, as stacked matmuls
+    whose every slice is the per-step dgemm."""
+    m = np.asarray(mask, dtype=np.float64)
+    steps = [None] * m.shape[1]
+    out_data = lstm_layer_np(X.data, Wx.data, Wh.data, b.data, m, reverse, steps)
+
+    def back(G):
+        B, T, H = G.shape
+        h, c, i, f, g, o, tc = (np.stack(a) for a in zip(*((h, c, *gates) for h, c, gates in steps)))
+        # per step, gz's gate blocks [i | f | g | o] are the gradient into the
+        # block's output (gc_new for i, f and g, gh_new for o) times `first`,
+        # times `then`, times `slope`, as `lstm_step` multiplies them
+        first = np.concatenate([g, c, i, tc], axis=2)
+        then = np.concatenate([i, f, np.ones_like(g), o], axis=2)
+        slope = np.concatenate([1.0 - i, 1.0 - f, 1.0 - g * g, 1.0 - o], axis=2)
+        stc = 1.0 - tc * tc
+        m_t = m.T[:, :, None]  # (T, B, 1)
+        keep = 1.0 - m_t
+        G_t, WhT = G.transpose(1, 0, 2), Wh.data.T
+        gz_all = np.empty((T, B, 4 * H))
+        gh, gc = np.zeros((B, H)), np.zeros((B, H))  # from the step run after
+        back_order = range(T) if reverse else range(T - 1, -1, -1)
+        for t in back_order:
+            gh_out = G_t[t] + gh
+            gh_new = gh_out * m_t[t]
+            gc_new = gc * m_t[t] + gh_new * o[t] * stc[t]
+            gz = gz_all[t]
+            np.multiply(np.concatenate([gc_new, gc_new, gc_new, gh_new], axis=1), first[t], out=gz)
+            gz *= then[t]
+            gz *= slope[t]
+            gc = gc_new * f[t] + gc * keep[t]
+            gh = gz @ WhT + gh_out * keep[t]
+        _acc(X, (gz_all @ Wx.data.T).transpose(1, 0, 2))
+        x_t = np.ascontiguousarray(X.data.transpose(1, 0, 2))
+        g_wx, g_wh, g_b = x_t.transpose(0, 2, 1) @ gz_all, h.transpose(0, 2, 1) @ gz_all, gz_all.sum(axis=1)
+        for t in back_order:
+            _acc(Wx, g_wx[t])
+            _acc(Wh, g_wh[t])
+            _acc(b, g_b[t])
+
+    return _node(out_data, (X, Wx, Wh, b), back)
+
+
 def ce_sum(logits: Tensor, targets: np.ndarray, mask: np.ndarray) -> tuple[Tensor, int]:
     """Summed categorical cross-entropy over the rows where mask==1; returns
     (scalar loss-sum tensor, number of counted rows)."""
@@ -355,6 +425,36 @@ def lstm_cell_np(z: np.ndarray, c: np.ndarray):
     c_new = f * c + i * g
     tc = np.tanh(c_new)
     return o * tc, c_new, (i, f, g, o, tc)
+
+
+def lstm_layer_np(
+    X: np.ndarray, Wx: np.ndarray, Wh: np.ndarray, b: np.ndarray, mask=None, reverse: bool = False, steps=None
+) -> np.ndarray:
+    """Forward of `lstm_layer` on plain arrays: the hidden states (B, T, H).
+    With no mask every step is valid and the state blend drops out. Given a
+    list `steps` of T entries, it stores at steps[t] step t's (h, c, gates):
+    its input state and the `lstm_cell_np` gate values, which the taped
+    backward reads; decode passes none, as holding every step's arrays slows
+    its loop. The input projection is one stacked matmul, (T, B, D) @ Wx,
+    whose every slice is the per-step `x @ Wx` dgemm; a flat (T*B, D) gemm
+    rounds differently on OpenBLAS."""
+    B, T, _ = X.shape
+    H = Wh.shape[0]
+    xw = np.ascontiguousarray(X.transpose(1, 0, 2)) @ Wx  # (T, B, 4H)
+    h, c = np.zeros((B, H)), np.zeros((B, H))
+    out = np.empty((B, T, H))
+    keep = None if mask is None else 1.0 - mask
+    for t in reversed(range(T)) if reverse else range(T):
+        h_new, c_new, gates = lstm_cell_np(xw[t] + h @ Wh + b, c)
+        if mask is not None:
+            mt, kt = mask[:, t : t + 1], keep[:, t : t + 1]
+            h_new = mt * h_new + kt * h
+            c_new = mt * c_new + kt * c
+        if steps is not None:
+            steps[t] = (h, c, gates)
+        h, c = h_new, c_new
+        out[:, t] = h
+    return out
 
 
 def log_softmax_np(logits: np.ndarray) -> np.ndarray:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .language import Atom, State, TaskSentence, Vocabulary, check_int, encode_atoms
+from .language import Atom, Predicate, State, TaskSentence, Vocabulary, check_int, encode_atoms
 from .pddl import LibraryError, PlanLibrary
 from .predictor import TrainingPair
 
@@ -48,21 +48,22 @@ def base_pairs(lib: PlanLibrary) -> list[tuple[TaskSentence, State, State, float
     return out
 
 
-def _sort_pools(vocab: Vocabulary) -> dict[str, list[str]]:
+def _substitution_members(vocab: Vocabulary, protected: set[str]) -> list[list[str]]:
+    """The terms a substitution permutes, one list per sort in sort-name
+    order: the sort's terms by name, less the protected spellings
+    (task-mentioned terms, so task and states stay coherent), where two or
+    more remain."""
     pools: dict[str, list[str]] = {}
     for name in sorted(vocab.terms):
         pools.setdefault(vocab.terms[name].sort, []).append(name)
-    return pools
+    groups = [[t for t in pool if t not in protected] for _, pool in sorted(pools.items())]
+    return [members for members in groups if len(members) >= 2]
 
 
-def _substitution(rng: np.random.Generator, vocab: Vocabulary, protected: set[str]) -> dict[str, str]:
-    """A random permutation of the terms within each sort, leaving protected
-    spellings (task-mentioned terms) fixed so task and states stay coherent."""
+def _substitution(rng: np.random.Generator, groups: list[list[str]]) -> dict[str, str]:
+    """A random permutation of the terms within each member list."""
     mapping: dict[str, str] = {}
-    for sort, pool in sorted(_sort_pools(vocab).items()):
-        members = [t for t in pool if t not in protected]
-        if len(members) < 2:
-            continue
+    for members in groups:
         perm = rng.permutation(len(members))
         mapping.update({members[i]: members[int(perm[i])] for i in range(len(members))})
     return mapping
@@ -86,11 +87,12 @@ def _arg_candidates(vocab: Vocabulary) -> dict[str, list[str]]:
 
 
 def _random_atom(
-    rng: np.random.Generator, vocab: Vocabulary, cands: dict[str, list[str]], avoid: frozenset[Atom]
+    rng: np.random.Generator, preds: list[Predicate], cands: dict[str, list[str]], avoid: frozenset[Atom]
 ) -> Atom | None:
-    preds = sorted(vocab.predicates)
+    """A well-sorted atom not in `avoid`, over `preds` (the vocabulary's
+    predicates by name), or None after 20 tries."""
     for _ in range(20):
-        p = vocab.predicates[preds[int(rng.integers(len(preds)))]]
+        p = preds[int(rng.integers(len(preds)))]
         args = []
         for s in p.arg_sorts:
             pool = cands[s]
@@ -116,11 +118,18 @@ def grow_dataset(lib: PlanLibrary, target: int = 20000, seed: int = 0) -> list[T
     if not base:
         raise InsufficientBase("no chain in the library has two or more goals")
     weights = np.array([w for *_, w in base], dtype=float)
+    if not np.all(weights >= 0):
+        raise ValueError(f"chain weights must be numbers >= 0, got {weights.tolist()}")
     if weights.sum() <= 0:
         raise InsufficientBase("chain weights sum to zero")
-    weights = weights / weights.sum()
+    # a base pair is drawn as `Generator.choice(len(base), p=weights)` draws
+    # it: one uniform draw searched in the normalised cumulative weights
+    cdf = (weights / weights.sum()).cumsum()
+    cdf /= cdf[-1]
     rng = np.random.default_rng([seed, 0xDA7A])
     cands = _arg_candidates(vocab)
+    preds = [vocab.predicates[name] for name in sorted(vocab.predicates)]
+    members = {task.id: _substitution_members(vocab, set(task.words)) for task, *_ in base}
 
     out: list[TrainingPair] = []
     seen: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
@@ -136,9 +145,9 @@ def grow_dataset(lib: PlanLibrary, target: int = 20000, seed: int = 0) -> list[T
 
     misses = 0
     while len(out) < target and misses < 200:
-        task, s, t, _ = base[int(rng.choice(len(base), p=weights))]
+        task, s, t, _ = base[int(cdf.searchsorted(rng.random(), side="right"))]
         if rng.random() < P_SUBSTITUTE:
-            mapping = _substitution(rng, vocab, protected=set(task.words))
+            mapping = _substitution(rng, members[task.id])
             s, t = _substitute(s, mapping), _substitute(t, mapping)
         if rng.random() < P_DROP and len(s) > 1:
             atoms = s.canonical()
@@ -148,7 +157,7 @@ def grow_dataset(lib: PlanLibrary, target: int = 20000, seed: int = 0) -> list[T
             room = vocab.max_atoms - len(s)
             extra = s.atoms
             for _ in range(min(int(rng.integers(1, MAX_PAD + 1)), room)):
-                atom = _random_atom(rng, vocab, cands, avoid=extra)
+                atom = _random_atom(rng, preds, cands, avoid=extra)
                 if atom is None:
                     break
                 extra = extra | {atom}

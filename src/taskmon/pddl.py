@@ -348,7 +348,7 @@ def _conjuncts(node: Node) -> list[Node]:
     return [lst]
 
 
-_REJECTED_HEADS = {"=", "or", "forall", "exists", "when", "imply", "oneof", "increase", "decrease", "assign"}
+_REJECTED_HEADS = {"=", "not", "or", "forall", "exists", "when", "imply", "oneof", "increase", "decrease", "assign"}
 
 
 def _parse_plain_atom(node: Node) -> SchemaAtom:

@@ -9,12 +9,14 @@ weight-averaged segment vector. A no-attention ablation replaces the context
 with the mean of the encoder states. Every net has these sizes, and its
 weights start uniform in +-autodiff.INIT_SCALE (0.08). Decoding stops at
 MAX_LEN 24 tokens.
-Training and the gradient check build the reverse-mode tape in autodiff; the
-check compares against central differences of step GRAD_CHECK_EPS on weights
-drawn with GRAD_CHECK_SEED, flooring the error's denominator at
-GRAD_CHECK_FLOOR. Inference builds no tape: it runs the same arithmetic on
-plain arrays, through the gated-cell and masked-softmax kernels the taped
-steps share, and its results are bit-equal to the taped forward.
+Training and the gradient check build the reverse-mode tape in autodiff, with
+each encoder layer one `autodiff.lstm_layer` node; the check compares against
+central differences of step GRAD_CHECK_EPS on weights drawn with
+GRAD_CHECK_SEED, flooring the error's denominator at GRAD_CHECK_FLOOR.
+Inference builds no tape: it runs the same arithmetic on plain arrays, and
+its results are bit-equal to the taped forward. Training and decode share
+one forward kernel per piece: the encoder layer's (`autodiff.lstm_layer_np`,
+unmasked in decode), the gated cell's and the masked softmax's.
 """
 
 from __future__ import annotations
@@ -202,27 +204,13 @@ def _encode_graph(params: GoalNetParams, eb: _EncBatch) -> dict:
     B, T = eb.ids.shape
     H = ENC_HIDDEN
     K = eb.M.shape[1]
-    xs = [ad.embedding(params.emb, eb.ids[:, t]) for t in range(T)]
+    X = ad.seq_embedding(params.emb, eb.ids)  # (B, T, De)
+    fwd = ad.lstm_layer(X, params.ef_Wx, params.ef_Wh, params.ef_b, eb.tok_mask)
+    bwd = ad.lstm_layer(X, params.eb_Wx, params.eb_Wh, params.eb_b, eb.tok_mask, reverse=True)
+    E3 = ad.concat([fwd, bwd], axis=2)  # (B, T, 2H)
+    folded = ad.lstm_layer(E3, params.sum_Wx, params.sum_Wh, params.sum_b, eb.tok_mask)
+    summary = ad.reshape(ad.narrow(folded, 1, T - 1, 1), (B, SUMMARY))
 
-    hc = ad.const(np.zeros((B, 2 * H)))
-    fwd = []
-    for t in range(T):
-        hc = ad.lstm_step(xs[t], hc, params.ef_Wx, params.ef_Wh, params.ef_b, eb.tok_mask[:, t : t + 1])
-        fwd.append(ad.narrow(hc, 1, 0, H))
-    hc = ad.const(np.zeros((B, 2 * H)))
-    bwd: list = [None] * T
-    for t in reversed(range(T)):
-        hc = ad.lstm_step(xs[t], hc, params.eb_Wx, params.eb_Wh, params.eb_b, eb.tok_mask[:, t : t + 1])
-        bwd[t] = ad.narrow(hc, 1, 0, H)
-    enc = [ad.concat([fwd[t], bwd[t]], axis=1) for t in range(T)]
-
-    S_sz = SUMMARY
-    hc2 = ad.const(np.zeros((B, 2 * S_sz)))
-    for t in range(T):
-        hc2 = ad.lstm_step(enc[t], hc2, params.sum_Wx, params.sum_Wh, params.sum_b, eb.tok_mask[:, t : t + 1])
-    summary = ad.narrow(hc2, 1, 0, S_sz)
-
-    E3 = ad.stack_time(enc)  # (B, T, 2H)
     S = ad.seg_mix(eb.M, E3)  # (B, K, 2H)
     task_seg = ad.reshape(ad.narrow(S, 1, 0, 1), (B, 2 * H))
     lengths = eb.tok_mask.sum(axis=1, keepdims=True)
@@ -341,21 +329,6 @@ class GoalProposal:
     tokens: TokenSeq
 
 
-def _lstm_run_np(X: np.ndarray, Wx: ad.Tensor, Wh: ad.Tensor, b: ad.Tensor, reverse: bool = False):
-    """One gated layer over the rows of X (T, D) from a zero state; returns the
-    hidden states (T, H) in input order. The input projection is one stacked
-    matmul of (1, D) rows, which gives the bits of the taped per-step
-    `(1, D) @ Wx`; a flat (T, D) gemm rounds differently on OpenBLAS."""
-    T, H = X.shape[0], Wh.data.shape[0]
-    XW = X[:, None, :] @ Wx.data  # (T, 1, 4H)
-    h, c = np.zeros((1, H)), np.zeros((1, H))
-    out = np.empty((T, H))
-    for t in reversed(range(T)) if reverse else range(T):
-        h, c, _ = ad.lstm_cell_np(XW[t] + h @ Wh.data + b.data, c)
-        out[t] = h[0]
-    return out
-
-
 def _encode_np(params: GoalNetParams, ids: tuple[int, ...], rows: int) -> dict:
     """`_encode_graph` and `_dec_init` for one input, untaped. Every position
     of a single input is valid, so the mask blend drops out. The per-input
@@ -363,11 +336,12 @@ def _encode_np(params: GoalNetParams, ids: tuple[int, ...], rows: int) -> dict:
     beams slices them instead of tiling them again."""
     eb = _make_enc_batch([ids])
     T, K = len(ids), eb.M.shape[1]
-    X = params.emb.data[eb.ids[0]]  # (T, De)
-    fwd = _lstm_run_np(X, params.ef_Wx, params.ef_Wh, params.ef_b)
-    bwd = _lstm_run_np(X, params.eb_Wx, params.eb_Wh, params.eb_b, reverse=True)
-    E3 = np.concatenate([fwd, bwd], axis=1)[None]  # (1, T, 2H)
-    summary = _lstm_run_np(E3[0], params.sum_Wx, params.sum_Wh, params.sum_b)[-1:]
+    X = params.emb.data[eb.ids]  # (1, T, De)
+    fwd = ad.lstm_layer_np(X, params.ef_Wx.data, params.ef_Wh.data, params.ef_b.data)
+    bwd = ad.lstm_layer_np(X, params.eb_Wx.data, params.eb_Wh.data, params.eb_b.data, reverse=True)
+    E3 = np.concatenate([fwd, bwd], axis=2)  # (1, T, 2H)
+    folded = ad.lstm_layer_np(E3, params.sum_Wx.data, params.sum_Wh.data, params.sum_b.data)
+    summary = folded[:, -1]
     S = np.einsum("bkt,btd->bkd", eb.M, E3)  # (1, K, 2H)
     ctx_mean = np.einsum("bt,btd->bd", np.full((1, T), 1.0 / T), E3)
     h0 = np.tanh(summary @ params.h0_W.data + params.h0_b.data)

@@ -1,8 +1,10 @@
 import os
 
+import numpy as np
 import pytest
 
 import taskmon
+from taskmon import autodiff as ad
 from taskmon.geometry import Camera, Scene
 from taskmon.language import Predicate, Sort, TaskSentence, Term, Vocabulary
 from taskmon.pddl import load_library
@@ -14,6 +16,19 @@ DATA = os.path.join(os.path.dirname(taskmon.__file__), "data")
 def whole_view(scene: Scene, cam: Camera, mode: Mode = Mode.FULL) -> View:
     """The view of a whole-scene look: every scene object tested from `cam`."""
     return in_view(scene, cam, scene.objects, mode)
+
+
+def stack_steps(steps: list[ad.Tensor]) -> ad.Tensor:
+    """T taped (B, D) steps -> (B, T, D), each step's gradient its slice: the
+    stacking of the per-step encoder references that `autodiff.lstm_layer`
+    and `predictor._encode_graph` are checked against."""
+    out_data = np.stack([s.data for s in steps], axis=1)
+
+    def back(g):
+        for t, s in enumerate(steps):
+            ad._acc(s, g[:, t, :])
+
+    return ad._node(out_data, tuple(steps), back)
 
 
 def make_tiny_vocab(max_atoms: int = 17) -> Vocabulary:

@@ -4,6 +4,7 @@ tape mechanics (accumulation, reuse) and the optimizer."""
 import numpy as np
 import pytest
 
+from conftest import stack_steps
 from taskmon import autodiff as ad
 
 
@@ -89,9 +90,7 @@ def test_reshape_and_repeat_rows():
     check_grads(lambda: scalarize(ad.repeat_rows(y, 4)), [y])
 
 
-def test_stack_time_and_sum_tensors():
-    steps = [leaf(2, 3) for _ in range(4)]
-    check_grads(lambda: scalarize(ad.stack_time(steps)), steps)
+def test_sum_tensors():
     scalars = [leaf() for _ in range(3)]
     check_grads(lambda: ad.sum_tensors(scalars), scalars)
 
@@ -107,6 +106,13 @@ def test_embedding_scatter_accumulates_repeated_ids():
     W.grad = None
     scalarize(ad.embedding(W, np.array([[1]]))).backward()
     assert np.any(g_multi[1] != 0.0)
+
+
+def test_seq_embedding_grads_with_repeated_ids():
+    W = leaf(6, 4)
+    for ids in (np.array([[1, 3, 1], [5, 1, 0]]), np.array([[2], [2]]), np.array([[4, 4, 4, 0]])):
+        check_grads(lambda: scalarize(ad.seq_embedding(W, ids)), [W])
+        np.testing.assert_array_equal(ad.seq_embedding(W, ids).data, W.data[ids])
 
 
 def test_seg_row_mix_and_weighted_ctx():
@@ -162,6 +168,85 @@ def test_lstm_step_mask_freezes_state():
     out = ad.lstm_step(x, hc, Wx, Wh, b, np.array([[1.0], [0.0]]))
     assert not np.allclose(out.data[0], hc.data[0])
     np.testing.assert_array_equal(out.data[1], hc.data[1])
+
+
+# Masks (B, T) the layer is checked on: ragged prefixes as the encoder pads
+# them, one step (T = 1), and a row whose valid steps have gaps.
+LAYER_MASKS = {
+    "ragged": np.array([[1, 1, 1, 1, 1], [1, 1, 0, 0, 0], [1, 1, 1, 1, 0], [1, 0, 0, 0, 0]], dtype=float),
+    "one-step": np.ones((3, 1)),
+    "one-row-one-step": np.ones((1, 1)),
+    "gaps": np.array([[1, 0, 1, 1, 0, 1], [1, 1, 1, 1, 1, 1]], dtype=float),
+}
+
+
+def _lstm_chain(X: np.ndarray, W: list[ad.Tensor], mask: np.ndarray, reverse: bool):
+    """The per-step reference of `lstm_layer`: one leaf per step of X, a chain
+    of `lstm_step`s from a zero state, each step's h narrowed out and the
+    steps stacked in input order. Returns (step leaves, stacked states)."""
+    B, T, _ = X.shape
+    H = W[1].data.shape[0]
+    xs = [ad.Tensor(X[:, t].copy(), requires_grad=True) for t in range(T)]
+    hc = ad.const(np.zeros((B, 2 * H)))
+    hs = [None] * T
+    for t in reversed(range(T)) if reverse else range(T):
+        hc = ad.lstm_step(xs[t], hc, *W, mask[:, t : t + 1])
+        hs[t] = ad.narrow(hc, 1, 0, H)
+    return xs, stack_steps(hs)
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reverse"])
+@pytest.mark.parametrize("D, H", [(20, 16), (32, 10), (3, 2)])
+@pytest.mark.parametrize("mask", list(LAYER_MASKS.values()), ids=list(LAYER_MASKS))
+def test_lstm_layer_is_bit_equal_to_a_chain_of_steps(mask, D, H, reverse):
+    """Forward and every gradient of the layer node are the bits of the
+    per-step chain's, for the encoder's two layer shapes and a small one."""
+    rng = np.random.default_rng([D, H, mask.size, reverse])
+    B, T = mask.shape
+    X = rng.normal(size=(B, T, D))
+    init = [rng.uniform(-0.5, 0.5, size=s) for s in ((D, 4 * H), (H, 4 * H), (4 * H,))]
+    W_layer = [ad.Tensor(w.copy(), requires_grad=True) for w in init]
+    W_chain = [ad.Tensor(w.copy(), requires_grad=True) for w in init]
+
+    x = ad.Tensor(X.copy(), requires_grad=True)
+    out = ad.lstm_layer(x, *W_layer, mask, reverse=reverse)
+    scalarize(out).backward()
+    xs, want = _lstm_chain(X, W_chain, mask, reverse)
+    scalarize(want).backward()
+
+    assert out.data.tobytes() == want.data.tobytes()
+    for got_w, want_w in zip(W_layer, W_chain):
+        assert got_w.grad.tobytes() == want_w.grad.tobytes()
+    for t in range(T):
+        assert np.ascontiguousarray(x.grad[:, t]).tobytes() == xs[t].grad.tobytes(), t
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reverse"])
+@pytest.mark.parametrize("mask", [LAYER_MASKS["ragged"], LAYER_MASKS["one-step"]], ids=["ragged", "one-step"])
+def test_lstm_layer_grads_all_inputs(mask, reverse):
+    B, T = mask.shape
+    D, H = 3, 2
+    x = leaf(B, T, D)
+    Wx, Wh, b = leaf(D, 4 * H), leaf(H, 4 * H), leaf(4 * H)
+    check_grads(
+        lambda: scalarize(ad.lstm_layer(x, Wx, Wh, b, mask, reverse=reverse)),
+        [x, Wx, Wh, b],
+        rtol=1e-4,
+        atol=1e-7,
+    )
+
+
+def test_lstm_layer_mask_freezes_state_and_kernel_drops_a_full_mask():
+    B, T, D, H = 2, 4, 3, 2
+    x, Wx, Wh, b = leaf(B, T, D), leaf(D, 4 * H), leaf(H, 4 * H), leaf(4 * H)
+    mask = np.array([[1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 0.0, 0.0]])
+    out = ad.lstm_layer(x, Wx, Wh, b, mask).data
+    np.testing.assert_array_equal(out[1, 2], out[1, 1])
+    np.testing.assert_array_equal(out[1, 3], out[1, 1])
+    back = ad.lstm_layer(x, Wx, Wh, b, mask, reverse=True).data
+    np.testing.assert_array_equal(back[1, 2:], np.zeros((2, H)))  # no state before them
+    unmasked = ad.lstm_layer_np(x.data, Wx.data, Wh.data, b.data)
+    assert unmasked.tobytes() == ad.lstm_layer(x, Wx, Wh, b, np.ones((B, T))).data.tobytes()
 
 
 def test_lstm_cell_kernel_is_bit_equal_to_per_gate_formula():

@@ -10,13 +10,14 @@ import zipfile
 import numpy as np
 import pytest
 
-from conftest import TINY_DOMAIN, make_tiny_vocab
+from conftest import TINY_DOMAIN, make_tiny_vocab, stack_steps
 from domaingen import herbrand_universe
 from taskmon import autodiff as ad
 from taskmon.dataset import (
     InsufficientBase,
     _substitute,
     _substitution,
+    _substitution_members,
     base_pairs,
     grow_dataset,
 )
@@ -38,7 +39,9 @@ from taskmon.pddl import PlanEntry, PlanLibrary, TaskChain, parse_domain, parse_
 from taskmon.predictor import (
     DEC_HIDDEN,
     EMB_DIM,
+    ENC_HIDDEN,
     MAX_LEN,
+    SUMMARY,
     CheckpointMismatch,
     EmptyDataset,
     GoalNetParams,
@@ -53,6 +56,7 @@ from taskmon.predictor import (
     _encode_graph,
     _encode_np,
     _make_enc_batch,
+    _teacher_forced_loss,
     beam_decode,
     grad_check,
     infer_topk,
@@ -432,6 +436,80 @@ def test_beam_decode_equals_taped_reference(tiny_vocab, fetch_pair, overfit, use
                 assert got == _taped_beam_decode(ids, params, width=width), width
 
 
+# --- the whole-layer encoder versus the per-step tape ------------------------------------
+
+
+def _per_step_encode_graph(params, eb):
+    """`_encode_graph` with one tape node per step: a lookup, a gated step and
+    a narrow per step and direction, a concat per step, the steps stacked.
+    The reference whose every gradient the layer-node encoder reproduces."""
+    B, T = eb.ids.shape
+    H, S_sz = ENC_HIDDEN, SUMMARY
+    xs = [ad.embedding(params.emb, eb.ids[:, t]) for t in range(T)]
+    hc = ad.const(np.zeros((B, 2 * H)))
+    fwd = []
+    for t in range(T):
+        hc = ad.lstm_step(xs[t], hc, params.ef_Wx, params.ef_Wh, params.ef_b, eb.tok_mask[:, t : t + 1])
+        fwd.append(ad.narrow(hc, 1, 0, H))
+    hc = ad.const(np.zeros((B, 2 * H)))
+    bwd = [None] * T
+    for t in reversed(range(T)):
+        hc = ad.lstm_step(xs[t], hc, params.eb_Wx, params.eb_Wh, params.eb_b, eb.tok_mask[:, t : t + 1])
+        bwd[t] = ad.narrow(hc, 1, 0, H)
+    enc = [ad.concat([fwd[t], bwd[t]], axis=1) for t in range(T)]
+    hc2 = ad.const(np.zeros((B, 2 * S_sz)))
+    for t in range(T):
+        hc2 = ad.lstm_step(enc[t], hc2, params.sum_Wx, params.sum_Wh, params.sum_b, eb.tok_mask[:, t : t + 1])
+    E3 = stack_steps(enc)
+    S = ad.seg_mix(eb.M, E3)
+    K = eb.M.shape[1]
+    mean_w = eb.tok_mask / np.maximum(eb.tok_mask.sum(axis=1, keepdims=True), 1.0)
+    return {
+        "B": B,
+        "K": K,
+        "S": S,
+        "U": ad.matmul(ad.reshape(S, (B * K, 2 * H)), params.att_W1) if params.use_attention else None,
+        "task_seg": ad.reshape(ad.narrow(S, 1, 0, 1), (B, 2 * H)),
+        "seg_mask": eb.seg_mask,
+        "ctx_mean": ad.row_mix(mean_w, E3),
+        "summary": ad.narrow(hc2, 1, 0, S_sz),
+    }
+
+
+@pytest.mark.parametrize("use_attention", [True, False])
+def test_teacher_forced_gradients_are_bit_equal_to_the_per_step_encoder(
+    tiny_vocab, tiny_lib, monkeypatch, use_attention
+):
+    pairs = grow_dataset(tiny_lib, target=40, seed=4)
+    by_length = {len(p.input_ids): p for p in pairs}
+    batches = [
+        [by_length[n] for n in sorted(by_length)[:5]],  # ragged: five input lengths
+        [pairs[0]],
+    ]
+    assert len(batches[0]) == 5
+    params = GoalNetParams.init(tiny_vocab, seed=11, use_attention=use_attention)
+
+    def loss_and_grads(batch):
+        for t in params.groups().values():
+            t.grad = None
+        loss, n = _teacher_forced_loss(params, [p.input_ids for p in batch], [p.target_ids for p in batch])
+        ad.mul(loss, ad.const(1.0 / n)).backward()
+        return loss.data.tobytes(), {
+            name: None if t.grad is None else t.grad.tobytes() for name, t in params.groups().items()
+        }
+
+    got = [loss_and_grads(batch) for batch in batches]
+    monkeypatch.setattr("taskmon.predictor._encode_graph", _per_step_encode_graph)
+    want = [loss_and_grads(batch) for batch in batches]
+    for (got_loss, got_grads), (want_loss, want_grads) in zip(got, want):
+        assert got_loss == want_loss
+        assert list(got_grads) == list(GoalNetParams.GROUPS) and len(got_grads) == 22
+        unreached = {name for name, g in got_grads.items() if g is None}
+        assert unreached == (set() if use_attention else {"att_W1", "att_W2", "att_W"})
+        for name in GoalNetParams.GROUPS:
+            assert got_grads[name] == want_grads[name], name
+
+
 # --- training -------------------------------------------------------------------------
 
 
@@ -758,6 +836,15 @@ def test_grow_dataset_floor_and_insufficient(tiny_vocab):
     assert (pairs[0].input_ids, pairs[0].target_ids) == (base.input_ids, base.target_ids)
     with pytest.raises(InsufficientBase):
         grow_dataset(make_lib(tiny_vocab, [TaskChain("t-clear", ("c1",), 1.0)]), target=5)
+    with pytest.raises(InsufficientBase, match="sum to zero"):
+        grow_dataset(make_lib(tiny_vocab, [TaskChain("t-clear", ("c1", "c2"), 0.0)]), target=5)
+
+
+@pytest.mark.parametrize("weight", [-1.0, float("nan")])
+def test_grow_dataset_refuses_a_chain_weight_below_zero_or_nan(tiny_vocab, weight):
+    chains = [TaskChain("t-fetch", ("g1", "g2"), 1.0), TaskChain("t-clear", ("c1", "c2"), weight)]
+    with pytest.raises(ValueError, match="chain weights must be numbers >= 0"):
+        grow_dataset(make_lib(tiny_vocab, chains), target=5)
 
 
 def test_grow_dataset_bulk_properties(tiny_vocab, tiny_lib):
@@ -788,7 +875,7 @@ def test_grow_dataset_substitutes_consistently(tiny_vocab):
     rng = np.random.default_rng(2)
     pairs = []
     for _ in range(60):
-        mapping = _substitution(rng, tiny_vocab, protected=set(task.words))
+        mapping = _substitution(rng, _substitution_members(tiny_vocab, set(task.words)))
         pair = TrainingPair.of(task, _substitute(state, mapping), _substitute(target, mapping), tiny_vocab)
         if pair not in pairs:
             pairs.append(pair)

@@ -106,6 +106,32 @@ def test_unsupported_features():
         assert e.value.feature == "=", sections
 
 
+NOT_DOMAIN = "(define (domain d) (:types t) (:predicates (P ?x - t))"
+
+
+@pytest.mark.parametrize(
+    "domain, sections",
+    [
+        pytest.param(NOT_DOMAIN + ")", "(:init) (:goal (and (not (P x))))", id="goal"),
+        pytest.param(NOT_DOMAIN + ")", "(:init) (:goal (not (P x)))", id="bare-goal"),
+        pytest.param(NOT_DOMAIN + ")", "(:init (not (P x))) (:goal (and))", id="init"),
+        pytest.param(
+            NOT_DOMAIN + " (:action a :parameters (?x - t) :precondition (and) :effect (not (not (P ?x)))))",
+            None,
+            id="double-negated-effect",
+        ),
+        pytest.param("(define (domain d) (:types t) (:predicates (not ?x - t)))", None, id="declared"),
+    ],
+)
+def test_a_negation_outside_a_delete_effect_is_refused_by_name(domain, sections):
+    # a delete effect's (not atom) is the one negation the surface reads;
+    # anywhere else `not` used to pass for a predicate name
+    with pytest.raises(UnsupportedFeature) as e:
+        dom = parse_domain(domain)
+        parse_problem(f"(define (problem p) (:domain d) (:objects x - t) {sections})", dom)
+    assert e.value.feature == "not"
+
+
 def test_parse_error_positions():
     with pytest.raises(ParseError) as e:
         parse_domain("(define (domain d)\n  (:types a b")
