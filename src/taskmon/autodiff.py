@@ -253,25 +253,18 @@ def seg_mix(M: np.ndarray, X: Tensor) -> Tensor:
     return _node(out_data, (X,), back)
 
 
-def row_mix(P: np.ndarray, X: Tensor) -> Tensor:
-    """Constant weights P (B, T) over X (B, T, D) -> (B, D)."""
-    out_data = np.einsum("bt,btd->bd", P, X.data)
+def row_mix(P: Tensor, X: Tensor) -> Tensor:
+    """Weights P (B, T) over rows X (B, T, D) -> (B, D): a mean under
+    constant weights, an attention expectation under taped ones. P gets a
+    gradient only when it requires one."""
+    out_data = np.einsum("bt,btd->bd", P.data, X.data)
 
     def back(g):
-        _acc(X, P[:, :, None] * g[:, None, :])
+        if P.requires_grad:
+            _acc(P, np.einsum("bd,btd->bt", g, X.data))
+        _acc(X, P.data[:, :, None] * g[:, None, :])
 
-    return _node(out_data, (X,), back)
-
-
-def weighted_ctx(p: Tensor, S: Tensor) -> Tensor:
-    """Attention expectation: p (B, K) over segment vectors S (B, K, D)."""
-    out_data = np.einsum("bk,bkd->bd", p.data, S.data)
-
-    def back(g):
-        _acc(p, np.einsum("bd,bkd->bk", g, S.data))
-        _acc(S, p.data[:, :, None] * g[:, None, :])
-
-    return _node(out_data, (p, S), back)
+    return _node(out_data, (P, X), back)
 
 
 def masked_softmax(scores: Tensor, mask: np.ndarray) -> Tensor:

@@ -199,37 +199,20 @@ class Camera:
         return _unit(_sub(self.unproject(u, v, 1.0), self.position))
 
     def project_box(self, box: Box) -> Optional[tuple[float, float, float, float]]:
-        """Pixel AABB over the box corners; None if any corner is behind.
-
-        Separable form of `project` on each of the 8 corners: a corner's
-        offset from the camera has one of two values per axis, so each basis
-        product is formed once per axis value and the dot products are summed
-        in `project`'s order, (dx*b0 + dy*b1) + dz*b2. Every corner projects
-        to exactly the floats `project` gives it."""
-        f, r, w = self.forward, self.right, self.up
-        px, py, pz = self.position
-        xs = [(d * f[0], d * r[0], d * w[0]) for d in (box.lo[0] - px, box.hi[0] - px)]
-        ys = [(d * f[1], d * r[1], d * w[1]) for d in (box.lo[1] - py, box.hi[1] - py)]
-        zs = [(d * f[2], d * r[2], d * w[2]) for d in (box.lo[2] - pz, box.hi[2] - pz)]
-        half_w, half_h = IMAGE_WIDTH / 2.0, IMAGE_HEIGHT / 2.0
-        th, tv = self.tan_half_hfov, self.tan_half_vfov
-        us, vs = [], []
-        for xf, xr, xu in xs:
-            for yf, yr, yu in ys:
-                zf0, zr0, zu0 = xf + yf, xr + yr, xu + yu
-                for zf, zr, zu in zs:
-                    z = zf0 + zf
-                    if z <= 1e-9:
-                        return None
-                    us.append(half_w * (1.0 + (zr0 + zr) / (z * th)))
-                    vs.append(half_h * (1.0 - (zu0 + zu) / (z * tv)))
+        """Pixel AABB over the box's 8 corners under `project`; None if any
+        corner is behind."""
+        (x0, y0, z0), (x1, y1, z1) = box.lo, box.hi
+        corners = [self.project((x, y, z)) for x in (x0, x1) for y in (y0, y1) for z in (z0, z1)]
+        if None in corners:
+            return None
+        us, vs = [c[0] for c in corners], [c[1] for c in corners]
         return (min(us), min(vs), max(us), max(vs))
 
     def in_front(self, box: Box) -> bool:
         """`project_box(box) is not None`, projecting nothing: every corner's
         forward depth exceeds 1e-9. Float rounding is monotone, so the nearest
         corner's depth is (min_x + min_y) + min_z, each the smaller of that
-        axis's two forward products, summed in `project_box`'s order."""
+        axis's two forward products, summed in `project`'s order."""
         f = self.forward
         px, py, pz = self.position
         x = min((box.lo[0] - px) * f[0], (box.hi[0] - px) * f[0])

@@ -125,15 +125,12 @@ class GoalPattern:
     """An entry goal laid out for library matching. `atoms` is the goal in
     canonical order and `objects` the objects it names, sorted; `sorts`
     holds each object's declared sort, which the parser requires of every
-    goal argument. `closes[i]` lists the atoms whose last argument, in
-    `objects` order, is object i, so a renaming that has bound objects
-    0..i decides exactly those atoms (every predicate has arity 1 or 2).
-    `pred_counts` counts the goal atoms per predicate."""
+    goal argument. `pred_counts` counts the goal atoms per predicate, which
+    bounds the entry's overlap before its renamings are searched."""
 
     atoms: tuple[Atom, ...]
     objects: tuple[str, ...]
     sorts: tuple[str, ...]
-    closes: tuple[tuple[int, ...], ...]
     pred_counts: dict[str, int]
 
 
@@ -153,15 +150,10 @@ class PlanEntry:
         entry's goal is not edited once it has been matched."""
         atoms = tuple(self.goal_state.canonical())
         objects = tuple(sorted({x for a in atoms for x in a.args}))
-        pos = {o: i for i, o in enumerate(objects)}
-        closes: list[list[int]] = [[] for _ in objects]
-        for j, a in enumerate(atoms):
-            closes[max(pos[x] for x in a.args)].append(j)
         return GoalPattern(
             atoms,
             objects,
             tuple(self.problem.objects[o] for o in objects),
-            tuple(tuple(c) for c in closes),
             dict(Counter(a.pred for a in atoms)),
         )
 

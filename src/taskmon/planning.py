@@ -37,11 +37,12 @@ match, and each is filled by the first search for its goal. Results are
 shared by every task that plans against the same entry, so a
 `MatchScore`'s renaming is read-only.
 
-Matching bounds before it searches. Each entry's overlap is capped by its
-per-predicate atom counts against the goal's, so entries that cannot beat
-the best so far are skipped, and the renaming search inside an entry cuts
-branches that cannot beat its best renaming. Both cuts drop only work that
-could not change the result.
+Matching bounds each entry before it searches it. An entry's overlap is
+capped by its per-predicate atom counts against the goal's, so an entry
+that cannot beat the best so far is skipped. Inside an entry the search is
+plain: it tries every complete renaming and counts its overlap. Every
+packaged entry goal names at most 4 objects in at most 3 atoms, too few for
+a cut inside the entry to pay for itself.
 """
 
 from __future__ import annotations
@@ -293,7 +294,7 @@ def match_plan(lib: PlanLibrary, g: State) -> MatchScore:
     An entry's overlap can never exceed the sum, over predicates, of the
     smaller of its goal's atom count and g's, so an entry whose bound cannot
     beat the best so far under that order is skipped unsearched. Skipping
-    it, and pruning inside the renaming search, changes no result.
+    it changes no result.
 
     g itself is the key of the library's match memo (`PlanLibrary.matches`).
     The first call makes one empty slot per entry goal; a g that fills a
@@ -322,7 +323,7 @@ def match_plan(lib: PlanLibrary, g: State) -> MatchScore:
         bound = sum(min(n, g_counts[p]) for p, n in pat.pred_counts.items())
         if (bound, -len(pat.atoms)) <= best_rank:
             continue
-        score = _best_substitution(entry, g_keys, g_counts, g_terms, vocab)
+        score = _best_substitution(entry, g_keys, g_terms, vocab)
         if (score.overlap, -len(pat.atoms)) > best_rank:
             best, best_rank = score, (score.overlap, -len(pat.atoms))
     if best is None:
@@ -335,54 +336,26 @@ def match_plan(lib: PlanLibrary, g: State) -> MatchScore:
 def _best_substitution(
     entry: PlanEntry,
     g_keys: frozenset[tuple],
-    g_counts: Counter,
     g_terms: list[tuple[str, str]],
     vocab: Vocabulary,
 ) -> MatchScore:
-    """Depth-first search over injective renamings of the goal objects, in
-    sorted object order, each object trying itself first and then the
-    sort-compatible terms of g. The first renaming to reach the maximum
-    overlap wins. A branch is cut once the atoms it has matched plus the
-    atoms it could still match cannot beat the best so far."""
+    """Every injective renaming of the goal objects, in sorted object order,
+    each object trying itself first and then the sort-compatible terms of g.
+    The first renaming to reach the maximum overlap wins."""
     pat = entry.goal_pattern
-    objs, atoms, closes = pat.objects, pat.atoms, pat.closes
-    cand: list[list[str]] = []
-    for o, declared in zip(objs, pat.sorts):
-        cand.append([o] + [t for t, s in g_terms if t != o and vocab.is_subsort(s, declared)])
-    # matchable[i]: atoms decided at depth i or later whose predicate g has
-    matchable = [0] * (len(objs) + 1)
-    for i in range(len(objs) - 1, -1, -1):
-        matchable[i] = matchable[i + 1] + sum(1 for j in closes[i] if atoms[j].pred in g_counts)
-
-    best_sub: dict[str, str] = {o: o for o in objs}
-    best_overlap = sum(1 for a in atoms if a.key() in g_keys)
-    sub: dict[str, str] = {}
-    used: set[str] = set()
-
-    def rec(i: int, matched: int):
-        nonlocal best_sub, best_overlap
-        if matched + matchable[i] <= best_overlap:
-            return
-        if i == len(objs):
-            best_overlap, best_sub = matched, dict(sub)
-            return
-        o = objs[i]
-        for c in cand[i]:
-            if c in used:
-                continue
-            sub[o] = c
-            used.add(c)
-            n = matched
-            for j in closes[i]:
-                a = atoms[j]
-                if (a.pred, tuple(sub[x] for x in a.args)) in g_keys:
-                    n += 1
-            rec(i + 1, n)
-            used.discard(c)
-            del sub[o]
-
-    rec(0, 0)
+    cand = [
+        [o] + [t for t, s in g_terms if t != o and vocab.is_subsort(s, declared)]
+        for o, declared in zip(pat.objects, pat.sorts)
+    ]
+    best_overlap, best_sub = -1, {}
+    for combo in itertools.product(*cand):
+        if len(set(combo)) < len(combo):
+            continue
+        sub = dict(zip(pat.objects, combo))
+        n = sum((a.pred, tuple(sub[x] for x in a.args)) in g_keys for a in pat.atoms)
+        if n > best_overlap:
+            best_overlap, best_sub = n, sub
     matched = State(frozenset(
-        Atom(a.pred, tuple(best_sub.get(x, x) for x in a.args)) for a in entry.goal_state.atoms
+        Atom(a.pred, tuple(best_sub[x] for x in a.args)) for a in entry.goal_state.atoms
     ))
     return MatchScore(entry, best_overlap, MappingProxyType(best_sub), matched)

@@ -46,6 +46,7 @@ from .language import (
     decode_goal,
     encode_goal,
     encode_state,
+    shaped,
 )
 
 CHECKPOINT_VERSION = 1
@@ -213,12 +214,12 @@ def _encode_graph(params: GoalNetParams, eb: _EncBatch) -> dict:
 
     S = ad.seg_mix(eb.M, E3)  # (B, K, 2H)
     task_seg = ad.reshape(ad.narrow(S, 1, 0, 1), (B, 2 * H))
-    lengths = eb.tok_mask.sum(axis=1, keepdims=True)
-    mean_w = eb.tok_mask / np.maximum(lengths, 1.0)
-    ctx_mean = ad.row_mix(mean_w, E3)  # (B, 2H): the no-attention context
-    U = None
+    U = ctx_mean = None
     if params.use_attention:
         U = ad.matmul(ad.reshape(S, (B * K, 2 * H)), params.att_W1)
+    else:
+        mean_w = eb.tok_mask / np.maximum(eb.tok_mask.sum(axis=1, keepdims=True), 1.0)
+        ctx_mean = ad.row_mix(ad.const(mean_w), E3)  # (B, 2H): the no-attention context
     return {
         "B": B,
         "K": K,
@@ -254,7 +255,7 @@ def _dec_step(
         pre = ad.tanh(ad.add(env["U"], ad.repeat_rows(V, env["K"])))
         scores = ad.reshape(ad.matmul(pre, params.att_W), (env["B"], env["K"]))
         p = ad.masked_softmax(scores, env["seg_mask"])
-        ctx = ad.weighted_ctx(p, env["S"])
+        ctx = ad.row_mix(p, env["S"])
     else:
         p = None
         ctx = env["ctx_mean"]
@@ -303,7 +304,7 @@ def _teacher_forced_loss(
     n_total = 0
     for t in range(L):
         prev_emb = ad.embedding(params.emb, dec_in[:, t])
-        prev_seg = ad.row_mix(P[:, t, :], Y3)
+        prev_seg = ad.row_mix(ad.const(P[:, t, :]), Y3)
         logits, hc, _ = _dec_step(params, env, prev_emb, prev_seg, hc, tgt_mask[:, t : t + 1])
         loss_t, n_t = ad.ce_sum(logits, tgt[:, t], tgt_mask[:, t])
         losses.append(loss_t)
@@ -343,17 +344,20 @@ def _encode_np(params: GoalNetParams, ids: tuple[int, ...], rows: int) -> dict:
     folded = ad.lstm_layer_np(E3, params.sum_Wx.data, params.sum_Wh.data, params.sum_b.data)
     summary = folded[:, -1]
     S = np.einsum("bkt,btd->bkd", eb.M, E3)  # (1, K, 2H)
-    ctx_mean = np.einsum("bt,btd->bd", np.full((1, T), 1.0 / T), E3)
     h0 = np.tanh(summary @ params.h0_W.data + params.h0_b.data)
     c0 = np.tanh(summary @ params.c0_W.data + params.c0_b.data)
-    U = S[0] @ params.att_W1.data if params.use_attention else None
+    U = ctx_mean = None
+    if params.use_attention:
+        U = np.tile(S[0] @ params.att_W1.data, (rows, 1))
+    else:
+        ctx_mean = np.repeat(np.einsum("bt,btd->bd", np.full((1, T), 1.0 / T), E3), rows, axis=0)
     return {
         "K": K,
         "S": np.repeat(S, rows, axis=0),
-        "U": None if U is None else np.tile(U, (rows, 1)),
+        "U": U,
         "task_seg": np.repeat(S[:, 0, :], rows, axis=0),
         "seg_mask": np.repeat(eb.seg_mask, rows, axis=0),
-        "ctx_mean": np.repeat(ctx_mean, rows, axis=0),
+        "ctx_mean": ctx_mean,
         "hc0": np.concatenate([h0, c0], axis=1),
     }
 
@@ -641,8 +645,9 @@ def save_params(params: GoalNetParams, path: str) -> None:
 
 
 def load_params(path: str, vocab: Vocabulary) -> GoalNetParams:
-    """Refuses checkpoints written against a different vocabulary, ones whose
-    meta.json is not an object or lacks a field, ones whose stored parameter
+    """Refuses checkpoints written against a different vocabulary or another
+    version, ones whose meta.json is not an object, lacks a field or gives
+    `use_attention` as anything but a boolean, ones whose stored parameter
     groups are not exactly GoalNetParams.GROUPS, and ones that cannot be read
     at all: not a zip, no meta.json, meta.json not JSON, an array that does
     not parse or fails `validate`. Every refusal is a CheckpointMismatch.
@@ -652,8 +657,9 @@ def load_params(path: str, vocab: Vocabulary) -> GoalNetParams:
             meta = json.loads(z.read("meta.json"))
             if not isinstance(meta, dict):
                 raise CheckpointMismatch(f"meta.json must be an object, got {type(meta).__name__}")
-            if meta.get("version") != CHECKPOINT_VERSION:
-                raise CheckpointMismatch(f"checkpoint version {meta.get('version')}")
+            version = meta.get("version")
+            if type(version) is not int or version != CHECKPOINT_VERSION:  # a bool is not one
+                raise CheckpointMismatch(f"checkpoint version {version!r}")
             lacking = sorted({"vocab_hash", "use_attention", "groups"} - set(meta))
             if lacking:
                 raise CheckpointMismatch(f"meta.json lacks {lacking}")
@@ -675,7 +681,9 @@ def load_params(path: str, vocab: Vocabulary) -> GoalNetParams:
                 arrays[name] = ad.Tensor(arr, requires_grad=True)
         params = GoalNetParams(
             vocab_hash=meta["vocab_hash"],
-            use_attention=bool(meta["use_attention"]),
+            use_attention=shaped(
+                meta["use_attention"], bool, "meta.json: use_attention", CheckpointMismatch
+            ),
             **arrays,
         )
         params.validate()

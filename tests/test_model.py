@@ -195,7 +195,7 @@ def dec_step_attention(segments, prev_segment, dec_hidden, params):
     hc = ad.const(np.concatenate([dec_hidden, np.zeros(DEC_HIDDEN)])[None])
     prev_emb = ad.const(np.zeros((1, EMB_DIM)))
     _, _, p = _dec_step(params, env, prev_emb, ad.const(prev_segment[None]), hc, np.ones((1, 1)))
-    ctx = ad.weighted_ctx(p, S)
+    ctx = ad.row_mix(p, S)
     return p.data[0], ctx.data[0]
 
 
@@ -320,7 +320,7 @@ def _taped_env(params, ids, rows: int) -> tuple[dict, np.ndarray]:
         "U": ad.const(np.tile(env["U"].data, (rows, 1))) if params.use_attention else None,
         "task_seg": ad.const(np.repeat(env["task_seg"].data, rows, axis=0)),
         "seg_mask": np.repeat(env["seg_mask"], rows, axis=0),
-        "ctx_mean": ad.const(np.repeat(env["ctx_mean"].data, rows, axis=0)),
+        "ctx_mean": None if params.use_attention else ad.const(np.repeat(env["ctx_mean"].data, rows, axis=0)),
     }
     return benv, hc0
 
@@ -389,7 +389,8 @@ def test_untaped_encoder_is_bit_equal_to_taped(tiny_vocab, use_attention):
             assert np.array_equal(env["hc0"], hc0)
             assert env["K"] == taped["K"] == n_atoms + 1
             assert np.array_equal(env["seg_mask"], taped["seg_mask"])
-            for key in ("S", "task_seg", "ctx_mean") + (("U",) if use_attention else ()):
+            assert (env["ctx_mean"] is None) is (taped["ctx_mean"] is None) is use_attention
+            for key in ("S", "task_seg") + (("U",) if use_attention else ("ctx_mean",)):
                 assert np.array_equal(env[key], taped[key].data), (seed, n_atoms, key)
 
 
@@ -471,7 +472,7 @@ def _per_step_encode_graph(params, eb):
         "U": ad.matmul(ad.reshape(S, (B * K, 2 * H)), params.att_W1) if params.use_attention else None,
         "task_seg": ad.reshape(ad.narrow(S, 1, 0, 1), (B, 2 * H)),
         "seg_mask": eb.seg_mask,
-        "ctx_mean": ad.row_mix(mean_w, E3),
+        "ctx_mean": ad.row_mix(ad.const(mean_w), E3),
         "summary": ad.narrow(hc2, 1, 0, S_sz),
     }
 
@@ -756,6 +757,11 @@ def test_checkpoint_refuses_misshapen_meta(tiny_vocab, tmp_path):
     for name, edit, message in [
         ("list", lambda meta: [1, 2], "meta.json must be an object, got list"),
         ("groups", lambda meta: {**meta, "groups": list(meta["groups"])}, "groups must be an object, got list"),
+        ("attention-str", lambda meta: {**meta, "use_attention": "false"}, "use_attention must be a boolean, got str"),
+        ("attention-int", lambda meta: {**meta, "use_attention": 0}, "use_attention must be a boolean, got int"),
+        ("version-bool", lambda meta: {**meta, "version": True}, "checkpoint version True"),
+        ("version-float", lambda meta: {**meta, "version": 1.0}, r"checkpoint version 1\.0"),
+        ("version-string", lambda meta: {**meta, "version": "1"}, "checkpoint version '1'"),
     ]:
         bad = tmp_path / f"{name}.gnp"
         _rewrite_checkpoint(path, bad, edit=edit)

@@ -522,6 +522,15 @@ def test_match_agrees_with_brute_force(small_library):
         assert_matches_brute_force(small_library, State.of(rng.sample(pool, rng.randint(1, 4))))
 
 
+def test_packaged_entry_goals_stay_small_enough_for_a_plain_renaming_search(packaged_lib):
+    # match_plan tries every renaming inside an entry, with no cut: that was
+    # measured to pay on entry goals of at most 4 objects in at most 3 atoms.
+    # A library that outgrows this must be measured again.
+    for entry in packaged_lib.entries:
+        pat = entry.goal_pattern
+        assert len(pat.objects) <= 4 and len(pat.atoms) <= 3, entry.name
+
+
 def test_match_determinism(small_library):
     g = State.of([Atom("On", ("brush", "shelf")), Atom("Found", ("cup",))])
     a = match_plan(small_library, g)
