@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral, Real
+from numbers import Real
 from typing import Iterable, Optional
 
 import numpy as np
 
 from .geometry import Box, Scene, Vec
-from .language import Atom, Vocabulary, check_int
+from .language import Atom, Vocabulary, check_int, check_probability
 from .perception import (
     DEFAULT_THRESHOLDS,
     Detection,
@@ -147,10 +147,6 @@ def remove_from_workspace(scene: Scene, obj_id: str) -> None:
 # --- disturbances ----------------------------------------------------------------
 
 
-def _is_probability(p) -> bool:
-    return isinstance(p, Real) and not isinstance(p, bool) and 0.0 <= p <= 1.0
-
-
 @dataclass(frozen=True)
 class Disturbance:
     """A world edit scheduled against the actuator's call counter: fires just
@@ -165,10 +161,7 @@ class Disturbance:
     prob: float = 1.0
 
     def __post_init__(self):
-        if not isinstance(self.before_call, Integral) or isinstance(self.before_call, bool):
-            raise ValueError(f"before_call {self.before_call!r} is not an int")
-        if self.before_call < 1:
-            raise ValueError("before_call is 1-based")
+        check_int("before_call", self.before_call, 1)
         if self.kind not in ("relocate", "remove", "nudge"):
             raise ValueError(f"unknown disturbance kind {self.kind!r}")
         if self.kind == "relocate" and not self.dest:
@@ -183,8 +176,7 @@ class Disturbance:
             raise ValueError(f"offset {self.offset!r} is not 3 numbers")
         if not all(math.isfinite(v) for v in self.offset):
             raise ValueError(f"offset {self.offset!r} is not finite")
-        if not _is_probability(self.prob):
-            raise ValueError(f"prob must be a number in [0, 1], got {self.prob!r}")
+        check_probability("prob", self.prob)
 
 
 def _check_ids(scene: Scene, d: Disturbance) -> None:
@@ -213,8 +205,7 @@ class SimActuator(Actuator):
         seed: int = 0,
         disturbances: Iterable[Disturbance] = (),
     ):
-        if not _is_probability(fail_prob):
-            raise ValueError(f"fail_prob must be a number in [0, 1], got {fail_prob!r}")
+        check_probability("fail_prob", fail_prob)
         check_int("seed", seed, 0)
         disturbances = tuple(disturbances)
         for d in disturbances:
@@ -286,23 +277,18 @@ class SimActuator(Actuator):
             self._apply_add(a)
 
     def _apply_add(self, a: Atom) -> None:
-        # Dispatched on the predicate's name, as `ground_relation` is. Free
-        # needs no edit: the paired Holding/On effects make its geometry. Any
-        # other predicate is a purely symbolic effect.
+        # Dispatched on the predicate's name, as `ground_relation` is. The
+        # edits are Holding, On, CloseTo, At and Detected. Free needs none:
+        # the paired Holding/On effects make its geometry. Any other predicate
+        # is a purely symbolic effect; no packaged action adds one.
         pred, scene = a.pred, self.scene
         if pred == "Holding":
             grasp(scene, *_require(scene, a.args, a))
         elif pred == "On":
             place_on(scene, *_require(scene, a.args, a))
-        elif pred == "Inside":
-            obj, dest = _require(scene, a.args, a)
-            detach(scene, obj)
-            move_center_to(scene, obj, scene.get(dest).box.center)
         elif pred in ("CloseTo", "At"):
             limit = DEFAULT_THRESHOLDS.close_dist if pred == "CloseTo" else DEFAULT_THRESHOLDS.at_dist
             approach(scene, *_require(scene, a.args, a), 0.6 * limit)
         elif pred == "Detected":
             (obj,) = _require(scene, a.args, a)
             scene.camera = scene.camera.aimed_at(scene.get(obj).box.center)
-        elif pred == "VisionOn":
-            scene.vision_on = True

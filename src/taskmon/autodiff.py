@@ -36,10 +36,6 @@ class Tensor:
         self._parents = parents if self.requires_grad else ()
         self._backward = backward if self.requires_grad else None
 
-    @property
-    def shape(self):
-        return self.data.shape
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, grad={'set' if self.grad is not None else 'none'})"
 
@@ -207,8 +203,6 @@ def embedding(W: Tensor, ids: np.ndarray) -> Tensor:
     out_data = W.data[ids]
 
     def back(g):
-        if not W.requires_grad:
-            return
         gw = np.zeros_like(W.data)
         np.add.at(gw, ids.reshape(-1), g.reshape(-1, W.data.shape[1]))
         _acc(W, gw)
@@ -232,8 +226,6 @@ def seq_embedding(W: Tensor, ids: np.ndarray) -> Tensor:
     out_data = W.data[ids]
 
     def back(g):
-        if not W.requires_grad:
-            return
         for t in (*range(T - 2, -1, -1), T - 1):
             gw = np.zeros_like(W.data)
             np.add.at(gw, ids[:, t], g[:, t])

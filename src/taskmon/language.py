@@ -64,6 +64,13 @@ def check_int(name: str, value, low: int) -> None:
         raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
+def check_probability(name: str, value) -> None:
+    """Raise a ValueError naming `name` unless `value` is a real number in
+    [0, 1]; a bool is not one."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool) or not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name} must be a number in [0, 1], got {value!r}")
+
+
 _SHAPES = {dict: "mapping", list: "list", str: "string", bool: "boolean", int: "whole number", (int, float): "number"}
 
 
@@ -199,9 +206,6 @@ class State:
     def __contains__(self, atom: Atom) -> bool:
         return atom in self.atoms
 
-    def __or__(self, other: "State") -> "State":
-        return State(self.atoms | other.atoms)
-
     def __str__(self) -> str:
         return " & ".join(str(a) for a in self.canonical()) or "(empty)"
 
@@ -227,9 +231,6 @@ class TaskSentence:
 @dataclass(frozen=True)
 class TokenSeq:
     ids: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.ids)
 
 
 # --- sort tree: a sort -> parent map, None at a root ---------------------------

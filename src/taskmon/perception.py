@@ -52,7 +52,7 @@ from typing import Iterable
 import numpy as np
 
 from .geometry import Box, Camera, Scene, SceneObject, dist, ray_box
-from .language import State, check_int
+from .language import State, check_int, check_probability
 
 
 class Mode(enum.Enum):
@@ -81,9 +81,7 @@ class DetectorModel:
 
     def __post_init__(self):
         for name in ("tp_rate", "confusion"):
-            v = getattr(self, name)
-            if not isinstance(v, Real) or isinstance(v, bool) or not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must be a number in [0, 1], got {v!r}")
+            check_probability(name, getattr(self, name))
         for name in ("px_jitter", "depth_sigma"):
             v = getattr(self, name)
             if not isinstance(v, Real) or isinstance(v, bool) or not 0.0 <= v < math.inf:

@@ -408,8 +408,6 @@ def beam_decode(ids: tuple[int, ...], params: GoalNetParams, width: int = 3) -> 
     done: list[DecodeResult] = []
     V = params.vocab_size
     for _ in range(MAX_LEN):
-        if not live:
-            break
         prev_emb = emb[[b.tokens[-1] if b.tokens else ETS_ID for b in live]]
         prev_seg = np.array([b.prev_seg for b in live])
         logits, hc_new = _dec_step_np(params, env, prev_emb, prev_seg, hc)

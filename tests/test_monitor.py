@@ -348,6 +348,23 @@ def test_an_effect_naming_no_scene_object_is_refused(lib, desk_vocab):
         SimActuator(desk_scene(), desk_vocab).execute(search)
 
 
+# The add effects SimActuator._apply_add turns into a geometric edit, and
+# Free, whose geometry the paired Holding/On effects make.
+ACTUATED_ADDS = {"Holding", "On", "CloseTo", "At", "Detected", "Free"}
+
+
+def test_every_packaged_add_effect_is_an_actuator_edit(packaged_lib):
+    # an add the actuator does not edit would become true in the plan and
+    # never in the world, and only the next look would catch it
+    adds = {
+        (entry.domain.name, schema.name, a.pred)
+        for entry in packaged_lib.entries
+        for schema in entry.domain.schemas
+        for a in schema.add
+    }
+    assert adds and {p for _, _, p in adds} <= ACTUATED_ADDS, sorted(t for t in adds if t[2] not in ACTUATED_ADDS)
+
+
 def test_actuator_fault_stream_is_seeded(lib, desk_vocab):
     ga = grasp_action(lib)
     outcomes = []
@@ -1120,6 +1137,51 @@ def test_goal_budget_halts_a_cycling_source(lib, desk_vocab):
     assert len(of_kind(trace, "proposal_selected")) == 3
 
 
+def test_select_stops_at_the_goal_budget_after_a_recovery(lib):
+    # e-place is retired by a recovery; with its one goal attempted, SELECT,
+    # not REQUEST, meets the budget
+    g = goal_of(lib, "e-place")
+    trace = run_scripted(lib, desk_scene(), [g], g, cfg=quiet_cfg(max_goals=1))
+    assert trace.outcome == Outcome("failure", "goal_budget_exhausted")
+    audit(trace)
+    assert [e.kind for e in trace.events[-2:]] == ["recovery", "end_task"]
+    assert len(of_kind(trace, "proposal_requested")) == 1
+
+
+def test_a_net_with_no_valid_proposal_ends_with_no_proposals(lib, desk_vocab, monkeypatch):
+    task = desk_vocab.tasks["t-fetch"]
+    params, _ = train([TrainingPair.of(task, START, goal_of(lib, "e-pick"), desk_vocab)], desk_vocab, seed=3)
+
+    def no_valid(*args):
+        raise monitor.NoValidProposal("every beam decodes to a malformed goal")
+
+    monkeypatch.setattr(monitor, "infer_topk", no_valid)
+    scene = desk_scene()
+    trace = run_task(
+        "t-fetch", scene, lib, params, SimActuator(scene, desk_vocab, seed=7), quiet_cfg(),
+        terminal=goal_of(lib, "e-pick"), start=START,
+    )
+    assert trace.outcome == Outcome("failure", "no_proposals")
+    audit(trace)
+    (req,) = of_kind(trace, "proposal_requested")
+    assert req.payload["count"] == 0
+
+
+def test_endless_replans_stop_at_the_step_budget(lib, desk_vocab):
+    # every dispatch faults and the goal always has a replan left, so only
+    # the run's transition bound ends it
+    scene = desk_scene()
+    cfg = quiet_cfg(max_goals=1, replans=10_000)
+    g = goal_of(lib, "e-pick")
+    trace = run_scripted(lib, scene, [g], g, cfg=cfg, act=SimActuator(scene, desk_vocab, fail_prob=1.0))
+    assert cfg.step_budget == 144
+    assert trace.outcome == Outcome("failure", "step_budget_exhausted")
+    audit(trace)
+    assert len(trace.events) == 285
+    assert of_kind(trace, "recovery") == []
+    assert all(not e.payload["ok"] for e in of_kind(trace, "action_result"))
+
+
 def test_unplannable_goal_is_selected_once(lib, desk_vocab):
     # without the brush nothing can make On(brush,?s) hold, so e-pick has
     # no plan; the two later proposals match the same goal and are skipped
@@ -1498,9 +1560,9 @@ def test_nudge_offset_must_be_three_numbers(packaged_lib):
 def test_disturbance_call_index_is_a_positive_int():
     # a call index that is never an int would never fire
     for bad in (1.5, 1.0, True, "1"):
-        with pytest.raises(ValueError, match="not an int"):
+        with pytest.raises(ValueError, match="before_call must be an integer >= 1"):
             Disturbance(bad, "remove", "brush")
-    with pytest.raises(ValueError, match="1-based"):
+    with pytest.raises(ValueError, match="before_call must be an integer >= 1"):
         Disturbance(0, "remove", "brush")
     assert Disturbance(3, "remove", "brush").before_call == 3
 

@@ -493,6 +493,26 @@ def test_match_prefers_identity_and_library_order(small_library):
     assert m.substitution.get("brush", "brush") == "brush"
 
 
+def test_match_skips_a_renaming_that_gives_two_objects_one_name():
+    # shelf->table would make both entry atoms On(_,table) and score 2, but
+    # shelf and table would then share a name; the injective best is the
+    # identity, which overlaps on On(cup,table) alone
+    entry = make_entry(
+        """
+(define (problem stock2) (:domain tiny)
+  (:objects brush cup - item table shelf - surface)
+  (:init)
+  (:goal (and (On brush shelf) (On cup table))))
+""",
+        "stock-two",
+    )
+    g = State.of([Atom("On", ("cup", "table")), Atom("On", ("brush", "table"))])
+    m = match_plan(PlanLibrary([entry], make_tiny_vocab()), g)
+    assert m.overlap == 1
+    assert all(m.substitution.get(o, o) == o for o in ("brush", "cup", "shelf", "table"))
+    assert m.matched_goal == entry.goal_state
+
+
 def test_match_empty_library():
     with pytest.raises(EmptyLibrary):
         match_plan(PlanLibrary([], make_tiny_vocab()), State())
