@@ -162,16 +162,17 @@ class Atom:
         return f"{self.pred}({','.join(self.args)})"
 
 
-_ATOM_RE = re.compile(r"^\s*([A-Za-z_][\w-]*)\s*\(\s*([^)]*?)\s*\)\s*$")
+_ATOM_RE = re.compile(r"^\s*([A-Za-z_][\w-]*)\s*\(\s*((?:[^\s,)]+(?:\s*,\s*[^\s,)]+)*)?)\s*\)\s*$")
 
 
 def parse_atom(text: str) -> Atom:
     """Parse 'Pred(a,b)' or 'Pred(a)' into an Atom; LanguageError on any
-    other text, such as one with a suffix after the closing parenthesis."""
+    other text, such as one with a suffix after the closing parenthesis or
+    an argument that is empty or holds a space."""
     m = _ATOM_RE.match(text)
     if not m:
         raise LanguageError(f"cannot parse atom: {text!r}")
-    args = tuple(a.strip() for a in m.group(2).split(",")) if m.group(2).strip() else ()
+    args = tuple(a.strip() for a in m.group(2).split(",")) if m.group(2) else ()
     return Atom(m.group(1), args)
 
 

@@ -5,8 +5,9 @@ Supported surface: :requirements :typing, :types, :predicates, :action with
 (world or ecological). Preconditions are conjunctions of positive atoms,
 with no equality; effects are conjunctions of atoms and (not atom) deletes.
 Each section but :action appears at most once. Everything else, `=`
-included, raises UnsupportedFeature.
-`validate_library` checks every entry with the monitor's planner,
+included, raises UnsupportedFeature. The reader scans the text with one token
+regex, reports a ParseError at a 1-based line and column, and nests lists
+without limit. `validate_library` checks every entry with the monitor's planner,
 `planning.solve`.
 """
 
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -212,61 +214,40 @@ class SList:
 Node = Union[Tok, SList]
 
 
-def _tokenize(text: str) -> list[Tok]:
-    toks: list[Tok] = []
-    line, col, i = 1, 1, 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line, col = line + 1, 1
-            i += 1
-        elif c in " \t\r":
-            col += 1
-            i += 1
-        elif c == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif c in "()":
-            toks.append(Tok(c, line, col))
-            col += 1
-            i += 1
-        else:
-            j = i
-            while j < n and text[j] not in " \t\r\n();":
-                j += 1
-            toks.append(Tok(text[i:j], line, col))
-            col += j - i
-            i = j
-    return toks
-
-
-def _read(toks: list[Tok], i: int) -> tuple[Node, int]:
-    if i >= len(toks):
-        last = toks[-1] if toks else Tok("", 1, 1)
-        raise ParseError(last.line, last.col + len(last.text), "an expression, found end of input")
-    t = toks[i]
-    if t.text == "(":
-        items: list[Node] = []
-        i += 1
-        while True:
-            if i >= len(toks):
-                raise ParseError(t.line, t.col, "a matching ')'")
-            if toks[i].text == ")":
-                return SList(items, t.line, t.col), i + 1
-            node, i = _read(toks, i)
-            items.append(node)
-    if t.text == ")":
-        raise ParseError(t.line, t.col, "an expression, found ')'")
-    return t, i + 1
+_TOKEN = re.compile(r"[()]|[^ \t\r\n();]+|;[^\n]*")
 
 
 def _parse_sexpr(text: str) -> Node:
-    toks = _tokenize(text)
-    node, i = _read(toks, 0)
-    if i != len(toks):
-        raise ParseError(toks[i].line, toks[i].col, "end of input")
-    return node
+    """Read the one expression `text` holds. Lists are built on an explicit
+    stack over a top-level list, which takes a list once it is closed."""
+    top = SList([], 1, 1)
+    stack = [top]
+    line, line_start, end = 1, 0, 0
+    for m in _TOKEN.finditer(text):
+        s, start = m.group(), m.start()
+        newlines = text.count("\n", end, start)
+        if newlines:
+            line, line_start = line + newlines, text.rindex("\n", end, start) + 1
+        end = m.end()
+        if s[0] == ";":
+            continue
+        col = start - line_start + 1
+        if top.items:
+            raise ParseError(line, col, "end of input")
+        if s == "(":
+            stack.append(SList([], line, col))
+        elif s != ")":
+            stack[-1].items.append(Tok(s, line, col))
+        elif len(stack) > 1:
+            closed = stack.pop()
+            stack[-1].items.append(closed)
+        else:
+            raise ParseError(line, col, "an expression, found ')'")
+    if len(stack) > 1:
+        raise ParseError(stack[-1].line, stack[-1].col, "a matching ')'")
+    if not top.items:
+        raise ParseError(1, 1, "an expression, found end of input")
+    return top.items[0]
 
 
 def _sym(node: Node, expected: str) -> str:
@@ -608,7 +589,7 @@ def load_library(manifest_path: str, vocab: Vocabulary) -> PlanLibrary:
         if name in names:
             raise LibraryError(f"duplicate entry name {name}")
         names.add(name)
-        dpath = os.path.join(base, shaped_field(item, "domain", f"entry {name}", error=LibraryError))
+        dpath = os.path.realpath(os.path.join(base, shaped_field(item, "domain", f"entry {name}", error=LibraryError)))
         if dpath not in domains:
             with open(dpath) as f:
                 domains[dpath] = parse_domain(f.read())

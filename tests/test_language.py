@@ -323,7 +323,7 @@ def test_parse_atom_round_trip():
         a = parse_atom(text)
         assert parse_atom(str(a)) == a
     assert parse_atom("On( brush , table )") == Atom("On", ("brush", "table"))
-    for bad in ["not an atom", "Hold(hand,cup)@12"]:
+    for bad in ["not an atom", "Hold(hand,cup)@12", "On(a,,b)", "On(a b)", "On(,)", "On(a,)"]:
         with pytest.raises(LanguageError):
             parse_atom(bad)
 

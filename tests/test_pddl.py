@@ -1,7 +1,9 @@
+import os
 import random
 
 import pytest
 
+from taskmon import pddl
 from taskmon.language import Atom, Predicate, State
 from taskmon.pddl import (
     ActionSchema,
@@ -11,6 +13,8 @@ from taskmon.pddl import (
     PlanDomain,
     PlanProblem,
     SchemaAtom,
+    SList,
+    Tok,
     TypingError,
     UnsupportedFeature,
     load_library,
@@ -18,7 +22,7 @@ from taskmon.pddl import (
     parse_problem,
     validate_library,
 )
-from conftest import TINY_DOMAIN, make_tiny_vocab
+from conftest import DATA, TINY_DOMAIN, make_tiny_vocab
 from domaingen import print_domain, print_problem
 
 TINY_PROBLEM = """
@@ -155,6 +159,99 @@ def test_parse_error_positions():
             "(define (domain d) (:types t) (:predicates (P ?x - t))"
             " (:action a :class cosmic :parameters (?x - t) :precondition (and) :effect (and)))"
         )
+
+
+def test_deep_nesting_is_a_parse_error():
+    # the reader builds lists on a stack, so depth is bound by memory only
+    with pytest.raises(ParseError) as e:
+        parse_domain("(" * 5000)
+    assert (e.value.line, e.value.column, e.value.expected) == (1, 5000, "a matching ')'")
+    prefix = "(define (domain d) (:types t) (:predicates "
+    with pytest.raises(ParseError) as e:
+        parse_domain(prefix + "(" * 3000 + ")" * 3000 + "))")
+    assert (e.value.line, e.value.column, e.value.expected) == (1, len(prefix) + 2, "a predicate name")
+
+
+def reference_parse(text):
+    """A recursive reader to compare `pddl._parse_sexpr` with: a character
+    loop that tokenizes, then a descent that reads one expression. Its
+    recursion bounds its depth, so the inputs it is given stay shallow."""
+    toks, line, col, i = [], 1, 1, 0
+    while i < len(text):
+        c = text[i]
+        if c == "\n":
+            line, col, i = line + 1, 1, i + 1
+        elif c in " \t\r":
+            col, i = col + 1, i + 1
+        elif c == ";":
+            while i < len(text) and text[i] != "\n":
+                i += 1
+        else:
+            j = i + 1
+            if c not in "()":
+                while j < len(text) and text[j] not in " \t\r\n();":
+                    j += 1
+            toks.append(Tok(text[i:j], line, col))
+            col, i = col + j - i, j
+
+    def read(i):
+        if i >= len(toks):
+            last = toks[-1] if toks else Tok("", 1, 1)
+            raise ParseError(last.line, last.col + len(last.text), "an expression, found end of input")
+        t = toks[i]
+        if t.text == ")":
+            raise ParseError(t.line, t.col, "an expression, found ')'")
+        if t.text != "(":
+            return t, i + 1
+        items, i = [], i + 1
+        while True:
+            if i >= len(toks):
+                raise ParseError(t.line, t.col, "a matching ')'")
+            if toks[i].text == ")":
+                return SList(items, t.line, t.col), i + 1
+            node, i = read(i)
+            items.append(node)
+
+    node, i = read(0)
+    if i != len(toks):
+        raise ParseError(toks[i].line, toks[i].col, "end of input")
+    return node
+
+
+def read_outcome(reader, text):
+    try:
+        return reader(text)
+    except ParseError as e:
+        return ("error", e.line, e.column, e.expected)
+
+
+SEXPR_PIECES = ["(", ")", "(", ")", "a", "Pred", "?x", "-", ":k", " ", " ", "\t", "\r", "\n", "\r\n", "\f", "; c", "; c\n", ";\n"]
+
+
+def test_the_reader_agrees_with_the_recursive_reference():
+    rng = random.Random(40)
+    texts = []
+    for _ in range(2000):
+        pieces = [rng.choice(SEXPR_PIECES) for _ in range(rng.randrange(0, 30))]
+        if rng.random() < 0.5:  # one balanced list, so most of these read
+            depth, kept = 1, ["("]
+            for p in pieces:
+                if p != ")" or depth > 1:
+                    depth += (p == "(") - (p == ")")
+                    kept.append(p)
+            pieces = kept + [")"] * depth
+        texts.append("".join(pieces))
+    for d in ("domains", "problems"):
+        for name in sorted(os.listdir(os.path.join(DATA, d))):
+            with open(os.path.join(DATA, d, name)) as f:
+                texts.append(f.read())
+    lists = 0
+    for text in texts:
+        got = read_outcome(pddl._parse_sexpr, text)
+        assert got == read_outcome(reference_parse, text), repr(text)
+        lists += isinstance(got, SList)
+    # both arms are exercised, not only the refusals
+    assert 500 < lists < len(texts) - 500, lists
 
 
 def test_schema_invariants_enforced():
@@ -365,6 +462,13 @@ def test_load_library(tmp_path):
     assert lib.entries[0].domain is lib.entries[1].domain  # shared parse
     assert len(lib.chains) == 2
     assert lib.chains[0].weight == 4.0
+
+
+def test_load_library_parses_each_domain_file_once(tmp_path):
+    # two spellings of one file give one domain, and with it one grounding memo
+    extra = [{"name": "fetch-again", "domain": "./tiny.pddl", "problem": "fetch.pddl"}]
+    lib = load_library(write_library(tmp_path, extra_entries=extra), make_tiny_vocab())
+    assert len({id(e.domain) for e in lib.entries}) == 1
 
 
 def test_load_library_rejects_duplicates_and_bad_refs(tmp_path):
